@@ -129,12 +129,6 @@ class DomainChart:
         r = np.abs(self.z)
         return r <= 1.0 - 2.0 * stencil_depth * self.h
 
-    def like(self, n: int) -> "DomainChart":
-        """Same chart at a different resolution (for refinement studies)."""
-        g = self.grid
-        return DomainChart(Grid2D(n=n, side=g.side, topology=g.topology, window=g.window),
-                           scalar_curvature=self.scalar_curvature)
-
     # -- stencil calculus ----------------------------------------------------
 
     def derivative(self, f, axis) -> np.ndarray:
@@ -216,14 +210,6 @@ class DomainChart:
         theta, px, py = self.circle_points(r, n_theta)
         vals = self.interp(f, px, py)
         out = vals.sum(axis=0) * (2.0 * np.pi * r / n_theta)
-        return complex(out) if np.iscomplexobj(np.asarray(f)) else float(out)
-
-    def circle_mean_dtheta(self, f, r: float, n_theta: int = 256) -> float | complex:
-        """Integral of ``f`` in dtheta over |z| = r (no arclength weight)."""
-        self._check_radius(r)
-        theta, px, py = self.circle_points(r, n_theta)
-        vals = self.interp(f, px, py)
-        out = vals.sum(axis=0) * (2.0 * np.pi / n_theta)
         return complex(out) if np.iscomplexobj(np.asarray(f)) else float(out)
 
     def _check_radius(self, r: float) -> None:

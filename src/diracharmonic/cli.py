@@ -8,15 +8,6 @@ config text instead of timestamps.
 
 from __future__ import annotations
 
-import os
-
-# Honor the thread cap before numpy initializes its BLAS backend.
-_threads = os.environ.get("DHM_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import json
 import sys
@@ -24,12 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-import hashlib
-
 from . import __version__
-from .config import ConfigError, RunConfig, build_pair, build_solver_config, load_config
+from .config import (ConfigError, RunConfig, build_pair, build_solver_config,
+                     load_config, parse_config)
 from .fieldio import FieldFileError, read_field, read_header, write_field
-from .fields import action, el_residual, energy, field_scale
+from .fields import TwistedSpinorField, action, el_residual, energy, field_scale
 from .identities import decay_profile
 from .solver import solve
 from .verify import run_verification, run_verification_on_fields
@@ -44,20 +34,26 @@ def _json_dump(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if args.grid is not None:
-        cfg.chart["n"] = str(args.grid)
-    if args.seed is not None:
-        cfg.output["seed"] = str(args.seed)
-    if args.out is not None:
-        cfg.output["out_dir"] = args.out
-    return cfg
+def _load(args) -> RunConfig:
+    """The config file (or an empty one) with the command-line overrides."""
+    flags = (("chart", "n", args.grid, "--grid"), ("output", "seed", args.seed, "--seed"),
+             ("output", "out_dir", args.out, "--out"))
+    overrides = [f for f in flags if f[2] is not None]
+    return load_config(args.config, overrides) if args.config else parse_config("", overrides)
 
 
 def _outdir(cfg: RunConfig) -> Path:
-    out = Path(cfg.output.get("out_dir", "runs"))
+    out = Path(cfg.get("output", "out_dir"))
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _read_fields(phi_path, psi_path):
+    """Stored map and spinor; a zero spinor when no spinor file is given."""
+    phi = read_field(phi_path)
+    if psi_path:
+        return phi, read_field(psi_path, chart=phi.chart)
+    return phi, TwistedSpinorField.zero(phi.chart, phi.target)
 
 
 def _summary(phi, psi) -> dict:
@@ -72,19 +68,15 @@ def _summary(phi, psi) -> dict:
     }
 
 
-def _config_hash(cfg: RunConfig) -> str:
-    return hashlib.sha256(cfg.source_text.encode()).hexdigest()
-
-
 def cmd_exact(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
     phi, psi = build_pair(cfg)
+    out = _outdir(cfg)
     write_field(out / "phi.dhm", phi)
     write_field(out / "psi.dhm", psi)
     report = {
         "package_version": __version__,
-        "config_sha256": _config_hash(cfg),
-        "scenario": cfg.scenario.get("kind", "twistor_pushforward"),
+        "config_sha256": cfg.sha256(),
+        "scenario": cfg.get("scenario", "kind"),
         "grid": phi.chart.n,
         "summary": _summary(phi, psi),
     }
@@ -94,21 +86,15 @@ def cmd_exact(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig, sweep: bool, phi_path=None, psi_path=None) -> int:
-    out = _outdir(cfg)
     if phi_path is not None:
         # File mode: single-resolution checks on stored fields (absolute
         # thresholds; refinement ratios need the scenario config).
-        phi = read_field(phi_path)
-        if psi_path:
-            psi = read_field(psi_path, chart=phi.chart)
-        else:
-            from .fields import TwistedSpinorField
-            psi = TwistedSpinorField.zero(phi.chart, phi.target)
-        seed = int(cfg.output.get("seed", "1234"))
-        report = run_verification_on_fields(phi, psi, seed=seed)
+        phi, psi = _read_fields(phi_path, psi_path)
+        report = run_verification_on_fields(phi, psi, seed=cfg.get("output", "seed"))
         report["summary"] = _summary(phi, psi)
     else:
         report = run_verification(cfg, sweep=sweep)
+    out = _outdir(cfg)
     _json_dump(report, out / "verify_report.json")
     for rec in report["identities"]:
         status = "pass" if rec["pass"] else "FAIL"
@@ -118,9 +104,9 @@ def cmd_verify(cfg: RunConfig, sweep: bool, phi_path=None, psi_path=None) -> int
 
 
 def cmd_flow(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
     phi0, psi0 = build_pair(cfg)
     solver_cfg = build_solver_config(cfg)
+    out = _outdir(cfg)
     phi, psi, rep = solve(phi0, psi0, solver_cfg)
     trace_path = out / "flow_trace.csv"
     with open(trace_path, "w", encoding="utf-8") as fh:
@@ -131,7 +117,7 @@ def cmd_flow(cfg: RunConfig) -> int:
     write_field(out / "psi_final.dhm", psi)
     summary = {
         "package_version": __version__,
-        "config_sha256": _config_hash(cfg),
+        "config_sha256": cfg.sha256(),
         "termination": rep.termination,
         "iterations": rep.iterations[-1] if rep.iterations else 0,
         "initial_combined_residual": (rep.map_residual_trace[0] + rep.spinor_residual_trace[0]
@@ -145,18 +131,12 @@ def cmd_flow(cfg: RunConfig) -> int:
     return _EXIT_DIVERGED if rep.termination == "diverged" else _EXIT_OK
 
 
-def cmd_probe(phi_path, psi_path, out_dir) -> int:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    phi = read_field(phi_path)
+def cmd_probe(cfg: RunConfig, phi_path, psi_path) -> int:
+    out = _outdir(cfg)
+    phi, psi = _read_fields(phi_path, psi_path)
     if phi.chart.topology != "disk":
         print("probe requires fields on a disk chart", file=sys.stderr)
         return _EXIT_USAGE
-    if psi_path:
-        psi = read_field(psi_path, chart=phi.chart)
-    else:
-        from .fields import TwistedSpinorField
-        psi = TwistedSpinorField.zero(phi.chart, phi.target)
     prof = decay_profile(phi, psi)
     path = out / "probe.csv"
     cols = ["r", "dphi_weighted", "psi_weighted", "grad_psi_weighted",
@@ -206,7 +186,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("probe", help="decay/growth diagnostics from field files")
     pp.add_argument("--phi", type=str, required=True)
     pp.add_argument("--psi", type=str, default=None)
-    pp.add_argument("--out", type=str, default="runs")
+    pp.add_argument("--out", type=str, default=None, help="output directory")
+    pp.set_defaults(config=None, grid=None, seed=None)
     pd = sub.add_parser("dump", help="print a field file header")
     pd.add_argument("path", type=str)
     return ap
@@ -217,13 +198,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "dump":
             return cmd_dump(args.path)
-        if args.command == "probe":
-            return cmd_probe(args.phi, args.psi, args.out)
         if args.command == "verify" and args.config is None and args.phi is None:
             print("verify needs --config or --phi", file=sys.stderr)
             return _EXIT_USAGE
-        cfg = load_config(args.config) if args.config else RunConfig()
-        cfg = _apply_overrides(cfg, args)
+        cfg = _load(args)
+        if args.command == "probe":
+            return cmd_probe(cfg, args.phi, args.psi)
         if args.command == "exact":
             return cmd_exact(cfg)
         if args.command == "verify":

@@ -1,39 +1,27 @@
 """Line-oriented run configuration: ``key = value`` entries under
-``[section]`` headers.  Unknown sections or keys are rejected with the
-offending line number; values are validated against documented ranges.
+``[section]`` headers, described key by key in the table ``KEYS``.
 
-Sections and keys (defaults in parentheses):
-
-    [chart]    topology (torus) | n (64) | side (1.0 torus, 2.2 disk) |
-               window (none)
-    [target]   kind (sphere) | dim (2)
-    [scenario] kind (twistor_pushforward) plus per-kind parameters:
-               twistor_pushforward: rational_num (0,1) | rational_den (1) |
-                   map_scale (1.0) | map_center (0) | psi0 (1,0) | psi1 (0,0)
-               elliptic_pair: map_scale (0.7) | psi0 (1,0.5j)
-               harmonic_wrap: winding (1)
-               constant_spinor: base_point (0,0,1) | spinor_direction (1,0,0) |
-                   spinor_components (1,0)
-               perturbed_constant: base_point (0,0,1) | amplitude (0.05) |
-                   modes (2,3)
-    [solver]   dt (auto) | max_iters (2000) | residual_tol (1e-4) |
-               reproject_every (100) | spinor_norm_target (1.0) |
-               power_iters (6) | cg_tol (1e-10) | cg_max_iters (600) |
-               trace_every (25)
-    [output]   out_dir (runs) | seed (1234)
+Errors name the offending line, or the command-line flag that set the
+value.  A key the configured topology or scenario does not read is
+rejected; scenarios other than constant_spinor map into S^2 and accept
+``[target]`` only as ``kind = sphere, dim = 2``.  ``elliptic_pair`` needs a
+torus, and an explicit ``solver.dt`` must satisfy dt <= h^2/8 at the
+configured n and side.  Keys (generated from ``KEYS``): default, accepted
+values and, in brackets, who reads the key if not everyone.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .charts import DomainChart, bandlimited_field
+from .charts import DomainChart, Grid2D, bandlimited_field
 from .fields import MapField, TwistedSpinorField
-from .solutions import (RationalMap, conformal_map_field,
-                        elliptic_conformal_field, trivial_pair,
-                        twistor_pushforward)
+from .solutions import (RationalMap, conformal_map_field, elliptic_conformal_field,
+                        trivial_pair, twistor_pushforward)
 from .solver import SolverConfig
 from .targets import Sphere, make_target
 
@@ -42,20 +30,103 @@ class ConfigError(Exception):
     pass
 
 
-_SCHEMA = {
-    "chart": {"topology", "n", "side", "window"},
-    "target": {"kind", "dim"},
-    "scenario": {"kind", "rational_num", "rational_den", "map_scale", "map_center",
-                 "psi0", "psi1", "winding", "base_point", "spinor_direction",
-                 "spinor_components", "amplitude", "modes"},
-    "solver": {"dt", "max_iters", "residual_tol", "reproject_every",
-               "spinor_norm_target", "power_iters", "cg_tol", "cg_max_iters",
-               "trace_every"},
-    "output": {"out_dir", "seed"},
-}
+_SCALARS = {"int": (int, "an integer"), "float": (float, "a number"),
+            "complex": (complex, "a complex number")}
 
-_SCENARIOS = ("twistor_pushforward", "elliptic_pair", "harmonic_wrap",
-              "constant_spinor", "perturbed_constant")
+
+def _within(value, interval: str) -> bool:
+    lo, hi = (float(t) for t in interval[1:-1].split(","))
+    return ((lo < value or (interval[0] == "[" and value == lo))
+            and (value < hi or (interval[-1] == "]" and value == hi)))
+
+
+@dataclass(frozen=True)
+class Key:
+    """One row of the key table.  ``type`` is int, float or complex, each
+    optionally a comma-separated `` list``, ``text``, or the allowed words
+    joined by `` | ``; ``readers`` names the topologies or scenario kinds
+    that read the row (empty: all).  A default of auto or none may stay unset."""
+
+    section: str
+    name: str
+    type: str
+    default: str
+    interval: str = ""
+    size: int = 0
+    readers: tuple = ()
+
+    def parse(self, text: str):
+        """Value of ``text``; raises ValueError saying what is wrong."""
+        if self.default in ("auto", "none") and text in ("", self.default):
+            return None
+        if " | " in self.type and text not in self.type.split(" | "):
+            raise ValueError(f"{text!r} is not one of {self.type}")
+        if self.type == "text" or " | " in self.type:
+            return text
+        scalar, _, is_list = self.type.partition(" ")
+        convert, what = _SCALARS[scalar]
+        values = []
+        for part in [p.strip() for p in text.split(",") if p.strip()] if is_list else [text]:
+            try:
+                values.append(convert(part))
+            except ValueError:
+                raise ValueError(f"not {what}: {part!r}") from None
+        if not values or (self.size and len(values) != self.size):
+            raise ValueError(f"needs {self.size or 'at least one'} value(s), got {len(values)}")
+        if self.interval and not all(_within(v, self.interval) for v in values):
+            raise ValueError(f"{text} outside {self.interval}")
+        return values if is_list else values[0]
+
+    def describe(self) -> str:
+        what = self.type + (f" of {self.size}" if self.size else "")
+        what += f" in {self.interval}" if self.interval else ""
+        return what + (f"  [{', '.join(self.readers)}]" if self.readers else "")
+
+
+_TWISTOR, _CONSTANT, _PERTURBED = "twistor_pushforward", "constant_spinor", "perturbed_constant"
+
+KEYS = (
+    Key("chart", "topology", "torus | disk", "torus"),
+    Key("chart", "n", "int", "64", "[8, 4096]"),
+    Key("chart", "side", "float", "1.0", "(0, inf)", readers=("torus",)),
+    Key("chart", "side", "float", "2.2", "(2, inf)", readers=("disk",)),
+    Key("chart", "window", "float", "none", "(0, 1]", readers=("torus",)),
+    Key("target", "kind", "sphere | flat", "sphere"),
+    Key("target", "dim", "int", "2", "[1, inf)"),
+    Key("scenario", "kind", f"{_TWISTOR} | elliptic_pair | harmonic_wrap | {_CONSTANT} | "
+        f"{_PERTURBED}", _TWISTOR),
+    Key("scenario", "rational_num", "complex list", "0,1", readers=(_TWISTOR,)),
+    Key("scenario", "rational_den", "complex list", "1", readers=(_TWISTOR,)),
+    Key("scenario", "map_scale", "float", "1.0", readers=(_TWISTOR,)),
+    Key("scenario", "map_center", "complex", "0", readers=(_TWISTOR,)),
+    Key("scenario", "psi0", "complex list", "1,0", size=2, readers=(_TWISTOR,)),
+    Key("scenario", "psi1", "complex list", "0,0", size=2, readers=(_TWISTOR,)),
+    Key("scenario", "map_scale", "complex", "0.7", readers=("elliptic_pair",)),
+    Key("scenario", "psi0", "complex list", "1,0.5j", size=2, readers=("elliptic_pair",)),
+    Key("scenario", "winding", "int", "1", readers=("harmonic_wrap",)),
+    Key("scenario", "base_point", "float list", "0,0,1", readers=(_CONSTANT, _PERTURBED)),
+    Key("scenario", "spinor_direction", "float list", "1,0,0", readers=(_CONSTANT,)),
+    Key("scenario", "spinor_components", "complex list", "1,0", size=2, readers=(_CONSTANT,)),
+    Key("scenario", "amplitude", "float", "0.05", readers=(_PERTURBED,)),
+    Key("scenario", "modes", "int list", "2,3", "[1, inf)", readers=(_PERTURBED,)),
+    Key("solver", "dt", "float", "auto", "(0, inf)"),
+    Key("solver", "max_iters", "int", "2000", "[0, inf)"),
+    Key("solver", "residual_tol", "float", "1e-4", "[0, inf)"),
+    Key("solver", "reproject_every", "int", "100", "[1, inf)"),
+    Key("solver", "spinor_norm_target", "float", "1.0", "(0, inf)"),
+    Key("solver", "power_iters", "int", "6", "[1, inf)"),
+    Key("solver", "cg_tol", "float", "1e-10", "[0, inf)"),
+    Key("solver", "cg_max_iters", "int", "600", "[1, inf)"),
+    Key("solver", "trace_every", "int", "25", "[1, inf)"),
+    Key("output", "out_dir", "text", "runs"),
+    Key("output", "seed", "int", "1234", "[0, inf)"),
+)
+_ROWS: dict[tuple[str, str], list[Key]] = {}
+for _key in KEYS:
+    _ROWS.setdefault((_key.section, _key.name), []).append(_key)
+_SECTIONS = tuple(dict.fromkeys(key.section for key in KEYS))
+__doc__ = (__doc__ or "") + "".join(f"\n    {k.section}.{k.name} = {k.default}\n        "
+                                    f"{k.describe()}" for k in KEYS) + "\n"
 
 
 @dataclass
@@ -66,6 +137,7 @@ class RunConfig:
     solver: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
     source_text: str = ""
+    # "section.key" -> the line number that set it, or the flag that overrode it
     line_of: dict = field(default_factory=dict)
 
     def section(self, name) -> dict:
@@ -73,11 +145,36 @@ class RunConfig:
 
     def where(self, section: str, key: str) -> str:
         ln = self.line_of.get(f"{section}.{key}")
-        return f"line {ln}: " if ln else ""
+        return "" if ln is None else f"line {ln}: " if isinstance(ln, int) else f"{ln}: "
+
+    def sha256(self) -> str:
+        """Hash of the config file text, recorded in every report."""
+        return hashlib.sha256(self.source_text.encode()).hexdigest()
+
+    def row(self, section: str, key: str) -> Key:
+        """The table row for ``key`` under the configured topology and scenario."""
+        rows = _ROWS[(section, key)]
+        if not rows[0].readers:
+            return rows[0]
+        scope = {self.get("chart", "topology"), self.get("scenario", "kind")}
+        for row in rows:
+            if scope & set(row.readers):
+                return row
+        readers = " or ".join(r for row in rows for r in row.readers)
+        raise ConfigError(f"{self.where(section, key)}{section}.{key} is only read for {readers}")
+
+    def get(self, section: str, key: str):
+        """Typed, range-checked value of ``key`` (its default when unset)."""
+        row = self.row(section, key)
+        try:
+            return row.parse(self.section(section).get(key, row.default))
+        except ValueError as exc:
+            raise ConfigError(f"{self.where(section, key)}{section}.{key}: {exc}") from None
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate; raises ConfigError naming the bad line."""
+def parse_config(text: str, overrides=()) -> RunConfig:
+    """Parse and validate; raises ConfigError naming the bad line.  Each
+    ``(section, key, value, flag)`` override replaces the file's value."""
     cfg = RunConfig(source_text=text)
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -86,7 +183,7 @@ def parse_config(text: str) -> RunConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in _SCHEMA:
+            if name not in _SECTIONS:
                 raise ConfigError(f"line {lineno}: unknown section [{name}]")
             section = name
             continue
@@ -95,158 +192,97 @@ def parse_config(text: str) -> RunConfig:
         if section is None:
             raise ConfigError(f"line {lineno}: entry before any [section] header")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SCHEMA[section]:
+        if (section, key) not in _ROWS:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
         cfg.section(section)[key] = value
         cfg.line_of[f"{section}.{key}"] = lineno
+    for section, key, value, flag in overrides:
+        cfg.section(section)[key] = str(value)
+        cfg.line_of[f"{section}.{key}"] = flag
     _validate(cfg)
     return cfg
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, overrides=()) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), overrides)
 
 
 def _validate(cfg: RunConfig) -> None:
-    topo = cfg.chart.get("topology", "torus")
-    if topo not in ("torus", "disk"):
-        raise ConfigError(f"{cfg.where('chart', 'topology')}chart.topology must be "
-                          f"torus or disk, got {topo!r}")
-    n = _as_int(cfg.chart.get("n", "64"), f"{cfg.where('chart', 'n')}chart.n")
-    if not (8 <= n <= 4096):
-        raise ConfigError(f"{cfg.where('chart', 'n')}chart.n = {n} outside [8, 4096]")
-    kind = cfg.scenario.get("kind", "twistor_pushforward")
-    if kind not in _SCENARIOS:
-        raise ConfigError(f"{cfg.where('scenario', 'kind')}scenario.kind must be one "
-                          f"of {_SCENARIOS}, got {kind!r}")
-    tkind = cfg.target.get("kind", "sphere")
-    if tkind not in ("sphere", "flat"):
-        raise ConfigError(f"{cfg.where('target', 'kind')}target.kind must be sphere "
-                          f"or flat, got {tkind!r}")
-    if "seed" in cfg.output:
-        _as_int(cfg.output["seed"], f"{cfg.where('output', 'seed')}output.seed")
-
-
-def _as_int(text, label) -> int:
+    """Check every key present and the rules that span keys.  Scenario
+    parameters are parsed where build_pair reads them."""
+    for section in _SECTIONS:
+        for key in cfg.section(section):
+            if section == "scenario" and key != "kind":
+                cfg.row(section, key)
+            else:
+                cfg.get(section, key)
+    kind = cfg.get("scenario", "kind")
+    if kind == "elliptic_pair" and cfg.get("chart", "topology") != "torus":
+        raise ConfigError(f"{cfg.where('scenario', 'kind')}scenario.kind = elliptic_pair "
+                          "needs chart.topology = torus")
+    if kind != "constant_spinor":
+        for key, s2 in (("kind", "sphere"), ("dim", 2)):
+            if cfg.get("target", key) != s2:
+                raise ConfigError(f"{cfg.where('target', key)}scenario {kind} maps into "
+                                  "S^2: [target] must be kind = sphere, dim = 2")
+    h = Grid2D(n=cfg.get("chart", "n"), side=cfg.get("chart", "side")).h
     try:
-        return int(str(text))
+        SolverConfig(dt=cfg.get("solver", "dt")).step_size(h)
     except ValueError as exc:
-        raise ConfigError(f"{label}: not an integer: {text!r}") from exc
-
-
-def _as_float(text, label) -> float:
-    try:
-        return float(str(text))
-    except ValueError as exc:
-        raise ConfigError(f"{label}: not a number: {text!r}") from exc
-
-
-def _as_complex_list(text, label) -> list[complex]:
-    out = []
-    for part in str(text).split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            out.append(complex(part))
-        except ValueError as exc:
-            raise ConfigError(f"{label}: not a complex number: {part!r}") from exc
-    return out
+        raise ConfigError(f"{cfg.where('solver', 'dt')}solver.{exc} at chart.n = "
+                          f"{cfg.get('chart', 'n')}") from None
 
 
 def build_chart(cfg: RunConfig, n_override: int | None = None) -> DomainChart:
-    topo = cfg.chart.get("topology", "torus")
-    n = n_override if n_override is not None else _as_int(cfg.chart.get("n", "64"), "chart.n")
-    if topo == "torus":
-        side = _as_float(cfg.chart.get("side", "1.0"), "chart.side")
-        window = cfg.chart.get("window")
-        window = None if window in (None, "", "none") else _as_float(window, "chart.window")
-        return DomainChart.torus(n, side=side, window=window)
-    side = _as_float(cfg.chart.get("side", "2.2"), "chart.side")
+    n = n_override if n_override is not None else cfg.get("chart", "n")
+    side = cfg.get("chart", "side")
+    if cfg.get("chart", "topology") == "torus":
+        return DomainChart.torus(n, side=side, window=cfg.get("chart", "window"))
     return DomainChart.disk(n, side=side)
 
 
 def build_target(cfg: RunConfig):
-    return make_target(cfg.target.get("kind", "sphere"),
-                       _as_int(cfg.target.get("dim", "2"), "target.dim"))
+    return make_target(cfg.get("target", "kind"), cfg.get("target", "dim"))
 
 
 def build_solver_config(cfg: RunConfig) -> SolverConfig:
-    s = cfg.solver
-    dt_txt = s.get("dt", "auto")
-    return SolverConfig(
-        dt=None if dt_txt in ("auto", "", None) else _as_float(dt_txt, "solver.dt"),
-        max_iters=_as_int(s.get("max_iters", "2000"), "solver.max_iters"),
-        residual_tol=_as_float(s.get("residual_tol", "1e-4"), "solver.residual_tol"),
-        reproject_every=_as_int(s.get("reproject_every", "100"), "solver.reproject_every"),
-        spinor_norm_target=_as_float(s.get("spinor_norm_target", "1.0"),
-                                     "solver.spinor_norm_target"),
-        power_iters=_as_int(s.get("power_iters", "6"), "solver.power_iters"),
-        cg_tol=_as_float(s.get("cg_tol", "1e-10"), "solver.cg_tol"),
-        cg_max_iters=_as_int(s.get("cg_max_iters", "600"), "solver.cg_max_iters"),
-        trace_every=_as_int(s.get("trace_every", "25"), "solver.trace_every"),
-        seed=_as_int(cfg.output.get("seed", "1234"), "output.seed"),
-    )
+    values = {row.name: cfg.get("solver", row.name) for row in KEYS if row.section == "solver"}
+    return SolverConfig(**values, seed=cfg.get("output", "seed"))
 
 
 def build_pair(cfg: RunConfig, n_override: int | None = None
                ) -> tuple[MapField, TwistedSpinorField]:
-    """Construct the configured scenario fields at the configured (or
-    overridden) resolution."""
+    """The configured scenario's fields at chart.n or ``n_override``."""
     chart = build_chart(cfg, n_override)
-    target = build_target(cfg)
-    sc = cfg.scenario
-    kind = sc.get("kind", "twistor_pushforward")
-    seed = _as_int(cfg.output.get("seed", "1234"), "output.seed")
+    kind = cfg.get("scenario", "kind")
+    sc = partial(cfg.get, "scenario")
+    try:
+        if kind == "twistor_pushforward":
+            rmap = RationalMap(sc("rational_num"), sc("rational_den"))
+            phi = conformal_map_field(rmap, chart, center=sc("map_center"),
+                                      scale=sc("map_scale"))
+            return phi, twistor_pushforward(phi, np.array(sc("psi0")), np.array(sc("psi1")))
 
-    if kind == "twistor_pushforward":
-        num = _as_complex_list(sc.get("rational_num", "0,1"), "scenario.rational_num")
-        den = _as_complex_list(sc.get("rational_den", "1"), "scenario.rational_den")
-        rmap = RationalMap(num, den)
-        phi = conformal_map_field(rmap, chart,
-                                  center=_as_complex_list(sc.get("map_center", "0"),
-                                                          "scenario.map_center")[0],
-                                  scale=_as_float(sc.get("map_scale", "1.0"),
-                                                  "scenario.map_scale"))
-        psi0 = _as_complex_list(sc.get("psi0", "1,0"), "scenario.psi0")
-        psi1 = _as_complex_list(sc.get("psi1", "0,0"), "scenario.psi1")
-        psi = twistor_pushforward(phi, np.array(psi0), np.array(psi1))
-        return phi, psi
+        if kind == "elliptic_pair":
+            phi = elliptic_conformal_field(chart, scale=sc("map_scale"))
+            return phi, twistor_pushforward(phi, np.array(sc("psi0")),
+                                            np.zeros(2, dtype=complex))
 
-    if kind == "elliptic_pair":
-        phi = elliptic_conformal_field(chart,
-                                       scale=_as_complex_list(sc.get("map_scale", "0.7"),
-                                                              "scenario.map_scale")[0])
-        psi0 = _as_complex_list(sc.get("psi0", "1,0.5j"), "scenario.psi0")
-        psi = twistor_pushforward(phi, np.array(psi0), np.zeros(2, dtype=complex))
-        return phi, psi
+        if kind == "harmonic_wrap":
+            return trivial_pair("harmonic_map", chart, winding=sc("winding"))
 
-    if kind == "harmonic_wrap":
-        return trivial_pair("harmonic_map", chart,
-                            winding=_as_int(sc.get("winding", "1"), "scenario.winding"))
+        if kind == "constant_spinor":
+            return trivial_pair("constant_map_harmonic_spinor", chart, target=build_target(cfg),
+                                base_point=sc("base_point"),
+                                spinor_direction=sc("spinor_direction"),
+                                spinor_components=sc("spinor_components"))
 
-    if kind == "constant_spinor":
-        base = [float(t) for t in str(sc.get("base_point", "0,0,1")).split(",")]
-        direction = [float(t) for t in str(sc.get("spinor_direction", "1,0,0")).split(",")]
-        comps = _as_complex_list(sc.get("spinor_components", "1,0"),
-                                 "scenario.spinor_components")
-        return trivial_pair("constant_map_harmonic_spinor", chart, target=target,
-                            base_point=base, spinor_direction=direction,
-                            spinor_components=comps)
-
-    if kind == "perturbed_constant":
-        base = [float(t) for t in str(sc.get("base_point", "0,0,1")).split(",")]
-        amp = _as_float(sc.get("amplitude", "0.05"), "scenario.amplitude")
-        modes = tuple(int(t) for t in str(sc.get("modes", "2,3")).split(","))
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(cfg.get("output", "seed"))
         sphere = Sphere(2)
-        vals = np.zeros(chart.shape + (3,))
-        vals[:] = np.asarray(base, dtype=float)
-        pert = bandlimited_field(chart, rng, components=(3,), kmax=max(modes),
-                                 amplitude=amp, modes=modes)
-        phi = MapField(chart, sphere, sphere.project_point(vals + pert))
-        psi = TwistedSpinorField.zero(chart, sphere)
-        return phi, psi
-
-    raise ConfigError(f"unhandled scenario kind {kind!r}")
+        pert = bandlimited_field(chart, rng, components=(3,), kmax=max(sc("modes")),
+                                 amplitude=sc("amplitude"), modes=sc("modes"))
+        phi = MapField(chart, sphere, sphere.project_point(np.array(sc("base_point")) + pert))
+        return phi, TwistedSpinorField.zero(chart, sphere)
+    except ValueError as exc:  # data no single key can judge, e.g. a degenerate map
+        raise ConfigError(f"{cfg.where('scenario', 'kind')}scenario {kind}: {exc}") from None

@@ -13,8 +13,6 @@ ratio to land in the centered window around 4.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from . import __version__
@@ -104,13 +102,11 @@ def _algebra_checks(seed: int):
 def run_verification(cfg: RunConfig, sweep: bool = False) -> dict:
     """Execute the suite on a configured scenario at (n, 2n) and optionally
     4n; returns the report dictionary (see module doc)."""
-    base_n = int(cfg.chart.get("n", "64"))
+    base_n = cfg.get("chart", "n")
     grids = [base_n, 2 * base_n] + ([4 * base_n] if sweep else [])
-    seed = int(cfg.output.get("seed", "1234"))
-    scenario_kind = cfg.scenario.get("kind", "twistor_pushforward")
     pairs = [build_pair(cfg, n_override=n) for n in grids]
-    report = _verify_pairs(pairs, grids, seed, scenario_kind)
-    report["config_sha256"] = hashlib.sha256(cfg.source_text.encode()).hexdigest()
+    report = _verify_pairs(pairs, grids, cfg.get("output", "seed"), cfg.get("scenario", "kind"))
+    report["config_sha256"] = cfg.sha256()
     report["mode"] = "scenario"
     return report
 

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 BASE_CFG = """
 [chart]
 topology = torus
@@ -213,3 +215,42 @@ def test_verify_file_mode_runs_identity_suite(tmp_path):
     assert "em_divergence" in ids and "pohozaev_r0.5" in ids
     for rec in rep["identities"]:
         assert rec["refinement_ratio"] is None or rec["id"] == "conformal_invariance"
+
+
+PERTURBED = "[chart]\nn = 16\n\n[scenario]\nkind = perturbed_constant\n"
+
+# (config text, command and flags, where the error must point); each of
+# these used to end in a traceback or be accepted and silently ignored.
+BAD_INPUTS = [
+    pytest.param("[chart]\nwindow = 2\n", ["exact"], "line 2", id="window_2"),
+    pytest.param("[chart]\nside = -1\n", ["exact"], "line 2", id="side_negative"),
+    pytest.param("[target]\ndim = 0\n", ["exact"], "line 2", id="target_dim_0"),
+    pytest.param(PERTURBED + "modes = a,b\n", ["exact"], "line 6", id="modes_not_ints"),
+    pytest.param(PERTURBED + "base_point = x,y\n", ["exact"], "line 6", id="base_point_text"),
+    pytest.param(PERTURBED + "\n[output]\nseed = -3\n", ["exact"], "line 8",
+                 id="seed_negative"),
+    pytest.param(PERTURBED + "\n[solver]\ndt = 1\n", ["flow"], "line 8", id="dt_above_bound"),
+    pytest.param("[chart]\ntopology = disk\n\n[scenario]\nkind = elliptic_pair\n", ["exact"],
+                 "line 5", id="elliptic_on_disk"),
+    pytest.param(PERTURBED + "\n[solver]\ntrace_every = 0\n", ["flow"], "line 8",
+                 id="trace_every_0"),
+    pytest.param("[chart]\nn = 16\n\n[solver]\nreproject_every = 0\n", ["flow"], "line 5",
+                 id="reproject_every_0"),
+    pytest.param("[chart]\nn = 16\n", ["exact", "--grid", "4"], "--grid", id="grid_override"),
+    pytest.param("[target]\nkind = flat\ndim = 3\n", ["exact"], "line 2",
+                 id="flat_target_on_twistor"),
+    pytest.param("[target]\ndim = 3\n\n[scenario]\nkind = harmonic_wrap\n", ["exact"],
+                 "line 2", id="target_dim_on_wrap"),
+    pytest.param("[chart]\ntopology = disk\nwindow = 0.5\n", ["exact"], "line 3",
+                 id="window_on_disk"),
+]
+
+
+@pytest.mark.parametrize("text,command,where", BAD_INPUTS)
+def test_bad_config_exits_1_naming_the_line(tmp_path, text, command, where):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    r = run_cli(command[0], "--config", str(path), "--out", str(tmp_path / "out"), *command[1:])
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert r.stderr.startswith(f"config error: {where}: "), r.stderr
+    assert "Traceback" not in r.stderr

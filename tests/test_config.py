@@ -116,3 +116,18 @@ def test_n_override():
 def test_comments_and_blank_lines_ignored():
     cfg = dh.parse_config("# top\n\n[chart]\nn = 16  # inline\n")
     assert cfg.chart["n"] == "16"
+
+
+@pytest.mark.parametrize("kind", ["twistor_pushforward", "elliptic_pair",
+                                  "harmonic_wrap", "perturbed_constant"])
+def test_sphere_scenarios_accept_restated_target(kind):
+    cfg = dh.parse_config(f"[chart]\nn = 16\n\n[target]\nkind = sphere\ndim = 2\n\n"
+                          f"[scenario]\nkind = {kind}\n")
+    phi, _ = build_pair(cfg)
+    assert phi.target.kind == "sphere" and phi.values.shape == (16, 16, 3)
+
+
+def test_key_of_another_scenario_rejected():
+    with pytest.raises(dh.ConfigError, match="line 3: scenario.winding is only read for "
+                                             "harmonic_wrap"):
+        dh.parse_config("[scenario]\nkind = twistor_pushforward\nwinding = 2\n")
