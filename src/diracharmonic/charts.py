@@ -49,13 +49,13 @@ class Grid2D:
 
 
 class DomainChart:
-    """A grid plus metric data: conformal factor rho (default 1) and the
-    scalar curvature of the chart metric (0 for rho == 1).
+    """A grid with the flat metric: node coordinates and the domain and
+    interior masks.
 
     The chart is immutable after construction; all methods are pure.
     """
 
-    def __init__(self, grid: Grid2D, conformal_factor=None, scalar_curvature: float = 0.0):
+    def __init__(self, grid: Grid2D):
         self.grid = grid
         n, side = grid.n, grid.side
         h = grid.h
@@ -80,14 +80,6 @@ class DomainChart:
             else:
                 half = 0.5 * grid.window * side
                 self.interior_mask = (np.abs(self.x) <= half) & (np.abs(self.y) <= half)
-        if conformal_factor is None:
-            self.conformal_factor = np.ones((n, n))
-        else:
-            cf = np.broadcast_to(np.asarray(conformal_factor, dtype=float), (n, n)).copy()
-            if (cf <= 0).any():
-                raise ValueError("conformal factor must be positive")
-            self.conformal_factor = cf
-        self.scalar_curvature = float(scalar_curvature)
 
     # -- constructors ------------------------------------------------------
 
@@ -152,16 +144,10 @@ class DomainChart:
     # -- quadrature -----------------------------------------------------------
 
     def integrate(self, f, region=None) -> float | complex:
-        """h^2-weighted node sum over the domain (or a boolean ``region``).
-
-        The conformal factor enters as the area density rho, a no-op for the
-        flat default.
-        """
+        """h^2-weighted node sum over the domain (or a boolean ``region``)."""
         f = np.asarray(f)
         mask = self.domain_mask if region is None else region
-        vals = (f * self.conformal_factor)[mask]
-        total = vals.sum()
-        out = total * self.h**2
+        out = f[mask].sum() * self.h**2
         return complex(out) if np.iscomplexobj(f) else float(out)
 
     def interp(self, f, px, py) -> np.ndarray:
@@ -306,13 +292,3 @@ class MoebiusMap:
         """The global holomorphic root s(z) = 1/(c z + d), s^2 = f'."""
         z = np.asarray(z, dtype=np.complex128)
         return 1.0 / (self.c * z + self.d)
-
-    def compose(self, other: "MoebiusMap") -> "MoebiusMap":
-        """self after other: (self . other)(z) = self(other(z))."""
-        a = self.a * other.a + self.b * other.c
-        b = self.a * other.b + self.b * other.d
-        c = self.c * other.a + self.d * other.c
-        d = self.c * other.b + self.d * other.d
-        kind = ("disk_automorphism"
-                if self.kind == other.kind == "disk_automorphism" else "plane_similarity")
-        return MoebiusMap(a, b, c, d, kind=kind)

@@ -52,7 +52,7 @@ def _read_fields(phi_path, psi_path):
     """Stored map and spinor; a zero spinor when no spinor file is given."""
     phi = read_field(phi_path)
     if psi_path:
-        return phi, read_field(psi_path, chart=phi.chart)
+        return phi, read_field(psi_path, chart=phi.chart, target=phi.target)
     return phi, TwistedSpinorField.zero(phi.chart, phi.target)
 
 

@@ -3,14 +3,16 @@
 A map field phi samples a map into the target, stored extrinsically as
 ambient K-vectors with shape (n, n, K).  A twisted spinor field psi
 stores K ambient spinor components with shape (n, n, K, 2) and the
-pointwise tangency constraint sum_i phi^i psi^i = 0 (sphere target: phi
-itself is the unit normal).
+pointwise tangency constraint <nu, psi> = 0 for every field nu of the
+target's unit normal frame along phi (on the sphere nu = phi; flat
+targets have no normals and no constraint).
 
-The covariant derivative on twisted spinors is realized extrinsically as
-the tangential projection of the componentwise flat derivative.  The
-Dirac operator along the map is the tangential projection of the flat
-Dirac operator; its normal part reproduces A(dphi(e_a), e_a . psi) up to
-O(h^2), which el_residual reports as the normal defect.
+Every projection goes through that frame: the covariant derivative on
+twisted spinors is the tangential part of the componentwise flat
+derivative, and the Dirac operator along the map is the tangential part
+of the flat Dirac operator.  Its normal part reproduces
+A(dphi(e_a), e_a . psi) up to O(h^2), which el_residual reports as the
+normal defect.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .charts import DomainChart
 from .spinors import clifford_e1, clifford_e2, flat_dirac, hermitian, spinor_norm2
-from .targets import TargetGeometry
+from .targets import TargetGeometry, frame_sum, ambient_pairing, normal_part
 
 ON_MANIFOLD_TOL = 1e-10
 TANGENCY_TOL = 1e-8
@@ -42,10 +44,10 @@ class MapField:
         if values.shape != chart.shape + (target.ambient_dim,):
             raise ValueError(f"map values have shape {values.shape}, expected "
                              f"{chart.shape + (target.ambient_dim,)}")
-        if check and target.kind == "sphere":
-            defect = np.abs((values**2).sum(axis=-1) - 1.0).max()
+        if check:
+            defect = target.off_target(values)
             if defect > ON_MANIFOLD_TOL:
-                raise ValueError(f"map leaves the sphere by {defect:.3e}")
+                raise ValueError(f"map leaves the target by {defect:.3e}")
         self.chart = chart
         self.target = target
         self.values = values
@@ -106,16 +108,13 @@ def field_scale(phi: MapField, psi: TwistedSpinorField | None = None) -> float:
 
 
 def tangency_defect(phi: MapField, psi: TwistedSpinorField) -> float:
-    """Sup of |sum_i phi^i psi^i| relative to the spinor magnitude.
-
-    Zero by definition for flat targets, which carry no normal directions.
-    """
-    if phi.target.kind == "flat":
-        return 0.0
-    pairing = (phi.values[..., :, None] * psi.values).sum(axis=-2)
-    mag = np.sqrt((np.abs(pairing) ** 2).sum(axis=-1))
+    """Sup of |<nu, psi>| over the normal frame along phi, relative to the
+    spinor magnitude; 0.0 for flat targets, which have no normals."""
+    frame = phi.target.normal_frame(phi.values)
+    sup = max((np.sqrt((np.abs(ambient_pairing(nu, psi.values)) ** 2).sum(axis=-1)).max()
+               for nu in frame), default=0.0)
     scale = np.sqrt(psi.norm2_density().max()) + 1e-300
-    return float(mag.max() / scale)
+    return float(sup / scale)
 
 
 def project_spinor(phi: MapField, raw) -> TwistedSpinorField:
@@ -128,11 +127,7 @@ def project_spinor(phi: MapField, raw) -> TwistedSpinorField:
 def _tangent_project_spinor(phi: MapField, arr) -> np.ndarray:
     """Apply the pointwise tangent projector of the target to each
     half-spinor component of an (n, n, K, 2) array."""
-    if phi.target.kind == "flat":
-        return np.asarray(arr, dtype=np.complex128)
-    p = phi.values
-    pairing = (p[..., :, None] * arr).sum(axis=-2)
-    return arr - p[..., :, None] * pairing[..., None, :]
+    return arr - normal_part(phi.target.normal_frame(phi.values), arr)
 
 
 # -- first-order operators ----------------------------------------------------
@@ -145,18 +140,15 @@ def spinor_gradient(phi: MapField, psi: TwistedSpinorField) -> np.ndarray:
     c = phi.chart
     out = np.stack([c.derivative(psi.values, "x"),
                     c.derivative(psi.values, "y")], axis=-3)
-    if phi.target.kind == "sphere":
-        p = phi.values
-        pairing = (p[..., None, :, None] * out).sum(axis=-2)
-        out = out - p[..., None, :, None] * pairing[..., None, :]
-    return out
+    frame = tuple(nu[..., None, :] for nu in phi.target.normal_frame(phi.values))
+    return out - normal_part(frame, out)
 
 
 def clifford_frame_contract(dphi, psi_values) -> np.ndarray:
     """sigma = sum_{a,i} d_a phi^i  e_a . psi^i, a plain spinor field.
 
-    This is the contraction through which the whole coupling acts on the
-    sphere: A(dphi(e_a), e_a . psi) = -sigma (x) phi.
+    This is the contraction through which the whole coupling acts:
+    A(dphi(e_a), e_a . psi) = -sigma (x) sum_nu nu.
     """
     e1psi = clifford_e1(psi_values)
     e2psi = clifford_e2(psi_values)
@@ -187,30 +179,27 @@ def dirac_along_map(phi: MapField, psi: TwistedSpinorField,
         d = tangency_defect(phi, psi)
         if d > TANGENCY_TOL:
             raise ValueError(f"spinor violates tangency by {d:.3e} (tol {TANGENCY_TOL:.1e})")
+    frame = phi.target.normal_frame(phi.values)
     slashed = flat_dirac(psi.values, phi.chart)
-    if phi.target.kind == "flat":
-        return slashed, np.zeros_like(slashed)
-    p = phi.values
-    pairing = (p[..., :, None] * slashed).sum(axis=-2)
-    tangential = slashed - p[..., :, None] * pairing[..., None, :]
+    normal = normal_part(frame, slashed)
     sigma = clifford_frame_contract(phi.gradient(), psi.values)
-    # A(dphi(e_a), e_a . psi) = -sigma (x) phi on the sphere.
-    a_term = -p[..., :, None] * sigma[..., None, :]
-    normal_defect = p[..., :, None] * pairing[..., None, :] - a_term
-    return tangential, normal_defect
+    a_term = frame_sum((-nu[..., :, None] * sigma[..., None, :] for nu in frame),
+                       slashed.shape, slashed.dtype)
+    return slashed - normal, normal - a_term
 
 
 def curvature_term(phi: MapField, psi: TwistedSpinorField) -> np.ndarray:
     """Curvature coupling of the map equation, an (n, n, K) tangent field.
 
-    Extrinsic evaluation P(A(dphi(e_a), e_a . psi); psi): on the sphere this
-    contracts to Re<psi^m, sigma>.  Vanishes identically for flat targets
+    Extrinsic evaluation P(A(dphi(e_a), e_a . psi); psi): each unit normal
+    nu has <A(dphi(e_a), e_a . psi), nu> = -sigma, so it contributes
+    Re<psi^m, sigma>.  Vanishes identically for flat targets (no normals)
     and, pointwise to machine precision, on every twistor pushforward.
     """
-    if phi.target.kind == "flat":
-        return np.zeros(phi.values.shape)
+    frame = phi.target.normal_frame(phi.values)
     sigma = clifford_frame_contract(phi.gradient(), psi.values)
-    return np.real(np.conj(psi.values) * sigma[..., None, :]).sum(axis=-1)
+    return frame_sum((np.real(np.conj(psi.values) * sigma[..., None, :]).sum(axis=-1)
+                      for _nu in frame), phi.values.shape)
 
 
 # -- Euler-Lagrange residuals ---------------------------------------------------

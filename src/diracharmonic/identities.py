@@ -19,7 +19,9 @@ import numpy as np
 from .charts import DomainChart, MoebiusMap
 from .fields import (MapField, TwistedSpinorField, action, dirac_along_map,
                      energy, field_scale, project_spinor, spinor_gradient)
+from .solutions import conformality_defect
 from .spinors import clifford_e1, clifford_e2, clifford_mul, spinor_norm2
+from .targets import frame_sum, ambient_pairing
 
 
 # -- energy-momentum tensor ----------------------------------------------------
@@ -98,11 +100,7 @@ def hopf_differential(phi: MapField, psi: TwistedSpinorField,
     ``analytic=True`` assembles the map part from the exact gradient, which
     makes it vanish identically for conformal maps.
     """
-    d = phi.gradient(analytic=analytic)
-    gxx = (d[..., 0, :] ** 2).sum(axis=-1)
-    gyy = (d[..., 1, :] ** 2).sum(axis=-1)
-    gxy = (d[..., 0, :] * d[..., 1, :]).sum(axis=-1)
-    T = (gxx - gyy - 2j * gxy).astype(np.complex128)
+    T = conformality_defect(phi, analytic=analytic)
     if psi is not None:
         grad_psi = spinor_gradient(phi, psi)
         e1psi = clifford_e1(psi.values)
@@ -116,18 +114,18 @@ def hopf_differential(phi: MapField, psi: TwistedSpinorField,
 
 def _curvature_on_spinor(phi: MapField, X, Y, S) -> np.ndarray:
     """R(X, Y) S for real tangent fields X, Y and a K-spinor array S,
-    complex-linear in S.  Sphere: <Y, S> X - <X, S> Y; flat: 0."""
-    if phi.target.kind == "flat":
-        return np.zeros_like(S)
-    ys = (Y[..., :, None] * S).sum(axis=-2)
-    xs = (X[..., :, None] * S).sum(axis=-2)
-    return X[..., :, None] * ys[..., None, :] - Y[..., :, None] * xs[..., None, :]
+    complex-linear in S.  By the Gauss equation each unit normal of the
+    target contributes <Y, S> X - <X, S> Y; flat targets give 0."""
+    ys = ambient_pairing(Y, S)
+    xs = ambient_pairing(X, S)
+    return frame_sum((X[..., :, None] * ys[..., None, :] - Y[..., :, None] * xs[..., None, :]
+                      for _nu in phi.target.normal_frame(phi.values)), S.shape, S.dtype)
 
 
 def weitzenboeck_defect(phi: MapField, psi: TwistedSpinorField, mask=None) -> float:
     """Unconditional second-order identity
 
-        D^2 psi = -sum_a grad_a grad_a psi + (R_chart/4) psi
+        D^2 psi = -sum_a grad_a grad_a psi
                   + (1/2) sum_ab R(dphi_a, dphi_b)(e_a . e_b . psi).
 
     Returns the sup-norm of LHS - RHS over the interior (or ``mask``).
@@ -143,7 +141,7 @@ def weitzenboeck_defect(phi: MapField, psi: TwistedSpinorField, mask=None) -> fl
     for a, ax in enumerate(("x", "y")):
         ga = TwistedSpinorField(chart, phi.target, grad1[..., a, :, :])
         lap = lap + spinor_gradient(phi, ga)[..., a, :, :]
-    rhs = -lap + 0.25 * chart.scalar_curvature * psi.values
+    rhs = -lap
     d = phi.gradient()
     cops = (clifford_e1, clifford_e2)
     for a in range(2):
@@ -160,7 +158,7 @@ def bochner_defect(phi: MapField, psi: TwistedSpinorField, mask=None,
                    dirac_tol: float = 1e-2) -> float:
     """Defect of the Laplacian identity for |psi|^2, valid when D psi = 0:
 
-        (1/2) lap |psi|^2 = |grad psi|^2 + (R_chart/4)|psi|^2
+        (1/2) lap |psi|^2 = |grad psi|^2
                             - (1/2) sum_ab Re<e_a.psi, R(dphi_a, dphi_b)(e_b.psi)>.
 
     Raises if the measured Dirac residual exceeds ``dirac_tol`` times the
@@ -179,7 +177,6 @@ def bochner_defect(phi: MapField, psi: TwistedSpinorField, mask=None,
     lhs = 0.5 * chart.laplacian(psi.norm2_density())
     grad1 = spinor_gradient(phi, psi)
     rhs = (np.abs(grad1) ** 2).sum(axis=(-3, -2, -1))
-    rhs = rhs + 0.25 * chart.scalar_curvature * psi.norm2_density()
     d = phi.gradient()
     e_psi = (clifford_e1(psi.values), clifford_e2(psi.values))
     for a in range(2):
@@ -290,9 +287,7 @@ def map_pullback(phi: MapField, f: MoebiusMap) -> MapField:
     """phi o f by bilinear interpolation, re-projected onto the target."""
     chart = phi.chart
     wx, wy = _mapped_points(chart, f)
-    vals = chart.interp(phi.values, wx, wy)
-    if phi.target.kind == "sphere":
-        vals = phi.target.project_point(vals)
+    vals = phi.target.project_point(chart.interp(phi.values, wx, wy))
     return MapField(chart, phi.target, vals)
 
 

@@ -107,22 +107,6 @@ def stereo_pair(p, q) -> np.ndarray:
     return out / denom[..., None]
 
 
-def _stereo_tangent(w, u) -> np.ndarray:
-    """Differential of inverse stereographic projection at w applied to the
-    complex increment u, as an ambient 3-vector.
-
-    Chart-form oracle; breaks at poles.  Production gradients go through
-    the projective form below.
-    """
-    a, b = w.real, w.imag
-    D = 1.0 + a * a + b * b
-    s = 2.0 * (a * u.real + b * u.imag)
-    d1 = (2.0 * u.real * D - 2.0 * a * s) / D**2
-    d2 = (2.0 * u.imag * D - 2.0 * b * s) / D**2
-    d3 = 2.0 * s / D**2
-    return np.stack([d1, d2, d3], axis=-1)
-
-
 def _pair_wirtinger(p, q, dp, dq) -> np.ndarray:
     """Wirtinger derivative d(phi)/d(zeta) of the sphere point of (p, q).
 

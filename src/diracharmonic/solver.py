@@ -79,9 +79,7 @@ def flow_step(phi: MapField, psi: TwistedSpinorField, config: SolverConfig) -> M
     update = tension(phi) - curvature_term(phi, psi)
     if not np.isfinite(update).all():
         raise FloatingPointError("flow step diverged (non-finite update)")
-    moved = phi.values + dt * update
-    if phi.target.kind == "sphere":
-        moved = phi.target.project_point(moved)
+    moved = phi.target.project_point(phi.values + dt * update)
     return MapField(phi.chart, phi.target, moved, check=False)
 
 

@@ -1,16 +1,20 @@
 """Extrinsic geometry of the target manifold.
 
 Two targets are implemented: the round unit sphere S^n inside R^{n+1}
-and flat R^K.  Everything downstream consumes only this interface:
-projection to the manifold, tangent projection, the second fundamental
-form A, the shape operator P, and the curvature tensor assembled from A
-through the Gauss equation
+and flat R^K.  Each supplies one primitive, the unit normal frame at a
+point: ``(p,)`` on the sphere (the outward normal is the point itself)
+and ``()`` for flat space.  Everything else is built from the frame, once,
+on the base class: the tangent projection X - sum_nu nu <nu, X>, the
+second fundamental form A, the shape operator P, and the curvature tensor
+assembled from A through the Gauss equation
 
     R(X, Y) Z = P(A(Y, Z); X) - P(A(X, Z); Y)      (flat ambient space).
 
-Sign convention: on the unit sphere with outward normal p,
-A(X, Y) = -<X, Y> p and P(xi; X) = -<xi, p> X, which gives
-R(X, Y) Z = <Y, Z> X - <X, Z> Y and sectional curvature +1.
+Both targets are totally umbilic with unit principal curvatures along
+every normal, so A(X, Y) = -<X, Y> sum_nu nu and P(xi; X) =
+-sum_nu <xi, nu> X.  On the unit sphere this gives R(X, Y) Z =
+<Y, Z> X - <X, Z> Y and sectional curvature +1; in flat space all three
+vanish.
 
 All methods broadcast: points and vectors are arrays with the ambient
 index last, and vector slots accept complex arrays (the same formulas
@@ -27,8 +31,30 @@ def _dot(u, v):
     return (u * v).sum(axis=-1)
 
 
+def frame_sum(terms, shape, dtype=float):
+    """Sum of per-normal terms, zeros of ``shape`` over an empty frame.
+
+    The sum starts from the first term, so a one-normal frame returns that
+    term bit for bit.
+    """
+    terms = list(terms)
+    return sum(terms[1:], terms[0]) if terms else np.zeros(shape, dtype)
+
+
+def ambient_pairing(v, arr):
+    """<v, arr> for an array whose ambient axis is -2 (v carries it last)."""
+    return (v[..., :, None] * arr).sum(axis=-2)
+
+
+def normal_part(frame, arr):
+    """sum_nu nu (x) <nu, arr>, the normal part of an array whose ambient
+    axis is -2; tangent projection is ``arr - normal_part(frame, arr)``."""
+    return frame_sum((nu[..., :, None] * ambient_pairing(nu, arr)[..., None, :]
+                      for nu in frame), arr.shape, arr.dtype)
+
+
 class TargetGeometry:
-    """Common interface; see Sphere and Flat."""
+    """Common interface; subclasses supply project_point and normal_frame."""
 
     ambient_dim: int
     kind: str
@@ -36,14 +62,34 @@ class TargetGeometry:
     def project_point(self, p):
         raise NotImplementedError
 
-    def tangent_project(self, p, X):
+    def normal_frame(self, p) -> tuple:
+        """Orthonormal normal fields at p, each shaped like p."""
         raise NotImplementedError
+
+    def off_target(self, p) -> float:
+        """Sup over the frame of | |nu|^2 - 1 |: the frame is unit only on
+        the target, so on the sphere this is | |p|^2 - 1 |; 0.0 for flat."""
+        return max((float(np.abs(_dot(nu, nu) - 1.0).max()) for nu in self.normal_frame(p)),
+                   default=0.0)
+
+    def tangent_project(self, p, X):
+        X = np.asarray(X)
+        return X - normal_part(self.normal_frame(p), X[..., None])[..., 0]
 
     def second_fundamental(self, p, X, Y):
-        raise NotImplementedError
+        """A(X, Y) = -<X, Y> sum_nu nu after projecting X, Y tangent."""
+        X = self.tangent_project(p, X)
+        Y = self.tangent_project(p, Y)
+        xy = _dot(X, Y)[..., None]
+        return frame_sum((-xy * nu for nu in self.normal_frame(p)),
+                         np.broadcast_shapes(X.shape, Y.shape))
 
     def shape_operator(self, p, xi, X):
-        raise NotImplementedError
+        """P(xi; X) = -sum_nu <xi, nu> X; X is projected tangent first."""
+        X = self.tangent_project(p, X)
+        xi = np.asarray(xi)
+        return frame_sum((-_dot(xi, nu)[..., None] * X for nu in self.normal_frame(p)),
+                         X.shape)
 
     def curvature(self, p, X, Y, Z):
         """Gauss-equation curvature from A and P; inputs are projected first."""
@@ -72,27 +118,13 @@ class Sphere(TargetGeometry):
             raise ValueError("cannot project the origin to the sphere")
         return p / norm[..., None]
 
-    def tangent_project(self, p, X):
-        p = np.asarray(p)
-        X = np.asarray(X)
-        return X - p * _dot(p, X)[..., None]
-
-    def second_fundamental(self, p, X, Y):
-        """A(X, Y) = -<X, Y> p after projecting X, Y tangent."""
-        p = np.asarray(p)
-        X = self.tangent_project(p, X)
-        Y = self.tangent_project(p, Y)
-        return -_dot(X, Y)[..., None] * p
-
-    def shape_operator(self, p, xi, X):
-        """P(xi; X) = -<xi, p> X; X is projected tangent first."""
-        p = np.asarray(p)
-        X = self.tangent_project(p, X)
-        return -_dot(xi, p)[..., None] * X
+    def normal_frame(self, p) -> tuple:
+        return (np.asarray(p),)
 
 
 class Flat(TargetGeometry):
-    """R^K with the identity chart: A, P and the curvature all vanish."""
+    """R^K with the identity chart: no normals, so A, P and the curvature
+    all vanish."""
 
     def __init__(self, ambient_dim: int):
         if ambient_dim < 1:
@@ -103,15 +135,8 @@ class Flat(TargetGeometry):
     def project_point(self, p):
         return np.asarray(p, dtype=float)
 
-    def tangent_project(self, p, X):
-        return np.asarray(X)
-
-    def second_fundamental(self, p, X, Y):
-        shape = np.broadcast_shapes(np.shape(X), np.shape(Y))
-        return np.zeros(shape)
-
-    def shape_operator(self, p, xi, X):
-        return np.zeros(np.shape(X))
+    def normal_frame(self, p) -> tuple:
+        return ()
 
 
 def make_target(kind: str, dim: int) -> TargetGeometry:

@@ -57,6 +57,33 @@ def random_sphere_pair(n, seed=3, amp=0.6, kmax=2, spin_amp=1.0, side=1.0):
     return chart, phi, psi
 
 
+def _stereo_tangent(w, u) -> np.ndarray:
+    """Differential of inverse stereographic projection at w applied to the
+    complex increment u, as an ambient 3-vector.
+
+    Chart-form oracle; breaks at poles.  Production gradients go through
+    the projective form, ``solutions._pair_wirtinger``.
+    """
+    a, b = w.real, w.imag
+    D = 1.0 + a * a + b * b
+    s = 2.0 * (a * u.real + b * u.imag)
+    d1 = (2.0 * u.real * D - 2.0 * a * s) / D**2
+    d2 = (2.0 * u.imag * D - 2.0 * b * s) / D**2
+    d3 = 2.0 * s / D**2
+    return np.stack([d1, d2, d3], axis=-1)
+
+
+def moebius_compose(f, g):
+    """f after g: (f . g)(z) = f(g(z)), as a normalized MoebiusMap."""
+    a = f.a * g.a + f.b * g.c
+    b = f.a * g.b + f.b * g.d
+    c = f.c * g.a + f.d * g.c
+    d = f.c * g.b + f.d * g.d
+    kind = ("disk_automorphism"
+            if f.kind == g.kind == "disk_automorphism" else "plane_similarity")
+    return dh.MoebiusMap(a, b, c, d, kind=kind)
+
+
 def fd5_derivative(samples, h):
     """Independent derivative oracle: fourth-order five-point stencil at the
     center of a 5-sample window."""

@@ -5,6 +5,9 @@ import sys
 
 import pytest
 
+import diracharmonic as dh
+from diracharmonic.cli import _read_fields
+
 BASE_CFG = """
 [chart]
 topology = torus
@@ -254,3 +257,16 @@ def test_bad_config_exits_1_naming_the_line(tmp_path, text, command, where):
     assert r.returncode == 1, r.stdout + r.stderr
     assert r.stderr.startswith(f"config error: {where}: "), r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_flat_pair_read_back_keeps_one_target(tmp_path):
+    text = ("[chart]\nn = 16\n\n[target]\nkind = flat\ndim = 3\n\n"
+            "[scenario]\nkind = constant_spinor\nbase_point = 0.3,2,-1\n")
+    path = tmp_path / "flat.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    r = run_cli("exact", "--config", str(path), "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    phi, psi = _read_fields(out / "phi.dhm", out / "psi.dhm")
+    assert isinstance(phi.target, dh.Flat)
+    assert (psi.target.kind, psi.target.ambient_dim) == (phi.target.kind, phi.target.ambient_dim)

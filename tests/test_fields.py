@@ -3,10 +3,9 @@ import pytest
 
 import diracharmonic as dh
 from diracharmonic.fields import dirichlet_density
-from diracharmonic.solutions import _stereo_tangent
 
-from conftest import (assert_second_order, elliptic_pair, random_sphere_pair,
-                      torus_deg1_pair)
+from conftest import (_stereo_tangent, assert_second_order, elliptic_pair,
+                      random_sphere_pair, torus_deg1_pair)
 
 
 class TestFieldTypes:

@@ -3,11 +3,10 @@ import pytest
 
 import diracharmonic as dh
 from diracharmonic.fields import spinor_gradient
-from diracharmonic.solutions import _stereo_tangent
 from diracharmonic.verify import canonical_compact_pair
 
-from conftest import (assert_second_order, disk_twistor_pair, elliptic_pair,
-                      random_sphere_pair, torus_deg1_pair)
+from conftest import (_stereo_tangent, assert_second_order, disk_twistor_pair,
+                      elliptic_pair, random_sphere_pair, torus_deg1_pair)
 
 
 class TestEnergyMomentum:

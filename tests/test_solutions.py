@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import diracharmonic as dh
-from diracharmonic.solutions import _pair_wirtinger, _stereo_tangent
+from diracharmonic.solutions import _pair_wirtinger
 
-from conftest import assert_second_order, elliptic_pair, torus_deg1_pair
+from conftest import _stereo_tangent, assert_second_order, elliptic_pair, torus_deg1_pair
 
 
 class TestInverseStereographic:
