@@ -125,6 +125,9 @@ def cmd_flow(cfg: RunConfig) -> int:
         "final_combined_residual": (rep.map_residual_trace[-1] + rep.spinor_residual_trace[-1]
                                     if rep.iterations else None),
     }
+    if rep.cg_iterations:  # absent when the spinor is frozen at zero: no kernel solve ran
+        summary["cg_iterations"] = rep.cg_iterations
+        summary["cg_unconverged"] = rep.cg_unconverged
     _json_dump(summary, out / "flow_summary.json")
     print(f"wrote {trace_path}, {out / 'phi_final.dhm'}, {out / 'psi_final.dhm'}, "
           f"{out / 'flow_summary.json'}")

@@ -5,10 +5,17 @@ The action is unbounded below in the spinor, so no descent is attempted
 there; instead the spinor is constrained to the near-kernel of the Dirac
 operator along the current map (the spinor equation is linear), extracted
 by inverse power iteration on the squared operator, and refreshed every
-few map steps.  The map relaxes by explicit Euler on the descent
-direction tension - curvature_term, reprojected onto the target
-pointwise, which preserves the constraint exactly and never increases
-the Dirichlet energy while the spinor is zero and dt <= h^2/8.
+few map steps.  Each power round solves (T + shift) x = b by conjugate
+gradients preconditioned with the flat operator: the centred flat Dirac
+operator squared is diagonal in Fourier space with symbol
+sigma = (sin^2(2 pi mx / n) + sin^2(2 pi my / n)) / h^2 on both charts
+(every stencil wraps), so its shifted inverse costs one FFT pair.  The
+preconditioner applies it to the tangential block and 1 / (kappa + shift)
+to the normal block; both blocks are SPD, so preconditioned CG applies.
+The map relaxes by explicit Euler on the descent direction
+tension - curvature_term, reprojected onto the target pointwise, which
+preserves the constraint exactly and never increases the Dirichlet
+energy while the spinor is zero and dt <= h^2/8.
 """
 
 from __future__ import annotations
@@ -52,6 +59,8 @@ class SolveReport:
     map_residual_trace: list = field(default_factory=list)
     spinor_residual_trace: list = field(default_factory=list)
     kernel_ratio_trace: list = field(default_factory=list)
+    cg_iterations: list = field(default_factory=list)   # per refresh, all power rounds
+    cg_unconverged: int = 0
     termination: str = "max_iters"
 
     def record(self, it, act, en, map_res, spin_res, ratio):
@@ -96,6 +105,8 @@ class _DiracKernelOperator:
     def __init__(self, phi: MapField, kappa: float = 1.0):
         self.phi = phi
         self.kappa = kappa
+        s2 = np.sin(2.0 * np.pi * np.arange(phi.chart.n) / phi.chart.n) ** 2
+        self.sigma = ((s2[:, None] + s2[None, :]) / phi.chart.h**2)[..., None, None]
 
     def project(self, x):
         return _tangent_project_spinor(self.phi, x)
@@ -109,34 +120,66 @@ class _DiracKernelOperator:
         bbx = self.project(flat_dirac(bx, self.phi.chart))
         return bbx + self.kappa * (x - px)
 
+    def precondition(self, r, shift: float):
+        """M^-1 r = P F^-1[F(P r) / (sigma + shift)] + (r - P r) / (kappa + shift).
+
+        The flat part is the exact inverse of the shifted flat Dirac
+        operator squared, applied to the tangential block; the normal block
+        gets the inverse of T's own normal diagonal.  Both blocks are
+        symmetric positive definite (real positive symbol, orthogonal P),
+        so M^-1 is SPD, as preconditioned CG requires.
+        """
+        pr = self.project(r)
+        flat = np.fft.ifft2(np.fft.fft2(pr, axes=(0, 1)) / (self.sigma + shift), axes=(0, 1))
+        return self.project(flat) + (r - pr) / (self.kappa + shift)
+
+
+class _Projection(tuple):
+    """``(psi, ratio)`` as ``dirac_project`` returns it, also carrying the CG
+    iterations of each power round and the number of those solves that
+    stopped at ``cg_max_iters`` without reaching ``cg_tol``."""
+
+    def __new__(cls, psi, ratio, cg_iterations, cg_unconverged):
+        out = super().__new__(cls, (psi, ratio))
+        out.cg_iterations = tuple(cg_iterations)
+        out.cg_unconverged = cg_unconverged
+        return out
+
 
 def _inner(a, b) -> float:
     return float(np.real(np.conj(a) * b).sum())
 
 
 def _cg(op, rhs, shift: float, tol: float, max_iters: int):
-    """Conjugate gradient for (op + shift I) x = rhs; fixed association
-    order, no randomness.  Returns (x, iterations)."""
+    """Conjugate gradient for (op + shift I) x = rhs, preconditioned by
+    ``op.precondition(., shift)`` (SPD; see ``_DiracKernelOperator``).
+
+    Stops when the unpreconditioned residual satisfies |r| <= tol |rhs|;
+    fixed association order, no randomness.  Returns (x, iterations,
+    converged).
+    """
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    p = r.copy()
-    rs = _inner(r, r)
-    rhs_norm = np.sqrt(rs) + 1e-300
+    z = op.precondition(r, shift)
+    p = z
+    rz = _inner(r, z)
+    rhs_norm = np.sqrt(_inner(r, r)) + 1e-300
     it = 0
     for it in range(1, max_iters + 1):
         ap = op(p) + shift * p
         denom = _inner(p, ap)
         if denom <= 0:
             raise FloatingPointError(f"CG breakdown at iteration {it}")
-        alpha = rs / denom
+        alpha = rz / denom
         x = x + alpha * p
         r = r - alpha * ap
-        rs_new = _inner(r, r)
-        if np.sqrt(rs_new) <= tol * rhs_norm:
-            return x, it
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x, it
+        if np.sqrt(_inner(r, r)) <= tol * rhs_norm:
+            return x, it, True
+        z = op.precondition(r, shift)
+        rz_new = _inner(r, z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, it, False
 
 
 def dirac_project(phi: MapField, psi_init: TwistedSpinorField | None,
@@ -146,7 +189,9 @@ def dirac_project(phi: MapField, psi_init: TwistedSpinorField | None,
     Runs ``power_iters`` rounds of inverse power iteration on the squared
     operator from ``psi_init`` (or a seeded random field when the seed is
     set), then rescales to the requested L2 norm.  Returns the field and
-    the measured ratio |B psi| / |psi| in L2.
+    the measured ratio |B psi| / |psi| in L2; the returned pair also
+    carries ``cg_iterations`` (one count per power round) and
+    ``cg_unconverged`` (rounds whose CG hit ``cg_max_iters``).
     """
     chart = phi.chart
     K = phi.target.ambient_dim
@@ -163,9 +208,12 @@ def dirac_project(phi: MapField, psi_init: TwistedSpinorField | None,
     # near-kernel, so inverse iteration damps the bulk without distorting
     # the kernel directions.
     shift = 1e-4 * 4.0 / chart.h**2
+    iterations, unconverged = [], 0
     for _ in range(max(1, config.power_iters)):
         x = x / (np.sqrt(float(spinor_norm2(x).sum())) + 1e-300)
-        x, _ = _cg(op, x, shift, config.cg_tol, config.cg_max_iters)
+        x, its, converged = _cg(op, x, shift, config.cg_tol, config.cg_max_iters)
+        iterations.append(its)
+        unconverged += not converged
         x = op.project(x)
     l2 = np.sqrt(float(spinor_norm2(x).sum()) * chart.h**2)
     if l2 < 1e-300:
@@ -173,7 +221,8 @@ def dirac_project(phi: MapField, psi_init: TwistedSpinorField | None,
     x = x * (config.spinor_norm_target / l2)
     bx = op.b_apply(x)
     ratio = np.sqrt(float(spinor_norm2(bx).sum()) / float(spinor_norm2(x).sum()))
-    return TwistedSpinorField(chart, phi.target, x), float(ratio)
+    return _Projection(TwistedSpinorField(chart, phi.target, x), float(ratio),
+                       iterations, unconverged)
 
 
 def solve(phi0: MapField, psi0: TwistedSpinorField | None,
@@ -186,11 +235,18 @@ def solve(phi0: MapField, psi0: TwistedSpinorField | None,
     """
     phi = phi0
     freeze_spinor = psi0 is not None and float(spinor_norm2(psi0.values).sum()) == 0.0
+    report = SolveReport()
+
+    def refresh(psi_init):
+        projection = dirac_project(phi, psi_init, config)
+        report.cg_iterations.append(sum(projection.cg_iterations))
+        report.cg_unconverged += projection.cg_unconverged
+        return projection
+
     if freeze_spinor:
         psi, ratio = psi0, 0.0
     else:
-        psi, ratio = dirac_project(phi, psi0, config)
-    report = SolveReport()
+        psi, ratio = refresh(psi0)
 
     def measure(it):
         res = el_residual(phi, psi)
@@ -216,7 +272,7 @@ def solve(phi0: MapField, psi0: TwistedSpinorField | None,
             psi = TwistedSpinorField(phi.chart, phi.target,
                                      _tangent_project_spinor(phi, psi.values))
             if it % config.reproject_every == 0:
-                psi, ratio = dirac_project(phi, psi, config)
+                psi, ratio = refresh(psi)
         if it % config.trace_every == 0 or it == config.max_iters:
             combined = measure(it)
             if not np.isfinite(combined):

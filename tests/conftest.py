@@ -84,6 +84,35 @@ def moebius_compose(f, g):
     return dh.MoebiusMap(a, b, c, d, kind=kind)
 
 
+def plain_cg(op, rhs, shift, tol, max_iters):
+    """Reference oracle: unpreconditioned conjugate gradient for
+    (op + shift I) x = rhs, stopping at |r| <= tol |rhs|.  Returns
+    (x, iterations)."""
+    def inner(a, b):
+        return float(np.real(np.conj(a) * b).sum())
+
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    p = r.copy()
+    rs = inner(r, r)
+    rhs_norm = np.sqrt(rs) + 1e-300
+    it = 0
+    for it in range(1, max_iters + 1):
+        ap = op(p) + shift * p
+        denom = inner(p, ap)
+        if denom <= 0:
+            raise FloatingPointError(f"CG breakdown at iteration {it}")
+        alpha = rs / denom
+        x = x + alpha * p
+        r = r - alpha * ap
+        rs_new = inner(r, r)
+        if np.sqrt(rs_new) <= tol * rhs_norm:
+            return x, it
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return x, it
+
+
 def fd5_derivative(samples, h):
     """Independent derivative oracle: fourth-order five-point stencil at the
     center of a 5-sample window."""

@@ -150,6 +150,21 @@ def test_flow_trace_and_determinism(tmp_path):
     assert (sha(out / "flow_trace.csv"), sha(out / "phi_final.dhm")) == h1
 
 
+def test_flow_summary_reports_cg_counts(tmp_path):
+    cfg, out = write_cfg(tmp_path, BASE_CFG + "\n[solver]\nmax_iters = 60\nresidual_tol = 0\n"
+                                              "reproject_every = 30\npower_iters = 2\n")
+    assert run_cli("flow", "--config", str(cfg)).returncode == 0
+    summary = json.loads((out / "flow_summary.json").read_text())
+    assert len(summary["cg_iterations"]) == 3      # initial extraction + 2 refreshes
+    assert all(0 < its <= 2 * 600 for its in summary["cg_iterations"])
+    assert summary["cg_unconverged"] == 0
+
+    cfg, out = write_cfg(tmp_path, FLOW_CFG, name="heat.cfg")
+    assert run_cli("flow", "--config", str(cfg)).returncode == 0
+    summary = json.loads((out / "flow_summary.json").read_text())
+    assert "cg_iterations" not in summary and "cg_unconverged" not in summary
+
+
 def test_probe_emits_monotone_growth(tmp_path):
     cfg, out = write_cfg(tmp_path, DISK_CFG)
     assert run_cli("exact", "--config", str(cfg)).returncode == 0
