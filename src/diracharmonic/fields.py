@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import DomainChart
-from .spinors import clifford_e1, clifford_e2, flat_dirac, hermitian, spinor_norm2
+from .spinors import flat_dirac, hermitian, spinor_norm2
 from .targets import TargetGeometry, frame_sum, ambient_pairing, normal_part
 
 ON_MANIFOLD_TOL = 1e-10
@@ -148,11 +148,14 @@ def clifford_frame_contract(dphi, psi_values) -> np.ndarray:
     """sigma = sum_{a,i} d_a phi^i  e_a . psi^i, a plain spinor field.
 
     This is the contraction through which the whole coupling acts:
-    A(dphi(e_a), e_a . psi) = -sigma (x) sum_nu nu.
+    A(dphi(e_a), e_a . psi) = -sigma (x) sum_nu nu.  As e1 . (f, g) = (g, -f)
+    and e2 . (f, g) = (i g, i f), sigma = (sum_i w^i g^i, -sum_i conj(w^i) f^i)
+    with w = d_1 phi + i d_2 phi.
     """
-    e1psi = clifford_e1(psi_values)
-    e2psi = clifford_e2(psi_values)
-    return ((dphi[..., 0, :, None] * e1psi) + (dphi[..., 1, :, None] * e2psi)).sum(axis=-2)
+    w = dphi[..., 0, :] + 1j * dphi[..., 1, :]
+    top = ambient_pairing(w, psi_values[..., 1:])
+    bottom = ambient_pairing(np.conj(w), psi_values[..., :1])
+    return np.concatenate([top, -bottom], axis=-1)
 
 
 def tension(phi: MapField) -> np.ndarray:

@@ -15,7 +15,8 @@ to the normal block; both blocks are SPD, so preconditioned CG applies.
 The map relaxes by explicit Euler on the descent direction
 tension - curvature_term, reprojected onto the target pointwise, which
 preserves the constraint exactly and never increases the Dirichlet
-energy while the spinor is zero and dt <= h^2/8.
+energy while the spinor is zero and dt <= h^2/8.  A zero initial spinor is
+frozen, and the flow is then the harmonic-map heat flow: no coupling is evaluated.
 """
 
 from __future__ import annotations
@@ -77,15 +78,17 @@ class SolveReport:
                    self.kernel_ratio_trace)
 
 
-def flow_step(phi: MapField, psi: TwistedSpinorField, config: SolverConfig) -> MapField:
+def flow_step(phi: MapField, psi: TwistedSpinorField | None, config: SolverConfig) -> MapField:
     """One explicit Euler step of the map flow, reprojected onto the target.
 
     The update direction is the map residual tension(phi) - R(phi, psi),
     which is tangent pointwise, so |phi + dt v| >= 1 and the nearest-point
     projection cannot increase the discrete Dirichlet energy at psi = 0.
+    ``psi=None``, the frozen zero spinor, steps the harmonic-map heat flow:
+    the direction is tension(phi) alone and no coupling is evaluated.
     """
     dt = config.step_size(phi.chart.h)
-    update = tension(phi) - curvature_term(phi, psi)
+    update = tension(phi) if psi is None else tension(phi) - curvature_term(phi, psi)
     if not np.isfinite(update).all():
         raise FloatingPointError("flow step diverged (non-finite update)")
     moved = phi.target.project_point(phi.values + dt * update)
@@ -261,7 +264,7 @@ def solve(phi0: MapField, psi0: TwistedSpinorField | None,
 
     for it in range(1, config.max_iters + 1):
         try:
-            phi = flow_step(phi, psi, config)
+            phi = flow_step(phi, None if freeze_spinor else psi, config)
         except FloatingPointError:
             report.termination = "diverged"
             measure(it)

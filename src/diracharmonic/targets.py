@@ -42,8 +42,12 @@ def frame_sum(terms, shape, dtype=float):
 
 
 def ambient_pairing(v, arr):
-    """<v, arr> for an array whose ambient axis is -2 (v carries it last)."""
-    return (v[..., :, None] * arr).sum(axis=-2)
+    """<v, arr> for an array whose ambient axis is -2 (v carries it last),
+    summed in index order over slices: no reduction over a strided axis."""
+    out = v[..., 0, None] * arr[..., 0, :]
+    for i in range(1, arr.shape[-2]):
+        out += v[..., i, None] * arr[..., i, :]
+    return out
 
 
 def normal_part(frame, arr):

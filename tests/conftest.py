@@ -113,6 +113,13 @@ def plain_cg(op, rhs, shift, tol, max_iters):
     return x, it
 
 
+def clifford_contract_oracle(dphi, psi_values):
+    """Matrix-form oracle for ``fields.clifford_frame_contract``:
+    sum_{a,i} d_a phi^i (E_a @ psi^i) with the Clifford matrices E1, E2."""
+    e = np.stack([dh.spinors.E1, dh.spinors.E2])
+    return np.einsum("...ai,ast,...it->...s", dphi, e, psi_values)
+
+
 def fd5_derivative(samples, h):
     """Independent derivative oracle: fourth-order five-point stencil at the
     center of a 5-sample window."""
