@@ -229,16 +229,22 @@ def _l2(mag, chart, mask) -> float:
     return float(np.sqrt((mag[mask] ** 2).sum() * chart.h**2))
 
 
-def el_residual(phi: MapField, psi: TwistedSpinorField, mask=None) -> ELResidual:
+def el_residual(phi: MapField, psi: TwistedSpinorField | None, mask=None) -> ELResidual:
     """Assemble tau(phi) - R(phi, psi), D psi, and the normal defect.
 
     Norms are taken over the chart interior mask unless ``mask`` overrides
-    it (refinement studies pass a fixed physical region).
+    it (refinement studies pass a fixed physical region).  ``psi=None`` is
+    the frozen zero spinor: the map residual is tau(phi) and the spinor
+    terms are zero, with no coupling or Dirac operator evaluated.
     """
     chart = phi.chart
     mask = chart.interior_mask if mask is None else mask
-    map_res = tension(phi) - curvature_term(phi, psi)
-    spin_res, normal = dirac_along_map(phi, psi)
+    if psi is None:
+        map_res = tension(phi)
+        spin_res = normal = np.zeros(phi.values.shape + (2,), dtype=np.complex128)
+    else:
+        map_res = tension(phi) - curvature_term(phi, psi)
+        spin_res, normal = dirac_along_map(phi, psi)
     map_mag = np.sqrt((map_res**2).sum(axis=-1))
     spin_mag = np.sqrt(spinor_norm2(spin_res).sum(axis=-1))
     norm_mag = np.sqrt(spinor_norm2(normal).sum(axis=-1))
@@ -261,16 +267,20 @@ def dirichlet_density(phi: MapField, analytic: bool = False) -> np.ndarray:
     return (dphi**2).sum(axis=(-2, -1))
 
 
-def action(phi: MapField, psi: TwistedSpinorField, region=None) -> float:
-    """L = int |dphi|^2 + Re(psi, D psi)."""
+def action(phi: MapField, psi: TwistedSpinorField | None, region=None) -> float:
+    """L = int |dphi|^2 + Re(psi, D psi); ``psi=None`` is the zero spinor."""
     chart = phi.chart
     dens = dirichlet_density(phi)
-    spin, _ = dirac_along_map(phi, psi)
-    dens = dens + np.real(hermitian(psi.values, spin)).sum(axis=-1)
+    if psi is not None:
+        spin, _ = dirac_along_map(phi, psi)
+        dens = dens + np.real(hermitian(psi.values, spin)).sum(axis=-1)
     return chart.integrate(dens, region=region)
 
 
-def energy(phi: MapField, psi: TwistedSpinorField, region=None) -> float:
-    """E = int |dphi|^2 + |psi|^4 over the chart (or a boolean region)."""
-    dens = dirichlet_density(phi) + psi.norm2_density() ** 2
+def energy(phi: MapField, psi: TwistedSpinorField | None, region=None) -> float:
+    """E = int |dphi|^2 + |psi|^4 over the chart (or a boolean region);
+    ``psi=None`` is the zero spinor."""
+    dens = dirichlet_density(phi)
+    if psi is not None:
+        dens = dens + psi.norm2_density() ** 2
     return phi.chart.integrate(dens, region=region)

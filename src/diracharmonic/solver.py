@@ -16,7 +16,8 @@ The map relaxes by explicit Euler on the descent direction
 tension - curvature_term, reprojected onto the target pointwise, which
 preserves the constraint exactly and never increases the Dirichlet
 energy while the spinor is zero and dt <= h^2/8.  A zero initial spinor is
-frozen, and the flow is then the harmonic-map heat flow: no coupling is evaluated.
+frozen, and the flow is then the harmonic-map heat flow: neither the step
+nor the convergence check evaluates the coupling or the Dirac operator.
 """
 
 from __future__ import annotations
@@ -252,8 +253,9 @@ def solve(phi0: MapField, psi0: TwistedSpinorField | None,
         psi, ratio = refresh(psi0)
 
     def measure(it):
-        res = el_residual(phi, psi)
-        report.record(it, action(phi, psi), energy(phi, psi),
+        spinor = None if freeze_spinor else psi
+        res = el_residual(phi, spinor)
+        report.record(it, action(phi, spinor), energy(phi, spinor),
                       res.norms["map_sup"], res.norms["spinor_sup"], ratio)
         return res.combined_sup
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import diracharmonic as dh
+import diracharmonic.fields
 import diracharmonic.solver
 from diracharmonic.fields import clifford_frame_contract
 from diracharmonic.targets import ambient_pairing, normal_part
@@ -61,6 +62,52 @@ def test_solve_from_zero_spinor_never_evaluates_the_coupling(monkeypatch):
     assert report.iterations == [0, 20, 40]
     assert psi is psi0
     assert not np.array_equal(phi.values, phi0.values)
+
+
+def test_frozen_measure_has_the_bits_of_a_zero_spinor_measure(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("spinor term evaluated on a frozen zero spinor")
+
+    states = []
+    real_step = diracharmonic.solver.flow_step
+
+    def recording_step(phi, psi, config):
+        moved = real_step(phi, psi, config)
+        states.append(moved)
+        return moved
+
+    monkeypatch.setattr(diracharmonic.fields, "dirac_along_map", forbidden)
+    monkeypatch.setattr(diracharmonic.fields, "curvature_term", forbidden)
+    monkeypatch.setattr(diracharmonic.solver, "curvature_term", forbidden)
+    monkeypatch.setattr(diracharmonic.solver, "flow_step", recording_step)
+    phi0 = perturbed_constant(32, amplitude=0.3)
+    zero = dh.TwistedSpinorField.zero(phi0.chart, phi0.target)
+    cfg = dh.SolverConfig(residual_tol=1e-2, trace_every=25)
+    _, _, report = dh.solve(phi0, zero, cfg)
+    monkeypatch.undo()
+    assert report.termination == "converged"
+    assert len(report.iterations) >= 3
+
+    recorded = [phi0] + [states[it - 1] for it in report.iterations[1:]]
+    for k, phi in enumerate(recorded):
+        res = dh.el_residual(phi, zero)
+        assert report.map_residual_trace[k] == res.norms["map_sup"]
+        assert report.spinor_residual_trace[k] == res.norms["spinor_sup"] == 0.0
+        assert report.action_trace[k] == dh.action(phi, zero)
+        assert report.energy_trace[k] == dh.energy(phi, zero)
+
+
+def test_none_spinor_is_the_zero_spinor_everywhere():
+    phi = _random_map(dh.Sphere(2), n=24)
+    zero = dh.TwistedSpinorField.zero(phi.chart, phi.target)
+    lean, full = dh.el_residual(phi, None), dh.el_residual(phi, zero)
+    assert lean.norms == full.norms
+    for name in ("map_residual", "spinor_residual", "normal_defect"):
+        got, ref = getattr(lean, name), getattr(full, name)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+    assert dh.action(phi, None) == dh.action(phi, zero)
+    assert dh.energy(phi, None) == dh.energy(phi, zero)
 
 
 # -- contractions against einsum oracles ----------------------------------------
