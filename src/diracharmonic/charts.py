@@ -208,32 +208,46 @@ class DomainChart:
 
 def bandlimited_field(chart: DomainChart, rng, components=(), kmax: int = 3,
                       amplitude: float = 1.0, modes=None) -> np.ndarray:
-    """Random smooth field: a real trigonometric polynomial per component.
+    """Random smooth field: a real trigonometric polynomial per component,
+    sum over k != 0 of a_k cos(k . t) + b_k sin(k . t), scaled so that its
+    peak magnitude is ``amplitude``.
 
     Periodic on the chart's square, so it is smooth on the torus.  ``modes``
     optionally restricts which |k| enter (e.g. (2, 3) to exclude the slowest
-    heat mode).
+    heat mode).  The coefficients are drawn kx outer, ky inner, a then b.
+    The synthesis is separable: by the addition formulas it contracts the
+    drawn coefficients with 1-D cos/sin tables over kx, then over ky, so no
+    full-grid trigonometric evaluation is made.
     """
     shape = tuple(components)
-    out = np.zeros(chart.shape + shape)
-    pad = (None,) * len(shape)
-    tx = 2.0 * np.pi * (chart.x / chart.grid.side)
-    ty = 2.0 * np.pi * (chart.y / chart.grid.side)
-    ks = range(-kmax, kmax + 1)
-    for kx in ks:
-        for ky in ks:
+    ks = np.arange(-kmax, kmax + 1)
+    m = len(ks)
+    a = np.zeros((m, m) + shape)
+    b = np.zeros((m, m) + shape)
+    for i, kx in enumerate(ks):
+        for j, ky in enumerate(ks):
             if kx == 0 and ky == 0:
                 continue
             if modes is not None and max(abs(kx), abs(ky)) not in modes:
                 continue
-            a = rng.normal(size=shape)
-            b = rng.normal(size=shape)
-            phase = kx * tx + ky * ty
-            out += np.cos(phase)[(...,) + pad] * a
-            out += np.sin(phase)[(...,) + pad] * b
+            a[i, j] = rng.normal(size=shape)
+            b[i, j] = rng.normal(size=shape)
+    a = a.reshape(m, m, -1)
+    b = b.reshape(m, m, -1)
+    tx = ks[:, None] * (2.0 * np.pi * (chart.x[0] / chart.grid.side))
+    ty = ks[:, None] * (2.0 * np.pi * (chart.y[:, 0] / chart.grid.side))
+    # cos(kx tx + ky ty) = cx cy - sx sy and sin(...) = sx cy + cx sy:
+    # contract over kx into the coefficients of cy and of sy, then over ky.
+    x_table = np.concatenate([np.cos(tx), np.sin(tx)])
+    of_cy = np.einsum("kyc,kj->yjc", np.concatenate([a, b]), x_table)
+    of_sy = np.einsum("kyc,kj->yjc", np.concatenate([b, -a]), x_table)
+    out = np.einsum("yi,yjc->ijc", np.concatenate([np.cos(ty), np.sin(ty)]),
+                    np.concatenate([of_cy, of_sy]))
+    out = out.reshape(chart.shape + shape)
     peak = np.abs(out).max()
     if peak > 0:
-        out *= amplitude / peak
+        out /= peak
+        out *= amplitude
     return out
 
 

@@ -120,6 +120,32 @@ def clifford_contract_oracle(dphi, psi_values):
     return np.einsum("...ai,ast,...it->...s", dphi, e, psi_values)
 
 
+def bandlimited_oracle(chart, rng, components=(), kmax=3, amplitude=1.0, modes=None):
+    """Reference oracle for ``charts.bandlimited_field``: the full-grid
+    double loop over (kx, ky), with the same draws."""
+    shape = tuple(components)
+    out = np.zeros(chart.shape + shape)
+    pad = (None,) * len(shape)
+    tx = 2.0 * np.pi * (chart.x / chart.grid.side)
+    ty = 2.0 * np.pi * (chart.y / chart.grid.side)
+    ks = range(-kmax, kmax + 1)
+    for kx in ks:
+        for ky in ks:
+            if kx == 0 and ky == 0:
+                continue
+            if modes is not None and max(abs(kx), abs(ky)) not in modes:
+                continue
+            a = rng.normal(size=shape)
+            b = rng.normal(size=shape)
+            phase = kx * tx + ky * ty
+            out += np.cos(phase)[(...,) + pad] * a
+            out += np.sin(phase)[(...,) + pad] * b
+    peak = np.abs(out).max()
+    if peak > 0:
+        out *= amplitude / peak
+    return out
+
+
 def fd5_derivative(samples, h):
     """Independent derivative oracle: fourth-order five-point stencil at the
     center of a 5-sample window."""

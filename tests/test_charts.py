@@ -3,7 +3,7 @@ import pytest
 
 import diracharmonic as dh
 
-from conftest import assert_second_order, moebius_compose
+from conftest import assert_second_order, bandlimited_oracle, moebius_compose
 
 
 class TestGridValidation:
@@ -72,6 +72,41 @@ class TestStencils:
         left = (chart.derivative(u, "x") * v).sum()
         right = -(u * chart.derivative(v, "x")).sum()
         assert abs(left - right) <= 1e-11 * max(1.0, abs(left))
+
+
+class TestBandlimitedField:
+    CHARTS = [dh.DomainChart.torus(n, side=1.3) for n in (32, 64)] + \
+        [dh.DomainChart.disk(n) for n in (32, 64)]
+
+    @pytest.mark.parametrize("modes", [None, (2, 3)], ids=["all", "modes23"])
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    @pytest.mark.parametrize("components", [(), (2,), (3,), (3, 2)],
+                             ids=["scalar", "c2", "c3", "c3x2"])
+    def test_separable_synthesis_matches_the_loop(self, components, kmax, modes):
+        for seed, chart in enumerate(self.CHARTS):
+            rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = dh.bandlimited_field(chart, rng, components=components, kmax=kmax,
+                                       modes=modes)
+            ref = bandlimited_oracle(chart, rng_ref, components=components, kmax=kmax,
+                                     modes=modes)
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+            assert got.shape == chart.shape + components
+            assert got.flags.c_contiguous
+            assert np.abs(got - ref).max() <= 1e-14
+            if modes is not None and kmax < min(modes):
+                assert not got.any()      # no mode drawn: the zero field
+            else:
+                assert np.abs(got).max() == 1.0
+
+    def test_peak_is_the_amplitude(self):
+        chart = dh.DomainChart.torus(32, side=1.3)
+        for amplitude in (0.05, 0.37, 2.0):
+            got = dh.bandlimited_field(chart, np.random.default_rng(7), components=(3,),
+                                       kmax=2, amplitude=amplitude)
+            ref = bandlimited_oracle(chart, np.random.default_rng(7), components=(3,),
+                                     kmax=2, amplitude=amplitude)
+            assert np.abs(got).max() == amplitude
+            assert np.abs(got - ref).max() <= 1e-14 * max(1.0, amplitude)
 
 
 class TestQuadrature:
