@@ -7,11 +7,12 @@ from .charts import DomainChart, Grid2D, MoebiusMap, bandlimited_field
 from .fields import (ELResidual, MapField, TwistedSpinorField, action,
                      curvature_term, dirac_along_map, el_residual, energy,
                      field_scale, project_spinor, spinor_gradient,
-                     tangency_defect, tension)
+                     tangency_defect, tangential_dirac, tension)
 from .identities import (CircleBalance, ConformalCheck, EnergyMomentum,
                          QuadraticDifferential, bochner_defect,
-                         conformal_invariance_defect, decay_profile,
-                         em_divergence, energy_momentum, growth_function,
+                         conformal_checks, conformal_invariance_defect,
+                         decay_profile, em_divergence, energy_momentum,
+                         growth_function,
                          hopf_differential, map_pullback, pohozaev_defect,
                          self_adjointness_defect, spinor_pullback,
                          weitzenboeck_defect)

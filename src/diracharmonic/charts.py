@@ -186,18 +186,6 @@ class DomainChart:
         theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
         return theta, r * np.cos(theta), r * np.sin(theta)
 
-    def circle_integral(self, f, r: float, n_theta: int = 256) -> float | complex:
-        """Line integral of ``f`` over the circle |z| = r (trapezoidal in angle).
-
-        Requires a disk chart and 4h <= r <= 1 - 4h so the bilinear stencil
-        never leaves the trusted region.
-        """
-        self._check_radius(r)
-        theta, px, py = self.circle_points(r, n_theta)
-        vals = self.interp(f, px, py)
-        out = vals.sum(axis=0) * (2.0 * np.pi * r / n_theta)
-        return complex(out) if np.iscomplexobj(np.asarray(f)) else float(out)
-
     def _check_radius(self, r: float) -> None:
         if self.topology != "disk":
             raise ValueError("circle quadrature requires a disk chart")

@@ -12,7 +12,8 @@ twisted spinors is the tangential part of the componentwise flat
 derivative, and the Dirac operator along the map is the tangential part
 of the flat Dirac operator.  Its normal part reproduces
 A(dphi(e_a), e_a . psi) up to O(h^2), which el_residual reports as the
-normal defect.
+normal defect.  Callers that read only D psi use ``tangential_dirac``,
+which skips building that defect.
 """
 
 from __future__ import annotations
@@ -168,6 +169,27 @@ def tension(phi: MapField) -> np.ndarray:
     return phi.target.tangent_project(phi.values, lap)
 
 
+def _flat_dirac_split(phi: MapField, psi: TwistedSpinorField, check_tangency: bool):
+    """The flat Dirac of psi with its normal part along phi subtracted in
+    place, and that normal part: (D psi, normal part of the flat Dirac)."""
+    if check_tangency:
+        d = tangency_defect(phi, psi)
+        if d > TANGENCY_TOL:
+            raise ValueError(f"spinor violates tangency by {d:.3e} (tol {TANGENCY_TOL:.1e})")
+    slashed = flat_dirac(psi.values, phi.chart)
+    normal = normal_part(phi.target.normal_frame(phi.values), slashed)
+    slashed -= normal
+    return slashed, normal
+
+
+def tangential_dirac(phi: MapField, psi: TwistedSpinorField,
+                     check_tangency: bool = True) -> np.ndarray:
+    """Dirac operator along the map alone: the first output of
+    ``dirac_along_map``, bit for bit, without the normal defect (no dphi,
+    no Clifford contraction)."""
+    return _flat_dirac_split(phi, psi, check_tangency)[0]
+
+
 def dirac_along_map(phi: MapField, psi: TwistedSpinorField,
                     check_tangency: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Dirac operator along the map plus the normal defect.
@@ -176,19 +198,15 @@ def dirac_along_map(phi: MapField, psi: TwistedSpinorField,
     the componentwise flat Dirac operator.  The normal defect is the normal
     part of the flat Dirac minus A(dphi(e_a), e_a . psi); it measures how
     well the discrete fields satisfy the exact continuum splitting and is
-    O(h^2) for smooth tangent data.
+    O(h^2) for smooth tangent data.  Only ``el_residual`` reads the defect;
+    callers that need D psi alone use ``tangential_dirac``.
     """
-    if check_tangency:
-        d = tangency_defect(phi, psi)
-        if d > TANGENCY_TOL:
-            raise ValueError(f"spinor violates tangency by {d:.3e} (tol {TANGENCY_TOL:.1e})")
-    frame = phi.target.normal_frame(phi.values)
-    slashed = flat_dirac(psi.values, phi.chart)
-    normal = normal_part(frame, slashed)
+    spin, normal = _flat_dirac_split(phi, psi, check_tangency)
     sigma = clifford_frame_contract(phi.gradient(), psi.values)
-    a_term = frame_sum((-nu[..., :, None] * sigma[..., None, :] for nu in frame),
-                       slashed.shape, slashed.dtype)
-    return slashed - normal, normal - a_term
+    a_term = frame_sum((-nu[..., :, None] * sigma[..., None, :]
+                        for nu in phi.target.normal_frame(phi.values)),
+                       spin.shape, spin.dtype)
+    return spin, normal - a_term
 
 
 def curvature_term(phi: MapField, psi: TwistedSpinorField) -> np.ndarray:
@@ -267,12 +285,14 @@ def dirichlet_density(phi: MapField, analytic: bool = False) -> np.ndarray:
     return (dphi**2).sum(axis=(-2, -1))
 
 
-def action(phi: MapField, psi: TwistedSpinorField | None, region=None) -> float:
-    """L = int |dphi|^2 + Re(psi, D psi); ``psi=None`` is the zero spinor."""
+def action(phi: MapField, psi: TwistedSpinorField | None, region=None,
+           dirac=None) -> float:
+    """L = int |dphi|^2 + Re(psi, D psi); ``psi=None`` is the zero spinor.
+    ``dirac`` passes D psi when the caller has already evaluated it."""
     chart = phi.chart
     dens = dirichlet_density(phi)
     if psi is not None:
-        spin, _ = dirac_along_map(phi, psi)
+        spin = tangential_dirac(phi, psi) if dirac is None else dirac
         dens = dens + np.real(hermitian(psi.values, spin)).sum(axis=-1)
     return chart.integrate(dens, region=region)
 

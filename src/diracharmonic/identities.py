@@ -8,6 +8,12 @@ of the critical-point system (energy-momentum conservation, holomorphy
 of the quadratic differential, Pohozaev circle balance, Bochner).
 Defects on exact solution families shrink at the stencil order O(h^2);
 on generic fields the conditional ones stay bounded away from zero.
+
+The identities read only D psi, never the normal defect, so they take it
+from ``tangential_dirac``.  ``conformal_checks`` evaluates the conformal
+invariance check for several maps and conventions at once, sharing the
+pair's own terms and each map's pullback; ``conformal_invariance_defect``
+is its one-entry case.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import DomainChart, MoebiusMap
-from .fields import (MapField, TwistedSpinorField, action, dirac_along_map,
-                     energy, field_scale, project_spinor, spinor_gradient)
+from .fields import (MapField, TwistedSpinorField, action, energy, field_scale,
+                     project_spinor, spinor_gradient, tangential_dirac)
 from .solutions import conformality_defect
 from .spinors import clifford_e1, clifford_e2, clifford_mul, spinor_norm2
 from .targets import frame_sum, ambient_pairing
@@ -133,9 +139,9 @@ def weitzenboeck_defect(phi: MapField, psi: TwistedSpinorField, mask=None) -> fl
     chart = phi.chart
     if mask is None:
         mask = chart.interior_mask & chart.valid_mask(2)
-    d1, _ = dirac_along_map(phi, psi)
-    lhs, _ = dirac_along_map(phi, TwistedSpinorField(chart, phi.target, d1),
-                             check_tangency=False)
+    d1 = tangential_dirac(phi, psi)
+    lhs = tangential_dirac(phi, TwistedSpinorField(chart, phi.target, d1),
+                           check_tangency=False)
     grad1 = spinor_gradient(phi, psi)
     lap = np.zeros_like(psi.values)
     for a, ax in enumerate(("x", "y")):
@@ -167,7 +173,7 @@ def bochner_defect(phi: MapField, psi: TwistedSpinorField, mask=None,
     chart = phi.chart
     if mask is None:
         mask = chart.interior_mask & chart.valid_mask(2)
-    spin_res, _ = dirac_along_map(phi, psi)
+    spin_res = tangential_dirac(phi, psi)
     measured = float(np.sqrt(spinor_norm2(spin_res).sum(axis=-1))[mask].max())
     scale = field_scale(phi, psi)
     if measured > dirac_tol * scale:
@@ -267,6 +273,15 @@ def _mapped_points(chart: DomainChart, f: MoebiusMap):
     return np.clip(w.real, -half, half), np.clip(w.imag, -half, half)
 
 
+def _graded_factor(chart: DomainChart, f: MoebiusMap, exponent: float) -> np.ndarray:
+    """Per-node phases of the spinor pullback, shaped to multiply a K-spinor
+    grid: conj(s) |s|^(2 exponent - 1) on the positive half-spinor
+    component and s |s|^(2 exponent - 1) on the negative one."""
+    s = f.sqrt_derivative(chart.z)
+    mag = np.abs(s) ** (2.0 * exponent - 1.0)
+    return np.stack([np.conj(s) * mag, s * mag], axis=-1)[..., None, :]
+
+
 def spinor_pullback(chart: DomainChart, values, f: MoebiusMap,
                     exponent: float) -> np.ndarray:
     """Pull a K-spinor grid back along the Moebius map with graded phases.
@@ -276,11 +291,7 @@ def spinor_pullback(chart: DomainChart, values, f: MoebiusMap,
     root of f'.  exponent = +1/2 multiplies magnitudes by |f'|^(1/2).
     """
     wx, wy = _mapped_points(chart, f)
-    pulled = chart.interp(values, wx, wy)
-    s = f.sqrt_derivative(chart.z)
-    mag = np.abs(s) ** (2.0 * exponent - 1.0)
-    factor = np.stack([np.conj(s) * mag, s * mag], axis=-1)
-    return pulled * factor[..., None, :]
+    return chart.interp(values, wx, wy) * _graded_factor(chart, f, exponent)
 
 
 def map_pullback(phi: MapField, f: MoebiusMap) -> MapField:
@@ -302,6 +313,55 @@ class ConformalCheck:
     dirac_relation_defect: float
 
 
+def conformal_checks(phi: MapField, psi: TwistedSpinorField, maps,
+                     conventions) -> list[list[ConformalCheck]]:
+    """``conformal_invariance_defect`` for every map and convention, as
+    ``checks[i][j]`` for ``maps[i]`` under ``conventions[j]``, with the
+    same bits.
+
+    Work shared across the table is done once: the pair's action, energy
+    and D psi, and per map the pulled-back map and the interpolated spinor.
+    Each (map, convention) makes one Dirac evaluation of the transformed
+    pair, which serves both its action and the Dirac relation; the pulled
+    base D psi is rebuilt per convention so that no second spinor grid
+    stays alive across the loop.
+    """
+    for convention in conventions:
+        if convention not in _EXPONENTS:
+            raise ValueError(f"unknown lambda convention {convention!r}")
+    chart = phi.chart
+    mask = chart.interior_mask & chart.valid_mask(2)
+    spin = tangential_dirac(phi, psi)
+    L0 = action(phi, psi, dirac=spin)
+    E0 = energy(phi, psi)
+    checks = []
+    for f in maps:
+        phi_t = map_pullback(phi, f)
+        wx, wy = _mapped_points(chart, f)
+        pulled = chart.interp(psi.values, wx, wy)
+        row = []
+        for convention in conventions:
+            expo = _EXPONENTS[convention]
+            # Interpolation and reprojection leave O(h^2) tangency crumbs;
+            # clean them up along the pulled-back map before assembling
+            # the action.
+            psi_t = project_spinor(phi_t, pulled * _graded_factor(chart, f, expo))
+            lhs = tangential_dirac(phi_t, psi_t)
+            L1 = action(phi_t, psi_t, dirac=lhs)
+            E1 = energy(phi_t, psi_t)
+            rhs = spinor_pullback(chart, spin, f, 3.0 * expo)
+            rel_scale = float(np.sqrt(spinor_norm2(rhs).sum(axis=-1))[mask].max()) + 1e-300
+            relation = float(np.sqrt(spinor_norm2(lhs - rhs).sum(axis=-1))[mask].max()) / rel_scale
+            row.append(ConformalCheck(
+                convention=convention,
+                action_defect=abs(L0 - L1) / (1.0 + abs(L0)),
+                energy_defect=abs(E0 - E1) / (1.0 + abs(E0)),
+                dirac_relation_defect=relation,
+            ))
+        checks.append(row)
+    return checks
+
+
 def conformal_invariance_defect(phi: MapField, psi: TwistedSpinorField,
                                 f: MoebiusMap,
                                 convention: str = "inverse_fprime") -> ConformalCheck:
@@ -311,36 +371,11 @@ def conformal_invariance_defect(phi: MapField, psi: TwistedSpinorField,
 
     ``convention`` fixes what lambda means: "fprime" reads lambda = |f'|,
     "inverse_fprime" reads lambda = 1/|f'|.  Exactly one of the two leaves
-    the discrete action and energy invariant under refinement.
+    the discrete action and energy invariant under refinement.  One entry
+    of ``conformal_checks``, which shares the work across several maps and
+    conventions.
     """
-    if convention not in _EXPONENTS:
-        raise ValueError(f"unknown lambda convention {convention!r}")
-    expo = _EXPONENTS[convention]
-    chart = phi.chart
-    phi_t = map_pullback(phi, f)
-    psi_t_vals = spinor_pullback(chart, psi.values, f, expo)
-    # Interpolation and reprojection leave O(h^2) tangency crumbs; clean
-    # them up along the pulled-back map before assembling the action.
-    psi_t = project_spinor(phi_t, psi_t_vals)
-
-    L0 = action(phi, psi)
-    L1 = action(phi_t, psi_t)
-    E0 = energy(phi, psi)
-    E1 = energy(phi_t, psi_t)
-
-    spin_res, _ = dirac_along_map(phi, psi, check_tangency=False)
-    lhs, _ = dirac_along_map(phi_t, psi_t, check_tangency=False)
-    rhs = spinor_pullback(chart, spin_res, f, 3.0 * expo)
-    mask = chart.interior_mask & chart.valid_mask(2)
-    rel_scale = float(np.sqrt(spinor_norm2(rhs).sum(axis=-1))[mask].max()) + 1e-300
-    relation = float(np.sqrt(spinor_norm2(lhs - rhs).sum(axis=-1))[mask].max()) / rel_scale
-
-    return ConformalCheck(
-        convention=convention,
-        action_defect=abs(L0 - L1) / (1.0 + abs(L0)),
-        energy_defect=abs(E0 - E1) / (1.0 + abs(E0)),
-        dirac_relation_defect=relation,
-    )
+    return conformal_checks(phi, psi, [f], [convention])[0][0]
 
 
 # -- decay diagnostics -----------------------------------------------------------
@@ -403,8 +438,8 @@ def self_adjointness_defect(phi: MapField, psi: TwistedSpinorField,
     chart = phi.chart
     if chart.topology != "torus":
         raise ValueError("the exact summation-by-parts identity needs a torus")
-    d_xi, _ = dirac_along_map(phi, xi, check_tangency=False)
-    d_psi, _ = dirac_along_map(phi, psi, check_tangency=False)
+    d_xi = tangential_dirac(phi, xi, check_tangency=False)
+    d_psi = tangential_dirac(phi, psi, check_tangency=False)
     left = chart.integrate(np.real(np.conj(psi.values) * d_xi).sum(axis=(-2, -1)))
     right = chart.integrate(np.real(np.conj(d_psi) * xi.values).sum(axis=(-2, -1)))
     scale = (np.sqrt(chart.integrate(psi.norm2_density())

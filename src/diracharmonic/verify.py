@@ -13,14 +13,16 @@ ratio to land in the centered window around 4.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import __version__
 from .charts import DomainChart, MoebiusMap, bandlimited_field
-from .config import RunConfig, build_pair
+from .config import ConfigError, RunConfig, build_pair
 from .fields import (MapField, action, curvature_term, dirichlet_density,
                      el_residual, field_scale, project_spinor, tangency_defect)
-from .identities import (bochner_defect, conformal_invariance_defect,
+from .identities import (bochner_defect, conformal_checks,
                          em_divergence, energy_momentum, hopf_differential,
                          pohozaev_defect, self_adjointness_defect,
                          weitzenboeck_defect)
@@ -31,6 +33,7 @@ from .targets import Sphere
 RATIO_WINDOW = (3.4, 4.6)
 COND_BUDGET = 5.0       # conditional identities: defect/scale <= COND_BUDGET h^2
 UNCOND_BUDGET = 200.0   # unconditional discrete identities, same form
+POHOZAEV_RADII = (0.25, 0.5, 0.75)
 
 _SOLUTION_SCENARIOS = ("twistor_pushforward", "elliptic_pair", "harmonic_wrap",
                        "constant_spinor")
@@ -99,10 +102,24 @@ def _algebra_checks(seed: int):
     return worst_cliff, worst_skew
 
 
+def _require_circles_fit(topology: str, n: int, side: float, where: str) -> None:
+    """Raise ConfigError unless every Pohozaev radius of a disk chart lies in
+    [4h, 1 - 4h], the range ``pohozaev_defect`` accepts: n >= 16 side for
+    r = 0.25 and 0.75.  ``where`` names the input that set n."""
+    edge = min(POHOZAEV_RADII[0], 1.0 - POHOZAEV_RADII[-1])
+    n_min = math.ceil(4.0 * side / edge)
+    if topology == "disk" and n < n_min:
+        raise ConfigError(f"{where}chart.n = {n} is too coarse for verify on a disk of "
+                          f"side {side}: the Pohozaev circles need 4h <= {edge}, "
+                          f"so n >= {n_min}")
+
+
 def run_verification(cfg: RunConfig, sweep: bool = False) -> dict:
     """Execute the suite on a configured scenario at (n, 2n) and optionally
     4n; returns the report dictionary (see module doc)."""
     base_n = cfg.get("chart", "n")
+    _require_circles_fit(cfg.get("chart", "topology"), base_n, cfg.get("chart", "side"),
+                         cfg.where("chart", "n"))
     grids = [base_n, 2 * base_n] + ([4 * base_n] if sweep else [])
     pairs = [build_pair(cfg, n_override=n) for n in grids]
     report = _verify_pairs(pairs, grids, cfg.get("output", "seed"), cfg.get("scenario", "kind"))
@@ -115,7 +132,9 @@ def run_verification_on_fields(phi, psi, seed: int = 1234) -> dict:
     """Single-resolution suite on stored fields: the same identity records
     with absolute thresholds only (no refinement ratios, no conformal
     classification)."""
-    report = _verify_pairs([(phi, psi)], [phi.chart.n], seed, "stored_fields")
+    chart = phi.chart
+    _require_circles_fit(chart.topology, chart.n, chart.grid.side, "stored field: ")
+    report = _verify_pairs([(phi, psi)], [chart.n], seed, "stored_fields")
     report["mode"] = "files"
     return report
 
@@ -262,7 +281,7 @@ def _verify_pairs(pairs, grids, seed, scenario_kind) -> dict:
 
     # ---- disk-only identities ---------------------------------------------------------
     if charts[0].topology == "disk":
-        for r in (0.25, 0.5, 0.75):
+        for r in POHOZAEV_RADII:
             vals = []
             for (phi, psi) in pairs:
                 cb = pohozaev_defect(phi, psi, r)
@@ -275,19 +294,16 @@ def _verify_pairs(pairs, grids, seed, scenario_kind) -> dict:
 
         conf_grids = [max(64, base_n), 2 * max(64, base_n)]
         conf_pairs = [canonical_compact_pair(m, seed=seed) for m in conf_grids]
+        autos = [MoebiusMap.disk_automorphism(a_par, theta=theta)
+                 for theta, a_par in ((0.0, 0.4), (0.7, 0.25 + 0.2j))]
+        conventions = ("inverse_fprime", "fprime")
+        checks = [conformal_checks(phi, psi, autos, conventions) for phi, psi in conf_pairs]
         winners = []
         conv_records = {}
-        for conv in ("inverse_fprime", "fprime"):
-            a_defs, e_defs = [], []
-            for (phi, psi) in conf_pairs:
-                for theta, a_par in ((0.0, 0.4), (0.7, 0.25 + 0.2j)):
-                    f = MoebiusMap.disk_automorphism(a_par, theta=theta)
-                    c = conformal_invariance_defect(phi, psi, f, convention=conv)
-                    a_defs.append(c.action_defect)
-                    e_defs.append(c.energy_defect)
+        for j, conv in enumerate(conventions):
             # Two maps per grid: fold to per-grid maxima.
-            a_pair = [max(a_defs[0:2]), max(a_defs[2:4])]
-            e_pair = [max(e_defs[0:2]), max(e_defs[2:4])]
+            a_pair = [max(row[j].action_defect for row in grid) for grid in checks]
+            e_pair = [max(row[j].energy_defect for row in grid) for grid in checks]
             ra, oka = _ratio_ok(a_pair)
             re_, oke = _ratio_ok(e_pair)
             win = oka and oke and a_pair[0] > 1e-13

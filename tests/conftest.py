@@ -146,6 +146,46 @@ def bandlimited_oracle(chart, rng, components=(), kmax=3, amplitude=1.0, modes=N
     return out
 
 
+def conformal_oracle(phi, psi, f, convention):
+    """Reference for ``identities.conformal_checks``: one unshared evaluation
+    per (map, convention), every D psi taken from ``dirac_along_map``."""
+    from diracharmonic.identities import map_pullback, spinor_pullback
+
+    expo = {"inverse_fprime": 0.5, "fprime": -0.5}[convention]
+    chart = phi.chart
+    phi_t = map_pullback(phi, f)
+    psi_t = dh.project_spinor(phi_t, spinor_pullback(chart, psi.values, f, expo))
+
+    def action(p, s):
+        spin, _ = dh.dirac_along_map(p, s)
+        dens = dh.fields.dirichlet_density(p) + np.real(dh.hermitian(s.values, spin)).sum(axis=-1)
+        return chart.integrate(dens)
+
+    L0, L1 = action(phi, psi), action(phi_t, psi_t)
+    E0, E1 = dh.energy(phi, psi), dh.energy(phi_t, psi_t)
+    spin_res, _ = dh.dirac_along_map(phi, psi, check_tangency=False)
+    lhs, _ = dh.dirac_along_map(phi_t, psi_t, check_tangency=False)
+    rhs = spinor_pullback(chart, spin_res, f, 3.0 * expo)
+    mask = chart.interior_mask & chart.valid_mask(2)
+    rel_scale = float(np.sqrt(dh.spinor_norm2(rhs).sum(axis=-1))[mask].max()) + 1e-300
+    relation = float(np.sqrt(dh.spinor_norm2(lhs - rhs).sum(axis=-1))[mask].max()) / rel_scale
+    return dh.ConformalCheck(convention=convention,
+                             action_defect=abs(L0 - L1) / (1.0 + abs(L0)),
+                             energy_defect=abs(E0 - E1) / (1.0 + abs(E0)),
+                             dirac_relation_defect=relation)
+
+
+def circle_integral(chart, f, r, n_theta=256):
+    """Line integral of ``f`` over the circle |z| = r of a disk chart,
+    trapezoidal in angle over ``chart.interp``; the radius must pass the
+    chart's 4h <= r <= 1 - 4h check, as in ``pohozaev_defect``."""
+    chart._check_radius(r)
+    theta, px, py = chart.circle_points(r, n_theta)
+    vals = chart.interp(f, px, py)
+    out = vals.sum(axis=0) * (2.0 * np.pi * r / n_theta)
+    return complex(out) if np.iscomplexobj(np.asarray(f)) else float(out)
+
+
 def fd5_derivative(samples, h):
     """Independent derivative oracle: fourth-order five-point stencil at the
     center of a 5-sample window."""

@@ -3,7 +3,8 @@ import pytest
 
 import diracharmonic as dh
 
-from conftest import assert_second_order, bandlimited_oracle, moebius_compose
+from conftest import (assert_second_order, bandlimited_oracle, circle_integral,
+                      moebius_compose)
 
 
 class TestGridValidation:
@@ -121,17 +122,17 @@ class TestQuadrature:
 
     def test_circle_integral_of_one_is_circumference(self):
         chart = dh.DomainChart.disk(64)
-        val = chart.circle_integral(np.ones(chart.shape), 0.5, 256)
+        val = circle_integral(chart, np.ones(chart.shape), 0.5, 256)
         assert abs(val - np.pi) < 1e-6
 
     def test_circle_radius_validation(self):
         chart = dh.DomainChart.disk(64)
         with pytest.raises(ValueError):
-            chart.circle_integral(np.ones(chart.shape), 0.999, 64)
+            circle_integral(chart, np.ones(chart.shape), 0.999, 64)
         with pytest.raises(ValueError):
-            chart.circle_integral(np.ones(chart.shape), 1e-4, 64)
+            circle_integral(chart, np.ones(chart.shape), 1e-4, 64)
         with pytest.raises(ValueError):
-            dh.DomainChart.torus(32).circle_integral(np.ones((32, 32)), 0.5, 64)
+            circle_integral(dh.DomainChart.torus(32), np.ones((32, 32)), 0.5, 64)
 
     def test_interp_reproduces_smooth_field(self, rng):
         chart = dh.DomainChart.torus(64)

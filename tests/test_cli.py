@@ -235,6 +235,36 @@ def test_verify_file_mode_runs_identity_suite(tmp_path):
         assert rec["refinement_ratio"] is None or rec["id"] == "conformal_invariance"
 
 
+SMALL_DISK = "[chart]\ntopology = disk\nn = 32\n\n[scenario]\nkind = twistor_pushforward\n"
+
+
+@pytest.mark.parametrize("text,flags,where", [
+    pytest.param(SMALL_DISK, [], "line 3", id="config_n_32"),
+    pytest.param(SMALL_DISK.replace("n = 32", "n = 48"), ["--grid", "35"], "--grid",
+                 id="grid_override_35"),
+])
+def test_verify_on_too_coarse_disk_is_a_config_error(tmp_path, text, flags, where):
+    path = tmp_path / "small.cfg"
+    path.write_text(text)
+    r = run_cli("verify", "--config", str(path), "--out", str(tmp_path / "out"), *flags)
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert r.stderr.startswith(f"config error: {where}: chart.n = "), r.stderr
+    assert "n >= 36" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_file_mode_verify_of_too_coarse_disk_field_is_a_config_error(tmp_path):
+    path = tmp_path / "small.cfg"
+    path.write_text(SMALL_DISK)
+    out = tmp_path / "out"
+    assert run_cli("exact", "--config", str(path), "--out", str(out)).returncode == 0
+    r = run_cli("verify", "--phi", str(out / "phi.dhm"), "--psi", str(out / "psi.dhm"),
+                "--out", str(out))
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert r.stderr.startswith("config error: stored field: chart.n = 32 "), r.stderr
+    assert "n >= 36" in r.stderr and "Traceback" not in r.stderr
+    assert not (out / "verify_report.json").exists()
+
+
 PERTURBED = "[chart]\nn = 16\n\n[scenario]\nkind = perturbed_constant\n"
 
 # (config text, command and flags, where the error must point); each of
