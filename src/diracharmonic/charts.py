@@ -6,6 +6,17 @@ All derivative stencils are second-order centered differences; there are
 no one-sided boundary stencils.  On the disk, fields live on the full
 square but only the region |z| <= 1 is the chart; identities are
 evaluated on the interior mask |z| <= 1 - 4h.
+
+Field arrays keep the shapes (n, n, *comp) but are stored component-major:
+a field is the transposed view of a C-contiguous (*comp, n, n) buffer, so
+each component is one contiguous n x n plane and pointwise work over the
+component axes runs over whole planes.  numpy's ufuncs (order "K"),
+``np.roll``, ``empty_like`` and ``zeros_like`` carry that order through;
+``np.stack``, ``np.concatenate`` and fancy indexing fall back to C order,
+so new code builds a component axis by writing into ``empty_planes`` (or
+stores through ``as_planes``), never with ``np.stack``.  The order changes
+no value: each kernel gives the same bits on either order, and sums over
+several component axes or over whole fields go through ``c_order_sum``.
 """
 
 from __future__ import annotations
@@ -15,6 +26,36 @@ from dataclasses import dataclass
 import numpy as np
 
 _AXES = {"x": 1, "y": 0}
+
+
+def empty_planes(shape, dtype=float, zero: bool = False) -> np.ndarray:
+    """Uninitialised (n, n, *comp) array stored component-major: the
+    transposed view of a C-contiguous (*comp, n, n) buffer.  ``zero``
+    allocates it as ``np.zeros`` does, untouched pages and all."""
+    lead = len(shape) - 2
+    buf = (np.zeros if zero else np.empty)(tuple(shape[2:]) + tuple(shape[:2]), dtype)
+    return buf.transpose((lead, lead + 1) + tuple(range(lead)))
+
+
+def as_planes(values, dtype=None) -> np.ndarray:
+    """``values`` as a component-major (n, n, *comp) array; no copy when it
+    already is one."""
+    values = np.asarray(values, dtype=dtype)
+    if values.transpose(tuple(range(2, values.ndim)) + (0, 1)).flags.c_contiguous:
+        return values
+    out = empty_planes(values.shape, values.dtype)
+    out[...] = values
+    return out
+
+
+def c_order_sum(a, axis=None):
+    """``a.sum(axis)`` added in the order of C-order storage.
+
+    numpy adds in memory order, and pairwise once 8 or more terms are
+    contiguous, so a sum over several component axes, or over a whole
+    field, can round differently on component-major storage.  Summing a
+    C-order copy gives the bits of the same sum on C-order storage."""
+    return np.ascontiguousarray(a).sum(axis=axis)
 
 
 @dataclass(frozen=True)
@@ -130,16 +171,30 @@ class DomainChart:
         outside the unit disk, which no mask ever selects.
         """
         ax = _AXES[axis] if isinstance(axis, str) else int(axis)
-        f = np.asarray(f)
-        return (np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax)) / (2.0 * self.h)
+        f = np.moveaxis(np.asarray(f), ax, 0)
+        out = np.empty_like(f, dtype=np.result_type(f, 1.0))
+        # out[i] = f[i + 1] - f[i - 1] with wrapped ends: the bits of
+        # roll(f, -1) - roll(f, 1) without the two rolled copies.
+        np.subtract(f[2:], f[:-2], out=out[1:-1])
+        np.subtract(f[1:2], f[-1:], out=out[:1])
+        np.subtract(f[:1], f[-2:-1], out=out[-1:])
+        out /= 2.0 * self.h
+        return np.moveaxis(out, 0, ax)
 
     def laplacian(self, f) -> np.ndarray:
         """Five-point Laplacian, O(h^2)."""
         f = np.asarray(f)
         out = -4.0 * f
         for ax in (0, 1):
-            out = out + np.roll(f, -1, axis=ax) + np.roll(f, 1, axis=ax)
-        return out / self.h**2
+            # out += roll(f, -1) then out += roll(f, 1), in that order.
+            fa = np.moveaxis(f, ax, 0)
+            oa = np.moveaxis(out, ax, 0)
+            oa[:-1] += fa[1:]
+            oa[-1:] += fa[:1]
+            oa[1:] += fa[:-1]
+            oa[:1] += fa[-1:]
+        out /= self.h**2
+        return out
 
     # -- quadrature -----------------------------------------------------------
 
@@ -151,7 +206,11 @@ class DomainChart:
         return complex(out) if np.iscomplexobj(f) else float(out)
 
     def interp(self, f, px, py) -> np.ndarray:
-        """Bilinear interpolation of a node field at physical points."""
+        """Bilinear interpolation of a node field at physical points.
+
+        A multi-component field is gathered from its component-major view,
+        so the result has the points' shape plus the component axes and
+        is stored component-major as well."""
         f = np.asarray(f)
         n, side, h = self.grid.n, self.grid.side, self.h
         x0 = -0.5 * side if self.topology == "torus" else -0.5 * side + 0.5 * h
@@ -175,11 +234,17 @@ class DomainChart:
             ty = gy - iy0
             ix1 = ix0 + 1
             iy1 = iy0 + 1
-        if f.ndim > 2:
-            tx = tx.reshape(tx.shape + (1,) * (f.ndim - 2))
-            ty = ty.reshape(ty.shape + (1,) * (f.ndim - 2))
-        return ((1 - tx) * (1 - ty) * f[iy0, ix0] + tx * (1 - ty) * f[iy0, ix1]
-                + (1 - tx) * ty * f[iy1, ix0] + tx * ty * f[iy1, ix1])
+        # Gather from the (*comp, n * n) planes: np.take keeps the component
+        # axes outermost, where fancy indexing would put the points there.
+        planes = f.transpose(tuple(range(2, f.ndim)) + (0, 1)).reshape(f.shape[2:] + (n * n,))
+
+        def at(iy, ix):
+            return np.take(planes, iy * n + ix, axis=-1)
+
+        out = ((1 - tx) * (1 - ty) * at(iy0, ix0) + tx * (1 - ty) * at(iy0, ix1)
+               + (1 - tx) * ty * at(iy1, ix0) + tx * ty * at(iy1, ix1))
+        lead = out.ndim - tx.ndim
+        return out.transpose(tuple(range(lead, out.ndim)) + tuple(range(lead)))
 
     def circle_points(self, r: float, n_theta: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Equispaced angles and the corresponding points on |z| = r."""

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import DomainChart
+from .charts import DomainChart, empty_planes
 from .fields import MapField, TwistedSpinorField
 from .targets import Flat, Sphere, TargetGeometry
 
@@ -74,7 +74,9 @@ def write_field(path, field) -> None:
     """Serialize a map or spinor field; see the module docstring for bytes."""
     kind, payload = _pack_payload(field)
     chart = field.chart
-    raw = payload.tobytes()
+    # The C-order payload is already the byte layout: write it as a buffer
+    # rather than through a bytes copy.
+    raw = memoryview(payload).cast("B")
     header = _HEADER.pack(
         MAGIC, VERSION,
         0 if chart.topology == "torus" else 1,
@@ -137,13 +139,14 @@ def read_field(path, chart: DomainChart | None = None,
         raise FieldFileError("chart_mismatch", f"{path}: stored chart differs from the given one")
     K = hd.ambient_dim
     if hd.kind == "map":
-        vals = np.frombuffer(raw, dtype="<f8").reshape(hd.n, hd.n, K).copy()
+        vals = empty_planes((hd.n, hd.n, K))
+        vals[...] = np.frombuffer(raw, dtype="<f8").reshape(hd.n, hd.n, K)
         if target is None:
             on_sphere = np.abs((vals**2).sum(axis=-1) - 1.0).max() < 1e-8
             target = Sphere(K - 1) if on_sphere else Flat(K)
         return MapField(chart, target, vals, check=False)
     quad = np.frombuffer(raw, dtype="<f8").reshape(hd.n, hd.n, K, 4)
-    vals = np.empty((hd.n, hd.n, K, 2), dtype=np.complex128)
+    vals = empty_planes((hd.n, hd.n, K, 2), np.complex128)
     vals[..., 0] = quad[..., 0] + 1j * quad[..., 1]
     vals[..., 1] = quad[..., 2] + 1j * quad[..., 3]
     if target is None:

@@ -7,6 +7,11 @@ pointwise tangency constraint <nu, psi> = 0 for every field nu of the
 target's unit normal frame along phi (on the sphere nu = phi; flat
 targets have no normals and no constraint).
 
+The shapes are the public layout; the storage is component-major (see
+``charts``).  The constructors store through ``as_planes``, and every
+kernel that builds a component axis writes into ``empty_planes`` or an
+``empty_like`` of its input, never through ``np.stack``.
+
 Every projection goes through that frame: the covariant derivative on
 twisted spinors is the tangential part of the componentwise flat
 derivative, and the Dirac operator along the map is the tangential part
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import DomainChart
+from .charts import DomainChart, as_planes, c_order_sum, empty_planes
 from .spinors import flat_dirac, hermitian, spinor_norm2
 from .targets import TargetGeometry, frame_sum, ambient_pairing, normal_part
 
@@ -45,6 +50,7 @@ class MapField:
         if values.shape != chart.shape + (target.ambient_dim,):
             raise ValueError(f"map values have shape {values.shape}, expected "
                              f"{chart.shape + (target.ambient_dim,)}")
+        values = as_planes(values)
         if check:
             defect = target.off_target(values)
             if defect > ON_MANIFOLD_TOL:
@@ -52,13 +58,14 @@ class MapField:
         self.chart = chart
         self.target = target
         self.values = values
-        self.analytic_gradient = None if analytic_gradient is None else np.asarray(analytic_gradient)
+        self.analytic_gradient = None if analytic_gradient is None else as_planes(analytic_gradient)
 
     @classmethod
     def constant(cls, chart, target, point) -> "MapField":
         p = target.project_point(np.asarray(point, dtype=float))
-        vals = np.broadcast_to(p, chart.shape + (target.ambient_dim,)).copy()
-        grad = np.zeros(chart.shape + (2, target.ambient_dim))
+        vals = empty_planes(chart.shape + (target.ambient_dim,))
+        vals[...] = p
+        grad = empty_planes(chart.shape + (2, target.ambient_dim), zero=True)
         return cls(chart, target, vals, analytic_gradient=grad)
 
     def gradient(self, analytic: bool = False) -> np.ndarray:
@@ -67,9 +74,11 @@ class MapField:
             if self.analytic_gradient is None:
                 raise ValueError("map carries no analytic gradient")
             return self.analytic_gradient
-        c = self.chart
-        return np.stack([c.derivative(self.values, "x"),
-                         c.derivative(self.values, "y")], axis=-2)
+        c, v = self.chart, self.values
+        out = empty_planes(v.shape[:-1] + (2,) + v.shape[-1:])
+        out[..., 0, :] = c.derivative(v, "x")
+        out[..., 1, :] = c.derivative(v, "y")
+        return out
 
 
 class TwistedSpinorField:
@@ -80,18 +89,20 @@ class TwistedSpinorField:
         if values.shape != chart.shape + (target.ambient_dim, 2):
             raise ValueError(f"spinor values have shape {values.shape}, expected "
                              f"{chart.shape + (target.ambient_dim, 2)}")
+        values = as_planes(values)
         self.chart = chart
         self.target = target
         self.values = values
 
     @classmethod
     def zero(cls, chart, target) -> "TwistedSpinorField":
-        return cls(chart, target, np.zeros(chart.shape + (target.ambient_dim, 2), dtype=np.complex128))
+        return cls(chart, target, empty_planes(chart.shape + (target.ambient_dim, 2),
+                                               np.complex128, zero=True))
 
     def norm2_density(self) -> np.ndarray:
         """|psi|^2 per node (ambient sum of half-spinor moduli)."""
         v = self.values
-        return (v.real**2 + v.imag**2).sum(axis=(-2, -1))
+        return c_order_sum(v.real**2 + v.imag**2, axis=(-2, -1))
 
 
 # -- scale conventions -------------------------------------------------------
@@ -102,7 +113,7 @@ def field_scale(phi: MapField, psi: TwistedSpinorField | None = None) -> float:
     seam of windowed charts cannot inflate the scale."""
     mask = phi.chart.interior_mask
     dphi = phi.gradient()
-    s = 1.0 + float((dphi**2).sum(axis=(-2, -1))[mask].max())
+    s = 1.0 + float(c_order_sum(dphi**2, axis=(-2, -1))[mask].max())
     if psi is not None:
         s += float(psi.norm2_density()[mask].max())
     return s
@@ -128,7 +139,8 @@ def project_spinor(phi: MapField, raw) -> TwistedSpinorField:
 def _tangent_project_spinor(phi: MapField, arr) -> np.ndarray:
     """Apply the pointwise tangent projector of the target to each
     half-spinor component of an (n, n, K, 2) array."""
-    return arr - normal_part(phi.target.normal_frame(phi.values), arr)
+    normal = normal_part(phi.target.normal_frame(phi.values), arr)
+    return np.subtract(arr, normal, out=normal)
 
 
 # -- first-order operators ----------------------------------------------------
@@ -138,11 +150,13 @@ def spinor_gradient(phi: MapField, psi: TwistedSpinorField) -> np.ndarray:
 
     Returns an (n, n, 2, K, 2) array; axis -3 is the frame direction.
     """
-    c = phi.chart
-    out = np.stack([c.derivative(psi.values, "x"),
-                    c.derivative(psi.values, "y")], axis=-3)
+    c, v = phi.chart, psi.values
+    out = empty_planes(v.shape[:-2] + (2,) + v.shape[-2:], v.dtype)
+    out[..., 0, :, :] = c.derivative(v, "x")
+    out[..., 1, :, :] = c.derivative(v, "y")
     frame = tuple(nu[..., None, :] for nu in phi.target.normal_frame(phi.values))
-    return out - normal_part(frame, out)
+    out -= normal_part(frame, out)
+    return out
 
 
 def clifford_frame_contract(dphi, psi_values) -> np.ndarray:
@@ -154,9 +168,10 @@ def clifford_frame_contract(dphi, psi_values) -> np.ndarray:
     with w = d_1 phi + i d_2 phi.
     """
     w = dphi[..., 0, :] + 1j * dphi[..., 1, :]
-    top = ambient_pairing(w, psi_values[..., 1:])
-    bottom = ambient_pairing(np.conj(w), psi_values[..., :1])
-    return np.concatenate([top, -bottom], axis=-1)
+    out = np.empty_like(psi_values[..., 0, :], dtype=np.result_type(w, psi_values))
+    out[..., :1] = ambient_pairing(w, psi_values[..., 1:])
+    np.negative(ambient_pairing(np.conj(w), psi_values[..., :1]), out=out[..., 1:])
+    return out
 
 
 def tension(phi: MapField) -> np.ndarray:
@@ -218,9 +233,13 @@ def curvature_term(phi: MapField, psi: TwistedSpinorField) -> np.ndarray:
     and, pointwise to machine precision, on every twistor pushforward.
     """
     frame = phi.target.normal_frame(phi.values)
+    if not frame:
+        return np.zeros_like(phi.values)
     sigma = clifford_frame_contract(phi.gradient(), psi.values)
-    return frame_sum((np.real(np.conj(psi.values) * sigma[..., None, :]).sum(axis=-1)
-                      for _nu in frame), phi.values.shape)
+    pairing = np.conj(psi.values)
+    pairing *= sigma[..., None, :]
+    term = np.real(pairing).sum(axis=-1)
+    return frame_sum((term for _nu in frame), phi.values.shape)
 
 
 # -- Euler-Lagrange residuals ---------------------------------------------------
@@ -282,7 +301,7 @@ def el_residual(phi: MapField, psi: TwistedSpinorField | None, mask=None) -> ELR
 
 def dirichlet_density(phi: MapField, analytic: bool = False) -> np.ndarray:
     dphi = phi.gradient(analytic=analytic)
-    return (dphi**2).sum(axis=(-2, -1))
+    return c_order_sum(dphi**2, axis=(-2, -1))
 
 
 def action(phi: MapField, psi: TwistedSpinorField | None, region=None,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import DomainChart, MoebiusMap
+from .charts import DomainChart, MoebiusMap, c_order_sum, empty_planes
 from .fields import (MapField, TwistedSpinorField, action, energy, field_scale,
                      project_spinor, spinor_gradient, tangential_dirac)
 from .solutions import conformality_defect
@@ -50,7 +50,7 @@ class EnergyMomentum:
 
 def _spinor_pair_re(psi_values, other) -> np.ndarray:
     """Re sum_i <psi^i, other^i> over ambient and spinor axes."""
-    return np.real(np.conj(psi_values) * other).sum(axis=(-2, -1))
+    return c_order_sum(np.real(np.conj(psi_values) * other), axis=(-2, -1))
 
 
 def energy_momentum(phi: MapField, psi: TwistedSpinorField) -> EnergyMomentum:
@@ -60,7 +60,7 @@ def energy_momentum(phi: MapField, psi: TwistedSpinorField) -> EnergyMomentum:
     grad_psi = spinor_gradient(phi, psi)
     e_psi = (clifford_e1(psi.values), clifford_e2(psi.values))
     T = np.zeros(chart.shape + (2, 2))
-    dirichlet = (d**2).sum(axis=(-2, -1))
+    dirichlet = c_order_sum(d**2, axis=(-2, -1))
     for a in range(2):
         for b in range(2):
             T[..., a, b] = 2.0 * (d[..., a, :] * d[..., b, :]).sum(axis=-1)
@@ -182,7 +182,7 @@ def bochner_defect(phi: MapField, psi: TwistedSpinorField, mask=None,
                          "is only valid on solutions")
     lhs = 0.5 * chart.laplacian(psi.norm2_density())
     grad1 = spinor_gradient(phi, psi)
-    rhs = (np.abs(grad1) ** 2).sum(axis=(-3, -2, -1))
+    rhs = c_order_sum(np.abs(grad1) ** 2, axis=(-3, -2, -1))
     d = phi.gradient()
     e_psi = (clifford_e1(psi.values), clifford_e2(psi.values))
     for a in range(2):
@@ -241,12 +241,12 @@ def pohozaev_defect(phi: MapField, psi: TwistedSpinorField, r: float,
 
     er_grad_r = clifford_mul((ct[:, None], st[:, None]), grad_r)
     et_grad_t = clifford_mul((-st[:, None], ct[:, None]), grad_t)
-    spin_radial = np.real(np.conj(psi_vals) * er_grad_r).sum(axis=(-2, -1))
-    spin_angular = np.real(np.conj(psi_vals) * et_grad_t).sum(axis=(-2, -1))
+    spin_radial = c_order_sum(np.real(np.conj(psi_vals) * er_grad_r), axis=(-2, -1))
+    spin_angular = c_order_sum(np.real(np.conj(psi_vals) * et_grad_t), axis=(-2, -1))
 
     w = 2.0 * np.pi / n_theta
-    lhs = float((phi_t**2).sum() * w)
-    rad = float((phi_r**2).sum() * w)
+    lhs = float(c_order_sum(phi_t**2) * w)
+    rad = float(c_order_sum(phi_r**2) * w)
     s_rad = float(spin_radial.sum() * w)
     s_ang = float(spin_angular.sum() * w)
 
@@ -279,7 +279,10 @@ def _graded_factor(chart: DomainChart, f: MoebiusMap, exponent: float) -> np.nda
     component and s |s|^(2 exponent - 1) on the negative one."""
     s = f.sqrt_derivative(chart.z)
     mag = np.abs(s) ** (2.0 * exponent - 1.0)
-    return np.stack([np.conj(s) * mag, s * mag], axis=-1)[..., None, :]
+    out = empty_planes(s.shape + (2,), s.dtype)
+    np.multiply(np.conj(s), mag, out=out[..., 0])
+    np.multiply(s, mag, out=out[..., 1])
+    return out[..., None, :]
 
 
 def spinor_pullback(chart: DomainChart, values, f: MoebiusMap,
@@ -397,11 +400,13 @@ def decay_profile(phi: MapField, psi: TwistedSpinorField, radii=None,
     n_theta = 4 * chart.n if n_theta is None else n_theta
 
     d = phi.gradient()
-    dmag = np.sqrt((d**2).sum(axis=(-2, -1)))
+    dmag = np.sqrt(c_order_sum(d**2, axis=(-2, -1)))
     psi_mag = np.sqrt(psi.norm2_density())
-    gpsi = np.stack([chart.derivative(psi.values, "x"),
-                     chart.derivative(psi.values, "y")], axis=-3)
-    gpsi_mag = np.sqrt((np.abs(gpsi) ** 2).sum(axis=(-3, -2, -1)))
+    v = psi.values
+    gpsi = empty_planes(v.shape[:-2] + (2,) + v.shape[-2:], v.dtype)
+    gpsi[..., 0, :, :] = chart.derivative(v, "x")
+    gpsi[..., 1, :, :] = chart.derivative(v, "y")
+    gpsi_mag = np.sqrt(c_order_sum(np.abs(gpsi) ** 2, axis=(-3, -2, -1)))
     growth_density = dmag**2 + psi_mag**4 + gpsi_mag ** (4.0 / 3.0)
     rad = np.abs(chart.z)
 
@@ -440,8 +445,8 @@ def self_adjointness_defect(phi: MapField, psi: TwistedSpinorField,
         raise ValueError("the exact summation-by-parts identity needs a torus")
     d_xi = tangential_dirac(phi, xi, check_tangency=False)
     d_psi = tangential_dirac(phi, psi, check_tangency=False)
-    left = chart.integrate(np.real(np.conj(psi.values) * d_xi).sum(axis=(-2, -1)))
-    right = chart.integrate(np.real(np.conj(d_psi) * xi.values).sum(axis=(-2, -1)))
+    left = chart.integrate(_spinor_pair_re(psi.values, d_xi))
+    right = chart.integrate(_spinor_pair_re(d_psi, xi.values))
     scale = (np.sqrt(chart.integrate(psi.norm2_density())
                      * chart.integrate(spinor_norm2(d_xi).sum(axis=-1)))
              + np.sqrt(chart.integrate(xi.norm2_density())

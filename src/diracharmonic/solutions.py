@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .charts import DomainChart
+from .charts import DomainChart, c_order_sum
 from .fields import MapField, TwistedSpinorField, project_spinor
 from .spinors import clifford_e1, clifford_e2, flat_dirac, spinor_norm2, twistor_field
 from .targets import Sphere, TargetGeometry
@@ -301,11 +301,11 @@ def sphere_dirichlet_energy(rmap: RationalMap, n: int = 128) -> float:
 
     w_south = weight(r)
     phi_s = conformal_map_field(rmap, chart)
-    dens_s = (phi_s.gradient(analytic=True) ** 2).sum(axis=(-2, -1))
+    dens_s = c_order_sum(phi_s.gradient(analytic=True) ** 2, axis=(-2, -1))
     with np.errstate(divide="ignore"):
         w_north = 1.0 - weight(1.0 / np.where(r > 1e-12, r, 1e-12))
     w_north = np.where(r > 1e-12, w_north, 1.0)
     rinv = rmap.inverted_chart()
     phi_n = conformal_map_field(rinv, chart, conjugate_input=True)
-    dens_n = (phi_n.gradient(analytic=True) ** 2).sum(axis=(-2, -1))
+    dens_n = c_order_sum(phi_n.gradient(analytic=True) ** 2, axis=(-2, -1))
     return chart.integrate(dens_s * w_south) + chart.integrate(dens_n * w_north)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .charts import c_order_sum, empty_planes
 from .fields import (MapField, TwistedSpinorField, action, curvature_term,
                      el_residual, energy, tension, _tangent_project_spinor)
 from .spinors import flat_dirac, spinor_norm2
@@ -89,10 +90,14 @@ def flow_step(phi: MapField, psi: TwistedSpinorField | None, config: SolverConfi
     the direction is tension(phi) alone and no coupling is evaluated.
     """
     dt = config.step_size(phi.chart.h)
-    update = tension(phi) if psi is None else tension(phi) - curvature_term(phi, psi)
+    update = tension(phi)
+    if psi is not None:
+        update -= curvature_term(phi, psi)
     if not np.isfinite(update).all():
         raise FloatingPointError("flow step diverged (non-finite update)")
-    moved = phi.target.project_point(phi.values + dt * update)
+    update *= dt
+    update += phi.values
+    moved = phi.target.project_point(update)
     return MapField(phi.chart, phi.target, moved, check=False)
 
 
@@ -110,7 +115,7 @@ class _DiracKernelOperator:
         self.phi = phi
         self.kappa = kappa
         s2 = np.sin(2.0 * np.pi * np.arange(phi.chart.n) / phi.chart.n) ** 2
-        self.sigma = ((s2[:, None] + s2[None, :]) / phi.chart.h**2)[..., None, None]
+        self.sigma = (s2[:, None] + s2[None, :]) / phi.chart.h**2
 
     def project(self, x):
         return _tangent_project_spinor(self.phi, x)
@@ -134,8 +139,16 @@ class _DiracKernelOperator:
         so M^-1 is SPD, as preconditioned CG requires.
         """
         pr = self.project(r)
-        flat = np.fft.ifft2(np.fft.fft2(pr, axes=(0, 1)) / (self.sigma + shift), axes=(0, 1))
-        return self.project(flat) + (r - pr) / (self.kappa + shift)
+        # Transform the component planes (the last two axes of the
+        # component-major view), so the result comes back plane-ordered.
+        spectrum = np.fft.fft2(pr.transpose(2, 3, 0, 1))
+        spectrum /= self.sigma + shift
+        flat = np.fft.ifft2(spectrum).transpose(2, 3, 0, 1)
+        normal = np.subtract(r, pr, out=pr)
+        normal /= self.kappa + shift
+        out = self.project(flat)
+        out += normal
+        return out
 
 
 class _Projection(tuple):
@@ -151,7 +164,7 @@ class _Projection(tuple):
 
 
 def _inner(a, b) -> float:
-    return float(np.real(np.conj(a) * b).sum())
+    return float(c_order_sum(np.real(np.conj(a) * b)))
 
 
 def _cg(op, rhs, shift: float, tol: float, max_iters: int):
@@ -163,7 +176,7 @@ def _cg(op, rhs, shift: float, tol: float, max_iters: int):
     converged).
     """
     x = np.zeros_like(rhs)
-    r = rhs.copy()
+    r = np.copy(rhs)
     z = op.precondition(r, shift)
     p = z
     rz = _inner(r, z)
@@ -200,13 +213,15 @@ def dirac_project(phi: MapField, psi_init: TwistedSpinorField | None,
     chart = phi.chart
     K = phi.target.ambient_dim
     op = _DiracKernelOperator(phi)
-    if psi_init is not None and float(spinor_norm2(psi_init.values).sum()) > 1e-24:
-        x = op.project(psi_init.values.copy())
+    if psi_init is not None and float(c_order_sum(spinor_norm2(psi_init.values))) > 1e-24:
+        x = op.project(psi_init.values)
     else:
         if config.seed is None:
             raise ValueError("zero initial spinor needs a seed to start from")
         rng = np.random.default_rng(config.seed)
-        raw = rng.normal(size=chart.shape + (K, 2)) + 1j * rng.normal(size=chart.shape + (K, 2))
+        raw = empty_planes(chart.shape + (K, 2), np.complex128)
+        raw.real = rng.normal(size=chart.shape + (K, 2))
+        raw.imag = rng.normal(size=chart.shape + (K, 2))
         x = op.project(raw)
     # Shift well below the bulk spectrum (~h^-2) but above the h^4-deep
     # near-kernel, so inverse iteration damps the bulk without distorting
@@ -214,17 +229,17 @@ def dirac_project(phi: MapField, psi_init: TwistedSpinorField | None,
     shift = 1e-4 * 4.0 / chart.h**2
     iterations, unconverged = [], 0
     for _ in range(max(1, config.power_iters)):
-        x = x / (np.sqrt(float(spinor_norm2(x).sum())) + 1e-300)
+        x = x / (np.sqrt(float(c_order_sum(spinor_norm2(x)))) + 1e-300)
         x, its, converged = _cg(op, x, shift, config.cg_tol, config.cg_max_iters)
         iterations.append(its)
         unconverged += not converged
         x = op.project(x)
-    l2 = np.sqrt(float(spinor_norm2(x).sum()) * chart.h**2)
+    l2 = np.sqrt(float(c_order_sum(spinor_norm2(x))) * chart.h**2)
     if l2 < 1e-300:
         raise FloatingPointError("inverse power iteration collapsed to zero")
     x = x * (config.spinor_norm_target / l2)
     bx = op.b_apply(x)
-    ratio = np.sqrt(float(spinor_norm2(bx).sum()) / float(spinor_norm2(x).sum()))
+    ratio = np.sqrt(float(c_order_sum(spinor_norm2(bx))) / float(c_order_sum(spinor_norm2(x))))
     return _Projection(TwistedSpinorField(chart, phi.target, x), float(ratio),
                        iterations, unconverged)
 

@@ -3,6 +3,9 @@
 A spinor is a pair of complex numbers (f, g): the positive and negative
 half-spinor components.  Grid fields store them in the last axis, so a
 spinor field on an (n, n) chart is a complex array of shape (..., 2).
+The Clifford actions and the Cauchy-Riemann form write their result into
+an ``empty_like`` of their input, so a component-major field (see
+``charts``) stays component-major.
 
 The two frame vectors act by the matrices
 
@@ -42,13 +45,19 @@ def spinor_norm2(s) -> np.ndarray:
 def clifford_e1(s) -> np.ndarray:
     """e1 . (f, g) = (g, -f)."""
     s = np.asarray(s, dtype=np.complex128)
-    return np.stack([s[..., 1], -s[..., 0]], axis=-1)
+    out = np.empty_like(s)
+    out[..., 0] = s[..., 1]
+    np.negative(s[..., 0], out=out[..., 1])
+    return out
 
 
 def clifford_e2(s) -> np.ndarray:
     """e2 . (f, g) = (i g, i f)."""
     s = np.asarray(s, dtype=np.complex128)
-    return np.stack([1j * s[..., 1], 1j * s[..., 0]], axis=-1)
+    out = np.empty_like(s)
+    np.multiply(1j, s[..., 1], out=out[..., 0])
+    np.multiply(1j, s[..., 0], out=out[..., 1])
+    return out
 
 
 def clifford_mul(v, s) -> np.ndarray:
@@ -62,7 +71,11 @@ def clifford_mul(v, s) -> np.ndarray:
     s = np.asarray(s, dtype=np.complex128)
     f = s[..., 0]
     g = s[..., 1]
-    return np.stack([(v1 + 1j * v2) * g, (-v1 + 1j * v2) * f], axis=-1)
+    top = (v1 + 1j * v2) * g
+    out = np.empty_like(s, shape=top.shape + (2,))
+    out[..., 0] = top
+    out[..., 1] = (-v1 + 1j * v2) * f
+    return out
 
 
 def flat_dirac(field, chart, form: str = "frame") -> np.ndarray:
@@ -79,11 +92,16 @@ def flat_dirac(field, chart, form: str = "frame") -> np.ndarray:
     dx = chart.derivative(field, axis="x")
     dy = chart.derivative(field, axis="y")
     if form == "frame":
-        return clifford_e1(dx) + clifford_e2(dy)
+        out = clifford_e1(dx)
+        out += clifford_e2(dy)
+        return out
     if form == "cauchy_riemann":
         dz = 0.5 * (dx - 1j * dy)
         dzbar = 0.5 * (dx + 1j * dy)
-        return np.stack([2.0 * dzbar[..., 1], -2.0 * dz[..., 0]], axis=-1)
+        out = np.empty_like(field)
+        out[..., 0] = 2.0 * dzbar[..., 1]
+        out[..., 1] = -2.0 * dz[..., 0]
+        return out
     raise ValueError(f"unknown flat_dirac form: {form!r}")
 
 

@@ -52,7 +52,10 @@ def ambient_pairing(v, arr):
 
 def normal_part(frame, arr):
     """sum_nu nu (x) <nu, arr>, the normal part of an array whose ambient
-    axis is -2; tangent projection is ``arr - normal_part(frame, arr)``."""
+    axis is -2; tangent projection is ``arr - normal_part(frame, arr)``.
+    Always a new array; over an empty frame, zeros in the order of ``arr``."""
+    if not frame:
+        return np.zeros_like(arr)
     return frame_sum((nu[..., :, None] * ambient_pairing(nu, arr)[..., None, :]
                       for nu in frame), arr.shape, arr.dtype)
 
@@ -78,7 +81,8 @@ class TargetGeometry:
 
     def tangent_project(self, p, X):
         X = np.asarray(X)
-        return X - normal_part(self.normal_frame(p), X[..., None])[..., 0]
+        normal = normal_part(self.normal_frame(p), X[..., None])[..., 0]
+        return np.subtract(X, normal, out=normal)
 
     def second_fundamental(self, p, X, Y):
         """A(X, Y) = -<X, Y> sum_nu nu after projecting X, Y tangent."""

@@ -76,7 +76,8 @@ def test_tangential_dirac_has_the_bits_of_dirac_along_map(target):
         lean = dh.tangential_dirac(phi, psi, check_tangency=check)
         full, _ = dh.dirac_along_map(phi, psi, check_tangency=check)
         assert lean.shape == full.shape and lean.dtype == full.dtype
-        assert np.array_equal(lean.view(np.uint8), full.view(np.uint8))
+        assert np.array_equal(np.ascontiguousarray(lean).view(np.uint8),
+                              np.ascontiguousarray(full).view(np.uint8))
 
 
 @pytest.mark.parametrize("target", [dh.Sphere(2), dh.Sphere(3)], ids=["sphere2", "sphere3"])
