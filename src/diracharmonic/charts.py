@@ -13,10 +13,12 @@ each component is one contiguous n x n plane and pointwise work over the
 component axes runs over whole planes.  numpy's ufuncs (order "K"),
 ``np.roll``, ``empty_like`` and ``zeros_like`` carry that order through;
 ``np.stack``, ``np.concatenate`` and fancy indexing fall back to C order,
-so new code builds a component axis by writing into ``empty_planes`` (or
-stores through ``as_planes``), never with ``np.stack``.  The order changes
-no value: each kernel gives the same bits on either order, and sums over
-several component axes or over whole fields go through ``c_order_sum``.
+so new code that builds a component axis passes them ``out=empty_planes(...)``
+(or an ``empty_like`` of a plane-ordered input), or writes the pieces there
+one at a time where stacking would keep several grid-sized temporaries
+alive; constructors store through ``as_planes``.  The order changes no
+value: each kernel gives the same bits on either order, and sums over
+component axes or over whole fields go through ``c_order_sum``.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ def empty_planes(shape, dtype=float, zero: bool = False) -> np.ndarray:
     return buf.transpose((lead, lead + 1) + tuple(range(lead)))
 
 
-def as_planes(values, dtype=None) -> np.ndarray:
+def as_planes(values) -> np.ndarray:
     """``values`` as a component-major (n, n, *comp) array; no copy when it
     already is one."""
-    values = np.asarray(values, dtype=dtype)
+    values = np.asarray(values)
     if values.transpose(tuple(range(2, values.ndim)) + (0, 1)).flags.c_contiguous:
         return values
     out = empty_planes(values.shape, values.dtype)
@@ -52,9 +54,14 @@ def c_order_sum(a, axis=None):
     """``a.sum(axis)`` added in the order of C-order storage.
 
     numpy adds in memory order, and pairwise once 8 or more terms are
-    contiguous, so a sum over several component axes, or over a whole
-    field, can round differently on component-major storage.  Summing a
-    C-order copy gives the bits of the same sum on C-order storage."""
+    contiguous, so a sum over a component axis of 8 or more entries, over
+    several component axes, or over a whole field, can round differently on
+    component-major storage.  Summing a C-order copy gives the bits of the
+    same sum on C-order storage.  A single axis of fewer than 8 entries
+    adds in index order on any storage and needs no copy."""
+    a = np.asarray(a)
+    if isinstance(axis, int) and a.shape[axis] < 8:
+        return a.sum(axis=axis)
     return np.ascontiguousarray(a).sum(axis=axis)
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import DomainChart, empty_planes
+from .charts import DomainChart, c_order_sum, empty_planes
 from .fields import MapField, TwistedSpinorField
 from .targets import Flat, Sphere, TargetGeometry
 
@@ -142,7 +142,7 @@ def read_field(path, chart: DomainChart | None = None,
         vals = empty_planes((hd.n, hd.n, K))
         vals[...] = np.frombuffer(raw, dtype="<f8").reshape(hd.n, hd.n, K)
         if target is None:
-            on_sphere = np.abs((vals**2).sum(axis=-1) - 1.0).max() < 1e-8
+            on_sphere = np.abs(c_order_sum(vals**2, axis=-1) - 1.0).max() < 1e-8
             target = Sphere(K - 1) if on_sphere else Flat(K)
         return MapField(chart, target, vals, check=False)
     quad = np.frombuffer(raw, dtype="<f8").reshape(hd.n, hd.n, K, 4)

@@ -9,8 +9,11 @@ targets have no normals and no constraint).
 
 The shapes are the public layout; the storage is component-major (see
 ``charts``).  The constructors store through ``as_planes``, and every
-kernel that builds a component axis writes into ``empty_planes`` or an
-``empty_like`` of its input, never through ``np.stack``.
+kernel that builds a component axis passes ``np.stack`` or
+``np.concatenate`` an ``out=`` from ``empty_planes`` or an ``empty_like``
+of its input, or writes its pieces there one at a time where stacking
+would keep several grid-sized temporaries alive (the gradients); sums
+over the ambient axis go through ``c_order_sum``.
 
 Every projection goes through that frame: the covariant derivative on
 twisted spinors is the tangential part of the componentwise flat
@@ -75,6 +78,7 @@ class MapField:
                 raise ValueError("map carries no analytic gradient")
             return self.analytic_gradient
         c, v = self.chart, self.values
+        # One derivative at a time: np.stack would keep both alive at once.
         out = empty_planes(v.shape[:-1] + (2,) + v.shape[-1:])
         out[..., 0, :] = c.derivative(v, "x")
         out[..., 1, :] = c.derivative(v, "y")
@@ -168,10 +172,10 @@ def clifford_frame_contract(dphi, psi_values) -> np.ndarray:
     with w = d_1 phi + i d_2 phi.
     """
     w = dphi[..., 0, :] + 1j * dphi[..., 1, :]
-    out = np.empty_like(psi_values[..., 0, :], dtype=np.result_type(w, psi_values))
-    out[..., :1] = ambient_pairing(w, psi_values[..., 1:])
-    np.negative(ambient_pairing(np.conj(w), psi_values[..., :1]), out=out[..., 1:])
-    return out
+    top = ambient_pairing(w, psi_values[..., 1:])
+    bottom = ambient_pairing(np.conj(w), psi_values[..., :1])
+    return np.concatenate([top, -bottom], axis=-1,
+                          out=np.empty_like(psi_values[..., 0, :], dtype=top.dtype))
 
 
 def tension(phi: MapField) -> np.ndarray:
@@ -282,9 +286,9 @@ def el_residual(phi: MapField, psi: TwistedSpinorField | None, mask=None) -> ELR
     else:
         map_res = tension(phi) - curvature_term(phi, psi)
         spin_res, normal = dirac_along_map(phi, psi)
-    map_mag = np.sqrt((map_res**2).sum(axis=-1))
-    spin_mag = np.sqrt(spinor_norm2(spin_res).sum(axis=-1))
-    norm_mag = np.sqrt(spinor_norm2(normal).sum(axis=-1))
+    map_mag = np.sqrt(c_order_sum(map_res**2, axis=-1))
+    spin_mag = np.sqrt(c_order_sum(spinor_norm2(spin_res), axis=-1))
+    norm_mag = np.sqrt(c_order_sum(spinor_norm2(normal), axis=-1))
     norms = {
         "map_sup": _sup(map_mag, mask),
         "map_l2": _l2(map_mag, chart, mask),
@@ -312,7 +316,7 @@ def action(phi: MapField, psi: TwistedSpinorField | None, region=None,
     dens = dirichlet_density(phi)
     if psi is not None:
         spin = tangential_dirac(phi, psi) if dirac is None else dirac
-        dens = dens + np.real(hermitian(psi.values, spin)).sum(axis=-1)
+        dens = dens + c_order_sum(np.real(hermitian(psi.values, spin)), axis=-1)
     return chart.integrate(dens, region=region)
 
 

@@ -63,7 +63,7 @@ def energy_momentum(phi: MapField, psi: TwistedSpinorField) -> EnergyMomentum:
     dirichlet = c_order_sum(d**2, axis=(-2, -1))
     for a in range(2):
         for b in range(2):
-            T[..., a, b] = 2.0 * (d[..., a, :] * d[..., b, :]).sum(axis=-1)
+            T[..., a, b] = 2.0 * c_order_sum(d[..., a, :] * d[..., b, :], axis=-1)
             if a == b:
                 T[..., a, b] -= dirichlet
             # Re<psi, e_a . grad_b psi> = -Re<e_a . psi, grad_b psi>.
@@ -156,7 +156,7 @@ def weitzenboeck_defect(phi: MapField, psi: TwistedSpinorField, mask=None) -> fl
                 continue  # R(X, X) = 0
             eab_psi = cops[a](cops[b](psi.values))
             rhs = rhs + 0.5 * _curvature_on_spinor(phi, d[..., a, :], d[..., b, :], eab_psi)
-    gap = np.sqrt(spinor_norm2(lhs - rhs).sum(axis=-1))
+    gap = np.sqrt(c_order_sum(spinor_norm2(lhs - rhs), axis=-1))
     return float(gap[mask].max())
 
 
@@ -174,7 +174,7 @@ def bochner_defect(phi: MapField, psi: TwistedSpinorField, mask=None,
     if mask is None:
         mask = chart.interior_mask & chart.valid_mask(2)
     spin_res = tangential_dirac(phi, psi)
-    measured = float(np.sqrt(spinor_norm2(spin_res).sum(axis=-1))[mask].max())
+    measured = float(np.sqrt(c_order_sum(spinor_norm2(spin_res), axis=-1))[mask].max())
     scale = field_scale(phi, psi)
     if measured > dirac_tol * scale:
         raise ValueError(f"Dirac residual {measured:.3e} exceeds tolerance "
@@ -279,9 +279,8 @@ def _graded_factor(chart: DomainChart, f: MoebiusMap, exponent: float) -> np.nda
     component and s |s|^(2 exponent - 1) on the negative one."""
     s = f.sqrt_derivative(chart.z)
     mag = np.abs(s) ** (2.0 * exponent - 1.0)
-    out = empty_planes(s.shape + (2,), s.dtype)
-    np.multiply(np.conj(s), mag, out=out[..., 0])
-    np.multiply(s, mag, out=out[..., 1])
+    out = np.stack([np.conj(s) * mag, s * mag], axis=-1,
+                   out=empty_planes(s.shape + (2,), s.dtype))
     return out[..., None, :]
 
 
@@ -353,8 +352,9 @@ def conformal_checks(phi: MapField, psi: TwistedSpinorField, maps,
             L1 = action(phi_t, psi_t, dirac=lhs)
             E1 = energy(phi_t, psi_t)
             rhs = spinor_pullback(chart, spin, f, 3.0 * expo)
-            rel_scale = float(np.sqrt(spinor_norm2(rhs).sum(axis=-1))[mask].max()) + 1e-300
-            relation = float(np.sqrt(spinor_norm2(lhs - rhs).sum(axis=-1))[mask].max()) / rel_scale
+            rel_scale = float(np.sqrt(c_order_sum(spinor_norm2(rhs), axis=-1))[mask].max()) + 1e-300
+            gap = np.sqrt(c_order_sum(spinor_norm2(lhs - rhs), axis=-1))
+            relation = float(gap[mask].max()) / rel_scale
             row.append(ConformalCheck(
                 convention=convention,
                 action_defect=abs(L0 - L1) / (1.0 + abs(L0)),
@@ -448,7 +448,7 @@ def self_adjointness_defect(phi: MapField, psi: TwistedSpinorField,
     left = chart.integrate(_spinor_pair_re(psi.values, d_xi))
     right = chart.integrate(_spinor_pair_re(d_psi, xi.values))
     scale = (np.sqrt(chart.integrate(psi.norm2_density())
-                     * chart.integrate(spinor_norm2(d_xi).sum(axis=-1)))
+                     * chart.integrate(c_order_sum(spinor_norm2(d_xi), axis=-1)))
              + np.sqrt(chart.integrate(xi.norm2_density())
-                       * chart.integrate(spinor_norm2(d_psi).sum(axis=-1))) + 1e-300)
+                       * chart.integrate(c_order_sum(spinor_norm2(d_psi), axis=-1))) + 1e-300)
     return abs(left - right) / scale

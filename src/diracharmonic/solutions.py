@@ -157,9 +157,9 @@ def conformality_defect(phi: MapField, analytic: bool = True) -> np.ndarray:
     stencils.
     """
     d = phi.gradient(analytic=analytic)
-    gxx = (d[..., 0, :] ** 2).sum(axis=-1)
-    gyy = (d[..., 1, :] ** 2).sum(axis=-1)
-    gxy = (d[..., 0, :] * d[..., 1, :]).sum(axis=-1)
+    gxx = c_order_sum(d[..., 0, :] ** 2, axis=-1)
+    gyy = c_order_sum(d[..., 1, :] ** 2, axis=-1)
+    gxy = c_order_sum(d[..., 0, :] * d[..., 1, :], axis=-1)
     return gxx - gyy - 2j * gxy
 
 
@@ -273,7 +273,8 @@ def trivial_pair(kind: str, chart: DomainChart, target: TargetGeometry | None = 
             raw = np.asarray(spinor_field, dtype=np.complex128)
         psi = project_spinor(phi, raw)
         slashed = flat_dirac(psi.values, chart)
-        worst = float(np.sqrt(spinor_norm2(slashed).sum(axis=-1))[chart.interior_mask].max())
+        worst_mag = np.sqrt(c_order_sum(spinor_norm2(slashed), axis=-1))
+        worst = float(worst_mag[chart.interior_mask].max())
         scale = float(np.sqrt(psi.norm2_density().max())) + 1e-300
         if worst / scale > 1e-10:
             raise ValueError(f"provided spinor is not harmonic: residual {worst:.3e}")

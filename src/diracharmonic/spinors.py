@@ -3,9 +3,10 @@
 A spinor is a pair of complex numbers (f, g): the positive and negative
 half-spinor components.  Grid fields store them in the last axis, so a
 spinor field on an (n, n) chart is a complex array of shape (..., 2).
-The Clifford actions and the Cauchy-Riemann form write their result into
+The Clifford actions and the Cauchy-Riemann form build their result in
 an ``empty_like`` of their input, so a component-major field (see
-``charts``) stays component-major.
+``charts``) stays component-major; ``clifford_e1`` and ``clifford_e2``
+write each half straight into it, with no half-spinor temporaries.
 
 The two frame vectors act by the matrices
 
@@ -72,10 +73,8 @@ def clifford_mul(v, s) -> np.ndarray:
     f = s[..., 0]
     g = s[..., 1]
     top = (v1 + 1j * v2) * g
-    out = np.empty_like(s, shape=top.shape + (2,))
-    out[..., 0] = top
-    out[..., 1] = (-v1 + 1j * v2) * f
-    return out
+    return np.stack([top, (-v1 + 1j * v2) * f], axis=-1,
+                    out=np.empty_like(s, shape=top.shape + (2,)))
 
 
 def flat_dirac(field, chart, form: str = "frame") -> np.ndarray:
@@ -98,10 +97,8 @@ def flat_dirac(field, chart, form: str = "frame") -> np.ndarray:
     if form == "cauchy_riemann":
         dz = 0.5 * (dx - 1j * dy)
         dzbar = 0.5 * (dx + 1j * dy)
-        out = np.empty_like(field)
-        out[..., 0] = 2.0 * dzbar[..., 1]
-        out[..., 1] = -2.0 * dz[..., 0]
-        return out
+        return np.stack([2.0 * dzbar[..., 1], -2.0 * dz[..., 0]], axis=-1,
+                        out=np.empty_like(field))
     raise ValueError(f"unknown flat_dirac form: {form!r}")
 
 

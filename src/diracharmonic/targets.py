@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .charts import c_order_sum
+
 
 def _dot(u, v):
-    return (u * v).sum(axis=-1)
+    return c_order_sum(u * v, axis=-1)
 
 
 def frame_sum(terms, shape, dtype=float):

@@ -20,8 +20,11 @@ from diracharmonic.targets import ambient_pairing, normal_part
 
 from conftest import disk_twistor_pair
 
-TARGETS = [dh.Sphere(2), dh.Sphere(3), dh.Flat(3)]
-TARGET_IDS = ["sphere2", "sphere3", "flat3"]
+# Sphere(7) has K = 8 ambient components: numpy adds 8 or more contiguous
+# terms pairwise, so a plain sum over the ambient axis would round by
+# storage order there.
+TARGETS = [dh.Sphere(2), dh.Sphere(3), dh.Flat(3), dh.Sphere(7)]
+TARGET_IDS = ["sphere2", "sphere3", "flat3", "sphere7"]
 TOPOLOGIES = ["torus", "disk"]
 
 
@@ -189,8 +192,9 @@ def test_kernels_give_the_same_bits_on_c_order_inputs(target, topology):
 
 @pytest.mark.parametrize("target", TARGETS, ids=TARGET_IDS)
 def test_sums_over_component_axes_give_the_same_bits_on_c_order_inputs(target):
-    """Sums over 8 or more components (K = 4 here) round by storage order
-    unless they add in C order; the scalars built from them must not move."""
+    """Sums over 8 or more components (K = 4 with the spinor axis, or K = 8
+    alone) round by storage order unless they add in C order; the scalars
+    built from them must not move."""
     phi, psi = _pair(target, "torus")
     phi_c, psi_c = _c_order(phi), _c_order(psi)
     for fn in (dh.energy, dh.action, dh.field_scale):
@@ -208,8 +212,8 @@ def _c_order_storage(monkeypatch):
     def empty_c(shape, dtype=float, zero=False):
         return (np.zeros if zero else np.empty)(shape, dtype)
 
-    def as_c(values, dtype=None):
-        return np.ascontiguousarray(values, dtype=dtype)
+    def as_c(values):
+        return np.ascontiguousarray(values)
 
     for mod in (charts, fields, identities, solver, fieldio):
         for name, fn in (("empty_planes", empty_c), ("as_planes", as_c)):
@@ -243,6 +247,49 @@ def test_disk_identities_give_the_same_bits_on_c_order_storage(monkeypatch):
     assert scalars == scalars_c
     for key, col in profile.items():
         assert same_bits(col, profile_c[key]), key
+
+
+def _ambient_sums(target, topology):
+    """What sums over the ambient axis alone, as hex strings
+    and arrays.  A sup or an integral over many nodes rarely shows a
+    last-bit change of one node, so the masked quantities are taken node
+    by node."""
+    phi, psi = _pair(target, topology)
+    chart = phi.chart
+    scalars = [target.off_target(phi.values)]
+    for iy, ix in np.argwhere(chart.interior_mask)[::97][:8]:
+        node = np.zeros(chart.shape, dtype=bool)
+        node[iy, ix] = True
+        res = dh.el_residual(phi, psi, mask=node).norms
+        scalars += [res[k] for k in sorted(res) if k != "scale"]
+        scalars += [dh.action(phi, psi, region=node), dh.weitzenboeck_defect(phi, psi, mask=node)]
+    other = np.roll(phi.values, 5, axis=1)
+    arrays = [dh.energy_momentum(phi, psi).components,
+              dh.conformality_defect(phi, analytic=False),
+              target.second_fundamental(phi.values, phi.values[::-1], other)]
+    if topology == "disk":
+        maps = [dh.MoebiusMap.disk_automorphism(a) for a in (0.3, 0.2j, -0.25 + 0.1j)]
+        for row in identities.conformal_checks(phi, psi, maps, ["inverse_fprime", "fprime"]):
+            scalars += [c.dirac_relation_defect for c in row]
+    else:
+        xi = dh.project_spinor(phi, np.conj(psi.values[::-1]))
+        scalars.append(dh.self_adjointness_defect(phi, psi, xi))
+    return [x.hex() for x in scalars], arrays
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_ambient_sums_give_the_same_bits_on_c_order_storage(monkeypatch, topology):
+    """With K = 8 a sum over the ambient axis alone is added pairwise on
+    C-order storage; the residual norms, the action density, the
+    identities and the target's dot products must keep those bits on
+    component-major storage."""
+    target = dh.Sphere(7)
+    scalars, arrays = _ambient_sums(target, topology)
+    _c_order_storage(monkeypatch)
+    scalars_c, arrays_c = _ambient_sums(target, topology)
+    assert scalars == scalars_c
+    for a, a_c in zip(arrays, arrays_c):
+        assert same_bits(a, a_c)
 
 
 def test_pohozaev_circle_energy_sums_in_c_order():
