@@ -12,7 +12,6 @@ from .identities import (CircleBalance, ConformalCheck, EnergyMomentum,
                          QuadraticDifferential, bochner_defect,
                          conformal_checks, conformal_invariance_defect,
                          decay_profile, em_divergence, energy_momentum,
-                         growth_function,
                          hopf_differential, map_pullback, pohozaev_defect,
                          self_adjointness_defect, spinor_pullback,
                          weitzenboeck_defect)

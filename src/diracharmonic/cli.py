@@ -19,7 +19,8 @@ from . import __version__
 from .config import (ConfigError, RunConfig, build_pair, build_solver_config,
                      load_config, parse_config)
 from .fieldio import FieldFileError, read_field, read_header, write_field
-from .fields import TwistedSpinorField, action, el_residual, energy, field_scale
+from .fields import (TANGENCY_TOL, MapField, TwistedSpinorField, action, el_residual, energy,
+                     field_scale, tangency_defect)
 from .identities import decay_profile
 from .solver import solve
 from .verify import run_verification, run_verification_on_fields
@@ -49,11 +50,18 @@ def _outdir(cfg: RunConfig) -> Path:
 
 
 def _read_fields(phi_path, psi_path):
-    """Stored map and spinor; a zero spinor when no spinor file is given."""
+    """Stored map and tangent spinor; a zero spinor when no spinor file is given."""
     phi = read_field(phi_path)
-    if psi_path:
-        return phi, read_field(psi_path, chart=phi.chart, target=phi.target)
-    return phi, TwistedSpinorField.zero(phi.chart, phi.target)
+    if not isinstance(phi, MapField):
+        raise FieldFileError("not_a_map", f"{phi_path}: --phi needs a map file, not a spinor")
+    if not psi_path:
+        return phi, TwistedSpinorField.zero(phi.chart, phi.target)
+    psi = read_field(psi_path, chart=phi.chart, target=phi.target)
+    if not isinstance(psi, TwistedSpinorField):
+        raise FieldFileError("not_a_spinor", f"{psi_path}: --psi needs a spinor file, not a map")
+    if tangency_defect(phi, psi) > TANGENCY_TOL:
+        raise FieldFileError("not_tangent", f"{psi_path}: spinor is not tangent along the map")
+    return phi, psi
 
 
 def _summary(phi, psi) -> dict:
@@ -87,8 +95,7 @@ def cmd_exact(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig, sweep: bool, phi_path=None, psi_path=None) -> int:
     if phi_path is not None:
-        # File mode: single-resolution checks on stored fields (absolute
-        # thresholds; refinement ratios need the scenario config).
+        # File mode: the suite on the stored fields' one grid.
         phi, psi = _read_fields(phi_path, psi_path)
         report = run_verification_on_fields(phi, psi, seed=cfg.get("output", "seed"))
         report["summary"] = _summary(phi, psi)

@@ -120,9 +120,10 @@ def read_field(path, chart: DomainChart | None = None,
     """Load a field file back into a MapField or TwistedSpinorField.
 
     The chart is rebuilt from the header unless one is supplied (a supplied
-    chart must match the stored geometry).  The target defaults to the unit
-    sphere when map values sit on it, flat space otherwise; spinor files
-    reuse the sphere default unless ``target`` says otherwise.
+    chart must match the stored geometry, a supplied target its ambient
+    dimension K).  The target defaults to the unit sphere when map values
+    sit on it, flat space otherwise; spinor files reuse the sphere default
+    unless ``target`` says otherwise.
     """
     hd = read_header(path)
     with open(path, "rb") as fh:
@@ -137,6 +138,8 @@ def read_field(path, chart: DomainChart | None = None,
                  else DomainChart.disk(hd.n, side=hd.side))
     elif chart.n != hd.n or chart.topology != hd.topology or chart.grid.side != hd.side:
         raise FieldFileError("chart_mismatch", f"{path}: stored chart differs from the given one")
+    if target is not None and target.ambient_dim != hd.ambient_dim:
+        raise FieldFileError("dim_mismatch", f"{path}: K = {hd.ambient_dim} != {target.ambient_dim}")
     K = hd.ambient_dim
     if hd.kind == "map":
         vals = empty_planes((hd.n, hd.n, K))

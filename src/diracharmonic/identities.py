@@ -39,13 +39,9 @@ class EnergyMomentum:
     chart: DomainChart
     components: np.ndarray
 
-    def symmetry_defect(self, mask=None) -> float:
-        mask = self.chart.interior_mask if mask is None else mask
+    def symmetry_defect(self) -> float:
         gap = np.abs(self.components[..., 0, 1] - self.components[..., 1, 0])
-        return float(gap[mask].max())
-
-    def trace(self) -> np.ndarray:
-        return self.components[..., 0, 0] + self.components[..., 1, 1]
+        return float(gap[self.chart.interior_mask].max())
 
 
 def _spinor_pair_re(psi_values, other) -> np.ndarray:
@@ -90,12 +86,10 @@ class QuadraticDifferential:
     chart: DomainChart
     T: np.ndarray
 
-    def dbar_defect(self, mask=None) -> float:
+    def dbar_defect(self) -> float:
         c = self.chart
-        if mask is None:
-            mask = c.interior_mask & c.valid_mask(2)
         dbar = 0.5 * (c.derivative(self.T, "x") + 1j * c.derivative(self.T, "y"))
-        return float(np.abs(dbar)[mask].max())
+        return float(np.abs(dbar)[c.interior_mask & c.valid_mask(2)].max())
 
 
 def hopf_differential(phi: MapField, psi: TwistedSpinorField,
@@ -150,12 +144,9 @@ def weitzenboeck_defect(phi: MapField, psi: TwistedSpinorField, mask=None) -> fl
     rhs = -lap
     d = phi.gradient()
     cops = (clifford_e1, clifford_e2)
-    for a in range(2):
-        for b in range(2):
-            if a == b:
-                continue  # R(X, X) = 0
-            eab_psi = cops[a](cops[b](psi.values))
-            rhs = rhs + 0.5 * _curvature_on_spinor(phi, d[..., a, :], d[..., b, :], eab_psi)
+    for a, b in ((0, 1), (1, 0)):  # R(X, X) = 0
+        eab_psi = cops[a](cops[b](psi.values))
+        rhs = rhs + 0.5 * _curvature_on_spinor(phi, d[..., a, :], d[..., b, :], eab_psi)
     gap = np.sqrt(c_order_sum(spinor_norm2(lhs - rhs), axis=-1))
     return float(gap[mask].max())
 
@@ -185,12 +176,9 @@ def bochner_defect(phi: MapField, psi: TwistedSpinorField, mask=None,
     rhs = c_order_sum(np.abs(grad1) ** 2, axis=(-3, -2, -1))
     d = phi.gradient()
     e_psi = (clifford_e1(psi.values), clifford_e2(psi.values))
-    for a in range(2):
-        for b in range(2):
-            if a == b:
-                continue
-            r_on = _curvature_on_spinor(phi, d[..., a, :], d[..., b, :], e_psi[b])
-            rhs = rhs - 0.5 * _spinor_pair_re(e_psi[a], r_on)
+    for a, b in ((0, 1), (1, 0)):  # R(X, X) = 0
+        r_on = _curvature_on_spinor(phi, d[..., a, :], d[..., b, :], e_psi[b])
+        rhs = rhs - 0.5 * _spinor_pair_re(e_psi[a], r_on)
     return float(np.abs(lhs - rhs)[mask].max())
 
 
@@ -209,8 +197,7 @@ class CircleBalance:
     I_r: float
 
 
-def pohozaev_defect(phi: MapField, psi: TwistedSpinorField, r: float,
-                    n_theta: int | None = None) -> CircleBalance:
+def pohozaev_defect(phi: MapField, psi: TwistedSpinorField, r: float) -> CircleBalance:
     """Circle identity at radius r on a disk chart:
 
         int |phi_theta|^2 / r^2 dtheta = int |phi_r|^2 dtheta
@@ -222,7 +209,7 @@ def pohozaev_defect(phi: MapField, psi: TwistedSpinorField, r: float,
     if chart.topology != "disk":
         raise ValueError("circle identities need a disk chart")
     chart._check_radius(r)
-    n_theta = 4 * chart.n if n_theta is None else n_theta
+    n_theta = 4 * chart.n
     theta, px, py = chart.circle_points(r, n_theta)
     ct, st = np.cos(theta), np.sin(theta)
 
@@ -383,8 +370,7 @@ def conformal_invariance_defect(phi: MapField, psi: TwistedSpinorField,
 
 # -- decay diagnostics -----------------------------------------------------------
 
-def decay_profile(phi: MapField, psi: TwistedSpinorField, radii=None,
-                  n_theta: int | None = None) -> dict:
+def decay_profile(phi: MapField, psi: TwistedSpinorField, radii=None) -> dict:
     """Diagnostic table of weighted circle sups and cumulative energies.
 
     Columns per radius r: sup |dphi| r, sup |psi| r^(1/2), sup |grad psi|
@@ -397,7 +383,6 @@ def decay_profile(phi: MapField, psi: TwistedSpinorField, radii=None,
     h = chart.h
     if radii is None:
         radii = np.linspace(6.0 * h, min(0.9, 1.0 - 5.0 * h), 24)
-    n_theta = 4 * chart.n if n_theta is None else n_theta
 
     d = phi.gradient()
     dmag = np.sqrt(c_order_sum(d**2, axis=(-2, -1)))
@@ -413,7 +398,7 @@ def decay_profile(phi: MapField, psi: TwistedSpinorField, radii=None,
     rows = {"r": [], "dphi_weighted": [], "psi_weighted": [], "grad_psi_weighted": [],
             "annulus_energy": [], "growth": []}
     for r in radii:
-        _, px, py = chart.circle_points(float(r), n_theta)
+        _, px, py = chart.circle_points(float(r), 4 * chart.n)
         rows["r"].append(float(r))
         rows["dphi_weighted"].append(float(chart.interp(dmag, px, py).max() * r))
         rows["psi_weighted"].append(float(chart.interp(psi_mag, px, py).max() * r**0.5))
@@ -424,11 +409,6 @@ def decay_profile(phi: MapField, psi: TwistedSpinorField, radii=None,
         disk = rad <= r
         rows["growth"].append(float((growth_density[disk]).sum() * h**2))
     return {k: np.asarray(v) for k, v in rows.items()}
-
-
-def growth_function(phi: MapField, psi: TwistedSpinorField, radii) -> np.ndarray:
-    """F(r) alone, for monotonicity checks."""
-    return decay_profile(phi, psi, radii=radii)["growth"]
 
 
 # -- formal self-adjointness -------------------------------------------------------

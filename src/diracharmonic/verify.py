@@ -1,19 +1,19 @@
 """Machine-readable verification suite.
 
-Runs every identity the library knows against a configured scenario at
-two resolutions (n and 2n), classifies each as unconditional (holds for
-arbitrary smooth fields) or conditional (holds on critical pairs), and
-emits one record per identity with measured defects, the refinement
-ratio, the threshold applied, and a pass flag.  Thresholds are pinned
-here, not configurable: unconditional identities get near-machine
-bounds, conditional ones get C h^2 budgets relative to the field scale
-(C below), and second-order claims additionally require the two-grid
-ratio to land in the centered window around 4.
+Runs every identity the library knows on a scenario at grids n and 2n
+(and 4n), or on stored fields at their one grid, and emits one record per
+identity: id, statement, kind (unconditional: holds for any smooth
+fields; conditional: on critical pairs), grids, defects, refinement
+ratio, threshold and pass flag.  ``_ROWS`` lists the records in report
+order; each threshold names the rule ``_judge`` applies.  Thresholds are
+pinned here, not configurable.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,35 +31,15 @@ from .spinors import (clifford_mul, flat_dirac, hermitian, spinor_norm2,
 from .targets import Sphere
 
 RATIO_WINDOW = (3.4, 4.6)
+NEAR_ZERO = 1e-10       # a first-grid defect this small waives the ratio test
 COND_BUDGET = 5.0       # conditional identities: defect/scale <= COND_BUDGET h^2
 UNCOND_BUDGET = 200.0   # unconditional discrete identities, same form
 POHOZAEV_RADII = (0.25, 0.5, 0.75)
+_CONVENTIONS = ("inverse_fprime", "fprime")
 
 _SOLUTION_SCENARIOS = ("twistor_pushforward", "elliptic_pair", "harmonic_wrap",
                        "constant_spinor")
 _PUSHFORWARD_SCENARIOS = ("twistor_pushforward", "elliptic_pair")
-
-
-def _record(ident, statement, kind, grids, defects, threshold, passed,
-            ratio=None, note=""):
-    return {
-        "id": ident,
-        "statement": statement,
-        "kind": kind,
-        "grids": list(grids),
-        "defects": [float(d) for d in defects],
-        "refinement_ratio": None if ratio is None else float(ratio),
-        "threshold": threshold,
-        "pass": bool(passed),
-        "note": note,
-    }
-
-
-def _ratio_ok(defects) -> tuple[float | None, bool]:
-    if len(defects) < 2 or defects[-1] <= 0:
-        return None, True
-    ratio = defects[0] / defects[-1]
-    return ratio, RATIO_WINDOW[0] <= ratio <= RATIO_WINDOW[1]
 
 
 def canonical_compact_pair(n: int, seed: int = 7, side: float = 2.2):
@@ -122,217 +102,244 @@ def run_verification(cfg: RunConfig, sweep: bool = False) -> dict:
                          cfg.where("chart", "n"))
     grids = [base_n, 2 * base_n] + ([4 * base_n] if sweep else [])
     pairs = [build_pair(cfg, n_override=n) for n in grids]
-    report = _verify_pairs(pairs, grids, cfg.get("output", "seed"), cfg.get("scenario", "kind"))
+    report = _verify_pairs(pairs, grids, cfg.get("output", "seed"), cfg.get("scenario", "kind"),
+                           "scenario")
     report["config_sha256"] = cfg.sha256()
-    report["mode"] = "scenario"
     return report
 
 
 def run_verification_on_fields(phi, psi, seed: int = 1234) -> dict:
-    """Single-resolution suite on stored fields: the same identity records
-    with absolute thresholds only (no refinement ratios, no conformal
-    classification)."""
+    """The suite on stored fields at their one grid, which waives every
+    ratio test but the conformal record's, run on its own grids."""
     chart = phi.chart
     _require_circles_fit(chart.topology, chart.n, chart.grid.side, "stored field: ")
-    report = _verify_pairs([(phi, psi)], [chart.n], seed, "stored_fields")
-    report["mode"] = "files"
-    return report
+    return _verify_pairs([(phi, psi)], [chart.n], seed, "stored_fields", "files")
 
 
-def _verify_pairs(pairs, grids, seed, scenario_kind) -> dict:
-    is_solution = scenario_kind in _SOLUTION_SCENARIOS
-    base_n = grids[0]
-    charts = [p[0].chart for p in pairs]
-    scales = [field_scale(phi, psi) for phi, psi in pairs]
-    records = []
+def _judge(threshold: dict, defects, h: float) -> tuple[bool, float | None, str]:
+    """(pass, refinement ratio, note) under the rule ``threshold`` names; h
+    is the first grid's spacing.  The README's "Verification report" states
+    each rule.  For ``unique_winner``, ``defects`` maps each convention to
+    its action and energy defects, and each entry gains its ratios and
+    ``second_order`` flag."""
 
-    # ---- unconditional algebra ------------------------------------------------
-    cliff, skew = _algebra_checks(seed)
-    records.append(_record(
-        "clifford_relations", "v.w.s + w.v.s = -2<v,w>s on random inputs",
-        "unconditional", [], [cliff], {"abs": 1e-12}, cliff <= 1e-12))
-    records.append(_record(
-        "clifford_skew_adjoint", "Re<v.s, t> = -Re<s, v.t> on random inputs",
-        "unconditional", [], [skew], {"abs": 1e-12}, skew <= 1e-12))
+    def ratio_of(series):  # (first / second defect or None, whether it passes)
+        if len(series) < 2 or series[1] <= 0:
+            return None, True
+        ratio = series[0] / series[1]
+        return ratio, RATIO_WINDOW[0] <= ratio <= RATIO_WINDOW[1]
 
-    # ---- flat Dirac forms ------------------------------------------------------
-    defects = []
-    for chart in charts:
-        rng = np.random.default_rng(seed + 1)
+    if not defects:
+        return False, None, ""
+    if threshold.get("unique_winner"):
+        for series in defects.values():
+            (ra, oka), (re_, oke) = ratio_of(series["action"]), ratio_of(series["energy"])
+            series["ratios"] = [ra, re_]
+            series["second_order"] = bool(oka and oke and series["action"][0] > 1e-13)
+        winners = [conv for conv, series in defects.items() if series["second_order"]]
+        if len(winners) != 1:
+            return False, None, "no unique convention"
+        return True, None, f"winner: {winners[0]} (psi scales by |f'|^(+1/2))"
+    near_zero = defects[0] <= NEAR_ZERO
+    if "rel_h2" in threshold:
+        ratio, in_window = ratio_of(defects)
+        passed = defects[0] <= threshold["rel_h2"] * h**2 and (near_zero or in_window)
+        return passed, ratio, f"ratio window waived below {NEAR_ZERO:g}" if near_zero else ""
+    if threshold.get("improving"):
+        improving = len(defects) < 2 or defects[1] <= defects[0] * 0.75 or near_zero
+        return defects[0] <= threshold["abs"] and improving, None, ""
+    return max(defects) <= threshold.get("abs", threshold.get("rel")), None, ""
+
+
+class _Suite:
+    """The pairs under test and the measurements the rows take from them;
+    ``each`` computes the work several rows share once per verification."""
+
+    def __init__(self, pairs, grids, seed, scenario_kind):
+        self.pairs, self.grids, self.seed = pairs, grids, seed
+        self.charts = [phi.chart for phi, _ in pairs]
+        self.scope = {scenario_kind, self.charts[0].topology}
+        self.conformal_grids = [max(64, grids[0]), 2 * max(64, grids[0])]
+        self.scales = [field_scale(phi, psi) for phi, psi in pairs]
+        self.algebra = _algebra_checks(seed)
+        self._shared = {}
+
+    def each(self, fn) -> list:
+        if fn not in self._shared:
+            self._shared[fn] = [fn(phi, psi) for phi, psi in self.pairs]
+        return self._shared[fn]
+
+    def rel(self, values) -> list:  # per pair, relative to its field scale
+        return [v / s for v, s in zip(values, self.scales)]
+
+    def frame_vs_cauchy_riemann(self, chart) -> float:
+        rng = np.random.default_rng(self.seed + 1)
         fld = (bandlimited_field(chart, rng, components=(2,), kmax=2)
                + 1j * bandlimited_field(chart, rng, components=(2,), kmax=2))
         d1 = flat_dirac(fld, chart, form="frame")
         d2 = flat_dirac(fld, chart, form="cauchy_riemann")
         sc = float(np.sqrt(spinor_norm2(d1)).max()) + 1e-30
-        defects.append(float(np.sqrt(spinor_norm2(d1 - d2)).max()) / sc)
-    records.append(_record(
-        "dirac_frame_vs_cauchy_riemann",
-        "frame form equals the Cauchy-Riemann form pointwise",
-        "unconditional", grids, defects, {"abs": 1e-13}, max(defects) <= 1e-13))
+        return float(np.sqrt(spinor_norm2(d1 - d2)).max()) / sc
 
-    # ---- twistor family ----------------------------------------------------------
-    # Affine spinors are not periodic, so this check always runs on its own
-    # windowed charts where the seam stays out of the sup.
-    defects = []
-    for n in grids:
+    def twistor_family(self, n) -> float:
+        # Affine spinors are not periodic, so this check always runs on its
+        # own windowed charts where the seam stays out of the sup.
         wchart = DomainChart.torus(n, side=1.0, window=0.5)
-        rng = np.random.default_rng(seed + 2)
+        rng = np.random.default_rng(self.seed + 2)
         p0 = rng.normal(size=2) + 1j * rng.normal(size=2)
         p1 = rng.normal(size=2) + 1j * rng.normal(size=2)
-        defects.append(twistor_defect(twistor_field(wchart, p0, p1), wchart))
-    records.append(_record(
-        "twistor_family", "affine twistor spinors annihilate the twistor operator",
-        "unconditional", grids, defects, {"abs": 1e-10}, max(defects) <= 1e-10))
+        return twistor_defect(twistor_field(wchart, p0, p1), wchart)
 
-    # ---- formal self-adjointness (torus, random triples) -------------------------
-    worst = 0.0
-    sa_chart = DomainChart.torus(base_n, side=1.0)
-    sphere = Sphere(2)
-    for k in range(20):
-        rng = np.random.default_rng(seed + 100 + k)
-        base = np.zeros(sa_chart.shape + (3,))
-        base[..., 2] = 1.0
-        phi_r = MapField(sa_chart, sphere, sphere.project_point(
-            base + bandlimited_field(sa_chart, rng, components=(3,), kmax=2, amplitude=0.7)))
-        mk = lambda: project_spinor(phi_r, (
-            bandlimited_field(sa_chart, rng, components=(3, 2), kmax=2)
-            + 1j * bandlimited_field(sa_chart, rng, components=(3, 2), kmax=2)))
-        worst = max(worst, self_adjointness_defect(phi_r, mk(), mk()))
-    records.append(_record(
-        "dirac_self_adjoint",
-        "int (psi, D xi) = int (D psi, xi) on the torus, 20 random triples",
-        "unconditional", [base_n], [worst], {"rel": 1e-11}, worst <= 1e-11))
+    def self_adjointness(self) -> float:
+        """Worst defect over 20 random triples on a torus at the first grid."""
+        worst = 0.0
+        sa_chart = DomainChart.torus(self.grids[0], side=1.0)
+        sphere = Sphere(2)
+        for k in range(20):
+            rng = np.random.default_rng(self.seed + 100 + k)
+            base = np.zeros(sa_chart.shape + (3,))
+            base[..., 2] = 1.0
+            phi_r = MapField(sa_chart, sphere, sphere.project_point(
+                base + bandlimited_field(sa_chart, rng, components=(3,), kmax=2, amplitude=0.7)))
+            mk = lambda: project_spinor(phi_r, (
+                bandlimited_field(sa_chart, rng, components=(3, 2), kmax=2)
+                + 1j * bandlimited_field(sa_chart, rng, components=(3, 2), kmax=2)))
+            worst = max(worst, self_adjointness_defect(phi_r, mk(), mk()))
+        return worst
 
-    # ---- Weitzenboeck (unconditional, on scenario fields) -------------------------
-    defects = [weitzenboeck_defect(phi, psi) / sc for (phi, psi), sc in zip(pairs, scales)]
-    ratio, rok = _ratio_ok(defects[:2])
-    budget = UNCOND_BUDGET * charts[0].h ** 2
-    near_zero = defects[0] <= 1e-10
-    records.append(_record(
-        "weitzenboeck", "squared Dirac equals connection Laplacian plus curvature",
-        "unconditional", grids, defects, {"rel_h2": UNCOND_BUDGET},
-        defects[0] <= budget and (near_zero or rok), ratio=ratio,
-        note="ratio window waived below 1e-10" if near_zero else ""))
-
-    # ---- conditional identities ----------------------------------------------------
-    def cond(ident, statement, values, extra_note=""):
-        ratio, rok = _ratio_ok(values[:2])
-        budget = COND_BUDGET * charts[0].h ** 2
-        near_zero = values[0] <= 1e-10
-        ok = values[0] <= budget and (near_zero or rok)
-        records.append(_record(
-            ident, statement, "conditional", grids, values,
-            {"rel_h2": COND_BUDGET}, ok, ratio=ratio, note=extra_note))
-
-    res = [el_residual(phi, psi) for phi, psi in pairs]
-    cond("map_equation", "tension balances the curvature coupling",
-         [r.norms["map_sup"] / s for r, s in zip(res, scales)])
-    cond("spinor_equation", "Dirac operator along the map annihilates the spinor",
-         [r.norms["spinor_sup"] / s for r, s in zip(res, scales)])
-    cond("normal_splitting", "normal part of the flat Dirac matches the second-fundamental term",
-         [r.norms["normal_sup"] / s for r, s in zip(res, scales)])
-
-    ems = [energy_momentum(phi, psi) for phi, psi in pairs]
-    cond("em_symmetry", "energy-momentum tensor is symmetric",
-         [em.symmetry_defect() / s for em, s in zip(ems, scales)])
-    div_vals = []
-    for em, chart, s in zip(ems, charts, scales):
-        div = em_divergence(em)
-        mag = np.sqrt((div**2).sum(axis=-1))
-        m = chart.interior_mask & chart.valid_mask(2)
-        div_vals.append(float(np.sqrt((mag[m] ** 2).sum() * chart.h**2)) / s)
-    cond("em_divergence", "energy-momentum tensor is divergence-free", div_vals)
-
-    cond("hopf_holomorphic", "quadratic differential coefficient is anti-holomorphically closed",
-         [hopf_differential(phi, psi).dbar_defect() / s
-          for (phi, psi), s in zip(pairs, scales)])
-
-    boch = []
-    boch_note = ""
-    try:
-        boch = [bochner_defect(phi, psi) / s for (phi, psi), s in zip(pairs, scales)]
-        cond("bochner", "Laplacian of the spinor density balances gradient and curvature", boch)
-    except ValueError as exc:
-        records.append(_record(
-            "bochner", "Laplacian of the spinor density balances gradient and curvature",
-            "conditional", grids, [], {"rel_h2": COND_BUDGET}, False,
-            note=f"precondition failed: {exc}"))
-
-    act_vals = []
-    for (phi, psi), chart, s in zip(pairs, charts, scales):
-        m = chart.interior_mask
-        a = action(phi, psi, region=m)
-        d = chart.integrate(dirichlet_density(phi), region=m)
-        act_vals.append(abs(a - d) / (1.0 + abs(a)))
-    cond("action_reduces_to_dirichlet", "the spinor term of the action vanishes on solutions",
-         act_vals)
-
-    if scenario_kind in _PUSHFORWARD_SCENARIOS:
-        tang = [tangency_defect(phi, psi) for phi, psi in pairs]
-        records.append(_record(
-            "pushforward_tangency", "pushforward spinors satisfy the tangency constraint",
-            "conditional", grids, tang, {"abs": 1e-10}, max(tang) <= 1e-10))
-        curv = [float(np.abs(curvature_term(phi, psi)).max()) / s
-                for (phi, psi), s in zip(pairs, scales)]
-        records.append(_record(
-            "curvature_term_annihilation",
-            "the curvature coupling vanishes pointwise on pushforward pairs",
-            "conditional", grids, curv, {"abs": 1e-10}, max(curv) <= 1e-10))
-
-    # ---- disk-only identities ---------------------------------------------------------
-    if charts[0].topology == "disk":
-        for r in POHOZAEV_RADII:
-            vals = []
-            for (phi, psi) in pairs:
-                cb = pohozaev_defect(phi, psi, r)
-                vals.append(max(cb.radial_defect, cb.angular_defect) / cb.scale)
-            improving = len(vals) < 2 or vals[1] <= vals[0] * 0.75 or vals[0] <= 1e-10
-            records.append(_record(
-                f"pohozaev_r{r}", f"circle balance of radial and angular energies at r = {r}",
-                "conditional", grids, vals, {"abs": 1e-2, "improving": True},
-                vals[0] <= 1e-2 and improving))
-
-        conf_grids = [max(64, base_n), 2 * max(64, base_n)]
-        conf_pairs = [canonical_compact_pair(m, seed=seed) for m in conf_grids]
+    def conformal(self) -> dict:
+        """Per convention, the action and energy defects of the canonical
+        compact pair under two disk automorphisms, as per-grid maxima."""
+        conf_pairs = [canonical_compact_pair(m, seed=self.seed) for m in self.conformal_grids]
         autos = [MoebiusMap.disk_automorphism(a_par, theta=theta)
                  for theta, a_par in ((0.0, 0.4), (0.7, 0.25 + 0.2j))]
-        conventions = ("inverse_fprime", "fprime")
-        checks = [conformal_checks(phi, psi, autos, conventions) for phi, psi in conf_pairs]
-        winners = []
-        conv_records = {}
-        for j, conv in enumerate(conventions):
-            # Two maps per grid: fold to per-grid maxima.
-            a_pair = [max(row[j].action_defect for row in grid) for grid in checks]
-            e_pair = [max(row[j].energy_defect for row in grid) for grid in checks]
-            ra, oka = _ratio_ok(a_pair)
-            re_, oke = _ratio_ok(e_pair)
-            win = oka and oke and a_pair[0] > 1e-13
-            winners.append((conv, win))
-            conv_records[conv] = {"action": a_pair, "energy": e_pair,
-                                  "ratios": [ra, re_], "second_order": bool(win)}
-        winner_names = [c for c, w in winners if w]
-        records.append(_record(
-            "conformal_invariance",
-            "action and energy are invariant under disk automorphisms for exactly "
-            "one rescaling convention",
-            "unconditional", conf_grids,
-            conv_records["inverse_fprime"]["action"],
-            {"ratio_window": list(RATIO_WINDOW), "unique_winner": True},
-            len(winner_names) == 1,
-            note=f"winner: {winner_names[0]} (psi scales by |f'|^(+1/2))"
-                 if len(winner_names) == 1 else "no unique convention"))
-        records[-1]["conventions"] = conv_records
+        checks = [conformal_checks(phi, psi, autos, _CONVENTIONS) for phi, psi in conf_pairs]
+        return {conv: {"action": [max(row[j].action_defect for row in grid) for grid in checks],
+                       "energy": [max(row[j].energy_defect for row in grid) for grid in checks]}
+                for j, conv in enumerate(_CONVENTIONS)}
 
-    overall = all(r["pass"] for r in records)
+
+def _em_divergence_l2(em) -> float:
+    chart = em.chart
+    mag = np.sqrt((em_divergence(em) ** 2).sum(axis=-1))
+    return float(np.sqrt(chart.integrate(mag**2, region=chart.interior_mask & chart.valid_mask(2))))
+
+
+def _action_reduction(phi, psi) -> float:
+    m = phi.chart.interior_mask
+    a = action(phi, psi, region=m)
+    d = phi.chart.integrate(dirichlet_density(phi), region=m)
+    return abs(a - d) / (1.0 + abs(a))
+
+
+class _Row(NamedTuple):
+    id: str
+    statement: str
+    kind: str
+    threshold: dict                # names the rule, see _judge
+    defects: Callable              # _Suite -> one defect per grid (see _judge)
+    scope: tuple = ()              # scenario kinds or topologies that run it; () = all
+    grids: Callable | None = None  # the grids the record lists; None = the pairs' grids
+    fails_on: type | tuple = ()    # exceptions of ``defects`` meaning a failed precondition
+    notes: bool = False            # keep the rule's note
+
+
+# The defect functions look the identity functions up when they run, so
+# wrappers installed on this module's globals see every call.
+_UNCOND, _COND = "unconditional", "conditional"
+_H2 = {"rel_h2": COND_BUDGET}
+_ROWS = (
+    _Row("clifford_relations", "v.w.s + w.v.s = -2<v,w>s on random inputs", _UNCOND,
+         {"abs": 1e-12}, lambda s: [s.algebra[0]], grids=lambda s: []),
+    _Row("clifford_skew_adjoint", "Re<v.s, t> = -Re<s, v.t> on random inputs", _UNCOND,
+         {"abs": 1e-12}, lambda s: [s.algebra[1]], grids=lambda s: []),
+    _Row("dirac_frame_vs_cauchy_riemann", "frame form equals the Cauchy-Riemann form pointwise",
+         _UNCOND, {"abs": 1e-13},
+         lambda s: [s.frame_vs_cauchy_riemann(chart) for chart in s.charts]),
+    _Row("twistor_family", "affine twistor spinors annihilate the twistor operator", _UNCOND,
+         {"abs": 1e-10}, lambda s: [s.twistor_family(n) for n in s.grids]),
+    _Row("dirac_self_adjoint",
+         "int (psi, D xi) = int (D psi, xi) on the torus, 20 random triples", _UNCOND,
+         {"rel": 1e-11}, lambda s: [s.self_adjointness()], grids=lambda s: s.grids[:1]),
+    _Row("weitzenboeck", "squared Dirac equals connection Laplacian plus curvature", _UNCOND,
+         {"rel_h2": UNCOND_BUDGET}, lambda s: s.rel(weitzenboeck_defect(*p) for p in s.pairs),
+         notes=True),
+    _Row("map_equation", "tension balances the curvature coupling", _COND, _H2,
+         lambda s: s.rel(r.norms["map_sup"] for r in s.each(el_residual))),
+    _Row("spinor_equation", "Dirac operator along the map annihilates the spinor", _COND, _H2,
+         lambda s: s.rel(r.norms["spinor_sup"] for r in s.each(el_residual))),
+    _Row("normal_splitting",
+         "normal part of the flat Dirac matches the second-fundamental term", _COND, _H2,
+         lambda s: s.rel(r.norms["normal_sup"] for r in s.each(el_residual))),
+    _Row("em_symmetry", "energy-momentum tensor is symmetric", _COND, _H2,
+         lambda s: s.rel(em.symmetry_defect() for em in s.each(energy_momentum))),
+    _Row("em_divergence", "energy-momentum tensor is divergence-free", _COND, _H2,
+         lambda s: s.rel(_em_divergence_l2(em) for em in s.each(energy_momentum))),
+    _Row("hopf_holomorphic",
+         "quadratic differential coefficient is anti-holomorphically closed", _COND, _H2,
+         lambda s: s.rel(hopf_differential(*p).dbar_defect() for p in s.pairs)),
+    _Row("bochner", "Laplacian of the spinor density balances gradient and curvature", _COND,
+         _H2, lambda s: s.rel(bochner_defect(*p) for p in s.pairs), fails_on=ValueError),
+    _Row("action_reduces_to_dirichlet", "the spinor term of the action vanishes on solutions",
+         _COND, _H2, lambda s: [_action_reduction(*p) for p in s.pairs]),
+    _Row("pushforward_tangency", "pushforward spinors satisfy the tangency constraint", _COND,
+         {"abs": 1e-10}, lambda s: [tangency_defect(*p) for p in s.pairs],
+         scope=_PUSHFORWARD_SCENARIOS),
+    _Row("curvature_term_annihilation",
+         "the curvature coupling vanishes pointwise on pushforward pairs", _COND,
+         {"abs": 1e-10}, lambda s: s.rel(float(np.abs(curvature_term(*p)).max()) for p in s.pairs),
+         scope=_PUSHFORWARD_SCENARIOS),
+    *(_Row(f"pohozaev_r{r}", f"circle balance of radial and angular energies at r = {r}",
+           _COND, {"abs": 1e-2, "improving": True},
+           lambda s, r=r: [max(cb.radial_defect, cb.angular_defect) / cb.scale
+                           for cb in (pohozaev_defect(*p, r) for p in s.pairs)],
+           scope=("disk",))
+      for r in POHOZAEV_RADII),
+    _Row("conformal_invariance",
+         "action and energy are invariant under disk automorphisms for exactly "
+         "one rescaling convention", _UNCOND,
+         {"ratio_window": list(RATIO_WINDOW), "unique_winner": True}, lambda s: s.conformal(),
+         scope=("disk",), grids=lambda s: s.conformal_grids, notes=True),
+)
+
+
+def _verify_pairs(pairs, grids, seed, scenario_kind, mode) -> dict:
+    suite = _Suite(pairs, grids, seed, scenario_kind)
+    records = []
+    for row in _ROWS:
+        if row.scope and not suite.scope & set(row.scope):
+            continue
+        try:
+            defects, failure = row.defects(suite), ""
+        except row.fails_on as exc:
+            defects, failure = [], f"precondition failed: {exc}"
+        passed, ratio, note = _judge(row.threshold, defects, suite.charts[0].h)
+        extra = {}
+        if isinstance(defects, dict):   # per convention: list the first one's action
+            extra["conventions"] = defects
+            defects = defects[_CONVENTIONS[0]]["action"]
+        records.append({
+            "id": row.id,
+            "statement": row.statement,
+            "kind": row.kind,
+            "grids": list(row.grids(suite) if row.grids else grids),
+            "defects": [float(d) for d in defects],
+            "refinement_ratio": None if ratio is None else float(ratio),
+            "threshold": copy.deepcopy(row.threshold),
+            "pass": bool(passed),
+            "note": failure or (note if row.notes else ""),
+            **extra,
+        })
     return {
         "package_version": __version__,
         "report_version": 1,
         "seed": seed,
         "scenario": scenario_kind,
-        "solution_scenario": is_solution,
+        "solution_scenario": scenario_kind in _SOLUTION_SCENARIOS,
         "grids": grids,
-        "chart": {"topology": charts[0].topology, "n": base_n,
-                  "side": charts[0].grid.side},
+        "chart": {"topology": suite.charts[0].topology, "n": grids[0],
+                  "side": suite.charts[0].grid.side},
         "identities": records,
-        "pass": overall,
+        "pass": all(r["pass"] for r in records),
+        "mode": mode,
     }

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import diracharmonic as dh
@@ -315,3 +316,36 @@ def test_flat_pair_read_back_keeps_one_target(tmp_path):
     phi, psi = _read_fields(out / "phi.dhm", out / "psi.dhm")
     assert isinstance(phi.target, dh.Flat)
     assert (psi.target.kind, psi.target.ambient_dim) == (phi.target.kind, phi.target.ambient_dim)
+
+
+@pytest.fixture(scope="module")
+def bad_field_files(tmp_path_factory):
+    """A disk pair's files plus a K = 4 flat map and a non-tangent spinor
+    on the same chart."""
+    out = tmp_path_factory.mktemp("fields")
+    phi, psi = dh.build_pair(dh.parse_config(DISK_CFG.format(out=out)))
+    chart = phi.chart
+    files = {"phi": phi, "psi": psi,
+             "flat4": dh.MapField.constant(chart, dh.Flat(4), (0.0, 0.0, 0.0, 1.0)),
+             "not_tangent": dh.TwistedSpinorField(chart, phi.target,
+                                                  np.ones(chart.shape + (3, 2)))}
+    for name, field in files.items():
+        dh.write_field(out / f"{name}.dhm", field)
+    return out
+
+
+@pytest.mark.parametrize("command", ["verify", "probe"])
+@pytest.mark.parametrize("phi,psi,code", [
+    pytest.param("psi", None, "not_a_map", id="spinor_as_phi"),
+    pytest.param("phi", "phi", "not_a_spinor", id="map_as_psi"),
+    pytest.param("flat4", "psi", "dim_mismatch", id="psi_of_other_K"),
+    pytest.param("phi", "not_tangent", "not_tangent", id="non_tangent_psi"),
+])
+def test_bad_field_inputs_are_named_errors(bad_field_files, tmp_path, command, phi, psi, code):
+    args = [command, "--phi", str(bad_field_files / f"{phi}.dhm"), "--out", str(tmp_path)]
+    if psi:
+        args += ["--psi", str(bad_field_files / f"{psi}.dhm")]
+    r = run_cli(*args)
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert r.stderr.startswith(f"field file error [{code}]: "), r.stderr
+    assert "Traceback" not in r.stderr

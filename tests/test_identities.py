@@ -300,7 +300,7 @@ class TestDecayDiagnostics:
 
     def test_growth_function_monotone(self):
         chart, phi, psi = disk_twistor_pair(96)
-        g = dh.growth_function(phi, psi, np.linspace(8 * chart.h, 0.9, 16))
+        g = dh.decay_profile(phi, psi, radii=np.linspace(8 * chart.h, 0.9, 16))["growth"]
         assert (np.diff(g) >= -1e-13).all()
 
     def test_needs_disk(self):
