@@ -50,19 +50,24 @@ def as_planes(values) -> np.ndarray:
     return out
 
 
-def c_order_sum(a, axis=None):
+def c_order_sum(a, axis=None, work=None):
     """``a.sum(axis)`` added in the order of C-order storage.
 
     numpy adds in memory order, and pairwise once 8 or more terms are
     contiguous, so a sum over a component axis of 8 or more entries, over
     several component axes, or over a whole field, can round differently on
     component-major storage.  Summing a C-order copy gives the bits of the
-    same sum on C-order storage.  A single axis of fewer than 8 entries
-    adds in index order on any storage and needs no copy."""
+    same sum on C-order storage; ``work``, a C-contiguous array shaped like
+    ``a``, receives that copy instead of a new one.  A single axis of fewer
+    than 8 entries adds in index order on any storage and needs no copy."""
     a = np.asarray(a)
     if isinstance(axis, int) and a.shape[axis] < 8:
         return a.sum(axis=axis)
-    return np.ascontiguousarray(a).sum(axis=axis)
+    if work is None:
+        work = np.ascontiguousarray(a)
+    else:
+        work[...] = a
+    return work.sum(axis=axis)
 
 
 @dataclass(frozen=True)
@@ -171,31 +176,37 @@ class DomainChart:
 
     # -- stencil calculus ----------------------------------------------------
 
-    def derivative(self, f, axis) -> np.ndarray:
-        """Centered O(h^2) first derivative along "x" or "y".
+    def derivative(self, f, axis, out=None) -> np.ndarray:
+        """Centered O(h^2) first derivative along "x" or "y", written into
+        ``out`` (an array shaped like ``f`` that does not overlap it) when
+        given.
 
         Stencils always wrap; on disk charts the wrap touches only nodes
         outside the unit disk, which no mask ever selects.
         """
         ax = _AXES[axis] if isinstance(axis, str) else int(axis)
-        f = np.moveaxis(np.asarray(f), ax, 0)
-        out = np.empty_like(f, dtype=np.result_type(f, 1.0))
+        # The stencil runs along axis 0 of a view with ``ax`` swapped there
+        # (swapaxes undoes itself, and costs less than moveaxis).
+        f = np.asarray(f).swapaxes(0, ax)
+        out = (np.empty_like(f, dtype=np.result_type(f, 1.0)) if out is None
+               else out.swapaxes(0, ax))
         # out[i] = f[i + 1] - f[i - 1] with wrapped ends: the bits of
         # roll(f, -1) - roll(f, 1) without the two rolled copies.
         np.subtract(f[2:], f[:-2], out=out[1:-1])
         np.subtract(f[1:2], f[-1:], out=out[:1])
         np.subtract(f[:1], f[-2:-1], out=out[-1:])
         out /= 2.0 * self.h
-        return np.moveaxis(out, 0, ax)
+        return out.swapaxes(0, ax)
 
-    def laplacian(self, f) -> np.ndarray:
-        """Five-point Laplacian, O(h^2)."""
+    def laplacian(self, f, out=None) -> np.ndarray:
+        """Five-point Laplacian, O(h^2), written into ``out`` (an array
+        shaped like ``f`` that does not overlap it) when given."""
         f = np.asarray(f)
-        out = -4.0 * f
+        out = np.multiply(-4.0, f, out=out)
         for ax in (0, 1):
             # out += roll(f, -1) then out += roll(f, 1), in that order.
-            fa = np.moveaxis(f, ax, 0)
-            oa = np.moveaxis(out, ax, 0)
+            fa = f.swapaxes(0, ax)
+            oa = out.swapaxes(0, ax)
             oa[:-1] += fa[1:]
             oa[-1:] += fa[:1]
             oa[1:] += fa[:-1]

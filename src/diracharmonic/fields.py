@@ -71,17 +71,19 @@ class MapField:
         grad = empty_planes(chart.shape + (2, target.ambient_dim), zero=True)
         return cls(chart, target, vals, analytic_gradient=grad)
 
-    def gradient(self, analytic: bool = False) -> np.ndarray:
-        """d phi as an (n, n, 2, K) array: axis -2 indexes the frame direction."""
+    def gradient(self, analytic: bool = False, out=None) -> np.ndarray:
+        """d phi as an (n, n, 2, K) array: axis -2 indexes the frame
+        direction.  ``out`` receives the finite-difference gradient."""
         if analytic:
             if self.analytic_gradient is None:
                 raise ValueError("map carries no analytic gradient")
             return self.analytic_gradient
         c, v = self.chart, self.values
-        # One derivative at a time: np.stack would keep both alive at once.
-        out = empty_planes(v.shape[:-1] + (2,) + v.shape[-1:])
-        out[..., 0, :] = c.derivative(v, "x")
-        out[..., 1, :] = c.derivative(v, "y")
+        # Each derivative straight into its slot: np.stack would keep both
+        # alive at once.
+        out = empty_planes(v.shape[:-1] + (2,) + v.shape[-1:]) if out is None else out
+        c.derivative(v, "x", out=out[..., 0, :])
+        c.derivative(v, "y", out=out[..., 1, :])
         return out
 
 
@@ -116,8 +118,7 @@ def field_scale(phi: MapField, psi: TwistedSpinorField | None = None) -> float:
     residual tolerances.  Sups are taken over the chart interior so the
     seam of windowed charts cannot inflate the scale."""
     mask = phi.chart.interior_mask
-    dphi = phi.gradient()
-    s = 1.0 + float(c_order_sum(dphi**2, axis=(-2, -1))[mask].max())
+    s = 1.0 + float(dirichlet_density(phi)[mask].max())
     if psi is not None:
         s += float(psi.norm2_density()[mask].max())
     return s
@@ -140,10 +141,11 @@ def project_spinor(phi: MapField, raw) -> TwistedSpinorField:
     return TwistedSpinorField(phi.chart, phi.target, out)
 
 
-def _tangent_project_spinor(phi: MapField, arr) -> np.ndarray:
+def _tangent_project_spinor(phi: MapField, arr, out=None) -> np.ndarray:
     """Apply the pointwise tangent projector of the target to each
-    half-spinor component of an (n, n, K, 2) array."""
-    normal = normal_part(phi.target.normal_frame(phi.values), arr)
+    half-spinor component of an (n, n, K, 2) array, writing into ``out``
+    (not overlapping ``arr``) when given."""
+    normal = normal_part(phi.target.normal_frame(phi.values), arr, out=out)
     return np.subtract(arr, normal, out=normal)
 
 
@@ -163,29 +165,40 @@ def spinor_gradient(phi: MapField, psi: TwistedSpinorField) -> np.ndarray:
     return out
 
 
-def clifford_frame_contract(dphi, psi_values) -> np.ndarray:
+def clifford_frame_contract(dphi, psi_values, out=None, work=None) -> np.ndarray:
     """sigma = sum_{a,i} d_a phi^i  e_a . psi^i, a plain spinor field.
 
     This is the contraction through which the whole coupling acts:
     A(dphi(e_a), e_a . psi) = -sigma (x) sum_nu nu.  As e1 . (f, g) = (g, -f)
     and e2 . (f, g) = (i g, i f), sigma = (sum_i w^i g^i, -sum_i conj(w^i) f^i)
     with w = d_1 phi + i d_2 phi.
+
+    ``out`` receives sigma and ``work``, a complex grid shaped like
+    ``dphi[..., 0, :]``, holds w; without them both are allocated.  Each
+    pairing's products are new (n, n, 1) arrays, never a slice of a work
+    grid: a strided output can take numpy's complex multiply off its fused
+    multiply-add loop, and the bits would then depend on the storage order.
     """
-    w = dphi[..., 0, :] + 1j * dphi[..., 1, :]
-    top = ambient_pairing(w, psi_values[..., 1:])
-    bottom = ambient_pairing(np.conj(w), psi_values[..., :1])
-    return np.concatenate([top, -bottom], axis=-1,
-                          out=np.empty_like(psi_values[..., 0, :], dtype=top.dtype))
+    w = np.multiply(1j, dphi[..., 1, :], out=work)
+    w = np.add(dphi[..., 0, :], w, out=w)
+    out = np.empty_like(psi_values[..., 0, :], dtype=np.complex128) if out is None else out
+    ambient_pairing(w, psi_values[..., 1:], out=out[..., :1])
+    w = np.conjugate(w, out=w)
+    bottom = ambient_pairing(w, psi_values[..., :1], out=out[..., 1:])
+    np.negative(bottom, out=bottom)
+    return out
 
 
-def tension(phi: MapField) -> np.ndarray:
+def tension(phi: MapField, out=None, work=None) -> np.ndarray:
     """Tension field: tangential projection of the 5-point Laplacian.
 
     Exactly tangent pointwise; on the unit sphere it agrees with
-    lap(phi) + |dphi|^2 phi to O(h^2).
+    lap(phi) + |dphi|^2 phi to O(h^2).  ``out`` receives the field and
+    ``work``, another map-shaped grid, the Laplacian; both are allocated
+    when None.
     """
-    lap = phi.chart.laplacian(phi.values)
-    return phi.target.tangent_project(phi.values, lap)
+    lap = phi.chart.laplacian(phi.values, out=work)
+    return phi.target.tangent_project(phi.values, lap, out=out)
 
 
 def _flat_dirac_split(phi: MapField, psi: TwistedSpinorField, check_tangency: bool):
@@ -228,21 +241,32 @@ def dirac_along_map(phi: MapField, psi: TwistedSpinorField,
     return spin, normal - a_term
 
 
-def curvature_term(phi: MapField, psi: TwistedSpinorField) -> np.ndarray:
+def curvature_term(phi: MapField, psi: TwistedSpinorField, out=None, work=None) -> np.ndarray:
     """Curvature coupling of the map equation, an (n, n, K) tangent field.
 
     Extrinsic evaluation P(A(dphi(e_a), e_a . psi); psi): each unit normal
     nu has <A(dphi(e_a), e_a . psi), nu> = -sigma, so it contributes
     Re<psi^m, sigma>.  Vanishes identically for flat targets (no normals)
     and, pointwise to machine precision, on every twistor pushforward.
+
+    ``out`` receives the term (a frame of several normals sums into a new
+    array); ``work`` is a (gradient, sigma, complex grid shaped like the
+    gradient) triple: the complex grid holds w for the contraction, then
+    the spinor pairing.  Without them they are allocated.
     """
     frame = phi.target.normal_frame(phi.values)
     if not frame:
-        return np.zeros_like(phi.values)
-    sigma = clifford_frame_contract(phi.gradient(), psi.values)
-    pairing = np.conj(psi.values)
+        out = np.empty_like(phi.values) if out is None else out
+        out[...] = 0.0
+        return out
+    dphi, sigma, spin = (None, None, None) if work is None else work
+    dphi = phi.gradient(out=dphi)
+    spin = empty_planes(dphi.shape, np.complex128) if spin is None else spin
+    sigma = clifford_frame_contract(dphi, psi.values, out=sigma, work=spin[..., 0, :])
+    # psi-shaped view of the (n, n, 2, K) work grid: the planes are now free.
+    pairing = np.conjugate(psi.values, out=spin.swapaxes(-1, -2))
     pairing *= sigma[..., None, :]
-    term = np.real(pairing).sum(axis=-1)
+    term = np.sum(pairing.real, axis=-1, out=out)
     return frame_sum((term for _nu in frame), phi.values.shape)
 
 
@@ -283,12 +307,14 @@ def el_residual(phi: MapField, psi: TwistedSpinorField | None, mask=None) -> ELR
     if psi is None:
         map_res = tension(phi)
         spin_res = normal = np.zeros(phi.values.shape + (2,), dtype=np.complex128)
+        # The magnitudes of the zero spinor terms, without reading them.
+        spin_mag = norm_mag = np.zeros(chart.shape)
     else:
         map_res = tension(phi) - curvature_term(phi, psi)
         spin_res, normal = dirac_along_map(phi, psi)
+        spin_mag = np.sqrt(c_order_sum(spinor_norm2(spin_res), axis=-1))
+        norm_mag = np.sqrt(c_order_sum(spinor_norm2(normal), axis=-1))
     map_mag = np.sqrt(c_order_sum(map_res**2, axis=-1))
-    spin_mag = np.sqrt(c_order_sum(spinor_norm2(spin_res), axis=-1))
-    norm_mag = np.sqrt(c_order_sum(spinor_norm2(normal), axis=-1))
     norms = {
         "map_sup": _sup(map_mag, mask),
         "map_l2": _l2(map_mag, chart, mask),
@@ -304,8 +330,10 @@ def el_residual(phi: MapField, psi: TwistedSpinorField | None, mask=None) -> ELR
 # -- action and energy ----------------------------------------------------------
 
 def dirichlet_density(phi: MapField, analytic: bool = False) -> np.ndarray:
+    """|dphi|^2 per node.  A finite-difference gradient is squared in
+    place; the stored analytic one is left as it is."""
     dphi = phi.gradient(analytic=analytic)
-    return c_order_sum(dphi**2, axis=(-2, -1))
+    return c_order_sum(np.square(dphi, out=None if analytic else dphi), axis=(-2, -1))
 
 
 def action(phi: MapField, psi: TwistedSpinorField | None, region=None,

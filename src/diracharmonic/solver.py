@@ -18,6 +18,29 @@ preserves the constraint exactly and never increases the Dirichlet
 energy while the spinor is zero and dt <= h^2/8.  A zero initial spinor is
 frozen, and the flow is then the harmonic-map heat flow: neither the step
 nor the convergence check evaluates the coupling or the Dirac operator.
+
+Work arrays.  The loop allocates no array of a field's size per map
+step, transport or CG iteration; the kernels write through their
+``out=``/``work=`` arrays:
+
+- ``solve`` owns, for the whole run, one map grid that every step
+  overwrites with the new map, the step's ``_StepWork`` (the update and a
+  second map grid, plus the coupling's gradient, sigma and contraction
+  grids only when the spinor is live) and two spinor grids the transport
+  alternates between.
+- each ``dirac_project`` call owns its operator's work arrays (four
+  scratch spinor grids, the CG's r, z, p and Ap, a C-order real grid for
+  the inner products) and the returned spinor, whose grid also holds the
+  CG's right-hand side and solution in turn; all but the returned grid
+  are freed when the call ends.
+- what still allocates per step is smaller than a map grid: the
+  coupling's pairing products (n x n, see ``clifford_frame_contract``) and
+  the norms of ``project_point``; the convergence checks allocate as
+  before, every ``trace_every`` steps.
+
+``solve`` never writes the caller's ``phi0`` or ``psi0``, and the fields
+it returns are the caller's: nothing keeps or reuses their arrays after
+``solve`` returns (a frozen zero ``psi0`` is returned as it was given).
 """
 
 from __future__ import annotations
@@ -80,7 +103,25 @@ class SolveReport:
                    self.kernel_ratio_trace)
 
 
-def flow_step(phi: MapField, psi: TwistedSpinorField | None, config: SolverConfig) -> MapField:
+class _StepWork:
+    """Work arrays of the map step for one solve: the update and a second
+    map grid (the Laplacian, then the coupling term), plus, when the spinor
+    is live, the coupling's gradient, sigma and contraction grids.  The
+    zero-spinor heat flow allocates no coupling arrays."""
+
+    def __init__(self, phi: MapField, coupled: bool):
+        grid, K = phi.chart.shape, phi.target.ambient_dim
+        self.update = empty_planes(phi.values.shape)
+        self.scratch = empty_planes(phi.values.shape)
+        self.coupling = None
+        if coupled:
+            self.coupling = (empty_planes(grid + (2, K)),
+                             empty_planes(grid + (2,), np.complex128),
+                             empty_planes(grid + (2, K), np.complex128))
+
+
+def flow_step(phi: MapField, psi: TwistedSpinorField | None, config: SolverConfig,
+              out=None, work: _StepWork | None = None) -> MapField:
     """One explicit Euler step of the map flow, reprojected onto the target.
 
     The update direction is the map residual tension(phi) - R(phi, psi),
@@ -88,16 +129,21 @@ def flow_step(phi: MapField, psi: TwistedSpinorField | None, config: SolverConfi
     projection cannot increase the discrete Dirichlet energy at psi = 0.
     ``psi=None``, the frozen zero spinor, steps the harmonic-map heat flow:
     the direction is tension(phi) alone and no coupling is evaluated.
+
+    The new values are written into ``out``, which may be ``phi.values``
+    itself (it is written only once the update is finite), and the
+    intermediates into ``work``; both are allocated when None.
     """
     dt = config.step_size(phi.chart.h)
-    update = tension(phi)
+    work = _StepWork(phi, psi is not None) if work is None else work
+    update = tension(phi, out=work.update, work=work.scratch)
     if psi is not None:
-        update -= curvature_term(phi, psi)
+        update -= curvature_term(phi, psi, out=work.scratch, work=work.coupling)
     if not np.isfinite(update).all():
         raise FloatingPointError("flow step diverged (non-finite update)")
     update *= dt
     update += phi.values
-    moved = phi.target.project_point(update)
+    moved = phi.target.project_point(update, out=out)
     return MapField(phi.chart, phi.target, moved, check=False)
 
 
@@ -109,6 +155,12 @@ class _DiracKernelOperator:
     T x = P B (B (P x)) + kappa (x - P x), with B = (tangent projection)
     o (flat Dirac) and P the pointwise tangency projection; kappa pushes
     normal junk out of the small-eigenvalue space.
+
+    The operator owns the work arrays of one extraction: four scratch
+    spinor grids, which every method may overwrite, the CG's vectors r, z,
+    p and Ap (``vectors``, used by ``_cg`` alone) and a C-order real grid
+    for the inner products.  A method's ``out`` must not be one of them
+    or overlap its input; without it the result is a new array.
     """
 
     def __init__(self, phi: MapField, kappa: float = 1.0):
@@ -116,20 +168,35 @@ class _DiracKernelOperator:
         self.kappa = kappa
         s2 = np.sin(2.0 * np.pi * np.arange(phi.chart.n) / phi.chart.n) ** 2
         self.sigma = (s2[:, None] + s2[None, :]) / phi.chart.h**2
+        shape = phi.values.shape + (2,)
+        self.scratch = tuple(empty_planes(shape, np.complex128) for _ in range(4))
+        self.vectors = tuple(empty_planes(shape, np.complex128) for _ in range(4))
+        self.real = np.empty(shape)
 
-    def project(self, x):
-        return _tangent_project_spinor(self.phi, x)
+    def project(self, x, out=None):
+        return _tangent_project_spinor(self.phi, x, out=out)
 
-    def b_apply(self, x):
-        return self.project(flat_dirac(x, self.phi.chart))
+    def b_apply(self, x, out=None, scratch=None):
+        """B x; ``scratch`` is three grids for the flat Dirac, its output
+        first (default: the first three scratch grids)."""
+        flat, *work = self.scratch[:3] if scratch is None else scratch
+        return self.project(flat_dirac(x, self.phi.chart, out=flat, work=work), out=out)
 
-    def __call__(self, x):
-        px = self.project(x)
-        bx = self.b_apply(px)
-        bbx = self.project(flat_dirac(bx, self.phi.chart))
-        return bbx + self.kappa * (x - px)
+    def __call__(self, x, out=None):
+        out = np.empty_like(x) if out is None else out
+        s0, s1, s2, s3 = self.scratch
+        px = self.project(x, out=s0)
+        bx = self.b_apply(px, out=s1, scratch=(s2, s3, out))
+        bbx = self.b_apply(bx, out=out, scratch=(s2, s3, out))
+        normal = np.subtract(x, px, out=px)
+        bbx += np.multiply(self.kappa, normal, out=normal)
+        return bbx
 
-    def precondition(self, r, shift: float):
+    def inner(self, a, b) -> float:
+        """``_inner`` in the operator's work arrays."""
+        return _inner(a, b, work=(self.scratch[0], self.real))
+
+    def precondition(self, r, shift: float, out=None):
         """M^-1 r = P F^-1[F(P r) / (sigma + shift)] + (r - P r) / (kappa + shift).
 
         The flat part is the exact inverse of the shifted flat Dirac
@@ -138,15 +205,19 @@ class _DiracKernelOperator:
         symmetric positive definite (real positive symbol, orthogonal P),
         so M^-1 is SPD, as preconditioned CG requires.
         """
-        pr = self.project(r)
+        out = np.empty_like(r) if out is None else out
+        s0, s1 = self.scratch[:2]
+        pr = self.project(r, out=s0)
         # Transform the component planes (the last two axes of the
-        # component-major view), so the result comes back plane-ordered.
-        spectrum = np.fft.fft2(pr.transpose(2, 3, 0, 1))
+        # component-major view) in place in a scratch grid.  ifftn, not
+        # ifft2: numpy's ifft2 does not pass ``out`` on.
+        spectrum = np.fft.fftn(pr.transpose(2, 3, 0, 1), axes=(-2, -1),
+                               out=s1.transpose(2, 3, 0, 1))
         spectrum /= self.sigma + shift
-        flat = np.fft.ifft2(spectrum).transpose(2, 3, 0, 1)
+        flat = np.fft.ifftn(spectrum, axes=(-2, -1), out=spectrum).transpose(2, 3, 0, 1)
         normal = np.subtract(r, pr, out=pr)
         normal /= self.kappa + shift
-        out = self.project(flat)
+        out = self.project(flat, out=out)
         out += normal
         return out
 
@@ -163,38 +234,49 @@ class _Projection(tuple):
         return out
 
 
-def _inner(a, b) -> float:
-    return float(c_order_sum(np.real(np.conj(a) * b)))
+def _inner(a, b, work=None) -> float:
+    """Re <a, b> over the whole grid, summed in C order.  ``work`` is a
+    (complex grid, C-order real grid) pair shaped like ``a`` for the
+    products; without it both are allocated."""
+    prod, real = (None, None) if work is None else work
+    prod = np.multiply(np.conjugate(a, out=prod), b, out=prod)
+    return float(c_order_sum(prod.real, work=real))
 
 
-def _cg(op, rhs, shift: float, tol: float, max_iters: int):
+def _cg(op, rhs, shift: float, tol: float, max_iters: int, out=None):
     """Conjugate gradient for (op + shift I) x = rhs, preconditioned by
     ``op.precondition(., shift)`` (SPD; see ``_DiracKernelOperator``).
 
     Stops when the unpreconditioned residual satisfies |r| <= tol |rhs|;
-    fixed association order, no randomness.  Returns (x, iterations,
-    converged).
+    fixed association order, no randomness.  Iterates in ``op.vectors`` and
+    writes x into ``out``, which may be ``rhs`` itself (allocated when
+    None).  Returns (x, iterations, converged).
     """
-    x = np.zeros_like(rhs)
-    r = np.copy(rhs)
-    z = op.precondition(r, shift)
-    p = z
-    rz = _inner(r, z)
-    rhs_norm = np.sqrt(_inner(r, r)) + 1e-300
+    r, z, p, ap = op.vectors
+    tmp = op.scratch[0]
+    np.copyto(r, rhs)
+    x = np.empty_like(rhs) if out is None else out
+    x[...] = 0.0
+    z = op.precondition(r, shift, out=z)
+    np.copyto(p, z)
+    rz = op.inner(r, z)
+    rhs_norm = np.sqrt(op.inner(r, r)) + 1e-300
     it = 0
     for it in range(1, max_iters + 1):
-        ap = op(p) + shift * p
-        denom = _inner(p, ap)
+        ap = op(p, out=ap)
+        ap += np.multiply(shift, p, out=tmp)
+        denom = op.inner(p, ap)
         if denom <= 0:
             raise FloatingPointError(f"CG breakdown at iteration {it}")
         alpha = rz / denom
-        x = x + alpha * p
-        r = r - alpha * ap
-        if np.sqrt(_inner(r, r)) <= tol * rhs_norm:
+        x += np.multiply(alpha, p, out=tmp)
+        r -= np.multiply(alpha, ap, out=tmp)
+        if np.sqrt(op.inner(r, r)) <= tol * rhs_norm:
             return x, it, True
-        z = op.precondition(r, shift)
-        rz_new = _inner(r, z)
-        p = z + (rz_new / rz) * p
+        z = op.precondition(r, shift, out=z)
+        rz_new = op.inner(r, z)
+        p = np.multiply(rz_new / rz, p, out=p)
+        p = np.add(z, p, out=p)
         rz = rz_new
     return x, it, False
 
@@ -208,7 +290,8 @@ def dirac_project(phi: MapField, psi_init: TwistedSpinorField | None,
     set), then rescales to the requested L2 norm.  Returns the field and
     the measured ratio |B psi| / |psi| in L2; the returned pair also
     carries ``cg_iterations`` (one count per power round) and
-    ``cg_unconverged`` (rounds whose CG hit ``cg_max_iters``).
+    ``cg_unconverged`` (rounds whose CG hit ``cg_max_iters``).  The field's
+    values are a new grid; every other array lives for this call only.
     """
     chart = phi.chart
     K = phi.target.ambient_dim
@@ -229,16 +312,17 @@ def dirac_project(phi: MapField, psi_init: TwistedSpinorField | None,
     shift = 1e-4 * 4.0 / chart.h**2
     iterations, unconverged = [], 0
     for _ in range(max(1, config.power_iters)):
-        x = x / (np.sqrt(float(c_order_sum(spinor_norm2(x)))) + 1e-300)
-        x, its, converged = _cg(op, x, shift, config.cg_tol, config.cg_max_iters)
+        x /= np.sqrt(float(c_order_sum(spinor_norm2(x)))) + 1e-300
+        # The solution overwrites the right-hand side, which the CG copies first.
+        x, its, converged = _cg(op, x, shift, config.cg_tol, config.cg_max_iters, out=x)
         iterations.append(its)
         unconverged += not converged
-        x = op.project(x)
+        x[...] = op.project(x, out=op.scratch[0])
     l2 = np.sqrt(float(c_order_sum(spinor_norm2(x))) * chart.h**2)
     if l2 < 1e-300:
         raise FloatingPointError("inverse power iteration collapsed to zero")
-    x = x * (config.spinor_norm_target / l2)
-    bx = op.b_apply(x)
+    x *= config.spinor_norm_target / l2
+    bx = op.b_apply(x, out=op.scratch[3])
     ratio = np.sqrt(float(c_order_sum(spinor_norm2(bx))) / float(c_order_sum(spinor_norm2(x))))
     return _Projection(TwistedSpinorField(chart, phi.target, x), float(ratio),
                        iterations, unconverged)
@@ -255,6 +339,8 @@ def solve(phi0: MapField, psi0: TwistedSpinorField | None,
     phi = phi0
     freeze_spinor = psi0 is not None and float(spinor_norm2(psi0.values).sum()) == 0.0
     report = SolveReport()
+    values = empty_planes(phi0.values.shape)
+    work = _StepWork(phi0, coupled=not freeze_spinor)
 
     def refresh(psi_init):
         projection = dirac_project(phi, psi_init, config)
@@ -265,12 +351,13 @@ def solve(phi0: MapField, psi0: TwistedSpinorField | None,
     if freeze_spinor:
         psi, ratio = psi0, 0.0
     else:
+        transported = empty_planes(phi0.values.shape + (2,), np.complex128)
         psi, ratio = refresh(psi0)
 
     def measure(it):
         spinor = None if freeze_spinor else psi
         res = el_residual(phi, spinor)
-        report.record(it, action(phi, spinor), energy(phi, spinor),
+        report.record(it, action(phi, spinor, dirac=res.spinor_residual), energy(phi, spinor),
                       res.norms["map_sup"], res.norms["spinor_sup"], ratio)
         return res.combined_sup
 
@@ -281,7 +368,7 @@ def solve(phi0: MapField, psi0: TwistedSpinorField | None,
 
     for it in range(1, config.max_iters + 1):
         try:
-            phi = flow_step(phi, None if freeze_spinor else psi, config)
+            phi = flow_step(phi, None if freeze_spinor else psi, config, out=values, work=work)
         except FloatingPointError:
             report.termination = "diverged"
             measure(it)
@@ -289,9 +376,14 @@ def solve(phi0: MapField, psi0: TwistedSpinorField | None,
         if not freeze_spinor:
             # Transport the spinor with the moving map: pointwise tangent
             # projection keeps the pair admissible between kernel refreshes.
-            psi = TwistedSpinorField(phi.chart, phi.target,
-                                     _tangent_project_spinor(phi, psi.values))
+            # It alternates between two grids; a refresh brings a new one.
+            moved = _tangent_project_spinor(phi, psi.values, out=transported)
+            transported = psi.values
+            psi = TwistedSpinorField(phi.chart, phi.target, moved)
             if it % config.reproject_every == 0:
+                # Free the stale grid for the refresh; the transported
+                # spinor's grid takes its place afterwards.
+                transported = psi.values
                 psi, ratio = refresh(psi)
         if it % config.trace_every == 0 or it == config.max_iters:
             combined = measure(it)

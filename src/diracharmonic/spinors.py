@@ -40,22 +40,26 @@ def hermitian(s, t) -> np.ndarray:
 def spinor_norm2(s) -> np.ndarray:
     """|s|^2 = |f|^2 + |g|^2 per grid node."""
     s = np.asarray(s)
-    return (s.real**2 + s.imag**2).sum(axis=-1)
+    squares = s.real**2
+    squares += s.imag**2
+    return squares.sum(axis=-1)
 
 
-def clifford_e1(s) -> np.ndarray:
-    """e1 . (f, g) = (g, -f)."""
+def clifford_e1(s, out=None) -> np.ndarray:
+    """e1 . (f, g) = (g, -f), written into ``out`` (not overlapping ``s``)
+    when given."""
     s = np.asarray(s, dtype=np.complex128)
-    out = np.empty_like(s)
+    out = np.empty_like(s) if out is None else out
     out[..., 0] = s[..., 1]
     np.negative(s[..., 0], out=out[..., 1])
     return out
 
 
-def clifford_e2(s) -> np.ndarray:
-    """e2 . (f, g) = (i g, i f)."""
+def clifford_e2(s, out=None) -> np.ndarray:
+    """e2 . (f, g) = (i g, i f), written into ``out`` (not overlapping
+    ``s``) when given."""
     s = np.asarray(s, dtype=np.complex128)
-    out = np.empty_like(s)
+    out = np.empty_like(s) if out is None else out
     np.multiply(1j, s[..., 1], out=out[..., 0])
     np.multiply(1j, s[..., 0], out=out[..., 1])
     return out
@@ -77,7 +81,7 @@ def clifford_mul(v, s) -> np.ndarray:
                     out=np.empty_like(s, shape=top.shape + (2,)))
 
 
-def flat_dirac(field, chart, form: str = "frame") -> np.ndarray:
+def flat_dirac(field, chart, form: str = "frame", out=None, work=None) -> np.ndarray:
     """Discrete flat Dirac operator on a grid spinor field.
 
     ``form="frame"`` evaluates e1 . D_x + e2 . D_y with the chart's centered
@@ -85,20 +89,26 @@ def flat_dirac(field, chart, form: str = "frame") -> np.ndarray:
     The two agree to machine precision because they are the same linear
     combination of the same stencil outputs.
 
+    ``out`` receives the result and ``work``, a pair of grids shaped like
+    ``field``, the two derivatives; the frame form then overwrites the x
+    derivative with e2 . D_y.  None of them may overlap ``field`` or each
+    other; without them the arrays are allocated.
+
     On disk charts the output is meaningful only on ``chart.valid_mask(1)``.
     """
     field = np.asarray(field, dtype=np.complex128)
-    dx = chart.derivative(field, axis="x")
-    dy = chart.derivative(field, axis="y")
+    dx_out, dy_out = (None, None) if work is None else work
+    dx = chart.derivative(field, axis="x", out=dx_out)
+    dy = chart.derivative(field, axis="y", out=dy_out)
     if form == "frame":
-        out = clifford_e1(dx)
-        out += clifford_e2(dy)
+        out = clifford_e1(dx, out=out)
+        out += clifford_e2(dy, out=dx)
         return out
     if form == "cauchy_riemann":
         dz = 0.5 * (dx - 1j * dy)
         dzbar = 0.5 * (dx + 1j * dy)
         return np.stack([2.0 * dzbar[..., 1], -2.0 * dz[..., 0]], axis=-1,
-                        out=np.empty_like(field))
+                        out=np.empty_like(field) if out is None else out)
     raise ValueError(f"unknown flat_dirac form: {form!r}")
 
 

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .charts import c_order_sum
+from .charts import c_order_sum, empty_planes
 
 
-def _dot(u, v):
-    return c_order_sum(u * v, axis=-1)
+def _dot(u, v, out=None):
+    """<u, v> over the ambient axis; ``out`` receives the products."""
+    return c_order_sum(np.multiply(u, v, out=out), axis=-1)
 
 
 def frame_sum(terms, shape, dtype=float):
@@ -43,23 +44,42 @@ def frame_sum(terms, shape, dtype=float):
     return sum(terms[1:], terms[0]) if terms else np.zeros(shape, dtype)
 
 
-def ambient_pairing(v, arr):
+def ambient_pairing(v, arr, out=None, work=None):
     """<v, arr> for an array whose ambient axis is -2 (v carries it last),
-    summed in index order over slices: no reduction over a strided axis."""
-    out = v[..., 0, None] * arr[..., 0, :]
+    summed in index order over slices: no reduction over a strided axis.
+
+    ``out`` receives the pairing and ``work``, an array shaped like it,
+    each further product; neither may overlap ``v`` or ``arr``, and each
+    is allocated when None."""
+    out = np.multiply(v[..., 0, None], arr[..., 0, :], out=out)
     for i in range(1, arr.shape[-2]):
-        out += v[..., i, None] * arr[..., i, :]
+        out += np.multiply(v[..., i, None], arr[..., i, :], out=work)
     return out
 
 
-def normal_part(frame, arr):
+def normal_part(frame, arr, out=None):
     """sum_nu nu (x) <nu, arr>, the normal part of an array whose ambient
     axis is -2; tangent projection is ``arr - normal_part(frame, arr)``.
-    Always a new array; over an empty frame, zeros in the order of ``arr``."""
+
+    Written into ``out``, an array shaped like ``arr`` that does not overlap
+    it, or a new component-major array; zeros over an empty frame.  The
+    first normal's pairing is formed in ``out``'s first ambient slot, each
+    product in its last, so one normal needs no other array; each further
+    normal adds a new term."""
+    out = empty_planes(arr.shape, arr.dtype) if out is None else out
     if not frame:
-        return np.zeros_like(arr)
-    return frame_sum((nu[..., :, None] * ambient_pairing(nu, arr)[..., None, :]
-                      for nu in frame), arr.shape, arr.dtype)
+        out[...] = 0
+        return out
+    nu, *rest = frame
+    ambient_pairing(nu, arr, out=out[..., 0, :], work=out[..., -1, :])
+    # The pairing, as the first ambient slot; one view of it as both input
+    # and output of the last product, which numpy then runs in place.
+    pairing = out[..., :1, :]
+    np.multiply(nu[..., 1:, None], pairing, out=out[..., 1:, :])
+    np.multiply(nu[..., :1, None], pairing, out=pairing)
+    for nu in rest:
+        out += normal_part((nu,), arr)
+    return out
 
 
 class TargetGeometry:
@@ -68,7 +88,7 @@ class TargetGeometry:
     ambient_dim: int
     kind: str
 
-    def project_point(self, p):
+    def project_point(self, p, out=None):
         raise NotImplementedError
 
     def normal_frame(self, p) -> tuple:
@@ -81,9 +101,12 @@ class TargetGeometry:
         return max((float(np.abs(_dot(nu, nu) - 1.0).max()) for nu in self.normal_frame(p)),
                    default=0.0)
 
-    def tangent_project(self, p, X):
+    def tangent_project(self, p, X, out=None):
+        """X - sum_nu nu <nu, X>, written into ``out`` (not overlapping X)
+        when given."""
         X = np.asarray(X)
-        normal = normal_part(self.normal_frame(p), X[..., None])[..., 0]
+        normal = normal_part(self.normal_frame(p), X[..., None],
+                             out=None if out is None else out[..., None])[..., 0]
         return np.subtract(X, normal, out=normal)
 
     def second_fundamental(self, p, X, Y):
@@ -121,12 +144,15 @@ class Sphere(TargetGeometry):
         self.ambient_dim = dim + 1
         self.kind = "sphere"
 
-    def project_point(self, p):
+    def project_point(self, p, out=None):
+        """p / |p|, written into ``out`` (not overlapping p) when given; out
+        holds the squares of p until the division."""
         p = np.asarray(p, dtype=float)
-        norm = np.sqrt(_dot(p, p))
+        out = np.empty_like(p) if out is None else out
+        norm = np.sqrt(_dot(p, p, out=out))
         if (norm < 1e-300).any():
             raise ValueError("cannot project the origin to the sphere")
-        return p / norm[..., None]
+        return np.divide(p, norm[..., None], out=out)
 
     def normal_frame(self, p) -> tuple:
         return (np.asarray(p),)
@@ -142,8 +168,12 @@ class Flat(TargetGeometry):
         self.ambient_dim = ambient_dim
         self.kind = "flat"
 
-    def project_point(self, p):
-        return np.asarray(p, dtype=float)
+    def project_point(self, p, out=None):
+        p = np.asarray(p, dtype=float)
+        if out is None:
+            return p
+        out[...] = p
+        return out
 
     def normal_frame(self, p) -> tuple:
         return ()

@@ -22,7 +22,7 @@ from .charts import DomainChart, MoebiusMap, bandlimited_field
 from .config import ConfigError, RunConfig, build_pair
 from .fields import (MapField, action, curvature_term, dirichlet_density,
                      el_residual, field_scale, project_spinor, tangency_defect)
-from .identities import (bochner_defect, conformal_checks,
+from .identities import (_EXPONENTS, bochner_defect, conformal_checks,
                          em_divergence, energy_momentum, hopf_differential,
                          pohozaev_defect, self_adjointness_defect,
                          weitzenboeck_defect)
@@ -139,7 +139,8 @@ def _judge(threshold: dict, defects, h: float) -> tuple[bool, float | None, str]
         winners = [conv for conv, series in defects.items() if series["second_order"]]
         if len(winners) != 1:
             return False, None, "no unique convention"
-        return True, None, f"winner: {winners[0]} (psi scales by |f'|^(+1/2))"
+        num, den = _EXPONENTS[winners[0]].as_integer_ratio()
+        return True, None, f"winner: {winners[0]} (psi scales by |f'|^({num:+d}/{den}))"
     near_zero = defects[0] <= NEAR_ZERO
     if "rel_h2" in threshold:
         ratio, in_window = ratio_of(defects)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import diracharmonic as dh
+from diracharmonic.charts import as_planes
+from diracharmonic.fields import _tangent_project_spinor
 from diracharmonic.solver import _DiracKernelOperator, _cg, _inner
 
 from conftest import disk_twistor_pair, plain_cg, random_sphere_pair
@@ -71,6 +73,26 @@ def test_preconditioner_is_symmetric_positive_definite(make_map):
     for x in tangent + normal + [a]:
         if np.any(x):                             # a flat target has no normal part
             assert _inner(x, op.precondition(x, shift)) > 0.0
+
+
+@pytest.mark.parametrize("make_map", MAPS)
+@pytest.mark.parametrize("order", ["planes", "c_order"])
+def test_preconditioner_has_the_bits_of_the_allocating_formula(make_map, order):
+    phi = make_map(32)
+    op = _DiracKernelOperator(phi)
+    shift = _shift(phi)
+    r = _random_spinors(phi, 4)
+    r = as_planes(r) if order == "planes" else r
+    # The formula with fresh arrays: fft2/ifft2 over the component planes.
+    pr = _tangent_project_spinor(phi, r)
+    spectrum = np.fft.fft2(pr.transpose(2, 3, 0, 1))
+    spectrum /= op.sigma + shift
+    flat = np.fft.ifft2(spectrum).transpose(2, 3, 0, 1)
+    ref = _tangent_project_spinor(phi, flat) + (r - pr) / (op.kappa + shift)
+    z = np.empty_like(r)
+    for got in (op.precondition(r, shift), op.precondition(r, shift, out=z)):
+        assert np.array_equal(np.ascontiguousarray(got).view(np.uint8),
+                              np.ascontiguousarray(ref).view(np.uint8))
 
 
 def test_kernel_cg_iterations_per_solve_stay_small():

@@ -71,9 +71,10 @@ def test_frozen_measure_has_the_bits_of_a_zero_spinor_measure(monkeypatch):
     states = []
     real_step = diracharmonic.solver.flow_step
 
-    def recording_step(phi, psi, config):
-        moved = real_step(phi, psi, config)
-        states.append(moved)
+    def recording_step(phi, psi, config, **work):
+        moved = real_step(phi, psi, config, **work)
+        # solve steps in place in one grid, so keep a copy of each state.
+        states.append(dh.MapField(moved.chart, moved.target, moved.values.copy()))
         return moved
 
     monkeypatch.setattr(diracharmonic.fields, "dirac_along_map", forbidden)

@@ -91,7 +91,8 @@ FLAT = ([4e-6, 4e-6], [8e-6, 2e-6])     # action ratio 1
     pytest.param(FLAT, FLAT, 0, "no unique convention", id="no_winner"),
     pytest.param(SECOND, FLAT, 1, "winner: inverse_fprime (psi scales by |f'|^(+1/2))",
                  id="one_winner"),
-    pytest.param(FLAT, SECOND, 1, "winner: fprime", id="other_winner"),
+    pytest.param(FLAT, SECOND, 1, "winner: fprime (psi scales by |f'|^(-1/2))",
+                 id="other_winner"),
     pytest.param(SECOND, SECOND, 2, "no unique convention", id="two_winners"),
     pytest.param(([4e-14, 1e-14], [8e-6, 2e-6]), FLAT, 0, "no unique convention",
                  id="winner_at_most_1e-13"),
@@ -100,7 +101,7 @@ def test_conformal_needs_exactly_one_second_order_convention(inverse_fprime, fpr
                                                             winners, note):
     conventions = _conventions(inverse_fprime, fprime)
     passed, ratio, verdict = _judge(CONFORMAL, conventions, 0.1)
-    assert (passed, ratio) == (winners == 1, None) and verdict.startswith(note)
+    assert (passed, ratio, verdict) == (winners == 1, None, note)
     assert sum(c["second_order"] for c in conventions.values()) == winners
     for entry in conventions.values():
         assert entry["ratios"] == [entry["action"][0] / entry["action"][1],
