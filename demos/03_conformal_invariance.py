@@ -34,7 +34,6 @@ for name, f in maps:
         print(f"   {label}")
         print(f"     action defect {a0:.2e} -> {a1:.2e}  (ratio {a0 / a1:4.2f})")
         print(f"     energy defect {e0:.2e} -> {e1:.2e}  (ratio {e0 / e1:4.2f})")
-        print(f"     Dirac transformation defect {defects[1].dirac_relation_defect:.2e}")
     print()
 
 print("A ratio of ~4 under grid doubling marks second-order vanishing: the")

@@ -19,11 +19,10 @@ from .config import ConfigError, RunConfig, build_pair, load_config, parse_confi
 from .fieldio import FieldFileError, FieldHeader, read_field, read_header, write_field
 from .solutions import (RationalMap, conformal_map_field, conformality_defect,
                         elliptic_conformal_field, harmonic_wrap,
-                        inverse_stereographic, sphere_dirichlet_energy,
-                        stereo_pair, trivial_pair, twistor_pushforward)
+                        sphere_dirichlet_energy, stereo_pair, trivial_pair,
+                        twistor_pushforward)
 from .solver import SolveReport, SolverConfig, dirac_project, flow_step, solve
 from .spinors import (clifford_mul, flat_dirac, hermitian, spinor,
-                      spinor_norm2, twistor_defect, twistor_eval,
-                      twistor_field)
+                      spinor_norm2, twistor_defect, twistor_field)
 from .targets import Flat, Sphere, TargetGeometry, make_target
 from .verify import run_verification, run_verification_on_fields

@@ -274,7 +274,9 @@ def curvature_term(phi: MapField, psi: TwistedSpinorField, out=None, work=None) 
 
 @dataclass
 class ELResidual:
-    """Residuals of the coupled critical-point system on one chart."""
+    """Residuals of the coupled critical-point system on one chart;
+    ``norms`` holds their masked sups ``map_sup``, ``spinor_sup`` and
+    ``normal_sup``."""
 
     map_residual: np.ndarray
     spinor_residual: np.ndarray
@@ -286,12 +288,9 @@ class ELResidual:
         return self.norms["map_sup"] + self.norms["spinor_sup"]
 
 
-def _sup(mag, mask) -> float:
-    return float(mag[mask].max())
-
-
-def _l2(mag, chart, mask) -> float:
-    return float(np.sqrt((mag[mask] ** 2).sum() * chart.h**2))
+def _sup(mag2, mask) -> float:
+    """Sup over ``mask`` of the magnitude whose square is ``mag2``."""
+    return float(np.sqrt(mag2)[mask].max())
 
 
 def el_residual(phi: MapField, psi: TwistedSpinorField | None, mask=None) -> ELResidual:
@@ -302,28 +301,18 @@ def el_residual(phi: MapField, psi: TwistedSpinorField | None, mask=None) -> ELR
     the frozen zero spinor: the map residual is tau(phi) and the spinor
     terms are zero, with no coupling or Dirac operator evaluated.
     """
-    chart = phi.chart
-    mask = chart.interior_mask if mask is None else mask
+    mask = phi.chart.interior_mask if mask is None else mask
     if psi is None:
         map_res = tension(phi)
         spin_res = normal = np.zeros(phi.values.shape + (2,), dtype=np.complex128)
-        # The magnitudes of the zero spinor terms, without reading them.
-        spin_mag = norm_mag = np.zeros(chart.shape)
+        spinor_sup = normal_sup = 0.0
     else:
         map_res = tension(phi) - curvature_term(phi, psi)
         spin_res, normal = dirac_along_map(phi, psi)
-        spin_mag = np.sqrt(c_order_sum(spinor_norm2(spin_res), axis=-1))
-        norm_mag = np.sqrt(c_order_sum(spinor_norm2(normal), axis=-1))
-    map_mag = np.sqrt(c_order_sum(map_res**2, axis=-1))
-    norms = {
-        "map_sup": _sup(map_mag, mask),
-        "map_l2": _l2(map_mag, chart, mask),
-        "spinor_sup": _sup(spin_mag, mask),
-        "spinor_l2": _l2(spin_mag, chart, mask),
-        "normal_sup": _sup(norm_mag, mask),
-        "normal_l2": _l2(norm_mag, chart, mask),
-        "scale": field_scale(phi, psi),
-    }
+        spinor_sup = _sup(c_order_sum(spinor_norm2(spin_res), axis=-1), mask)
+        normal_sup = _sup(c_order_sum(spinor_norm2(normal), axis=-1), mask)
+    norms = {"map_sup": _sup(c_order_sum(map_res**2, axis=-1), mask),
+             "spinor_sup": spinor_sup, "normal_sup": normal_sup}
     return ELResidual(map_res, spin_res, normal, norms)
 
 

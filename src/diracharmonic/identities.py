@@ -299,7 +299,6 @@ class ConformalCheck:
     convention: str
     action_defect: float
     energy_defect: float
-    dirac_relation_defect: float
 
 
 def conformal_checks(phi: MapField, psi: TwistedSpinorField, maps,
@@ -308,20 +307,16 @@ def conformal_checks(phi: MapField, psi: TwistedSpinorField, maps,
     ``checks[i][j]`` for ``maps[i]`` under ``conventions[j]``, with the
     same bits.
 
-    Work shared across the table is done once: the pair's action, energy
-    and D psi, and per map the pulled-back map and the interpolated spinor.
+    Work shared across the table is done once: the pair's action and
+    energy, and per map the pulled-back map and the interpolated spinor.
     Each (map, convention) makes one Dirac evaluation of the transformed
-    pair, which serves both its action and the Dirac relation; the pulled
-    base D psi is rebuilt per convention so that no second spinor grid
-    stays alive across the loop.
+    pair, for its action.
     """
     for convention in conventions:
         if convention not in _EXPONENTS:
             raise ValueError(f"unknown lambda convention {convention!r}")
     chart = phi.chart
-    mask = chart.interior_mask & chart.valid_mask(2)
-    spin = tangential_dirac(phi, psi)
-    L0 = action(phi, psi, dirac=spin)
+    L0 = action(phi, psi)
     E0 = energy(phi, psi)
     checks = []
     for f in maps:
@@ -335,18 +330,12 @@ def conformal_checks(phi: MapField, psi: TwistedSpinorField, maps,
             # clean them up along the pulled-back map before assembling
             # the action.
             psi_t = project_spinor(phi_t, pulled * _graded_factor(chart, f, expo))
-            lhs = tangential_dirac(phi_t, psi_t)
-            L1 = action(phi_t, psi_t, dirac=lhs)
+            L1 = action(phi_t, psi_t)
             E1 = energy(phi_t, psi_t)
-            rhs = spinor_pullback(chart, spin, f, 3.0 * expo)
-            rel_scale = float(np.sqrt(c_order_sum(spinor_norm2(rhs), axis=-1))[mask].max()) + 1e-300
-            gap = np.sqrt(c_order_sum(spinor_norm2(lhs - rhs), axis=-1))
-            relation = float(gap[mask].max()) / rel_scale
             row.append(ConformalCheck(
                 convention=convention,
                 action_defect=abs(L0 - L1) / (1.0 + abs(L0)),
                 energy_defect=abs(E0 - E1) / (1.0 + abs(E0)),
-                dirac_relation_defect=relation,
             ))
         checks.append(row)
     return checks
@@ -356,8 +345,7 @@ def conformal_invariance_defect(phi: MapField, psi: TwistedSpinorField,
                                 f: MoebiusMap,
                                 convention: str = "inverse_fprime") -> ConformalCheck:
     """Relative change of action and energy under (phi, psi) -> (phi o f,
-    lambda^(-1/2) psi o f), plus the pointwise transformation defect of the
-    Dirac operator along the map.
+    lambda^(-1/2) psi o f).
 
     ``convention`` fixes what lambda means: "fprime" reads lambda = |f'|,
     "inverse_fprime" reads lambda = 1/|f'|.  Exactly one of the two leaves

@@ -83,16 +83,6 @@ class RationalMap:
         return RationalMap(num, den)
 
 
-def inverse_stereographic(z) -> np.ndarray:
-    """Point of S^2 under inverse stereographic projection from the north pole.
-
-    z = 0 maps to the south pole (0, 0, -1); |z| -> inf approaches the north
-    pole.  Evaluated through the projective pair so large |z| stays stable.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    return stereo_pair(z, np.ones_like(z))
-
-
 def stereo_pair(p, q) -> np.ndarray:
     """Sphere point of the homogeneous value p/q (works at poles, q = 0)."""
     p = np.asarray(p, dtype=np.complex128)

@@ -163,9 +163,10 @@ class _DiracKernelOperator:
     or overlap its input; without it the result is a new array.
     """
 
-    def __init__(self, phi: MapField, kappa: float = 1.0):
+    kappa = 1.0
+
+    def __init__(self, phi: MapField):
         self.phi = phi
-        self.kappa = kappa
         s2 = np.sin(2.0 * np.pi * np.arange(phi.chart.n) / phi.chart.n) ** 2
         self.sigma = (s2[:, None] + s2[None, :]) / phi.chart.h**2
         shape = phi.values.shape + (2,)

@@ -112,14 +112,6 @@ def flat_dirac(field, chart, form: str = "frame", out=None, work=None) -> np.nda
     raise ValueError(f"unknown flat_dirac form: {form!r}")
 
 
-def twistor_eval(psi0, psi1, x) -> np.ndarray:
-    """Affine twistor spinor Psi(x) = Psi0 + (x1 e1 + x2 e2) . Psi1 at a point."""
-    x1, x2 = x
-    psi0 = np.asarray(psi0, dtype=np.complex128)
-    psi1 = np.asarray(psi1, dtype=np.complex128)
-    return psi0 + clifford_mul((x1, x2), psi1)
-
-
 def twistor_field(chart, psi0, psi1) -> np.ndarray:
     """Sample the affine twistor spinor on every node of the chart."""
     psi0 = np.asarray(psi0, dtype=np.complex128)

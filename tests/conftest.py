@@ -163,16 +163,9 @@ def conformal_oracle(phi, psi, f, convention):
 
     L0, L1 = action(phi, psi), action(phi_t, psi_t)
     E0, E1 = dh.energy(phi, psi), dh.energy(phi_t, psi_t)
-    spin_res, _ = dh.dirac_along_map(phi, psi, check_tangency=False)
-    lhs, _ = dh.dirac_along_map(phi_t, psi_t, check_tangency=False)
-    rhs = spinor_pullback(chart, spin_res, f, 3.0 * expo)
-    mask = chart.interior_mask & chart.valid_mask(2)
-    rel_scale = float(np.sqrt(dh.spinor_norm2(rhs).sum(axis=-1))[mask].max()) + 1e-300
-    relation = float(np.sqrt(dh.spinor_norm2(lhs - rhs).sum(axis=-1))[mask].max()) / rel_scale
     return dh.ConformalCheck(convention=convention,
                              action_defect=abs(L0 - L1) / (1.0 + abs(L0)),
-                             energy_defect=abs(E0 - E1) / (1.0 + abs(E0)),
-                             dirac_relation_defect=relation)
+                             energy_defect=abs(E0 - E1) / (1.0 + abs(E0)))
 
 
 def circle_integral(chart, f, r, n_theta=256):

@@ -21,8 +21,7 @@ def _verify_maps():
 
 
 def _bits(check):
-    return (check.convention, check.action_defect.hex(), check.energy_defect.hex(),
-            check.dirac_relation_defect.hex())
+    return check.convention, check.action_defect.hex(), check.energy_defect.hex()
 
 
 def _random_pair(target, n=24, seed=5):
@@ -131,3 +130,19 @@ def test_callers_that_discard_the_normal_defect_never_build_it(counted_dirac):
     _, phi_r, psi_r = random_sphere_pair(24)
     dh.self_adjointness_defect(phi_r, psi_r, psi_r)
     assert len(counted_dirac) == 6
+
+
+def test_two_maps_two_conventions_interpolate_once_per_field_and_map(compact_pair, monkeypatch):
+    phi, psi = compact_pair
+    calls = []
+    real = dh.DomainChart.interp
+
+    def counting(self, f, px, py):
+        calls.append(np.shape(f)[2:])
+        return real(self, f, px, py)
+
+    monkeypatch.setattr(dh.DomainChart, "interp", counting)
+    dh.conformal_checks(phi, psi, _verify_maps()[:2], CONVENTIONS)
+    # Per map: the map values and the spinor values, shared by both conventions.
+    K = phi.target.ambient_dim
+    assert calls == [(K,), (K, 2)] * 2

@@ -130,7 +130,7 @@ class TestCurvatureTerm:
         c1 = 0.25 * np.sin(2 * np.pi * chart.x) + 0.1 * np.cos(2 * np.pi * chart.y)
         c2 = 0.2 * np.sin(2 * np.pi * (chart.x + chart.y))
         w = c1 + 1j * c2
-        phi_vals = dh.inverse_stereographic(w)
+        phi_vals = dh.stereo_pair(w, 1)
         jac = np.stack([_stereo_tangent(w, np.ones_like(w)),
                         _stereo_tangent(w, 1j * np.ones_like(w))], axis=-2)
         phi = dh.MapField(chart, dh.Sphere(2), phi_vals)

@@ -227,7 +227,7 @@ def _disk_identities(phi, psi):
     scalars = [dh.bochner_defect(phi, psi), dh.weitzenboeck_defect(phi, psi),
                dh.energy(phi, psi), dh.action(phi, psi), dh.field_scale(phi, psi),
                cb.radial_defect, cb.angular_defect, cb.E_r, cb.I_r,
-               conf.action_defect, conf.energy_defect, conf.dirac_relation_defect]
+               conf.action_defect, conf.energy_defect]
     res = dh.el_residual(phi, psi).norms
     return [x.hex() for x in scalars + [res[k] for k in sorted(res)]], dh.decay_profile(phi, psi)
 
@@ -261,7 +261,7 @@ def _ambient_sums(target, topology):
         node = np.zeros(chart.shape, dtype=bool)
         node[iy, ix] = True
         res = dh.el_residual(phi, psi, mask=node).norms
-        scalars += [res[k] for k in sorted(res) if k != "scale"]
+        scalars += [res[k] for k in sorted(res)]
         scalars += [dh.action(phi, psi, region=node), dh.weitzenboeck_defect(phi, psi, mask=node)]
     other = np.roll(phi.values, 5, axis=1)
     arrays = [dh.energy_momentum(phi, psi).components,
@@ -270,7 +270,7 @@ def _ambient_sums(target, topology):
     if topology == "disk":
         maps = [dh.MoebiusMap.disk_automorphism(a) for a in (0.3, 0.2j, -0.25 + 0.1j)]
         for row in identities.conformal_checks(phi, psi, maps, ["inverse_fprime", "fprime"]):
-            scalars += [c.dirac_relation_defect for c in row]
+            scalars += [d for c in row for d in (c.action_defect, c.energy_defect)]
     else:
         xi = dh.project_spinor(phi, np.conj(psi.values[::-1]))
         scalars.append(dh.self_adjointness_defect(phi, psi, xi))

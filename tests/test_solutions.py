@@ -9,15 +9,15 @@ from conftest import _stereo_tangent, assert_second_order, elliptic_pair, torus_
 
 class TestInverseStereographic:
     def test_south_pole(self):
-        assert np.allclose(dh.inverse_stereographic(0.0), [0, 0, -1])
+        assert np.allclose(dh.stereo_pair(0.0, 1), [0, 0, -1])
 
     def test_unit_point(self):
-        assert np.allclose(dh.inverse_stereographic(1.0), [1, 0, 0])
+        assert np.allclose(dh.stereo_pair(1.0, 1), [1, 0, 0])
 
     def test_unit_norm_on_random_inputs(self, rng):
         z = rng.normal(size=1000) + 1j * rng.normal(size=1000)
         z *= np.exp(rng.uniform(-8, 8, size=1000))  # huge dynamic range
-        pts = dh.inverse_stereographic(z)
+        pts = dh.stereo_pair(z, 1)
         assert np.abs((pts**2).sum(axis=-1) - 1.0).max() <= 1e-14
 
     def test_pole_goes_north(self):

@@ -4,11 +4,11 @@ per map step, spinor transport or kernel CG iteration once the work
 arrays exist."""
 
 import hashlib
-import platform
 import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.introspect import opt_func_info
 
 import diracharmonic as dh
 import diracharmonic.solver
@@ -54,19 +54,21 @@ PARENT_DIGESTS = {
 
 
 def _coupled_digests_apply():
-    """The coupled digests hold where they were recorded: numpy 2.4 on
-    x86-64 with its AVX2/FMA3 kernels, whose complex multiply fuses
-    multiply-adds (without them the coupled bits differ).  The heat flow
-    uses real arithmetic alone and has the same bits on every path."""
-    features = np._core._multiarray_umath.__cpu_features__
-    return (platform.machine() == "x86_64" and np.__version__.startswith("2.4.")
-            and features.get("AVX2") and features.get("FMA3"))
+    """The coupled digests hold where they were recorded: numpy 2.4 running
+    its X86_V3 (AVX2/FMA3) complex multiply, which fuses multiply-adds
+    (without it the coupled bits differ).  The kernel numpy dispatched is
+    asked for, not the CPU's features: NPY_DISABLE_CPU_FEATURES can hold
+    numpy to its baseline on a CPU that has them.  The heat flow uses real
+    arithmetic alone and has the same bits on every path."""
+    info = opt_func_info(func_name="multiply", signature="complex128")
+    kernels = [loop["current"] for loops in info.values() for loop in loops.values()]
+    return np.__version__.startswith("2.4.") and kernels == ["X86_V3"]
 
 
 @pytest.mark.parametrize("kind", ["coupled", "heat"])
 def test_short_solves_keep_their_recorded_bits(kind):
     if kind == "coupled" and not _coupled_digests_apply():
-        pytest.skip("coupled digests recorded for numpy 2.4 with x86-64 AVX2/FMA3 kernels")
+        pytest.skip("coupled digests recorded for numpy 2.4 with its X86_V3 complex multiply")
     phi, psi, report = _coupled_solve() if kind == "coupled" else _heat_solve()
     assert (_sha(phi.values), _sha(psi.values), report.energy_trace[-1].hex()) \
         == PARENT_DIGESTS[kind]
