@@ -162,18 +162,6 @@ class DomainChart:
     def topology(self) -> str:
         return self.grid.topology
 
-    def valid_mask(self, stencil_depth: int = 1) -> np.ndarray:
-        """Nodes whose value survives ``stencil_depth`` nested centered stencils.
-
-        On the torus every node qualifies (windowed charts keep their window).
-        On the disk the trusted region erodes by 2h per derivative; the 4h
-        interior margin covers two nested applications.
-        """
-        if self.topology == "torus":
-            return self.interior_mask
-        r = np.abs(self.z)
-        return r <= 1.0 - 2.0 * stencil_depth * self.h
-
     # -- stencil calculus ----------------------------------------------------
 
     def derivative(self, f, axis, out=None) -> np.ndarray:
@@ -184,7 +172,7 @@ class DomainChart:
         Stencils always wrap; on disk charts the wrap touches only nodes
         outside the unit disk, which no mask ever selects.
         """
-        ax = _AXES[axis] if isinstance(axis, str) else int(axis)
+        ax = _AXES[axis]
         # The stencil runs along axis 0 of a view with ``ax`` swapped there
         # (swapaxes undoes itself, and costs less than moveaxis).
         f = np.asarray(f).swapaxes(0, ax)
@@ -325,22 +313,17 @@ def bandlimited_field(chart: DomainChart, rng, components=(), kmax: int = 3,
 class MoebiusMap:
     """Fractional linear map f(z) = (a z + b) / (c z + d), normalized ad - bc = 1.
 
-    ``kind`` records the restriction class: "disk_automorphism" maps the unit
-    disk onto itself, "plane_similarity" is affine (c = 0).  The holomorphic
-    square root of the derivative, s(z) = 1 / (c z + d) with f'(z) = s(z)^2,
-    is globally single-valued thanks to the normalization, which is what the
-    half-spinor pullback needs.
+    The holomorphic square root of the derivative, s(z) = 1 / (c z + d)
+    with f'(z) = s(z)^2, is globally single-valued thanks to the
+    normalization, which is what the half-spinor pullback needs.
     """
 
-    def __init__(self, a, b, c, d, kind: str = "plane_similarity"):
+    def __init__(self, a, b, c, d):
         det = a * d - b * c
         if abs(det) < 1e-14:
             raise ValueError("degenerate Moebius coefficients")
         root = np.sqrt(complex(det))
         self.a, self.b, self.c, self.d = (np.complex128(t / root) for t in (a, b, c, d))
-        if kind not in ("disk_automorphism", "plane_similarity"):
-            raise ValueError(f"unknown Moebius kind {kind!r}")
-        self.kind = kind
 
     @classmethod
     def identity(cls) -> "MoebiusMap":
@@ -349,7 +332,7 @@ class MoebiusMap:
     @classmethod
     def similarity(cls, scale, offset=0.0) -> "MoebiusMap":
         """f(z) = scale * z + offset."""
-        return cls(scale, offset, 0.0, 1.0, kind="plane_similarity")
+        return cls(scale, offset, 0.0, 1.0)
 
     @classmethod
     def disk_automorphism(cls, a, theta: float = 0.0) -> "MoebiusMap":
@@ -358,7 +341,7 @@ class MoebiusMap:
         if abs(a) >= 1.0:
             raise ValueError("disk automorphism needs |a| < 1")
         w = np.exp(1j * theta)
-        return cls(w, -w * a, -np.conj(a), 1.0, kind="disk_automorphism")
+        return cls(w, -w * a, -np.conj(a), 1.0)
 
     def __call__(self, z):
         return self.apply(z)[0]

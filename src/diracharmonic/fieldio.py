@@ -121,9 +121,9 @@ def read_field(path, chart: DomainChart | None = None,
 
     The chart is rebuilt from the header unless one is supplied (a supplied
     chart must match the stored geometry, a supplied target its ambient
-    dimension K).  The target defaults to the unit sphere when map values
-    sit on it, flat space otherwise; spinor files reuse the sphere default
-    unless ``target`` says otherwise.
+    dimension K).  The target defaults to the unit sphere S^(K-1) when
+    K >= 2 and map values sit on it, flat space otherwise; spinor files
+    default to that sphere when K >= 2 and to flat R^1 when K = 1.
     """
     hd = read_header(path)
     with open(path, "rb") as fh:
@@ -145,7 +145,7 @@ def read_field(path, chart: DomainChart | None = None,
         vals = empty_planes((hd.n, hd.n, K))
         vals[...] = np.frombuffer(raw, dtype="<f8").reshape(hd.n, hd.n, K)
         if target is None:
-            on_sphere = np.abs(c_order_sum(vals**2, axis=-1) - 1.0).max() < 1e-8
+            on_sphere = K >= 2 and np.abs(c_order_sum(vals**2, axis=-1) - 1.0).max() < 1e-8
             target = Sphere(K - 1) if on_sphere else Flat(K)
         return MapField(chart, target, vals, check=False)
     quad = np.frombuffer(raw, dtype="<f8").reshape(hd.n, hd.n, K, 4)
@@ -153,5 +153,5 @@ def read_field(path, chart: DomainChart | None = None,
     vals[..., 0] = quad[..., 0] + 1j * quad[..., 1]
     vals[..., 1] = quad[..., 2] + 1j * quad[..., 3]
     if target is None:
-        target = Sphere(K - 1)
+        target = Sphere(K - 1) if K >= 2 else Flat(1)
     return TwistedSpinorField(chart, target, vals)

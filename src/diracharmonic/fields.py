@@ -113,15 +113,13 @@ class TwistedSpinorField:
 
 # -- scale conventions -------------------------------------------------------
 
-def field_scale(phi: MapField, psi: TwistedSpinorField | None = None) -> float:
+def field_scale(phi: MapField, psi: TwistedSpinorField) -> float:
     """Energy-density scale 1 + sup|dphi|^2 + sup|psi|^2 used to normalize
     residual tolerances.  Sups are taken over the chart interior so the
     seam of windowed charts cannot inflate the scale."""
     mask = phi.chart.interior_mask
     s = 1.0 + float(dirichlet_density(phi)[mask].max())
-    if psi is not None:
-        s += float(psi.norm2_density()[mask].max())
-    return s
+    return s + float(psi.norm2_density()[mask].max())
 
 
 def tangency_defect(phi: MapField, psi: TwistedSpinorField) -> float:
@@ -222,8 +220,7 @@ def tangential_dirac(phi: MapField, psi: TwistedSpinorField,
     return _flat_dirac_split(phi, psi, check_tangency)[0]
 
 
-def dirac_along_map(phi: MapField, psi: TwistedSpinorField,
-                    check_tangency: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def dirac_along_map(phi: MapField, psi: TwistedSpinorField) -> tuple[np.ndarray, np.ndarray]:
     """Dirac operator along the map plus the normal defect.
 
     Returns (D psi, normal defect).  D psi is the tangential projection of
@@ -233,7 +230,7 @@ def dirac_along_map(phi: MapField, psi: TwistedSpinorField,
     O(h^2) for smooth tangent data.  Only ``el_residual`` reads the defect;
     callers that need D psi alone use ``tangential_dirac``.
     """
-    spin, normal = _flat_dirac_split(phi, psi, check_tangency)
+    spin, normal = _flat_dirac_split(phi, psi, check_tangency=True)
     sigma = clifford_frame_contract(phi.gradient(), psi.values)
     a_term = frame_sum((-nu[..., :, None] * sigma[..., None, :]
                         for nu in phi.target.normal_frame(phi.values)),
@@ -293,15 +290,14 @@ def _sup(mag2, mask) -> float:
     return float(np.sqrt(mag2)[mask].max())
 
 
-def el_residual(phi: MapField, psi: TwistedSpinorField | None, mask=None) -> ELResidual:
+def el_residual(phi: MapField, psi: TwistedSpinorField | None) -> ELResidual:
     """Assemble tau(phi) - R(phi, psi), D psi, and the normal defect.
 
-    Norms are taken over the chart interior mask unless ``mask`` overrides
-    it (refinement studies pass a fixed physical region).  ``psi=None`` is
-    the frozen zero spinor: the map residual is tau(phi) and the spinor
-    terms are zero, with no coupling or Dirac operator evaluated.
+    Norms are taken over the chart interior mask.  ``psi=None`` is the
+    frozen zero spinor: the map residual is tau(phi) and the spinor terms
+    are zero, with no coupling or Dirac operator evaluated.
     """
-    mask = phi.chart.interior_mask if mask is None else mask
+    mask = phi.chart.interior_mask
     if psi is None:
         map_res = tension(phi)
         spin_res = normal = np.zeros(phi.values.shape + (2,), dtype=np.complex128)
@@ -318,11 +314,10 @@ def el_residual(phi: MapField, psi: TwistedSpinorField | None, mask=None) -> ELR
 
 # -- action and energy ----------------------------------------------------------
 
-def dirichlet_density(phi: MapField, analytic: bool = False) -> np.ndarray:
-    """|dphi|^2 per node.  A finite-difference gradient is squared in
-    place; the stored analytic one is left as it is."""
-    dphi = phi.gradient(analytic=analytic)
-    return c_order_sum(np.square(dphi, out=None if analytic else dphi), axis=(-2, -1))
+def dirichlet_density(phi: MapField) -> np.ndarray:
+    """|dphi|^2 per node; the finite-difference gradient is squared in place."""
+    dphi = phi.gradient()
+    return c_order_sum(np.square(dphi, out=dphi), axis=(-2, -1))
 
 
 def action(phi: MapField, psi: TwistedSpinorField | None, region=None,

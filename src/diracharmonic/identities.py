@@ -89,25 +89,21 @@ class QuadraticDifferential:
     def dbar_defect(self) -> float:
         c = self.chart
         dbar = 0.5 * (c.derivative(self.T, "x") + 1j * c.derivative(self.T, "y"))
-        return float(np.abs(dbar)[c.interior_mask & c.valid_mask(2)].max())
+        return float(np.abs(dbar)[c.interior_mask].max())
 
 
-def hopf_differential(phi: MapField, psi: TwistedSpinorField,
-                      analytic: bool = False) -> QuadraticDifferential:
+def hopf_differential(phi: MapField, psi: TwistedSpinorField) -> QuadraticDifferential:
     """T(z) = |phi_x|^2 - |phi_y|^2 - 2i <phi_x, phi_y>
              + Re<psi, e1 . grad_x psi> - i Re<psi, e1 . grad_y psi>.
 
-    ``analytic=True`` assembles the map part from the exact gradient, which
-    makes it vanish identically for conformal maps.
+    The map part is ``conformality_defect`` through the stencils.
     """
-    T = conformality_defect(phi, analytic=analytic)
-    if psi is not None:
-        grad_psi = spinor_gradient(phi, psi)
-        e1psi = clifford_e1(psi.values)
-        sx = -_spinor_pair_re(e1psi, grad_psi[..., 0, :, :])
-        sy = -_spinor_pair_re(e1psi, grad_psi[..., 1, :, :])
-        T = T + sx - 1j * sy
-    return QuadraticDifferential(phi.chart, T)
+    T = conformality_defect(phi, analytic=False)
+    grad_psi = spinor_gradient(phi, psi)
+    e1psi = clifford_e1(psi.values)
+    sx = -_spinor_pair_re(e1psi, grad_psi[..., 0, :, :])
+    sy = -_spinor_pair_re(e1psi, grad_psi[..., 1, :, :])
+    return QuadraticDifferential(phi.chart, T + sx - 1j * sy)
 
 
 # -- Weitzenboeck / Bochner -------------------------------------------------------
@@ -122,17 +118,15 @@ def _curvature_on_spinor(phi: MapField, X, Y, S) -> np.ndarray:
                       for _nu in phi.target.normal_frame(phi.values)), S.shape, S.dtype)
 
 
-def weitzenboeck_defect(phi: MapField, psi: TwistedSpinorField, mask=None) -> float:
+def weitzenboeck_defect(phi: MapField, psi: TwistedSpinorField) -> float:
     """Unconditional second-order identity
 
         D^2 psi = -sum_a grad_a grad_a psi
                   + (1/2) sum_ab R(dphi_a, dphi_b)(e_a . e_b . psi).
 
-    Returns the sup-norm of LHS - RHS over the interior (or ``mask``).
+    Returns the sup-norm of LHS - RHS over the chart interior.
     """
     chart = phi.chart
-    if mask is None:
-        mask = chart.interior_mask & chart.valid_mask(2)
     d1 = tangential_dirac(phi, psi)
     lhs = tangential_dirac(phi, TwistedSpinorField(chart, phi.target, d1),
                            check_tangency=False)
@@ -148,22 +142,20 @@ def weitzenboeck_defect(phi: MapField, psi: TwistedSpinorField, mask=None) -> fl
         eab_psi = cops[a](cops[b](psi.values))
         rhs = rhs + 0.5 * _curvature_on_spinor(phi, d[..., a, :], d[..., b, :], eab_psi)
     gap = np.sqrt(c_order_sum(spinor_norm2(lhs - rhs), axis=-1))
-    return float(gap[mask].max())
+    return float(gap[chart.interior_mask].max())
 
 
-def bochner_defect(phi: MapField, psi: TwistedSpinorField, mask=None,
-                   dirac_tol: float = 1e-2) -> float:
+def bochner_defect(phi: MapField, psi: TwistedSpinorField, dirac_tol: float = 1e-2) -> float:
     """Defect of the Laplacian identity for |psi|^2, valid when D psi = 0:
 
         (1/2) lap |psi|^2 = |grad psi|^2
                             - (1/2) sum_ab Re<e_a.psi, R(dphi_a, dphi_b)(e_b.psi)>.
 
     Raises if the measured Dirac residual exceeds ``dirac_tol`` times the
-    field scale (the identity is conditional).
+    field scale (the identity is conditional); sups run over the interior.
     """
     chart = phi.chart
-    if mask is None:
-        mask = chart.interior_mask & chart.valid_mask(2)
+    mask = chart.interior_mask
     spin_res = tangential_dirac(phi, psi)
     measured = float(np.sqrt(c_order_sum(spinor_norm2(spin_res), axis=-1))[mask].max())
     scale = field_scale(phi, psi)
@@ -206,8 +198,6 @@ def pohozaev_defect(phi: MapField, psi: TwistedSpinorField, r: float) -> CircleB
     interpolation and trapezoidal angle quadrature.
     """
     chart = phi.chart
-    if chart.topology != "disk":
-        raise ValueError("circle identities need a disk chart")
     chart._check_radius(r)
     n_theta = 4 * chart.n
     theta, px, py = chart.circle_points(r, n_theta)
@@ -380,7 +370,8 @@ def decay_profile(phi: MapField, psi: TwistedSpinorField, radii=None) -> dict:
     gpsi[..., 0, :, :] = chart.derivative(v, "x")
     gpsi[..., 1, :, :] = chart.derivative(v, "y")
     gpsi_mag = np.sqrt(c_order_sum(np.abs(gpsi) ** 2, axis=(-3, -2, -1)))
-    growth_density = dmag**2 + psi_mag**4 + gpsi_mag ** (4.0 / 3.0)
+    e_dens = dmag**2 + psi_mag**4
+    growth_density = e_dens + gpsi_mag ** (4.0 / 3.0)  # the same sum, left to right
     rad = np.abs(chart.z)
 
     rows = {"r": [], "dphi_weighted": [], "psi_weighted": [], "grad_psi_weighted": [],
@@ -392,7 +383,6 @@ def decay_profile(phi: MapField, psi: TwistedSpinorField, radii=None) -> dict:
         rows["psi_weighted"].append(float(chart.interp(psi_mag, px, py).max() * r**0.5))
         rows["grad_psi_weighted"].append(float(chart.interp(gpsi_mag, px, py).max() * r**1.5))
         ann = (rad >= r) & (rad <= min(2.0 * r, 1.0))
-        e_dens = dmag**2 + psi_mag**4
         rows["annulus_energy"].append(float((e_dens[ann]).sum() * h**2))
         disk = rad <= r
         rows["growth"].append(float((growth_density[disk]).sum() * h**2))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .charts import DomainChart, c_order_sum
 from .fields import MapField, TwistedSpinorField, project_spinor
-from .spinors import clifford_e1, clifford_e2, flat_dirac, spinor_norm2, twistor_field
+from .spinors import clifford_e1, clifford_e2, twistor_field
 from .targets import Sphere, TargetGeometry
 
 
@@ -169,24 +169,24 @@ def twistor_pushforward(phi: MapField, psi0, psi1) -> TwistedSpinorField:
     return TwistedSpinorField(chart, phi.target, vals)
 
 
-def _theta1(v, terms: int = 6):
+def _theta1(v):
     """Jacobi theta_1 for the square lattice (nome q = e^-pi) and its
     derivative; five terms already reach machine precision."""
     q = np.exp(-np.pi)
     f = np.zeros_like(v)
     df = np.zeros_like(v)
-    for n in range(terms):
+    for n in range(6):
         coef = 2.0 * (-1.0) ** n * q ** ((n + 0.5) ** 2)
         f = f + coef * np.sin((2 * n + 1) * v)
         df = df + coef * (2 * n + 1) * np.cos((2 * n + 1) * v)
     return f, df
 
 
-def _theta2(v, terms: int = 6):
+def _theta2(v):
     q = np.exp(-np.pi)
     f = np.zeros_like(v)
     df = np.zeros_like(v)
-    for n in range(terms):
+    for n in range(6):
         coef = 2.0 * q ** ((n + 0.5) ** 2)
         f = f + coef * np.cos((2 * n + 1) * v)
         df = df - coef * (2 * n + 1) * np.sin((2 * n + 1) * v)
@@ -235,15 +235,11 @@ def harmonic_wrap(chart: DomainChart, winding: int = 1) -> MapField:
 def trivial_pair(kind: str, chart: DomainChart, target: TargetGeometry | None = None,
                  winding: int = 1, base_point=(0.0, 0.0, 1.0),
                  spinor_components=(1.0 + 0.0j, 0.0j),
-                 spinor_direction=(1.0, 0.0, 0.0),
-                 spinor_field=None) -> tuple[MapField, TwistedSpinorField]:
+                 spinor_direction=(1.0, 0.0, 0.0)) -> tuple[MapField, TwistedSpinorField]:
     """The two trivial families: a harmonic map with zero spinor, or a
-    constant map with a constant (hence harmonic) tangent spinor.
-
-    The provided spinor data must already satisfy the flat Dirac equation;
-    constants do, and anything else raises.  ``spinor_field`` overrides the
-    constant construction with an explicit (n, n, K, 2) array (projected
-    tangent before the harmonicity check).
+    constant map with a constant (hence harmonic) tangent spinor: the
+    spinor data projected tangent at the base point, the same at every
+    node, so its flat Dirac vanishes exactly.
     """
     target = Sphere(2) if target is None else target
     if kind == "harmonic_map":
@@ -252,37 +248,27 @@ def trivial_pair(kind: str, chart: DomainChart, target: TargetGeometry | None = 
     if kind == "constant_map_harmonic_spinor":
         phi = MapField.constant(chart, target, base_point)
         K = target.ambient_dim
-        if spinor_field is None:
-            direction = np.asarray(spinor_direction, dtype=float)
-            if direction.shape != (K,):
-                raise ValueError(f"spinor direction needs {K} components")
-            comp = np.asarray(spinor_components, dtype=np.complex128)
-            raw = np.zeros(chart.shape + (K, 2), dtype=np.complex128)
-            raw[:] = direction[:, None] * comp[None, :]
-        else:
-            raw = np.asarray(spinor_field, dtype=np.complex128)
-        psi = project_spinor(phi, raw)
-        slashed = flat_dirac(psi.values, chart)
-        worst_mag = np.sqrt(c_order_sum(spinor_norm2(slashed), axis=-1))
-        worst = float(worst_mag[chart.interior_mask].max())
-        scale = float(np.sqrt(psi.norm2_density().max())) + 1e-300
-        if worst / scale > 1e-10:
-            raise ValueError(f"provided spinor is not harmonic: residual {worst:.3e}")
-        return phi, psi
+        direction = np.asarray(spinor_direction, dtype=float)
+        if direction.shape != (K,):
+            raise ValueError(f"spinor direction needs {K} components")
+        comp = np.asarray(spinor_components, dtype=np.complex128)
+        raw = np.zeros(chart.shape + (K, 2), dtype=np.complex128)
+        raw[:] = direction[:, None] * comp[None, :]
+        return phi, project_spinor(phi, raw)
     raise ValueError(f"unknown trivial pair kind {kind!r}")
 
 
-def sphere_dirichlet_energy(rmap: RationalMap, n: int = 128) -> float:
+def sphere_dirichlet_energy(rmap: RationalMap) -> float:
     """Dirichlet energy of phi = stereo o R over the whole sphere.
 
-    Quadrature in two stereographic charts glued by a smooth partition of
-    unity: chart 1 covers |z| <= 1.3, chart 2 the image of |z| >= 0.77
-    under z -> 1/conj(z).  Each integrand is smooth with compact support
+    Quadrature on 128 x 128 grids in two stereographic charts glued by a
+    smooth partition of unity: chart 1 covers |z| <= 1.3, chart 2 the image
+    of |z| >= 0.77 under z -> 1/conj(z).  Each integrand is smooth with compact support
     inside a periodic square, so the node sum converges at the stencil
     order.  A degree-d map gives 8 pi d.
     """
     side = 2.72
-    chart = DomainChart.torus(n, side=side)
+    chart = DomainChart.torus(128, side=side)
     r = np.abs(chart.z)
 
     def weight(rad):

@@ -94,7 +94,8 @@ def flat_dirac(field, chart, form: str = "frame", out=None, work=None) -> np.nda
     derivative with e2 . D_y.  None of them may overlap ``field`` or each
     other; without them the arrays are allocated.
 
-    On disk charts the output is meaningful only on ``chart.valid_mask(1)``.
+    On disk charts the output is trusted only on |z| <= 1 - 2h: each
+    centered stencil erodes the trusted region by 2h.
     """
     field = np.asarray(field, dtype=np.complex128)
     dx_out, dy_out = (None, None) if work is None else work

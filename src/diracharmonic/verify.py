@@ -42,12 +42,12 @@ _SOLUTION_SCENARIOS = ("twistor_pushforward", "elliptic_pair", "harmonic_wrap",
 _PUSHFORWARD_SCENARIOS = ("twistor_pushforward", "elliptic_pair")
 
 
-def canonical_compact_pair(n: int, seed: int = 7, side: float = 2.2):
+def canonical_compact_pair(n: int, seed: int = 7):
     """Deterministic compactly-supported pair on the disk for conformal
     checks: a bump-localized sphere map plus a bump-localized tangent
     spinor.  Compact support keeps every pullback inside the chart and the
     quadrature away from the disk rim."""
-    chart = DomainChart.disk(n, side=side)
+    chart = DomainChart.disk(n)
     rng = np.random.default_rng(seed)
     r2 = (chart.x**2 + chart.y**2) / 0.5**2
     bump = np.where(r2 < 1, (1.0 - np.minimum(r2, 1.0)) ** 4, 0.0)
@@ -223,7 +223,7 @@ class _Suite:
 def _em_divergence_l2(em) -> float:
     chart = em.chart
     mag = np.sqrt((em_divergence(em) ** 2).sum(axis=-1))
-    return float(np.sqrt(chart.integrate(mag**2, region=chart.interior_mask & chart.valid_mask(2))))
+    return float(np.sqrt(chart.integrate(mag**2, region=chart.interior_mask)))
 
 
 def _action_reduction(phi, psi) -> float:

@@ -79,9 +79,7 @@ def moebius_compose(f, g):
     b = f.a * g.b + f.b * g.d
     c = f.c * g.a + f.d * g.c
     d = f.c * g.b + f.d * g.d
-    kind = ("disk_automorphism"
-            if f.kind == g.kind == "disk_automorphism" else "plane_similarity")
-    return dh.MoebiusMap(a, b, c, d, kind=kind)
+    return dh.MoebiusMap(a, b, c, d)
 
 
 def plain_cg(op, rhs, shift, tol, max_iters):

@@ -99,3 +99,34 @@ def test_flat_map_inferred(tmp_path):
     dh.write_field(path, phi)
     again = dh.read_field(path)
     assert again.target.kind == "flat"
+
+
+def _k1_fields():
+    """A K = 1 map whose values are +-1 (so they sit on the unit "sphere"
+    S^0) and a spinor along it, on the flat line R^1."""
+    chart = dh.DomainChart.torus(16)
+    flat = dh.Flat(1)
+    phi = dh.MapField(chart, flat, np.where(chart.x < 0, -1.0, 1.0)[..., None])
+    rng = np.random.default_rng(3)
+    psi = dh.TwistedSpinorField(chart, flat, rng.normal(size=chart.shape + (1, 2))
+                                + 1j * rng.normal(size=chart.shape + (1, 2)))
+    return phi, psi
+
+
+def test_k1_fields_round_trip_as_flat_line(tmp_path):
+    for field in _k1_fields():
+        path = tmp_path / "k1.dhm"
+        dh.write_field(path, field)
+        again = dh.read_field(path)
+        assert type(again) is type(field)
+        assert again.target.kind == "flat" and again.target.ambient_dim == 1
+        assert np.array_equal(again.values, field.values)
+
+
+def test_dump_reads_k1_files(tmp_path, capsys):
+    from diracharmonic import cli
+
+    for name, field in zip(("phi.dhm", "psi.dhm"), _k1_fields()):
+        dh.write_field(tmp_path / name, field)
+        assert cli.main(["dump", str(tmp_path / name)]) == 0
+    assert capsys.readouterr().out.count('"ambient_dim": 1') == 2

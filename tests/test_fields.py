@@ -221,7 +221,7 @@ class TestActionEnergy:
         assert np.abs(dens).max() < 1e-12
 
     def test_degree_one_dirichlet_energy_is_eight_pi(self):
-        E = dh.sphere_dirichlet_energy(dh.RationalMap([0, 1]), n=128)
+        E = dh.sphere_dirichlet_energy(dh.RationalMap([0, 1]))
         assert abs(E - 8 * np.pi) / (8 * np.pi) < 0.01
 
 

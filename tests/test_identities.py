@@ -69,10 +69,9 @@ class TestEnergyMomentum:
 
 class TestHopfDifferential:
     def test_map_part_machine_zero_for_conformal_analytic(self):
-        chart, phi, _ = torus_deg1_pair(64)
-        psi0 = dh.TwistedSpinorField.zero(chart, phi.target)
-        qd = dh.hopf_differential(phi, psi0, analytic=True)
-        assert np.abs(qd.T).max() <= 1e-10
+        # The map part of T, from the exact gradient.
+        _, phi, _ = torus_deg1_pair(64)
+        assert np.abs(dh.conformality_defect(phi, analytic=True)).max() <= 1e-10
 
     def test_geodesic_wrap_gives_constant_coefficient(self):
         # (cos 2 pi x, sin 2 pi x, 0): |phi_x|^2 = 4 pi^2, phi_y = 0.
@@ -161,8 +160,8 @@ class TestBochner:
     def test_second_order_on_exact_solutions(self):
         vals = []
         for n in (64, 128):
-            chart, phi, psi = torus_deg1_pair(n)
-            vals.append(dh.bochner_defect(phi, psi, mask=chart.interior_mask))
+            _, phi, psi = torus_deg1_pair(n)
+            vals.append(dh.bochner_defect(phi, psi))
         assert_second_order(*vals)
 
     def test_flat_harmonic_spinor_reduction(self):
@@ -176,8 +175,7 @@ class TestBochner:
             phi = dh.MapField(chart, flat, np.zeros(chart.shape + (1,)))
             vals = dh.twistor_field(chart, dh.spinor(0.3, -1j), dh.spinor(0.2, 0.1))
             psi = dh.TwistedSpinorField(chart, flat, vals[..., None, :])
-            gaps.append(dh.bochner_defect(phi, psi, mask=chart.interior_mask,
-                                          dirac_tol=10.0))
+            gaps.append(dh.bochner_defect(phi, psi, dirac_tol=10.0))
         assert gaps[1] < 1e-9  # affine fields: centered stencils are exact
 
     def test_precondition_error_names_measured_residual(self):
@@ -196,6 +194,11 @@ class TestPohozaev:
             rels.append(max(cb.radial_defect, cb.angular_defect) / cb.scale)
         assert rels[0] < 1e-2
         assert rels[1] < rels[0] * 0.75
+
+    def test_torus_chart_rejected(self):
+        _, phi, psi = torus_deg1_pair(32)
+        with pytest.raises(ValueError, match="disk chart"):
+            dh.pohozaev_defect(phi, psi, 0.25)
 
     def test_rotationally_symmetric_harmonic_map(self):
         chart, phi, _ = disk_twistor_pair(128)

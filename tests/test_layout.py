@@ -252,19 +252,19 @@ def test_disk_identities_give_the_same_bits_on_c_order_storage(monkeypatch):
 def _ambient_sums(target, topology):
     """What sums over the ambient axis alone, as hex strings
     and arrays.  A sup or an integral over many nodes rarely shows a
-    last-bit change of one node, so the masked quantities are taken node
-    by node."""
+    last-bit change of one node, so the residuals are compared as whole
+    arrays and the action integral is taken node by node."""
     phi, psi = _pair(target, topology)
     chart = phi.chart
-    scalars = [target.off_target(phi.values)]
+    scalars = [target.off_target(phi.values), dh.weitzenboeck_defect(phi, psi)]
     for iy, ix in np.argwhere(chart.interior_mask)[::97][:8]:
         node = np.zeros(chart.shape, dtype=bool)
         node[iy, ix] = True
-        res = dh.el_residual(phi, psi, mask=node).norms
-        scalars += [res[k] for k in sorted(res)]
-        scalars += [dh.action(phi, psi, region=node), dh.weitzenboeck_defect(phi, psi, mask=node)]
+        scalars.append(dh.action(phi, psi, region=node))
+    res = dh.el_residual(phi, psi)
     other = np.roll(phi.values, 5, axis=1)
-    arrays = [dh.energy_momentum(phi, psi).components,
+    arrays = [res.map_residual, res.spinor_residual, res.normal_defect,
+              dh.energy_momentum(phi, psi).components,
               dh.conformality_defect(phi, analytic=False),
               target.second_fundamental(phi.values, phi.values[::-1], other)]
     if topology == "disk":
