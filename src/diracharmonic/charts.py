@@ -16,9 +16,10 @@ component axes runs over whole planes.  numpy's ufuncs (order "K"),
 so new code that builds a component axis passes them ``out=empty_planes(...)``
 (or an ``empty_like`` of a plane-ordered input), or writes the pieces there
 one at a time where stacking would keep several grid-sized temporaries
-alive; constructors store through ``as_planes``.  The order changes no
-value: each kernel gives the same bits on either order, and sums over
-component axes or over whole fields go through ``c_order_sum``.
+alive; constructors store through ``as_planes``.  Each elementwise kernel
+gives the same bits on either order.  Sums over component axes or over
+whole fields are plain numpy sums, which add in memory order: their last
+bits hold per machine, numpy build and dispatch path, not per storage order.
 """
 
 from __future__ import annotations
@@ -48,26 +49,6 @@ def as_planes(values) -> np.ndarray:
     out = empty_planes(values.shape, values.dtype)
     out[...] = values
     return out
-
-
-def c_order_sum(a, axis=None, work=None):
-    """``a.sum(axis)`` added in the order of C-order storage.
-
-    numpy adds in memory order, and pairwise once 8 or more terms are
-    contiguous, so a sum over a component axis of 8 or more entries, over
-    several component axes, or over a whole field, can round differently on
-    component-major storage.  Summing a C-order copy gives the bits of the
-    same sum on C-order storage; ``work``, a C-contiguous array shaped like
-    ``a``, receives that copy instead of a new one.  A single axis of fewer
-    than 8 entries adds in index order on any storage and needs no copy."""
-    a = np.asarray(a)
-    if isinstance(axis, int) and a.shape[axis] < 8:
-        return a.sum(axis=axis)
-    if work is None:
-        work = np.ascontiguousarray(a)
-    else:
-        work[...] = a
-    return work.sum(axis=axis)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -126,11 +127,9 @@ def cmd_flow(cfg: RunConfig) -> int:
         "package_version": __version__,
         "config_sha256": cfg.sha256(),
         "termination": rep.termination,
-        "iterations": rep.iterations[-1] if rep.iterations else 0,
-        "initial_combined_residual": (rep.map_residual_trace[0] + rep.spinor_residual_trace[0]
-                                      if rep.iterations else None),
-        "final_combined_residual": (rep.map_residual_trace[-1] + rep.spinor_residual_trace[-1]
-                                    if rep.iterations else None),
+        "iterations": rep.iterations[-1],
+        "initial_combined_residual": rep.map_residual_trace[0] + rep.spinor_residual_trace[0],
+        "final_combined_residual": rep.map_residual_trace[-1] + rep.spinor_residual_trace[-1],
     }
     if rep.cg_iterations:  # absent when the spinor is frozen at zero: no kernel solve ran
         summary["cg_iterations"] = rep.cg_iterations
@@ -147,6 +146,13 @@ def cmd_probe(cfg: RunConfig, phi_path, psi_path) -> int:
     if phi.chart.topology != "disk":
         print("probe requires fields on a disk chart", file=sys.stderr)
         return _EXIT_USAGE
+    # decay_profile's radii run from 6h up to 1 - 5h: they increase only when 11h < 1.
+    side = phi.chart.grid.side
+    n_min = math.floor(11.0 * side) + 1
+    if phi.chart.n < n_min:
+        raise ConfigError(f"stored field: chart.n = {phi.chart.n} is too coarse for probe on a "
+                          f"disk of side {side}: the decay radii run from 6h up to 1 - 5h, "
+                          f"so n >= {n_min}")
     prof = decay_profile(phi, psi)
     path = out / "probe.csv"
     cols = ["r", "dphi_weighted", "psi_weighted", "grad_psi_weighted",

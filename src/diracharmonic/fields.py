@@ -12,8 +12,7 @@ The shapes are the public layout; the storage is component-major (see
 kernel that builds a component axis passes ``np.stack`` or
 ``np.concatenate`` an ``out=`` from ``empty_planes`` or an ``empty_like``
 of its input, or writes its pieces there one at a time where stacking
-would keep several grid-sized temporaries alive (the gradients); sums
-over the ambient axis go through ``c_order_sum``.
+would keep several grid-sized temporaries alive (the gradients).
 
 Every projection goes through that frame: the covariant derivative on
 twisted spinors is the tangential part of the componentwise flat
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import DomainChart, as_planes, c_order_sum, empty_planes
+from .charts import DomainChart, as_planes, empty_planes
 from .spinors import flat_dirac, hermitian, spinor_norm2
 from .targets import TargetGeometry, frame_sum, ambient_pairing, normal_part
 
@@ -108,7 +107,7 @@ class TwistedSpinorField:
     def norm2_density(self) -> np.ndarray:
         """|psi|^2 per node (ambient sum of half-spinor moduli)."""
         v = self.values
-        return c_order_sum(v.real**2 + v.imag**2, axis=(-2, -1))
+        return (v.real**2 + v.imag**2).sum(axis=(-2, -1))
 
 
 # -- scale conventions -------------------------------------------------------
@@ -305,9 +304,9 @@ def el_residual(phi: MapField, psi: TwistedSpinorField | None) -> ELResidual:
     else:
         map_res = tension(phi) - curvature_term(phi, psi)
         spin_res, normal = dirac_along_map(phi, psi)
-        spinor_sup = _sup(c_order_sum(spinor_norm2(spin_res), axis=-1), mask)
-        normal_sup = _sup(c_order_sum(spinor_norm2(normal), axis=-1), mask)
-    norms = {"map_sup": _sup(c_order_sum(map_res**2, axis=-1), mask),
+        spinor_sup = _sup(spinor_norm2(spin_res).sum(axis=-1), mask)
+        normal_sup = _sup(spinor_norm2(normal).sum(axis=-1), mask)
+    norms = {"map_sup": _sup((map_res**2).sum(axis=-1), mask),
              "spinor_sup": spinor_sup, "normal_sup": normal_sup}
     return ELResidual(map_res, spin_res, normal, norms)
 
@@ -317,7 +316,7 @@ def el_residual(phi: MapField, psi: TwistedSpinorField | None) -> ELResidual:
 def dirichlet_density(phi: MapField) -> np.ndarray:
     """|dphi|^2 per node; the finite-difference gradient is squared in place."""
     dphi = phi.gradient()
-    return c_order_sum(np.square(dphi, out=dphi), axis=(-2, -1))
+    return np.square(dphi, out=dphi).sum(axis=(-2, -1))
 
 
 def action(phi: MapField, psi: TwistedSpinorField | None, region=None,
@@ -328,7 +327,7 @@ def action(phi: MapField, psi: TwistedSpinorField | None, region=None,
     dens = dirichlet_density(phi)
     if psi is not None:
         spin = tangential_dirac(phi, psi) if dirac is None else dirac
-        dens = dens + c_order_sum(np.real(hermitian(psi.values, spin)), axis=-1)
+        dens = dens + np.real(hermitian(psi.values, spin)).sum(axis=-1)
     return chart.integrate(dens, region=region)
 
 

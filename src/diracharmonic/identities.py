@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import DomainChart, MoebiusMap, c_order_sum, empty_planes
+from .charts import DomainChart, MoebiusMap, empty_planes
 from .fields import (MapField, TwistedSpinorField, action, energy, field_scale,
                      project_spinor, spinor_gradient, tangential_dirac)
 from .solutions import conformality_defect
@@ -46,7 +46,7 @@ class EnergyMomentum:
 
 def _spinor_pair_re(psi_values, other) -> np.ndarray:
     """Re sum_i <psi^i, other^i> over ambient and spinor axes."""
-    return c_order_sum(np.real(np.conj(psi_values) * other), axis=(-2, -1))
+    return np.real(np.conj(psi_values) * other).sum(axis=(-2, -1))
 
 
 def energy_momentum(phi: MapField, psi: TwistedSpinorField) -> EnergyMomentum:
@@ -56,10 +56,10 @@ def energy_momentum(phi: MapField, psi: TwistedSpinorField) -> EnergyMomentum:
     grad_psi = spinor_gradient(phi, psi)
     e_psi = (clifford_e1(psi.values), clifford_e2(psi.values))
     T = np.zeros(chart.shape + (2, 2))
-    dirichlet = c_order_sum(d**2, axis=(-2, -1))
+    dirichlet = (d**2).sum(axis=(-2, -1))
     for a in range(2):
         for b in range(2):
-            T[..., a, b] = 2.0 * c_order_sum(d[..., a, :] * d[..., b, :], axis=-1)
+            T[..., a, b] = 2.0 * (d[..., a, :] * d[..., b, :]).sum(axis=-1)
             if a == b:
                 T[..., a, b] -= dirichlet
             # Re<psi, e_a . grad_b psi> = -Re<e_a . psi, grad_b psi>.
@@ -141,7 +141,7 @@ def weitzenboeck_defect(phi: MapField, psi: TwistedSpinorField) -> float:
     for a, b in ((0, 1), (1, 0)):  # R(X, X) = 0
         eab_psi = cops[a](cops[b](psi.values))
         rhs = rhs + 0.5 * _curvature_on_spinor(phi, d[..., a, :], d[..., b, :], eab_psi)
-    gap = np.sqrt(c_order_sum(spinor_norm2(lhs - rhs), axis=-1))
+    gap = np.sqrt(spinor_norm2(lhs - rhs).sum(axis=-1))
     return float(gap[chart.interior_mask].max())
 
 
@@ -157,7 +157,7 @@ def bochner_defect(phi: MapField, psi: TwistedSpinorField, dirac_tol: float = 1e
     chart = phi.chart
     mask = chart.interior_mask
     spin_res = tangential_dirac(phi, psi)
-    measured = float(np.sqrt(c_order_sum(spinor_norm2(spin_res), axis=-1))[mask].max())
+    measured = float(np.sqrt(spinor_norm2(spin_res).sum(axis=-1))[mask].max())
     scale = field_scale(phi, psi)
     if measured > dirac_tol * scale:
         raise ValueError(f"Dirac residual {measured:.3e} exceeds tolerance "
@@ -165,7 +165,7 @@ def bochner_defect(phi: MapField, psi: TwistedSpinorField, dirac_tol: float = 1e
                          "is only valid on solutions")
     lhs = 0.5 * chart.laplacian(psi.norm2_density())
     grad1 = spinor_gradient(phi, psi)
-    rhs = c_order_sum(np.abs(grad1) ** 2, axis=(-3, -2, -1))
+    rhs = (np.abs(grad1) ** 2).sum(axis=(-3, -2, -1))
     d = phi.gradient()
     e_psi = (clifford_e1(psi.values), clifford_e2(psi.values))
     for a, b in ((0, 1), (1, 0)):  # R(X, X) = 0
@@ -218,12 +218,12 @@ def pohozaev_defect(phi: MapField, psi: TwistedSpinorField, r: float) -> CircleB
 
     er_grad_r = clifford_mul((ct[:, None], st[:, None]), grad_r)
     et_grad_t = clifford_mul((-st[:, None], ct[:, None]), grad_t)
-    spin_radial = c_order_sum(np.real(np.conj(psi_vals) * er_grad_r), axis=(-2, -1))
-    spin_angular = c_order_sum(np.real(np.conj(psi_vals) * et_grad_t), axis=(-2, -1))
+    spin_radial = np.real(np.conj(psi_vals) * er_grad_r).sum(axis=(-2, -1))
+    spin_angular = np.real(np.conj(psi_vals) * et_grad_t).sum(axis=(-2, -1))
 
     w = 2.0 * np.pi / n_theta
-    lhs = float(c_order_sum(phi_t**2) * w)
-    rad = float(c_order_sum(phi_r**2) * w)
+    lhs = float((phi_t**2).sum() * w)
+    rad = float((phi_r**2).sum() * w)
     s_rad = float(spin_radial.sum() * w)
     s_ang = float(spin_angular.sum() * w)
 
@@ -244,8 +244,7 @@ def _mapped_points(chart: DomainChart, f: MoebiusMap):
     Clamping only bites outside the unit disk (Moebius maps used here send
     the disk into itself), where masked quadrature never looks.
     """
-    z = chart.z
-    w = (f.a * z + f.b) / (f.c * z + f.d)
+    w = f(chart.z)
     half = 0.5 * chart.grid.side - 1.5 * chart.h
     return np.clip(w.real, -half, half), np.clip(w.imag, -half, half)
 
@@ -363,13 +362,13 @@ def decay_profile(phi: MapField, psi: TwistedSpinorField, radii=None) -> dict:
         radii = np.linspace(6.0 * h, min(0.9, 1.0 - 5.0 * h), 24)
 
     d = phi.gradient()
-    dmag = np.sqrt(c_order_sum(d**2, axis=(-2, -1)))
+    dmag = np.sqrt((d**2).sum(axis=(-2, -1)))
     psi_mag = np.sqrt(psi.norm2_density())
     v = psi.values
     gpsi = empty_planes(v.shape[:-2] + (2,) + v.shape[-2:], v.dtype)
     gpsi[..., 0, :, :] = chart.derivative(v, "x")
     gpsi[..., 1, :, :] = chart.derivative(v, "y")
-    gpsi_mag = np.sqrt(c_order_sum(np.abs(gpsi) ** 2, axis=(-3, -2, -1)))
+    gpsi_mag = np.sqrt((np.abs(gpsi) ** 2).sum(axis=(-3, -2, -1)))
     e_dens = dmag**2 + psi_mag**4
     growth_density = e_dens + gpsi_mag ** (4.0 / 3.0)  # the same sum, left to right
     rad = np.abs(chart.z)
@@ -406,7 +405,7 @@ def self_adjointness_defect(phi: MapField, psi: TwistedSpinorField,
     left = chart.integrate(_spinor_pair_re(psi.values, d_xi))
     right = chart.integrate(_spinor_pair_re(d_psi, xi.values))
     scale = (np.sqrt(chart.integrate(psi.norm2_density())
-                     * chart.integrate(c_order_sum(spinor_norm2(d_xi), axis=-1)))
+                     * chart.integrate(spinor_norm2(d_xi).sum(axis=-1)))
              + np.sqrt(chart.integrate(xi.norm2_density())
-                       * chart.integrate(c_order_sum(spinor_norm2(d_psi), axis=-1))) + 1e-300)
+                       * chart.integrate(spinor_norm2(d_psi).sum(axis=-1))) + 1e-300)
     return abs(left - right) / scale

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .charts import DomainChart, c_order_sum
+from .charts import DomainChart
 from .fields import MapField, TwistedSpinorField, project_spinor
 from .spinors import clifford_e1, clifford_e2, twistor_field
 from .targets import Sphere, TargetGeometry
@@ -147,9 +147,9 @@ def conformality_defect(phi: MapField, analytic: bool = True) -> np.ndarray:
     stencils.
     """
     d = phi.gradient(analytic=analytic)
-    gxx = c_order_sum(d[..., 0, :] ** 2, axis=-1)
-    gyy = c_order_sum(d[..., 1, :] ** 2, axis=-1)
-    gxy = c_order_sum(d[..., 0, :] * d[..., 1, :], axis=-1)
+    gxx = (d[..., 0, :] ** 2).sum(axis=-1)
+    gyy = (d[..., 1, :] ** 2).sum(axis=-1)
+    gxy = (d[..., 0, :] * d[..., 1, :]).sum(axis=-1)
     return gxx - gyy - 2j * gxy
 
 
@@ -278,11 +278,11 @@ def sphere_dirichlet_energy(rmap: RationalMap) -> float:
 
     w_south = weight(r)
     phi_s = conformal_map_field(rmap, chart)
-    dens_s = c_order_sum(phi_s.gradient(analytic=True) ** 2, axis=(-2, -1))
+    dens_s = (phi_s.gradient(analytic=True) ** 2).sum(axis=(-2, -1))
     with np.errstate(divide="ignore"):
         w_north = 1.0 - weight(1.0 / np.where(r > 1e-12, r, 1e-12))
     w_north = np.where(r > 1e-12, w_north, 1.0)
     rinv = rmap.inverted_chart()
     phi_n = conformal_map_field(rinv, chart, conjugate_input=True)
-    dens_n = c_order_sum(phi_n.gradient(analytic=True) ** 2, axis=(-2, -1))
+    dens_n = (phi_n.gradient(analytic=True) ** 2).sum(axis=(-2, -1))
     return chart.integrate(dens_s * w_south) + chart.integrate(dens_n * w_north)

@@ -29,10 +29,9 @@ step, transport or CG iteration; the kernels write through their
   grids only when the spinor is live) and two spinor grids the transport
   alternates between.
 - each ``dirac_project`` call owns its operator's work arrays (four
-  scratch spinor grids, the CG's r, z, p and Ap, a C-order real grid for
-  the inner products) and the returned spinor, whose grid also holds the
-  CG's right-hand side and solution in turn; all but the returned grid
-  are freed when the call ends.
+  scratch spinor grids and the CG's r, z, p and Ap) and the returned
+  spinor, whose grid also holds the CG's right-hand side and solution in
+  turn; all but the returned grid are freed when the call ends.
 - what still allocates per step is smaller than a map grid: the
   coupling's pairing products (n x n, see ``clifford_frame_contract``) and
   the norms of ``project_point``; the convergence checks allocate as
@@ -49,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import c_order_sum, empty_planes
+from .charts import empty_planes
 from .fields import (MapField, TwistedSpinorField, action, curvature_term,
                      el_residual, energy, tension, _tangent_project_spinor)
 from .spinors import flat_dirac, spinor_norm2
@@ -157,10 +156,10 @@ class _DiracKernelOperator:
     normal junk out of the small-eigenvalue space.
 
     The operator owns the work arrays of one extraction: four scratch
-    spinor grids, which every method may overwrite, the CG's vectors r, z,
-    p and Ap (``vectors``, used by ``_cg`` alone) and a C-order real grid
-    for the inner products.  A method's ``out`` must not be one of them
-    or overlap its input; without it the result is a new array.
+    spinor grids, which every method may overwrite, and the CG's vectors
+    r, z, p and Ap (``vectors``, used by ``_cg`` alone).  A method's
+    ``out`` must not be one of them or overlap its input; without it the
+    result is a new array.
     """
 
     kappa = 1.0
@@ -172,7 +171,6 @@ class _DiracKernelOperator:
         shape = phi.values.shape + (2,)
         self.scratch = tuple(empty_planes(shape, np.complex128) for _ in range(4))
         self.vectors = tuple(empty_planes(shape, np.complex128) for _ in range(4))
-        self.real = np.empty(shape)
 
     def project(self, x, out=None):
         return _tangent_project_spinor(self.phi, x, out=out)
@@ -192,10 +190,6 @@ class _DiracKernelOperator:
         normal = np.subtract(x, px, out=px)
         bbx += np.multiply(self.kappa, normal, out=normal)
         return bbx
-
-    def inner(self, a, b) -> float:
-        """``_inner`` in the operator's work arrays."""
-        return _inner(a, b, work=(self.scratch[0], self.real))
 
     def precondition(self, r, shift: float, out=None):
         """M^-1 r = P F^-1[F(P r) / (sigma + shift)] + (r - P r) / (kappa + shift).
@@ -235,13 +229,11 @@ class _Projection(tuple):
         return out
 
 
-def _inner(a, b, work=None) -> float:
-    """Re <a, b> over the whole grid, summed in C order.  ``work`` is a
-    (complex grid, C-order real grid) pair shaped like ``a`` for the
-    products; without it both are allocated."""
-    prod, real = (None, None) if work is None else work
+def _inner(a, b, prod) -> float:
+    """Re <a, b> over the whole grid; ``prod``, a complex grid shaped like
+    ``a`` that overlaps neither input, receives the products."""
     prod = np.multiply(np.conjugate(a, out=prod), b, out=prod)
-    return float(c_order_sum(prod.real, work=real))
+    return float(prod.real.sum())
 
 
 def _cg(op, rhs, shift: float, tol: float, max_iters: int, out=None):
@@ -260,22 +252,22 @@ def _cg(op, rhs, shift: float, tol: float, max_iters: int, out=None):
     x[...] = 0.0
     z = op.precondition(r, shift, out=z)
     np.copyto(p, z)
-    rz = op.inner(r, z)
-    rhs_norm = np.sqrt(op.inner(r, r)) + 1e-300
+    rz = _inner(r, z, tmp)
+    rhs_norm = np.sqrt(_inner(r, r, tmp)) + 1e-300
     it = 0
     for it in range(1, max_iters + 1):
         ap = op(p, out=ap)
         ap += np.multiply(shift, p, out=tmp)
-        denom = op.inner(p, ap)
+        denom = _inner(p, ap, tmp)
         if denom <= 0:
             raise FloatingPointError(f"CG breakdown at iteration {it}")
         alpha = rz / denom
         x += np.multiply(alpha, p, out=tmp)
         r -= np.multiply(alpha, ap, out=tmp)
-        if np.sqrt(op.inner(r, r)) <= tol * rhs_norm:
+        if np.sqrt(_inner(r, r, tmp)) <= tol * rhs_norm:
             return x, it, True
         z = op.precondition(r, shift, out=z)
-        rz_new = op.inner(r, z)
+        rz_new = _inner(r, z, tmp)
         p = np.multiply(rz_new / rz, p, out=p)
         p = np.add(z, p, out=p)
         rz = rz_new
@@ -297,7 +289,7 @@ def dirac_project(phi: MapField, psi_init: TwistedSpinorField | None,
     chart = phi.chart
     K = phi.target.ambient_dim
     op = _DiracKernelOperator(phi)
-    if psi_init is not None and float(c_order_sum(spinor_norm2(psi_init.values))) > 1e-24:
+    if psi_init is not None and float(spinor_norm2(psi_init.values).sum()) > 1e-24:
         x = op.project(psi_init.values)
     else:
         if config.seed is None:
@@ -313,18 +305,18 @@ def dirac_project(phi: MapField, psi_init: TwistedSpinorField | None,
     shift = 1e-4 * 4.0 / chart.h**2
     iterations, unconverged = [], 0
     for _ in range(max(1, config.power_iters)):
-        x /= np.sqrt(float(c_order_sum(spinor_norm2(x)))) + 1e-300
+        x /= np.sqrt(float(spinor_norm2(x).sum())) + 1e-300
         # The solution overwrites the right-hand side, which the CG copies first.
         x, its, converged = _cg(op, x, shift, config.cg_tol, config.cg_max_iters, out=x)
         iterations.append(its)
         unconverged += not converged
         x[...] = op.project(x, out=op.scratch[0])
-    l2 = np.sqrt(float(c_order_sum(spinor_norm2(x))) * chart.h**2)
+    l2 = np.sqrt(float(spinor_norm2(x).sum()) * chart.h**2)
     if l2 < 1e-300:
         raise FloatingPointError("inverse power iteration collapsed to zero")
     x *= config.spinor_norm_target / l2
     bx = op.b_apply(x, out=op.scratch[3])
-    ratio = np.sqrt(float(c_order_sum(spinor_norm2(bx))) / float(c_order_sum(spinor_norm2(x))))
+    ratio = np.sqrt(float(spinor_norm2(bx).sum()) / float(spinor_norm2(x).sum()))
     return _Projection(TwistedSpinorField(chart, phi.target, x), float(ratio),
                        iterations, unconverged)
 

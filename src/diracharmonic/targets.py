@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .charts import c_order_sum, empty_planes
+from .charts import empty_planes
 
 
 def _dot(u, v, out=None):
     """<u, v> over the ambient axis; ``out`` receives the products."""
-    return c_order_sum(np.multiply(u, v, out=out), axis=-1)
+    return np.multiply(u, v, out=out).sum(axis=-1)
 
 
 def frame_sum(terms, shape, dtype=float):

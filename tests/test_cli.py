@@ -177,6 +177,34 @@ def test_probe_emits_monotone_growth(tmp_path):
     assert all(b >= a - 1e-13 for a, b in zip(growth, growth[1:]))
 
 
+@pytest.mark.parametrize("n", [12, 16])
+def test_probe_on_too_coarse_disk_is_a_config_error(tmp_path, n):
+    """At n <= 11 side the default decay radii 6h .. 1 - 5h do not increase:
+    at n = 12 the first circle leaves the chart square, at n = 16 the radii
+    descend past 1 - 4h."""
+    cfg, out = write_cfg(tmp_path, DISK_CFG.replace("n = 48", f"n = {n}"))
+    assert run_cli("exact", "--config", str(cfg)).returncode == 0
+    r = run_cli("probe", "--phi", str(out / "phi.dhm"), "--psi", str(out / "psi.dhm"),
+                "--out", str(out))
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert r.stderr.startswith(f"config error: stored field: chart.n = {n} "), r.stderr
+    assert "n >= 25" in r.stderr and "Traceback" not in r.stderr
+    assert not (out / "probe.csv").exists()
+
+
+def test_probe_at_n_32_writes_increasing_radii_inside_the_interior(tmp_path):
+    cfg, out = write_cfg(tmp_path, DISK_CFG.replace("n = 48", "n = 32"))
+    assert run_cli("exact", "--config", str(cfg)).returncode == 0
+    r = run_cli("probe", "--phi", str(out / "phi.dhm"), "--psi", str(out / "psi.dhm"),
+                "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    radii = [float(line.split(",")[0])
+             for line in (out / "probe.csv").read_text().splitlines()[1:]]
+    assert len(radii) == 24
+    assert all(b > a for a, b in zip(radii, radii[1:]))
+    assert radii[-1] <= 1.0 - 4.0 * 2.2 / 32
+
+
 def test_probe_requires_disk(tmp_path):
     cfg, out = write_cfg(tmp_path, BASE_CFG)
     assert run_cli("exact", "--config", str(cfg)).returncode == 0

@@ -66,13 +66,14 @@ def test_preconditioner_is_symmetric_positive_definite(make_map):
     a, b = _random_spinors(phi, 2), _random_spinors(phi, 3)
     tangent = [op.project(a), op.project(b)]
     normal = [a - tangent[0], b - tangent[1]]
+    prod = np.empty_like(a)
     for x, y in (tangent, normal, (tangent[0], normal[1]), (a, b)):
         mx, my = op.precondition(x, shift), op.precondition(y, shift)
         scale = np.linalg.norm(x) * np.linalg.norm(my)
-        assert abs(_inner(x, my) - _inner(mx, y)) <= 1e-12 * scale
+        assert abs(_inner(x, my, prod) - _inner(mx, y, prod)) <= 1e-12 * scale
     for x in tangent + normal + [a]:
         if np.any(x):                             # a flat target has no normal part
-            assert _inner(x, op.precondition(x, shift)) > 0.0
+            assert _inner(x, op.precondition(x, shift), prod) > 0.0
 
 
 @pytest.mark.parametrize("make_map", MAPS)

@@ -3,8 +3,9 @@
 Fields keep their (n, n, *comp) shapes but store each component as one
 contiguous n x n plane.  These tests check that every way of building a
 field, and every kernel that builds a component axis, returns that
-storage, and that the kernels give the same bits on C-order inputs, so
-the storage order is a pure memory-order choice.
+storage, and that the elementwise kernels give the same bits on C-order
+inputs.  Sums over component axes or whole fields are plain numpy sums,
+whose bits may depend on the storage order (see ``charts``).
 """
 
 import copy
@@ -13,16 +14,13 @@ import numpy as np
 import pytest
 
 import diracharmonic as dh
-from diracharmonic import charts, fieldio, fields, identities, solver
 from diracharmonic.fields import clifford_frame_contract
 from diracharmonic.spinors import clifford_e1, clifford_e2
 from diracharmonic.targets import ambient_pairing, normal_part
 
-from conftest import disk_twistor_pair
-
 # Sphere(7) has K = 8 ambient components: numpy adds 8 or more contiguous
-# terms pairwise, so a plain sum over the ambient axis would round by
-# storage order there.
+# terms pairwise, so a pairing that reduced over the ambient axis would
+# round by storage order there.
 TARGETS = [dh.Sphere(2), dh.Sphere(3), dh.Flat(3), dh.Sphere(7)]
 TARGET_IDS = ["sphere2", "sphere3", "flat3", "sphere7"]
 TOPOLOGIES = ["torus", "disk"]
@@ -188,136 +186,3 @@ def test_kernels_give_the_same_bits_on_c_order_inputs(target, topology):
             assert same_bits(chart.interp(arr, qx, qy), chart.interp(arr_c, qx, qy))
     assert same_bits(dh.curvature_term(phi, psi), dh.curvature_term(phi_c, psi_c))
     assert same_bits(dh.tension(phi), dh.tension(phi_c))
-
-
-@pytest.mark.parametrize("target", TARGETS, ids=TARGET_IDS)
-def test_sums_over_component_axes_give_the_same_bits_on_c_order_inputs(target):
-    """Sums over 8 or more components (K = 4 with the spinor axis, or K = 8
-    alone) round by storage order unless they add in C order; the scalars
-    built from them must not move."""
-    phi, psi = _pair(target, "torus")
-    phi_c, psi_c = _c_order(phi), _c_order(psi)
-    for fn in (dh.energy, dh.action, dh.field_scale):
-        assert fn(phi, psi).hex() == fn(phi_c, psi_c).hex(), fn.__name__
-    assert same_bits(psi.norm2_density(), psi_c.norm2_density())
-    xi = dh.project_spinor(phi, np.conj(psi.values[::-1]))
-    assert (dh.self_adjointness_defect(phi, psi, xi).hex()
-            == dh.self_adjointness_defect(phi_c, psi_c, _c_order(xi)).hex())
-
-
-def _c_order_storage(monkeypatch):
-    """Make the constructors and the component-axis builders allocate C
-    order, as before component-major storage: whole pipelines then run on
-    C-order arrays."""
-    def empty_c(shape, dtype=float, zero=False):
-        return (np.zeros if zero else np.empty)(shape, dtype)
-
-    def as_c(values):
-        return np.ascontiguousarray(values)
-
-    for mod in (charts, fields, identities, solver, fieldio):
-        for name, fn in (("empty_planes", empty_c), ("as_planes", as_c)):
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, fn)
-
-
-def _disk_identities(phi, psi):
-    cb = dh.pohozaev_defect(phi, psi, 0.5)
-    conf = dh.conformal_invariance_defect(phi, psi, dh.MoebiusMap.disk_automorphism(0.3))
-    scalars = [dh.bochner_defect(phi, psi), dh.weitzenboeck_defect(phi, psi),
-               dh.energy(phi, psi), dh.action(phi, psi), dh.field_scale(phi, psi),
-               cb.radial_defect, cb.angular_defect, cb.E_r, cb.I_r,
-               conf.action_defect, conf.energy_defect]
-    res = dh.el_residual(phi, psi).norms
-    return [x.hex() for x in scalars + [res[k] for k in sorted(res)]], dh.decay_profile(phi, psi)
-
-
-def test_disk_identities_give_the_same_bits_on_c_order_storage(monkeypatch):
-    """Bochner and the decay profile sum 12 components per node (K = 3),
-    Pohozaev sums whole circles: each must add as it would on C-order
-    storage, where numpy adds runs of 8 or more contiguous terms pairwise."""
-    _, phi, psi = disk_twistor_pair(32)
-    scalars, profile = _disk_identities(phi, psi)
-    _c_order_storage(monkeypatch)
-    _, phi_c, psi_c = disk_twistor_pair(32)
-    assert phi_c.values.flags.c_contiguous and phi_c.gradient().flags.c_contiguous
-    assert psi_c.values.flags.c_contiguous
-    assert dh.spinor_gradient(phi_c, psi_c).flags.c_contiguous
-    scalars_c, profile_c = _disk_identities(phi_c, psi_c)
-    assert scalars == scalars_c
-    for key, col in profile.items():
-        assert same_bits(col, profile_c[key]), key
-
-
-def _ambient_sums(target, topology):
-    """What sums over the ambient axis alone, as hex strings
-    and arrays.  A sup or an integral over many nodes rarely shows a
-    last-bit change of one node, so the residuals are compared as whole
-    arrays and the action integral is taken node by node."""
-    phi, psi = _pair(target, topology)
-    chart = phi.chart
-    scalars = [target.off_target(phi.values), dh.weitzenboeck_defect(phi, psi)]
-    for iy, ix in np.argwhere(chart.interior_mask)[::97][:8]:
-        node = np.zeros(chart.shape, dtype=bool)
-        node[iy, ix] = True
-        scalars.append(dh.action(phi, psi, region=node))
-    res = dh.el_residual(phi, psi)
-    other = np.roll(phi.values, 5, axis=1)
-    arrays = [res.map_residual, res.spinor_residual, res.normal_defect,
-              dh.energy_momentum(phi, psi).components,
-              dh.conformality_defect(phi, analytic=False),
-              target.second_fundamental(phi.values, phi.values[::-1], other)]
-    if topology == "disk":
-        maps = [dh.MoebiusMap.disk_automorphism(a) for a in (0.3, 0.2j, -0.25 + 0.1j)]
-        for row in identities.conformal_checks(phi, psi, maps, ["inverse_fprime", "fprime"]):
-            scalars += [d for c in row for d in (c.action_defect, c.energy_defect)]
-    else:
-        xi = dh.project_spinor(phi, np.conj(psi.values[::-1]))
-        scalars.append(dh.self_adjointness_defect(phi, psi, xi))
-    return [x.hex() for x in scalars], arrays
-
-
-@pytest.mark.parametrize("topology", TOPOLOGIES)
-def test_ambient_sums_give_the_same_bits_on_c_order_storage(monkeypatch, topology):
-    """With K = 8 a sum over the ambient axis alone is added pairwise on
-    C-order storage; the residual norms, the action density, the
-    identities and the target's dot products must keep those bits on
-    component-major storage."""
-    target = dh.Sphere(7)
-    scalars, arrays = _ambient_sums(target, topology)
-    _c_order_storage(monkeypatch)
-    scalars_c, arrays_c = _ambient_sums(target, topology)
-    assert scalars == scalars_c
-    for a, a_c in zip(arrays, arrays_c):
-        assert same_bits(a, a_c)
-
-
-def test_pohozaev_circle_energy_sums_in_c_order():
-    """Interpolated circle values come back component-major; the circle
-    energy E_r must still add them as on C-order storage."""
-    chart, phi, psi = disk_twistor_pair(32)
-    r, n_theta = 0.4, 4 * chart.n  # here E_r moves when the sums add by planes
-    theta, px, py = chart.circle_points(r, n_theta)
-    ct, st = np.cos(theta)[:, None], np.sin(theta)[:, None]
-    d = phi.gradient()
-    dx = np.ascontiguousarray(chart.interp(d[..., 0, :], px, py))
-    dy = np.ascontiguousarray(chart.interp(d[..., 1, :], px, py))
-    phi_r = ct * dx + st * dy
-    phi_t = -st * dx + ct * dy
-    w = 2.0 * np.pi / n_theta
-    e_r = float((phi_t**2).sum() * w) + float((phi_r**2).sum() * w)
-    assert dh.pohozaev_defect(phi, psi, r).E_r.hex() == e_r.hex()
-
-
-def test_kernel_extraction_gives_the_same_bits_on_c_order_storage(monkeypatch):
-    """The CG inner products and norms sum whole spinor fields, so they too
-    add in C order; the extracted spinor and its ratio keep their bits."""
-    cfg = dh.SolverConfig(power_iters=2, cg_max_iters=20, seed=3)
-    phi, _ = _pair(dh.Sphere(2), "torus", n=16)
-    psi, ratio = dh.dirac_project(phi, None, cfg)
-    _c_order_storage(monkeypatch)
-    phi_c, _ = _pair(dh.Sphere(2), "torus", n=16)
-    assert phi_c.values.flags.c_contiguous
-    psi_c, ratio_c = dh.dirac_project(phi_c, None, cfg)
-    assert ratio.hex() == ratio_c.hex()
-    assert same_bits(psi.values, psi_c.values)
