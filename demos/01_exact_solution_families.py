@@ -22,15 +22,16 @@ print(__doc__ or "")
 print("== harmonic map family (geodesic wrap, psi = 0)")
 for n in (64, 128):
     chart = dh.DomainChart.torus(n)
-    phi, psi = dh.trivial_pair("harmonic_map", chart)
+    phi = dh.harmonic_wrap(chart)
+    psi = dh.TwistedSpinorField.zero(chart, phi.target)
     res = dh.el_residual(phi, psi)
     print(f"  n={n:4d}  map residual sup = {res.norms['map_sup']:.3e}")
 
 # %% Family 2: constant map + constant tangent spinor -------------------------
 print("== constant map + harmonic spinor family")
 chart = dh.DomainChart.torus(64)
-phi, psi = dh.trivial_pair("constant_map_harmonic_spinor", chart,
-                           base_point=(0, 0, 1), spinor_components=(1, 0.5j))
+phi, psi = dh.constant_spinor_pair(chart, dh.Sphere(2), base_point=(0, 0, 1),
+                                   spinor_direction=(1, 0, 0), spinor_components=(1, 0.5j))
 res = dh.el_residual(phi, psi)
 print(f"  residuals: map {res.norms['map_sup']:.1e}, "
       f"spinor {res.norms['spinor_sup']:.1e}  (exact at machine precision)")

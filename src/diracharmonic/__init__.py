@@ -3,7 +3,7 @@ conserved-quantity verification, and a relaxation solver."""
 
 __version__ = "0.1.0"
 
-from .charts import DomainChart, Grid2D, MoebiusMap, bandlimited_field
+from .charts import DomainChart, MoebiusMap, bandlimited_field
 from .fields import (ELResidual, MapField, TwistedSpinorField, action,
                      curvature_term, dirac_along_map, el_residual, energy,
                      field_scale, project_spinor, spinor_gradient,
@@ -18,11 +18,10 @@ from .identities import (CircleBalance, ConformalCheck, EnergyMomentum,
 from .config import ConfigError, RunConfig, build_pair, load_config, parse_config
 from .fieldio import FieldFileError, FieldHeader, read_field, read_header, write_field
 from .solutions import (RationalMap, conformal_map_field, conformality_defect,
-                        elliptic_conformal_field, harmonic_wrap,
-                        sphere_dirichlet_energy, stereo_pair, trivial_pair,
-                        twistor_pushforward)
+                        constant_spinor_pair, elliptic_conformal_field, harmonic_wrap,
+                        sphere_dirichlet_energy, stereo_pair, twistor_pushforward)
 from .solver import SolveReport, SolverConfig, dirac_project, flow_step, solve
 from .spinors import (clifford_mul, flat_dirac, hermitian, spinor,
                       spinor_norm2, twistor_defect, twistor_field)
-from .targets import Flat, Sphere, TargetGeometry, make_target
+from .targets import Flat, Sphere, TargetGeometry
 from .verify import run_verification, run_verification_on_fields

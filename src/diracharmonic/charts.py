@@ -24,8 +24,6 @@ bits hold per machine, numpy build and dispatch path, not per storage order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 _AXES = {"x": 1, "y": 0}
@@ -51,49 +49,34 @@ def as_planes(values) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Grid2D:
-    """Uniform n x n grid over a square of physical side length ``side``.
+class DomainChart:
+    """Uniform n x n grid over a square of physical side length ``side``,
+    with the flat metric: node coordinates and the domain and interior masks.
 
     ``topology`` is "torus" (all stencils wrap) or "disk" (unit disk inside
     the square; wrap values outside the disk are never trusted).  ``window``
     optionally restricts the evaluation region of a torus chart to the
     central square of that side fraction, used when sampling non-periodic
     fields whose seam must stay out of every norm.
-    """
-
-    n: int
-    side: float
-    topology: str = "torus"
-    window: float | None = None
-
-    def __post_init__(self):
-        if self.n < 8:
-            raise ValueError("grid needs n >= 8")
-        if self.side <= 0:
-            raise ValueError("side must be positive")
-        if self.topology not in ("torus", "disk"):
-            raise ValueError(f"unknown topology {self.topology!r}")
-        if self.window is not None and not (0.0 < self.window <= 1.0):
-            raise ValueError("window must lie in (0, 1]")
-
-    @property
-    def h(self) -> float:
-        return self.side / self.n
-
-
-class DomainChart:
-    """A grid with the flat metric: node coordinates and the domain and
-    interior masks.
 
     The chart is immutable after construction; all methods are pure.
     """
 
-    def __init__(self, grid: Grid2D):
-        self.grid = grid
-        n, side = grid.n, grid.side
-        h = grid.h
-        if grid.topology == "torus":
+    def __init__(self, n: int, side: float, topology: str, window: float | None):
+        if n < 8:
+            raise ValueError("grid needs n >= 8")
+        if side <= 0:
+            raise ValueError("side must be positive")
+        if topology not in ("torus", "disk"):
+            raise ValueError(f"unknown topology {topology!r}")
+        if window is not None and not (0.0 < window <= 1.0):
+            raise ValueError("window must lie in (0, 1]")
+        if topology == "disk" and side <= 2.0:
+            raise ValueError("disk chart needs side > 2 to contain the unit disk")
+        self.n, self.side, self.topology, self.window = n, side, topology, window
+        self.h = h = side / n
+        self.shape = (n, n)
+        if topology == "torus":
             coords = -0.5 * side + h * np.arange(n)
         else:
             # Cell-centered: symmetric about 0, no node at the origin or
@@ -102,46 +85,26 @@ class DomainChart:
         self.x, self.y = np.meshgrid(coords, coords, indexing="xy")
         self.z = self.x + 1j * self.y
         r = np.abs(self.z)
-        if grid.topology == "disk":
-            if side <= 2.0:
-                raise ValueError("disk chart needs side > 2 to contain the unit disk")
+        if topology == "disk":
             self.domain_mask = r <= 1.0
             self.interior_mask = r <= 1.0 - 4.0 * h
         else:
             self.domain_mask = np.ones((n, n), dtype=bool)
-            if grid.window is None:
+            if window is None:
                 self.interior_mask = self.domain_mask
             else:
-                half = 0.5 * grid.window * side
+                half = 0.5 * window * side
                 self.interior_mask = (np.abs(self.x) <= half) & (np.abs(self.y) <= half)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def torus(cls, n: int, side: float = 1.0, window: float | None = None) -> "DomainChart":
-        return cls(Grid2D(n=n, side=side, topology="torus", window=window))
+        return cls(n, side, "torus", window)
 
     @classmethod
     def disk(cls, n: int, side: float = 2.2) -> "DomainChart":
-        return cls(Grid2D(n=n, side=side, topology="disk"))
-
-    # -- basic properties ---------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return self.grid.n
-
-    @property
-    def h(self) -> float:
-        return self.grid.h
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.grid.n, self.grid.n)
-
-    @property
-    def topology(self) -> str:
-        return self.grid.topology
+        return cls(n, side, "disk", None)
 
     # -- stencil calculus ----------------------------------------------------
 
@@ -199,7 +162,7 @@ class DomainChart:
         so the result has the points' shape plus the component axes and
         is stored component-major as well."""
         f = np.asarray(f)
-        n, side, h = self.grid.n, self.grid.side, self.h
+        n, side, h = self.n, self.side, self.h
         x0 = -0.5 * side if self.topology == "torus" else -0.5 * side + 0.5 * h
         gx = (np.asarray(px) - x0) / h
         gy = (np.asarray(py) - x0) / h
@@ -274,8 +237,8 @@ def bandlimited_field(chart: DomainChart, rng, components=(), kmax: int = 3,
             b[i, j] = rng.normal(size=shape)
     a = a.reshape(m, m, -1)
     b = b.reshape(m, m, -1)
-    tx = ks[:, None] * (2.0 * np.pi * (chart.x[0] / chart.grid.side))
-    ty = ks[:, None] * (2.0 * np.pi * (chart.y[:, 0] / chart.grid.side))
+    tx = ks[:, None] * (2.0 * np.pi * (chart.x[0] / chart.side))
+    ty = ks[:, None] * (2.0 * np.pi * (chart.y[:, 0] / chart.side))
     # cos(kx tx + ky ty) = cx cy - sx sy and sin(...) = sx cy + cx sy:
     # contract over kx into the coefficients of cy and of sy, then over ky.
     x_table = np.concatenate([np.cos(tx), np.sin(tx)])

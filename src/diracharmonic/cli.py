@@ -147,7 +147,7 @@ def cmd_probe(cfg: RunConfig, phi_path, psi_path) -> int:
         print("probe requires fields on a disk chart", file=sys.stderr)
         return _EXIT_USAGE
     # decay_profile's radii run from 6h up to 1 - 5h: they increase only when 11h < 1.
-    side = phi.chart.grid.side
+    side = phi.chart.side
     n_min = math.floor(11.0 * side) + 1
     if phi.chart.n < n_min:
         raise ConfigError(f"stored field: chart.n = {phi.chart.n} is too coarse for probe on a "
@@ -214,9 +214,18 @@ def main(argv=None) -> int:
     try:
         if args.command == "dump":
             return cmd_dump(args.path)
-        if args.command == "verify" and args.config is None and args.phi is None:
-            print("verify needs --config or --phi", file=sys.stderr)
-            return _EXIT_USAGE
+        if args.command == "verify":
+            if args.config is None and args.phi is None:
+                print("verify needs --config or --phi", file=sys.stderr)
+                return _EXIT_USAGE
+            # A flag the chosen mode does not read is an error, as an unread config key is.
+            mode = "with --phi" if args.phi is not None else "without --phi"
+            unread = ({"--grid": args.grid, "--resolution-sweep": args.resolution_sweep or None}
+                      if args.phi is not None else {"--psi": args.psi})
+            for flag, value in unread.items():
+                if value is not None:
+                    print(f"verify {flag} is not read {mode}", file=sys.stderr)
+                    return _EXIT_USAGE
         cfg = _load(args)
         if args.command == "probe":
             return cmd_probe(cfg, args.phi, args.psi)
@@ -236,6 +245,9 @@ def main(argv=None) -> int:
         return _EXIT_USAGE
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
+    except OSError as exc:  # a directory, an existing file or no permission where a path goes
+        print(f"file error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 
 

@@ -18,12 +18,12 @@ from functools import partial
 
 import numpy as np
 
-from .charts import DomainChart, Grid2D, bandlimited_field
+from .charts import DomainChart, bandlimited_field
 from .fields import MapField, TwistedSpinorField
-from .solutions import (RationalMap, conformal_map_field, elliptic_conformal_field,
-                        trivial_pair, twistor_pushforward)
+from .solutions import (RationalMap, conformal_map_field, constant_spinor_pair,
+                        elliptic_conformal_field, harmonic_wrap, twistor_pushforward)
 from .solver import SolverConfig
-from .targets import Sphere, make_target
+from .targets import Flat, Sphere
 
 
 class ConfigError(Exception):
@@ -205,7 +205,11 @@ def parse_config(text: str, overrides=()) -> RunConfig:
 
 def load_config(path, overrides=()) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), overrides)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    return parse_config(text, overrides)
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -226,7 +230,7 @@ def _validate(cfg: RunConfig) -> None:
             if cfg.get("target", key) != s2:
                 raise ConfigError(f"{cfg.where('target', key)}scenario {kind} maps into "
                                   "S^2: [target] must be kind = sphere, dim = 2")
-    h = Grid2D(n=cfg.get("chart", "n"), side=cfg.get("chart", "side")).h
+    h = cfg.get("chart", "side") / cfg.get("chart", "n")
     try:
         SolverConfig(dt=cfg.get("solver", "dt")).step_size(h)
     except ValueError as exc:
@@ -236,14 +240,9 @@ def _validate(cfg: RunConfig) -> None:
 
 def build_chart(cfg: RunConfig, n_override: int | None = None) -> DomainChart:
     n = n_override if n_override is not None else cfg.get("chart", "n")
-    side = cfg.get("chart", "side")
-    if cfg.get("chart", "topology") == "torus":
-        return DomainChart.torus(n, side=side, window=cfg.get("chart", "window"))
-    return DomainChart.disk(n, side=side)
-
-
-def build_target(cfg: RunConfig):
-    return make_target(cfg.get("target", "kind"), cfg.get("target", "dim"))
+    topology = cfg.get("chart", "topology")
+    window = cfg.get("chart", "window") if topology == "torus" else None
+    return DomainChart(n, cfg.get("chart", "side"), topology, window)
 
 
 def build_solver_config(cfg: RunConfig) -> SolverConfig:
@@ -270,13 +269,14 @@ def build_pair(cfg: RunConfig, n_override: int | None = None
                                             np.zeros(2, dtype=complex))
 
         if kind == "harmonic_wrap":
-            return trivial_pair("harmonic_map", chart, winding=sc("winding"))
+            phi = harmonic_wrap(chart, winding=sc("winding"))
+            return phi, TwistedSpinorField.zero(chart, phi.target)
 
         if kind == "constant_spinor":
-            return trivial_pair("constant_map_harmonic_spinor", chart, target=build_target(cfg),
-                                base_point=sc("base_point"),
-                                spinor_direction=sc("spinor_direction"),
-                                spinor_components=sc("spinor_components"))
+            dim = cfg.get("target", "dim")
+            target = Sphere(dim) if cfg.get("target", "kind") == "sphere" else Flat(dim)
+            return constant_spinor_pair(chart, target, sc("base_point"), sc("spinor_direction"),
+                                        sc("spinor_components"))
 
         rng = np.random.default_rng(cfg.get("output", "seed"))
         sphere = Sphere(2)

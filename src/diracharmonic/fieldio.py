@@ -83,7 +83,7 @@ def write_field(path, field) -> None:
         kind,
         field.target.ambient_dim,
         chart.n,
-        chart.grid.side,
+        chart.side,
         _LAYOUTS[kind].ljust(16, b"\0"),
         len(raw),
         zlib.crc32(raw) & 0xFFFFFFFF,
@@ -134,9 +134,8 @@ def read_field(path, chart: DomainChart | None = None,
     if (zlib.crc32(raw) & 0xFFFFFFFF) != hd.crc32:
         raise FieldFileError("bad_checksum", f"{path}: CRC mismatch")
     if chart is None:
-        chart = (DomainChart.torus(hd.n, side=hd.side) if hd.topology == "torus"
-                 else DomainChart.disk(hd.n, side=hd.side))
-    elif chart.n != hd.n or chart.topology != hd.topology or chart.grid.side != hd.side:
+        chart = DomainChart(hd.n, hd.side, hd.topology, None)
+    elif chart.n != hd.n or chart.topology != hd.topology or chart.side != hd.side:
         raise FieldFileError("chart_mismatch", f"{path}: stored chart differs from the given one")
     if target is not None and target.ambient_dim != hd.ambient_dim:
         raise FieldFileError("dim_mismatch", f"{path}: K = {hd.ambient_dim} != {target.ambient_dim}")

@@ -245,7 +245,7 @@ def _mapped_points(chart: DomainChart, f: MoebiusMap):
     the disk into itself), where masked quadrature never looks.
     """
     w = f(chart.z)
-    half = 0.5 * chart.grid.side - 1.5 * chart.h
+    half = 0.5 * chart.side - 1.5 * chart.h
     return np.clip(w.real, -half, half), np.clip(w.imag, -half, half)
 
 

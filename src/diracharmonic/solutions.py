@@ -3,8 +3,8 @@
 Three families:
 
 * (harmonic map, 0) -- here the equator-wrapping geodesic maps of the
-  torus and inverse-stereographic images of rational maps;
-* (constant map, harmonic spinor) -- constant spinors projected tangent;
+  torus (``harmonic_wrap``) and inverse-stereographic images of rational maps;
+* (constant map, harmonic spinor) -- ``constant_spinor_pair``;
 * the twistor pushforward psi^i = sum_a (e_a . Psi) d_a phi^i built from a
   (possibly branched) conformal map and an affine twistor spinor, which
   solves the full coupled system.
@@ -205,7 +205,7 @@ def elliptic_conformal_field(chart: DomainChart, scale: complex = 1.0) -> MapFie
     """
     if chart.topology != "torus":
         raise ValueError("the elliptic family lives on the torus")
-    L = chart.grid.side
+    L = chart.side
     v = np.pi * (chart.x + 1j * chart.y) / L
     t1, dt1 = _theta1(v)
     t2, dt2 = _theta2(v)
@@ -222,40 +222,30 @@ def elliptic_conformal_field(chart: DomainChart, scale: complex = 1.0) -> MapFie
 
 def harmonic_wrap(chart: DomainChart, winding: int = 1) -> MapField:
     """Closed-geodesic map (cos 2 pi k x / side, sin ..., 0) on the torus."""
-    target = Sphere(2)
-    k = 2.0 * np.pi * winding / chart.grid.side
+    k = 2.0 * np.pi * winding / chart.side
     phase = k * chart.x
     vals = np.stack([np.cos(phase), np.sin(phase), np.zeros_like(phase)], axis=-1)
     grad = np.zeros(chart.shape + (2, 3))
     grad[..., 0, 0] = -k * np.sin(phase)
     grad[..., 0, 1] = k * np.cos(phase)
-    return MapField(chart, target, vals, analytic_gradient=grad)
+    return MapField(chart, Sphere(2), vals, analytic_gradient=grad)
 
 
-def trivial_pair(kind: str, chart: DomainChart, target: TargetGeometry | None = None,
-                 winding: int = 1, base_point=(0.0, 0.0, 1.0),
-                 spinor_components=(1.0 + 0.0j, 0.0j),
-                 spinor_direction=(1.0, 0.0, 0.0)) -> tuple[MapField, TwistedSpinorField]:
-    """The two trivial families: a harmonic map with zero spinor, or a
-    constant map with a constant (hence harmonic) tangent spinor: the
-    spinor data projected tangent at the base point, the same at every
-    node, so its flat Dirac vanishes exactly.
+def constant_spinor_pair(chart: DomainChart, target: TargetGeometry, base_point, spinor_direction,
+                         spinor_components) -> tuple[MapField, TwistedSpinorField]:
+    """A constant map with a constant (hence harmonic) tangent spinor: the
+    spinor data direction x components projected tangent at the base point,
+    the same at every node, so its flat Dirac vanishes exactly.
     """
-    target = Sphere(2) if target is None else target
-    if kind == "harmonic_map":
-        phi = harmonic_wrap(chart, winding=winding)
-        return phi, TwistedSpinorField.zero(chart, phi.target)
-    if kind == "constant_map_harmonic_spinor":
-        phi = MapField.constant(chart, target, base_point)
-        K = target.ambient_dim
-        direction = np.asarray(spinor_direction, dtype=float)
-        if direction.shape != (K,):
-            raise ValueError(f"spinor direction needs {K} components")
-        comp = np.asarray(spinor_components, dtype=np.complex128)
-        raw = np.zeros(chart.shape + (K, 2), dtype=np.complex128)
-        raw[:] = direction[:, None] * comp[None, :]
-        return phi, project_spinor(phi, raw)
-    raise ValueError(f"unknown trivial pair kind {kind!r}")
+    phi = MapField.constant(chart, target, base_point)
+    K = target.ambient_dim
+    direction = np.asarray(spinor_direction, dtype=float)
+    if direction.shape != (K,):
+        raise ValueError(f"spinor direction needs {K} components")
+    comp = np.asarray(spinor_components, dtype=np.complex128)
+    raw = np.zeros(chart.shape + (K, 2), dtype=np.complex128)
+    raw[:] = direction[:, None] * comp[None, :]
+    return phi, project_spinor(phi, raw)
 
 
 def sphere_dirichlet_energy(rmap: RationalMap) -> float:

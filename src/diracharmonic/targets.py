@@ -178,11 +178,3 @@ class Flat(TargetGeometry):
     def normal_frame(self, p) -> tuple:
         return ()
 
-
-def make_target(kind: str, dim: int) -> TargetGeometry:
-    """Factory used by the config layer: sphere(dim) or flat(dim)."""
-    if kind == "sphere":
-        return Sphere(dim)
-    if kind == "flat":
-        return Flat(dim)
-    raise ValueError(f"unknown target kind {kind!r}")

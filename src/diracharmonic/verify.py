@@ -112,7 +112,7 @@ def run_verification_on_fields(phi, psi, seed: int = 1234) -> dict:
     """The suite on stored fields at their one grid, which waives every
     ratio test but the conformal record's, run on its own grids."""
     chart = phi.chart
-    _require_circles_fit(chart.topology, chart.n, chart.grid.side, "stored field: ")
+    _require_circles_fit(chart.topology, chart.n, chart.side, "stored field: ")
     return _verify_pairs([(phi, psi)], [chart.n], seed, "stored_fields", "files")
 
 
@@ -339,7 +339,7 @@ def _verify_pairs(pairs, grids, seed, scenario_kind, mode) -> dict:
         "solution_scenario": scenario_kind in _SOLUTION_SCENARIOS,
         "grids": grids,
         "chart": {"topology": suite.charts[0].topology, "n": grids[0],
-                  "side": suite.charts[0].grid.side},
+                  "side": suite.charts[0].side},
         "identities": records,
         "pass": all(r["pass"] for r in records),
         "mode": mode,

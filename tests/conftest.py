@@ -124,8 +124,8 @@ def bandlimited_oracle(chart, rng, components=(), kmax=3, amplitude=1.0, modes=N
     shape = tuple(components)
     out = np.zeros(chart.shape + shape)
     pad = (None,) * len(shape)
-    tx = 2.0 * np.pi * (chart.x / chart.grid.side)
-    ty = 2.0 * np.pi * (chart.y / chart.grid.side)
+    tx = 2.0 * np.pi * (chart.x / chart.side)
+    ty = 2.0 * np.pi * (chart.y / chart.side)
     ks = range(-kmax, kmax + 1)
     for kx in ks:
         for ky in ks:

@@ -8,17 +8,18 @@ from conftest import (assert_second_order, bandlimited_oracle, circle_integral,
 
 
 class TestGridValidation:
-    def test_small_grid_rejected(self):
-        with pytest.raises(ValueError):
-            dh.Grid2D(n=4, side=1.0)
-
-    def test_bad_window_rejected(self):
-        with pytest.raises(ValueError):
-            dh.Grid2D(n=16, side=1.0, window=1.5)
-
-    def test_disk_needs_room_for_unit_disk(self):
-        with pytest.raises(ValueError):
-            dh.DomainChart(dh.Grid2D(n=32, side=1.5, topology="disk"))
+    @pytest.mark.parametrize("n, side, topology, window, match", [
+        pytest.param(4, 1.0, "torus", None, "n >= 8", id="small_n"),
+        pytest.param(16, 0.0, "torus", None, "side must be positive", id="zero_side"),
+        pytest.param(16, -1.0, "disk", None, "side must be positive", id="negative_side"),
+        pytest.param(16, 1.0, "sphere", None, "unknown topology", id="unknown_topology"),
+        pytest.param(16, 1.0, "torus", 0.0, "window must lie in", id="zero_window"),
+        pytest.param(16, 1.0, "torus", 1.5, "window must lie in", id="wide_window"),
+        pytest.param(32, 2.0, "disk", None, "side > 2", id="narrow_disk"),
+    ])
+    def test_bad_chart_rejected(self, n, side, topology, window, match):
+        with pytest.raises(ValueError, match=match):
+            dh.DomainChart(n, side, topology, window)
 
     def test_disk_masks_nested(self):
         chart = dh.DomainChart.disk(64)

@@ -377,3 +377,46 @@ def test_bad_field_inputs_are_named_errors(bad_field_files, tmp_path, command, p
     assert r.returncode == 1, r.stdout + r.stderr
     assert r.stderr.startswith(f"field file error [{code}]: "), r.stderr
     assert "Traceback" not in r.stderr
+
+
+# Paths the CLI cannot read or write; each used to end in a traceback.
+BAD_PATHS = [
+    pytest.param(["dump", "{dir}"], "{dir}", id="dump_a_directory"),
+    pytest.param(["verify", "--phi", "{dir}"], "{dir}", id="phi_a_directory"),
+    pytest.param(["verify", "--config", "{dir}"], "{dir}", id="config_a_directory"),
+    pytest.param(["exact", "--config", "{cfg}", "--out", "{file}"], "{file}", id="out_a_file"),
+    pytest.param(["exact", "--config", "{cfg}", "--out", "{file}/sub"], "{file}/sub",
+                 id="out_under_a_file"),
+    pytest.param(["exact", "--config", "{latin1}"], "{latin1}", id="config_not_utf8"),
+]
+
+
+@pytest.mark.parametrize("args,named", BAD_PATHS)
+def test_unusable_path_exits_1_naming_it(tmp_path, args, named):
+    paths = {"dir": tmp_path / "adir", "cfg": tmp_path / "ok.cfg",
+             "file": tmp_path / "afile", "latin1": tmp_path / "latin1.cfg"}
+    paths["dir"].mkdir()
+    paths["cfg"].write_text(PERTURBED)
+    paths["file"].write_text("")
+    paths["latin1"].write_bytes("[chart]\n# côté\nn = 16\n".encode("latin-1"))
+    r = run_cli(*(a.format(**paths) for a in args))
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert named.format(**paths) in r.stderr and "Traceback" not in r.stderr, r.stderr
+
+
+@pytest.mark.parametrize("extra,flag", [
+    pytest.param(["--config", "{cfg}", "--psi", "{psi}"], "--psi", id="psi_without_phi"),
+    pytest.param(["--phi", "{phi}", "--psi", "{psi}", "--grid", "32"], "--grid",
+                 id="grid_with_phi"),
+    pytest.param(["--phi", "{phi}", "--psi", "{psi}", "--resolution-sweep"],
+                 "--resolution-sweep", id="sweep_with_phi"),
+])
+def test_verify_rejects_flags_its_mode_ignores(bad_field_files, tmp_path, extra, flag):
+    paths = {"cfg": tmp_path / "ok.cfg", "phi": bad_field_files / "phi.dhm",
+             "psi": bad_field_files / "psi.dhm"}
+    paths["cfg"].write_text(PERTURBED)
+    out = tmp_path / "out"
+    r = run_cli("verify", *(a.format(**paths) for a in extra), "--out", str(out))
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert flag in r.stderr and "Traceback" not in r.stderr, r.stderr
+    assert not out.exists()

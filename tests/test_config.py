@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import diracharmonic as dh
-from diracharmonic.config import (build_chart, build_pair, build_solver_config,
-                                  build_target)
+from diracharmonic.config import build_chart, build_pair, build_solver_config
 
 FULL = """
 # full configuration exercise
@@ -38,12 +37,11 @@ seed = 99
 def test_full_config_parses_and_builds():
     cfg = dh.parse_config(FULL)
     chart = build_chart(cfg)
-    assert chart.topology == "disk" and chart.n == 32 and chart.grid.side == 2.4
-    assert build_target(cfg).kind == "sphere"
+    assert chart.topology == "disk" and chart.n == 32 and chart.side == 2.4
     solver = build_solver_config(cfg)
     assert solver.max_iters == 50 and solver.seed == 99
     phi, psi = build_pair(cfg)
-    assert phi.values.shape == (32, 32, 3)
+    assert phi.target.kind == "sphere" and phi.values.shape == (32, 32, 3)
     assert dh.tangency_defect(phi, psi) < 1e-10
 
 
@@ -103,6 +101,7 @@ def test_unknown_scenario_rejected():
 def test_every_scenario_builds(kind):
     cfg = dh.parse_config(f"[chart]\nn = 16\n\n[scenario]\nkind = {kind}\n")
     phi, psi = build_pair(cfg)
+    assert (phi.target.kind, phi.target.ambient_dim) == ("sphere", 3)
     assert np.isfinite(phi.values).all()
     assert np.isfinite(psi.values).all()
 

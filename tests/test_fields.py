@@ -70,7 +70,7 @@ class TestTension:
 class TestDiracAlongMap:
     def test_constant_pair_is_exactly_flat(self):
         chart = dh.DomainChart.torus(32)
-        phi, psi = dh.trivial_pair("constant_map_harmonic_spinor", chart)
+        phi, psi = dh.constant_spinor_pair(chart, dh.Sphere(2), (0, 0, 1), (1, 0, 0), (1, 0))
         spin, defect = dh.dirac_along_map(phi, psi)
         assert np.abs(spin).max() == 0.0
         assert np.abs(defect).max() < 1e-14
@@ -163,14 +163,15 @@ class TestCurvatureTerm:
 class TestELResidual:
     def test_harmonic_map_family(self):
         chart = dh.DomainChart.torus(64)
-        phi, psi = dh.trivial_pair("harmonic_map", chart)
+        phi = dh.harmonic_wrap(chart)
+        psi = dh.TwistedSpinorField.zero(chart, phi.target)
         res = dh.el_residual(phi, psi)
         assert res.norms["map_sup"] < 1e-10
         assert res.norms["spinor_sup"] == 0.0
 
     def test_constant_spinor_family(self):
         chart = dh.DomainChart.torus(64)
-        phi, psi = dh.trivial_pair("constant_map_harmonic_spinor", chart)
+        phi, psi = dh.constant_spinor_pair(chart, dh.Sphere(2), (0, 0, 1), (1, 0, 0), (1, 0))
         res = dh.el_residual(phi, psi)
         assert res.norms["map_sup"] <= 1e-12
         assert res.norms["spinor_sup"] <= 1e-12

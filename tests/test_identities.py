@@ -131,7 +131,7 @@ class TestHopfDifferential:
 class TestWeitzenboeck:
     def test_zero_for_constant_pair(self):
         chart = dh.DomainChart.torus(32)
-        phi, psi = dh.trivial_pair("constant_map_harmonic_spinor", chart)
+        phi, psi = dh.constant_spinor_pair(chart, dh.Sphere(2), (0, 0, 1), (1, 0, 0), (1, 0))
         assert dh.weitzenboeck_defect(phi, psi) < 1e-13
 
     def test_second_order_on_random_pairs(self):
@@ -154,7 +154,7 @@ class TestWeitzenboeck:
 class TestBochner:
     def test_zero_for_constant_pair(self):
         chart = dh.DomainChart.torus(32)
-        phi, psi = dh.trivial_pair("constant_map_harmonic_spinor", chart)
+        phi, psi = dh.constant_spinor_pair(chart, dh.Sphere(2), (0, 0, 1), (1, 0, 0), (1, 0))
         assert dh.bochner_defect(phi, psi) < 1e-12
 
     def test_second_order_on_exact_solutions(self):

@@ -162,7 +162,8 @@ class TestTwistorPushforward:
 class TestTrivialPairs:
     def test_harmonic_wrap_family(self):
         chart = dh.DomainChart.torus(64)
-        phi, psi = dh.trivial_pair("harmonic_map", chart, winding=2)
+        phi = dh.harmonic_wrap(chart, winding=2)
+        psi = dh.TwistedSpinorField.zero(chart, phi.target)
         res = dh.el_residual(phi, psi)
         assert res.norms["map_sup"] < 1e-9
         # analytic check lap(phi) = -(2 pi k)^2 phi and |dphi|^2 = (2 pi k)^2
@@ -172,10 +173,9 @@ class TestTrivialPairs:
 
     def test_constant_pair_machine_zero(self):
         chart = dh.DomainChart.torus(48)
-        phi, psi = dh.trivial_pair("constant_map_harmonic_spinor", chart,
-                                   base_point=(0, 1, 0),
-                                   spinor_direction=(0, 0, 1.0),
-                                   spinor_components=(0.5, 0.5j))
+        phi, psi = dh.constant_spinor_pair(chart, dh.Sphere(2), base_point=(0, 1, 0),
+                                           spinor_direction=(0, 0, 1.0),
+                                           spinor_components=(0.5, 0.5j))
         res = dh.el_residual(phi, psi)
         assert res.norms["map_sup"] <= 1e-12
         assert res.norms["spinor_sup"] <= 1e-12
@@ -195,10 +195,6 @@ class TestTrivialPairs:
         gap = np.abs(spin - expected)[chart.interior_mask].max()
         assert gap < 1e-10
         assert np.sqrt(dh.spinor_norm2(spin).sum(-1)).max() > 0.5
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            dh.trivial_pair("soliton", dh.DomainChart.torus(16))
 
 
 class TestEllipticFamily:

@@ -178,10 +178,3 @@ class TestCurvature:
         out = f.curvature(rng.normal(size=3), rng.normal(size=3),
                           rng.normal(size=3), rng.normal(size=3))
         assert np.abs(out).max() == 0.0
-
-
-def test_factory():
-    assert isinstance(dh.make_target("sphere", 2), dh.Sphere)
-    assert isinstance(dh.make_target("flat", 5), dh.Flat)
-    with pytest.raises(ValueError):
-        dh.make_target("hyperbolic", 2)
