@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_AXES = {"x": 1, "y": 0}
+_GRID_AXES = {"x": -1, "y": -2}   # in the (*comp, n, n) planes of a field
 
 
 def empty_planes(shape, dtype=float, zero: bool = False) -> np.ndarray:
@@ -47,6 +47,16 @@ def as_planes(values) -> np.ndarray:
     out = empty_planes(values.shape, values.dtype)
     out[...] = values
     return out
+
+
+def _lines(a, axis):
+    """A component-major field's flat buffer, its planes with ``axis`` last,
+    and the buffer stride of one step along ``axis``."""
+    planes = a.transpose(tuple(range(2, a.ndim)) + (0, 1))
+    if not planes.flags.c_contiguous:
+        raise ValueError("stencil arrays must be stored component-major")
+    g = _GRID_AXES[axis]
+    return planes.reshape(-1), planes.swapaxes(-1, g), planes.strides[g] // a.itemsize
 
 
 class DomainChart:
@@ -110,39 +120,44 @@ class DomainChart:
 
     def derivative(self, f, axis, out=None) -> np.ndarray:
         """Centered O(h^2) first derivative along "x" or "y", written into
-        ``out`` (an array shaped like ``f`` that does not overlap it) when
-        given.
+        ``out`` (a component-major array shaped like ``f`` that does not
+        overlap it) when given.
 
         Stencils always wrap; on disk charts the wrap touches only nodes
         outside the unit disk, which no mask ever selects.
         """
-        ax = _AXES[axis]
-        # The stencil runs along axis 0 of a view with ``ax`` swapped there
-        # (swapaxes undoes itself, and costs less than moveaxis).
-        f = np.asarray(f).swapaxes(0, ax)
-        out = (np.empty_like(f, dtype=np.result_type(f, 1.0)) if out is None
-               else out.swapaxes(0, ax))
-        # out[i] = f[i + 1] - f[i - 1] with wrapped ends: the bits of
-        # roll(f, -1) - roll(f, 1) without the two rolled copies.
-        np.subtract(f[2:], f[:-2], out=out[1:-1])
-        np.subtract(f[1:2], f[-1:], out=out[:1])
-        np.subtract(f[:1], f[-2:-1], out=out[-1:])
-        out /= 2.0 * self.h
-        return out.swapaxes(0, ax)
+        f = as_planes(f)
+        out = empty_planes(f.shape, np.result_type(f, 1.0)) if out is None else out
+        (ff, fa, step), (fo, oa, _) = _lines(f, axis), _lines(out, axis)
+        # out[i] = f[i + 1] - f[i - 1] with wrapped ends, the bits of
+        # roll(f, -1) - roll(f, 1): one contiguous pass over the whole buffer
+        # (line ends pair with the neighbouring lines), then the two ends.
+        np.subtract(ff[2 * step:], ff[:-2 * step], out=fo[step:-step])
+        np.subtract(fa[..., 1::-1], fa[..., :-3:-1], out=oa[..., ::self.n - 1])
+        # numpy divides a complex out by 2h + 0j as (re + im * 0) * (1 / 2h) per
+        # part; the real reciprocal differs only in the sign of exact zeros.
+        if np.iscomplexobj(fo):
+            fo.view(fo.real.dtype)[...] *= 1.0 / (2.0 * self.h)
+        else:
+            fo /= 2.0 * self.h
+        return out
 
     def laplacian(self, f, out=None) -> np.ndarray:
-        """Five-point Laplacian, O(h^2), written into ``out`` (an array
-        shaped like ``f`` that does not overlap it) when given."""
-        f = np.asarray(f)
+        """Five-point Laplacian, O(h^2), written into ``out`` (a
+        component-major array shaped like ``f`` that does not overlap it)
+        when given."""
+        f = as_planes(f)
         out = np.multiply(-4.0, f, out=out)
-        for ax in (0, 1):
-            # out += roll(f, -1) then out += roll(f, 1), in that order.
-            fa = f.swapaxes(0, ax)
-            oa = out.swapaxes(0, ax)
-            oa[:-1] += fa[1:]
-            oa[-1:] += fa[:1]
-            oa[1:] += fa[:-1]
-            oa[:1] += fa[-1:]
+        for axis in ("y", "x"):
+            # out += roll(f, -1) then out += roll(f, 1) as contiguous passes over
+            # the whole buffer; the two line ends, saved first, are redone.
+            (ff, fa, step), (fo, oa, _) = _lines(f, axis), _lines(out, axis)
+            ends = oa[..., ::self.n - 1].copy()
+            fo[:-step] += ff[step:]
+            fo[step:] += ff[:-step]
+            ends += fa[..., 1::-1]
+            ends += fa[..., :-3:-1]
+            oa[..., ::self.n - 1] = ends
         out /= self.h**2
         return out
 

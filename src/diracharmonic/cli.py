@@ -96,7 +96,13 @@ def cmd_exact(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig, sweep: bool, phi_path=None, psi_path=None) -> int:
     if phi_path is not None:
-        # File mode: the suite on the stored fields' one grid.
+        # File mode: the suite on the stored fields' one grid.  The fields
+        # set the chart and the pair, so of a config only [output] is read.
+        for name in cfg.line_of:
+            section, key = name.split(".")
+            if section != "output":
+                raise ConfigError(f"{cfg.where(section, key)}{name} is not read by verify "
+                                  "with --phi")
         phi, psi = _read_fields(phi_path, psi_path)
         report = run_verification_on_fields(phi, psi, seed=cfg.get("output", "seed"))
         report["summary"] = _summary(phi, psi)

@@ -103,6 +103,16 @@ def read_header(path) -> FieldHeader:
         raise FieldFileError("bad_magic", f"{path}: magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise FieldFileError("bad_version", f"{path}: unsupported version {version}")
+    if topo not in (0, 1):
+        raise FieldFileError("bad_topology", f"{path}: unknown topology byte {topo}")
+    topology = "torus" if topo == 0 else "disk"
+    # The limits DomainChart sets, so a readable header always builds a chart.
+    if n < 8:
+        raise FieldFileError("bad_grid", f"{path}: n = {n}, a chart needs n >= 8")
+    min_side = 2.0 if topology == "disk" else 0.0
+    if not min_side < side < float("inf"):
+        raise FieldFileError("bad_side", f"{path}: side {side} on a {topology} chart, "
+                                         f"which needs a finite side > {min_side:g}")
     if kind not in _LAYOUTS:
         raise FieldFileError("bad_kind", f"{path}: unknown field kind {kind}")
     if layout.rstrip(b"\0") != _LAYOUTS[kind]:
@@ -110,7 +120,7 @@ def read_header(path) -> FieldHeader:
     comps = K if kind == 0 else 4 * K
     if nbytes != n * n * comps * 8:
         raise FieldFileError("bad_size", f"{path}: payload length {nbytes} != {n * n * comps * 8}")
-    return FieldHeader(version=version, topology="torus" if topo == 0 else "disk",
+    return FieldHeader(version=version, topology=topology,
                        kind="map" if kind == 0 else "spinor", ambient_dim=K,
                        n=n, side=side, payload_bytes=nbytes, crc32=crc)
 

@@ -148,17 +148,24 @@ def _tangent_project_spinor(phi: MapField, arr, out=None) -> np.ndarray:
 
 # -- first-order operators ----------------------------------------------------
 
+def covariant_derivative(phi: MapField, values, axis: str, out=None) -> np.ndarray:
+    """P d_axis of a K-spinor grid along "x" or "y": the tangential part
+    of the flat derivative, written into ``out`` (component-major, not
+    overlapping ``values``) when given."""
+    d = phi.chart.derivative(values, axis, out=out)
+    d -= normal_part(phi.target.normal_frame(phi.values), d)
+    return d
+
+
 def spinor_gradient(phi: MapField, psi: TwistedSpinorField) -> np.ndarray:
-    """Covariant derivative: tangential projection of the flat derivative.
+    """Covariant derivative along both frame directions.
 
     Returns an (n, n, 2, K, 2) array; axis -3 is the frame direction.
     """
-    c, v = phi.chart, psi.values
+    v = psi.values
     out = empty_planes(v.shape[:-2] + (2,) + v.shape[-2:], v.dtype)
-    out[..., 0, :, :] = c.derivative(v, "x")
-    out[..., 1, :, :] = c.derivative(v, "y")
-    frame = tuple(nu[..., None, :] for nu in phi.target.normal_frame(phi.values))
-    out -= normal_part(frame, out)
+    for a, axis in enumerate(("x", "y")):
+        covariant_derivative(phi, v, axis, out=out[..., a, :, :])
     return out
 
 

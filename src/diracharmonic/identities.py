@@ -10,7 +10,9 @@ Defects on exact solution families shrink at the stencil order O(h^2);
 on generic fields the conditional ones stay bounded away from zero.
 
 The identities read only D psi, never the normal defect, so they take it
-from ``tangential_dirac``.  ``conformal_checks`` evaluates the conformal
+from ``tangential_dirac``.  Each drops a grid-sized array after its last
+read and takes covariant derivatives one direction at a time, so it holds
+a few spinor grids at once (``tests/test_verify_memory.py``).  ``conformal_checks`` evaluates the conformal
 invariance check for several maps and conventions at once, sharing the
 pair's own terms and each map's pullback; ``conformal_invariance_defect``
 is its one-entry case.
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import DomainChart, MoebiusMap, empty_planes
-from .fields import (MapField, TwistedSpinorField, action, energy, field_scale,
-                     project_spinor, spinor_gradient, tangential_dirac)
+from .fields import (MapField, TwistedSpinorField, action, covariant_derivative, energy,
+                     field_scale, project_spinor, spinor_gradient, tangential_dirac)
 from .solutions import conformality_defect
 from .spinors import clifford_e1, clifford_e2, clifford_mul, spinor_norm2
 from .targets import frame_sum, ambient_pairing
@@ -53,8 +55,6 @@ def energy_momentum(phi: MapField, psi: TwistedSpinorField) -> EnergyMomentum:
     """T_ab = 2 <phi_a, phi_b> - delta_ab |dphi|^2 + Re<psi, e_a . grad_b psi>."""
     chart = phi.chart
     d = phi.gradient()
-    grad_psi = spinor_gradient(phi, psi)
-    e_psi = (clifford_e1(psi.values), clifford_e2(psi.values))
     T = np.zeros(chart.shape + (2, 2))
     dirichlet = (d**2).sum(axis=(-2, -1))
     for a in range(2):
@@ -62,8 +62,11 @@ def energy_momentum(phi: MapField, psi: TwistedSpinorField) -> EnergyMomentum:
             T[..., a, b] = 2.0 * (d[..., a, :] * d[..., b, :]).sum(axis=-1)
             if a == b:
                 T[..., a, b] -= dirichlet
+    for b, axis in enumerate(("x", "y")):
+        grad_b = covariant_derivative(phi, psi.values, axis)
+        for a, e_a in enumerate((clifford_e1, clifford_e2)):
             # Re<psi, e_a . grad_b psi> = -Re<e_a . psi, grad_b psi>.
-            T[..., a, b] -= _spinor_pair_re(e_psi[a], grad_psi[..., b, :, :])
+            T[..., a, b] -= _spinor_pair_re(e_a(psi.values), grad_b)
     return EnergyMomentum(chart, T)
 
 
@@ -99,10 +102,9 @@ def hopf_differential(phi: MapField, psi: TwistedSpinorField) -> QuadraticDiffer
     The map part is ``conformality_defect`` through the stencils.
     """
     T = conformality_defect(phi, analytic=False)
-    grad_psi = spinor_gradient(phi, psi)
     e1psi = clifford_e1(psi.values)
-    sx = -_spinor_pair_re(e1psi, grad_psi[..., 0, :, :])
-    sy = -_spinor_pair_re(e1psi, grad_psi[..., 1, :, :])
+    sx = -_spinor_pair_re(e1psi, covariant_derivative(phi, psi.values, "x"))
+    sy = -_spinor_pair_re(e1psi, covariant_derivative(phi, psi.values, "y"))
     return QuadraticDifferential(phi.chart, T + sx - 1j * sy)
 
 
@@ -127,20 +129,18 @@ def weitzenboeck_defect(phi: MapField, psi: TwistedSpinorField) -> float:
     Returns the sup-norm of LHS - RHS over the chart interior.
     """
     chart = phi.chart
-    d1 = tangential_dirac(phi, psi)
-    lhs = tangential_dirac(phi, TwistedSpinorField(chart, phi.target, d1),
-                           check_tangency=False)
-    grad1 = spinor_gradient(phi, psi)
-    lap = np.zeros_like(psi.values)
-    for a, ax in enumerate(("x", "y")):
-        ga = TwistedSpinorField(chart, phi.target, grad1[..., a, :, :])
-        lap = lap + spinor_gradient(phi, ga)[..., a, :, :]
-    rhs = -lap
+    rhs = np.zeros_like(psi.values)
+    for axis in ("x", "y"):
+        rhs -= covariant_derivative(phi, covariant_derivative(phi, psi.values, axis), axis)
     d = phi.gradient()
     cops = (clifford_e1, clifford_e2)
     for a, b in ((0, 1), (1, 0)):  # R(X, X) = 0
-        eab_psi = cops[a](cops[b](psi.values))
-        rhs = rhs + 0.5 * _curvature_on_spinor(phi, d[..., a, :], d[..., b, :], eab_psi)
+        rhs += 0.5 * _curvature_on_spinor(phi, d[..., a, :], d[..., b, :],
+                                          cops[a](cops[b](psi.values)))
+    del d
+    # D^2 psi last, D psi alive only while D^2 psi is formed.
+    lhs = tangential_dirac(phi, TwistedSpinorField(chart, phi.target, tangential_dirac(phi, psi)),
+                           check_tangency=False)
     gap = np.sqrt(spinor_norm2(lhs - rhs).sum(axis=-1))
     return float(gap[chart.interior_mask].max())
 
@@ -156,21 +156,20 @@ def bochner_defect(phi: MapField, psi: TwistedSpinorField, dirac_tol: float = 1e
     """
     chart = phi.chart
     mask = chart.interior_mask
-    spin_res = tangential_dirac(phi, psi)
-    measured = float(np.sqrt(spinor_norm2(spin_res).sum(axis=-1))[mask].max())
+    measured = float(np.sqrt(spinor_norm2(tangential_dirac(phi, psi)).sum(axis=-1))[mask].max())
     scale = field_scale(phi, psi)
     if measured > dirac_tol * scale:
         raise ValueError(f"Dirac residual {measured:.3e} exceeds tolerance "
                          f"{dirac_tol:.1e} x scale {scale:.3e}; the identity "
                          "is only valid on solutions")
     lhs = 0.5 * chart.laplacian(psi.norm2_density())
-    grad1 = spinor_gradient(phi, psi)
-    rhs = (np.abs(grad1) ** 2).sum(axis=(-3, -2, -1))
+    rhs = (np.abs(spinor_gradient(phi, psi)) ** 2).sum(axis=(-3, -2, -1))
     d = phi.gradient()
-    e_psi = (clifford_e1(psi.values), clifford_e2(psi.values))
+    cops = (clifford_e1, clifford_e2)
     for a, b in ((0, 1), (1, 0)):  # R(X, X) = 0
-        r_on = _curvature_on_spinor(phi, d[..., a, :], d[..., b, :], e_psi[b])
-        rhs = rhs - 0.5 * _spinor_pair_re(e_psi[a], r_on)
+        r_on = _curvature_on_spinor(phi, d[..., a, :], d[..., b, :], cops[b](psi.values))
+        rhs = rhs - 0.5 * _spinor_pair_re(cops[a](psi.values), r_on)
+        del r_on
     return float(np.abs(lhs - rhs)[mask].max())
 
 
@@ -209,9 +208,8 @@ def pohozaev_defect(phi: MapField, psi: TwistedSpinorField, r: float) -> CircleB
     phi_r = ct[:, None] * dx + st[:, None] * dy
     phi_t = -st[:, None] * dx + ct[:, None] * dy  # |phi_theta| / r
 
-    grad_psi = spinor_gradient(phi, psi)
-    gx = chart.interp(grad_psi[..., 0, :, :], px, py)
-    gy = chart.interp(grad_psi[..., 1, :, :], px, py)
+    gx = chart.interp(covariant_derivative(phi, psi.values, "x"), px, py)
+    gy = chart.interp(covariant_derivative(phi, psi.values, "y"), px, py)
     psi_vals = chart.interp(psi.values, px, py)
     grad_r = ct[:, None, None] * gx + st[:, None, None] * gy
     grad_t = -st[:, None, None] * gx + ct[:, None, None] * gy
@@ -321,11 +319,13 @@ def conformal_checks(phi: MapField, psi: TwistedSpinorField, maps,
             psi_t = project_spinor(phi_t, pulled * _graded_factor(chart, f, expo))
             L1 = action(phi_t, psi_t)
             E1 = energy(phi_t, psi_t)
+            del psi_t
             row.append(ConformalCheck(
                 convention=convention,
                 action_defect=abs(L0 - L1) / (1.0 + abs(L0)),
                 energy_defect=abs(E0 - E1) / (1.0 + abs(E0)),
             ))
+        del phi_t, pulled
         checks.append(row)
     return checks
 

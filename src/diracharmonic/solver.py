@@ -176,17 +176,17 @@ class _DiracKernelOperator:
         return _tangent_project_spinor(self.phi, x, out=out)
 
     def b_apply(self, x, out=None, scratch=None):
-        """B x; ``scratch`` is three grids for the flat Dirac, its output
-        first (default: the first three scratch grids)."""
-        flat, *work = self.scratch[:3] if scratch is None else scratch
+        """B x; ``scratch`` is two grids for the flat Dirac, its output
+        first (default: the first two scratch grids)."""
+        flat, work = self.scratch[:2] if scratch is None else scratch
         return self.project(flat_dirac(x, self.phi.chart, out=flat, work=work), out=out)
 
     def __call__(self, x, out=None):
         out = np.empty_like(x) if out is None else out
         s0, s1, s2, s3 = self.scratch
         px = self.project(x, out=s0)
-        bx = self.b_apply(px, out=s1, scratch=(s2, s3, out))
-        bbx = self.b_apply(bx, out=out, scratch=(s2, s3, out))
+        bx = self.b_apply(px, out=s1, scratch=(s2, s3))
+        bbx = self.b_apply(bx, out=out, scratch=(s2, s3))
         normal = np.subtract(x, px, out=px)
         bbx += np.multiply(self.kappa, normal, out=normal)
         return bbx

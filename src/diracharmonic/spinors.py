@@ -89,23 +89,24 @@ def flat_dirac(field, chart, form: str = "frame", out=None, work=None) -> np.nda
     The two agree to machine precision because they are the same linear
     combination of the same stencil outputs.
 
-    ``out`` receives the result and ``work``, a pair of grids shaped like
-    ``field``, the two derivatives; the frame form then overwrites the x
-    derivative with e2 . D_y.  None of them may overlap ``field`` or each
-    other; without them the arrays are allocated.
+    ``out`` receives the result and ``work``, a grid shaped like ``field``,
+    the x derivative; the frame form then overwrites it with e2 . D_y, formed
+    half by half.  Neither may overlap ``field`` or the other; without them
+    the arrays are allocated.
 
     On disk charts the output is trusted only on |z| <= 1 - 2h: each
     centered stencil erodes the trusted region by 2h.
     """
     field = np.asarray(field, dtype=np.complex128)
-    dx_out, dy_out = (None, None) if work is None else work
-    dx = chart.derivative(field, axis="x", out=dx_out)
-    dy = chart.derivative(field, axis="y", out=dy_out)
+    dx = chart.derivative(field, axis="x", out=work)
     if form == "frame":
         out = clifford_e1(dx, out=out)
-        out += clifford_e2(dy, out=dx)
+        dy = chart.derivative(field, axis="y", out=dx)
+        for src, dst in ((1, 0), (0, 1)):  # e2 . (f, g) = (i g, i f), in place half by half
+            out[..., dst] += np.multiply(1j, dy[..., src], out=dy[..., src])
         return out
     if form == "cauchy_riemann":
+        dy = chart.derivative(field, axis="y")
         dz = 0.5 * (dx - 1j * dy)
         dzbar = 0.5 * (dx + 1j * dy)
         return np.stack([2.0 * dzbar[..., 1], -2.0 * dz[..., 0]], axis=-1,

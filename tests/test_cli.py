@@ -420,3 +420,27 @@ def test_verify_rejects_flags_its_mode_ignores(bad_field_files, tmp_path, extra,
     assert r.returncode == 1, r.stdout + r.stderr
     assert flag in r.stderr and "Traceback" not in r.stderr, r.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text,error", [
+    pytest.param("[chart]\nn = 999\n", "line 2: chart.n", id="chart_n"),
+    pytest.param("[chart]\nside = 7\n", "line 2: chart.side", id="chart_side"),
+    pytest.param("[output]\nseed = 3\n\n[solver]\nmax_iters = 10\n", "line 5: solver.max_iters",
+                 id="solver_section"),
+    pytest.param("[output]\nseed = 3\n", None, id="output_only"),
+])
+def test_file_mode_verify_rejects_config_keys_it_does_not_read(bad_field_files, tmp_path,
+                                                                text, error):
+    cfg = tmp_path / "file_mode.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    r = run_cli("verify", "--phi", str(bad_field_files / "phi.dhm"),
+                "--psi", str(bad_field_files / "psi.dhm"), "--config", str(cfg), "--out", str(out))
+    if error is None:
+        assert r.returncode == 0, r.stdout + r.stderr
+        assert json.loads((out / "verify_report.json").read_text())["seed"] == 3
+        return
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert r.stderr.startswith(f"config error: {error} is not read by verify with --phi"), r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.exists()

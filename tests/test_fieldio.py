@@ -1,4 +1,5 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -80,6 +81,46 @@ def test_malformed_files_have_distinct_codes(tmp_path, mutate, code):
     with pytest.raises(dh.FieldFileError) as err:
         dh.read_field(bad)
     assert err.value.code == code
+
+
+def _map_file(path, topology=0, n=8, side=1.0):
+    """A constant map file on S^2 whose header carries the given chart
+    fields, with a payload of the matching size and a valid CRC."""
+    payload = np.zeros((n, n, 3), dtype="<f8")
+    payload[..., 2] = 1.0
+    raw = payload.tobytes()
+    path.write_bytes(_HEADER.pack(b"DHM1", 1, topology, 0, 3, n, side,
+                                  b"map:f64le".ljust(16, b"\0"), len(raw), zlib.crc32(raw))
+                     + raw)
+    return path
+
+
+@pytest.mark.parametrize("topology,n,side,code", [
+    pytest.param(7, 8, 1.0, "bad_topology", id="topology_byte_7"),
+    pytest.param(0, 4, 1.0, "bad_grid", id="n_4"),
+    pytest.param(0, 8, -1.0, "bad_side", id="negative_side"),
+    pytest.param(0, 8, 0.0, "bad_side", id="zero_side"),
+    pytest.param(0, 8, float("nan"), "bad_side", id="nan_side"),
+    pytest.param(0, 8, float("inf"), "bad_side", id="infinite_side"),
+    pytest.param(1, 16, 2.0, "bad_side", id="disk_side_2"),
+])
+def test_header_chart_fields_are_validated(tmp_path, capsys, topology, n, side, code):
+    from diracharmonic import cli
+
+    path = _map_file(tmp_path / "bad.dhm", topology, n, side)
+    with pytest.raises(dh.FieldFileError) as err:
+        dh.read_header(path)
+    assert err.value.code == code
+    for args in (["dump", str(path)], ["verify", "--phi", str(path), "--out", str(tmp_path)]):
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err.startswith(f"field file error [{code}]: ")
+
+
+@pytest.mark.parametrize("topology,n,side", [(0, 8, 1.0), (1, 16, 2.2)])
+def test_header_chart_fields_at_their_limits_are_read(tmp_path, topology, n, side):
+    phi = dh.read_field(_map_file(tmp_path / "ok.dhm", topology, n, side))
+    assert (phi.chart.topology, phi.chart.n, phi.chart.side) == (("torus", "disk")[topology],
+                                                                 n, side)
 
 
 def test_chart_mismatch_rejected(tmp_path):
