@@ -67,8 +67,3 @@ E = dh.DomainChart.torus(192)
 phi = dh.elliptic_conformal_field(E, scale=0.7)
 energy = E.integrate((phi.gradient(analytic=True) ** 2).sum(axis=(-2, -1)))
 print(f"  Dirichlet energy {energy:.6f} = 16 pi = {16 * np.pi:.6f} (degree 2)")
-
-# %% Whole-sphere energy of the degree-1 map -----------------------------------
-E1 = dh.sphere_dirichlet_energy(dh.RationalMap([0, 1]))
-print(f"== degree-1 map over the whole sphere: energy {E1:.6f} "
-      f"(8 pi = {8 * np.pi:.6f})")

@@ -19,7 +19,7 @@ print(__doc__ or "")
 
 maps = [("disk automorphism a=0.4", dh.MoebiusMap.disk_automorphism(0.4)),
         ("disk automorphism a=0.25+0.2i, rotated", dh.MoebiusMap.disk_automorphism(0.25 + 0.2j, theta=0.7)),
-        ("similarity 0.8 z + 0.05", dh.MoebiusMap.similarity(0.8, 0.05))]
+        ("similarity 0.8 z + 0.05", dh.MoebiusMap(0.8, 0.05, 0.0, 1.0))]
 
 for name, f in maps:
     print(f"== {name}")

@@ -13,13 +13,12 @@ from .identities import (CircleBalance, ConformalCheck, EnergyMomentum,
                          conformal_checks, conformal_invariance_defect,
                          decay_profile, em_divergence, energy_momentum,
                          hopf_differential, map_pullback, pohozaev_defect,
-                         self_adjointness_defect, spinor_pullback,
-                         weitzenboeck_defect)
+                         self_adjointness_defect, weitzenboeck_defect)
 from .config import ConfigError, RunConfig, build_pair, load_config, parse_config
 from .fieldio import FieldFileError, FieldHeader, read_field, read_header, write_field
 from .solutions import (RationalMap, conformal_map_field, conformality_defect,
                         constant_spinor_pair, elliptic_conformal_field, harmonic_wrap,
-                        sphere_dirichlet_energy, stereo_pair, twistor_pushforward)
+                        stereo_pair, twistor_pushforward)
 from .solver import SolveReport, SolverConfig, dirac_project, flow_step, solve
 from .spinors import (clifford_mul, flat_dirac, hermitian, spinor,
                       spinor_norm2, twistor_defect, twistor_field)

@@ -285,15 +285,6 @@ class MoebiusMap:
         self.a, self.b, self.c, self.d = (np.complex128(t / root) for t in (a, b, c, d))
 
     @classmethod
-    def identity(cls) -> "MoebiusMap":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    @classmethod
-    def similarity(cls, scale, offset=0.0) -> "MoebiusMap":
-        """f(z) = scale * z + offset."""
-        return cls(scale, offset, 0.0, 1.0)
-
-    @classmethod
     def disk_automorphism(cls, a, theta: float = 0.0) -> "MoebiusMap":
         """f(z) = e^{i theta} (z - a) / (1 - conj(a) z) with |a| < 1."""
         a = complex(a)

@@ -3,9 +3,9 @@
 A map field phi samples a map into the target, stored extrinsically as
 ambient K-vectors with shape (n, n, K).  A twisted spinor field psi
 stores K ambient spinor components with shape (n, n, K, 2) and the
-pointwise tangency constraint <nu, psi> = 0 for every field nu of the
-target's unit normal frame along phi (on the sphere nu = phi; flat
-targets have no normals and no constraint).
+pointwise tangency constraint <nu, psi> = 0 for the target's unit
+normal nu along phi (on the sphere nu = phi; flat targets have no normal
+and no constraint).
 
 The shapes are the public layout; the storage is component-major (see
 ``charts``).  The constructors store through ``as_planes``, and every
@@ -14,7 +14,7 @@ kernel that builds a component axis passes ``np.stack`` or
 of its input, or writes its pieces there one at a time where stacking
 would keep several grid-sized temporaries alive (the gradients).
 
-Every projection goes through that frame: the covariant derivative on
+Every projection goes through that normal: the covariant derivative on
 twisted spinors is the tangential part of the componentwise flat
 derivative, and the Dirac operator along the map is the tangential part
 of the flat Dirac operator.  Its normal part reproduces
@@ -31,7 +31,7 @@ import numpy as np
 
 from .charts import DomainChart, as_planes, empty_planes
 from .spinors import flat_dirac, hermitian, spinor_norm2
-from .targets import TargetGeometry, frame_sum, ambient_pairing, normal_part
+from .targets import TargetGeometry, ambient_pairing, normal_part
 
 ON_MANIFOLD_TOL = 1e-10
 TANGENCY_TOL = 1e-8
@@ -122,11 +122,12 @@ def field_scale(phi: MapField, psi: TwistedSpinorField) -> float:
 
 
 def tangency_defect(phi: MapField, psi: TwistedSpinorField) -> float:
-    """Sup of |<nu, psi>| over the normal frame along phi, relative to the
-    spinor magnitude; 0.0 for flat targets, which have no normals."""
-    frame = phi.target.normal_frame(phi.values)
-    sup = max((np.sqrt((np.abs(ambient_pairing(nu, psi.values)) ** 2).sum(axis=-1)).max()
-               for nu in frame), default=0.0)
+    """Sup of |<nu, psi>| for the unit normal nu along phi, relative to the
+    spinor magnitude; 0.0 for flat targets, which have no normal."""
+    nu = phi.target.normal(phi.values)
+    if nu is None:
+        return 0.0
+    sup = np.sqrt((np.abs(ambient_pairing(nu, psi.values)) ** 2).sum(axis=-1)).max()
     scale = np.sqrt(psi.norm2_density().max()) + 1e-300
     return float(sup / scale)
 
@@ -142,7 +143,7 @@ def _tangent_project_spinor(phi: MapField, arr, out=None) -> np.ndarray:
     """Apply the pointwise tangent projector of the target to each
     half-spinor component of an (n, n, K, 2) array, writing into ``out``
     (not overlapping ``arr``) when given."""
-    normal = normal_part(phi.target.normal_frame(phi.values), arr, out=out)
+    normal = normal_part(phi.target.normal(phi.values), arr, out=out)
     return np.subtract(arr, normal, out=normal)
 
 
@@ -153,7 +154,7 @@ def covariant_derivative(phi: MapField, values, axis: str, out=None) -> np.ndarr
     of the flat derivative, written into ``out`` (component-major, not
     overlapping ``values``) when given."""
     d = phi.chart.derivative(values, axis, out=out)
-    d -= normal_part(phi.target.normal_frame(phi.values), d)
+    d -= normal_part(phi.target.normal(phi.values), d)
     return d
 
 
@@ -172,10 +173,10 @@ def spinor_gradient(phi: MapField, psi: TwistedSpinorField) -> np.ndarray:
 def clifford_frame_contract(dphi, psi_values, out=None, work=None) -> np.ndarray:
     """sigma = sum_{a,i} d_a phi^i  e_a . psi^i, a plain spinor field.
 
-    This is the contraction through which the whole coupling acts:
-    A(dphi(e_a), e_a . psi) = -sigma (x) sum_nu nu.  As e1 . (f, g) = (g, -f)
-    and e2 . (f, g) = (i g, i f), sigma = (sum_i w^i g^i, -sum_i conj(w^i) f^i)
-    with w = d_1 phi + i d_2 phi.
+    This is the contraction through which the whole coupling acts: on the
+    unit sphere A(dphi(e_a), e_a . psi) = -sigma (x) nu.  As e1 . (f, g) =
+    (g, -f) and e2 . (f, g) = (i g, i f), sigma = (sum_i w^i g^i,
+    -sum_i conj(w^i) f^i) with w = d_1 phi + i d_2 phi.
 
     ``out`` receives sigma and ``work``, a complex grid shaped like
     ``dphi[..., 0, :]``, holds w; without them both are allocated.  Each
@@ -213,7 +214,7 @@ def _flat_dirac_split(phi: MapField, psi: TwistedSpinorField, check_tangency: bo
         if d > TANGENCY_TOL:
             raise ValueError(f"spinor violates tangency by {d:.3e} (tol {TANGENCY_TOL:.1e})")
     slashed = flat_dirac(psi.values, phi.chart)
-    normal = normal_part(phi.target.normal_frame(phi.values), slashed)
+    normal = normal_part(phi.target.normal(phi.values), slashed)
     slashed -= normal
     return slashed, normal
 
@@ -237,28 +238,28 @@ def dirac_along_map(phi: MapField, psi: TwistedSpinorField) -> tuple[np.ndarray,
     callers that need D psi alone use ``tangential_dirac``.
     """
     spin, normal = _flat_dirac_split(phi, psi, check_tangency=True)
+    nu = phi.target.normal(phi.values)
+    if nu is None:
+        return spin, normal
     sigma = clifford_frame_contract(phi.gradient(), psi.values)
-    a_term = frame_sum((-nu[..., :, None] * sigma[..., None, :]
-                        for nu in phi.target.normal_frame(phi.values)),
-                       spin.shape, spin.dtype)
+    a_term = -nu[..., :, None] * sigma[..., None, :]
     return spin, normal - a_term
 
 
 def curvature_term(phi: MapField, psi: TwistedSpinorField, out=None, work=None) -> np.ndarray:
     """Curvature coupling of the map equation, an (n, n, K) tangent field.
 
-    Extrinsic evaluation P(A(dphi(e_a), e_a . psi); psi): each unit normal
-    nu has <A(dphi(e_a), e_a . psi), nu> = -sigma, so it contributes
-    Re<psi^m, sigma>.  Vanishes identically for flat targets (no normals)
-    and, pointwise to machine precision, on every twistor pushforward.
+    Extrinsic evaluation P(A(dphi(e_a), e_a . psi); psi) on the unit
+    sphere, whose normal is nu = phi: <A(dphi(e_a), e_a . psi), nu> = -sigma
+    and P(xi; X) = -<xi, nu> X, so the term is Re<psi^m, sigma>.  Vanishes
+    identically for flat targets (no normal) and, pointwise to machine
+    precision, on every twistor pushforward.
 
-    ``out`` receives the term (a frame of several normals sums into a new
-    array); ``work`` is a (gradient, sigma, complex grid shaped like the
-    gradient) triple: the complex grid holds w for the contraction, then
-    the spinor pairing.  Without them they are allocated.
+    ``out`` receives the term; ``work`` is a (gradient, sigma, complex grid
+    shaped like the gradient) triple: the complex grid holds w for the
+    contraction, then the spinor pairing.  Without them they are allocated.
     """
-    frame = phi.target.normal_frame(phi.values)
-    if not frame:
+    if phi.target.normal(phi.values) is None:
         out = np.empty_like(phi.values) if out is None else out
         out[...] = 0.0
         return out
@@ -269,8 +270,7 @@ def curvature_term(phi: MapField, psi: TwistedSpinorField, out=None, work=None) 
     # psi-shaped view of the (n, n, 2, K) work grid: the planes are now free.
     pairing = np.conjugate(psi.values, out=spin.swapaxes(-1, -2))
     pairing *= sigma[..., None, :]
-    term = np.sum(pairing.real, axis=-1, out=out)
-    return frame_sum((term for _nu in frame), phi.values.shape)
+    return np.sum(pairing.real, axis=-1, out=out)
 
 
 # -- Euler-Lagrange residuals ---------------------------------------------------

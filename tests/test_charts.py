@@ -4,7 +4,7 @@ import pytest
 import diracharmonic as dh
 
 from conftest import (assert_second_order, bandlimited_oracle, circle_integral,
-                      moebius_compose)
+                      moebius_compose, moebius_identity, moebius_similarity)
 
 
 class TestGridValidation:
@@ -146,13 +146,13 @@ class TestQuadrature:
 
 class TestMoebius:
     def test_identity_map(self):
-        f = dh.MoebiusMap.identity()
+        f = moebius_identity()
         w, lam = f.apply(np.array([0.3 + 0.2j]))
         assert abs(w[0] - (0.3 + 0.2j)) < 1e-15
         assert abs(lam[0] - 1.0) < 1e-15
 
     def test_similarity_doubles(self):
-        f = dh.MoebiusMap.similarity(2.0)
+        f = moebius_similarity(2.0)
         w, lam = f.apply(np.array([0.1 + 0.4j]))
         assert abs(w[0] - (0.2 + 0.8j)) < 1e-14
         assert abs(lam[0] - 2.0) < 1e-14
@@ -174,7 +174,7 @@ class TestMoebius:
         for _ in range(10):
             f = dh.MoebiusMap.disk_automorphism(0.3 * (rng.normal() + 1j * rng.normal()),
                                                 theta=rng.normal())
-            g = dh.MoebiusMap.similarity(0.5 + 0.2 * rng.normal(), 0.1)
+            g = moebius_similarity(0.5 + 0.2 * rng.normal(), 0.1)
             z = 0.2 * (rng.normal() + 1j * rng.normal())
             w1, l1 = g.apply(np.array([z]))
             w2, l2 = f.apply(w1)

@@ -8,7 +8,7 @@ import diracharmonic as dh
 import diracharmonic.fields
 from diracharmonic.verify import canonical_compact_pair
 
-from conftest import conformal_oracle, disk_twistor_pair, random_sphere_pair
+from conftest import conformal_oracle, disk_twistor_pair, moebius_similarity, random_sphere_pair
 
 CONVENTIONS = ("inverse_fprime", "fprime")
 
@@ -17,7 +17,7 @@ def _verify_maps():
     """The two disk automorphisms of ``dhm verify`` plus a similarity."""
     return [dh.MoebiusMap.disk_automorphism(0.4),
             dh.MoebiusMap.disk_automorphism(0.25 + 0.2j, theta=0.7),
-            dh.MoebiusMap.similarity(0.8, 0.05)]
+            moebius_similarity(0.8, 0.05)]
 
 
 def _bits(check):

@@ -5,7 +5,7 @@ import diracharmonic as dh
 from diracharmonic.fields import dirichlet_density
 
 from conftest import (_stereo_tangent, assert_second_order, elliptic_pair,
-                      random_sphere_pair, torus_deg1_pair)
+                      random_sphere_pair, sphere_dirichlet_energy, torus_deg1_pair)
 
 
 class TestFieldTypes:
@@ -222,7 +222,7 @@ class TestActionEnergy:
         assert np.abs(dens).max() < 1e-12
 
     def test_degree_one_dirichlet_energy_is_eight_pi(self):
-        E = dh.sphere_dirichlet_energy(dh.RationalMap([0, 1]))
+        E = sphere_dirichlet_energy(dh.RationalMap([0, 1]))
         assert abs(E - 8 * np.pi) / (8 * np.pi) < 0.01
 
 

@@ -1,10 +1,11 @@
 """The production coupling formulas against the target's Gauss path.
 
 ``_curvature_on_spinor``, the A-term of the normal defect in
-``dirac_along_map`` and ``curvature_term`` are evaluated through the normal
-frame in closed form; here each is rebuilt from ``second_fundamental``,
-``shape_operator`` and ``curvature`` applied complex-linearly per spinor
-component, on random (non-smooth) grid data.
+``dirac_along_map`` and ``curvature_term`` are evaluated through the unit
+normal in closed form; here each is rebuilt from the oracles
+``second_fundamental``, ``shape_operator`` and ``curvature`` of
+``conftest`` applied complex-linearly per spinor component, on random
+(non-smooth) grid data.
 """
 
 import numpy as np
@@ -14,15 +15,19 @@ import diracharmonic as dh
 from diracharmonic.identities import _curvature_on_spinor
 from diracharmonic.spinors import clifford_e1, clifford_e2, flat_dirac
 
+from conftest import curvature, second_fundamental, shape_operator
+
 TOL = 1e-12
-TARGETS = [pytest.param(dh.Sphere(2), id="sphere"), pytest.param(dh.Flat(3), id="flat")]
+TARGETS = [pytest.param(dh.Sphere(2), id="sphere"), pytest.param(dh.Flat(3), id="flat"),
+           pytest.param(dh.Sphere(3), id="sphere3")]
 
 
 def _random_pair(target, rng, n=8):
     """Random points of the target on a small grid and a tangent spinor."""
     chart = dh.DomainChart.torus(n)
-    phi = dh.MapField(chart, target, target.project_point(rng.normal(size=chart.shape + (3,))))
-    raw = rng.normal(size=chart.shape + (3, 2)) + 1j * rng.normal(size=chart.shape + (3, 2))
+    K = target.ambient_dim
+    phi = dh.MapField(chart, target, target.project_point(rng.normal(size=chart.shape + (K,))))
+    raw = rng.normal(size=chart.shape + (K, 2)) + 1j * rng.normal(size=chart.shape + (K, 2))
     return phi, dh.project_spinor(phi, raw)
 
 
@@ -35,7 +40,7 @@ def _a_term(phi, psi):
     """sum_a A(dphi_a, e_a . psi), per spinor component."""
     t, d = phi.target, phi.gradient()
     e_psi = (clifford_e1(psi.values), clifford_e2(psi.values))
-    return sum(_per_component(lambda S: t.second_fundamental(phi.values, d[..., a, :], S),
+    return sum(_per_component(lambda S: second_fundamental(t, phi.values, d[..., a, :], S),
                               e_psi[a]) for a in range(2))
 
 
@@ -50,7 +55,7 @@ def test_curvature_on_spinor_is_the_gauss_curvature(target, rng):
     p = phi.values
     X, Y = (target.tangent_project(p, rng.normal(size=p.shape)) for _ in range(2))
     S = rng.normal(size=p.shape + (2,)) + 1j * rng.normal(size=p.shape + (2,))
-    gauss = _per_component(lambda Z: target.curvature(p, X, Y, Z), S)
+    gauss = _per_component(lambda Z: curvature(target, p, X, Y, Z), S)
     assert _close(_curvature_on_spinor(phi, X, Y, S), gauss)
 
 
@@ -67,7 +72,7 @@ def test_normal_defect_subtracts_the_second_fundamental_form(target, rng):
 def test_curvature_term_is_shape_operator_of_second_fundamental_form(target, rng):
     phi, psi = _random_pair(target, rng)
     xi = _a_term(phi, psi)
-    gauss = sum(target.shape_operator(phi.values, xi[..., c], np.conj(psi.values[..., c]))
+    gauss = sum(shape_operator(target, phi.values, xi[..., c], np.conj(psi.values[..., c]))
                 for c in range(2))
     assert _close(dh.curvature_term(phi, psi), np.real(gauss))
 

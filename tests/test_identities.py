@@ -6,7 +6,8 @@ from diracharmonic.fields import spinor_gradient
 from diracharmonic.verify import canonical_compact_pair
 
 from conftest import (_stereo_tangent, assert_second_order, disk_twistor_pair,
-                      elliptic_pair, random_sphere_pair, torus_deg1_pair)
+                      elliptic_pair, moebius_identity, moebius_similarity,
+                      random_sphere_pair, torus_deg1_pair)
 
 
 class TestEnergyMomentum:
@@ -244,15 +245,15 @@ class TestPohozaev:
 class TestConformalInvariance:
     def test_identity_map_is_exact(self):
         phi, psi = canonical_compact_pair(64)
-        c = dh.conformal_invariance_defect(phi, psi, dh.MoebiusMap.identity())
+        c = dh.conformal_invariance_defect(phi, psi, moebius_identity())
         assert c.action_defect < 1e-14
         assert c.energy_defect < 1e-14
 
     def test_exactly_one_convention_is_second_order(self):
         maps = [dh.MoebiusMap.disk_automorphism(0.4),
                 dh.MoebiusMap.disk_automorphism(0.25 + 0.2j, theta=0.7),
-                dh.MoebiusMap.similarity(0.8, 0.05),
-                dh.MoebiusMap.similarity(2.0)]
+                moebius_similarity(0.8, 0.05),
+                moebius_similarity(2.0)]
         for f in maps:
             checks = {}
             for conv in ("inverse_fprime", "fprime"):
@@ -272,7 +273,7 @@ class TestConformalInvariance:
     def test_unknown_convention_rejected(self):
         phi, psi = canonical_compact_pair(64)
         with pytest.raises(ValueError):
-            dh.conformal_invariance_defect(phi, psi, dh.MoebiusMap.identity(),
+            dh.conformal_invariance_defect(phi, psi, moebius_identity(),
                                            convention="sqrt")
 
 

@@ -179,7 +179,7 @@ def test_kernels_give_the_same_bits_on_c_order_inputs(target, topology):
             assert same_bits(chart.derivative(arr, axis), chart.derivative(arr_c, axis))
         assert same_bits(chart.laplacian(arr), chart.laplacian(arr_c))
     assert same_bits(ambient_pairing(nu, psi.values), ambient_pairing(nu_c, psi_c.values))
-    assert same_bits(normal_part((nu,), psi.values), normal_part((nu_c,), psi_c.values))
+    assert same_bits(normal_part(nu, psi.values), normal_part(nu_c, psi_c.values))
     _, px, py = chart.circle_points(0.3, 40)
     for qx, qy in ((0.9 * chart.x, 0.9 * chart.y), (px, py)):
         for arr, arr_c in ((phi.values, phi_c.values), (psi.values, psi_c.values)):

@@ -136,8 +136,8 @@ def test_ambient_pairing_and_normal_part_match_einsum(K, tail, rng):
     got = ambient_pairing(nu, arr)
     assert got.shape == (16, 16, tail)
     assert _rel_err(got, np.einsum("...i,...it->...t", nu, arr)) <= 1e-15
-    normal = normal_part((nu,), arr)
+    normal = normal_part(nu, arr)
     ref = np.einsum("...i,...j,...jt->...it", nu, nu, arr)
     assert normal.shape == shape
     assert _rel_err(normal, ref) <= 1e-15
-    assert np.array_equal(normal_part((), arr), np.zeros_like(arr))
+    assert np.array_equal(normal_part(None, arr), np.zeros_like(arr))

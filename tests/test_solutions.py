@@ -4,7 +4,8 @@ import pytest
 import diracharmonic as dh
 from diracharmonic.solutions import _pair_wirtinger
 
-from conftest import _stereo_tangent, assert_second_order, elliptic_pair, torus_deg1_pair
+from conftest import (_stereo_tangent, assert_second_order, elliptic_pair, inverted_chart,
+                      sphere_dirichlet_energy, torus_deg1_pair)
 
 
 class TestInverseStereographic:
@@ -40,7 +41,7 @@ class TestRationalMap:
 
     def test_inverted_chart_identity(self, rng):
         rm = dh.RationalMap([0.3, 1, 0.2j], [1, -0.4])
-        inv = rm.inverted_chart()
+        inv = inverted_chart(rm)
         w = 0.5 * (rng.normal(size=20) + 1j * rng.normal(size=20))
         w = w[np.abs(w) > 0.05]
         lhs = inv(np.conj(w))
@@ -219,5 +220,5 @@ class TestEllipticFamily:
         assert_second_order(norms[0]["spinor_sup"], norms[1]["spinor_sup"])
 
     def test_degree_two_whole_sphere_energy(self):
-        E = dh.sphere_dirichlet_energy(dh.RationalMap([0, 0, 1]))
+        E = sphere_dirichlet_energy(dh.RationalMap([0, 0, 1]))
         assert abs(E - 16 * np.pi) / (16 * np.pi) < 0.01
