@@ -16,9 +16,9 @@ from .identities import (CircleBalance, ConformalCheck, EnergyMomentum,
                          self_adjointness_defect, weitzenboeck_defect)
 from .config import ConfigError, RunConfig, build_pair, load_config, parse_config
 from .fieldio import FieldFileError, FieldHeader, read_field, read_header, write_field
-from .solutions import (RationalMap, conformal_map_field, conformality_defect,
-                        constant_spinor_pair, elliptic_conformal_field, harmonic_wrap,
-                        stereo_pair, twistor_pushforward)
+from .solutions import (RationalMap, conformal_map_field, constant_spinor_pair,
+                        elliptic_conformal_field, harmonic_wrap, stereo_pair,
+                        twistor_pushforward)
 from .solver import SolveReport, SolverConfig, dirac_project, flow_step, solve
 from .spinors import (clifford_mul, flat_dirac, hermitian, spinor,
                       spinor_norm2, twistor_defect, twistor_field)

@@ -94,8 +94,8 @@ class DomainChart:
             coords = -0.5 * side + h * (np.arange(n) + 0.5)
         self.x, self.y = np.meshgrid(coords, coords, indexing="xy")
         self.z = self.x + 1j * self.y
-        r = np.abs(self.z)
         if topology == "disk":
+            r = np.abs(self.z)
             self.domain_mask = r <= 1.0
             self.interior_mask = r <= 1.0 - 4.0 * h
         else:

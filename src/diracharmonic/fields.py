@@ -42,8 +42,9 @@ class MapField:
 
     ``analytic_gradient`` optionally carries the exact derivative arrays
     (shape (n, n, 2, K)); constructors of closed-form maps fill it so that
-    algebraic identities (pushforward tangency, conformality of the Hopf
-    coefficient) hold to machine precision instead of O(h^2).
+    algebraic identities (pushforward tangency, conformality of the map)
+    hold to machine precision instead of O(h^2).  The identities read the
+    stencil gradient.
     """
 
     def __init__(self, chart: DomainChart, target: TargetGeometry, values,

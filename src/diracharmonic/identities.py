@@ -7,15 +7,17 @@ unconditionally (Weitzenboeck, formal self-adjointness) or on solutions
 of the critical-point system (energy-momentum conservation, holomorphy
 of the quadratic differential, Pohozaev circle balance, Bochner).
 Defects on exact solution families shrink at the stencil order O(h^2);
-on generic fields the conditional ones stay bounded away from zero.
+on generic fields the conditional ones stay bounded away from zero.  The
+quadratic differential's coefficient is the (2,0) part T_11 - i T_12 of
+the one energy-momentum tensor T.
 
 The identities read only D psi, never the normal defect, so they take it
 from ``tangential_dirac``.  Each drops a grid-sized array after its last
 read and takes covariant derivatives one direction at a time, so it holds
-a few spinor grids at once (``tests/test_verify_memory.py``).  ``conformal_checks`` evaluates the conformal
-invariance check for several maps and conventions at once, sharing the
-pair's own terms and each map's pullback; ``conformal_invariance_defect``
-is its one-entry case.
+a few spinor grids at once (``tests/test_verify_memory.py``).
+``conformal_checks`` evaluates the conformal invariance check for several
+maps and conventions at once, sharing the pair's own terms and each map's
+pullback; ``conformal_invariance_defect`` is its one-entry case.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 from .charts import DomainChart, MoebiusMap, empty_planes
 from .fields import (MapField, TwistedSpinorField, action, covariant_derivative, energy,
                      field_scale, project_spinor, spinor_gradient, tangential_dirac)
-from .solutions import conformality_defect
 from .spinors import clifford_e1, clifford_e2, clifford_mul, spinor_norm2
 from .targets import ambient_pairing
 
@@ -44,6 +45,11 @@ class EnergyMomentum:
     def symmetry_defect(self) -> float:
         gap = np.abs(self.components[..., 0, 1] - self.components[..., 1, 0])
         return float(gap[self.chart.interior_mask].max())
+
+    def hopf_differential(self) -> QuadraticDifferential:
+        """The (2,0) part T_11 - i T_12: the quadratic differential's coefficient."""
+        T = self.components
+        return QuadraticDifferential(self.chart, T[..., 0, 0] - 1j * T[..., 0, 1])
 
 
 def _spinor_pair_re(psi_values, other) -> np.ndarray:
@@ -96,16 +102,9 @@ class QuadraticDifferential:
 
 
 def hopf_differential(phi: MapField, psi: TwistedSpinorField) -> QuadraticDifferential:
-    """T(z) = |phi_x|^2 - |phi_y|^2 - 2i <phi_x, phi_y>
-             + Re<psi, e1 . grad_x psi> - i Re<psi, e1 . grad_y psi>.
-
-    The map part is ``conformality_defect`` through the stencils.
-    """
-    T = conformality_defect(phi, analytic=False)
-    e1psi = clifford_e1(psi.values)
-    sx = -_spinor_pair_re(e1psi, covariant_derivative(phi, psi.values, "x"))
-    sy = -_spinor_pair_re(e1psi, covariant_derivative(phi, psi.values, "y"))
-    return QuadraticDifferential(phi.chart, T + sx - 1j * sy)
+    """T(z) = T_11 - i T_12 of ``energy_momentum``: |phi_x|^2 - |phi_y|^2
+    - 2i <phi_x, phi_y> + Re<psi, e1 . grad_x psi> - i Re<psi, e1 . grad_y psi>."""
+    return energy_momentum(phi, psi).hopf_differential()
 
 
 # -- Weitzenboeck / Bochner -------------------------------------------------------
@@ -217,8 +216,8 @@ def pohozaev_defect(phi: MapField, psi: TwistedSpinorField, r: float) -> CircleB
 
     er_grad_r = clifford_mul((ct[:, None], st[:, None]), grad_r)
     et_grad_t = clifford_mul((-st[:, None], ct[:, None]), grad_t)
-    spin_radial = np.real(np.conj(psi_vals) * er_grad_r).sum(axis=(-2, -1))
-    spin_angular = np.real(np.conj(psi_vals) * et_grad_t).sum(axis=(-2, -1))
+    spin_radial = _spinor_pair_re(psi_vals, er_grad_r)
+    spin_angular = _spinor_pair_re(psi_vals, et_grad_t)
 
     w = 2.0 * np.pi / n_theta
     lhs = float((phi_t**2).sum() * w)
@@ -371,9 +370,8 @@ def decay_profile(phi: MapField, psi: TwistedSpinorField, radii=None) -> dict:
         rows["psi_weighted"].append(float(chart.interp(psi_mag, px, py).max() * r**0.5))
         rows["grad_psi_weighted"].append(float(chart.interp(gpsi_mag, px, py).max() * r**1.5))
         ann = (rad >= r) & (rad <= min(2.0 * r, 1.0))
-        rows["annulus_energy"].append(float((e_dens[ann]).sum() * h**2))
-        disk = rad <= r
-        rows["growth"].append(float((growth_density[disk]).sum() * h**2))
+        rows["annulus_energy"].append(chart.integrate(e_dens, region=ann))
+        rows["growth"].append(chart.integrate(growth_density, region=rad <= r))
     return {k: np.asarray(v) for k, v in rows.items()}
 
 

@@ -13,6 +13,9 @@ Rational maps are evaluated projectively as coefficient pairs (P, Q), so
 poles never produce non-finite values: the sphere point of p/q is
 
     ( 2 Re(p conj(q)), 2 Im(p conj(q)), |p|^2 - |q|^2 ) / (|p|^2 + |q|^2).
+
+The library reads a map's conformality only off the (2,0) part
+T_11 - i T_12 of the energy-momentum tensor (``identities``).
 """
 
 from __future__ import annotations
@@ -119,19 +122,6 @@ def conformal_map_field(rmap: RationalMap, chart: DomainChart, center=0.0,
     grad_y = 2.0 * (wirt * (1j * scale)).real
     grad = np.stack([grad_x, grad_y], axis=-2)
     return MapField(chart, target, values, analytic_gradient=grad)
-
-
-def conformality_defect(phi: MapField, analytic: bool = True) -> np.ndarray:
-    """Complex conformality coefficient |phi_x|^2 - |phi_y|^2 - 2i <phi_x, phi_y>.
-
-    Machine-zero for analytic gradients of conformal maps; O(h^2) through
-    stencils.
-    """
-    d = phi.gradient(analytic=analytic)
-    gxx = (d[..., 0, :] ** 2).sum(axis=-1)
-    gyy = (d[..., 1, :] ** 2).sum(axis=-1)
-    gxy = (d[..., 0, :] * d[..., 1, :]).sum(axis=-1)
-    return gxx - gyy - 2j * gxy
 
 
 def twistor_pushforward(phi: MapField, psi0, psi1) -> TwistedSpinorField:

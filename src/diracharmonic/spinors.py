@@ -3,10 +3,10 @@
 A spinor is a pair of complex numbers (f, g): the positive and negative
 half-spinor components.  Grid fields store them in the last axis, so a
 spinor field on an (n, n) chart is a complex array of shape (..., 2).
-The Clifford actions and the Cauchy-Riemann form build their result in
-an ``empty_like`` of their input, so a component-major field (see
-``charts``) stays component-major; ``clifford_e1`` and ``clifford_e2``
-write each half straight into it, with no half-spinor temporaries.
+The Clifford actions build their result in an ``empty_like`` of their
+input, so a component-major field (see ``charts``) stays component-major;
+``clifford_e1`` and ``clifford_e2`` write each half straight into it,
+with no half-spinor temporaries.  ``flat_dirac`` has the frame form only.
 
 The two frame vectors act by the matrices
 
@@ -81,37 +81,26 @@ def clifford_mul(v, s) -> np.ndarray:
                     out=np.empty_like(s, shape=top.shape + (2,)))
 
 
-def flat_dirac(field, chart, form: str = "frame", out=None, work=None) -> np.ndarray:
-    """Discrete flat Dirac operator on a grid spinor field.
-
-    ``form="frame"`` evaluates e1 . D_x + e2 . D_y with the chart's centered
-    stencils; ``form="cauchy_riemann"`` evaluates 2 (dg/dzbar, -df/dz).
-    The two agree to machine precision because they are the same linear
-    combination of the same stencil outputs.
+def flat_dirac(field, chart, out=None, work=None) -> np.ndarray:
+    """Discrete flat Dirac operator e1 . D_x + e2 . D_y on a grid spinor
+    field, with the chart's centered stencils.  ``verify`` checks it against
+    the Cauchy-Riemann form 2 (dg/dzbar, -df/dz).
 
     ``out`` receives the result and ``work``, a grid shaped like ``field``,
-    the x derivative; the frame form then overwrites it with e2 . D_y, formed
-    half by half.  Neither may overlap ``field`` or the other; without them
-    the arrays are allocated.
+    the x derivative, which is then overwritten with e2 . D_y, formed half
+    by half.  Neither may overlap ``field`` or the other; without them the
+    arrays are allocated.
 
     On disk charts the output is trusted only on |z| <= 1 - 2h: each
     centered stencil erodes the trusted region by 2h.
     """
     field = np.asarray(field, dtype=np.complex128)
     dx = chart.derivative(field, axis="x", out=work)
-    if form == "frame":
-        out = clifford_e1(dx, out=out)
-        dy = chart.derivative(field, axis="y", out=dx)
-        for src, dst in ((1, 0), (0, 1)):  # e2 . (f, g) = (i g, i f), in place half by half
-            out[..., dst] += np.multiply(1j, dy[..., src], out=dy[..., src])
-        return out
-    if form == "cauchy_riemann":
-        dy = chart.derivative(field, axis="y")
-        dz = 0.5 * (dx - 1j * dy)
-        dzbar = 0.5 * (dx + 1j * dy)
-        return np.stack([2.0 * dzbar[..., 1], -2.0 * dz[..., 0]], axis=-1,
-                        out=np.empty_like(field) if out is None else out)
-    raise ValueError(f"unknown flat_dirac form: {form!r}")
+    out = clifford_e1(dx, out=out)
+    dy = chart.derivative(field, axis="y", out=dx)
+    for src, dst in ((1, 0), (0, 1)):  # e2 . (f, g) = (i g, i f), in place half by half
+        out[..., dst] += np.multiply(1j, dy[..., src], out=dy[..., src])
+    return out
 
 
 def twistor_field(chart, psi0, psi1) -> np.ndarray:

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 import diracharmonic as dh
+from diracharmonic.fields import covariant_derivative
+from diracharmonic.identities import _spinor_pair_re
+from diracharmonic.spinors import clifford_e1
 
 RATIO_LO, RATIO_HI = 3.4, 4.6
 
@@ -55,6 +58,34 @@ def random_sphere_pair(n, seed=3, amp=0.6, kmax=2, spin_amp=1.0, side=1.0):
                                        amplitude=spin_amp))
     psi = dh.project_spinor(phi, raw)
     return chart, phi, psi
+
+
+def conformality_defect(phi, analytic=True):
+    """Complex conformality coefficient |phi_x|^2 - |phi_y|^2 - 2i <phi_x, phi_y>,
+    from the exact gradient or (``analytic=False``) the stencils.
+
+    Machine-zero for analytic gradients of conformal maps; O(h^2) through
+    stencils.
+    """
+    d = phi.gradient(analytic=analytic)
+    gxx = (d[..., 0, :] ** 2).sum(axis=-1)
+    gyy = (d[..., 1, :] ** 2).sum(axis=-1)
+    gxy = (d[..., 0, :] * d[..., 1, :]).sum(axis=-1)
+    return gxx - gyy - 2j * gxy
+
+
+def hopf_oracle(phi, psi):
+    """Explicit Hopf coefficient, term by term from the stencils:
+
+        |phi_x|^2 - |phi_y|^2 - 2i <phi_x, phi_y>
+        + Re<psi, e1 . grad_x psi> - i Re<psi, e1 . grad_y psi>,
+
+    the reference for ``hopf_differential``, which reads it off the
+    energy-momentum tensor."""
+    e1psi = clifford_e1(psi.values)
+    sx = -_spinor_pair_re(e1psi, covariant_derivative(phi, psi.values, "x"))
+    sy = -_spinor_pair_re(e1psi, covariant_derivative(phi, psi.values, "y"))
+    return conformality_defect(phi, analytic=False) + sx - 1j * sy
 
 
 def _stereo_tangent(w, u) -> np.ndarray:

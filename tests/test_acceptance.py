@@ -14,8 +14,8 @@ import numpy as np
 import diracharmonic as dh
 from diracharmonic.verify import canonical_compact_pair
 
-from conftest import (elliptic_pair, moebius_similarity, random_sphere_pair,
-                      sphere_dirichlet_energy, torus_deg1_pair)
+from conftest import (conformality_defect, elliptic_pair, moebius_similarity,
+                      random_sphere_pair, sphere_dirichlet_energy, torus_deg1_pair)
 
 RATIO_LO, RATIO_HI = 3.4, 4.6
 
@@ -116,7 +116,7 @@ def test_criterion_05_holomorphic_quadratic_differential():
     assert RATIO_LO <= r <= RATIO_HI
     _, phi, _ = torus_deg1_pair(96)
     # The map part of T, from the exact gradient.
-    map_part = np.abs(dh.conformality_defect(phi, analytic=True)).max()
+    map_part = np.abs(conformality_defect(phi, analytic=True)).max()
     assert map_part <= 1e-10
     _announce(5, f"dbar defect ratio {r:.2f}; conformal map part {map_part:.2e} "
                  "<= 1e-10")

@@ -5,9 +5,9 @@ import diracharmonic as dh
 from diracharmonic.fields import spinor_gradient
 from diracharmonic.verify import canonical_compact_pair
 
-from conftest import (_stereo_tangent, assert_second_order, disk_twistor_pair,
-                      elliptic_pair, moebius_identity, moebius_similarity,
-                      random_sphere_pair, torus_deg1_pair)
+from conftest import (_stereo_tangent, assert_second_order, conformality_defect,
+                      disk_twistor_pair, elliptic_pair, hopf_oracle, moebius_identity,
+                      moebius_similarity, random_sphere_pair, torus_deg1_pair)
 
 
 class TestEnergyMomentum:
@@ -72,7 +72,18 @@ class TestHopfDifferential:
     def test_map_part_machine_zero_for_conformal_analytic(self):
         # The map part of T, from the exact gradient.
         _, phi, _ = torus_deg1_pair(64)
-        assert np.abs(dh.conformality_defect(phi, analytic=True)).max() <= 1e-10
+        assert np.abs(conformality_defect(phi, analytic=True)).max() <= 1e-10
+
+    @pytest.mark.parametrize("build", [lambda: disk_twistor_pair(64),
+                                       lambda: elliptic_pair(32),
+                                       lambda: random_sphere_pair(48)],
+                             ids=["disk_twistor", "elliptic", "random_sphere"])
+    def test_is_the_2_0_part_of_the_energy_momentum_tensor(self, build):
+        # Read off T, the coefficient matches the explicit formula to round-off.
+        _, phi, psi = build()
+        T = dh.energy_momentum(phi, psi).components
+        qd = dh.hopf_differential(phi, psi)
+        assert np.abs(qd.T - hopf_oracle(phi, psi)).max() <= 1e-13 * np.abs(T).max()
 
     def test_geodesic_wrap_gives_constant_coefficient(self):
         # (cos 2 pi x, sin 2 pi x, 0): |phi_x|^2 = 4 pi^2, phi_y = 0.

@@ -17,6 +17,7 @@ import diracharmonic as dh
 from diracharmonic.fields import clifford_frame_contract
 from diracharmonic.spinors import clifford_e1, clifford_e2
 from diracharmonic.targets import ambient_pairing, normal_part
+from diracharmonic.verify import _cauchy_riemann_dirac
 
 # Sphere(7) has K = 8 ambient components: numpy adds 8 or more contiguous
 # terms pairwise, so a pairing that reduced over the ambient axis would
@@ -143,7 +144,7 @@ def test_kernel_outputs_are_plane_ordered(target):
         "gradient": dphi,
         "spinor_gradient": dh.spinor_gradient(phi, psi),
         "flat_dirac": dh.flat_dirac(psi.values, chart),
-        "flat_dirac_cauchy_riemann": dh.flat_dirac(psi.values, chart, form="cauchy_riemann"),
+        "flat_dirac_cauchy_riemann": _cauchy_riemann_dirac(psi.values, chart),
         "tangential_dirac": dh.tangential_dirac(phi, psi),
         "curvature_term": dh.curvature_term(phi, psi),
         "tension": dh.tension(phi),
@@ -171,9 +172,8 @@ def test_kernels_give_the_same_bits_on_c_order_inputs(target, topology):
     phi_c, psi_c = _c_order(phi), _c_order(psi)
     chart = phi.chart
     nu, nu_c = phi.values, phi_c.values
-    for form in ("frame", "cauchy_riemann"):
-        assert same_bits(dh.flat_dirac(psi.values, chart, form=form),
-                         dh.flat_dirac(psi_c.values, chart, form=form)), form
+    for form in (dh.flat_dirac, _cauchy_riemann_dirac):
+        assert same_bits(form(psi.values, chart), form(psi_c.values, chart)), form.__name__
     for arr, arr_c in ((phi.values, phi_c.values), (psi.values, psi_c.values)):
         for axis in ("x", "y"):
             assert same_bits(chart.derivative(arr, axis), chart.derivative(arr_c, axis))

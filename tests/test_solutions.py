@@ -4,8 +4,8 @@ import pytest
 import diracharmonic as dh
 from diracharmonic.solutions import _pair_wirtinger
 
-from conftest import (_stereo_tangent, assert_second_order, elliptic_pair, inverted_chart,
-                      sphere_dirichlet_energy, torus_deg1_pair)
+from conftest import (_stereo_tangent, assert_second_order, conformality_defect, elliptic_pair,
+                      inverted_chart, sphere_dirichlet_energy, torus_deg1_pair)
 
 
 class TestInverseStereographic:
@@ -66,13 +66,13 @@ class TestConformalMapField:
 
     def test_conformality_defect_machine_zero_analytic(self):
         chart, phi, _ = torus_deg1_pair(64)
-        assert np.abs(dh.conformality_defect(phi, analytic=True)).max() < 1e-13
+        assert np.abs(conformality_defect(phi, analytic=True)).max() < 1e-13
 
     def test_conformality_defect_second_order_stencil(self):
         sups = []
         for n in (64, 128):
             chart, phi, _ = torus_deg1_pair(n)
-            cd = dh.conformality_defect(phi, analytic=False)
+            cd = conformality_defect(phi, analytic=False)
             sups.append(np.abs(cd)[chart.interior_mask].max())
         assert_second_order(*sups)
 
@@ -81,10 +81,10 @@ class TestConformalMapField:
         # still machine-zero analytically and O(h^2) via stencils.
         chart = dh.DomainChart.torus(96, side=1.0, window=0.5)
         phi = dh.conformal_map_field(dh.RationalMap([0, 0, 1]), chart)
-        cd_a = dh.conformality_defect(phi, analytic=True)
+        cd_a = conformality_defect(phi, analytic=True)
         assert np.abs(cd_a).max() < 1e-13
         mask = chart.interior_mask & (np.abs(chart.z) > 4 * chart.h)
-        cd_s = dh.conformality_defect(phi, analytic=False)
+        cd_s = conformality_defect(phi, analytic=False)
         assert np.abs(cd_s[mask]).max() < 0.3
 
     def test_pole_on_grid_is_harmless(self):
