@@ -24,8 +24,9 @@ pert = dh.bandlimited_field(chart, rng, components=(3,), kmax=3,
 phi0 = dh.MapField(chart, sphere, sphere.project_point(base + pert))
 cfg = dh.SolverConfig(seed=4, max_iters=1500, residual_tol=0.0,
                       reproject_every=100, power_iters=4, trace_every=100)
-psi0, ratio = dh.dirac_project(phi0, None, cfg)
-print(f"initial spinor extraction: |B psi| / |psi| = {ratio:.2e}")
+projection = dh.dirac_project(phi0, None, cfg)
+psi0 = projection.psi
+print(f"initial spinor extraction: |B psi| / |psi| = {projection.ratio:.2e}")
 
 phi, psi, report = dh.solve(phi0, psi0, cfg)
 print("iteration trace (combined residual sup):")

@@ -7,7 +7,7 @@ from .charts import DomainChart, MoebiusMap, bandlimited_field
 from .fields import (ELResidual, MapField, TwistedSpinorField, action,
                      curvature_term, dirac_along_map, el_residual, energy,
                      field_scale, project_spinor, spinor_gradient,
-                     tangency_defect, tangential_dirac, tension)
+                     tangency_defect, tension)
 from .identities import (CircleBalance, ConformalCheck, EnergyMomentum,
                          QuadraticDifferential, bochner_defect,
                          conformal_checks, conformal_invariance_defect,

@@ -294,17 +294,12 @@ class MoebiusMap:
         return cls(w, -w * a, -np.conj(a), 1.0)
 
     def __call__(self, z):
-        return self.apply(z)[0]
-
-    def apply(self, z):
-        """Return (f(z), |f'(z)|); raises if z hits the pole."""
+        """f(z); raises if z hits the pole."""
         z = np.asarray(z, dtype=np.complex128)
         den = self.c * z + self.d
         if (np.abs(den) < 1e-12).any():
             raise ValueError("Moebius pole inside the evaluation set")
-        w = (self.a * z + self.b) / den
-        lam = 1.0 / (np.abs(den) ** 2)
-        return w, lam
+        return (self.a * z + self.b) / den
 
     def sqrt_derivative(self, z) -> np.ndarray:
         """The global holomorphic root s(z) = 1/(c z + d), s^2 = f'."""

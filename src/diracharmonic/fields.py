@@ -16,11 +16,10 @@ would keep several grid-sized temporaries alive (the gradients).
 
 Every projection goes through that normal: the covariant derivative on
 twisted spinors is the tangential part of the componentwise flat
-derivative, and the Dirac operator along the map is the tangential part
-of the flat Dirac operator.  Its normal part reproduces
-A(dphi(e_a), e_a . psi) up to O(h^2), which el_residual reports as the
-normal defect.  Callers that read only D psi use ``tangential_dirac``,
-which skips building that defect.
+derivative, and the Dirac operator along the map, ``dirac_along_map``,
+is the tangential part of the flat Dirac operator.  Its normal part
+reproduces A(dphi(e_a), e_a . psi) up to O(h^2); ``el_residual``, the
+one reader of that normal defect, builds it beside D psi.
 """
 
 from __future__ import annotations
@@ -220,31 +219,12 @@ def _flat_dirac_split(phi: MapField, psi: TwistedSpinorField, check_tangency: bo
     return slashed, normal
 
 
-def tangential_dirac(phi: MapField, psi: TwistedSpinorField,
-                     check_tangency: bool = True) -> np.ndarray:
-    """Dirac operator along the map alone: the first output of
-    ``dirac_along_map``, bit for bit, without the normal defect (no dphi,
-    no Clifford contraction)."""
+def dirac_along_map(phi: MapField, psi: TwistedSpinorField,
+                    check_tangency: bool = True) -> np.ndarray:
+    """Dirac operator along the map: the tangential projection of the
+    componentwise flat Dirac operator.  Raises if psi violates tangency by
+    more than TANGENCY_TOL, unless ``check_tangency`` is False."""
     return _flat_dirac_split(phi, psi, check_tangency)[0]
-
-
-def dirac_along_map(phi: MapField, psi: TwistedSpinorField) -> tuple[np.ndarray, np.ndarray]:
-    """Dirac operator along the map plus the normal defect.
-
-    Returns (D psi, normal defect).  D psi is the tangential projection of
-    the componentwise flat Dirac operator.  The normal defect is the normal
-    part of the flat Dirac minus A(dphi(e_a), e_a . psi); it measures how
-    well the discrete fields satisfy the exact continuum splitting and is
-    O(h^2) for smooth tangent data.  Only ``el_residual`` reads the defect;
-    callers that need D psi alone use ``tangential_dirac``.
-    """
-    spin, normal = _flat_dirac_split(phi, psi, check_tangency=True)
-    nu = phi.target.normal(phi.values)
-    if nu is None:
-        return spin, normal
-    sigma = clifford_frame_contract(phi.gradient(), psi.values)
-    a_term = -nu[..., :, None] * sigma[..., None, :]
-    return spin, normal - a_term
 
 
 def curvature_term(phi: MapField, psi: TwistedSpinorField, out=None, work=None) -> np.ndarray:
@@ -300,7 +280,9 @@ def _sup(mag2, mask) -> float:
 def el_residual(phi: MapField, psi: TwistedSpinorField | None) -> ELResidual:
     """Assemble tau(phi) - R(phi, psi), D psi, and the normal defect.
 
-    Norms are taken over the chart interior mask.  ``psi=None`` is the
+    The normal defect, the normal part of the flat Dirac minus
+    A(dphi(e_a), e_a . psi) = -sigma (x) nu, is O(h^2) for smooth tangent
+    data; norms are sups over the chart interior.  ``psi=None`` is the
     frozen zero spinor: the map residual is tau(phi) and the spinor terms
     are zero, with no coupling or Dirac operator evaluated.
     """
@@ -311,7 +293,11 @@ def el_residual(phi: MapField, psi: TwistedSpinorField | None) -> ELResidual:
         spinor_sup = normal_sup = 0.0
     else:
         map_res = tension(phi) - curvature_term(phi, psi)
-        spin_res, normal = dirac_along_map(phi, psi)
+        spin_res, normal = _flat_dirac_split(phi, psi, check_tangency=True)
+        nu = phi.target.normal(phi.values)
+        if nu is not None:
+            sigma = clifford_frame_contract(phi.gradient(), psi.values)
+            normal = normal - (-nu[..., :, None] * sigma[..., None, :])
         spinor_sup = _sup(spinor_norm2(spin_res).sum(axis=-1), mask)
         normal_sup = _sup(spinor_norm2(normal).sum(axis=-1), mask)
     norms = {"map_sup": _sup((map_res**2).sum(axis=-1), mask),
@@ -334,7 +320,7 @@ def action(phi: MapField, psi: TwistedSpinorField | None, region=None,
     chart = phi.chart
     dens = dirichlet_density(phi)
     if psi is not None:
-        spin = tangential_dirac(phi, psi) if dirac is None else dirac
+        spin = dirac_along_map(phi, psi) if dirac is None else dirac
         dens = dens + np.real(hermitian(psi.values, spin)).sum(axis=-1)
     return chart.integrate(dens, region=region)
 

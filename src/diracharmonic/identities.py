@@ -12,7 +12,7 @@ quadratic differential's coefficient is the (2,0) part T_11 - i T_12 of
 the one energy-momentum tensor T.
 
 The identities read only D psi, never the normal defect, so they take it
-from ``tangential_dirac``.  Each drops a grid-sized array after its last
+from ``dirac_along_map``.  Each drops a grid-sized array after its last
 read and takes covariant derivatives one direction at a time, so it holds
 a few spinor grids at once (``tests/test_verify_memory.py``).
 ``conformal_checks`` evaluates the conformal invariance check for several
@@ -27,10 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import DomainChart, MoebiusMap, empty_planes
-from .fields import (MapField, TwistedSpinorField, action, covariant_derivative, energy,
-                     field_scale, project_spinor, spinor_gradient, tangential_dirac)
+from .fields import (MapField, TwistedSpinorField, action, covariant_derivative,
+                     dirac_along_map, energy, project_spinor, spinor_gradient)
 from .spinors import clifford_e1, clifford_e2, clifford_mul, spinor_norm2
 from .targets import ambient_pairing
+
+BOCHNER_DIRAC_TOL = 1e-2  # bochner_defect's bound on sup |D psi| per unit field scale
 
 
 # -- energy-momentum tensor ----------------------------------------------------
@@ -139,28 +141,27 @@ def weitzenboeck_defect(phi: MapField, psi: TwistedSpinorField) -> float:
                                 clifford_e1(clifford_e2(psi.values)))
     del d
     # D^2 psi last, D psi alive only while D^2 psi is formed.
-    lhs = tangential_dirac(phi, TwistedSpinorField(chart, phi.target, tangential_dirac(phi, psi)),
-                           check_tangency=False)
+    lhs = dirac_along_map(phi, TwistedSpinorField(chart, phi.target, dirac_along_map(phi, psi)),
+                          check_tangency=False)
     gap = np.sqrt(spinor_norm2(lhs - rhs).sum(axis=-1))
     return float(gap[chart.interior_mask].max())
 
 
-def bochner_defect(phi: MapField, psi: TwistedSpinorField, dirac_tol: float = 1e-2) -> float:
+def bochner_defect(phi: MapField, psi: TwistedSpinorField, scale: float) -> float:
     """Defect of the Laplacian identity for |psi|^2, valid when D psi = 0:
 
         (1/2) lap |psi|^2 = |grad psi|^2
                             - (1/2) sum_ab Re<e_a.psi, R(dphi_a, dphi_b)(e_b.psi)>.
 
-    Raises if the measured Dirac residual exceeds ``dirac_tol`` times the
-    field scale (the identity is conditional); sups run over the interior.
+    Raises if sup |D psi| exceeds BOCHNER_DIRAC_TOL times ``scale``, the
+    pair's ``field_scale`` (the identity is conditional); sups are interior.
     """
     chart = phi.chart
     mask = chart.interior_mask
-    measured = float(np.sqrt(spinor_norm2(tangential_dirac(phi, psi)).sum(axis=-1))[mask].max())
-    scale = field_scale(phi, psi)
-    if measured > dirac_tol * scale:
+    measured = float(np.sqrt(spinor_norm2(dirac_along_map(phi, psi)).sum(axis=-1))[mask].max())
+    if measured > BOCHNER_DIRAC_TOL * scale:
         raise ValueError(f"Dirac residual {measured:.3e} exceeds tolerance "
-                         f"{dirac_tol:.1e} x scale {scale:.3e}; the identity "
+                         f"{BOCHNER_DIRAC_TOL:.1e} x scale {scale:.3e}; the identity "
                          "is only valid on solutions")
     lhs = 0.5 * chart.laplacian(psi.norm2_density())
     rhs = (np.abs(spinor_gradient(phi, psi)) ** 2).sum(axis=(-3, -2, -1))
@@ -387,8 +388,8 @@ def self_adjointness_defect(phi: MapField, psi: TwistedSpinorField,
     chart = phi.chart
     if chart.topology != "torus":
         raise ValueError("the exact summation-by-parts identity needs a torus")
-    d_xi = tangential_dirac(phi, xi, check_tangency=False)
-    d_psi = tangential_dirac(phi, psi, check_tangency=False)
+    d_xi = dirac_along_map(phi, xi, check_tangency=False)
+    d_psi = dirac_along_map(phi, psi, check_tangency=False)
     left = chart.integrate(_spinor_pair_re(psi.values, d_xi))
     right = chart.integrate(_spinor_pair_re(d_psi, xi.values))
     scale = (np.sqrt(chart.integrate(psi.norm2_density())

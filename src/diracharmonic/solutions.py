@@ -68,10 +68,6 @@ class RationalMap:
         return (np.polynomial.polynomial.polyval(z, dn),
                 np.polynomial.polynomial.polyval(z, dd))
 
-    def __call__(self, z):
-        p, q = self.pair(z)
-        return p / q
-
 
 def stereo_pair(p, q) -> np.ndarray:
     """Sphere point of the homogeneous value p/q (works at poles, q = 0)."""

@@ -5,9 +5,10 @@ The action is unbounded below in the spinor, so no descent is attempted
 there; instead the spinor is constrained to the near-kernel of the Dirac
 operator along the current map (the spinor equation is linear), extracted
 by inverse power iteration on the squared operator, and refreshed every
-few map steps.  Each power round solves (T + shift) x = b by conjugate
-gradients preconditioned with the flat operator: the centred flat Dirac
-operator squared is diagonal in Fourier space with symbol
+few map steps.  Each power round solves (T + shift) x = b by the kernel
+operator's own conjugate gradients, preconditioned with the flat
+operator: the centred flat Dirac operator squared is diagonal in Fourier
+space with symbol
 sigma = (sin^2(2 pi mx / n) + sin^2(2 pi my / n)) / h^2 on both charts
 (every stencil wraps), so its shifted inverse costs one FFT pair.  The
 preconditioner applies it to the tangential block and 1 / (kappa + shift)
@@ -31,7 +32,8 @@ step, transport or CG iteration; the kernels write through their
 - each ``dirac_project`` call owns its operator's work arrays (four
   scratch spinor grids and the CG's r, z, p and Ap) and the returned
   spinor, whose grid also holds the CG's right-hand side and solution in
-  turn; all but the returned grid are freed when the call ends.
+  turn; all but the returned grid, allocated last, are freed when the
+  call ends.
 - what still allocates per step is smaller than a map grid: the
   coupling's pairing products (n x n, see ``clifford_frame_contract``) and
   the norms of ``project_point``; the convergence checks allocate as
@@ -45,6 +47,7 @@ it returns are the caller's: nothing keeps or reuses their arrays after
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,45 +156,42 @@ class _DiracKernelOperator:
 
     T x = P B (B (P x)) + kappa (x - P x), with B = (tangent projection)
     o (flat Dirac) and P the pointwise tangency projection; kappa pushes
-    normal junk out of the small-eigenvalue space.
+    normal junk out of the small-eigenvalue space.  ``solve`` inverts
+    T + shift, the shift fixed at construction.
 
     The operator owns the work arrays of one extraction: four scratch
     spinor grids, which every method may overwrite, and the CG's vectors
-    r, z, p and Ap (``vectors``, used by ``_cg`` alone).  A method's
-    ``out`` must not be one of them or overlap its input; without it the
-    result is a new array.
+    r, z, p and Ap (``vectors``, used by ``solve`` alone).  A method's
+    ``out`` must not be one of them or overlap its input.
     """
 
     kappa = 1.0
 
-    def __init__(self, phi: MapField):
+    def __init__(self, phi: MapField, shift: float):
         self.phi = phi
+        self.shift = shift
         s2 = np.sin(2.0 * np.pi * np.arange(phi.chart.n) / phi.chart.n) ** 2
-        self.sigma = (s2[:, None] + s2[None, :]) / phi.chart.h**2
+        self.symbol = (s2[:, None] + s2[None, :]) / phi.chart.h**2 + shift
         shape = phi.values.shape + (2,)
         self.scratch = tuple(empty_planes(shape, np.complex128) for _ in range(4))
         self.vectors = tuple(empty_planes(shape, np.complex128) for _ in range(4))
 
-    def project(self, x, out=None):
-        return _tangent_project_spinor(self.phi, x, out=out)
+    def b_apply(self, x, out, scratch):
+        """B x; ``scratch`` is two grids for the flat Dirac, its output first."""
+        flat, work = scratch
+        slashed = flat_dirac(x, self.phi.chart, out=flat, work=work)
+        return _tangent_project_spinor(self.phi, slashed, out=out)
 
-    def b_apply(self, x, out=None, scratch=None):
-        """B x; ``scratch`` is two grids for the flat Dirac, its output
-        first (default: the first two scratch grids)."""
-        flat, work = self.scratch[:2] if scratch is None else scratch
-        return self.project(flat_dirac(x, self.phi.chart, out=flat, work=work), out=out)
-
-    def __call__(self, x, out=None):
-        out = np.empty_like(x) if out is None else out
+    def __call__(self, x, out):
         s0, s1, s2, s3 = self.scratch
-        px = self.project(x, out=s0)
-        bx = self.b_apply(px, out=s1, scratch=(s2, s3))
-        bbx = self.b_apply(bx, out=out, scratch=(s2, s3))
+        px = _tangent_project_spinor(self.phi, x, out=s0)
+        bx = self.b_apply(px, s1, (s2, s3))
+        bbx = self.b_apply(bx, out, (s2, s3))
         normal = np.subtract(x, px, out=px)
         bbx += np.multiply(self.kappa, normal, out=normal)
         return bbx
 
-    def precondition(self, r, shift: float, out=None):
+    def precondition(self, r, out):
         """M^-1 r = P F^-1[F(P r) / (sigma + shift)] + (r - P r) / (kappa + shift).
 
         The flat part is the exact inverse of the shifted flat Dirac
@@ -200,33 +200,56 @@ class _DiracKernelOperator:
         symmetric positive definite (real positive symbol, orthogonal P),
         so M^-1 is SPD, as preconditioned CG requires.
         """
-        out = np.empty_like(r) if out is None else out
         s0, s1 = self.scratch[:2]
-        pr = self.project(r, out=s0)
+        pr = _tangent_project_spinor(self.phi, r, out=s0)
         # Transform the component planes (the last two axes of the
         # component-major view) in place in a scratch grid.  ifftn, not
         # ifft2: numpy's ifft2 does not pass ``out`` on.
         spectrum = np.fft.fftn(pr.transpose(2, 3, 0, 1), axes=(-2, -1),
                                out=s1.transpose(2, 3, 0, 1))
-        spectrum /= self.sigma + shift
+        spectrum /= self.symbol
         flat = np.fft.ifftn(spectrum, axes=(-2, -1), out=spectrum).transpose(2, 3, 0, 1)
         normal = np.subtract(r, pr, out=pr)
-        normal /= self.kappa + shift
-        out = self.project(flat, out=out)
+        normal /= self.kappa + self.shift
+        out = _tangent_project_spinor(self.phi, flat, out=out)
         out += normal
         return out
 
+    def solve(self, rhs, tol: float, max_iters: int, out):
+        """Conjugate gradient for (T + shift) x = rhs, preconditioned by
+        ``precondition``.
 
-class _Projection(tuple):
-    """``(psi, ratio)`` as ``dirac_project`` returns it, also carrying the CG
-    iterations of each power round and the number of those solves that
-    stopped at ``cg_max_iters`` without reaching ``cg_tol``."""
-
-    def __new__(cls, psi, ratio, cg_iterations, cg_unconverged):
-        out = super().__new__(cls, (psi, ratio))
-        out.cg_iterations = tuple(cg_iterations)
-        out.cg_unconverged = cg_unconverged
-        return out
+        Stops when the unpreconditioned residual satisfies |r| <= tol |rhs|;
+        fixed association order, no randomness.  Iterates in ``vectors`` and
+        writes x into ``out``, which may be ``rhs`` itself.  Returns
+        (iterations, converged).
+        """
+        r, z, p, ap = self.vectors
+        tmp = self.scratch[0]
+        np.copyto(r, rhs)
+        out[...] = 0.0
+        z = self.precondition(r, z)
+        np.copyto(p, z)
+        rz = _inner(r, z, tmp)
+        rhs_norm = np.sqrt(_inner(r, r, tmp)) + 1e-300
+        it = 0
+        for it in range(1, max_iters + 1):
+            ap = self(p, ap)
+            ap += np.multiply(self.shift, p, out=tmp)
+            denom = _inner(p, ap, tmp)
+            if denom <= 0:
+                raise FloatingPointError(f"CG breakdown at iteration {it}")
+            alpha = rz / denom
+            out += np.multiply(alpha, p, out=tmp)
+            r -= np.multiply(alpha, ap, out=tmp)
+            if np.sqrt(_inner(r, r, tmp)) <= tol * rhs_norm:
+                return it, True
+            z = self.precondition(r, z)
+            rz_new = _inner(r, z, tmp)
+            p = np.multiply(rz_new / rz, p, out=p)
+            p = np.add(z, p, out=p)
+            rz = rz_new
+        return it, False
 
 
 def _inner(a, b, prod) -> float:
@@ -236,61 +259,37 @@ def _inner(a, b, prod) -> float:
     return float(prod.real.sum())
 
 
-def _cg(op, rhs, shift: float, tol: float, max_iters: int, out=None):
-    """Conjugate gradient for (op + shift I) x = rhs, preconditioned by
-    ``op.precondition(., shift)`` (SPD; see ``_DiracKernelOperator``).
+class KernelProjection(NamedTuple):
+    """``dirac_project``'s result: the spinor, its ratio |B psi| / |psi| in
+    L2, the CG iterations of each power round, and how many of those solves
+    stopped at ``cg_max_iters`` without reaching ``cg_tol``."""
 
-    Stops when the unpreconditioned residual satisfies |r| <= tol |rhs|;
-    fixed association order, no randomness.  Iterates in ``op.vectors`` and
-    writes x into ``out``, which may be ``rhs`` itself (allocated when
-    None).  Returns (x, iterations, converged).
-    """
-    r, z, p, ap = op.vectors
-    tmp = op.scratch[0]
-    np.copyto(r, rhs)
-    x = np.empty_like(rhs) if out is None else out
-    x[...] = 0.0
-    z = op.precondition(r, shift, out=z)
-    np.copyto(p, z)
-    rz = _inner(r, z, tmp)
-    rhs_norm = np.sqrt(_inner(r, r, tmp)) + 1e-300
-    it = 0
-    for it in range(1, max_iters + 1):
-        ap = op(p, out=ap)
-        ap += np.multiply(shift, p, out=tmp)
-        denom = _inner(p, ap, tmp)
-        if denom <= 0:
-            raise FloatingPointError(f"CG breakdown at iteration {it}")
-        alpha = rz / denom
-        x += np.multiply(alpha, p, out=tmp)
-        r -= np.multiply(alpha, ap, out=tmp)
-        if np.sqrt(_inner(r, r, tmp)) <= tol * rhs_norm:
-            return x, it, True
-        z = op.precondition(r, shift, out=z)
-        rz_new = _inner(r, z, tmp)
-        p = np.multiply(rz_new / rz, p, out=p)
-        p = np.add(z, p, out=p)
-        rz = rz_new
-    return x, it, False
+    psi: TwistedSpinorField
+    ratio: float
+    cg_iterations: tuple
+    cg_unconverged: int
 
 
 def dirac_project(phi: MapField, psi_init: TwistedSpinorField | None,
-                  config: SolverConfig) -> tuple[TwistedSpinorField, float]:
+                  config: SolverConfig) -> KernelProjection:
     """Extract a near-kernel spinor of the Dirac operator along phi.
 
     Runs ``power_iters`` rounds of inverse power iteration on the squared
     operator from ``psi_init`` (or a seeded random field when the seed is
-    set), then rescales to the requested L2 norm.  Returns the field and
-    the measured ratio |B psi| / |psi| in L2; the returned pair also
-    carries ``cg_iterations`` (one count per power round) and
-    ``cg_unconverged`` (rounds whose CG hit ``cg_max_iters``).  The field's
-    values are a new grid; every other array lives for this call only.
+    set), then rescales to the requested L2 norm.  Returns the field, its
+    kernel ratio and the CG telemetry as a ``KernelProjection``.  The
+    field's values are a new grid; every other array lives for this call
+    only.
     """
     chart = phi.chart
     K = phi.target.ambient_dim
-    op = _DiracKernelOperator(phi)
+    # Shift well below the bulk spectrum (~h^-2) but above the h^4-deep
+    # near-kernel, so inverse iteration damps the bulk without distorting
+    # the kernel directions.  The work grids come before the returned
+    # spinor's grid, which then pins the heap top between refreshes.
+    op = _DiracKernelOperator(phi, 1e-4 * 4.0 / chart.h**2)
     if psi_init is not None and float(spinor_norm2(psi_init.values).sum()) > 1e-24:
-        x = op.project(psi_init.values)
+        x = _tangent_project_spinor(phi, psi_init.values)
     else:
         if config.seed is None:
             raise ValueError("zero initial spinor needs a seed to start from")
@@ -298,27 +297,23 @@ def dirac_project(phi: MapField, psi_init: TwistedSpinorField | None,
         raw = empty_planes(chart.shape + (K, 2), np.complex128)
         raw.real = rng.normal(size=chart.shape + (K, 2))
         raw.imag = rng.normal(size=chart.shape + (K, 2))
-        x = op.project(raw)
-    # Shift well below the bulk spectrum (~h^-2) but above the h^4-deep
-    # near-kernel, so inverse iteration damps the bulk without distorting
-    # the kernel directions.
-    shift = 1e-4 * 4.0 / chart.h**2
+        x = _tangent_project_spinor(phi, raw)
     iterations, unconverged = [], 0
     for _ in range(max(1, config.power_iters)):
         x /= np.sqrt(float(spinor_norm2(x).sum())) + 1e-300
         # The solution overwrites the right-hand side, which the CG copies first.
-        x, its, converged = _cg(op, x, shift, config.cg_tol, config.cg_max_iters, out=x)
+        its, converged = op.solve(x, config.cg_tol, config.cg_max_iters, out=x)
         iterations.append(its)
         unconverged += not converged
-        x[...] = op.project(x, out=op.scratch[0])
+        x[...] = _tangent_project_spinor(phi, x, out=op.scratch[0])
     l2 = np.sqrt(float(spinor_norm2(x).sum()) * chart.h**2)
     if l2 < 1e-300:
         raise FloatingPointError("inverse power iteration collapsed to zero")
     x *= config.spinor_norm_target / l2
-    bx = op.b_apply(x, out=op.scratch[3])
+    bx = op.b_apply(x, op.scratch[3], op.scratch[:2])
     ratio = np.sqrt(float(spinor_norm2(bx).sum()) / float(spinor_norm2(x).sum()))
-    return _Projection(TwistedSpinorField(chart, phi.target, x), float(ratio),
-                       iterations, unconverged)
+    return KernelProjection(TwistedSpinorField(chart, phi.target, x), float(ratio),
+                            tuple(iterations), unconverged)
 
 
 def solve(phi0: MapField, psi0: TwistedSpinorField | None,
@@ -339,7 +334,7 @@ def solve(phi0: MapField, psi0: TwistedSpinorField | None,
         projection = dirac_project(phi, psi_init, config)
         report.cg_iterations.append(sum(projection.cg_iterations))
         report.cg_unconverged += projection.cg_unconverged
-        return projection
+        return projection.psi, projection.ratio
 
     if freeze_spinor:
         psi, ratio = psi0, 0.0

@@ -294,7 +294,8 @@ _ROWS = (
          "quadratic differential coefficient is anti-holomorphically closed", _COND, _H2,
          lambda s: s.rel(dbar for _sym, _div, dbar in s.each(_em_defects))),
     _Row("bochner", "Laplacian of the spinor density balances gradient and curvature", _COND,
-         _H2, lambda s: s.rel(bochner_defect(*p) for p in s.pairs), fails_on=ValueError),
+         _H2, lambda s: s.rel(bochner_defect(*p, s.scales[i]) for i, p in enumerate(s.pairs)),
+         fails_on=ValueError),
     _Row("action_reduces_to_dirichlet", "the spinor term of the action vanishes on solutions",
          _COND, _H2, lambda s: [_action_reduction(*p) for p in s.pairs]),
     _Row("pushforward_tangency", "pushforward spinors satisfy the tangency constraint", _COND,

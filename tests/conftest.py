@@ -168,7 +168,7 @@ def plain_cg(op, rhs, shift, tol, max_iters):
     rhs_norm = np.sqrt(rs) + 1e-300
     it = 0
     for it in range(1, max_iters + 1):
-        ap = op(p) + shift * p
+        ap = op(p, np.empty_like(p)) + shift * p
         denom = inner(p, ap)
         if denom <= 0:
             raise FloatingPointError(f"CG breakdown at iteration {it}")
@@ -231,7 +231,7 @@ def spinor_pullback(chart, values, f, exponent):
 
 def conformal_oracle(phi, psi, f, convention):
     """Reference for ``identities.conformal_checks``: one unshared evaluation
-    per (map, convention), every D psi taken from ``dirac_along_map``."""
+    per (map, convention), every D psi taken from ``el_residual``."""
     from diracharmonic.identities import map_pullback
 
     expo = {"inverse_fprime": 0.5, "fprime": -0.5}[convention]
@@ -240,7 +240,7 @@ def conformal_oracle(phi, psi, f, convention):
     psi_t = dh.project_spinor(phi_t, spinor_pullback(chart, psi.values, f, expo))
 
     def action(p, s):
-        spin, _ = dh.dirac_along_map(p, s)
+        spin = dh.el_residual(p, s).spinor_residual
         dens = dh.fields.dirichlet_density(p) + np.real(dh.hermitian(s.values, spin)).sum(axis=-1)
         return chart.integrate(dens)
 

@@ -158,7 +158,7 @@ def test_criterion_07_weitzenboeck_and_bochner():
     bvals = []
     for n in (64, 128):
         _, phi, psi = torus_deg1_pair(n)
-        bvals.append(dh.bochner_defect(phi, psi))
+        bvals.append(dh.bochner_defect(phi, psi, dh.field_scale(phi, psi)))
     br = bvals[0] / bvals[1]
     assert RATIO_LO <= br <= RATIO_HI
     rng = np.random.default_rng(5)
@@ -207,7 +207,7 @@ def test_criterion_09_solver_convergence():
     phi0 = dh.MapField(chart, sphere, sphere.project_point(base + pert))
     cfg = dh.SolverConfig(seed=4, max_iters=2000, residual_tol=0.0,
                           reproject_every=100, power_iters=4, trace_every=50)
-    psi0, _ = dh.dirac_project(phi0, None, cfg)
+    psi0 = dh.dirac_project(phi0, None, cfg).psi
     _, _, rep = dh.solve(phi0, psi0, cfg)
     comb = np.array(rep.map_residual_trace) + np.array(rep.spinor_residual_trace)
     reduction = comb[0] / comb.min()

@@ -144,16 +144,23 @@ class TestQuadrature:
         assert np.abs(chart.interp(fld, px, py) - exact).max() < 5e-3
 
 
+def _fprime_abs(f, z):
+    """|f'(z)|, read off the holomorphic root s(z) with s^2 = f'."""
+    return np.abs(f.sqrt_derivative(z)) ** 2
+
+
 class TestMoebius:
     def test_identity_map(self):
         f = moebius_identity()
-        w, lam = f.apply(np.array([0.3 + 0.2j]))
+        z = np.array([0.3 + 0.2j])
+        w, lam = f(z), _fprime_abs(f, z)
         assert abs(w[0] - (0.3 + 0.2j)) < 1e-15
         assert abs(lam[0] - 1.0) < 1e-15
 
     def test_similarity_doubles(self):
         f = moebius_similarity(2.0)
-        w, lam = f.apply(np.array([0.1 + 0.4j]))
+        z = np.array([0.1 + 0.4j])
+        w, lam = f(z), _fprime_abs(f, z)
         assert abs(w[0] - (0.2 + 0.8j)) < 1e-14
         assert abs(lam[0] - 2.0) < 1e-14
 
@@ -161,13 +168,13 @@ class TestMoebius:
         # |f'(0)| = 1 - |a|^2 for f(z) = (z - a)/(1 - conj(a) z); frozen from
         # the analytic derivative at a = 0.3.
         f = dh.MoebiusMap.disk_automorphism(0.3)
-        _, lam = f.apply(np.array([0.0j]))
+        lam = _fprime_abs(f, np.array([0.0j]))
         assert abs(lam[0] - 0.91) < 1e-12
 
     def test_disk_automorphism_preserves_unit_circle(self, rng):
         f = dh.MoebiusMap.disk_automorphism(0.3 - 0.25j, theta=1.1)
         z = np.exp(1j * rng.uniform(0, 2 * np.pi, size=64))
-        w, _ = f.apply(z)
+        w = f(z)
         assert np.abs(np.abs(w) - 1.0).max() < 1e-12
 
     def test_composition_chain_rule(self, rng):
@@ -176,24 +183,26 @@ class TestMoebius:
                                                 theta=rng.normal())
             g = moebius_similarity(0.5 + 0.2 * rng.normal(), 0.1)
             z = 0.2 * (rng.normal() + 1j * rng.normal())
-            w1, l1 = g.apply(np.array([z]))
-            w2, l2 = f.apply(w1)
+            z = np.array([z])
+            w1, l1 = g(z), _fprime_abs(g, z)
+            w2, l2 = f(w1), _fprime_abs(f, w1)
             comp = moebius_compose(f, g)
-            w3, l3 = comp.apply(np.array([z]))
+            w3, l3 = comp(z), _fprime_abs(comp, z)
             assert abs(w3[0] - w2[0]) < 1e-12
             assert abs(l3[0] - l1[0] * l2[0]) < 1e-12 * max(1.0, l3[0])
 
     def test_pole_inside_domain_raises(self):
         f = dh.MoebiusMap(0.0, 1.0, 1.0, 0.0)  # z -> 1/z
         with pytest.raises(ValueError):
-            f.apply(np.array([0.0j]))
+            f(np.array([0.0j]))
 
     def test_sqrt_derivative_squares_to_derivative(self, rng):
         f = dh.MoebiusMap.disk_automorphism(0.2 + 0.1j, theta=0.9)
         z = 0.4 * (rng.normal(size=20) + 1j * rng.normal(size=20))
         s = f.sqrt_derivative(z)
-        _, lam = f.apply(z)
-        assert np.abs(np.abs(s) ** 2 - lam).max() < 1e-12
+        eps = 1e-5
+        centred = (f(z + eps) - f(z - eps)) / (2.0 * eps)
+        assert np.abs(s**2 - centred).max() < 1e-8
 
     def test_degenerate_coefficients_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
-"""The conformal check's shared evaluation and the lean Dirac operator:
-the same bits as the unshared evaluation, with fewer Dirac evaluations."""
+"""The conformal check's shared evaluation and the one Dirac operator
+along the map: the same bits as the unshared evaluation and as the
+residual that also builds the normal defect, with fewer Dirac
+evaluations."""
 
 import numpy as np
 import pytest
@@ -69,11 +71,11 @@ def test_shared_table_rejects_unknown_convention_before_any_work(compact_pair, m
 
 @pytest.mark.parametrize("target", [dh.Sphere(2), dh.Sphere(3), dh.Flat(3)],
                          ids=["sphere2", "sphere3", "flat3"])
-def test_tangential_dirac_has_the_bits_of_dirac_along_map(target):
+def test_dirac_along_map_has_the_bits_of_el_residual(target):
     phi, psi, _ = _random_pair(target)
-    full, _ = dh.dirac_along_map(phi, psi)
+    full = dh.el_residual(phi, psi).spinor_residual
     for check in (True, False):
-        lean = dh.tangential_dirac(phi, psi, check_tangency=check)
+        lean = dh.dirac_along_map(phi, psi, check_tangency=check)
         assert lean.shape == full.shape and lean.dtype == full.dtype
         assert np.array_equal(np.ascontiguousarray(lean).view(np.uint8),
                               np.ascontiguousarray(full).view(np.uint8))
@@ -84,9 +86,9 @@ def test_tangential_dirac_raises_the_same_tangency_error(target):
     phi, _, raw = _random_pair(target)
     off = dh.TwistedSpinorField(phi.chart, target, raw)
     with pytest.raises(ValueError, match="violates tangency") as lean:
-        dh.tangential_dirac(phi, off)
-    with pytest.raises(ValueError, match="violates tangency") as full:
         dh.dirac_along_map(phi, off)
+    with pytest.raises(ValueError, match="violates tangency") as full:
+        dh.el_residual(phi, off)
     assert str(lean.value) == str(full.value)
 
 
@@ -104,7 +106,6 @@ def counted_dirac(monkeypatch):
         raise AssertionError("normal defect built for a caller that discards it")
 
     monkeypatch.setattr(diracharmonic.fields, "flat_dirac", counting)
-    monkeypatch.setattr(diracharmonic.fields, "dirac_along_map", forbidden)
     monkeypatch.setattr(diracharmonic.fields, "clifford_frame_contract", forbidden)
     return calls
 
@@ -125,7 +126,7 @@ def test_callers_that_discard_the_normal_defect_never_build_it(counted_dirac):
     assert len(counted_dirac) == 1
     dh.weitzenboeck_defect(phi, psi)
     assert len(counted_dirac) == 3
-    dh.bochner_defect(phi, psi)
+    dh.bochner_defect(phi, psi, dh.field_scale(phi, psi))
     assert len(counted_dirac) == 4
     _, phi_r, psi_r = random_sphere_pair(24)
     dh.self_adjointness_defect(phi_r, psi_r, psi_r)

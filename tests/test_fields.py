@@ -71,15 +71,14 @@ class TestDiracAlongMap:
     def test_constant_pair_is_exactly_flat(self):
         chart = dh.DomainChart.torus(32)
         phi, psi = dh.constant_spinor_pair(chart, dh.Sphere(2), (0, 0, 1), (1, 0, 0), (1, 0))
-        spin, defect = dh.dirac_along_map(phi, psi)
-        assert np.abs(spin).max() == 0.0
-        assert np.abs(defect).max() < 1e-14
+        assert np.abs(dh.dirac_along_map(phi, psi)).max() == 0.0
+        assert np.abs(dh.el_residual(phi, psi).normal_defect).max() < 1e-14
 
     def test_pushforward_residual_second_order(self):
         sups = []
         for n in (64, 128):
             chart, phi, psi = torus_deg1_pair(n)
-            spin, _ = dh.dirac_along_map(phi, psi)
+            spin = dh.dirac_along_map(phi, psi)
             sups.append(np.sqrt(dh.spinor_norm2(spin).sum(-1))[chart.interior_mask].max())
         assert_second_order(*sups)
 
@@ -87,7 +86,7 @@ class TestDiracAlongMap:
         sups = []
         for n in (48, 96):
             chart, phi, psi = random_sphere_pair(n)
-            _, defect = dh.dirac_along_map(phi, psi)
+            defect = dh.el_residual(phi, psi).normal_defect
             sups.append(np.sqrt(dh.spinor_norm2(defect).sum(-1)).max())
         assert_second_order(*sups)
 
@@ -217,7 +216,7 @@ class TestActionEnergy:
         # With a constant twistor seed the pointwise spinor action density
         # cancels algebraically, not just at stencil order.
         chart, phi, psi = elliptic_pair(48)
-        spin, _ = dh.dirac_along_map(phi, psi)
+        spin = dh.dirac_along_map(phi, psi)
         dens = np.real(dh.hermitian(psi.values, spin)).sum(axis=-1)
         assert np.abs(dens).max() < 1e-12
 

@@ -1,7 +1,7 @@
 """The production coupling formulas against the target's Gauss path.
 
 ``_curvature_on_spinor``, the A-term of the normal defect in
-``dirac_along_map`` and ``curvature_term`` are evaluated through the unit
+``el_residual`` and ``curvature_term`` are evaluated through the unit
 normal in closed form; here each is rebuilt from the oracles
 ``second_fundamental``, ``shape_operator`` and ``curvature`` of
 ``conftest`` applied complex-linearly per spinor component, on random
@@ -63,7 +63,8 @@ def test_curvature_on_spinor_is_the_gauss_curvature(target, rng):
 def test_normal_defect_subtracts_the_second_fundamental_form(target, rng):
     phi, psi = _random_pair(target, rng)
     slashed = flat_dirac(psi.values, phi.chart)
-    tangential, normal_defect = dh.dirac_along_map(phi, psi)
+    tangential = dh.dirac_along_map(phi, psi)
+    normal_defect = dh.el_residual(phi, psi).normal_defect
     a_term = (slashed - tangential) - normal_defect
     assert _close(a_term, _a_term(phi, psi))
 

@@ -1,13 +1,15 @@
-"""The preconditioned kernel CG against the plain CG oracle, the
-preconditioner's symmetry and positivity, and the CG telemetry."""
+"""The kernel operator's preconditioned CG against the plain CG oracle,
+the preconditioner's symmetry and positivity, the CG telemetry, and the
+flat Dirac calls a coupled solve makes."""
 
 import numpy as np
 import pytest
 
 import diracharmonic as dh
+import diracharmonic.solver
 from diracharmonic.charts import as_planes
 from diracharmonic.fields import _tangent_project_spinor
-from diracharmonic.solver import _DiracKernelOperator, _cg, _inner
+from diracharmonic.solver import _DiracKernelOperator, _inner
 
 from conftest import disk_twistor_pair, plain_cg, random_sphere_pair
 from test_solver import perturbed_constant    # the acceptance-09 map
@@ -41,18 +43,22 @@ def _random_spinors(phi, seed):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def _shift(phi):
-    return 1e-4 * 4.0 / phi.chart.h**2      # the shift dirac_project uses
+def _operator(phi):
+    return _DiracKernelOperator(phi, 1e-4 * 4.0 / phi.chart.h**2)   # dirac_project's shift
+
+
+def _precondition(op, r):
+    return op.precondition(r, np.empty_like(r))
 
 
 @pytest.mark.parametrize("make_map", MAPS)
 def test_preconditioned_cg_matches_plain_oracle(make_map):
     phi = make_map(32)
-    op = _DiracKernelOperator(phi)
-    rhs = op.project(_random_spinors(phi, 1))
-    shift = _shift(phi)
-    x, its, converged = _cg(op, rhs, shift, 1e-13, 5000)
-    ref, ref_its = plain_cg(op, rhs, shift, 1e-13, 5000)
+    op = _operator(phi)
+    rhs = _tangent_project_spinor(phi, _random_spinors(phi, 1))
+    x = np.empty_like(rhs)
+    its, converged = op.solve(rhs, 1e-13, 5000, x)
+    ref, ref_its = plain_cg(op, rhs, op.shift, 1e-13, 5000)
     assert converged and ref_its < 5000
     assert its < ref_its
     assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
@@ -61,39 +67,41 @@ def test_preconditioned_cg_matches_plain_oracle(make_map):
 @pytest.mark.parametrize("make_map", MAPS)
 def test_preconditioner_is_symmetric_positive_definite(make_map):
     phi = make_map(32)
-    op = _DiracKernelOperator(phi)
-    shift = _shift(phi)
+    op = _operator(phi)
     a, b = _random_spinors(phi, 2), _random_spinors(phi, 3)
-    tangent = [op.project(a), op.project(b)]
+    tangent = [_tangent_project_spinor(phi, a), _tangent_project_spinor(phi, b)]
     normal = [a - tangent[0], b - tangent[1]]
     prod = np.empty_like(a)
     for x, y in (tangent, normal, (tangent[0], normal[1]), (a, b)):
-        mx, my = op.precondition(x, shift), op.precondition(y, shift)
+        mx, my = _precondition(op, x), _precondition(op, y)
         scale = np.linalg.norm(x) * np.linalg.norm(my)
         assert abs(_inner(x, my, prod) - _inner(mx, y, prod)) <= 1e-12 * scale
     for x in tangent + normal + [a]:
         if np.any(x):                             # a flat target has no normal part
-            assert _inner(x, op.precondition(x, shift), prod) > 0.0
+            assert _inner(x, _precondition(op, x), prod) > 0.0
 
 
 @pytest.mark.parametrize("make_map", MAPS)
 @pytest.mark.parametrize("order", ["planes", "c_order"])
 def test_preconditioner_has_the_bits_of_the_allocating_formula(make_map, order):
     phi = make_map(32)
-    op = _DiracKernelOperator(phi)
-    shift = _shift(phi)
+    op = _operator(phi)
+    shift = op.shift
     r = _random_spinors(phi, 4)
     r = as_planes(r) if order == "planes" else r
-    # The formula with fresh arrays: fft2/ifft2 over the component planes.
+    # The formula with fresh arrays: fft2/ifft2 over the component planes,
+    # divided by the shifted symbol of the flat Dirac operator squared.
     pr = _tangent_project_spinor(phi, r)
     spectrum = np.fft.fft2(pr.transpose(2, 3, 0, 1))
-    spectrum /= op.sigma + shift
+    s2 = np.sin(2.0 * np.pi * np.arange(phi.chart.n) / phi.chart.n) ** 2
+    spectrum /= (s2[:, None] + s2[None, :]) / phi.chart.h**2 + shift
     flat = np.fft.ifft2(spectrum).transpose(2, 3, 0, 1)
     ref = _tangent_project_spinor(phi, flat) + (r - pr) / (op.kappa + shift)
     z = np.empty_like(r)
-    for got in (op.precondition(r, shift), op.precondition(r, shift, out=z)):
-        assert np.array_equal(np.ascontiguousarray(got).view(np.uint8),
-                              np.ascontiguousarray(ref).view(np.uint8))
+    got = op.precondition(r, z)
+    assert got is z
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint8),
+                          np.ascontiguousarray(ref).view(np.uint8))
 
 
 def test_kernel_cg_iterations_per_solve_stay_small():
@@ -111,3 +119,22 @@ def test_solve_reports_unconverged_cg(cg_max_iters, unconverged):
     _, _, rep = dh.solve(perturbed_constant(16), None, cfg)
     assert len(rep.cg_iterations) == 3            # initial extraction + 2 refreshes
     assert rep.cg_unconverged == unconverged      # of 3 refreshes x 2 power rounds
+
+
+def test_solve_makes_two_flat_diracs_per_cg_iteration_and_one_per_refresh(monkeypatch):
+    # The counting rule a benchmark derives CG matvecs from: each CG
+    # iteration applies B twice, and each kernel refresh applies it once
+    # more for its ratio, all through the flat Dirac the solver binds.
+    calls = []
+    real = diracharmonic.solver.flat_dirac
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(diracharmonic.solver, "flat_dirac", counting)
+    cfg = dh.SolverConfig(seed=4, max_iters=20, residual_tol=0.0, reproject_every=10,
+                          power_iters=2, trace_every=10)
+    _, _, rep = dh.solve(perturbed_constant(16), None, cfg)
+    assert len(rep.cg_iterations) == 3
+    assert len(calls) == 2 * sum(rep.cg_iterations) + len(rep.cg_iterations)

@@ -129,7 +129,7 @@ def test_read_field_stores_planes(tmp_path):
 def test_dirac_project_stores_planes(start):
     phi, psi = _pair(dh.Sphere(2), "torus", n=16)
     cfg = dh.SolverConfig(power_iters=1, cg_max_iters=5, seed=3)
-    out, _ratio = dh.dirac_project(phi, psi if start == "given" else None, cfg)
+    out = dh.dirac_project(phi, psi if start == "given" else None, cfg).psi
     assert plane_ordered(out.values)
 
 
@@ -145,7 +145,7 @@ def test_kernel_outputs_are_plane_ordered(target):
         "spinor_gradient": dh.spinor_gradient(phi, psi),
         "flat_dirac": dh.flat_dirac(psi.values, chart),
         "flat_dirac_cauchy_riemann": _cauchy_riemann_dirac(psi.values, chart),
-        "tangential_dirac": dh.tangential_dirac(phi, psi),
+        "dirac_along_map": dh.dirac_along_map(phi, psi),
         "curvature_term": dh.curvature_term(phi, psi),
         "tension": dh.tension(phi),
         "clifford_frame_contract": clifford_frame_contract(dphi, psi.values),

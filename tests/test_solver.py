@@ -70,8 +70,9 @@ class TestDiracProject:
     def test_constant_map_kernel(self):
         chart = dh.DomainChart.torus(32)
         phi = dh.MapField.constant(chart, dh.Sphere(2), (0, 0, 1))
-        psi, ratio = dh.dirac_project(phi, None, dh.SolverConfig(seed=42))
-        assert ratio <= 1e-8
+        projection = dh.dirac_project(phi, None, dh.SolverConfig(seed=42))
+        psi = projection.psi
+        assert projection.ratio <= 1e-8
         assert dh.tangency_defect(phi, psi) <= 1e-10
         l2 = np.sqrt(float(dh.spinor_norm2(psi.values).sum()) * chart.h**2)
         assert abs(l2 - 1.0) <= 1e-12
@@ -80,24 +81,24 @@ class TestDiracProject:
         chart = dh.DomainChart.torus(32)
         flat = dh.Flat(3)
         phi = dh.MapField(chart, flat, np.zeros(chart.shape + (3,)))
-        _, ratio = dh.dirac_project(phi, None, dh.SolverConfig(seed=2))
-        assert ratio <= 1e-8
+        assert dh.dirac_project(phi, None, dh.SolverConfig(seed=2)).ratio <= 1e-8
 
     def test_seeded_with_pushforward_reproduces_it(self):
         ratios = []
         for n in (48, 96):
             _, phi, psi = elliptic_pair(n)
-            out, ratio = dh.dirac_project(phi, psi, dh.SolverConfig(seed=1, power_iters=2))
+            projection = dh.dirac_project(phi, psi, dh.SolverConfig(seed=1, power_iters=2))
+            out = projection.psi
             corr = abs(np.vdot(psi.values, out.values)) / (
                 np.linalg.norm(psi.values.ravel()) * np.linalg.norm(out.values.ravel()))
             assert corr > 0.99
-            ratios.append(ratio)
+            ratios.append(projection.ratio)
         assert 2.5 <= ratios[0] / ratios[1] <= 6.0
 
     def test_norm_target_honored(self):
         chart = dh.DomainChart.torus(24)
         phi = dh.MapField.constant(chart, dh.Sphere(2), (0, 0, 1))
-        psi, _ = dh.dirac_project(phi, None, dh.SolverConfig(seed=3, spinor_norm_target=2.5))
+        psi = dh.dirac_project(phi, None, dh.SolverConfig(seed=3, spinor_norm_target=2.5)).psi
         l2 = np.sqrt(float(dh.spinor_norm2(psi.values).sum()) * chart.h**2)
         assert abs(l2 - 2.5) <= 1e-12
 
@@ -121,7 +122,7 @@ class TestSolve:
         phi0 = perturbed_constant(48)
         cfg = dh.SolverConfig(seed=4, max_iters=1200, residual_tol=0.0,
                               reproject_every=100, power_iters=4, trace_every=50)
-        psi0, _ = dh.dirac_project(phi0, None, cfg)
+        psi0 = dh.dirac_project(phi0, None, cfg).psi
         _, _, rep = dh.solve(phi0, psi0, cfg)
         comb = np.array(rep.map_residual_trace) + np.array(rep.spinor_residual_trace)
         assert comb.min() <= comb[0] / 100.0
@@ -130,7 +131,7 @@ class TestSolve:
         phi0 = perturbed_constant(32)
         cfg = dh.SolverConfig(seed=5, max_iters=120, residual_tol=0.0,
                               reproject_every=40, power_iters=2, trace_every=20)
-        psi0, _ = dh.dirac_project(phi0, None, cfg)
+        psi0 = dh.dirac_project(phi0, None, cfg).psi
         out1 = dh.solve(phi0, psi0, cfg)
         out2 = dh.solve(phi0, psi0, cfg)
         assert out1[2].action_trace == out2[2].action_trace

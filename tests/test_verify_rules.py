@@ -5,6 +5,7 @@ verification makes.
 so each rule is tested here directly at its edges; the call counts pin
 the work the identity table shares between rows."""
 
+import sys
 from collections import Counter
 
 import pytest
@@ -133,3 +134,19 @@ def test_verify_calls_each_identity_through_module_globals_once_per_pair(monkeyp
     report = verify.run_verification(dh.parse_config(DISK_48))
     assert len(report["identities"]) == 20
     assert dict(counts) == EXPECTED_CALLS
+
+
+def test_verify_takes_each_field_scale_once_per_pair(monkeypatch):
+    # The bochner row reads the scale the suite holds; no module recomputes it.
+    calls = []
+    original = dh.field_scale
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("diracharmonic") and getattr(module, "field_scale", None) is original:
+            monkeypatch.setattr(module, "field_scale", counted)
+    verify.run_verification(dh.parse_config(DISK_48))
+    assert len(calls) == 2

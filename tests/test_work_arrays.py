@@ -1,7 +1,8 @@
 """The coupled relaxation in reused work arrays: the same bits as fresh
-arrays, the caller's fields never written, and no grid-sized allocation
-per map step, spinor transport or kernel CG iteration once the work
-arrays exist."""
+arrays, the caller's fields never written, no grid-sized allocation per
+map step, spinor transport or kernel CG iteration once the work arrays
+exist, and a kernel refresh's returned grid allocated after its work
+grids."""
 
 import hashlib
 import tracemalloc
@@ -12,9 +13,10 @@ from numpy.lib.introspect import opt_func_info
 
 import diracharmonic as dh
 import diracharmonic.solver
+import diracharmonic.targets
 from diracharmonic.charts import empty_planes
 from diracharmonic.fields import _tangent_project_spinor
-from diracharmonic.solver import _cg, _DiracKernelOperator, _StepWork
+from diracharmonic.solver import _DiracKernelOperator, _StepWork
 
 from test_solver import perturbed_constant
 
@@ -79,13 +81,13 @@ def test_short_solves_keep_their_recorded_bits(kind):
 def _fresh_array_solve(phi, config):
     """``solve``'s coupled loop without a trace, every kernel allocating
     its result: the reference for the reused arrays."""
-    psi, _ = dh.dirac_project(phi, None, config)
+    psi = dh.dirac_project(phi, None, config).psi
     for it in range(1, config.max_iters + 1):
         phi = dh.flow_step(phi, psi, config)
         psi = dh.TwistedSpinorField(phi.chart, phi.target,
                                     _tangent_project_spinor(phi, psi.values))
         if it % config.reproject_every == 0:
-            psi, _ = dh.dirac_project(phi, psi, config)
+            psi = dh.dirac_project(phi, psi, config).psi
     return phi, psi
 
 
@@ -104,7 +106,7 @@ def test_solve_never_writes_the_callers_fields(frozen):
     if frozen:
         psi0 = dh.TwistedSpinorField.zero(phi0.chart, phi0.target)
     else:
-        psi0, _ = dh.dirac_project(phi0, None, dh.SolverConfig(seed=4, power_iters=1))
+        psi0 = dh.dirac_project(phi0, None, dh.SolverConfig(seed=4, power_iters=1)).psi
     before = _sha(phi0.values), _sha(psi0.values)
     cfg = dh.SolverConfig(seed=4, max_iters=60, reproject_every=20, power_iters=2,
                           trace_every=20, residual_tol=0.0)
@@ -153,7 +155,7 @@ def _traced_rise(run):
 def test_steps_transport_and_cg_iterations_allocate_no_grid():
     phi = perturbed_constant(32, amplitude=0.3)
     cfg = dh.SolverConfig(seed=4, power_iters=1)
-    psi, _ = dh.dirac_project(phi, None, cfg)
+    psi = dh.dirac_project(phi, None, cfg).psi
     grid = phi.values.nbytes
     values, work = empty_planes(phi.values.shape), _StepWork(phi, coupled=True)
     state = {"phi": phi, "psi": psi,
@@ -170,11 +172,35 @@ def test_steps_transport_and_cg_iterations_allocate_no_grid():
     steps(2)
     assert _traced_rise(lambda: steps(20)) < grid
 
-    op = _DiracKernelOperator(state["phi"])
-    rhs = op.project(state["psi"].values)
+    op = _DiracKernelOperator(state["phi"], 1e-4 * 4.0 / phi.chart.h**2)
+    rhs = _tangent_project_spinor(state["phi"], state["psi"].values)
     x = np.empty_like(rhs)
-    shift = 1e-4 * 4.0 / phi.chart.h**2
-    _cg(op, rhs, shift, 0.0, 2, out=x)
+    op.solve(rhs, 0.0, 2, x)
     iterations = []
-    assert _traced_rise(lambda: iterations.append(_cg(op, rhs, shift, 0.0, 12, out=x)[1])) < grid
+    assert _traced_rise(lambda: iterations.append(op.solve(rhs, 0.0, 12, x)[0])) < grid
     assert iterations == [12]
+
+
+@pytest.mark.parametrize("start", ["random", "given"])
+def test_kernel_refresh_allocates_its_returned_grid_last(start, monkeypatch):
+    # The returned spinor's grid comes after the operator's eight work
+    # grids, so it sits above them on the heap and the allocator does not
+    # trim their pages after every refresh.
+    phi = perturbed_constant(16, amplitude=0.3)
+    cfg = dh.SolverConfig(seed=4, power_iters=1)
+    psi0 = dh.dirac_project(phi, None, cfg).psi if start == "given" else None
+    spinor_grid = psi0.values.shape if psi0 is not None else phi.values.shape + (2,)
+    made = []
+    real = empty_planes
+
+    def recording(shape, *args, **kwargs):
+        out = real(shape, *args, **kwargs)
+        if tuple(shape) == spinor_grid:
+            made.append(out)
+        return out
+
+    monkeypatch.setattr(diracharmonic.solver, "empty_planes", recording)
+    monkeypatch.setattr(diracharmonic.targets, "empty_planes", recording)
+    psi = dh.dirac_project(phi, psi0, cfg).psi
+    assert len(made) == (10 if start == "random" else 9)   # 8 work grids (+ the raw start)
+    assert psi.values.base is made[-1].base
