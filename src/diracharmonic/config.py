@@ -4,10 +4,10 @@
 Errors name the offending line, or the command-line flag that set the
 value.  A key the configured topology or scenario does not read is
 rejected; scenarios other than constant_spinor map into S^2 and accept
-``[target]`` only as ``kind = sphere, dim = 2``.  ``elliptic_pair`` needs a
-torus, and an explicit ``solver.dt`` must satisfy dt <= h^2/8 at the
-configured n and side.  Keys (generated from ``KEYS``): default, accepted
-values and, in brackets, who reads the key if not everyone.
+``[target]`` only as ``kind = sphere, dim = 2``, and ``elliptic_pair``
+needs a torus.  The ``[solver]`` rows take their defaults from
+``SolverConfig``.  Keys (generated from ``KEYS``): default, accepted values
+and, in brackets, who reads the key if not everyone.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class Key:
     """One row of the key table.  ``type`` is int, float or complex, each
     optionally a comma-separated `` list``, ``text``, or the allowed words
     joined by `` | ``; ``readers`` names the topologies or scenario kinds
-    that read the row (empty: all).  A default of auto or none may stay unset."""
+    that read the row (empty: all).  A default of none may stay unset."""
 
     section: str
     name: str
@@ -57,7 +57,7 @@ class Key:
 
     def parse(self, text: str):
         """Value of ``text``; raises ValueError saying what is wrong."""
-        if self.default in ("auto", "none") and text in ("", self.default):
+        if self.default == "none" and text in ("", "none"):
             return None
         if " | " in self.type and text not in self.type.split(" | "):
             raise ValueError(f"{text!r} is not one of {self.type}")
@@ -109,15 +109,11 @@ KEYS = (
     Key("scenario", "spinor_components", "complex list", "1,0", size=2, readers=(_CONSTANT,)),
     Key("scenario", "amplitude", "float", "0.05", readers=(_PERTURBED,)),
     Key("scenario", "modes", "int list", "2,3", "[1, inf)", readers=(_PERTURBED,)),
-    Key("solver", "dt", "float", "auto", "(0, inf)"),
-    Key("solver", "max_iters", "int", "2000", "[0, inf)"),
-    Key("solver", "residual_tol", "float", "1e-4", "[0, inf)"),
-    Key("solver", "reproject_every", "int", "100", "[1, inf)"),
-    Key("solver", "spinor_norm_target", "float", "1.0", "(0, inf)"),
-    Key("solver", "power_iters", "int", "6", "[1, inf)"),
-    Key("solver", "cg_tol", "float", "1e-10", "[0, inf)"),
-    Key("solver", "cg_max_iters", "int", "600", "[1, inf)"),
-    Key("solver", "trace_every", "int", "25", "[1, inf)"),
+    *(Key("solver", name, kind, str(getattr(SolverConfig, name)), interval)
+      for name, kind, interval in (
+          ("max_iters", "int", "[0, inf)"), ("residual_tol", "float", "[0, inf)"),
+          ("reproject_every", "int", "[1, inf)"), ("power_iters", "int", "[1, inf)"),
+          ("trace_every", "int", "[1, inf)"))),
     Key("output", "out_dir", "text", "runs"),
     Key("output", "seed", "int", "1234", "[0, inf)"),
 )
@@ -139,9 +135,6 @@ class RunConfig:
     source_text: str = ""
     # "section.key" -> the line number that set it, or the flag that overrode it
     line_of: dict = field(default_factory=dict)
-
-    def section(self, name) -> dict:
-        return getattr(self, name)
 
     def where(self, section: str, key: str) -> str:
         ln = self.line_of.get(f"{section}.{key}")
@@ -167,7 +160,7 @@ class RunConfig:
         """Typed, range-checked value of ``key`` (its default when unset)."""
         row = self.row(section, key)
         try:
-            return row.parse(self.section(section).get(key, row.default))
+            return row.parse(getattr(self, section).get(key, row.default))
         except ValueError as exc:
             raise ConfigError(f"{self.where(section, key)}{section}.{key}: {exc}") from None
 
@@ -194,10 +187,10 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if (section, key) not in _ROWS:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
-        cfg.section(section)[key] = value
+        getattr(cfg, section)[key] = value
         cfg.line_of[f"{section}.{key}"] = lineno
     for section, key, value, flag in overrides:
-        cfg.section(section)[key] = str(value)
+        getattr(cfg, section)[key] = str(value)
         cfg.line_of[f"{section}.{key}"] = flag
     _validate(cfg)
     return cfg
@@ -216,7 +209,7 @@ def _validate(cfg: RunConfig) -> None:
     """Check every key present and the rules that span keys.  Scenario
     parameters are parsed where build_pair reads them."""
     for section in _SECTIONS:
-        for key in cfg.section(section):
+        for key in getattr(cfg, section):
             if section == "scenario" and key != "kind":
                 cfg.row(section, key)
             else:
@@ -230,12 +223,6 @@ def _validate(cfg: RunConfig) -> None:
             if cfg.get("target", key) != s2:
                 raise ConfigError(f"{cfg.where('target', key)}scenario {kind} maps into "
                                   "S^2: [target] must be kind = sphere, dim = 2")
-    h = cfg.get("chart", "side") / cfg.get("chart", "n")
-    try:
-        SolverConfig(dt=cfg.get("solver", "dt")).step_size(h)
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.where('solver', 'dt')}solver.{exc} at chart.n = "
-                          f"{cfg.get('chart', 'n')}") from None
 
 
 def build_chart(cfg: RunConfig, n_override: int | None = None) -> DomainChart:

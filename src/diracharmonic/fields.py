@@ -238,7 +238,8 @@ def curvature_term(phi: MapField, psi: TwistedSpinorField, out=None, work=None) 
 
     ``out`` receives the term; ``work`` is a (gradient, sigma, complex grid
     shaped like the gradient) triple: the complex grid holds w for the
-    contraction, then the spinor pairing.  Without them they are allocated.
+    contraction, then the spinor pairing.  A None grid is allocated, and
+    sigma stays in its grid for the caller.
     """
     if phi.target.normal(phi.values) is None:
         out = np.empty_like(phi.values) if out is None else out
@@ -292,11 +293,12 @@ def el_residual(phi: MapField, psi: TwistedSpinorField | None) -> ELResidual:
         spin_res = normal = np.zeros(phi.values.shape + (2,), dtype=np.complex128)
         spinor_sup = normal_sup = 0.0
     else:
-        map_res = tension(phi) - curvature_term(phi, psi)
-        spin_res, normal = _flat_dirac_split(phi, psi, check_tangency=True)
+        # The coupling's sigma, kept for the normal defect; flat targets have neither.
         nu = phi.target.normal(phi.values)
+        sigma = None if nu is None else empty_planes(phi.chart.shape + (2,), np.complex128)
+        map_res = tension(phi) - curvature_term(phi, psi, work=(None, sigma, None))
+        spin_res, normal = _flat_dirac_split(phi, psi, check_tangency=True)
         if nu is not None:
-            sigma = clifford_frame_contract(phi.gradient(), psi.values)
             normal = normal - (-nu[..., :, None] * sigma[..., None, :])
         spinor_sup = _sup(spinor_norm2(spin_res).sum(axis=-1), mask)
         normal_sup = _sup(spinor_norm2(normal).sum(axis=-1), mask)

@@ -173,7 +173,7 @@ def elliptic_conformal_field(chart: DomainChart, scale: complex = 1.0) -> MapFie
     if chart.topology != "torus":
         raise ValueError("the elliptic family lives on the torus")
     L = chart.side
-    v = np.pi * (chart.x + 1j * chart.y) / L
+    v = np.pi * chart.z / L
     t1, dt1 = _theta1(v)
     t2, dt2 = _theta2(v)
     c = complex(scale)

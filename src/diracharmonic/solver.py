@@ -13,12 +13,13 @@ sigma = (sin^2(2 pi mx / n) + sin^2(2 pi my / n)) / h^2 on both charts
 (every stencil wraps), so its shifted inverse costs one FFT pair.  The
 preconditioner applies it to the tangential block and 1 / (kappa + shift)
 to the normal block; both blocks are SPD, so preconditioned CG applies.
-The map relaxes by explicit Euler on the descent direction
-tension - curvature_term, reprojected onto the target pointwise, which
-preserves the constraint exactly and never increases the Dirichlet
-energy while the spinor is zero and dt <= h^2/8.  A zero initial spinor is
-frozen, and the flow is then the harmonic-map heat flow: neither the step
-nor the convergence check evaluates the coupling or the Dirac operator.
+The map relaxes by explicit Euler steps of h^2/8 (the stability bound)
+on the descent direction tension - curvature_term, reprojected onto the
+target pointwise, which preserves the constraint exactly and never
+increases the Dirichlet energy while the spinor is zero.  A zero initial
+spinor is frozen, and the flow is then the harmonic-map heat flow: neither
+the step nor the convergence check evaluates the coupling or the Dirac
+operator.
 
 Work arrays.  The loop allocates no array of a field's size per map
 step, transport or CG iteration; the kernels write through their
@@ -57,26 +58,18 @@ from .fields import (MapField, TwistedSpinorField, action, curvature_term,
 from .spinors import flat_dirac, spinor_norm2
 
 
+CG_TOL = 1e-10       # every kernel CG solve stops at |r| <= CG_TOL |rhs|
+CG_MAX_ITERS = 600   # or after this many iterations, counted as unconverged
+
+
 @dataclass
 class SolverConfig:
-    dt: float | None = None          # None: stability bound h^2 / 8
     max_iters: int = 2000
     residual_tol: float = 1e-4
     reproject_every: int = 100
-    spinor_norm_target: float = 1.0
     power_iters: int = 6
-    cg_tol: float = 1e-10
-    cg_max_iters: int = 600
     trace_every: int = 25
-    seed: int | None = 0
-
-    def step_size(self, h: float) -> float:
-        bound = h * h / 8.0
-        if self.dt is None:
-            return bound
-        if not (0.0 < self.dt <= bound):
-            raise ValueError(f"dt = {self.dt} violates the stability bound h^2/8 = {bound:.3e}")
-        return self.dt
+    seed: int = 0
 
 
 @dataclass
@@ -122,9 +115,9 @@ class _StepWork:
                              empty_planes(grid + (2, K), np.complex128))
 
 
-def flow_step(phi: MapField, psi: TwistedSpinorField | None, config: SolverConfig,
-              out=None, work: _StepWork | None = None) -> MapField:
-    """One explicit Euler step of the map flow, reprojected onto the target.
+def flow_step(phi: MapField, psi: TwistedSpinorField | None, out=None,
+              work: _StepWork | None = None) -> MapField:
+    """One explicit Euler step of size h^2/8, reprojected onto the target.
 
     The update direction is the map residual tension(phi) - R(phi, psi),
     which is tangent pointwise, so |phi + dt v| >= 1 and the nearest-point
@@ -136,14 +129,13 @@ def flow_step(phi: MapField, psi: TwistedSpinorField | None, config: SolverConfi
     itself (it is written only once the update is finite), and the
     intermediates into ``work``; both are allocated when None.
     """
-    dt = config.step_size(phi.chart.h)
     work = _StepWork(phi, psi is not None) if work is None else work
     update = tension(phi, out=work.update, work=work.scratch)
     if psi is not None:
         update -= curvature_term(phi, psi, out=work.scratch, work=work.coupling)
     if not np.isfinite(update).all():
         raise FloatingPointError("flow step diverged (non-finite update)")
-    update *= dt
+    update *= phi.chart.h * phi.chart.h / 8.0
     update += phi.values
     moved = phi.target.project_point(update, out=out)
     return MapField(phi.chart, phi.target, moved, check=False)
@@ -260,9 +252,9 @@ def _inner(a, b, prod) -> float:
 
 
 class KernelProjection(NamedTuple):
-    """``dirac_project``'s result: the spinor, its ratio |B psi| / |psi| in
-    L2, the CG iterations of each power round, and how many of those solves
-    stopped at ``cg_max_iters`` without reaching ``cg_tol``."""
+    """``dirac_project``'s result: the spinor, of unit L2 norm, its ratio
+    |B psi| / |psi|, the CG iterations of each power round, and how many of
+    those solves stopped at ``CG_MAX_ITERS`` without reaching ``CG_TOL``."""
 
     psi: TwistedSpinorField
     ratio: float
@@ -275,8 +267,8 @@ def dirac_project(phi: MapField, psi_init: TwistedSpinorField | None,
     """Extract a near-kernel spinor of the Dirac operator along phi.
 
     Runs ``power_iters`` rounds of inverse power iteration on the squared
-    operator from ``psi_init`` (or a seeded random field when the seed is
-    set), then rescales to the requested L2 norm.  Returns the field, its
+    operator from ``psi_init`` (a random field drawn from ``seed`` when it
+    is None or zero), then rescales to unit L2 norm.  Returns the field, its
     kernel ratio and the CG telemetry as a ``KernelProjection``.  The
     field's values are a new grid; every other array lives for this call
     only.
@@ -291,8 +283,6 @@ def dirac_project(phi: MapField, psi_init: TwistedSpinorField | None,
     if psi_init is not None and float(spinor_norm2(psi_init.values).sum()) > 1e-24:
         x = _tangent_project_spinor(phi, psi_init.values)
     else:
-        if config.seed is None:
-            raise ValueError("zero initial spinor needs a seed to start from")
         rng = np.random.default_rng(config.seed)
         raw = empty_planes(chart.shape + (K, 2), np.complex128)
         raw.real = rng.normal(size=chart.shape + (K, 2))
@@ -302,14 +292,14 @@ def dirac_project(phi: MapField, psi_init: TwistedSpinorField | None,
     for _ in range(max(1, config.power_iters)):
         x /= np.sqrt(float(spinor_norm2(x).sum())) + 1e-300
         # The solution overwrites the right-hand side, which the CG copies first.
-        its, converged = op.solve(x, config.cg_tol, config.cg_max_iters, out=x)
+        its, converged = op.solve(x, CG_TOL, CG_MAX_ITERS, out=x)
         iterations.append(its)
         unconverged += not converged
         x[...] = _tangent_project_spinor(phi, x, out=op.scratch[0])
     l2 = np.sqrt(float(spinor_norm2(x).sum()) * chart.h**2)
     if l2 < 1e-300:
         raise FloatingPointError("inverse power iteration collapsed to zero")
-    x *= config.spinor_norm_target / l2
+    x *= 1.0 / l2
     bx = op.b_apply(x, op.scratch[3], op.scratch[:2])
     ratio = np.sqrt(float(spinor_norm2(bx).sum()) / float(spinor_norm2(x).sum()))
     return KernelProjection(TwistedSpinorField(chart, phi.target, x), float(ratio),
@@ -319,6 +309,12 @@ def dirac_project(phi: MapField, psi_init: TwistedSpinorField | None,
 def solve(phi0: MapField, psi0: TwistedSpinorField | None,
           config: SolverConfig) -> tuple[MapField, TwistedSpinorField, SolveReport]:
     """Alternate map flow steps with periodic spinor kernel refreshes.
+
+    ``psi0`` picks the start: None extracts a near-kernel spinor from a
+    random field drawn from ``seed`` (the coupled flow), a zero field
+    freezes the spinor (the heat flow), and any other field is projected
+    and refined.  In ``flow_step``, ``el_residual``, ``action`` and
+    ``energy``, by contrast, ``psi=None`` is the frozen zero spinor.
 
     Terminates when the combined residual sup falls below residual_tol,
     on max_iters, or on divergence.  Deterministic for fixed inputs and
@@ -356,7 +352,7 @@ def solve(phi0: MapField, psi0: TwistedSpinorField | None,
 
     for it in range(1, config.max_iters + 1):
         try:
-            phi = flow_step(phi, None if freeze_spinor else psi, config, out=values, work=work)
+            phi = flow_step(phi, None if freeze_spinor else psi, out=values, work=work)
         except FloatingPointError:
             report.termination = "diverged"
             measure(it)

@@ -108,7 +108,7 @@ def twistor_field(chart, psi0, psi1) -> np.ndarray:
     psi0 = np.asarray(psi0, dtype=np.complex128)
     psi1 = np.asarray(psi1, dtype=np.complex128)
     out = np.empty(chart.shape + (2,), dtype=np.complex128)
-    w = chart.x + 1j * chart.y
+    w = chart.z
     # Psi = (f0 + z q, g0 - zbar p) for Psi1 = (p, q): the closed form of
     # Psi0 + x . Psi1 under the e1/e2 matrices.
     out[..., 0] = psi0[0] + w * psi1[1]

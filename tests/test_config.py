@@ -62,6 +62,17 @@ def test_unknown_key_line_number():
         dh.parse_config("\n[chart]\ncolour = blue\n")
 
 
+@pytest.mark.parametrize("key, value", [("dt", "1e-5"), ("spinor_norm_target", "2.5"),
+                                        ("cg_tol", "1e-8"), ("cg_max_iters", "50")])
+def test_retired_solver_keys_rejected(key, value):
+    with pytest.raises(dh.ConfigError, match=f"line 4: unknown key '{key}' in \\[solver\\]"):
+        dh.parse_config(f"[solver]\nmax_iters = 10\n\n{key} = {value}\n")
+
+
+def test_solver_defaults_come_from_solver_config():
+    assert build_solver_config(dh.parse_config("")) == dh.SolverConfig(seed=1234)
+
+
 def test_entry_before_section():
     with pytest.raises(dh.ConfigError, match="before any"):
         dh.parse_config("n = 12\n")

@@ -113,9 +113,10 @@ def test_kernel_cg_iterations_per_solve_stay_small():
 
 
 @pytest.mark.parametrize("cg_max_iters, unconverged", [(1, 6), (600, 0)])
-def test_solve_reports_unconverged_cg(cg_max_iters, unconverged):
+def test_solve_reports_unconverged_cg(cg_max_iters, unconverged, monkeypatch):
+    monkeypatch.setattr(diracharmonic.solver, "CG_MAX_ITERS", cg_max_iters)
     cfg = dh.SolverConfig(seed=4, max_iters=20, residual_tol=0.0, reproject_every=10,
-                          power_iters=2, trace_every=10, cg_max_iters=cg_max_iters)
+                          power_iters=2, trace_every=10)
     _, _, rep = dh.solve(perturbed_constant(16), None, cfg)
     assert len(rep.cg_iterations) == 3            # initial extraction + 2 refreshes
     assert rep.cg_unconverged == unconverged      # of 3 refreshes x 2 power rounds

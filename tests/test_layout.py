@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import diracharmonic as dh
+import diracharmonic.solver
 from diracharmonic.fields import clifford_frame_contract
 from diracharmonic.spinors import clifford_e1, clifford_e2
 from diracharmonic.targets import ambient_pairing, normal_part
@@ -110,9 +111,8 @@ def test_project_spinor_map_pullback_and_flow_step_store_planes(target):
     assert plane_ordered(phi.values) and plane_ordered(psi.values)
     pulled = dh.map_pullback(phi, dh.MoebiusMap.disk_automorphism(0.3))
     assert plane_ordered(pulled.values)
-    cfg = dh.SolverConfig()
-    assert plane_ordered(dh.flow_step(phi, psi, cfg).values)
-    assert plane_ordered(dh.flow_step(phi, None, cfg).values)
+    assert plane_ordered(dh.flow_step(phi, psi).values)
+    assert plane_ordered(dh.flow_step(phi, None).values)
 
 
 def test_read_field_stores_planes(tmp_path):
@@ -126,9 +126,10 @@ def test_read_field_stores_planes(tmp_path):
 
 
 @pytest.mark.parametrize("start", ["random", "given"])
-def test_dirac_project_stores_planes(start):
+def test_dirac_project_stores_planes(start, monkeypatch):
+    monkeypatch.setattr(diracharmonic.solver, "CG_MAX_ITERS", 5)
     phi, psi = _pair(dh.Sphere(2), "torus", n=16)
-    cfg = dh.SolverConfig(power_iters=1, cg_max_iters=5, seed=3)
+    cfg = dh.SolverConfig(power_iters=1, seed=3)
     out = dh.dirac_project(phi, psi if start == "given" else None, cfg).psi
     assert plane_ordered(out.values)
 

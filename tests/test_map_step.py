@@ -40,11 +40,10 @@ def _rel_err(got, ref):
 def test_frozen_step_has_the_bits_of_a_zero_spinor_step(target):
     phi = _random_map(target, n=32)
     zero = dh.TwistedSpinorField.zero(phi.chart, target)
-    cfg = dh.SolverConfig()
     lean, full = phi, phi
     for _ in range(5):
-        lean = dh.flow_step(lean, None, cfg)
-        full = dh.flow_step(full, zero, cfg)
+        lean = dh.flow_step(lean, None)
+        full = dh.flow_step(full, zero)
         assert np.array_equal(_bits(lean.values), _bits(full.values))
     assert not np.array_equal(lean.values, phi.values)
 
@@ -71,8 +70,8 @@ def test_frozen_measure_has_the_bits_of_a_zero_spinor_measure(monkeypatch):
     states = []
     real_step = diracharmonic.solver.flow_step
 
-    def recording_step(phi, psi, config, **work):
-        moved = real_step(phi, psi, config, **work)
+    def recording_step(phi, psi, **work):
+        moved = real_step(phi, psi, **work)
         # solve steps in place in one grid, so keep a copy of each state.
         states.append(dh.MapField(moved.chart, moved.target, moved.values.copy()))
         return moved

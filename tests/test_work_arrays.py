@@ -83,7 +83,7 @@ def _fresh_array_solve(phi, config):
     its result: the reference for the reused arrays."""
     psi = dh.dirac_project(phi, None, config).psi
     for it in range(1, config.max_iters + 1):
-        phi = dh.flow_step(phi, psi, config)
+        phi = dh.flow_step(phi, psi)
         psi = dh.TwistedSpinorField(phi.chart, phi.target,
                                     _tangent_project_spinor(phi, psi.values))
         if it % config.reproject_every == 0:
@@ -128,7 +128,7 @@ def test_heat_flow_allocates_no_coupling_arrays(monkeypatch):
     cfg = dh.SolverConfig(max_iters=10, trace_every=5, residual_tol=0.0)
     phi0 = perturbed_constant(16, amplitude=0.3)
     dh.solve(phi0, dh.TwistedSpinorField.zero(phi0.chart, phi0.target), cfg)
-    dh.flow_step(phi0, None, cfg)
+    dh.flow_step(phi0, None)
     assert made == [None, None]
 
 
@@ -163,7 +163,7 @@ def test_steps_transport_and_cg_iterations_allocate_no_grid():
 
     def steps(count):
         for _ in range(count):
-            moved = dh.flow_step(state["phi"], state["psi"], cfg, out=values, work=work)
+            moved = dh.flow_step(state["phi"], state["psi"], out=values, work=work)
             spinor = _tangent_project_spinor(moved, state["psi"].values, out=state["spare"])
             state["spare"] = state["psi"].values
             state["phi"] = moved
