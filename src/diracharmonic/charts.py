@@ -24,6 +24,8 @@ bits hold per machine, numpy build and dispatch path, not per storage order.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _GRID_AXES = {"x": -1, "y": -2}   # in the (*comp, n, n) planes of a field
@@ -217,11 +219,15 @@ class DomainChart:
         return theta, r * np.cos(theta), r * np.sin(theta)
 
     def _check_radius(self, r: float) -> None:
+        """Raise ValueError unless circle quadrature at radius r fits this disk
+        chart, 4h <= r <= 1 - 4h; the message names the least n that fits."""
         if self.topology != "disk":
             raise ValueError("circle quadrature requires a disk chart")
         if not (4.0 * self.h <= r <= 1.0 - 4.0 * self.h):
+            edge = min(r, 1.0 - r)
+            least = f"n >= {math.ceil(4.0 * self.side / edge)}" if edge > 0 else "no n fits"
             raise ValueError(f"radius {r} outside [4h, 1 - 4h] = "
-                             f"[{4 * self.h:.4f}, {1 - 4 * self.h:.4f}]")
+                             f"[{4 * self.h:.4f}, {1 - 4 * self.h:.4f}], so {least}")
 
 
 def bandlimited_field(chart: DomainChart, rng, components=(), kmax: int = 3,

@@ -1,16 +1,15 @@
 """Command-line surface: exact | verify | flow | probe | dump.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 verification
-failed, 3 solver divergence.  Outputs are deterministic for a fixed
-config and seed; reports embed the package version and a hash of the
-config text instead of timestamps.
+Exit codes: 0 success, 1 usage or configuration error (argparse's
+included), 2 verification failed, 3 solver divergence.  Outputs are
+deterministic for a fixed config and seed; reports embed the package
+version and a hash of the config text instead of timestamps.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -37,11 +36,11 @@ def _json_dump(obj, path: Path) -> None:
 
 
 def _load(args) -> RunConfig:
-    """The config file (or an empty one) with the command-line overrides."""
-    flags = (("chart", "n", args.grid, "--grid"), ("output", "seed", args.seed, "--seed"),
-             ("output", "out_dir", args.out, "--out"))
-    overrides = [f for f in flags if f[2] is not None]
-    return load_config(args.config, overrides) if args.config else parse_config("", overrides)
+    """The config file (or an empty one); ``--out``, when given, is its output.out_dir."""
+    cfg = load_config(args.config) if args.config else parse_config("")
+    if args.out is not None:
+        cfg.output["out_dir"] = args.out
+    return cfg
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -149,17 +148,10 @@ def cmd_flow(cfg: RunConfig) -> int:
 def cmd_probe(cfg: RunConfig, phi_path, psi_path) -> int:
     out = _outdir(cfg)
     phi, psi = _read_fields(phi_path, psi_path)
-    if phi.chart.topology != "disk":
-        print("probe requires fields on a disk chart", file=sys.stderr)
-        return _EXIT_USAGE
-    # decay_profile's radii run from 6h up to 1 - 5h: they increase only when 11h < 1.
-    side = phi.chart.side
-    n_min = math.floor(11.0 * side) + 1
-    if phi.chart.n < n_min:
-        raise ConfigError(f"stored field: chart.n = {phi.chart.n} is too coarse for probe on a "
-                          f"disk of side {side}: the decay radii run from 6h up to 1 - 5h, "
-                          f"so n >= {n_min}")
-    prof = decay_profile(phi, psi)
+    try:
+        prof = decay_profile(phi, psi)
+    except ValueError as exc:  # not a disk, or too coarse for the default radii
+        raise ConfigError(f"stored field: {exc}") from None
     path = out / "probe.csv"
     cols = ["r", "dphi_weighted", "psi_weighted", "grad_psi_weighted",
             "annulus_energy", "growth"]
@@ -194,8 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, required=needs_config,
                        help="path to a key = value config file")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--grid", type=int, default=None, help="override chart.n")
-        p.add_argument("--seed", type=int, default=None, help="override output.seed")
 
     common(sub.add_parser("exact", help="write an exact pair and its summary"))
     pv = sub.add_parser("verify", help="run the identity suite")
@@ -209,14 +199,17 @@ def _build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--phi", type=str, required=True)
     pp.add_argument("--psi", type=str, default=None)
     pp.add_argument("--out", type=str, default=None, help="output directory")
-    pp.set_defaults(config=None, grid=None, seed=None)
+    pp.set_defaults(config=None)
     pd = sub.add_parser("dump", help="print a field file header")
     pd.add_argument("path", type=str)
     return ap
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help/--version and 2 on a usage error
+        return _EXIT_USAGE if exc.code == 2 else exc.code
     try:
         if args.command == "dump":
             return cmd_dump(args.path)
@@ -225,13 +218,11 @@ def main(argv=None) -> int:
                 print("verify needs --config or --phi", file=sys.stderr)
                 return _EXIT_USAGE
             # A flag the chosen mode does not read is an error, as an unread config key is.
-            mode = "with --phi" if args.phi is not None else "without --phi"
-            unread = ({"--grid": args.grid, "--resolution-sweep": args.resolution_sweep or None}
-                      if args.phi is not None else {"--psi": args.psi})
-            for flag, value in unread.items():
-                if value is not None:
-                    print(f"verify {flag} is not read {mode}", file=sys.stderr)
-                    return _EXIT_USAGE
+            files = args.phi is not None
+            if args.resolution_sweep if files else args.psi is not None:
+                flag, mode = ("--resolution-sweep", "with") if files else ("--psi", "without")
+                print(f"verify {flag} is not read {mode} --phi", file=sys.stderr)
+                return _EXIT_USAGE
         cfg = _load(args)
         if args.command == "probe":
             return cmd_probe(cfg, args.phi, args.psi)

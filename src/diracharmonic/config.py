@@ -1,13 +1,13 @@
 """Line-oriented run configuration: ``key = value`` entries under
 ``[section]`` headers, described key by key in the table ``KEYS``.
 
-Errors name the offending line, or the command-line flag that set the
-value.  A key the configured topology or scenario does not read is
-rejected; scenarios other than constant_spinor map into S^2 and accept
-``[target]`` only as ``kind = sphere, dim = 2``, and ``elliptic_pair``
-needs a torus.  The ``[solver]`` rows take their defaults from
-``SolverConfig``.  Keys (generated from ``KEYS``): default, accepted values
-and, in brackets, who reads the key if not everyone.
+Errors name the offending line.  A key the configured topology or
+scenario does not read is rejected; scenarios other than constant_spinor
+map into S^2 and accept ``[target]`` only as ``kind = sphere, dim = 2``,
+and ``elliptic_pair`` needs a torus.  The ``[solver]`` rows take their
+defaults from ``SolverConfig`` and their ranges from ``solver.MINIMA``.
+Keys (generated from ``KEYS``): default, accepted values and, in
+brackets, who reads the key if not everyone.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .charts import DomainChart, bandlimited_field
 from .fields import MapField, TwistedSpinorField
 from .solutions import (RationalMap, conformal_map_field, constant_spinor_pair,
                         elliptic_conformal_field, harmonic_wrap, twistor_pushforward)
-from .solver import SolverConfig
+from .solver import MINIMA, SolverConfig
 from .targets import Flat, Sphere
 
 
@@ -109,11 +109,8 @@ KEYS = (
     Key("scenario", "spinor_components", "complex list", "1,0", size=2, readers=(_CONSTANT,)),
     Key("scenario", "amplitude", "float", "0.05", readers=(_PERTURBED,)),
     Key("scenario", "modes", "int list", "2,3", "[1, inf)", readers=(_PERTURBED,)),
-    *(Key("solver", name, kind, str(getattr(SolverConfig, name)), interval)
-      for name, kind, interval in (
-          ("max_iters", "int", "[0, inf)"), ("residual_tol", "float", "[0, inf)"),
-          ("reproject_every", "int", "[1, inf)"), ("power_iters", "int", "[1, inf)"),
-          ("trace_every", "int", "[1, inf)"))),
+    *(Key("solver", name, type(getattr(SolverConfig, name)).__name__,
+          str(getattr(SolverConfig, name)), f"[{least}, inf)") for name, least in MINIMA.items()),
     Key("output", "out_dir", "text", "runs"),
     Key("output", "seed", "int", "1234", "[0, inf)"),
 )
@@ -133,12 +130,12 @@ class RunConfig:
     solver: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
     source_text: str = ""
-    # "section.key" -> the line number that set it, or the flag that overrode it
+    # "section.key" -> the number of the line that set it
     line_of: dict = field(default_factory=dict)
 
     def where(self, section: str, key: str) -> str:
         ln = self.line_of.get(f"{section}.{key}")
-        return "" if ln is None else f"line {ln}: " if isinstance(ln, int) else f"{ln}: "
+        return "" if ln is None else f"line {ln}: "
 
     def sha256(self) -> str:
         """Hash of the config file text, recorded in every report."""
@@ -165,9 +162,8 @@ class RunConfig:
             raise ConfigError(f"{self.where(section, key)}{section}.{key}: {exc}") from None
 
 
-def parse_config(text: str, overrides=()) -> RunConfig:
-    """Parse and validate; raises ConfigError naming the bad line.  Each
-    ``(section, key, value, flag)`` override replaces the file's value."""
+def parse_config(text: str) -> RunConfig:
+    """Parse and validate config text; raises ConfigError naming the bad line."""
     cfg = RunConfig(source_text=text)
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -189,20 +185,18 @@ def parse_config(text: str, overrides=()) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
         getattr(cfg, section)[key] = value
         cfg.line_of[f"{section}.{key}"] = lineno
-    for section, key, value, flag in overrides:
-        getattr(cfg, section)[key] = str(value)
-        cfg.line_of[f"{section}.{key}"] = flag
     _validate(cfg)
     return cfg
 
 
-def load_config(path, overrides=()) -> RunConfig:
+def load_config(path) -> RunConfig:
+    """``parse_config`` of the UTF-8 file at ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-    return parse_config(text, overrides)
+    return parse_config(text)
 
 
 def _validate(cfg: RunConfig) -> None:

@@ -340,24 +340,26 @@ def decay_profile(phi: MapField, psi: TwistedSpinorField, radii=None) -> dict:
     """Diagnostic table of weighted circle sups and cumulative energies.
 
     Columns per radius r: sup |dphi| r, sup |psi| r^(1/2), sup |grad psi|
-    r^(3/2), the annulus energy on r <= |z| <= 2r, and the growth function
-    F(r) = int_{D_r} (|dphi|^2 + |psi|^4 + |grad psi|^(4/3)).
+    r^(3/2) (grad the covariant ``spinor_gradient``), the annulus energy on
+    r <= |z| <= 2r, and the growth F(r) = int_{D_r} (|dphi|^2 + |psi|^4 +
+    |grad psi|^(4/3)).  The default radii 6h .. min(0.9, 1 - 5h) increase
+    only when 11h < 1; a coarser chart raises ValueError naming the least n.
     """
     chart = phi.chart
     if chart.topology != "disk":
         raise ValueError("decay diagnostics need a disk chart")
     h = chart.h
     if radii is None:
+        if 11.0 * h >= 1.0:
+            raise ValueError(f"chart.n = {chart.n} is too coarse for probe on a disk of side "
+                             f"{chart.side}: the decay radii run from 6h up to 1 - 5h, so "
+                             f"n >= {int(11.0 * chart.side) + 1}")
         radii = np.linspace(6.0 * h, min(0.9, 1.0 - 5.0 * h), 24)
 
     d = phi.gradient()
     dmag = np.sqrt((d**2).sum(axis=(-2, -1)))
     psi_mag = np.sqrt(psi.norm2_density())
-    v = psi.values
-    gpsi = empty_planes(v.shape[:-2] + (2,) + v.shape[-2:], v.dtype)
-    gpsi[..., 0, :, :] = chart.derivative(v, "x")
-    gpsi[..., 1, :, :] = chart.derivative(v, "y")
-    gpsi_mag = np.sqrt((np.abs(gpsi) ** 2).sum(axis=(-3, -2, -1)))
+    gpsi_mag = np.sqrt((np.abs(spinor_gradient(phi, psi)) ** 2).sum(axis=(-3, -2, -1)))
     e_dens = dmag**2 + psi_mag**4
     growth_density = e_dens + gpsi_mag ** (4.0 / 3.0)  # the same sum, left to right
     rad = np.abs(chart.z)

@@ -60,16 +60,26 @@ from .spinors import flat_dirac, spinor_norm2
 
 CG_TOL = 1e-10       # every kernel CG solve stops at |r| <= CG_TOL |rhs|
 CG_MAX_ITERS = 600   # or after this many iterations, counted as unconverged
+# The least value of each SolverConfig field; the [solver] config rows read their ranges here.
+MINIMA = {"max_iters": 0, "residual_tol": 0, "reproject_every": 1, "power_iters": 1,
+          "trace_every": 1}
 
 
 @dataclass
 class SolverConfig:
+    """Settings of ``solve``; a field below its ``MINIMA`` entry, or NaN, raises ValueError."""
+
     max_iters: int = 2000
     residual_tol: float = 1e-4
     reproject_every: int = 100
     power_iters: int = 6
     trace_every: int = 25
     seed: int = 0
+
+    def __post_init__(self):
+        for name, least in MINIMA.items():
+            if not getattr(self, name) >= least:
+                raise ValueError(f"SolverConfig.{name} = {getattr(self, name)!r} is below {least}")
 
 
 @dataclass
@@ -289,7 +299,7 @@ def dirac_project(phi: MapField, psi_init: TwistedSpinorField | None,
         raw.imag = rng.normal(size=chart.shape + (K, 2))
         x = _tangent_project_spinor(phi, raw)
     iterations, unconverged = [], 0
-    for _ in range(max(1, config.power_iters)):
+    for _ in range(config.power_iters):
         x /= np.sqrt(float(spinor_norm2(x).sum())) + 1e-300
         # The solution overwrites the right-hand side, which the CG copies first.
         its, converged = op.solve(x, CG_TOL, CG_MAX_ITERS, out=x)

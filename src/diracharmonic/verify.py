@@ -12,14 +12,13 @@ pinned here, not configurable.
 from __future__ import annotations
 
 import copy
-import math
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .charts import DomainChart, MoebiusMap, bandlimited_field
-from .config import ConfigError, RunConfig, build_pair
+from .config import ConfigError, RunConfig, build_chart, build_pair
 from .fields import (MapField, action, curvature_term, dirichlet_density,
                      el_residual, field_scale, project_spinor, tangency_defect)
 from .identities import (_EXPONENTS, bochner_defect, conformal_checks,
@@ -81,24 +80,22 @@ def _algebra_checks(seed: int):
     return worst_cliff, worst_skew
 
 
-def _require_circles_fit(topology: str, n: int, side: float, where: str) -> None:
-    """Raise ConfigError unless every Pohozaev radius of a disk chart lies in
-    [4h, 1 - 4h], the range ``pohozaev_defect`` accepts: n >= 16 side for
-    r = 0.25 and 0.75.  ``where`` names the input that set n."""
-    edge = min(POHOZAEV_RADII[0], 1.0 - POHOZAEV_RADII[-1])
-    n_min = math.ceil(4.0 * side / edge)
-    if topology == "disk" and n < n_min:
-        raise ConfigError(f"{where}chart.n = {n} is too coarse for verify on a disk of "
-                          f"side {side}: the Pohozaev circles need 4h <= {edge}, "
-                          f"so n >= {n_min}")
+def _require_circles_fit(chart: DomainChart, where: str) -> None:
+    """Raise ConfigError unless ``pohozaev_defect`` accepts every Pohozaev
+    radius on a disk chart.  ``where`` names the input that set n."""
+    for r in POHOZAEV_RADII if chart.topology == "disk" else ():
+        try:
+            chart._check_radius(r)
+        except ValueError as exc:
+            raise ConfigError(f"{where}chart.n = {chart.n} is too coarse for verify on a disk "
+                              f"of side {chart.side}: Pohozaev {exc}") from None
 
 
 def run_verification(cfg: RunConfig, sweep: bool = False) -> dict:
     """Execute the suite on a configured scenario at (n, 2n) and optionally
     4n; returns the report dictionary (see module doc)."""
     base_n = cfg.get("chart", "n")
-    _require_circles_fit(cfg.get("chart", "topology"), base_n, cfg.get("chart", "side"),
-                         cfg.where("chart", "n"))
+    _require_circles_fit(build_chart(cfg), cfg.where("chart", "n"))
     grids = [base_n, 2 * base_n] + ([4 * base_n] if sweep else [])
     pairs = [build_pair(cfg, n_override=n) for n in grids]
     report = _verify_pairs(pairs, grids, cfg.get("output", "seed"), cfg.get("scenario", "kind"),
@@ -111,7 +108,7 @@ def run_verification_on_fields(phi, psi, seed: int = 1234) -> dict:
     """The suite on stored fields at their one grid, which waives every
     ratio test but the conformal record's, run on its own grids."""
     chart = phi.chart
-    _require_circles_fit(chart.topology, chart.n, chart.side, "stored field: ")
+    _require_circles_fit(chart, "stored field: ")
     return _verify_pairs([(phi, psi)], [chart.n], seed, "stored_fields", "files")
 
 

@@ -135,6 +135,13 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             circle_integral(dh.DomainChart.torus(32), np.ones((32, 32)), 0.5, 64)
 
+    def test_radius_error_names_the_least_n(self):
+        # r = 0.25 needs 4h = 4 * 2.2 / n <= 0.25, so n >= 35.2.
+        with pytest.raises(ValueError, match="n >= 36"):
+            dh.DomainChart.disk(32)._check_radius(0.25)
+        with pytest.raises(ValueError, match="no n fits"):
+            dh.DomainChart.disk(32)._check_radius(1.0)
+
     def test_interp_reproduces_smooth_field(self, rng):
         chart = dh.DomainChart.torus(64)
         fld = np.sin(2 * np.pi * chart.x) * np.cos(2 * np.pi * chart.y)

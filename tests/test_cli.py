@@ -228,12 +228,33 @@ def test_dump_rejects_garbage(tmp_path):
     assert "bad_magic" in r.stderr
 
 
-def test_grid_and_seed_overrides(tmp_path):
-    cfg, out = write_cfg(tmp_path, BASE_CFG)
-    r = run_cli("exact", "--config", str(cfg), "--grid", "16", "--seed", "3")
-    assert r.returncode == 0
-    rep = json.loads((out / "exact_summary.json").read_text())
-    assert rep["grid"] == 16
+@pytest.mark.parametrize("command", ["exact", "verify", "flow"])
+@pytest.mark.parametrize("flag", ["--grid", "--seed"])
+def test_retired_override_flags_exit_1_naming_themselves(tmp_path, command, flag):
+    """chart.n and output.seed have one setter, the config file."""
+    cfg, out = write_cfg(tmp_path, FLOW_CFG)
+    r = run_cli(command, "--config", str(cfg), flag, "32" if flag == "--grid" else "3")
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert flag in r.stderr and "Traceback" not in r.stderr, r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["verify", "--bogus"], id="unknown_flag"),
+    pytest.param([], id="no_command"),
+    pytest.param(["flow", "--config"], id="config_without_value"),
+])
+def test_argparse_usage_errors_exit_1_not_the_verify_failed_code(args):
+    r = run_cli(*args)
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert "usage: dhm" in r.stderr and "Traceback" not in r.stderr, r.stderr
+
+
+@pytest.mark.parametrize("args", [["--version"], ["verify", "--help"]])
+def test_version_and_help_exit_0(args):
+    r = run_cli(*args)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert r.stdout
 
 
 def test_verify_requires_config_or_files():
@@ -267,15 +288,13 @@ def test_verify_file_mode_runs_identity_suite(tmp_path):
 SMALL_DISK = "[chart]\ntopology = disk\nn = 32\n\n[scenario]\nkind = twistor_pushforward\n"
 
 
-@pytest.mark.parametrize("text,flags,where", [
-    pytest.param(SMALL_DISK, [], "line 3", id="config_n_32"),
-    pytest.param(SMALL_DISK.replace("n = 32", "n = 48"), ["--grid", "35"], "--grid",
-                 id="grid_override_35"),
+@pytest.mark.parametrize("text,where", [
+    pytest.param(SMALL_DISK, "line 3", id="config_n_32"),
 ])
-def test_verify_on_too_coarse_disk_is_a_config_error(tmp_path, text, flags, where):
+def test_verify_on_too_coarse_disk_is_a_config_error(tmp_path, text, where):
     path = tmp_path / "small.cfg"
     path.write_text(text)
-    r = run_cli("verify", "--config", str(path), "--out", str(tmp_path / "out"), *flags)
+    r = run_cli("verify", "--config", str(path), "--out", str(tmp_path / "out"))
     assert r.returncode == 1, r.stdout + r.stderr
     assert r.stderr.startswith(f"config error: {where}: chart.n = "), r.stderr
     assert "n >= 36" in r.stderr and "Traceback" not in r.stderr
@@ -313,7 +332,6 @@ BAD_INPUTS = [
                  id="trace_every_0"),
     pytest.param("[chart]\nn = 16\n\n[solver]\nreproject_every = 0\n", ["flow"], "line 5",
                  id="reproject_every_0"),
-    pytest.param("[chart]\nn = 16\n", ["exact", "--grid", "4"], "--grid", id="grid_override"),
     pytest.param("[target]\nkind = flat\ndim = 3\n", ["exact"], "line 2",
                  id="flat_target_on_twistor"),
     pytest.param("[target]\ndim = 3\n\n[scenario]\nkind = harmonic_wrap\n", ["exact"],
@@ -406,8 +424,6 @@ def test_unusable_path_exits_1_naming_it(tmp_path, args, named):
 
 @pytest.mark.parametrize("extra,flag", [
     pytest.param(["--config", "{cfg}", "--psi", "{psi}"], "--psi", id="psi_without_phi"),
-    pytest.param(["--phi", "{phi}", "--psi", "{psi}", "--grid", "32"], "--grid",
-                 id="grid_with_phi"),
     pytest.param(["--phi", "{phi}", "--psi", "{psi}", "--resolution-sweep"],
                  "--resolution-sweep", id="sweep_with_phi"),
 ])

@@ -315,6 +315,23 @@ class TestDecayDiagnostics:
         with pytest.raises(ValueError):
             dh.decay_profile(phi, psi)
 
+    def test_default_radii_need_11h_below_1(self):
+        # The radii 6h .. 1 - 5h increase only when 11 * 2.2 / n < 1: n >= 25.
+        chart, phi, psi = disk_twistor_pair(24)
+        with pytest.raises(ValueError, match="n >= 25"):
+            dh.decay_profile(phi, psi)
+        chart, phi, psi = disk_twistor_pair(25)
+        assert (np.diff(dh.decay_profile(phi, psi)["r"]) > 0).all()
+
+    def test_gradient_column_is_the_covariant_gradient(self):
+        chart, phi, psi = disk_twistor_pair(48)
+        prof = dh.decay_profile(phi, psi)
+        gmag = np.sqrt((np.abs(spinor_gradient(phi, psi)) ** 2).sum(axis=(-3, -2, -1)))
+        for r, got in zip(prof["r"], prof["grad_psi_weighted"]):
+            _, px, py = chart.circle_points(r, 4 * chart.n)
+            want = chart.interp(gmag, px, py).max() * r**1.5
+            assert abs(got - want) <= 1e-12 * want
+
 
 class TestChartFixture:
     """Stereographic half-sphere chart: the Christoffel form of the twisted

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 import diracharmonic as dh
+from diracharmonic.solver import MINIMA
 
 from conftest import elliptic_pair, random_sphere_pair
 
@@ -25,6 +27,18 @@ class TestSolverConfig:
         moved = phi.values + (h * h / 8.0) * dh.tension(phi)
         out = dh.flow_step(phi, None)
         assert np.array_equal(out.values, phi.target.project_point(moved))
+
+    @pytest.mark.parametrize("field,bad", [
+        ("reproject_every", 0), ("trace_every", 0), ("power_iters", 0), ("max_iters", -1),
+        ("residual_tol", -1e-3), ("residual_tol", float("nan")),
+    ])
+    def test_field_below_its_minimum_is_named(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            dh.SolverConfig(**{field: bad})
+
+    def test_minima_themselves_are_accepted(self):
+        cfg = dh.SolverConfig(**MINIMA)
+        assert [getattr(cfg, name) for name in MINIMA] == list(MINIMA.values())
 
 
 class TestFlowStep:
