@@ -58,7 +58,7 @@ print(f"  random fields: L2 divergence = "
 print("== quadratic differential T dz^2, T = T11 - i T12")
 for n in (64, 128):
     chart, phi, psi = exact_pair(n, "torus")
-    qd = dh.hopf_differential(phi, psi)
+    qd = dh.energy_momentum(phi, psi).hopf_differential()
     print(f"  n={n:4d}  dbar defect = {qd.dbar_defect():.3e}")
 _, phi, _ = exact_pair(96, "torus")
 d = phi.gradient(analytic=True)  # the map part of T from the exact gradient

@@ -12,15 +12,15 @@ from .identities import (CircleBalance, ConformalCheck, EnergyMomentum,
                          QuadraticDifferential, bochner_defect,
                          conformal_checks, conformal_invariance_defect,
                          decay_profile, em_divergence, energy_momentum,
-                         hopf_differential, map_pullback, pohozaev_defect,
-                         self_adjointness_defect, weitzenboeck_defect)
+                         map_pullback, pohozaev_defect, self_adjointness_defect,
+                         weitzenboeck_defect)
 from .config import ConfigError, RunConfig, build_pair, load_config, parse_config
 from .fieldio import FieldFileError, FieldHeader, read_field, read_header, write_field
 from .solutions import (RationalMap, conformal_map_field, constant_spinor_pair,
                         elliptic_conformal_field, harmonic_wrap, stereo_pair,
                         twistor_pushforward)
 from .solver import SolveReport, SolverConfig, dirac_project, flow_step, solve
-from .spinors import (clifford_mul, flat_dirac, hermitian, spinor,
+from .spinors import (clifford_mul, flat_dirac, re_pairing, spinor,
                       spinor_norm2, twistor_defect, twistor_field)
 from .targets import Flat, Sphere, TargetGeometry
 from .verify import run_verification, run_verification_on_fields

@@ -29,6 +29,10 @@ import math
 import numpy as np
 
 _GRID_AXES = {"x": -1, "y": -2}   # in the (*comp, n, n) planes of a field
+# The side lengths a chart accepts: h^2 and 1/h^2 are finite normal floats
+# for every n, and so are the kernel CG's pairings, which scale like h^-4 (at
+# side 1e60 they underflow and the coupled flow breaks down).
+MIN_SIDE, MAX_SIDE = 1e-30, 1e30
 
 
 def empty_planes(shape, dtype=float, zero: bool = False) -> np.ndarray:
@@ -77,8 +81,8 @@ class DomainChart:
     def __init__(self, n: int, side: float, topology: str, window: float | None):
         if n < 8:
             raise ValueError("grid needs n >= 8")
-        if side <= 0:
-            raise ValueError("side must be positive")
+        if not MIN_SIDE <= side <= MAX_SIDE:
+            raise ValueError(f"side must be positive and lie in [{MIN_SIDE:g}, {MAX_SIDE:g}]")
         if topology not in ("torus", "disk"):
             raise ValueError(f"unknown topology {topology!r}")
         if window is not None and not (0.0 < window <= 1.0):

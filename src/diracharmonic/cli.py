@@ -120,7 +120,11 @@ def cmd_flow(cfg: RunConfig) -> int:
     phi0, psi0 = build_pair(cfg)
     solver_cfg = build_solver_config(cfg)
     out = _outdir(cfg)
-    phi, psi, rep = solve(phi0, psi0, solver_cfg)
+    try:
+        phi, psi, rep = solve(phi0, psi0, solver_cfg)
+    except FloatingPointError as exc:  # a kernel refresh broke down: no fields to write
+        print(f"solver diverged: {exc}", file=sys.stderr)
+        return _EXIT_DIVERGED
     trace_path = out / "flow_trace.csv"
     with open(trace_path, "w", encoding="utf-8") as fh:
         fh.write("iteration,action,energy,map_residual_sup,spinor_residual_sup,kernel_ratio\n")

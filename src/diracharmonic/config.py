@@ -5,7 +5,8 @@ Errors name the offending line.  A key the configured topology or
 scenario does not read is rejected; scenarios other than constant_spinor
 map into S^2 and accept ``[target]`` only as ``kind = sphere, dim = 2``,
 and ``elliptic_pair`` needs a torus.  The ``[solver]`` rows take their
-defaults from ``SolverConfig`` and their ranges from ``solver.MINIMA``.
+defaults from ``SolverConfig`` and their ranges from ``solver.MINIMA``;
+the ``chart.side`` rows take theirs from ``charts.MIN_SIDE``/``MAX_SIDE``.
 Keys (generated from ``KEYS``): default, accepted values and, in
 brackets, who reads the key if not everyone.
 """
@@ -18,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .charts import DomainChart, bandlimited_field
+from .charts import MAX_SIDE, MIN_SIDE, DomainChart, bandlimited_field
 from .fields import MapField, TwistedSpinorField
 from .solutions import (RationalMap, conformal_map_field, constant_spinor_pair,
                         elliptic_conformal_field, harmonic_wrap, twistor_pushforward)
@@ -88,8 +89,8 @@ _TWISTOR, _CONSTANT, _PERTURBED = "twistor_pushforward", "constant_spinor", "per
 KEYS = (
     Key("chart", "topology", "torus | disk", "torus"),
     Key("chart", "n", "int", "64", "[8, 4096]"),
-    Key("chart", "side", "float", "1.0", "(0, inf)", readers=("torus",)),
-    Key("chart", "side", "float", "2.2", "(2, inf)", readers=("disk",)),
+    Key("chart", "side", "float", "1.0", f"[{MIN_SIDE:g}, {MAX_SIDE:g}]", readers=("torus",)),
+    Key("chart", "side", "float", "2.2", f"(2, {MAX_SIDE:g}]", readers=("disk",)),
     Key("chart", "window", "float", "none", "(0, 1]", readers=("torus",)),
     Key("target", "kind", "sphere | flat", "sphere"),
     Key("target", "dim", "int", "2", "[1, inf)"),
@@ -223,7 +224,11 @@ def build_chart(cfg: RunConfig, n_override: int | None = None) -> DomainChart:
     n = n_override if n_override is not None else cfg.get("chart", "n")
     topology = cfg.get("chart", "topology")
     window = cfg.get("chart", "window") if topology == "torus" else None
-    return DomainChart(n, cfg.get("chart", "side"), topology, window)
+    chart = DomainChart(n, cfg.get("chart", "side"), topology, window)
+    if not chart.interior_mask.any():  # every sup and integral runs over it
+        raise ConfigError(f"{cfg.where('chart', 'n')}chart.n = {n} leaves no node in the chart's "
+                          "interior (|z| <= 1 - 4h on a disk, the window on a torus)")
+    return chart
 
 
 def build_solver_config(cfg: RunConfig) -> SolverConfig:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import DomainChart, empty_planes
+from .charts import MAX_SIDE, MIN_SIDE, DomainChart, empty_planes
 from .fields import MapField, TwistedSpinorField
 from .targets import Flat, Sphere, TargetGeometry
 
@@ -109,10 +109,10 @@ def read_header(path) -> FieldHeader:
     # The limits DomainChart sets, so a readable header always builds a chart.
     if n < 8:
         raise FieldFileError("bad_grid", f"{path}: n = {n}, a chart needs n >= 8")
-    min_side = 2.0 if topology == "disk" else 0.0
-    if not min_side < side < float("inf"):
+    least = "> 2" if topology == "disk" else f">= {MIN_SIDE:g}"
+    if not (MIN_SIDE <= side <= MAX_SIDE and (topology == "torus" or side > 2.0)):
         raise FieldFileError("bad_side", f"{path}: side {side} on a {topology} chart, "
-                                         f"which needs a finite side > {min_side:g}")
+                                         f"which needs a side {least} and <= {MAX_SIDE:g}")
     if kind not in _LAYOUTS:
         raise FieldFileError("bad_kind", f"{path}: unknown field kind {kind}")
     if layout.rstrip(b"\0") != _LAYOUTS[kind]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import DomainChart, as_planes, empty_planes
-from .spinors import flat_dirac, hermitian, spinor_norm2
+from .spinors import flat_dirac, re_pairing, spinor_norm2
 from .targets import TargetGeometry, ambient_pairing, normal_part
 
 ON_MANIFOLD_TOL = 1e-10
@@ -106,8 +106,7 @@ class TwistedSpinorField:
 
     def norm2_density(self) -> np.ndarray:
         """|psi|^2 per node (ambient sum of half-spinor moduli)."""
-        v = self.values
-        return (v.real**2 + v.imag**2).sum(axis=(-2, -1))
+        return spinor_norm2(self.values, axis=(-2, -1))
 
 
 # -- scale conventions -------------------------------------------------------
@@ -127,7 +126,7 @@ def tangency_defect(phi: MapField, psi: TwistedSpinorField) -> float:
     nu = phi.target.normal(phi.values)
     if nu is None:
         return 0.0
-    sup = np.sqrt((np.abs(ambient_pairing(nu, psi.values)) ** 2).sum(axis=-1)).max()
+    sup = np.sqrt(spinor_norm2(ambient_pairing(nu, psi.values))).max()
     scale = np.sqrt(psi.norm2_density().max()) + 1e-300
     return float(sup / scale)
 
@@ -250,9 +249,7 @@ def curvature_term(phi: MapField, psi: TwistedSpinorField, out=None, work=None) 
     spin = empty_planes(dphi.shape, np.complex128) if spin is None else spin
     sigma = clifford_frame_contract(dphi, psi.values, out=sigma, work=spin[..., 0, :])
     # psi-shaped view of the (n, n, 2, K) work grid: the planes are now free.
-    pairing = np.conjugate(psi.values, out=spin.swapaxes(-1, -2))
-    pairing *= sigma[..., None, :]
-    return np.sum(pairing.real, axis=-1, out=out)
+    return re_pairing(psi.values, sigma[..., None, :], out=out, work=spin.swapaxes(-1, -2))
 
 
 # -- Euler-Lagrange residuals ---------------------------------------------------
@@ -300,6 +297,7 @@ def el_residual(phi: MapField, psi: TwistedSpinorField | None) -> ELResidual:
         spin_res, normal = _flat_dirac_split(phi, psi, check_tangency=True)
         if nu is not None:
             normal = normal - (-nu[..., :, None] * sigma[..., None, :])
+        # The spinor axis first, then K: the order flow traces were recorded in.
         spinor_sup = _sup(spinor_norm2(spin_res).sum(axis=-1), mask)
         normal_sup = _sup(spinor_norm2(normal).sum(axis=-1), mask)
     norms = {"map_sup": _sup((map_res**2).sum(axis=-1), mask),
@@ -323,7 +321,8 @@ def action(phi: MapField, psi: TwistedSpinorField | None, region=None,
     dens = dirichlet_density(phi)
     if psi is not None:
         spin = dirac_along_map(phi, psi) if dirac is None else dirac
-        dens = dens + np.real(hermitian(psi.values, spin)).sum(axis=-1)
+        # The spinor axis first, then K: the order flow traces were recorded in.
+        dens = dens + re_pairing(psi.values, spin).sum(axis=-1)
     return chart.integrate(dens, region=region)
 
 

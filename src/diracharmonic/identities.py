@@ -29,7 +29,7 @@ import numpy as np
 from .charts import DomainChart, MoebiusMap, empty_planes
 from .fields import (MapField, TwistedSpinorField, action, covariant_derivative,
                      dirac_along_map, energy, project_spinor, spinor_gradient)
-from .spinors import clifford_e1, clifford_e2, clifford_mul, spinor_norm2
+from .spinors import clifford_e1, clifford_e2, clifford_mul, re_pairing, spinor_norm2
 from .targets import ambient_pairing
 
 BOCHNER_DIRAC_TOL = 1e-2  # bochner_defect's bound on sup |D psi| per unit field scale
@@ -54,11 +54,6 @@ class EnergyMomentum:
         return QuadraticDifferential(self.chart, T[..., 0, 0] - 1j * T[..., 0, 1])
 
 
-def _spinor_pair_re(psi_values, other) -> np.ndarray:
-    """Re sum_i <psi^i, other^i> over ambient and spinor axes."""
-    return np.real(np.conj(psi_values) * other).sum(axis=(-2, -1))
-
-
 def energy_momentum(phi: MapField, psi: TwistedSpinorField) -> EnergyMomentum:
     """T_ab = 2 <phi_a, phi_b> - delta_ab |dphi|^2 + Re<psi, e_a . grad_b psi>."""
     chart = phi.chart
@@ -74,7 +69,7 @@ def energy_momentum(phi: MapField, psi: TwistedSpinorField) -> EnergyMomentum:
         grad_b = covariant_derivative(phi, psi.values, axis)
         for a, e_a in enumerate((clifford_e1, clifford_e2)):
             # Re<psi, e_a . grad_b psi> = -Re<e_a . psi, grad_b psi>.
-            T[..., a, b] -= _spinor_pair_re(e_a(psi.values), grad_b)
+            T[..., a, b] -= re_pairing(e_a(psi.values), grad_b, axis=(-2, -1))
     return EnergyMomentum(chart, T)
 
 
@@ -101,12 +96,6 @@ class QuadraticDifferential:
         c = self.chart
         dbar = 0.5 * (c.derivative(self.T, "x") + 1j * c.derivative(self.T, "y"))
         return float(np.abs(dbar)[c.interior_mask].max())
-
-
-def hopf_differential(phi: MapField, psi: TwistedSpinorField) -> QuadraticDifferential:
-    """T(z) = T_11 - i T_12 of ``energy_momentum``: |phi_x|^2 - |phi_y|^2
-    - 2i <phi_x, phi_y> + Re<psi, e1 . grad_x psi> - i Re<psi, e1 . grad_y psi>."""
-    return energy_momentum(phi, psi).hopf_differential()
 
 
 # -- Weitzenboeck / Bochner -------------------------------------------------------
@@ -143,7 +132,7 @@ def weitzenboeck_defect(phi: MapField, psi: TwistedSpinorField) -> float:
     # D^2 psi last, D psi alive only while D^2 psi is formed.
     lhs = dirac_along_map(phi, TwistedSpinorField(chart, phi.target, dirac_along_map(phi, psi)),
                           check_tangency=False)
-    gap = np.sqrt(spinor_norm2(lhs - rhs).sum(axis=-1))
+    gap = np.sqrt(spinor_norm2(lhs - rhs, axis=(-2, -1)))
     return float(gap[chart.interior_mask].max())
 
 
@@ -158,18 +147,18 @@ def bochner_defect(phi: MapField, psi: TwistedSpinorField, scale: float) -> floa
     """
     chart = phi.chart
     mask = chart.interior_mask
-    measured = float(np.sqrt(spinor_norm2(dirac_along_map(phi, psi)).sum(axis=-1))[mask].max())
+    measured = float(np.sqrt(spinor_norm2(dirac_along_map(phi, psi), axis=(-2, -1)))[mask].max())
     if measured > BOCHNER_DIRAC_TOL * scale:
         raise ValueError(f"Dirac residual {measured:.3e} exceeds tolerance "
                          f"{BOCHNER_DIRAC_TOL:.1e} x scale {scale:.3e}; the identity "
                          "is only valid on solutions")
     lhs = 0.5 * chart.laplacian(psi.norm2_density())
-    rhs = (np.abs(spinor_gradient(phi, psi)) ** 2).sum(axis=(-3, -2, -1))
+    rhs = spinor_norm2(spinor_gradient(phi, psi), axis=(-3, -2, -1))
     d = phi.gradient()
     cops = (clifford_e1, clifford_e2)
     for a, b in ((0, 1), (1, 0)):  # R(X, X) = 0
         r_on = _curvature_on_spinor(phi, d[..., a, :], d[..., b, :], cops[b](psi.values))
-        rhs = rhs - 0.5 * _spinor_pair_re(cops[a](psi.values), r_on)
+        rhs = rhs - 0.5 * re_pairing(cops[a](psi.values), r_on, axis=(-2, -1))
         del r_on
     return float(np.abs(lhs - rhs)[mask].max())
 
@@ -217,8 +206,8 @@ def pohozaev_defect(phi: MapField, psi: TwistedSpinorField, r: float) -> CircleB
 
     er_grad_r = clifford_mul((ct[:, None], st[:, None]), grad_r)
     et_grad_t = clifford_mul((-st[:, None], ct[:, None]), grad_t)
-    spin_radial = _spinor_pair_re(psi_vals, er_grad_r)
-    spin_angular = _spinor_pair_re(psi_vals, et_grad_t)
+    spin_radial = re_pairing(psi_vals, er_grad_r, axis=(-2, -1))
+    spin_angular = re_pairing(psi_vals, et_grad_t, axis=(-2, -1))
 
     w = 2.0 * np.pi / n_theta
     lhs = float((phi_t**2).sum() * w)
@@ -359,7 +348,7 @@ def decay_profile(phi: MapField, psi: TwistedSpinorField, radii=None) -> dict:
     d = phi.gradient()
     dmag = np.sqrt((d**2).sum(axis=(-2, -1)))
     psi_mag = np.sqrt(psi.norm2_density())
-    gpsi_mag = np.sqrt((np.abs(spinor_gradient(phi, psi)) ** 2).sum(axis=(-3, -2, -1)))
+    gpsi_mag = np.sqrt(spinor_norm2(spinor_gradient(phi, psi), axis=(-3, -2, -1)))
     e_dens = dmag**2 + psi_mag**4
     growth_density = e_dens + gpsi_mag ** (4.0 / 3.0)  # the same sum, left to right
     rad = np.abs(chart.z)
@@ -392,10 +381,10 @@ def self_adjointness_defect(phi: MapField, psi: TwistedSpinorField,
         raise ValueError("the exact summation-by-parts identity needs a torus")
     d_xi = dirac_along_map(phi, xi, check_tangency=False)
     d_psi = dirac_along_map(phi, psi, check_tangency=False)
-    left = chart.integrate(_spinor_pair_re(psi.values, d_xi))
-    right = chart.integrate(_spinor_pair_re(d_psi, xi.values))
+    left = chart.integrate(re_pairing(psi.values, d_xi, axis=(-2, -1)))
+    right = chart.integrate(re_pairing(d_psi, xi.values, axis=(-2, -1)))
     scale = (np.sqrt(chart.integrate(psi.norm2_density())
-                     * chart.integrate(spinor_norm2(d_xi).sum(axis=-1)))
+                     * chart.integrate(spinor_norm2(d_xi, axis=(-2, -1))))
              + np.sqrt(chart.integrate(xi.norm2_density())
-                       * chart.integrate(spinor_norm2(d_psi).sum(axis=-1))) + 1e-300)
+                       * chart.integrate(spinor_norm2(d_psi, axis=(-2, -1)))) + 1e-300)
     return abs(left - right) / scale

@@ -55,7 +55,7 @@ import numpy as np
 from .charts import empty_planes
 from .fields import (MapField, TwistedSpinorField, action, curvature_term,
                      el_residual, energy, tension, _tangent_project_spinor)
-from .spinors import flat_dirac, spinor_norm2
+from .spinors import flat_dirac, re_pairing, spinor_norm2
 
 
 CG_TOL = 1e-10       # every kernel CG solve stops at |r| <= CG_TOL |rhs|
@@ -232,33 +232,26 @@ class _DiracKernelOperator:
         out[...] = 0.0
         z = self.precondition(r, z)
         np.copyto(p, z)
-        rz = _inner(r, z, tmp)
-        rhs_norm = np.sqrt(_inner(r, r, tmp)) + 1e-300
+        rz = re_pairing(r, z, axis=None, work=tmp)
+        rhs_norm = np.sqrt(re_pairing(r, r, axis=None, work=tmp)) + 1e-300
         it = 0
         for it in range(1, max_iters + 1):
             ap = self(p, ap)
             ap += np.multiply(self.shift, p, out=tmp)
-            denom = _inner(p, ap, tmp)
+            denom = re_pairing(p, ap, axis=None, work=tmp)
             if denom <= 0:
                 raise FloatingPointError(f"CG breakdown at iteration {it}")
             alpha = rz / denom
             out += np.multiply(alpha, p, out=tmp)
             r -= np.multiply(alpha, ap, out=tmp)
-            if np.sqrt(_inner(r, r, tmp)) <= tol * rhs_norm:
+            if np.sqrt(re_pairing(r, r, axis=None, work=tmp)) <= tol * rhs_norm:
                 return it, True
             z = self.precondition(r, z)
-            rz_new = _inner(r, z, tmp)
+            rz_new = re_pairing(r, z, axis=None, work=tmp)
             p = np.multiply(rz_new / rz, p, out=p)
             p = np.add(z, p, out=p)
             rz = rz_new
         return it, False
-
-
-def _inner(a, b, prod) -> float:
-    """Re <a, b> over the whole grid; ``prod``, a complex grid shaped like
-    ``a`` that overlaps neither input, receives the products."""
-    prod = np.multiply(np.conjugate(a, out=prod), b, out=prod)
-    return float(prod.real.sum())
 
 
 class KernelProjection(NamedTuple):

@@ -8,6 +8,10 @@ input, so a component-major field (see ``charts``) stays component-major;
 ``clifford_e1`` and ``clifford_e2`` write each half straight into it,
 with no half-spinor temporaries.  ``flat_dirac`` has the frame form only.
 
+``re_pairing`` and ``spinor_norm2`` are the one real pairing Re<s, t> and
+the one squared norm |s|^2, of plain spinors, twisted ones and whole grids:
+no other code forms a spinor pairing's complex products.
+
 The two frame vectors act by the matrices
 
     e1 = [[0, 1], [-1, 0]],    e2 = [[0, i], [i, 0]],
@@ -21,28 +25,28 @@ from __future__ import annotations
 
 import numpy as np
 
-E1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=np.complex128)
-E2 = np.array([[0.0, 1.0j], [1.0j, 0.0]], dtype=np.complex128)
-
-
 def spinor(f, g) -> np.ndarray:
     """Pack two complex components into a spinor array."""
     return np.array([f, g], dtype=np.complex128)
 
 
-def hermitian(s, t) -> np.ndarray:
-    """Hermitian pairing <s, t>, antilinear in s; sums only the spinor axis."""
-    s = np.asarray(s)
-    t = np.asarray(t)
-    return (np.conj(s) * t).sum(axis=-1)
+def re_pairing(s, t, axis=-1, out=None, work=None) -> np.ndarray:
+    """Re <s, t> summed over ``axis``: -1 for plain spinors, (-2, -1) for
+    twisted ones and None for the whole grid.  ``work``, complex, shaped like
+    ``s`` and overlapping neither input, receives conj(s) and then, in place,
+    conj(s) t; ``out`` receives the sum of their real parts, added in memory
+    order.  Each is allocated when None."""
+    prod = np.conjugate(s, out=work)
+    prod *= t
+    return np.sum(prod.real, axis=axis, out=out)
 
 
-def spinor_norm2(s) -> np.ndarray:
-    """|s|^2 = |f|^2 + |g|^2 per grid node."""
+def spinor_norm2(s, axis=-1) -> np.ndarray:
+    """|s|^2 = sum |f|^2 + |g|^2 over ``axis``, as for ``re_pairing``."""
     s = np.asarray(s)
     squares = s.real**2
     squares += s.imag**2
-    return squares.sum(axis=-1)
+    return squares.sum(axis=axis)
 
 
 def clifford_e1(s, out=None) -> np.ndarray:

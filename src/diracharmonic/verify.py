@@ -24,8 +24,8 @@ from .fields import (MapField, action, curvature_term, dirichlet_density,
 from .identities import (_EXPONENTS, bochner_defect, conformal_checks,
                          em_divergence, energy_momentum, pohozaev_defect,
                          self_adjointness_defect, weitzenboeck_defect)
-from .spinors import (clifford_mul, flat_dirac, hermitian, spinor_norm2,
-                      twistor_defect, twistor_field)
+from .spinors import (clifford_mul, flat_dirac, re_pairing, spinor_norm2, twistor_defect,
+                      twistor_field)
 from .targets import Sphere
 
 RATIO_WINDOW = (3.4, 4.6)
@@ -74,8 +74,7 @@ def _algebra_checks(seed: int):
         rhs = -2.0 * (v @ w) * s
         scale = max(1.0, float(np.abs(s).max()) * float(np.abs(v @ w)) + 1e-30)
         worst_cliff = max(worst_cliff, float(np.abs(lhs - rhs).max()) / scale)
-        sk = (np.real(hermitian(clifford_mul(v, s), t))
-              + np.real(hermitian(s, clifford_mul(v, t))))
+        sk = re_pairing(clifford_mul(v, s), t) + re_pairing(s, clifford_mul(v, t))
         worst_skew = max(worst_skew, abs(float(sk)) / max(1.0, float(np.abs(s).max() * np.abs(t).max())))
     return worst_cliff, worst_skew
 

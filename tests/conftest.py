@@ -9,10 +9,13 @@ import pytest
 
 import diracharmonic as dh
 from diracharmonic.fields import covariant_derivative
-from diracharmonic.identities import _spinor_pair_re
 from diracharmonic.spinors import clifford_e1
 
 RATIO_LO, RATIO_HI = 3.4, 4.6
+
+# The matrices by which the frame vectors act on spinors (see ``spinors``).
+E1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=np.complex128)
+E2 = np.array([[0.0, 1.0j], [1.0j, 0.0]], dtype=np.complex128)
 
 
 def assert_second_order(coarse, fine, lo=RATIO_LO, hi=RATIO_HI):
@@ -82,9 +85,9 @@ def hopf_oracle(phi, psi):
 
     the reference for ``hopf_differential``, which reads it off the
     energy-momentum tensor."""
-    e1psi = clifford_e1(psi.values)
-    sx = -_spinor_pair_re(e1psi, covariant_derivative(phi, psi.values, "x"))
-    sy = -_spinor_pair_re(e1psi, covariant_derivative(phi, psi.values, "y"))
+    conj_e1psi = np.conj(clifford_e1(psi.values))
+    sx = -np.real(conj_e1psi * covariant_derivative(phi, psi.values, "x")).sum(axis=(-2, -1))
+    sy = -np.real(conj_e1psi * covariant_derivative(phi, psi.values, "y")).sum(axis=(-2, -1))
     return conformality_defect(phi, analytic=False) + sx - 1j * sy
 
 
@@ -186,7 +189,7 @@ def plain_cg(op, rhs, shift, tol, max_iters):
 def clifford_contract_oracle(dphi, psi_values):
     """Matrix-form oracle for ``fields.clifford_frame_contract``:
     sum_{a,i} d_a phi^i (E_a @ psi^i) with the Clifford matrices E1, E2."""
-    e = np.stack([dh.spinors.E1, dh.spinors.E2])
+    e = np.stack([E1, E2])
     return np.einsum("...ai,ast,...it->...s", dphi, e, psi_values)
 
 
@@ -241,7 +244,7 @@ def conformal_oracle(phi, psi, f, convention):
 
     def action(p, s):
         spin = dh.el_residual(p, s).spinor_residual
-        dens = dh.fields.dirichlet_density(p) + np.real(dh.hermitian(s.values, spin)).sum(axis=-1)
+        dens = dh.fields.dirichlet_density(p) + dh.re_pairing(s.values, spin).sum(axis=-1)
         return chart.integrate(dens)
 
     L0, L1 = action(phi, psi), action(phi_t, psi_t)

@@ -110,7 +110,7 @@ def test_criterion_05_holomorphic_quadratic_differential():
     vals = []
     for n in (64, 128):
         chart, phi, psi = torus_deg1_pair(n)
-        vals.append(dh.hopf_differential(phi, psi).dbar_defect()
+        vals.append(dh.energy_momentum(phi, psi).hopf_differential().dbar_defect()
                     / dh.field_scale(phi, psi))
     r = vals[0] / vals[1]
     assert RATIO_LO <= r <= RATIO_HI

@@ -12,6 +12,8 @@ class TestGridValidation:
         pytest.param(4, 1.0, "torus", None, "n >= 8", id="small_n"),
         pytest.param(16, 0.0, "torus", None, "side must be positive", id="zero_side"),
         pytest.param(16, -1.0, "disk", None, "side must be positive", id="negative_side"),
+        pytest.param(16, 1e300, "torus", None, r"lie in \[1e-30, 1e\+30\]", id="huge_side"),
+        pytest.param(16, float("nan"), "torus", None, "side must be positive", id="nan_side"),
         pytest.param(16, 1.0, "sphere", None, "unknown topology", id="unknown_topology"),
         pytest.param(16, 1.0, "torus", 0.0, "window must lie in", id="zero_window"),
         pytest.param(16, 1.0, "torus", 1.5, "window must lie in", id="wide_window"),

@@ -338,6 +338,10 @@ BAD_INPUTS = [
                  "line 2", id="target_dim_on_wrap"),
     pytest.param("[chart]\ntopology = disk\nwindow = 0.5\n", ["exact"], "line 3",
                  id="window_on_disk"),
+    pytest.param("[chart]\ntopology = disk\nn = 10\n", ["exact"], "line 3",
+                 id="disk_interior_empty"),
+    pytest.param("[chart]\nn = 9\nwindow = 0.001\n", ["flow"], "line 2",
+                 id="window_interior_empty"),
 ]
 
 
@@ -349,6 +353,33 @@ def test_bad_config_exits_1_naming_the_line(tmp_path, text, command, where):
     assert r.returncode == 1, r.stdout + r.stderr
     assert r.stderr.startswith(f"config error: {where}: "), r.stderr
     assert "Traceback" not in r.stderr
+
+
+# Inputs that once ended in a traceback deep in the numerics: (config text,
+# command, exit code, what stderr must name).  A side of 1e300 overflowed
+# h^2 and one of 1e-300 underflowed it to zero; a spinor of 1e300 broke the
+# first kernel solve down, which the flow reports as a divergence.  The
+# coupled flow runs at both ends of the side range.
+NUMERIC_EXTREMES = [
+    pytest.param("[chart]\nside = 1e300\n", "verify", 1, "config error: line 2: chart.side",
+                 id="side_1e300_verify"),
+    pytest.param("[chart]\nn = 16\nside = 1e-300\n", "flow", 1,
+                 "config error: line 3: chart.side", id="side_1e-300_flow"),
+    pytest.param("[chart]\nn = 24\n\n[scenario]\nkind = twistor_pushforward\npsi1 = 1e300,1\n",
+                 "flow", 3, "solver diverged: CG breakdown", id="psi1_1e300_flow"),
+    *(pytest.param(f"[chart]\nn = 16\nside = {side}\n\n[solver]\nmax_iters = 50\n", "flow", 0, "",
+                   id=f"side_{side}_flow") for side in ("1e-30", "1e30")),
+]
+
+
+@pytest.mark.parametrize("text,command,code,named", NUMERIC_EXTREMES)
+def test_numeric_extremes_exit_with_their_code_and_no_traceback(tmp_path, text, command,
+                                                                 code, named):
+    path = tmp_path / "extreme.cfg"
+    path.write_text(text)
+    r = run_cli(command, "--config", str(path), "--out", str(tmp_path / "out"))
+    assert r.returncode == code, r.stdout + r.stderr
+    assert named in r.stderr and "Traceback" not in r.stderr, r.stderr
 
 
 def test_flat_pair_read_back_keeps_one_target(tmp_path):

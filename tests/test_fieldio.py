@@ -102,6 +102,8 @@ def _map_file(path, topology=0, n=8, side=1.0):
     pytest.param(0, 8, 0.0, "bad_side", id="zero_side"),
     pytest.param(0, 8, float("nan"), "bad_side", id="nan_side"),
     pytest.param(0, 8, float("inf"), "bad_side", id="infinite_side"),
+    pytest.param(0, 8, 1e300, "bad_side", id="side_1e300"),
+    pytest.param(0, 8, 1e-300, "bad_side", id="side_1e-300"),
     pytest.param(1, 16, 2.0, "bad_side", id="disk_side_2"),
 ])
 def test_header_chart_fields_are_validated(tmp_path, capsys, topology, n, side, code):

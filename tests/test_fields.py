@@ -217,7 +217,7 @@ class TestActionEnergy:
         # cancels algebraically, not just at stencil order.
         chart, phi, psi = elliptic_pair(48)
         spin = dh.dirac_along_map(phi, psi)
-        dens = np.real(dh.hermitian(psi.values, spin)).sum(axis=-1)
+        dens = dh.re_pairing(psi.values, spin, axis=(-2, -1))
         assert np.abs(dens).max() < 1e-12
 
     def test_degree_one_dirichlet_energy_is_eight_pi(self):

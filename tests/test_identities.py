@@ -81,8 +81,8 @@ class TestHopfDifferential:
     def test_is_the_2_0_part_of_the_energy_momentum_tensor(self, build):
         # Read off T, the coefficient matches the explicit formula to round-off.
         _, phi, psi = build()
-        T = dh.energy_momentum(phi, psi).components
-        qd = dh.hopf_differential(phi, psi)
+        em = dh.energy_momentum(phi, psi)
+        T, qd = em.components, em.hopf_differential()
         assert np.abs(qd.T - hopf_oracle(phi, psi)).max() <= 1e-13 * np.abs(T).max()
 
     def test_geodesic_wrap_gives_constant_coefficient(self):
@@ -92,7 +92,7 @@ class TestHopfDifferential:
             chart = dh.DomainChart.torus(n)
             phi = dh.harmonic_wrap(chart)
             psi0 = dh.TwistedSpinorField.zero(chart, phi.target)
-            qd = dh.hopf_differential(phi, psi0)
+            qd = dh.energy_momentum(phi, psi0).hopf_differential()
             gaps.append(np.abs(qd.T - 4 * np.pi**2).max())
         assert gaps[0] < 0.3
         assert_second_order(*gaps)
@@ -101,14 +101,14 @@ class TestHopfDifferential:
         vals = []
         for n in (64, 128):
             chart, phi, psi = torus_deg1_pair(n)
-            vals.append(dh.hopf_differential(phi, psi).dbar_defect())
+            vals.append(dh.energy_momentum(phi, psi).hopf_differential().dbar_defect())
         assert_second_order(*vals)
 
     def test_dbar_defect_bounded_away_for_random_fields(self):
         vals = []
         for n in (48, 96):
             chart, phi, psi = random_sphere_pair(n, seed=4)
-            vals.append(dh.hopf_differential(phi, psi).dbar_defect())
+            vals.append(dh.energy_momentum(phi, psi).hopf_differential().dbar_defect())
         assert min(vals) > 1.0
         assert vals[0] / vals[1] < 2.0
 
@@ -117,7 +117,7 @@ class TestHopfDifferential:
         gaps = []
         for n in (64, 128):
             chart, phi, psi = disk_twistor_pair(n)
-            qd = dh.hopf_differential(phi, psi)
+            qd = dh.energy_momentum(phi, psi).hopf_differential()
             r = 0.5
             n_theta = 4 * chart.n
             theta, px, py = chart.circle_points(r, n_theta)

@@ -40,8 +40,8 @@ class TestCliffordAction:
             v = rng.normal(size=2)
             s = rng.normal(size=2) + 1j * rng.normal(size=2)
             t = rng.normal(size=2) + 1j * rng.normal(size=2)
-            lhs = np.real(dh.hermitian(dh.clifford_mul(v, s), t))
-            rhs = -np.real(dh.hermitian(s, dh.clifford_mul(v, t)))
+            lhs = dh.re_pairing(dh.clifford_mul(v, s), t)
+            rhs = -dh.re_pairing(s, dh.clifford_mul(v, t))
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
     def test_isometry_of_unit_vectors(self, rng):
@@ -50,6 +50,22 @@ class TestCliffordAction:
             v = (np.cos(theta), np.sin(theta))
             s = rng.normal(size=2) + 1j * rng.normal(size=2)
             assert np.isclose(dh.spinor_norm2(dh.clifford_mul(v, s)), dh.spinor_norm2(s))
+
+
+@pytest.mark.parametrize("axis", [-1, (-2, -1), None], ids=["spinor", "twisted", "grid"])
+def test_pairing_and_norm_match_vdot(rng, axis):
+    shape = (5, 4, 3, 2)                        # a small twisted spinor grid
+    s, t = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+    kept = {-1: shape[:3], (-2, -1): shape[:2], None: ()}[axis]
+    ref_pair = np.array([np.vdot(s[i], t[i]).real for i in np.ndindex(kept)]).reshape(kept)
+    ref_norm = np.array([np.vdot(s[i], s[i]).real for i in np.ndindex(kept)]).reshape(kept)
+    np.testing.assert_allclose(dh.re_pairing(s, t, axis=axis), ref_pair, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(dh.spinor_norm2(s, axis=axis), ref_norm, rtol=1e-14)
+    # Through work and out arrays: the same bits, the products left in ``work``.
+    work, out = np.empty_like(s), np.empty(kept)
+    assert dh.re_pairing(s, t, axis=axis, out=out, work=work) is out
+    assert np.array_equal(out, dh.re_pairing(s, t, axis=axis))
+    assert np.array_equal(work, np.conj(s) * t)
 
 
 class TestFlatDirac:
