@@ -65,5 +65,5 @@ for n in (64, 128):
           f"spinor {res.norms['spinor_sup']:.3e}")
 E = dh.DomainChart.torus(192)
 phi = dh.elliptic_conformal_field(E, scale=0.7)
-energy = E.integrate((phi.gradient(analytic=True) ** 2).sum(axis=(-2, -1)))
+energy = E.integrate((phi.analytic_gradient ** 2).sum(axis=(-2, -1)))
 print(f"  Dirichlet energy {energy:.6f} = 16 pi = {16 * np.pi:.6f} (degree 2)")

@@ -61,7 +61,7 @@ for n in (64, 128):
     qd = dh.energy_momentum(phi, psi).hopf_differential()
     print(f"  n={n:4d}  dbar defect = {qd.dbar_defect():.3e}")
 _, phi, _ = exact_pair(96, "torus")
-d = phi.gradient(analytic=True)  # the map part of T from the exact gradient
+d = phi.analytic_gradient  # the map part of T from the exact gradient
 dx, dy = d[..., 0, :], d[..., 1, :]
 map_part = (dx**2).sum(-1) - (dy**2).sum(-1) - 2j * (dx * dy).sum(-1)
 print(f"  conformal map alone: sup |T| = {np.abs(map_part).max():.2e} "

@@ -179,32 +179,26 @@ class DomainChart:
     def interp(self, f, px, py) -> np.ndarray:
         """Bilinear interpolation of a node field at physical points.
 
-        A multi-component field is gathered from its component-major view,
-        so the result has the points' shape plus the component axes and
-        is stored component-major as well."""
+        Node indices wrap on both topologies (a disk chart rejects points
+        outside its square).  A multi-component field is gathered from its
+        component-major view, so the result has the points' shape plus the
+        component axes and is stored component-major as well."""
         f = np.asarray(f)
         n, side, h = self.n, self.side, self.h
         x0 = -0.5 * side if self.topology == "torus" else -0.5 * side + 0.5 * h
         gx = (np.asarray(px) - x0) / h
         gy = (np.asarray(py) - x0) / h
-        if self.topology == "torus":
-            ix0 = np.floor(gx).astype(int)
-            iy0 = np.floor(gy).astype(int)
-            tx = gx - ix0
-            ty = gy - iy0
-            ix0 %= n
-            iy0 %= n
-            ix1 = (ix0 + 1) % n
-            iy1 = (iy0 + 1) % n
-        else:
-            if (gx < 0).any() or (gx > n - 1).any() or (gy < 0).any() or (gy > n - 1).any():
-                raise ValueError("interpolation point outside the disk chart square")
-            ix0 = np.clip(np.floor(gx).astype(int), 0, n - 2)
-            iy0 = np.clip(np.floor(gy).astype(int), 0, n - 2)
-            tx = gx - ix0
-            ty = gy - iy0
-            ix1 = ix0 + 1
-            iy1 = iy0 + 1
+        if self.topology == "disk" and not ((0 <= gx) & (gx <= n - 1)
+                                            & (0 <= gy) & (gy <= n - 1)).all():
+            raise ValueError("interpolation point outside the disk chart square")
+        ix0 = np.floor(gx).astype(int)
+        iy0 = np.floor(gy).astype(int)
+        tx = gx - ix0
+        ty = gy - iy0
+        ix0 %= n
+        iy0 %= n
+        ix1 = (ix0 + 1) % n
+        iy1 = (iy0 + 1) % n
         # Gather from the (*comp, n * n) planes: np.take keeps the component
         # axes outermost, where fancy indexing would put the points there.
         planes = f.transpose(tuple(range(2, f.ndim)) + (0, 1)).reshape(f.shape[2:] + (n * n,))

@@ -1,7 +1,8 @@
 """Command-line surface: exact | verify | flow | probe | dump.
 
 Exit codes: 0 success, 1 usage or configuration error (argparse's
-included), 2 verification failed, 3 solver divergence.  Outputs are
+included, and input whose arithmetic overflows outside a flow), 2
+verification failed, 3 solver divergence.  Outputs are
 deterministic for a fixed config and seed; reports embed the package
 version and a hash of the config text instead of timestamps.
 """
@@ -59,7 +60,7 @@ def _read_fields(phi_path, psi_path):
     psi = read_field(psi_path, chart=phi.chart, target=phi.target)
     if not isinstance(psi, TwistedSpinorField):
         raise FieldFileError("not_a_spinor", f"{psi_path}: --psi needs a spinor file, not a map")
-    if tangency_defect(phi, psi) > TANGENCY_TOL:
+    if not tangency_defect(phi, psi) <= TANGENCY_TOL:  # NaN fails too
         raise FieldFileError("not_tangent", f"{psi_path}: spinor is not tangent along the map")
     return phi, psi
 
@@ -78,6 +79,7 @@ def _summary(phi, psi) -> dict:
 
 def cmd_exact(cfg: RunConfig) -> int:
     phi, psi = build_pair(cfg)
+    summary = _summary(phi, psi)  # before any file, which a failed summary leaves unwritten
     out = _outdir(cfg)
     write_field(out / "phi.dhm", phi)
     write_field(out / "psi.dhm", psi)
@@ -86,7 +88,7 @@ def cmd_exact(cfg: RunConfig) -> int:
         "config_sha256": cfg.sha256(),
         "scenario": cfg.get("scenario", "kind"),
         "grid": phi.chart.n,
-        "summary": _summary(phi, psi),
+        "summary": summary,
     }
     _json_dump(report, out / "exact_summary.json")
     print(f"wrote {out / 'phi.dhm'}, {out / 'psi.dhm'}, {out / 'exact_summary.json'}")
@@ -243,6 +245,9 @@ def main(argv=None) -> int:
         return _EXIT_USAGE
     except FieldFileError as exc:
         print(f"field file error [{exc.code}]: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
+    except FloatingPointError as exc:  # finite input whose arithmetic overflows
+        print(f"numeric error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)

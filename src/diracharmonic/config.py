@@ -1,7 +1,8 @@
 """Line-oriented run configuration: ``key = value`` entries under
 ``[section]`` headers, described key by key in the table ``KEYS``.
 
-Errors name the offending line.  A key the configured topology or
+Errors name the offending line.  Numbers must be finite, and so must
+every value of the pair ``build_pair`` builds from them.  A key the configured topology or
 scenario does not read is rejected; scenarios other than constant_spinor
 map into S^2 and accept ``[target]`` only as ``kind = sphere, dim = 2``,
 and ``elliptic_pair`` needs a torus.  The ``[solver]`` rows take their
@@ -13,6 +14,7 @@ brackets, who reads the key if not everyone.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 from dataclasses import dataclass, field
 from functools import partial
@@ -72,6 +74,8 @@ class Key:
                 values.append(convert(part))
             except ValueError:
                 raise ValueError(f"not {what}: {part!r}") from None
+            if not cmath.isfinite(complex(part)):  # so is an int beyond the float range
+                raise ValueError(f"not a finite number: {part!r}")
         if not values or (self.size and len(values) != self.size):
             raise ValueError(f"needs {self.size or 'at least one'} value(s), got {len(values)}")
         if self.interval and not all(_within(v, self.interval) for v in values):
@@ -93,7 +97,7 @@ KEYS = (
     Key("chart", "side", "float", "2.2", f"(2, {MAX_SIDE:g}]", readers=("disk",)),
     Key("chart", "window", "float", "none", "(0, 1]", readers=("torus",)),
     Key("target", "kind", "sphere | flat", "sphere"),
-    Key("target", "dim", "int", "2", "[1, inf)"),
+    Key("target", "dim", "int", "2", "[1, 16]"),
     Key("scenario", "kind", f"{_TWISTOR} | elliptic_pair | harmonic_wrap | {_CONSTANT} | "
         f"{_PERTURBED}", _TWISTOR),
     Key("scenario", "rational_num", "complex list", "0,1", readers=(_TWISTOR,)),
@@ -109,7 +113,7 @@ KEYS = (
     Key("scenario", "spinor_direction", "float list", "1,0,0", readers=(_CONSTANT,)),
     Key("scenario", "spinor_components", "complex list", "1,0", size=2, readers=(_CONSTANT,)),
     Key("scenario", "amplitude", "float", "0.05", readers=(_PERTURBED,)),
-    Key("scenario", "modes", "int list", "2,3", "[1, inf)", readers=(_PERTURBED,)),
+    Key("scenario", "modes", "int list", "2,3", "[1, 32]", readers=(_PERTURBED,)),
     *(Key("solver", name, type(getattr(SolverConfig, name)).__name__,
           str(getattr(SolverConfig, name)), f"[{least}, inf)") for name, least in MINIMA.items()),
     Key("output", "out_dir", "text", "runs"),
@@ -236,39 +240,41 @@ def build_solver_config(cfg: RunConfig) -> SolverConfig:
     return SolverConfig(**values, seed=cfg.get("output", "seed"))
 
 
+@np.errstate(all="ignore")  # an overflow is reported once, by the check at the end
 def build_pair(cfg: RunConfig, n_override: int | None = None
                ) -> tuple[MapField, TwistedSpinorField]:
-    """The configured scenario's fields at chart.n or ``n_override``."""
+    """The configured scenario's fields at chart.n or ``n_override``; a pair
+    with a non-finite value is a config error."""
     chart = build_chart(cfg, n_override)
     kind = cfg.get("scenario", "kind")
     sc = partial(cfg.get, "scenario")
+    where = f"{cfg.where('scenario', 'kind')}scenario {kind}"
     try:
         if kind == "twistor_pushforward":
             rmap = RationalMap(sc("rational_num"), sc("rational_den"))
             phi = conformal_map_field(rmap, chart, center=sc("map_center"),
                                       scale=sc("map_scale"))
-            return phi, twistor_pushforward(phi, np.array(sc("psi0")), np.array(sc("psi1")))
-
-        if kind == "elliptic_pair":
+            psi = twistor_pushforward(phi, np.array(sc("psi0")), np.array(sc("psi1")))
+        elif kind == "elliptic_pair":
             phi = elliptic_conformal_field(chart, scale=sc("map_scale"))
-            return phi, twistor_pushforward(phi, np.array(sc("psi0")),
-                                            np.zeros(2, dtype=complex))
-
-        if kind == "harmonic_wrap":
+            psi = twistor_pushforward(phi, np.array(sc("psi0")), np.zeros(2, dtype=complex))
+        elif kind == "harmonic_wrap":
             phi = harmonic_wrap(chart, winding=sc("winding"))
-            return phi, TwistedSpinorField.zero(chart, phi.target)
-
-        if kind == "constant_spinor":
+            psi = TwistedSpinorField.zero(chart, phi.target)
+        elif kind == "constant_spinor":
             dim = cfg.get("target", "dim")
             target = Sphere(dim) if cfg.get("target", "kind") == "sphere" else Flat(dim)
-            return constant_spinor_pair(chart, target, sc("base_point"), sc("spinor_direction"),
-                                        sc("spinor_components"))
-
-        rng = np.random.default_rng(cfg.get("output", "seed"))
-        sphere = Sphere(2)
-        pert = bandlimited_field(chart, rng, components=(3,), kmax=max(sc("modes")),
-                                 amplitude=sc("amplitude"), modes=sc("modes"))
-        phi = MapField(chart, sphere, sphere.project_point(np.array(sc("base_point")) + pert))
-        return phi, TwistedSpinorField.zero(chart, sphere)
+            phi, psi = constant_spinor_pair(chart, target, sc("base_point"),
+                                            sc("spinor_direction"), sc("spinor_components"))
+        else:
+            rng = np.random.default_rng(cfg.get("output", "seed"))
+            sphere = Sphere(2)
+            pert = bandlimited_field(chart, rng, components=(3,), kmax=max(sc("modes")),
+                                     amplitude=sc("amplitude"), modes=sc("modes"))
+            phi = MapField(chart, sphere, sphere.project_point(np.array(sc("base_point")) + pert))
+            psi = TwistedSpinorField.zero(chart, sphere)
     except ValueError as exc:  # data no single key can judge, e.g. a degenerate map
-        raise ConfigError(f"{cfg.where('scenario', 'kind')}scenario {kind}: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
+    if not (np.isfinite(phi.values).all() and np.isfinite(psi.values).all()):
+        raise ConfigError(f"{where}: the pair has a non-finite value")
+    return phi, psi

@@ -15,10 +15,11 @@ Byte layout, little-endian throughout:
     48      4     u32 CRC32 of the payload (zlib)
     52      ...   payload
 
-Payloads are row-major (y outer) float64.  A map stores (n, n, K); a
-spinor stores (n, n, K, 4) with the last axis interleaving
-(Re f, Im f, Re g, Im g) per ambient component.  Round trips are
-bit-exact.
+A payload is the field values' C-order (y outer) little-endian bytes:
+a map's (n, n, K) as ``<f8`` and a spinor's (n, n, K, 2) as ``<c16``,
+whose (re, im) pairs interleave (Re f, Im f, Re g, Im g) per ambient
+component.  Round trips are bit-exact, and a payload with a non-finite
+value is rejected on read (``bad_values``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from .targets import Flat, Sphere, TargetGeometry
 
 MAGIC = b"DHM1"
 VERSION = 1
-_LAYOUTS = {0: b"map:f64le", 1: b"spin:f64le:rifg"}
+# kind byte -> (name, field class, layout tag, payload dtype, trailing value axes)
+_KINDS = {0: ("map", MapField, b"map:f64le", "<f8", ()),
+          1: ("spinor", TwistedSpinorField, b"spin:f64le:rifg", "<c16", (2,))}
 _HEADER = struct.Struct("<4sIBBHId16sQI")
 
 
@@ -59,20 +62,13 @@ class FieldHeader:
     crc32: int
 
 
-def _pack_payload(field) -> tuple[int, np.ndarray]:
-    if isinstance(field, MapField):
-        return 0, np.ascontiguousarray(field.values, dtype="<f8")
-    if isinstance(field, TwistedSpinorField):
-        v = field.values
-        quad = np.stack([v[..., 0].real, v[..., 0].imag,
-                         v[..., 1].real, v[..., 1].imag], axis=-1)
-        return 1, np.ascontiguousarray(quad, dtype="<f8")
-    raise TypeError(f"cannot serialize {type(field).__name__}")
-
-
 def write_field(path, field) -> None:
     """Serialize a map or spinor field; see the module docstring for bytes."""
-    kind, payload = _pack_payload(field)
+    kind = next((k for k, row in _KINDS.items() if isinstance(field, row[1])), None)
+    if kind is None:
+        raise TypeError(f"cannot serialize {type(field).__name__}")
+    _, _, layout, dtype, _ = _KINDS[kind]
+    payload = np.ascontiguousarray(field.values, dtype=dtype)
     chart = field.chart
     # The C-order payload is already the byte layout: write it as a buffer
     # rather than through a bytes copy.
@@ -84,7 +80,7 @@ def write_field(path, field) -> None:
         field.target.ambient_dim,
         chart.n,
         chart.side,
-        _LAYOUTS[kind].ljust(16, b"\0"),
+        layout.ljust(16, b"\0"),
         len(raw),
         zlib.crc32(raw) & 0xFFFFFFFF,
     )
@@ -113,15 +109,17 @@ def read_header(path) -> FieldHeader:
     if not (MIN_SIDE <= side <= MAX_SIDE and (topology == "torus" or side > 2.0)):
         raise FieldFileError("bad_side", f"{path}: side {side} on a {topology} chart, "
                                          f"which needs a side {least} and <= {MAX_SIDE:g}")
-    if kind not in _LAYOUTS:
+    if K < 1:  # as the targets require
+        raise FieldFileError("bad_dim", f"{path}: K = {K}, a field needs K >= 1")
+    if kind not in _KINDS:
         raise FieldFileError("bad_kind", f"{path}: unknown field kind {kind}")
-    if layout.rstrip(b"\0") != _LAYOUTS[kind]:
+    name, _, tag, dtype, trail = _KINDS[kind]
+    if layout.rstrip(b"\0") != tag:
         raise FieldFileError("bad_layout", f"{path}: layout tag {layout!r}")
-    comps = K if kind == 0 else 4 * K
-    if nbytes != n * n * comps * 8:
-        raise FieldFileError("bad_size", f"{path}: payload length {nbytes} != {n * n * comps * 8}")
-    return FieldHeader(version=version, topology=topology,
-                       kind="map" if kind == 0 else "spinor", ambient_dim=K,
+    size = n * n * K * int(np.prod(trail)) * np.dtype(dtype).itemsize
+    if nbytes != size:
+        raise FieldFileError("bad_size", f"{path}: payload length {nbytes} != {size}")
+    return FieldHeader(version=version, topology=topology, kind=name, ambient_dim=K,
                        n=n, side=side, payload_bytes=nbytes, crc32=crc)
 
 
@@ -150,17 +148,16 @@ def read_field(path, chart: DomainChart | None = None,
     if target is not None and target.ambient_dim != hd.ambient_dim:
         raise FieldFileError("dim_mismatch", f"{path}: K = {hd.ambient_dim} != {target.ambient_dim}")
     K = hd.ambient_dim
-    if hd.kind == "map":
-        vals = empty_planes((hd.n, hd.n, K))
-        vals[...] = np.frombuffer(raw, dtype="<f8").reshape(hd.n, hd.n, K)
-        if target is None:
-            on_sphere = K >= 2 and np.abs((vals**2).sum(axis=-1) - 1.0).max() < 1e-8
-            target = Sphere(K - 1) if on_sphere else Flat(K)
+    _, cls, _, dtype, trail = next(k for k in _KINDS.values() if k[0] == hd.kind)
+    shape = (hd.n, hd.n, K) + trail
+    # A copy, never the read-only buffer: as_planes would keep a K = 1 map's.
+    vals = empty_planes(shape, np.dtype(dtype).newbyteorder("="))
+    vals[...] = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    if not np.isfinite(vals).all():
+        raise FieldFileError("bad_values", f"{path}: payload holds a non-finite value")
+    if target is None:  # map values decide; a spinor read alone takes the sphere
+        on_sphere = cls is TwistedSpinorField or np.abs((vals**2).sum(axis=-1) - 1.0).max() < 1e-8
+        target = Sphere(K - 1) if K >= 2 and on_sphere else Flat(K)
+    if cls is MapField:
         return MapField(chart, target, vals, check=False)
-    quad = np.frombuffer(raw, dtype="<f8").reshape(hd.n, hd.n, K, 4)
-    vals = empty_planes((hd.n, hd.n, K, 2), np.complex128)
-    vals[..., 0] = quad[..., 0] + 1j * quad[..., 1]
-    vals[..., 1] = quad[..., 2] + 1j * quad[..., 3]
-    if target is None:
-        target = Sphere(K - 1) if K >= 2 else Flat(1)
-    return TwistedSpinorField(chart, target, vals)
+    return cls(chart, target, vals)

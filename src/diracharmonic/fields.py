@@ -39,11 +39,10 @@ TANGENCY_TOL = 1e-8
 class MapField:
     """Grid sample of a map into the target, as unit ambient vectors.
 
-    ``analytic_gradient`` optionally carries the exact derivative arrays
-    (shape (n, n, 2, K)); constructors of closed-form maps fill it so that
-    algebraic identities (pushforward tangency, conformality of the map)
-    hold to machine precision instead of O(h^2).  The identities read the
-    stencil gradient.
+    ``analytic_gradient`` optionally carries the exact (n, n, 2, K) gradient.
+    Only the rational and elliptic families fill it, and ``twistor_pushforward``
+    alone reads it, so that pushforward tangency holds to machine precision
+    instead of O(h^2); the identities read the stencil gradient.
     """
 
     def __init__(self, chart: DomainChart, target: TargetGeometry, values,
@@ -55,7 +54,7 @@ class MapField:
         values = as_planes(values)
         if check:
             defect = target.off_target(values)
-            if defect > ON_MANIFOLD_TOL:
+            if not defect <= ON_MANIFOLD_TOL:  # NaN fails too
                 raise ValueError(f"map leaves the target by {defect:.3e}")
         self.chart = chart
         self.target = target
@@ -67,16 +66,11 @@ class MapField:
         p = target.project_point(np.asarray(point, dtype=float))
         vals = empty_planes(chart.shape + (target.ambient_dim,))
         vals[...] = p
-        grad = empty_planes(chart.shape + (2, target.ambient_dim), zero=True)
-        return cls(chart, target, vals, analytic_gradient=grad)
+        return cls(chart, target, vals)
 
-    def gradient(self, analytic: bool = False, out=None) -> np.ndarray:
-        """d phi as an (n, n, 2, K) array: axis -2 indexes the frame
-        direction.  ``out`` receives the finite-difference gradient."""
-        if analytic:
-            if self.analytic_gradient is None:
-                raise ValueError("map carries no analytic gradient")
-            return self.analytic_gradient
+    def gradient(self, out=None) -> np.ndarray:
+        """The finite-difference d phi as an (n, n, 2, K) array, written
+        into ``out`` when given: axis -2 indexes the frame direction."""
         c, v = self.chart, self.values
         # Each derivative straight into its slot: np.stack would keep both
         # alive at once.
@@ -122,13 +116,15 @@ def field_scale(phi: MapField, psi: TwistedSpinorField) -> float:
 
 def tangency_defect(phi: MapField, psi: TwistedSpinorField) -> float:
     """Sup of |<nu, psi>| for the unit normal nu along phi, relative to the
-    spinor magnitude; 0.0 for flat targets, which have no normal."""
+    spinor magnitude; 0.0 for flat targets, which have no normal.  NaN, with
+    no warning, if psi holds a NaN or |psi|^2 overflows."""
     nu = phi.target.normal(phi.values)
     if nu is None:
         return 0.0
-    sup = np.sqrt(spinor_norm2(ambient_pairing(nu, psi.values))).max()
-    scale = np.sqrt(psi.norm2_density().max()) + 1e-300
-    return float(sup / scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sup = np.sqrt(spinor_norm2(ambient_pairing(nu, psi.values))).max()
+        scale = np.sqrt(psi.norm2_density().max()) + 1e-300
+        return float(sup / scale)
 
 
 def project_spinor(phi: MapField, raw) -> TwistedSpinorField:
@@ -210,6 +206,8 @@ def _flat_dirac_split(phi: MapField, psi: TwistedSpinorField, check_tangency: bo
     place, and that normal part: (D psi, normal part of the flat Dirac)."""
     if check_tangency:
         d = tangency_defect(phi, psi)
+        if np.isnan(d):  # |psi|^2 overflowed, or psi holds a NaN
+            raise FloatingPointError("the spinor's tangency defect is NaN")
         if d > TANGENCY_TOL:
             raise ValueError(f"spinor violates tangency by {d:.3e} (tol {TANGENCY_TOL:.1e})")
     slashed = flat_dirac(psi.values, phi.chart)
@@ -221,8 +219,9 @@ def _flat_dirac_split(phi: MapField, psi: TwistedSpinorField, check_tangency: bo
 def dirac_along_map(phi: MapField, psi: TwistedSpinorField,
                     check_tangency: bool = True) -> np.ndarray:
     """Dirac operator along the map: the tangential projection of the
-    componentwise flat Dirac operator.  Raises if psi violates tangency by
-    more than TANGENCY_TOL, unless ``check_tangency`` is False."""
+    componentwise flat Dirac operator.  Raises ValueError if psi violates
+    tangency by more than TANGENCY_TOL and FloatingPointError if the defect
+    is NaN, unless ``check_tangency`` is False."""
     return _flat_dirac_split(phi, psi, check_tangency)[0]
 
 

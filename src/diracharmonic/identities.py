@@ -28,7 +28,7 @@ import numpy as np
 
 from .charts import DomainChart, MoebiusMap, empty_planes
 from .fields import (MapField, TwistedSpinorField, action, covariant_derivative,
-                     dirac_along_map, energy, project_spinor, spinor_gradient)
+                     dirac_along_map, dirichlet_density, energy, project_spinor, spinor_gradient)
 from .spinors import clifford_e1, clifford_e2, clifford_mul, re_pairing, spinor_norm2
 from .targets import ambient_pairing
 
@@ -325,28 +325,26 @@ def conformal_invariance_defect(phi: MapField, psi: TwistedSpinorField,
 
 # -- decay diagnostics -----------------------------------------------------------
 
-def decay_profile(phi: MapField, psi: TwistedSpinorField, radii=None) -> dict:
+def decay_profile(phi: MapField, psi: TwistedSpinorField) -> dict:
     """Diagnostic table of weighted circle sups and cumulative energies.
 
     Columns per radius r: sup |dphi| r, sup |psi| r^(1/2), sup |grad psi|
     r^(3/2) (grad the covariant ``spinor_gradient``), the annulus energy on
     r <= |z| <= 2r, and the growth F(r) = int_{D_r} (|dphi|^2 + |psi|^4 +
-    |grad psi|^(4/3)).  The default radii 6h .. min(0.9, 1 - 5h) increase
-    only when 11h < 1; a coarser chart raises ValueError naming the least n.
+    |grad psi|^(4/3)).  The 24 radii 6h .. min(0.9, 1 - 5h) increase only
+    when 11h < 1; a coarser chart raises ValueError naming the least n.
     """
     chart = phi.chart
     if chart.topology != "disk":
         raise ValueError("decay diagnostics need a disk chart")
     h = chart.h
-    if radii is None:
-        if 11.0 * h >= 1.0:
-            raise ValueError(f"chart.n = {chart.n} is too coarse for probe on a disk of side "
-                             f"{chart.side}: the decay radii run from 6h up to 1 - 5h, so "
-                             f"n >= {int(11.0 * chart.side) + 1}")
-        radii = np.linspace(6.0 * h, min(0.9, 1.0 - 5.0 * h), 24)
+    if 11.0 * h >= 1.0:
+        raise ValueError(f"chart.n = {chart.n} is too coarse for probe on a disk of side "
+                         f"{chart.side}: the decay radii run from 6h up to 1 - 5h, so "
+                         f"n >= {int(11.0 * chart.side) + 1}")
+    radii = np.linspace(6.0 * h, min(0.9, 1.0 - 5.0 * h), 24)
 
-    d = phi.gradient()
-    dmag = np.sqrt((d**2).sum(axis=(-2, -1)))
+    dmag = np.sqrt(dirichlet_density(phi))
     psi_mag = np.sqrt(psi.norm2_density())
     gpsi_mag = np.sqrt(spinor_norm2(spinor_gradient(phi, psi), axis=(-3, -2, -1)))
     e_dens = dmag**2 + psi_mag**4

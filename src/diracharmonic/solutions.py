@@ -101,6 +101,18 @@ def _pair_wirtinger(p, q, dp, dq) -> np.ndarray:
     return out / (N**2)[..., None]
 
 
+def _sphere_map(chart: DomainChart, p, q, dp, dq, dzeta) -> MapField:
+    """The S^2 map of the pair (p, q), holomorphic in zeta, with its exact
+    gradient 2 Re(w dzeta), 2 Re(w i dzeta), w = d phi / d zeta.  Keep this
+    allocation order: forming the values last raised verify's peak RSS by 8%."""
+    values = stereo_pair(p, q)
+    wirt = _pair_wirtinger(p, q, dp, dq)
+    grad_x = 2.0 * (wirt * dzeta).real
+    grad_y = 2.0 * (wirt * (1j * dzeta)).real
+    grad = np.stack([grad_x, grad_y], axis=-2)
+    return MapField(chart, Sphere(2), values, analytic_gradient=grad)
+
+
 def conformal_map_field(rmap: RationalMap, chart: DomainChart, center=0.0,
                         scale: float = 1.0) -> MapField:
     """Sample phi = (inverse stereographic) o R(scale (z - center)) on the chart.
@@ -108,29 +120,22 @@ def conformal_map_field(rmap: RationalMap, chart: DomainChart, center=0.0,
     The exact gradient is attached, evaluated projectively so poles of R on
     the grid are harmless (the sphere map is smooth through them).
     """
-    target = Sphere(2)
     zeta = scale * (chart.z - complex(center))
-    p, q = rmap.pair(zeta)
-    values = stereo_pair(p, q)
-    dp, dq = rmap.derivative_pair(zeta)
-    wirt = _pair_wirtinger(p, q, dp, dq)
-    grad_x = 2.0 * (wirt * scale).real
-    grad_y = 2.0 * (wirt * (1j * scale)).real
-    grad = np.stack([grad_x, grad_y], axis=-2)
-    return MapField(chart, target, values, analytic_gradient=grad)
+    return _sphere_map(chart, *rmap.pair(zeta), *rmap.derivative_pair(zeta), scale)
 
 
 def twistor_pushforward(phi: MapField, psi0, psi1) -> TwistedSpinorField:
     """psi^i = sum_a (e_a . Psi) d_a phi^i with Psi the affine twistor spinor.
 
-    Uses the analytic gradient when the map carries one, making the tangency
-    constraint an exact algebraic identity.
+    Uses the exact gradient when the map carries one (the rational and
+    elliptic families do), making the tangency constraint an exact
+    algebraic identity; the stencil gradient otherwise.
     """
     chart = phi.chart
     Psi = twistor_field(chart, psi0, psi1)
     e1Psi = clifford_e1(Psi)
     e2Psi = clifford_e2(Psi)
-    d = phi.gradient(analytic=phi.analytic_gradient is not None)
+    d = phi.gradient() if phi.analytic_gradient is None else phi.analytic_gradient
     vals = (d[..., 0, :, None] * e1Psi[..., None, :]
             + d[..., 1, :, None] * e2Psi[..., None, :])
     return TwistedSpinorField(chart, phi.target, vals)
@@ -181,10 +186,7 @@ def elliptic_conformal_field(chart: DomainChart, scale: complex = 1.0) -> MapFie
     q = t1**2
     dp = 2.0 * c * t2 * dt2 * (np.pi / L)
     dq = 2.0 * t1 * dt1 * (np.pi / L)
-    values = stereo_pair(p, q)
-    wirt = _pair_wirtinger(p, q, dp, dq)
-    grad = np.stack([2.0 * wirt.real, 2.0 * (wirt * 1j).real], axis=-2)
-    return MapField(chart, Sphere(2), values, analytic_gradient=grad)
+    return _sphere_map(chart, p, q, dp, dq, 1.0)
 
 
 def harmonic_wrap(chart: DomainChart, winding: int = 1) -> MapField:
@@ -192,10 +194,7 @@ def harmonic_wrap(chart: DomainChart, winding: int = 1) -> MapField:
     k = 2.0 * np.pi * winding / chart.side
     phase = k * chart.x
     vals = np.stack([np.cos(phase), np.sin(phase), np.zeros_like(phase)], axis=-1)
-    grad = np.zeros(chart.shape + (2, 3))
-    grad[..., 0, 0] = -k * np.sin(phase)
-    grad[..., 0, 1] = k * np.cos(phase)
-    return MapField(chart, Sphere(2), vals, analytic_gradient=grad)
+    return MapField(chart, Sphere(2), vals)
 
 
 def constant_spinor_pair(chart: DomainChart, target: TargetGeometry, base_point, spinor_direction,

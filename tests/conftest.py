@@ -70,11 +70,21 @@ def conformality_defect(phi, analytic=True):
     Machine-zero for analytic gradients of conformal maps; O(h^2) through
     stencils.
     """
-    d = phi.gradient(analytic=analytic)
+    d = phi.analytic_gradient if analytic else phi.gradient()
     gxx = (d[..., 0, :] ** 2).sum(axis=-1)
     gyy = (d[..., 1, :] ** 2).sum(axis=-1)
     gxy = (d[..., 0, :] * d[..., 1, :]).sum(axis=-1)
     return gxx - gyy - 2j * gxy
+
+
+def harmonic_wrap_gradient(chart, winding):
+    """Closed-form d phi of ``harmonic_wrap``: only d_x of its first two
+    components is nonzero, k (-sin kx, cos kx) with k = 2 pi winding / side."""
+    k = 2.0 * np.pi * winding / chart.side
+    grad = np.zeros(chart.shape + (2, 3))
+    grad[..., 0, 0] = -k * np.sin(k * chart.x)
+    grad[..., 0, 1] = k * np.cos(k * chart.x)
+    return grad
 
 
 def hopf_oracle(phi, psi):
@@ -289,7 +299,7 @@ def sphere_dirichlet_energy(rmap):
 
     def density(rm):
         phi = dh.conformal_map_field(rm, chart)
-        return (phi.gradient(analytic=True) ** 2).sum(axis=(-2, -1))
+        return (phi.analytic_gradient ** 2).sum(axis=(-2, -1))
 
     with np.errstate(divide="ignore"):
         w_north = 1.0 - weight(1.0 / np.where(r > 1e-12, r, 1e-12))

@@ -152,6 +152,20 @@ class TestQuadrature:
         exact = np.sin(2 * np.pi * px) * np.cos(2 * np.pi * py)
         assert np.abs(chart.interp(fld, px, py) - exact).max() < 5e-3
 
+    def test_disk_interp_is_bilinear_up_to_the_square_edge(self, rng):
+        # Bilinear data is reproduced exactly, the last node row and column
+        # included, where the wrapped upper neighbour carries zero weight.
+        chart = dh.DomainChart.disk(16)
+        fld = 1.0 + 2.0 * chart.x - 3.0 * chart.y + 0.5 * chart.x * chart.y
+        edge = chart.x[0, -1]
+        px = np.concatenate([rng.uniform(-edge, edge, 40), [edge, -edge, edge]])
+        py = np.concatenate([rng.uniform(-edge, edge, 40), [edge, edge, 0.3]])
+        want = 1.0 + 2.0 * px - 3.0 * py + 0.5 * px * py
+        assert np.abs(chart.interp(fld, px, py) - want).max() < 1e-13
+        for bad in (edge + 1e-9, np.nan):
+            with pytest.raises(ValueError, match="outside the disk chart square"):
+                chart.interp(fld, np.array([0.0, bad]), np.zeros(2))
+
 
 def _fprime_abs(f, z):
     """|f'(z)|, read off the holomorphic root s(z) with s^2 = f'."""

@@ -358,8 +358,9 @@ def test_bad_config_exits_1_naming_the_line(tmp_path, text, command, where):
 # Inputs that once ended in a traceback deep in the numerics: (config text,
 # command, exit code, what stderr must name).  A side of 1e300 overflowed
 # h^2 and one of 1e-300 underflowed it to zero; a spinor of 1e300 broke the
-# first kernel solve down, which the flow reports as a divergence.  The
-# coupled flow runs at both ends of the side range.
+# first kernel solve down, which the flow reports as a divergence, while
+# exact and verify, whose |psi|^2 overflows in the tangency check, report a
+# numeric error.  The coupled flow runs at both ends of the side range.
 NUMERIC_EXTREMES = [
     pytest.param("[chart]\nside = 1e300\n", "verify", 1, "config error: line 2: chart.side",
                  id="side_1e300_verify"),
@@ -367,6 +368,9 @@ NUMERIC_EXTREMES = [
                  "config error: line 3: chart.side", id="side_1e-300_flow"),
     pytest.param("[chart]\nn = 24\n\n[scenario]\nkind = twistor_pushforward\npsi1 = 1e300,1\n",
                  "flow", 3, "solver diverged: CG breakdown", id="psi1_1e300_flow"),
+    *(pytest.param("[chart]\nn = 24\n\n[scenario]\nkind = twistor_pushforward\npsi1 = 1e300,1\n",
+                   command, 1, "numeric error: the spinor's tangency defect is NaN",
+                   id=f"psi1_1e300_{command}") for command in ("exact", "verify")),
     *(pytest.param(f"[chart]\nn = 16\nside = {side}\n\n[solver]\nmax_iters = 50\n", "flow", 0, "",
                    id=f"side_{side}_flow") for side in ("1e-30", "1e30")),
 ]
@@ -397,15 +401,17 @@ def test_flat_pair_read_back_keeps_one_target(tmp_path):
 
 @pytest.fixture(scope="module")
 def bad_field_files(tmp_path_factory):
-    """A disk pair's files plus a K = 4 flat map and a non-tangent spinor
-    on the same chart."""
+    """A disk pair's files plus a K = 4 flat map, a non-tangent spinor and
+    the pair's spinor times 1e300, whose |psi|^2 overflows, on the same
+    chart."""
     out = tmp_path_factory.mktemp("fields")
     phi, psi = dh.build_pair(dh.parse_config(DISK_CFG.format(out=out)))
     chart = phi.chart
     files = {"phi": phi, "psi": psi,
              "flat4": dh.MapField.constant(chart, dh.Flat(4), (0.0, 0.0, 0.0, 1.0)),
              "not_tangent": dh.TwistedSpinorField(chart, phi.target,
-                                                  np.ones(chart.shape + (3, 2)))}
+                                                  np.ones(chart.shape + (3, 2))),
+             "huge": dh.TwistedSpinorField(chart, phi.target, psi.values * 1e300)}
     for name, field in files.items():
         dh.write_field(out / f"{name}.dhm", field)
     return out
@@ -417,6 +423,7 @@ def bad_field_files(tmp_path_factory):
     pytest.param("phi", "phi", "not_a_spinor", id="map_as_psi"),
     pytest.param("flat4", "psi", "dim_mismatch", id="psi_of_other_K"),
     pytest.param("phi", "not_tangent", "not_tangent", id="non_tangent_psi"),
+    pytest.param("phi", "huge", "not_tangent", id="overflowing_psi"),
 ])
 def test_bad_field_inputs_are_named_errors(bad_field_files, tmp_path, command, phi, psi, code):
     args = [command, "--phi", str(bad_field_files / f"{phi}.dhm"), "--out", str(tmp_path)]

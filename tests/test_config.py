@@ -141,3 +141,65 @@ def test_key_of_another_scenario_rejected():
     with pytest.raises(dh.ConfigError, match="line 3: scenario.winding is only read for "
                                              "harmonic_wrap"):
         dh.parse_config("[scenario]\nkind = twistor_pushforward\nwinding = 2\n")
+
+
+# (scenario, row with {v} where the value goes, whether the row is complex)
+SCENARIO_ROWS = [("twistor_pushforward", "map_scale = {v}", False),
+                 ("twistor_pushforward", "map_center = {v}", True),
+                 ("twistor_pushforward", "psi0 = {v},0", True),
+                 ("twistor_pushforward", "psi1 = 0,{v}", True),
+                 ("twistor_pushforward", "rational_num = 0,{v}", True),
+                 ("twistor_pushforward", "rational_den = {v}", True),
+                 ("elliptic_pair", "map_scale = {v}", True),
+                 ("perturbed_constant", "amplitude = {v}", False),
+                 ("perturbed_constant", "base_point = 0,{v},1", False),
+                 ("constant_spinor", "base_point = {v},0,1", False),
+                 ("constant_spinor", "spinor_direction = 1,{v},0", False),
+                 ("constant_spinor", "spinor_components = {v},0", True)]
+
+
+@pytest.mark.parametrize("kind,row,value", [
+    (kind, row, value) for kind, row, is_complex in SCENARIO_ROWS
+    for value in ("nan", "inf", "-inf") + (("nanj", "1+infj") if is_complex else ())])
+def test_non_finite_numbers_rejected_naming_the_line(kind, row, value):
+    cfg = dh.parse_config(f"[chart]\nn = 16\n\n[scenario]\nkind = {kind}\n"
+                          + row.format(v=value) + "\n")
+    with pytest.raises(dh.ConfigError, match=r"^line 6: scenario\.\w+: not a finite number"):
+        build_pair(cfg)
+
+
+def test_integer_beyond_the_float_range_rejected():
+    # A winding of 10^400 is an integer, but 2 pi winding / side has no float.
+    cfg = dh.parse_config("[scenario]\nkind = harmonic_wrap\nwinding = 1" + "0" * 400 + "\n")
+    with pytest.raises(dh.ConfigError, match="^line 3: scenario.winding: not a finite number"):
+        build_pair(cfg)
+    with pytest.raises(dh.ConfigError, match="^line 2: output.seed: not a finite number"):
+        dh.parse_config("[output]\nseed = " + "9" * 400 + "\n")
+
+
+# (config text with {v} where the bounded value goes, its top value)
+BOUNDED = [
+    pytest.param("[chart]\nn = 8\n\n[target]\ndim = {v}\n\n[scenario]\nkind = constant_spinor\n"
+                 "base_point = 1{z},0\nspinor_direction = 0,1{z}\n", 16, id="target_dim"),
+    pytest.param("[chart]\nn = 8\n\n[scenario]\nkind = perturbed_constant\nmodes = {v}\n", 32,
+                 id="modes"),
+]
+
+
+@pytest.mark.parametrize("text,top", BOUNDED)
+def test_dimension_and_modes_are_bounded(text, top):
+    # The top value builds (S^16 takes 17 ambient components); above it is rejected.
+    zeros = ",0" * (top - 1)
+    assert build_pair(dh.parse_config(text.format(v=top, z=zeros)))[0].chart.n == 8
+    for bad in (top + 1, 999999999999):
+        with pytest.raises(dh.ConfigError, match=f"outside \\[1, {top}\\]"):
+            build_pair(dh.parse_config(text.format(v=bad, z=zeros)))
+
+
+def test_pair_with_a_non_finite_value_rejected_naming_the_scenario():
+    # A finite spinor amplitude whose pushforward overflows: psi0 * dphi.
+    cfg = dh.parse_config("[chart]\nn = 16\n\n[scenario]\nkind = twistor_pushforward\n"
+                          "psi0 = 1e308,0\n")
+    with pytest.raises(dh.ConfigError, match="^line 5: scenario twistor_pushforward: the pair "
+                                             "has a non-finite value"):
+        build_pair(cfg)

@@ -31,6 +31,19 @@ def test_spinor_round_trip(tmp_path):
     assert np.array_equal(again.values, psi.values)
 
 
+def test_spinor_round_trip_keeps_every_bit(tmp_path):
+    # Signed zeros in either part survive: the payload is the values' bytes.
+    chart = dh.DomainChart.torus(8)
+    vals = np.zeros(chart.shape + (1, 2), dtype=complex)
+    vals.real[::2] = -0.0
+    vals.imag[:, ::2] = -1.0
+    vals.imag[1::2, 1::2] = -0.0
+    psi = dh.TwistedSpinorField(chart, dh.Flat(1), vals)
+    dh.write_field(tmp_path / "psi.dhm", psi)
+    again = dh.read_field(tmp_path / "psi.dhm")
+    assert again.values.tobytes() == psi.values.tobytes()
+
+
 def test_header_fields(tmp_path):
     chart = dh.DomainChart.disk(48, side=2.4)
     phi = dh.MapField.constant(chart, dh.Sphere(2), (0, 0, 1))
@@ -81,6 +94,53 @@ def test_malformed_files_have_distinct_codes(tmp_path, mutate, code):
     with pytest.raises(dh.FieldFileError) as err:
         dh.read_field(bad)
     assert err.value.code == code
+
+
+def _with_payload_value(blob, index, value):
+    """``blob`` with the float64 at payload ``index`` set to ``value`` and
+    the CRC recomputed, so only the value check can reject it."""
+    raw = bytearray(blob[_HEADER.size:])
+    struct.pack_into("<d", raw, 8 * index, value)
+    head = list(_HEADER.unpack(bytes(blob[:_HEADER.size])))
+    head[-1] = zlib.crc32(raw)
+    return _HEADER.pack(*head) + bytes(raw)
+
+
+@pytest.mark.parametrize("kind", ["map", "spinor"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_payload_is_bad_values(tmp_path, capsys, kind, value):
+    from diracharmonic import cli
+
+    _, phi, psi = elliptic_pair(16)
+    for name, field in (("phi.dhm", phi), ("psi.dhm", psi)):
+        dh.write_field(tmp_path / name, field)
+    path = tmp_path / ("phi.dhm" if kind == "map" else "psi.dhm")
+    # Payload index 4: the real part of node 0's second spinor component,
+    # or node 1's second map component.
+    path.write_bytes(_with_payload_value(path.read_bytes(), 4, value))
+    with pytest.raises(dh.FieldFileError) as err:
+        dh.read_field(path)
+    assert err.value.code == "bad_values"
+    files = ["--phi", str(tmp_path / "phi.dhm"), "--psi", str(tmp_path / "psi.dhm")]
+    for args in (["verify", *files, "--out", str(tmp_path)], ["dump", str(path)]):
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err.startswith("field file error [bad_values]: ")
+
+
+def test_header_without_components_is_bad_dim(tmp_path, capsys):
+    from diracharmonic import cli
+
+    # K = 0 under a consistent, empty payload: no target has zero dimensions.
+    path = tmp_path / "k0.dhm"
+    path.write_bytes(_HEADER.pack(b"DHM1", 1, 0, 0, 0, 8, 1.0, b"map:f64le".ljust(16, b"\0"),
+                                  0, zlib.crc32(b"")))
+    with pytest.raises(dh.FieldFileError) as err:
+        dh.read_header(path)
+    assert err.value.code == "bad_dim"
+    for args in (["dump", str(path)], ["verify", "--phi", str(path), "--out", str(tmp_path)]):
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err.startswith("field file error [bad_dim]: ")
 
 
 def _map_file(path, topology=0, n=8, side=1.0):
@@ -164,6 +224,8 @@ def test_k1_fields_round_trip_as_flat_line(tmp_path):
         assert type(again) is type(field)
         assert again.target.kind == "flat" and again.target.ambient_dim == 1
         assert np.array_equal(again.values, field.values)
+        # A copy of the payload, not the read-only buffer it was read into.
+        assert again.values.flags.writeable
 
 
 def test_dump_reads_k1_files(tmp_path, capsys):

@@ -15,6 +15,23 @@ class TestFieldTypes:
         with pytest.raises(ValueError):
             dh.MapField(chart, dh.Sphere(2), vals)
 
+    def test_nan_map_fails_the_on_target_guard(self):
+        chart = dh.DomainChart.torus(16)
+        vals = np.zeros(chart.shape + (3,))
+        vals[..., 2] = 1.0
+        vals[3, 4, 0] = np.nan
+        with pytest.raises(ValueError, match="leaves the target by nan"):
+            dh.MapField(chart, dh.Sphere(2), vals)
+
+    def test_nan_tangency_defect_is_a_floating_point_error(self):
+        # A tangent spinor whose |psi|^2 overflows: its defect is inf / inf.
+        _, phi, psi = elliptic_pair(16)
+        huge = dh.TwistedSpinorField(phi.chart, phi.target, psi.values * 1e300)
+        with np.errstate(all="ignore"):
+            assert np.isnan(dh.tangency_defect(phi, huge))
+            with pytest.raises(FloatingPointError, match="tangency defect is NaN"):
+                dh.dirac_along_map(phi, huge)
+
     def test_shape_validation(self):
         chart = dh.DomainChart.torus(16)
         with pytest.raises(ValueError):
@@ -27,13 +44,6 @@ class TestFieldTypes:
         raw = rng.normal(size=phi.chart.shape + (3, 2)) + 0j
         psi = dh.project_spinor(phi, raw)
         assert dh.tangency_defect(phi, psi) < 1e-12
-
-    def test_gradient_requires_analytic_data(self):
-        chart = dh.DomainChart.torus(16)
-        phi = dh.MapField(chart, dh.Sphere(2),
-                          np.broadcast_to([0.0, 0.0, 1.0], chart.shape + (3,)).copy())
-        with pytest.raises(ValueError):
-            phi.gradient(analytic=True)
 
 
 class TestTension:

@@ -5,7 +5,8 @@ import diracharmonic as dh
 from diracharmonic.solutions import _pair_wirtinger
 
 from conftest import (_stereo_tangent, assert_second_order, conformality_defect, elliptic_pair,
-                      inverted_chart, sphere_dirichlet_energy, torus_deg1_pair)
+                      harmonic_wrap_gradient, inverted_chart, sphere_dirichlet_energy,
+                      torus_deg1_pair)
 
 
 class TestInverseStereographic:
@@ -55,7 +56,7 @@ class TestConformalMapField:
     def test_constant_map(self):
         chart = dh.DomainChart.torus(32)
         phi = dh.conformal_map_field(dh.RationalMap([0.5 + 0.2j]), chart)
-        assert np.abs(phi.gradient(analytic=True)).max() == 0.0
+        assert np.abs(phi.analytic_gradient).max() == 0.0
         d = phi.values - phi.values[0, 0]
         assert np.abs(d).max() == 0.0
 
@@ -95,7 +96,7 @@ class TestConformalMapField:
         chart = dh.DomainChart.torus(64, side=1.0, window=0.5)
         phi = dh.conformal_map_field(dh.RationalMap([1], [0, 1]), chart)
         assert np.isfinite(phi.values).all()
-        assert np.isfinite(phi.gradient(analytic=True)).all()
+        assert np.isfinite(phi.analytic_gradient).all()
         assert np.abs((phi.values**2).sum(-1) - 1.0).max() < 1e-12
 
     def test_wirtinger_gradient_matches_chart_oracle(self, rng):
@@ -152,7 +153,7 @@ class TestTwistorPushforward:
             Psi[..., 0] = chart.x**2
             e1Psi = dh.spinors.clifford_e1(Psi)
             e2Psi = dh.spinors.clifford_e2(Psi)
-            d = phi.gradient(analytic=True)
+            d = phi.analytic_gradient
             vals = (d[..., 0, :, None] * e1Psi[..., None, :]
                     + d[..., 1, :, None] * e2Psi[..., None, :])
             psi = dh.TwistedSpinorField(chart, phi.target, vals)
@@ -169,10 +170,13 @@ class TestTrivialPairs:
         psi = dh.TwistedSpinorField.zero(chart, phi.target)
         res = dh.el_residual(phi, psi)
         assert res.norms["map_sup"] < 1e-9
-        # analytic check lap(phi) = -(2 pi k)^2 phi and |dphi|^2 = (2 pi k)^2
+        # The closed form has |dphi|^2 = k^2 with k = 2 pi winding; the
+        # stencil gradient meets it within the centred difference's
+        # relative error (k h)^2 / 6.
         k = 2 * np.pi * 2
-        d = phi.gradient(analytic=True)
+        d = harmonic_wrap_gradient(chart, winding=2)
         assert np.abs((d**2).sum(axis=(-2, -1)) - k**2).max() < 1e-10
+        assert np.abs(phi.gradient() - d).max() <= k * (k * chart.h) ** 2 / 6
 
     def test_constant_pair_machine_zero(self):
         chart = dh.DomainChart.torus(48)
@@ -209,7 +213,7 @@ class TestEllipticFamily:
         chart = dh.DomainChart.torus(128)
         phi = dh.elliptic_conformal_field(chart, scale=0.7)
         assert np.abs((phi.values**2).sum(-1) - 1.0).max() < 1e-12
-        E = chart.integrate((phi.gradient(analytic=True) ** 2).sum(axis=(-2, -1)))
+        E = chart.integrate((phi.analytic_gradient ** 2).sum(axis=(-2, -1)))
         assert abs(E - 16 * np.pi) < 1e-6  # degree-2 conformal map
 
     def test_coupled_residuals_second_order(self):
