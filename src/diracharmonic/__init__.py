@@ -4,16 +4,15 @@ conserved-quantity verification, and a relaxation solver."""
 __version__ = "0.1.0"
 
 from .charts import DomainChart, MoebiusMap, bandlimited_field
-from .fields import (ELResidual, MapField, TwistedSpinorField, action,
-                     curvature_term, dirac_along_map, el_residual, energy,
+from .fields import (ELResidual, InadmissiblePair, MapField, TwistedSpinorField, action,
+                     check_pair, curvature_term, dirac_along_map, el_residual, energy,
                      field_scale, project_spinor, spinor_gradient,
                      tangency_defect, tension)
 from .identities import (CircleBalance, ConformalCheck, EnergyMomentum,
                          QuadraticDifferential, bochner_defect,
                          conformal_checks, conformal_invariance_defect,
                          decay_profile, em_divergence, energy_momentum,
-                         map_pullback, pohozaev_defect, self_adjointness_defect,
-                         weitzenboeck_defect)
+                         pohozaev_defect, self_adjointness_defect, weitzenboeck_defect)
 from .config import ConfigError, RunConfig, build_pair, load_config, parse_config
 from .fieldio import FieldFileError, FieldHeader, read_field, read_header, write_field
 from .solutions import (RationalMap, conformal_map_field, constant_spinor_pair,

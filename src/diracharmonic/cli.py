@@ -1,10 +1,10 @@
 """Command-line surface: exact | verify | flow | probe | dump.
 
 Exit codes: 0 success, 1 usage or configuration error (argparse's
-included, and input whose arithmetic overflows outside a flow), 2
-verification failed, 3 solver divergence.  Outputs are
-deterministic for a fixed config and seed; reports embed the package
-version and a hash of the config text instead of timestamps.
+included, and a pair ``check_pair`` rejects), 2 verification failed, 3
+solver divergence.  Outputs are deterministic for a fixed config and
+seed; reports embed the package version and a hash of the config text
+instead of timestamps.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from . import __version__
 from .config import (ConfigError, RunConfig, build_pair, build_solver_config,
                      load_config, parse_config)
 from .fieldio import FieldFileError, read_field, read_header, write_field
-from .fields import (TANGENCY_TOL, MapField, TwistedSpinorField, action, el_residual, energy,
-                     field_scale, tangency_defect)
+from .fields import (InadmissiblePair, MapField, TwistedSpinorField, action, check_pair,
+                     el_residual, energy, field_scale)
 from .identities import decay_profile
 from .solver import solve
 from .verify import run_verification, run_verification_on_fields
@@ -51,17 +51,23 @@ def _outdir(cfg: RunConfig) -> Path:
 
 
 def _read_fields(phi_path, psi_path):
-    """Stored map and tangent spinor; a zero spinor when no spinor file is given."""
+    """Stored map and spinor, a zero spinor when no spinor file is given,
+    as a pair ``check_pair`` admits."""
     phi = read_field(phi_path)
     if not isinstance(phi, MapField):
         raise FieldFileError("not_a_map", f"{phi_path}: --phi needs a map file, not a spinor")
-    if not psi_path:
-        return phi, TwistedSpinorField.zero(phi.chart, phi.target)
-    psi = read_field(psi_path, chart=phi.chart, target=phi.target)
-    if not isinstance(psi, TwistedSpinorField):
-        raise FieldFileError("not_a_spinor", f"{psi_path}: --psi needs a spinor file, not a map")
-    if not tangency_defect(phi, psi) <= TANGENCY_TOL:  # NaN fails too
-        raise FieldFileError("not_tangent", f"{psi_path}: spinor is not tangent along the map")
+    if psi_path:
+        psi = read_field(psi_path, chart=phi.chart, target=phi.target)
+        if not isinstance(psi, TwistedSpinorField):
+            raise FieldFileError("not_a_spinor", f"{psi_path}: --psi needs a spinor file, "
+                                 "not a map")
+    else:
+        psi = TwistedSpinorField.zero(phi.chart, phi.target)
+    try:
+        check_pair(phi, psi)
+    except InadmissiblePair as exc:
+        code = "not_tangent" if exc.tangency else "bad_values"
+        raise FieldFileError(code, f"{phi_path}, {psi_path or 'zero spinor'}: {exc}") from None
     return phi, psi
 
 
@@ -245,9 +251,6 @@ def main(argv=None) -> int:
         return _EXIT_USAGE
     except FieldFileError as exc:
         print(f"field file error [{exc.code}]: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except FloatingPointError as exc:  # finite input whose arithmetic overflows
-        print(f"numeric error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)

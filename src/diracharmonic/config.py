@@ -1,13 +1,14 @@
 """Line-oriented run configuration: ``key = value`` entries under
 ``[section]`` headers, described key by key in the table ``KEYS``.
 
-Errors name the offending line.  Numbers must be finite, and so must
-every value of the pair ``build_pair`` builds from them.  A key the configured topology or
-scenario does not read is rejected; scenarios other than constant_spinor
-map into S^2 and accept ``[target]`` only as ``kind = sphere, dim = 2``,
-and ``elliptic_pair`` needs a torus.  The ``[solver]`` rows take their
-defaults from ``SolverConfig`` and their ranges from ``solver.MINIMA``;
-the ``chart.side`` rows take theirs from ``charts.MIN_SIDE``/``MAX_SIDE``.
+Errors name the offending line.  Numbers must be finite, and the pair
+``build_pair`` builds from them must pass ``fields.check_pair``.  A key
+the configured topology or scenario does not read is rejected; scenarios
+other than constant_spinor map into S^2 and accept ``[target]`` only as
+``kind = sphere, dim = 2``, and ``elliptic_pair`` needs a torus.  The
+``[solver]`` rows take their defaults from ``SolverConfig`` and their
+ranges from ``solver.MINIMA``; the ``chart.side`` rows take theirs from
+``charts.MIN_SIDE``/``MAX_SIDE``.
 Keys (generated from ``KEYS``): default, accepted values and, in
 brackets, who reads the key if not everyone.
 """
@@ -22,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .charts import MAX_SIDE, MIN_SIDE, DomainChart, bandlimited_field
-from .fields import MapField, TwistedSpinorField
+from .fields import MapField, TwistedSpinorField, check_pair
 from .solutions import (RationalMap, conformal_map_field, constant_spinor_pair,
                         elliptic_conformal_field, harmonic_wrap, twistor_pushforward)
 from .solver import MINIMA, SolverConfig
@@ -244,7 +245,7 @@ def build_solver_config(cfg: RunConfig) -> SolverConfig:
 def build_pair(cfg: RunConfig, n_override: int | None = None
                ) -> tuple[MapField, TwistedSpinorField]:
     """The configured scenario's fields at chart.n or ``n_override``; a pair
-    with a non-finite value is a config error."""
+    ``check_pair`` rejects is a config error."""
     chart = build_chart(cfg, n_override)
     kind = cfg.get("scenario", "kind")
     sc = partial(cfg.get, "scenario")
@@ -273,8 +274,7 @@ def build_pair(cfg: RunConfig, n_override: int | None = None
                                      amplitude=sc("amplitude"), modes=sc("modes"))
             phi = MapField(chart, sphere, sphere.project_point(np.array(sc("base_point")) + pert))
             psi = TwistedSpinorField.zero(chart, sphere)
+        check_pair(phi, psi)
     except ValueError as exc:  # data no single key can judge, e.g. a degenerate map
         raise ConfigError(f"{where}: {exc}") from None
-    if not (np.isfinite(phi.values).all() and np.isfinite(psi.values).all()):
-        raise ConfigError(f"{where}: the pair has a non-finite value")
     return phi, psi

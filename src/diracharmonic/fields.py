@@ -19,7 +19,9 @@ twisted spinors is the tangential part of the componentwise flat
 derivative, and the Dirac operator along the map, ``dirac_along_map``,
 is the tangential part of the flat Dirac operator.  Its normal part
 reproduces A(dphi(e_a), e_a . psi) up to O(h^2); ``el_residual``, the
-one reader of that normal defect, builds it beside D psi.
+one reader of that normal defect, builds it beside D psi.  The operators
+take psi tangent: ``check_pair`` decides that, with finite values and
+energy, once, where a pair enters the program.
 """
 
 from __future__ import annotations
@@ -116,15 +118,39 @@ def field_scale(phi: MapField, psi: TwistedSpinorField) -> float:
 
 def tangency_defect(phi: MapField, psi: TwistedSpinorField) -> float:
     """Sup of |<nu, psi>| for the unit normal nu along phi, relative to the
-    spinor magnitude; 0.0 for flat targets, which have no normal.  NaN, with
-    no warning, if psi holds a NaN or |psi|^2 overflows."""
+    spinor magnitude; 0.0 for flat targets, which have no normal."""
     nu = phi.target.normal(phi.values)
     if nu is None:
         return 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        sup = np.sqrt(spinor_norm2(ambient_pairing(nu, psi.values))).max()
-        scale = np.sqrt(psi.norm2_density().max()) + 1e-300
-        return float(sup / scale)
+    sup = np.sqrt(spinor_norm2(ambient_pairing(nu, psi.values))).max()
+    scale = np.sqrt(psi.norm2_density().max()) + 1e-300
+    return float(sup / scale)
+
+
+class InadmissiblePair(ValueError):
+    """A pair ``check_pair`` rejects; ``tangency`` is True when the spinor's
+    normal part is the fault, False when a value or the energy is not finite."""
+
+    def __init__(self, message: str, tangency: bool):
+        super().__init__(message)
+        self.tangency = tangency
+
+
+@np.errstate(all="ignore")  # an overflow is reported once, by the raise
+def check_pair(phi: MapField, psi: TwistedSpinorField) -> None:
+    """The one admissibility rule for a pair entering the program: finite
+    values, a finite energy int |dphi|^2 + |psi|^4, and a spinor tangent
+    along the map to TANGENCY_TOL.  Raises InadmissiblePair naming the
+    first rule broken.  Every spinor built inside the program is tangent
+    by construction, so the operators do not check again."""
+    if not (np.isfinite(phi.values).all() and np.isfinite(psi.values).all()):
+        raise InadmissiblePair("the pair has a non-finite value", tangency=False)
+    if not np.isfinite(energy(phi, psi)):
+        raise InadmissiblePair("the pair's energy overflows", tangency=False)
+    d = tangency_defect(phi, psi)
+    if not d <= TANGENCY_TOL:
+        raise InadmissiblePair(f"spinor violates tangency by {d:.3e} "
+                               f"(tol {TANGENCY_TOL:.1e})", tangency=True)
 
 
 def project_spinor(phi: MapField, raw) -> TwistedSpinorField:
@@ -201,28 +227,10 @@ def tension(phi: MapField, out=None, work=None) -> np.ndarray:
     return phi.target.tangent_project(phi.values, lap, out=out)
 
 
-def _flat_dirac_split(phi: MapField, psi: TwistedSpinorField, check_tangency: bool):
-    """The flat Dirac of psi with its normal part along phi subtracted in
-    place, and that normal part: (D psi, normal part of the flat Dirac)."""
-    if check_tangency:
-        d = tangency_defect(phi, psi)
-        if np.isnan(d):  # |psi|^2 overflowed, or psi holds a NaN
-            raise FloatingPointError("the spinor's tangency defect is NaN")
-        if d > TANGENCY_TOL:
-            raise ValueError(f"spinor violates tangency by {d:.3e} (tol {TANGENCY_TOL:.1e})")
-    slashed = flat_dirac(psi.values, phi.chart)
-    normal = normal_part(phi.target.normal(phi.values), slashed)
-    slashed -= normal
-    return slashed, normal
-
-
-def dirac_along_map(phi: MapField, psi: TwistedSpinorField,
-                    check_tangency: bool = True) -> np.ndarray:
+def dirac_along_map(phi: MapField, psi: TwistedSpinorField) -> np.ndarray:
     """Dirac operator along the map: the tangential projection of the
-    componentwise flat Dirac operator.  Raises ValueError if psi violates
-    tangency by more than TANGENCY_TOL and FloatingPointError if the defect
-    is NaN, unless ``check_tangency`` is False."""
-    return _flat_dirac_split(phi, psi, check_tangency)[0]
+    componentwise flat Dirac operator, for a tangent psi (``check_pair``)."""
+    return _tangent_project_spinor(phi, flat_dirac(psi.values, phi.chart))
 
 
 def curvature_term(phi: MapField, psi: TwistedSpinorField, out=None, work=None) -> np.ndarray:
@@ -293,7 +301,10 @@ def el_residual(phi: MapField, psi: TwistedSpinorField | None) -> ELResidual:
         nu = phi.target.normal(phi.values)
         sigma = None if nu is None else empty_planes(phi.chart.shape + (2,), np.complex128)
         map_res = tension(phi) - curvature_term(phi, psi, work=(None, sigma, None))
-        spin_res, normal = _flat_dirac_split(phi, psi, check_tangency=True)
+        # D psi and the flat Dirac's normal part, split in place.
+        spin_res = flat_dirac(psi.values, phi.chart)
+        normal = normal_part(nu, spin_res)
+        spin_res -= normal
         if nu is not None:
             normal = normal - (-nu[..., :, None] * sigma[..., None, :])
         # The spinor axis first, then K: the order flow traces were recorded in.

@@ -130,8 +130,7 @@ def weitzenboeck_defect(phi: MapField, psi: TwistedSpinorField) -> float:
                                 clifford_e1(clifford_e2(psi.values)))
     del d
     # D^2 psi last, D psi alive only while D^2 psi is formed.
-    lhs = dirac_along_map(phi, TwistedSpinorField(chart, phi.target, dirac_along_map(phi, psi)),
-                          check_tangency=False)
+    lhs = dirac_along_map(phi, TwistedSpinorField(chart, phi.target, dirac_along_map(phi, psi)))
     gap = np.sqrt(spinor_norm2(lhs - rhs, axis=(-2, -1)))
     return float(gap[chart.interior_mask].max())
 
@@ -248,14 +247,6 @@ def _graded_factor(chart: DomainChart, f: MoebiusMap, exponent: float) -> np.nda
     return out[..., None, :]
 
 
-def map_pullback(phi: MapField, f: MoebiusMap) -> MapField:
-    """phi o f by bilinear interpolation, re-projected onto the target."""
-    chart = phi.chart
-    wx, wy = _mapped_points(chart, f)
-    vals = phi.target.project_point(chart.interp(phi.values, wx, wy))
-    return MapField(chart, phi.target, vals)
-
-
 _EXPONENTS = {"inverse_fprime": 0.5, "fprime": -0.5}
 
 
@@ -273,7 +264,9 @@ def conformal_checks(phi: MapField, psi: TwistedSpinorField, maps,
     same bits.
 
     Work shared across the table is done once: the pair's action and
-    energy, and per map the pulled-back map and the interpolated spinor.
+    energy, and per map the mapped nodes, the pulled-back map phi o f
+    (interpolated and re-projected onto the target) and the interpolated
+    spinor.
     Each (map, convention) makes one Dirac evaluation of the transformed
     pair, for its action.
     """
@@ -285,8 +278,9 @@ def conformal_checks(phi: MapField, psi: TwistedSpinorField, maps,
     E0 = energy(phi, psi)
     checks = []
     for f in maps:
-        phi_t = map_pullback(phi, f)
         wx, wy = _mapped_points(chart, f)
+        phi_t = MapField(chart, phi.target,
+                         phi.target.project_point(chart.interp(phi.values, wx, wy)))
         pulled = chart.interp(psi.values, wx, wy)
         row = []
         for convention in conventions:
@@ -377,8 +371,8 @@ def self_adjointness_defect(phi: MapField, psi: TwistedSpinorField,
     chart = phi.chart
     if chart.topology != "torus":
         raise ValueError("the exact summation-by-parts identity needs a torus")
-    d_xi = dirac_along_map(phi, xi, check_tangency=False)
-    d_psi = dirac_along_map(phi, psi, check_tangency=False)
+    d_xi = dirac_along_map(phi, xi)
+    d_psi = dirac_along_map(phi, psi)
     left = chart.integrate(re_pairing(psi.values, d_xi, axis=(-2, -1)))
     right = chart.integrate(re_pairing(d_psi, xi.values, axis=(-2, -1)))
     scale = (np.sqrt(chart.integrate(psi.norm2_density())

@@ -141,28 +141,21 @@ def twistor_pushforward(phi: MapField, psi0, psi1) -> TwistedSpinorField:
     return TwistedSpinorField(chart, phi.target, vals)
 
 
-def _theta1(v):
-    """Jacobi theta_1 for the square lattice (nome q = e^-pi) and its
-    derivative; five terms already reach machine precision."""
+def _thetas(v):
+    """Jacobi theta_1 and theta_2 for the square lattice (nome q = e^-pi),
+    each with its derivative, as ((theta_1, theta_1'), (theta_2, theta_2'));
+    five terms already reach machine precision."""
     q = np.exp(-np.pi)
-    f = np.zeros_like(v)
-    df = np.zeros_like(v)
+    f1, df1, f2, df2 = (np.zeros_like(v) for _ in range(4))
     for n in range(6):
+        odd = 2 * n + 1
         coef = 2.0 * (-1.0) ** n * q ** ((n + 0.5) ** 2)
-        f = f + coef * np.sin((2 * n + 1) * v)
-        df = df + coef * (2 * n + 1) * np.cos((2 * n + 1) * v)
-    return f, df
-
-
-def _theta2(v):
-    q = np.exp(-np.pi)
-    f = np.zeros_like(v)
-    df = np.zeros_like(v)
-    for n in range(6):
+        f1 = f1 + coef * np.sin(odd * v)
+        df1 = df1 + coef * odd * np.cos(odd * v)
         coef = 2.0 * q ** ((n + 0.5) ** 2)
-        f = f + coef * np.cos((2 * n + 1) * v)
-        df = df - coef * (2 * n + 1) * np.sin((2 * n + 1) * v)
-    return f, df
+        f2 = f2 + coef * np.cos(odd * v)
+        df2 = df2 - coef * odd * np.sin(odd * v)
+    return (f1, df1), (f2, df2)
 
 
 def elliptic_conformal_field(chart: DomainChart, scale: complex = 1.0) -> MapField:
@@ -179,8 +172,7 @@ def elliptic_conformal_field(chart: DomainChart, scale: complex = 1.0) -> MapFie
         raise ValueError("the elliptic family lives on the torus")
     L = chart.side
     v = np.pi * chart.z / L
-    t1, dt1 = _theta1(v)
-    t2, dt2 = _theta2(v)
+    (t1, dt1), (t2, dt2) = _thetas(v)
     c = complex(scale)
     p = c * t2**2
     q = t1**2

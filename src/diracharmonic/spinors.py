@@ -59,11 +59,10 @@ def clifford_e1(s, out=None) -> np.ndarray:
     return out
 
 
-def clifford_e2(s, out=None) -> np.ndarray:
-    """e2 . (f, g) = (i g, i f), written into ``out`` (not overlapping
-    ``s``) when given."""
+def clifford_e2(s) -> np.ndarray:
+    """e2 . (f, g) = (i g, i f)."""
     s = np.asarray(s, dtype=np.complex128)
-    out = np.empty_like(s) if out is None else out
+    out = np.empty_like(s)
     np.multiply(1j, s[..., 1], out=out[..., 0])
     np.multiply(1j, s[..., 0], out=out[..., 1])
     return out

@@ -33,7 +33,6 @@ NEAR_ZERO = 1e-10       # a first-grid defect this small waives the ratio test
 COND_BUDGET = 5.0       # conditional identities: defect/scale <= COND_BUDGET h^2
 UNCOND_BUDGET = 200.0   # unconditional discrete identities, same form
 POHOZAEV_RADII = (0.25, 0.5, 0.75)
-_CONVENTIONS = ("inverse_fprime", "fprime")
 
 _SOLUTION_SCENARIOS = ("twistor_pushforward", "elliptic_pair", "harmonic_wrap",
                        "constant_spinor")
@@ -217,10 +216,10 @@ class _Suite:
         autos = [MoebiusMap.disk_automorphism(a_par, theta=theta)
                  for theta, a_par in ((0.0, 0.4), (0.7, 0.25 + 0.2j))]
         checks = [conformal_checks(*canonical_compact_pair(m, seed=self.seed), autos,
-                                   _CONVENTIONS) for m in self.conformal_grids]
+                                   tuple(_EXPONENTS)) for m in self.conformal_grids]
         return {conv: {"action": [max(row[j].action_defect for row in grid) for grid in checks],
                        "energy": [max(row[j].energy_defect for row in grid) for grid in checks]}
-                for j, conv in enumerate(_CONVENTIONS)}
+                for j, conv in enumerate(_EXPONENTS)}
 
 
 def _el_norms(phi, psi) -> dict:
@@ -329,7 +328,7 @@ def _verify_pairs(pairs, grids, seed, scenario_kind, mode) -> dict:
         extra = {}
         if isinstance(defects, dict):   # per convention: list the first one's action
             extra["conventions"] = defects
-            defects = defects[_CONVENTIONS[0]]["action"]
+            defects = next(iter(defects.values()))["action"]
         records.append({
             "id": row.id,
             "statement": row.statement,

@@ -242,11 +242,19 @@ def spinor_pullback(chart, values, f, exponent):
     return chart.interp(values, wx, wy) * _graded_factor(chart, f, exponent)
 
 
+def map_pullback(phi, f):
+    """phi o f by bilinear interpolation, re-projected onto the target."""
+    from diracharmonic.identities import _mapped_points
+
+    chart = phi.chart
+    wx, wy = _mapped_points(chart, f)
+    vals = phi.target.project_point(chart.interp(phi.values, wx, wy))
+    return dh.MapField(chart, phi.target, vals)
+
+
 def conformal_oracle(phi, psi, f, convention):
     """Reference for ``identities.conformal_checks``: one unshared evaluation
     per (map, convention), every D psi taken from ``el_residual``."""
-    from diracharmonic.identities import map_pullback
-
     expo = {"inverse_fprime": 0.5, "fprime": -0.5}[convention]
     chart = phi.chart
     phi_t = map_pullback(phi, f)

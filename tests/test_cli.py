@@ -355,22 +355,24 @@ def test_bad_config_exits_1_naming_the_line(tmp_path, text, command, where):
     assert "Traceback" not in r.stderr
 
 
-# Inputs that once ended in a traceback deep in the numerics: (config text,
-# command, exit code, what stderr must name).  A side of 1e300 overflowed
-# h^2 and one of 1e-300 underflowed it to zero; a spinor of 1e300 broke the
-# first kernel solve down, which the flow reports as a divergence, while
-# exact and verify, whose |psi|^2 overflows in the tangency check, report a
-# numeric error.  The coupled flow runs at both ends of the side range.
+# Inputs that once ended in a traceback or in numpy warnings deep in the
+# numerics: (config text, command, exit code, what stderr must name).  A
+# side of 1e300 overflowed h^2 and one of 1e-300 underflowed it to zero; a
+# spinor amplitude whose |psi|^4 overflows once broke the first kernel solve
+# down, ended verify in a failed report, or let exact write an infinite
+# energy.  Now check_pair rejects that pair where build_pair makes it.  The
+# coupled flow runs at both ends of the side range.
+_HUGE_PSI1 = "[chart]\nn = 24\n\n[scenario]\nkind = twistor_pushforward\npsi1 = {},1\n"
 NUMERIC_EXTREMES = [
     pytest.param("[chart]\nside = 1e300\n", "verify", 1, "config error: line 2: chart.side",
                  id="side_1e300_verify"),
     pytest.param("[chart]\nn = 16\nside = 1e-300\n", "flow", 1,
                  "config error: line 3: chart.side", id="side_1e-300_flow"),
-    pytest.param("[chart]\nn = 24\n\n[scenario]\nkind = twistor_pushforward\npsi1 = 1e300,1\n",
-                 "flow", 3, "solver diverged: CG breakdown", id="psi1_1e300_flow"),
-    *(pytest.param("[chart]\nn = 24\n\n[scenario]\nkind = twistor_pushforward\npsi1 = 1e300,1\n",
-                   command, 1, "numeric error: the spinor's tangency defect is NaN",
-                   id=f"psi1_1e300_{command}") for command in ("exact", "verify")),
+    *(pytest.param(_HUGE_PSI1.format(amplitude), command, 1,
+                   "config error: line 5: scenario twistor_pushforward: the pair's energy "
+                   "overflows", id=f"psi1_{amplitude}_{command}")
+      for amplitude, command in (("1e300", "flow"), ("1e300", "exact"), ("1e300", "verify"),
+                                 ("1e100", "exact"), ("1e160", "verify"))),
     *(pytest.param(f"[chart]\nn = 16\nside = {side}\n\n[solver]\nmax_iters = 50\n", "flow", 0, "",
                    id=f"side_{side}_flow") for side in ("1e-30", "1e30")),
 ]
@@ -384,6 +386,9 @@ def test_numeric_extremes_exit_with_their_code_and_no_traceback(tmp_path, text, 
     r = run_cli(command, "--config", str(path), "--out", str(tmp_path / "out"))
     assert r.returncode == code, r.stdout + r.stderr
     assert named in r.stderr and "Traceback" not in r.stderr, r.stderr
+    assert "RuntimeWarning" not in r.stderr, r.stderr
+    if code == 1:  # rejected before any output
+        assert r.stderr.count("\n") == 1 and not (tmp_path / "out").exists(), r.stderr
 
 
 def test_flat_pair_read_back_keeps_one_target(tmp_path):
@@ -402,8 +407,8 @@ def test_flat_pair_read_back_keeps_one_target(tmp_path):
 @pytest.fixture(scope="module")
 def bad_field_files(tmp_path_factory):
     """A disk pair's files plus a K = 4 flat map, a non-tangent spinor and
-    the pair's spinor times 1e300, whose |psi|^2 overflows, on the same
-    chart."""
+    the pair's spinor times 1e100 and 1e300, whose |psi|^4 and |psi|^2
+    overflow, on the same chart."""
     out = tmp_path_factory.mktemp("fields")
     phi, psi = dh.build_pair(dh.parse_config(DISK_CFG.format(out=out)))
     chart = phi.chart
@@ -411,6 +416,7 @@ def bad_field_files(tmp_path_factory):
              "flat4": dh.MapField.constant(chart, dh.Flat(4), (0.0, 0.0, 0.0, 1.0)),
              "not_tangent": dh.TwistedSpinorField(chart, phi.target,
                                                   np.ones(chart.shape + (3, 2))),
+             "huge100": dh.TwistedSpinorField(chart, phi.target, psi.values * 1e100),
              "huge": dh.TwistedSpinorField(chart, phi.target, psi.values * 1e300)}
     for name, field in files.items():
         dh.write_field(out / f"{name}.dhm", field)
@@ -423,7 +429,8 @@ def bad_field_files(tmp_path_factory):
     pytest.param("phi", "phi", "not_a_spinor", id="map_as_psi"),
     pytest.param("flat4", "psi", "dim_mismatch", id="psi_of_other_K"),
     pytest.param("phi", "not_tangent", "not_tangent", id="non_tangent_psi"),
-    pytest.param("phi", "huge", "not_tangent", id="overflowing_psi"),
+    pytest.param("phi", "huge", "bad_values", id="overflowing_psi"),
+    pytest.param("phi", "huge100", "bad_values", id="overflowing_psi_energy"),
 ])
 def test_bad_field_inputs_are_named_errors(bad_field_files, tmp_path, command, phi, psi, code):
     args = [command, "--phi", str(bad_field_files / f"{phi}.dhm"), "--out", str(tmp_path)]
@@ -432,7 +439,7 @@ def test_bad_field_inputs_are_named_errors(bad_field_files, tmp_path, command, p
     r = run_cli(*args)
     assert r.returncode == 1, r.stdout + r.stderr
     assert r.stderr.startswith(f"field file error [{code}]: "), r.stderr
-    assert "Traceback" not in r.stderr
+    assert "Traceback" not in r.stderr and "RuntimeWarning" not in r.stderr, r.stderr
 
 
 # Paths the CLI cannot read or write; each used to end in a traceback.

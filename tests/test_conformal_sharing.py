@@ -74,22 +74,19 @@ def test_shared_table_rejects_unknown_convention_before_any_work(compact_pair, m
 def test_dirac_along_map_has_the_bits_of_el_residual(target):
     phi, psi, _ = _random_pair(target)
     full = dh.el_residual(phi, psi).spinor_residual
-    for check in (True, False):
-        lean = dh.dirac_along_map(phi, psi, check_tangency=check)
-        assert lean.shape == full.shape and lean.dtype == full.dtype
-        assert np.array_equal(np.ascontiguousarray(lean).view(np.uint8),
-                              np.ascontiguousarray(full).view(np.uint8))
+    lean = dh.dirac_along_map(phi, psi)
+    assert lean.shape == full.shape and lean.dtype == full.dtype
+    assert np.array_equal(np.ascontiguousarray(lean).view(np.uint8),
+                          np.ascontiguousarray(full).view(np.uint8))
 
 
 @pytest.mark.parametrize("target", [dh.Sphere(2), dh.Sphere(3)], ids=["sphere2", "sphere3"])
-def test_tangential_dirac_raises_the_same_tangency_error(target):
-    phi, _, raw = _random_pair(target)
-    off = dh.TwistedSpinorField(phi.chart, target, raw)
-    with pytest.raises(ValueError, match="violates tangency") as lean:
-        dh.dirac_along_map(phi, off)
-    with pytest.raises(ValueError, match="violates tangency") as full:
-        dh.el_residual(phi, off)
-    assert str(lean.value) == str(full.value)
+def test_check_pair_rejects_the_raw_spinor_naming_tangency(target):
+    phi, psi, raw = _random_pair(target)
+    dh.check_pair(phi, psi)
+    with pytest.raises(dh.InadmissiblePair, match="violates tangency") as exc:
+        dh.check_pair(phi, dh.TwistedSpinorField(phi.chart, target, raw))
+    assert exc.value.tangency
 
 
 @pytest.fixture

@@ -23,15 +23,6 @@ class TestFieldTypes:
         with pytest.raises(ValueError, match="leaves the target by nan"):
             dh.MapField(chart, dh.Sphere(2), vals)
 
-    def test_nan_tangency_defect_is_a_floating_point_error(self):
-        # A tangent spinor whose |psi|^2 overflows: its defect is inf / inf.
-        _, phi, psi = elliptic_pair(16)
-        huge = dh.TwistedSpinorField(phi.chart, phi.target, psi.values * 1e300)
-        with np.errstate(all="ignore"):
-            assert np.isnan(dh.tangency_defect(phi, huge))
-            with pytest.raises(FloatingPointError, match="tangency defect is NaN"):
-                dh.dirac_along_map(phi, huge)
-
     def test_shape_validation(self):
         chart = dh.DomainChart.torus(16)
         with pytest.raises(ValueError):
@@ -100,13 +91,50 @@ class TestDiracAlongMap:
             sups.append(np.sqrt(dh.spinor_norm2(defect).sum(-1)).max())
         assert_second_order(*sups)
 
-    def test_tangency_precondition_enforced(self):
+
+class TestCheckPair:
+    def test_overflowing_energy_is_rejected_naming_it(self, recwarn):
+        # A tangent spinor of finite values whose |psi|^2 overflows.
+        _, phi, psi = elliptic_pair(16)
+        huge = dh.TwistedSpinorField(phi.chart, phi.target, psi.values * 1e300)
+        assert np.isfinite(huge.values).all()
+        with pytest.raises(dh.InadmissiblePair, match="energy overflows") as exc:
+            dh.check_pair(phi, huge)
+        assert not exc.value.tangency
+        assert not recwarn.list  # the error is the one report
+
+    def test_normal_spinor_is_rejected_naming_tangency(self):
         chart = dh.DomainChart.torus(24)
         phi = dh.MapField.constant(chart, dh.Sphere(2), (0, 0, 1))
         bad = np.zeros(chart.shape + (3, 2), dtype=complex)
         bad[..., 2, 0] = 1.0  # purely normal component
-        with pytest.raises(ValueError, match="tangency"):
-            dh.dirac_along_map(phi, dh.TwistedSpinorField(chart, phi.target, bad))
+        with pytest.raises(ValueError, match="violates tangency") as exc:
+            dh.check_pair(phi, dh.TwistedSpinorField(chart, phi.target, bad))
+        assert exc.value.tangency
+
+    def test_non_finite_value_is_rejected(self):
+        chart = dh.DomainChart.torus(16)
+        phi, psi = dh.constant_spinor_pair(chart, dh.Sphere(2), (0, 0, 1), (1, 0, 0), (1, 0))
+        psi.values[3, 4, 0, 1] = np.nan
+        with pytest.raises(dh.InadmissiblePair, match="non-finite value") as exc:
+            dh.check_pair(phi, psi)
+        assert not exc.value.tangency
+
+    @pytest.mark.parametrize("text", [
+        "[chart]\ntopology = disk\n\n[scenario]\nkind = twistor_pushforward\n",
+        "[scenario]\nkind = twistor_pushforward\nrational_num = 0,0,1\npsi1 = 0.2,-0.1j\n",
+        "[scenario]\nkind = elliptic_pair\n",
+        "[scenario]\nkind = harmonic_wrap\nwinding = 2\n",
+        "[scenario]\nkind = constant_spinor\n",
+        "[target]\nkind = flat\ndim = 3\n\n[scenario]\nkind = constant_spinor\n",
+        "[target]\ndim = 3\n\n[scenario]\nkind = constant_spinor\nbase_point = 0,0,0,1\n"
+        "spinor_direction = 1,0,0,0\n",
+        "[scenario]\nkind = perturbed_constant\n",
+    ], ids=["twistor_disk", "twistor_deg2", "elliptic", "wrap2", "constant", "flat3", "sphere3",
+            "perturbed"])
+    def test_every_scenario_pair_is_admissible(self, text):
+        phi, psi = dh.build_pair(dh.parse_config("[chart]\nn = 16\n" + text))
+        assert dh.check_pair(phi, psi) is None
 
 
 class TestCurvatureTerm:

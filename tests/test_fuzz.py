@@ -1,11 +1,12 @@
 """Seeded input fuzzer over the command line.
 
 Config texts are drawn from the rows of ``config.KEYS`` with a table of
-edge values (NaN, +-inf, 1e+-300, signed zeros, huge integers), and field
-files are written from exact pairs and then mutated in their header or
-payload, with the payload CRC recomputed so that the deeper checks are
-reached.  Each draw runs through ``cli.main``, in process, and must end in
-exit 0, 1, 2 or 3 with no exception escaping it.
+edge values (NaN, +-inf, 1e+-300, 1e100, signed zeros, huge integers),
+and field files are written from exact pairs and then mutated in their
+header or payload, with the payload CRC recomputed so that the deeper
+checks are reached.  Each draw runs through ``cli.main``, in process, and
+must end in exit 0, 1, 2 or 3 with no exception escaping it; a draw that
+exits 0 must have written JSON with finite numbers only.
 
 Grids stay small (n <= 24 on the torus, n <= 36 on the disk), and the two
 iteration counts a run does by request, ``solver.max_iters`` and
@@ -14,6 +15,7 @@ fits in seconds.  The named regression cases at the end run the console
 entry point in a subprocess and read its stderr.
 """
 
+import json
 import random
 import struct
 import subprocess
@@ -35,8 +37,9 @@ ROW_RATE = 0.15
 
 HUGE_INT = "9" * 400
 INT_EDGES = ("0", "-1", "1", "2", "3", "7", "999999999999", "-999999999999", HUGE_INT)
+# 1e100 is a finite amplitude whose |psi|^4 overflows.
 FLOAT_EDGES = ("nan", "-nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "0", "-0", "1", "-1",
-               "0.5", "2.5", "1e30", "1e-30", "999999999999")
+               "0.5", "2.5", "1e30", "1e-30", "999999999999", "1e100")
 COMPLEX_EDGES = FLOAT_EDGES + ("1e300j", "nanj", "inf+1j", "1+1e300j", "-0j", "0.2-0.1j")
 SCALARS = {"int": INT_EDGES, "float": FLOAT_EDGES, "complex": COMPLEX_EDGES}
 KINDS = ("twistor_pushforward", "elliptic_pair", "harmonic_wrap", "constant_spinor",
@@ -86,8 +89,14 @@ def _config(rng):
     return "".join(f"[{s}]\n" + "\n".join(lines) + "\n\n" for s, lines in sections.items())
 
 
-def _run(args, capsys):
-    """Exit code of ``cli.main(args)``, or the traceback of what escaped it."""
+def _finite_only(constant):
+    raise ValueError(f"{constant} in a JSON output")
+
+
+def _run(args, capsys, out):
+    """None, or what is wrong with ``cli.main(args)``: the traceback of what
+    escaped it, an exit code outside EXIT_CODES, or, after exit 0, a JSON
+    file under ``out`` holding NaN or Infinity."""
     try:
         code = cli.main(args)
     except (Exception, SystemExit):  # anything escaping main is the finding
@@ -96,6 +105,11 @@ def _run(args, capsys):
     err = capsys.readouterr().err
     if code not in EXIT_CODES or "Traceback" in err:
         return f"exit {code}\n{err}"
+    for path in sorted(out.glob("*.json")) if code == 0 else ():
+        try:
+            json.loads(path.read_text(), parse_constant=_finite_only)
+        except ValueError as exc:
+            return f"exit 0 wrote {path.name}: {exc}"
     return None
 
 
@@ -107,9 +121,9 @@ def test_config_draws_end_in_an_exit_code(tmp_path, capsys):
         command = rng.choice(("exact", "verify", "flow"))
         path = tmp_path / f"draw{i}.cfg"
         path.write_text(text)
+        out = tmp_path / f"out{i}"
         with np.errstate(all="ignore"):
-            found = _run([command, "--config", str(path), "--out", str(tmp_path / f"out{i}")],
-                         capsys)
+            found = _run([command, "--config", str(path), "--out", str(out)], capsys, out)
         if found:
             failures.append(f"draw {i}: dhm {command}\n{text}{found}")
     assert not failures, "\n\n".join(failures[:5]) + f"\n\n{len(failures)} failing draws"
@@ -197,16 +211,16 @@ def test_field_file_draws_end_in_an_exit_code(exact_files, tmp_path, capsys):
         for name, blob in blobs.items():
             paths[name] = tmp_path / f"draw{i}_{name}.dhm"
             paths[name].write_bytes(blob)
-        out = str(tmp_path / f"out{i}")
+        out = tmp_path / f"out{i}"
         command = rng.choice(("dump", "verify", "verify_phi_only", "probe"))
         args = {"dump": ["dump", str(paths[which])],
                 "verify": ["verify", "--phi", str(paths["phi"]), "--psi", str(paths["psi"]),
-                           "--out", out],
-                "verify_phi_only": ["verify", "--phi", str(paths[which]), "--out", out],
+                           "--out", str(out)],
+                "verify_phi_only": ["verify", "--phi", str(paths[which]), "--out", str(out)],
                 "probe": ["probe", "--phi", str(paths["phi"]), "--psi", str(paths["psi"]),
-                          "--out", out]}[command]
+                          "--out", str(out)]}[command]
         with np.errstate(all="ignore"):
-            found = _run(args, capsys)
+            found = _run(args, capsys, out)
         if found:
             failures.append(f"draw {i}: {' '.join(args[:2])} ({which} mutated, header "
                             f"{_parts(blobs[which])[0]})\n{found}")
@@ -236,6 +250,10 @@ REGRESSIONS = [
     pytest.param("[chart]\nn = 16\n\n[scenario]\nkind = twistor_pushforward\n"
                  "rational_den = 1e300,1\n", "exact", "scenario twistor_pushforward",
                  id="rational_den_1e300"),
+    # Exited 0 with "energy": Infinity in exact_summary.json.
+    pytest.param("[chart]\nn = 16\n\n[scenario]\nkind = twistor_pushforward\n"
+                 "psi1 = 1e100,1\n", "exact", "scenario twistor_pushforward: the pair's energy",
+                 id="psi1_1e100"),
     pytest.param("[chart]\nn = 16\n\n[target]\nkind = sphere\ndim = 999999999999\n\n"
                  "[scenario]\nkind = constant_spinor\n", "exact", "line 6: target.dim",
                  id="target_dim_huge"),
@@ -254,4 +272,5 @@ def test_regressions_exit_1_naming_the_error(tmp_path, text, command, named):
                         "--out", str(tmp_path / "out")], capture_output=True, text=True)
     assert r.returncode == 1, r.stdout + r.stderr
     assert named in r.stderr and "Traceback" not in r.stderr, r.stderr
+    assert "RuntimeWarning" not in r.stderr, r.stderr
     assert r.stderr.startswith(("config error: ", "field file error ")), r.stderr

@@ -20,6 +20,8 @@ from diracharmonic.spinors import clifford_e1, clifford_e2
 from diracharmonic.targets import ambient_pairing, normal_part
 from diracharmonic.verify import _cauchy_riemann_dirac
 
+from conftest import map_pullback
+
 # Sphere(7) has K = 8 ambient components: numpy adds 8 or more contiguous
 # terms pairwise, so a pairing that reduced over the ambient axis would
 # round by storage order there.
@@ -108,7 +110,7 @@ def test_zero_and_constant_store_planes():
 def test_project_spinor_map_pullback_and_flow_step_store_planes(target):
     phi, psi = _pair(target, "disk")
     assert plane_ordered(phi.values) and plane_ordered(psi.values)
-    pulled = dh.map_pullback(phi, dh.MoebiusMap.disk_automorphism(0.3))
+    pulled = map_pullback(phi, dh.MoebiusMap.disk_automorphism(0.3))
     assert plane_ordered(pulled.values)
     assert plane_ordered(dh.flow_step(phi, psi).values)
     assert plane_ordered(dh.flow_step(phi, None).values)

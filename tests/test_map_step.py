@@ -77,7 +77,7 @@ def test_frozen_measure_has_the_bits_of_a_zero_spinor_measure(monkeypatch):
         return moved
 
     monkeypatch.setattr(diracharmonic.fields, "dirac_along_map", forbidden)
-    monkeypatch.setattr(diracharmonic.fields, "_flat_dirac_split", forbidden)
+    monkeypatch.setattr(diracharmonic.fields, "flat_dirac", forbidden)
     monkeypatch.setattr(diracharmonic.fields, "curvature_term", forbidden)
     monkeypatch.setattr(diracharmonic.solver, "curvature_term", forbidden)
     monkeypatch.setattr(diracharmonic.solver, "flow_step", recording_step)
