@@ -124,10 +124,10 @@ class DomainChart:
 
     # -- stencil calculus ----------------------------------------------------
 
-    def derivative(self, f, axis, out=None) -> np.ndarray:
-        """Centered O(h^2) first derivative along "x" or "y", written into
-        ``out`` (a component-major array shaped like ``f`` that does not
-        overlap it) when given.
+    def difference(self, f, axis, out=None) -> np.ndarray:
+        """Unscaled centered difference f[i + 1] - f[i - 1] along "x" or "y",
+        written into ``out`` (a component-major array shaped like ``f``
+        that does not overlap it) when given.
 
         Stencils always wrap; on disk charts the wrap touches only nodes
         outside the unit disk, which no mask ever selects.
@@ -135,11 +135,16 @@ class DomainChart:
         f = as_planes(f)
         out = empty_planes(f.shape, np.result_type(f, 1.0)) if out is None else out
         (ff, fa, step), (fo, oa, _) = _lines(f, axis), _lines(out, axis)
-        # out[i] = f[i + 1] - f[i - 1] with wrapped ends, the bits of
-        # roll(f, -1) - roll(f, 1): one contiguous pass over the whole buffer
-        # (line ends pair with the neighbouring lines), then the two ends.
+        # The bits of roll(f, -1) - roll(f, 1): one contiguous pass over the whole
+        # buffer (line ends pair with the neighbouring lines), then the two ends.
         np.subtract(ff[2 * step:], ff[:-2 * step], out=fo[step:-step])
         np.subtract(fa[..., 1::-1], fa[..., :-3:-1], out=oa[..., ::self.n - 1])
+        return out
+
+    def derivative(self, f, axis, out=None) -> np.ndarray:
+        """Centered O(h^2) first derivative: ``difference`` divided by 2h."""
+        out = self.difference(f, axis, out=out)
+        fo = _lines(out, axis)[0]
         # numpy divides a complex out by 2h + 0j as (re + im * 0) * (1 / 2h) per
         # part; the real reciprocal differs only in the sign of exact zeros.
         if np.iscomplexobj(fo):

@@ -5,14 +5,14 @@ The action is unbounded below in the spinor, so no descent is attempted
 there; instead the spinor is constrained to the near-kernel of the Dirac
 operator along the current map (the spinor equation is linear), extracted
 by inverse power iteration on the squared operator, and refreshed every
-few map steps.  Each power round solves (T + shift) x = b by the kernel
-operator's own conjugate gradients, preconditioned with the flat
-operator: the centred flat Dirac operator squared is diagonal in Fourier
-space with symbol
+few map steps.  Each power round solves (T + shift) x = b, T = B B on
+tangent fields, by the kernel operator's projected PCG on the tangent
+bundle, preconditioned with the flat operator: the centred flat Dirac
+operator squared is diagonal in Fourier space with symbol
 sigma = (sin^2(2 pi mx / n) + sin^2(2 pi my / n)) / h^2 on both charts
-(every stencil wraps), so its shifted inverse costs one FFT pair.  The
-preconditioner applies it to the tangential block and 1 / (kappa + shift)
-to the normal block; both blocks are SPD, so preconditioned CG applies.
+(every stencil wraps), so its shifted inverse costs one FFT pair, and
+the tangency projection P after it keeps the preconditioned residual
+tangent.
 The map relaxes by explicit Euler steps of h^2/8 (the stability bound)
 on the descent direction tension - curvature_term, reprojected onto the
 target pointwise, which preserves the constraint exactly and never
@@ -31,10 +31,10 @@ step, transport or CG iteration; the kernels write through their
   grids only when the spinor is live) and two spinor grids the transport
   alternates between.
 - each ``dirac_project`` call owns its operator's work arrays (four
-  scratch spinor grids and the CG's r, z, p and Ap) and the returned
-  spinor, whose grid also holds the CG's right-hand side and solution in
-  turn; all but the returned grid, allocated last, are freed when the
-  call ends.
+  scratch spinor grids and the CG's tangent r, z, p and Ap) and the
+  returned spinor, whose grid also holds the CG's right-hand side and
+  solution in turn; all but the returned grid, allocated last, are freed
+  when the call ends.
 - what still allocates per step is smaller than a map grid: the
   coupling's pairing products (n x n, see ``clifford_frame_contract``) and
   the norms of ``project_point``; the convergence checks allocate as
@@ -152,22 +152,19 @@ def flow_step(phi: MapField, psi: TwistedSpinorField | None, out=None,
 
 
 class _DiracKernelOperator:
-    """Symmetric positive semidefinite operator on tangency-constrained
-    spinor grids whose near-null space is the kernel of the Dirac operator
-    along the map.
+    """Symmetric positive semidefinite operator on tangent spinor grids
+    whose near-null space is the kernel of the Dirac operator along the map.
 
-    T x = P B (B (P x)) + kappa (x - P x), with B = (tangent projection)
-    o (flat Dirac) and P the pointwise tangency projection; kappa pushes
-    normal junk out of the small-eigenvalue space.  ``solve`` inverts
-    T + shift, the shift fixed at construction.
+    T x = B (B x), with B = P o (flat Dirac) and P the pointwise tangency
+    projection, on the tangent fields (the range of P), where it equals
+    P B B P: neither T nor the preconditioner projects its input.
+    ``solve`` inverts T + shift, the shift fixed at construction.
 
     The operator owns the work arrays of one extraction: four scratch
     spinor grids, which every method may overwrite, and the CG's vectors
     r, z, p and Ap (``vectors``, used by ``solve`` alone).  A method's
     ``out`` must not be one of them or overlap its input.
     """
-
-    kappa = 1.0
 
     def __init__(self, phi: MapField, shift: float):
         self.phi = phi
@@ -185,41 +182,33 @@ class _DiracKernelOperator:
         return _tangent_project_spinor(self.phi, slashed, out=out)
 
     def __call__(self, x, out):
-        s0, s1, s2, s3 = self.scratch
-        px = _tangent_project_spinor(self.phi, x, out=s0)
-        bx = self.b_apply(px, s1, (s2, s3))
-        bbx = self.b_apply(bx, out, (s2, s3))
-        normal = np.subtract(x, px, out=px)
-        bbx += np.multiply(self.kappa, normal, out=normal)
-        return bbx
+        s1, s2, s3 = self.scratch[1:]
+        return self.b_apply(self.b_apply(x, s1, (s2, s3)), out, (s2, s3))
 
     def precondition(self, r, out):
-        """M^-1 r = P F^-1[F(P r) / (sigma + shift)] + (r - P r) / (kappa + shift).
+        """M^-1 r = P F^-1[F(r) / (sigma + shift)] for tangent r.
 
         The flat part is the exact inverse of the shifted flat Dirac
-        operator squared, applied to the tangential block; the normal block
-        gets the inverse of T's own normal diagonal.  Both blocks are
-        symmetric positive definite (real positive symbol, orthogonal P),
-        so M^-1 is SPD, as preconditioned CG requires.
+        operator squared (real positive symbol), and P is orthogonal, so
+        on tangent fields M^-1 is symmetric positive definite, as
+        preconditioned CG requires.  Its output is tangent: the projected
+        preconditioned residual of projected PCG.
         """
-        s0, s1 = self.scratch[:2]
-        pr = _tangent_project_spinor(self.phi, r, out=s0)
         # Transform the component planes (the last two axes of the
         # component-major view) in place in a scratch grid.  ifftn, not
         # ifft2: numpy's ifft2 does not pass ``out`` on.
-        spectrum = np.fft.fftn(pr.transpose(2, 3, 0, 1), axes=(-2, -1),
-                               out=s1.transpose(2, 3, 0, 1))
+        spectrum = np.fft.fftn(r.transpose(2, 3, 0, 1), axes=(-2, -1),
+                               out=self.scratch[1].transpose(2, 3, 0, 1))
         spectrum /= self.symbol
         flat = np.fft.ifftn(spectrum, axes=(-2, -1), out=spectrum).transpose(2, 3, 0, 1)
-        normal = np.subtract(r, pr, out=pr)
-        normal /= self.kappa + self.shift
-        out = _tangent_project_spinor(self.phi, flat, out=out)
-        out += normal
-        return out
+        return _tangent_project_spinor(self.phi, flat, out=out)
 
     def solve(self, rhs, tol: float, max_iters: int, out):
         """Conjugate gradient for (T + shift) x = rhs, preconditioned by
-        ``precondition``.
+        ``precondition``: the projected PCG of Gould, Hribar & Nocedal
+        (SIAM J. Sci. Comput. 23, 2001).  ``rhs`` must be tangent; r, z,
+        p, Ap and x are linear combinations of it and of outputs that end
+        in P, so they stay tangent to round-off.
 
         Stops when the unpreconditioned residual satisfies |r| <= tol |rhs|;
         fixed association order, no randomness.  Iterates in ``vectors`` and

@@ -6,7 +6,7 @@ spinor field on an (n, n) chart is a complex array of shape (..., 2).
 The Clifford actions build their result in an ``empty_like`` of their
 input, so a component-major field (see ``charts``) stays component-major;
 ``clifford_e1`` and ``clifford_e2`` write each half straight into it,
-with no half-spinor temporaries.  ``flat_dirac`` has the frame form only.
+with no half-spinor temporaries; ``flat_dirac`` folds both into its passes.
 
 ``re_pairing`` and ``spinor_norm2`` are the one real pairing Re<s, t> and
 the one squared norm |s|^2, of plain spinors, twisted ones and whole grids:
@@ -49,11 +49,10 @@ def spinor_norm2(s, axis=-1) -> np.ndarray:
     return squares.sum(axis=axis)
 
 
-def clifford_e1(s, out=None) -> np.ndarray:
-    """e1 . (f, g) = (g, -f), written into ``out`` (not overlapping ``s``)
-    when given."""
+def clifford_e1(s) -> np.ndarray:
+    """e1 . (f, g) = (g, -f)."""
     s = np.asarray(s, dtype=np.complex128)
-    out = np.empty_like(s) if out is None else out
+    out = np.empty_like(s)
     out[..., 0] = s[..., 1]
     np.negative(s[..., 0], out=out[..., 1])
     return out
@@ -89,20 +88,27 @@ def flat_dirac(field, chart, out=None, work=None) -> np.ndarray:
     field, with the chart's centered stencils.  ``verify`` checks it against
     the Cauchy-Riemann form 2 (dg/dzbar, -df/dz).
 
-    ``out`` receives the result and ``work``, a grid shaped like ``field``,
-    the x derivative, which is then overwritten with e2 . D_y, formed half
-    by half.  Neither may overlap ``field`` or the other; without them the
-    arrays are allocated.
+    With c = 1 / 2h and the unscaled differences Dx, Dy of ``difference``,
+    it is (c Dx g + ic Dy g, -c Dx f + ic Dy f): the bits of e1 and e2 on
+    the derivatives, as negation and products by i commute with rounding.
+    ``out`` receives the result and ``work``, a component-major grid
+    shaped like ``field``, the x difference, then the y difference and its
+    products.  Neither may overlap ``field`` or the other; without them
+    the arrays are allocated.
 
     On disk charts the output is trusted only on |z| <= 1 - 2h: each
     centered stencil erodes the trusted region by 2h.
     """
     field = np.asarray(field, dtype=np.complex128)
-    dx = chart.derivative(field, axis="x", out=work)
-    out = clifford_e1(dx, out=out)
-    dy = chart.derivative(field, axis="y", out=dx)
+    c = 1.0 / (2.0 * chart.h)
+    dx = chart.difference(field, axis="x", out=work)
+    out = np.empty_like(dx) if out is None else out
+    # Real products on (re, im) views: one by c + 0j could flip a zero's sign.
+    for src, dst, scale in ((1, 0, c), (0, 1, -c)):
+        np.multiply(dx[..., src, None].view(float), scale, out=out[..., dst, None].view(float))
+    dy = chart.difference(field, axis="y", out=dx)
     for src, dst in ((1, 0), (0, 1)):  # e2 . (f, g) = (i g, i f), in place half by half
-        out[..., dst] += np.multiply(1j, dy[..., src], out=dy[..., src])
+        out[..., dst] += np.multiply(1j * c, dy[..., src], out=dy[..., src])
     return out
 
 

@@ -1,6 +1,7 @@
 """The kernel operator's preconditioned CG against the plain CG oracle,
-the preconditioner's symmetry and positivity, the CG telemetry, and the
-flat Dirac calls a coupled solve makes."""
+the preconditioner's symmetry, positivity and tangent output, the
+operator against its ambient form on tangent fields, the tangency of a
+solve, the CG telemetry, and the flat Dirac calls a coupled solve makes."""
 
 import numpy as np
 import pytest
@@ -64,6 +65,10 @@ def test_preconditioned_cg_matches_plain_oracle(make_map):
     assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
+def _normal_part(phi, x):
+    return np.linalg.norm(x - _tangent_project_spinor(phi, x))
+
+
 @pytest.mark.parametrize("make_map", MAPS)
 def test_preconditioner_is_symmetric_positive_definite(make_map):
     phi = make_map(32)
@@ -71,13 +76,18 @@ def test_preconditioner_is_symmetric_positive_definite(make_map):
     a, b = _random_spinors(phi, 2), _random_spinors(phi, 3)
     tangent = [_tangent_project_spinor(phi, a), _tangent_project_spinor(phi, b)]
     normal = [a - tangent[0], b - tangent[1]]
-    for x, y in (tangent, normal, (tangent[0], normal[1]), (a, b)):
-        mx, my = _precondition(op, x), _precondition(op, y)
-        scale = np.linalg.norm(x) * np.linalg.norm(my)
-        assert abs(np.vdot(x, my).real - np.vdot(mx, y).real) <= 1e-12 * scale
-    for x in tangent + normal + [a]:
-        if np.any(x):                             # a flat target has no normal part
-            assert np.vdot(x, _precondition(op, x)).real > 0.0
+    # Symmetric and positive on tangent fields, the operator's domain.
+    x, y = tangent
+    mx, my = _precondition(op, x), _precondition(op, y)
+    assert abs(np.vdot(x, my).real - np.vdot(mx, y).real) \
+        <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(my)
+    for x in tangent:
+        assert np.vdot(x, _precondition(op, x)).real > 0.0
+    # Tangent output for every input, the projected preconditioned residual;
+    # ``a`` is mixed, in C order and component-major.
+    for x in tangent + normal + [a, as_planes(a)]:
+        mx = _precondition(op, x)
+        assert _normal_part(phi, mx) <= 1e-14 * np.linalg.norm(mx)
 
 
 @pytest.mark.parametrize("make_map", MAPS)
@@ -90,17 +100,47 @@ def test_preconditioner_has_the_bits_of_the_allocating_formula(make_map, order):
     r = as_planes(r) if order == "planes" else r
     # The formula with fresh arrays: fft2/ifft2 over the component planes,
     # divided by the shifted symbol of the flat Dirac operator squared.
-    pr = _tangent_project_spinor(phi, r)
-    spectrum = np.fft.fft2(pr.transpose(2, 3, 0, 1))
+    spectrum = np.fft.fft2(r.transpose(2, 3, 0, 1))
     s2 = np.sin(2.0 * np.pi * np.arange(phi.chart.n) / phi.chart.n) ** 2
     spectrum /= (s2[:, None] + s2[None, :]) / phi.chart.h**2 + shift
-    flat = np.fft.ifft2(spectrum).transpose(2, 3, 0, 1)
-    ref = _tangent_project_spinor(phi, flat) + (r - pr) / (op.kappa + shift)
+    ref = _tangent_project_spinor(phi, np.fft.ifft2(spectrum).transpose(2, 3, 0, 1))
     z = np.empty_like(r)
     got = op.precondition(r, z)
     assert got is z
     assert np.array_equal(np.ascontiguousarray(got).view(np.uint8),
                           np.ascontiguousarray(ref).view(np.uint8))
+
+
+def _ambient_operator(op, x):
+    """The operator on the whole ambient spinor space, with the normal
+    block kappa (I - P) at kappa = 1: P B B P x + (x - P x)."""
+    px = _tangent_project_spinor(op.phi, x)
+    bbx = op.b_apply(op.b_apply(px, np.empty_like(px), op.scratch[2:]),
+                     np.empty_like(px), op.scratch[2:])
+    return bbx + (x - px)
+
+
+@pytest.mark.parametrize("make_map", MAPS)
+def test_operator_equals_the_ambient_operator_on_tangent_fields(make_map):
+    phi = make_map(32)
+    op = _operator(phi)
+    for seed in (5, 6):
+        x = _tangent_project_spinor(phi, _random_spinors(phi, seed))
+        ref = _ambient_operator(op, x)
+        got = op(x, np.empty_like(x))
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("make_map", MAPS)
+def test_solve_stays_tangent(make_map):
+    phi = make_map(32)
+    op = _operator(phi)
+    rhs = _tangent_project_spinor(phi, _random_spinors(phi, 7))
+    x = np.empty_like(rhs)
+    _, converged = op.solve(rhs, diracharmonic.solver.CG_TOL,
+                            diracharmonic.solver.CG_MAX_ITERS, x)
+    assert converged
+    assert _normal_part(phi, x) <= 1e-13 * np.linalg.norm(x)
 
 
 def test_kernel_cg_iterations_per_solve_stay_small():

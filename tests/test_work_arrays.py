@@ -45,11 +45,11 @@ def _heat_solve():
 
 # sha256 of the final phi and psi (C-order bytes) and energy.hex() of the
 # two short solves above.  The heat digest was recorded before the solver
-# reused its arrays; the coupled one once the kernel CG's inner products and
-# norms became plain numpy sums, which add in memory order.
+# reused its arrays; the coupled one once the kernel CG ran on tangent
+# fields alone, with no normal block in its operator or preconditioner.
 PARENT_DIGESTS = {
-    "coupled": ("c52224752d0d7a63dad1977a37d9bf1a9aa6671ac0244450c8f32c09c886038c",
-                "8089eafe8b519158e23fa017f930e0adc9d0cc7575c00054500ce7e76146cc45",
+    "coupled": ("e698291bdd99ebc60e1127bf27c32d5337d99be8895d551a53b360317a34db52",
+                "ac600717a5ac91c77176fdf09474f64c1f5b0f677eded68664c1bcac4c6b914f",
                 "0x1.574b667b1ea74p+0"),
     "heat": ("f6caae2f5a42288e1db362de01b04e1d6f58e9c704557eb4d8574a5502af617c",
              "3a3ed164e42500a1c5b2d0093f0a813d27dc50d038f330cc100a7e70ece2e6e4",
