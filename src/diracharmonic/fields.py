@@ -195,9 +195,11 @@ def clifford_frame_contract(dphi, psi_values, out=None, work=None) -> np.ndarray
     """sigma = sum_{a,i} d_a phi^i  e_a . psi^i, a plain spinor field.
 
     This is the contraction through which the whole coupling acts: on the
-    unit sphere A(dphi(e_a), e_a . psi) = -sigma (x) nu.  As e1 . (f, g) =
-    (g, -f) and e2 . (f, g) = (i g, i f), sigma = (sum_i w^i g^i,
-    -sum_i conj(w^i) f^i) with w = d_1 phi + i d_2 phi.
+    unit sphere A(dphi(e_a), e_a . psi) = -sigma (x) nu.  It fuses
+    ``clifford_mul`` into the coupled flow's hot path without allocating;
+    tests pin it to sum_i clifford_mul(d phi^i, psi^i), bit for bit up to
+    the sign of exact zeros: sigma = (sum_i w^i g^i, -sum_i conj(w^i) f^i)
+    with w = d_1 phi + i d_2 phi.
 
     ``out`` receives sigma and ``work``, a complex grid shaped like
     ``dphi[..., 0, :]``, holds w; without them both are allocated.  Each

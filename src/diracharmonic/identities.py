@@ -13,8 +13,10 @@ the one energy-momentum tensor T.
 
 The identities read only D psi, never the normal defect, so they take it
 from ``dirac_along_map``.  Each drops a grid-sized array after its last
-read and takes covariant derivatives one direction at a time, so it holds
-a few spinor grids at once (``tests/test_verify_memory.py``).
+read and, but for ``bochner_defect`` and ``decay_profile`` (both through
+``spinor_gradient``), takes covariant derivatives one direction at a
+time, so it holds a few spinor grids at once
+(``tests/test_verify_memory.py``).
 ``conformal_checks`` evaluates the conformal invariance check for several
 maps and conventions at once, sharing the pair's own terms and each map's
 pullback; ``conformal_invariance_defect`` is its one-entry case.
@@ -29,7 +31,7 @@ import numpy as np
 from .charts import DomainChart, MoebiusMap, empty_planes
 from .fields import (MapField, TwistedSpinorField, action, covariant_derivative,
                      dirac_along_map, dirichlet_density, energy, project_spinor, spinor_gradient)
-from .spinors import clifford_e1, clifford_e2, clifford_mul, re_pairing, spinor_norm2
+from .spinors import FRAME, clifford_mul, re_pairing, spinor_norm2
 from .targets import ambient_pairing
 
 BOCHNER_DIRAC_TOL = 1e-2  # bochner_defect's bound on sup |D psi| per unit field scale
@@ -67,9 +69,9 @@ def energy_momentum(phi: MapField, psi: TwistedSpinorField) -> EnergyMomentum:
                 T[..., a, b] -= dirichlet
     for b, axis in enumerate(("x", "y")):
         grad_b = covariant_derivative(phi, psi.values, axis)
-        for a, e_a in enumerate((clifford_e1, clifford_e2)):
+        for a, e_a in enumerate(FRAME):
             # Re<psi, e_a . grad_b psi> = -Re<e_a . psi, grad_b psi>.
-            T[..., a, b] -= re_pairing(e_a(psi.values), grad_b, axis=(-2, -1))
+            T[..., a, b] -= re_pairing(clifford_mul(e_a, psi.values), grad_b, axis=(-2, -1))
     return EnergyMomentum(chart, T)
 
 
@@ -127,7 +129,7 @@ def weitzenboeck_defect(phi: MapField, psi: TwistedSpinorField) -> float:
     # R(X, X) = 0, and the (1, 0) term equals the (0, 1) term: R(Y, X) =
     # -R(X, Y) and e2 . e1 = -e1 . e2.
     rhs += _curvature_on_spinor(phi, d[..., 0, :], d[..., 1, :],
-                                clifford_e1(clifford_e2(psi.values)))
+                                clifford_mul(FRAME[0], clifford_mul(FRAME[1], psi.values)))
     del d
     # D^2 psi last, D psi alive only while D^2 psi is formed.
     lhs = dirac_along_map(phi, TwistedSpinorField(chart, phi.target, dirac_along_map(phi, psi)))
@@ -154,10 +156,10 @@ def bochner_defect(phi: MapField, psi: TwistedSpinorField, scale: float) -> floa
     lhs = 0.5 * chart.laplacian(psi.norm2_density())
     rhs = spinor_norm2(spinor_gradient(phi, psi), axis=(-3, -2, -1))
     d = phi.gradient()
-    cops = (clifford_e1, clifford_e2)
     for a, b in ((0, 1), (1, 0)):  # R(X, X) = 0
-        r_on = _curvature_on_spinor(phi, d[..., a, :], d[..., b, :], cops[b](psi.values))
-        rhs = rhs - 0.5 * re_pairing(cops[a](psi.values), r_on, axis=(-2, -1))
+        r_on = _curvature_on_spinor(phi, d[..., a, :], d[..., b, :],
+                                    clifford_mul(FRAME[b], psi.values))
+        rhs = rhs - 0.5 * re_pairing(clifford_mul(FRAME[a], psi.values), r_on, axis=(-2, -1))
         del r_on
     return float(np.abs(lhs - rhs)[mask].max())
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .charts import DomainChart
 from .fields import MapField, TwistedSpinorField, project_spinor
-from .spinors import clifford_e1, clifford_e2, twistor_field
+from .spinors import FRAME, clifford_mul, twistor_field
 from .targets import Sphere, TargetGeometry
 
 
@@ -133,8 +133,8 @@ def twistor_pushforward(phi: MapField, psi0, psi1) -> TwistedSpinorField:
     """
     chart = phi.chart
     Psi = twistor_field(chart, psi0, psi1)
-    e1Psi = clifford_e1(Psi)
-    e2Psi = clifford_e2(Psi)
+    e1Psi = clifford_mul(FRAME[0], Psi)
+    e2Psi = clifford_mul(FRAME[1], Psi)
     d = phi.gradient() if phi.analytic_gradient is None else phi.analytic_gradient
     vals = (d[..., 0, :, None] * e1Psi[..., None, :]
             + d[..., 1, :, None] * e2Psi[..., None, :])

@@ -203,15 +203,16 @@ class _DiracKernelOperator:
         flat = np.fft.ifftn(spectrum, axes=(-2, -1), out=spectrum).transpose(2, 3, 0, 1)
         return _tangent_project_spinor(self.phi, flat, out=out)
 
-    def solve(self, rhs, tol: float, max_iters: int, out):
+    def solve(self, rhs, out):
         """Conjugate gradient for (T + shift) x = rhs, preconditioned by
         ``precondition``: the projected PCG of Gould, Hribar & Nocedal
         (SIAM J. Sci. Comput. 23, 2001).  ``rhs`` must be tangent; r, z,
         p, Ap and x are linear combinations of it and of outputs that end
         in P, so they stay tangent to round-off.
 
-        Stops when the unpreconditioned residual satisfies |r| <= tol |rhs|;
-        fixed association order, no randomness.  Iterates in ``vectors`` and
+        Stops when the unpreconditioned residual satisfies
+        |r| <= CG_TOL |rhs|, or after CG_MAX_ITERS iterations; fixed
+        association order, no randomness.  Iterates in ``vectors`` and
         writes x into ``out``, which may be ``rhs`` itself.  Returns
         (iterations, converged).
         """
@@ -224,7 +225,7 @@ class _DiracKernelOperator:
         rz = re_pairing(r, z, axis=None, work=tmp)
         rhs_norm = np.sqrt(re_pairing(r, r, axis=None, work=tmp)) + 1e-300
         it = 0
-        for it in range(1, max_iters + 1):
+        for it in range(1, CG_MAX_ITERS + 1):
             ap = self(p, ap)
             ap += np.multiply(self.shift, p, out=tmp)
             denom = re_pairing(p, ap, axis=None, work=tmp)
@@ -233,7 +234,7 @@ class _DiracKernelOperator:
             alpha = rz / denom
             out += np.multiply(alpha, p, out=tmp)
             r -= np.multiply(alpha, ap, out=tmp)
-            if np.sqrt(re_pairing(r, r, axis=None, work=tmp)) <= tol * rhs_norm:
+            if np.sqrt(re_pairing(r, r, axis=None, work=tmp)) <= CG_TOL * rhs_norm:
                 return it, True
             z = self.precondition(r, z)
             rz_new = re_pairing(r, z, axis=None, work=tmp)
@@ -284,7 +285,7 @@ def dirac_project(phi: MapField, psi_init: TwistedSpinorField | None,
     for _ in range(config.power_iters):
         x /= np.sqrt(float(spinor_norm2(x).sum())) + 1e-300
         # The solution overwrites the right-hand side, which the CG copies first.
-        its, converged = op.solve(x, CG_TOL, CG_MAX_ITERS, out=x)
+        its, converged = op.solve(x, out=x)
         iterations.append(its)
         unconverged += not converged
         x[...] = _tangent_project_spinor(phi, x, out=op.scratch[0])

@@ -3,10 +3,11 @@
 A spinor is a pair of complex numbers (f, g): the positive and negative
 half-spinor components.  Grid fields store them in the last axis, so a
 spinor field on an (n, n) chart is a complex array of shape (..., 2).
-The Clifford actions build their result in an ``empty_like`` of their
-input, so a component-major field (see ``charts``) stays component-major;
-``clifford_e1`` and ``clifford_e2`` write each half straight into it,
-with no half-spinor temporaries; ``flat_dirac`` folds both into its passes.
+
+``clifford_mul`` is the one Clifford action; ``FRAME`` names the frame
+vectors it takes for e1 and e2.  Two hot-path kernels fuse the action
+into their own passes and tests pin them to it: ``flat_dirac`` here and
+``fields.clifford_frame_contract``.
 
 ``re_pairing`` and ``spinor_norm2`` are the one real pairing Re<s, t> and
 the one squared norm |s|^2, of plain spinors, twisted ones and whole grids:
@@ -24,6 +25,9 @@ in the first slot).
 from __future__ import annotations
 
 import numpy as np
+
+FRAME = ((1.0, 0.0), (0.0, 1.0))  # e1 and e2 as the vectors clifford_mul takes
+
 
 def spinor(f, g) -> np.ndarray:
     """Pack two complex components into a spinor array."""
@@ -49,30 +53,15 @@ def spinor_norm2(s, axis=-1) -> np.ndarray:
     return squares.sum(axis=axis)
 
 
-def clifford_e1(s) -> np.ndarray:
-    """e1 . (f, g) = (g, -f)."""
-    s = np.asarray(s, dtype=np.complex128)
-    out = np.empty_like(s)
-    out[..., 0] = s[..., 1]
-    np.negative(s[..., 0], out=out[..., 1])
-    return out
-
-
-def clifford_e2(s) -> np.ndarray:
-    """e2 . (f, g) = (i g, i f)."""
-    s = np.asarray(s, dtype=np.complex128)
-    out = np.empty_like(s)
-    np.multiply(1j, s[..., 1], out=out[..., 0])
-    np.multiply(1j, s[..., 0], out=out[..., 1])
-    return out
-
-
 def clifford_mul(v, s) -> np.ndarray:
-    """Clifford action (v1 e1 + v2 e2) . s.
+    """The Clifford action (v1 e1 + v2 e2) . s, which every identity and
+    exact family uses: with w = v1 + i v2 it sends (f, g) to
+    (w g, -conj(w) f).
 
-    ``v`` is a real 2-vector or a pair of arrays broadcastable against the
-    grid axes of ``s``.  Writing w = v1 + i v2, the action sends (f, g) to
-    (w g, conj(-w) ... ) -- explicitly ((v1 + i v2) g, (-v1 + i v2) f).
+    ``v`` is a real 2-vector, such as a ``FRAME`` vector, or a pair of
+    arrays broadcastable against the grid axes of ``s``.  The result is
+    built in an ``empty_like`` of ``s``, so a component-major field stays
+    component-major.
     """
     v1, v2 = v
     s = np.asarray(s, dtype=np.complex128)
@@ -88,9 +77,10 @@ def flat_dirac(field, chart, out=None, work=None) -> np.ndarray:
     field, with the chart's centered stencils.  ``verify`` checks it against
     the Cauchy-Riemann form 2 (dg/dzbar, -df/dz).
 
-    With c = 1 / 2h and the unscaled differences Dx, Dy of ``difference``,
-    it is (c Dx g + ic Dy g, -c Dx f + ic Dy f): the bits of e1 and e2 on
-    the derivatives, as negation and products by i commute with rounding.
+    It fuses ``clifford_mul`` at ``FRAME`` into five grid passes; tests pin
+    it to that action on the derivatives under ``==``.  With c = 1 / 2h and
+    the unscaled differences Dx, Dy of ``difference``, it is
+    (c Dx g + ic Dy g, -c Dx f + ic Dy f).
     ``out`` receives the result and ``work``, a component-major grid
     shaped like ``field``, the x difference, then the y difference and its
     products.  Neither may overlap ``field`` or the other; without them
@@ -113,16 +103,8 @@ def flat_dirac(field, chart, out=None, work=None) -> np.ndarray:
 
 
 def twistor_field(chart, psi0, psi1) -> np.ndarray:
-    """Sample the affine twistor spinor on every node of the chart."""
-    psi0 = np.asarray(psi0, dtype=np.complex128)
-    psi1 = np.asarray(psi1, dtype=np.complex128)
-    out = np.empty(chart.shape + (2,), dtype=np.complex128)
-    w = chart.z
-    # Psi = (f0 + z q, g0 - zbar p) for Psi1 = (p, q): the closed form of
-    # Psi0 + x . Psi1 under the e1/e2 matrices.
-    out[..., 0] = psi0[0] + w * psi1[1]
-    out[..., 1] = psi0[1] - np.conj(w) * psi1[0]
-    return out
+    """Sample the affine twistor spinor Psi0 + x . Psi1, x = (x, y) the node."""
+    return np.asarray(psi0, dtype=np.complex128) + clifford_mul((chart.x, chart.y), psi1)
 
 
 def twistor_defect(field, chart) -> float:
@@ -136,8 +118,8 @@ def twistor_defect(field, chart) -> float:
     slashed = flat_dirac(field, chart)
     mask = chart.interior_mask
     worst = 0.0
-    for axis, cliff in (("x", clifford_e1), ("y", clifford_e2)):
-        res = chart.derivative(field, axis=axis) + 0.5 * cliff(slashed)
+    for axis, e_a in zip(("x", "y"), FRAME):
+        res = chart.derivative(field, axis=axis) + 0.5 * clifford_mul(e_a, slashed)
         mag = np.sqrt(spinor_norm2(res))
         worst = max(worst, float(mag[mask].max()))
     return worst

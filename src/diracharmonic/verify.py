@@ -148,7 +148,8 @@ def _judge(threshold: dict, defects, h: float) -> tuple[bool, float | None, str]
 
 def _cauchy_riemann_dirac(field, chart) -> np.ndarray:
     """The Cauchy-Riemann form 2 (dg/dzbar, -df/dz) = (g_x + i g_y, i f_y - f_x)
-    of ``flat_dirac`` on a spinor field (f, g), from the same stencils."""
+    of ``flat_dirac`` on a spinor field (f, g), from the same stencils: the
+    record's reference, written out apart from ``clifford_mul``."""
     dx, dy = chart.derivative(field, "x"), chart.derivative(field, "y")
     return np.stack([dx[..., 1] + 1j * dy[..., 1], 1j * dy[..., 0] - dx[..., 0]], axis=-1,
                     out=np.empty_like(field))

@@ -9,7 +9,7 @@ import pytest
 
 import diracharmonic as dh
 from diracharmonic.fields import covariant_derivative
-from diracharmonic.spinors import clifford_e1
+from diracharmonic.spinors import FRAME, clifford_mul
 
 RATIO_LO, RATIO_HI = 3.4, 4.6
 
@@ -95,7 +95,7 @@ def hopf_oracle(phi, psi):
 
     the reference for ``hopf_differential``, which reads it off the
     energy-momentum tensor."""
-    conj_e1psi = np.conj(clifford_e1(psi.values))
+    conj_e1psi = np.conj(clifford_mul(FRAME[0], psi.values))
     sx = -np.real(conj_e1psi * covariant_derivative(phi, psi.values, "x")).sum(axis=(-2, -1))
     sy = -np.real(conj_e1psi * covariant_derivative(phi, psi.values, "y")).sum(axis=(-2, -1))
     return conformality_defect(phi, analytic=False) + sx - 1j * sy

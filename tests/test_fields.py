@@ -180,11 +180,11 @@ class TestCurvatureTerm:
         dc = np.stack([np.stack([chart.derivative(c1, "x"), chart.derivative(c2, "x")], -1),
                        np.stack([chart.derivative(c1, "y"), chart.derivative(c2, "y")], -1)],
                       axis=-2)
-        e_ops = (dh.spinors.clifford_e1, dh.spinors.clifford_e2)
+        frame = dh.spinors.FRAME
         sigma_chart = np.zeros(chart.shape + (2,), dtype=complex)
         for a in range(2):
             for b in range(2):
-                sigma_chart += dc[..., a, b, None] * e_ops[a](coeff[..., b, :])
+                sigma_chart += dc[..., a, b, None] * dh.clifford_mul(frame[a], coeff[..., b, :])
         intr = np.zeros(chart.shape + (2,))
         for m in range(2):
             intr[..., m] = lam2 * np.real(

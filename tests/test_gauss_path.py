@@ -13,7 +13,7 @@ import pytest
 
 import diracharmonic as dh
 from diracharmonic.identities import _curvature_on_spinor
-from diracharmonic.spinors import clifford_e1, clifford_e2, flat_dirac
+from diracharmonic.spinors import FRAME, clifford_mul, flat_dirac
 
 from conftest import curvature, second_fundamental, shape_operator
 
@@ -39,7 +39,7 @@ def _per_component(op, S):
 def _a_term(phi, psi):
     """sum_a A(dphi_a, e_a . psi), per spinor component."""
     t, d = phi.target, phi.gradient()
-    e_psi = (clifford_e1(psi.values), clifford_e2(psi.values))
+    e_psi = [clifford_mul(e_a, psi.values) for e_a in FRAME]
     return sum(_per_component(lambda S: second_fundamental(t, phi.values, d[..., a, :], S),
                               e_psi[a]) for a in range(2))
 

@@ -53,12 +53,14 @@ def _precondition(op, r):
 
 
 @pytest.mark.parametrize("make_map", MAPS)
-def test_preconditioned_cg_matches_plain_oracle(make_map):
+def test_preconditioned_cg_matches_plain_oracle(make_map, monkeypatch):
+    monkeypatch.setattr(diracharmonic.solver, "CG_TOL", 1e-13)
+    monkeypatch.setattr(diracharmonic.solver, "CG_MAX_ITERS", 5000)
     phi = make_map(32)
     op = _operator(phi)
     rhs = _tangent_project_spinor(phi, _random_spinors(phi, 1))
     x = np.empty_like(rhs)
-    its, converged = op.solve(rhs, 1e-13, 5000, x)
+    its, converged = op.solve(rhs, x)
     ref, ref_its = plain_cg(op, rhs, op.shift, 1e-13, 5000)
     assert converged and ref_its < 5000
     assert its < ref_its
@@ -137,8 +139,7 @@ def test_solve_stays_tangent(make_map):
     op = _operator(phi)
     rhs = _tangent_project_spinor(phi, _random_spinors(phi, 7))
     x = np.empty_like(rhs)
-    _, converged = op.solve(rhs, diracharmonic.solver.CG_TOL,
-                            diracharmonic.solver.CG_MAX_ITERS, x)
+    _, converged = op.solve(rhs, x)
     assert converged
     assert _normal_part(phi, x) <= 1e-13 * np.linalg.norm(x)
 

@@ -16,7 +16,7 @@ import pytest
 import diracharmonic as dh
 import diracharmonic.solver
 from diracharmonic.fields import clifford_frame_contract
-from diracharmonic.spinors import clifford_e1, clifford_e2
+from diracharmonic.spinors import FRAME, clifford_mul
 from diracharmonic.targets import ambient_pairing, normal_part
 from diracharmonic.verify import _cauchy_riemann_dirac
 
@@ -151,8 +151,8 @@ def test_kernel_outputs_are_plane_ordered(target):
         "curvature_term": dh.curvature_term(phi, psi),
         "tension": dh.tension(phi),
         "clifford_frame_contract": clifford_frame_contract(dphi, psi.values),
-        "clifford_e1": clifford_e1(psi.values),
-        "clifford_e2": clifford_e2(psi.values),
+        "clifford_mul_e1": clifford_mul(FRAME[0], psi.values),
+        "clifford_mul_e2": clifford_mul(FRAME[1], psi.values),
         "derivative": chart.derivative(psi.values, "y"),
         "laplacian": chart.laplacian(psi.values),
         "interp_grid": chart.interp(psi.values, 0.9 * chart.x, 0.9 * chart.y),

@@ -151,8 +151,7 @@ class TestTwistorPushforward:
             chart, phi, _ = torus_deg1_pair(n)
             Psi = np.zeros(chart.shape + (2,), dtype=complex)
             Psi[..., 0] = chart.x**2
-            e1Psi = dh.spinors.clifford_e1(Psi)
-            e2Psi = dh.spinors.clifford_e2(Psi)
+            e1Psi, e2Psi = (dh.clifford_mul(e_a, Psi) for e_a in dh.spinors.FRAME)
             d = phi.analytic_gradient
             vals = (d[..., 0, :, None] * e1Psi[..., None, :]
                     + d[..., 1, :, None] * e2Psi[..., None, :])

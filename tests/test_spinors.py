@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 import diracharmonic as dh
+from diracharmonic.charts import as_planes
+from diracharmonic.fields import clifford_frame_contract
+from diracharmonic.spinors import FRAME
 from diracharmonic.verify import _cauchy_riemann_dirac
-from conftest import assert_second_order, fd5_derivative
+from conftest import E1, E2, assert_second_order, disk_twistor_pair, fd5_derivative
 
 
 def bump(chart, width=0.22):
@@ -50,6 +53,91 @@ class TestCliffordAction:
             v = (np.cos(theta), np.sin(theta))
             s = rng.normal(size=2) + 1j * rng.normal(size=2)
             assert np.isclose(dh.spinor_norm2(dh.clifford_mul(v, s)), dh.spinor_norm2(s))
+
+
+# -- every Clifford product is clifford_mul's -----------------------------------------
+# The fused kernels and the twistor family against the one action, on random
+# twisted grids whose small-integer half meets exact zeros of both signs.
+
+def _twisted_grids(n=16, K=3, seed=21):
+    rng = np.random.default_rng(seed)
+    shape = (n, n, K, 2)
+    noise = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    ints = (rng.integers(-1, 2, size=shape) + 1j * rng.integers(-1, 2, size=shape)
+            ) * np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+    return [noise, ints]
+
+
+def _order(a, order):
+    return as_planes(a) if order == "planes" else np.ascontiguousarray(a)
+
+
+@pytest.mark.parametrize("order", ["planes", "c_order"])
+def test_clifford_mul_at_frame_is_the_matrix_action(order):
+    for s in _twisted_grids():
+        s = _order(s, order)
+        for e_a, matrix in zip(FRAME, (E1, E2)):
+            assert (dh.clifford_mul(e_a, s) == np.einsum("st,...t->...s", matrix, s)).all()
+
+
+def _closed_form_twistor(chart, psi0, psi1):
+    """(f0 + z q, g0 - zbar p) for Psi1 = (p, q): Psi0 + x . Psi1 written out."""
+    psi0 = np.asarray(psi0, dtype=np.complex128)
+    psi1 = np.asarray(psi1, dtype=np.complex128)
+    out = np.empty(chart.shape + (2,), dtype=np.complex128)
+    out[..., 0] = psi0[0] + chart.z * psi1[1]
+    out[..., 1] = psi0[1] - np.conj(chart.z) * psi1[0]
+    return out
+
+
+@pytest.mark.parametrize("make_chart", [
+    pytest.param(lambda: dh.DomainChart.torus(64, side=1.0, window=0.5), id="torus-window"),
+    pytest.param(lambda: dh.DomainChart.disk(64, side=2.2), id="disk")])
+def test_twistor_field_has_the_bits_of_the_closed_form(make_chart, rng):
+    # The torus has a node column at x = 0.  Where x . Psi1 meets an exact
+    # zero (at x = 0, or from a zero half of Psi1) it may be +0 where the
+    # closed form's -conj(z) p is -0, so the bits match while Psi0's second
+    # half has no -0.0 part to carry that sign, and the values always do.
+    chart = make_chart()
+    plain = [(1.0, 0.0), (1.0, 0.5j), (0.3, 0.1j), (0.0, 0.0)]
+    plain += [rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(3)]
+    negative_zero = [(0.2, -0.1j), (-0.0, -1j)]
+    for k, psi0 in enumerate(plain + negative_zero):
+        for psi1 in plain + negative_zero:
+            got = dh.twistor_field(chart, psi0, psi1)
+            ref = _closed_form_twistor(chart, psi0, psi1)
+            assert (got == ref).all()
+            assert k >= len(plain) or got.tobytes() == ref.tobytes()
+
+
+def test_clifford_frame_contract_has_the_bits_of_clifford_mul():
+    # Bit for bit on fields without exact zeros; where products meet exact
+    # zeros of both signs, the sum of negated products and the negated sum
+    # may differ in a zero's sign only.
+    _, phi, psi = disk_twistor_pair(32)
+    rng = np.random.default_rng(22)
+    noise, ints = (as_planes(s) for s in _twisted_grids())
+    rand_dphi = as_planes(rng.normal(size=(16, 16, 2, 3)))
+    for dphi, psi_values, exact in ((phi.gradient(), psi.values, True),
+                                    (rand_dphi, noise, True), (rand_dphi, ints, False)):
+        ref = sum(dh.clifford_mul((dphi[..., 0, i], dphi[..., 1, i]), psi_values[..., i, :])
+                  for i in range(dphi.shape[-1]))
+        got = clifford_frame_contract(dphi, psi_values)
+        assert (got == ref).all()
+        assert not exact or got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("order", ["planes", "c_order"])
+@pytest.mark.parametrize("make_chart", [
+    pytest.param(lambda: dh.DomainChart.torus(16, side=1.1), id="torus"),
+    pytest.param(lambda: dh.DomainChart.disk(16, side=2.2), id="disk")])
+def test_flat_dirac_is_clifford_mul_on_the_derivatives(make_chart, order):
+    chart = make_chart()
+    for field in _twisted_grids(chart.n):
+        field = _order(field, order)
+        ref = (dh.clifford_mul(FRAME[0], chart.derivative(field, "x"))
+               + dh.clifford_mul(FRAME[1], chart.derivative(field, "y")))
+        assert (dh.flat_dirac(field, chart) == ref).all()
 
 
 @pytest.mark.parametrize("axis", [-1, (-2, -1), None], ids=["spinor", "twisted", "grid"])

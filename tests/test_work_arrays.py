@@ -152,7 +152,7 @@ def _traced_rise(run):
         np.setbufsize(old)
 
 
-def test_steps_transport_and_cg_iterations_allocate_no_grid():
+def test_steps_transport_and_cg_iterations_allocate_no_grid(monkeypatch):
     phi = perturbed_constant(32, amplitude=0.3)
     cfg = dh.SolverConfig(seed=4, power_iters=1)
     psi = dh.dirac_project(phi, None, cfg).psi
@@ -175,9 +175,12 @@ def test_steps_transport_and_cg_iterations_allocate_no_grid():
     op = _DiracKernelOperator(state["phi"], 1e-4 * 4.0 / phi.chart.h**2)
     rhs = _tangent_project_spinor(state["phi"], state["psi"].values)
     x = np.empty_like(rhs)
-    op.solve(rhs, 0.0, 2, x)
+    monkeypatch.setattr(diracharmonic.solver, "CG_TOL", 0.0)
+    monkeypatch.setattr(diracharmonic.solver, "CG_MAX_ITERS", 2)
+    op.solve(rhs, x)
+    monkeypatch.setattr(diracharmonic.solver, "CG_MAX_ITERS", 12)
     iterations = []
-    assert _traced_rise(lambda: iterations.append(op.solve(rhs, 0.0, 12, x)[0])) < grid
+    assert _traced_rise(lambda: iterations.append(op.solve(rhs, x)[0])) < grid
     assert iterations == [12]
 
 
