@@ -66,8 +66,7 @@ def _read_fields(phi_path, psi_path):
     try:
         check_pair(phi, psi)
     except InadmissiblePair as exc:
-        code = "not_tangent" if exc.tangency else "bad_values"
-        raise FieldFileError(code, f"{phi_path}, {psi_path or 'zero spinor'}: {exc}") from None
+        raise FieldFileError(exc.code, f"{phi_path}, {psi_path or 'zero spinor'}: {exc}") from None
     return phi, psi
 
 

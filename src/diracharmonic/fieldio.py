@@ -130,8 +130,9 @@ def read_field(path, chart: DomainChart | None = None,
     The chart is rebuilt from the header unless one is supplied (a supplied
     chart must match the stored geometry, a supplied target its ambient
     dimension K).  The target defaults to the unit sphere S^(K-1) when
-    K >= 2 and map values sit on it, flat space otherwise; spinor files
-    default to that sphere when K >= 2 and to flat R^1 when K = 1.
+    K >= 2 and map values sit on it to 1e-8 (``check_pair`` then holds
+    them to 1e-10), flat space otherwise; spinor files default to that
+    sphere when K >= 2 and to flat R^1 when K = 1.
     """
     hd = read_header(path)
     with open(path, "rb") as fh:
@@ -156,8 +157,6 @@ def read_field(path, chart: DomainChart | None = None,
     if not np.isfinite(vals).all():
         raise FieldFileError("bad_values", f"{path}: payload holds a non-finite value")
     if target is None:  # map values decide; a spinor read alone takes the sphere
-        on_sphere = cls is TwistedSpinorField or np.abs((vals**2).sum(axis=-1) - 1.0).max() < 1e-8
-        target = Sphere(K - 1) if K >= 2 and on_sphere else Flat(K)
-    if cls is MapField:
-        return MapField(chart, target, vals, check=False)
+        on_sphere = K >= 2 and (cls is TwistedSpinorField or Sphere(K - 1).off_target(vals) < 1e-8)
+        target = Sphere(K - 1) if on_sphere else Flat(K)
     return cls(chart, target, vals)

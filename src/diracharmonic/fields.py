@@ -20,8 +20,8 @@ derivative, and the Dirac operator along the map, ``dirac_along_map``,
 is the tangential part of the flat Dirac operator.  Its normal part
 reproduces A(dphi(e_a), e_a . psi) up to O(h^2); ``el_residual``, the
 one reader of that normal defect, builds it beside D psi.  The operators
-take psi tangent: ``check_pair`` decides that, with finite values and
-energy, once, where a pair enters the program.
+take psi tangent and phi on the target: ``check_pair`` decides both, with
+finite values and energy, once, where a pair enters the program.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ TANGENCY_TOL = 1e-8
 
 
 class MapField:
-    """Grid sample of a map into the target, as unit ambient vectors.
+    """Grid sample of a map into the target, as ambient vectors whose
+    shape the constructor checks; ``check_pair`` holds them to the target.
 
     ``analytic_gradient`` optionally carries the exact (n, n, 2, K) gradient.
     Only the rational and elliptic families fill it, and ``twistor_pushforward``
@@ -48,19 +49,14 @@ class MapField:
     """
 
     def __init__(self, chart: DomainChart, target: TargetGeometry, values,
-                 analytic_gradient=None, check: bool = True):
+                 analytic_gradient=None):
         values = np.asarray(values, dtype=float)
         if values.shape != chart.shape + (target.ambient_dim,):
             raise ValueError(f"map values have shape {values.shape}, expected "
                              f"{chart.shape + (target.ambient_dim,)}")
-        values = as_planes(values)
-        if check:
-            defect = target.off_target(values)
-            if not defect <= ON_MANIFOLD_TOL:  # NaN fails too
-                raise ValueError(f"map leaves the target by {defect:.3e}")
         self.chart = chart
         self.target = target
-        self.values = values
+        self.values = as_planes(values)
         self.analytic_gradient = None if analytic_gradient is None else as_planes(analytic_gradient)
 
     @classmethod
@@ -90,10 +86,9 @@ class TwistedSpinorField:
         if values.shape != chart.shape + (target.ambient_dim, 2):
             raise ValueError(f"spinor values have shape {values.shape}, expected "
                              f"{chart.shape + (target.ambient_dim, 2)}")
-        values = as_planes(values)
         self.chart = chart
         self.target = target
-        self.values = values
+        self.values = as_planes(values)
 
     @classmethod
     def zero(cls, chart, target) -> "TwistedSpinorField":
@@ -128,29 +123,33 @@ def tangency_defect(phi: MapField, psi: TwistedSpinorField) -> float:
 
 
 class InadmissiblePair(ValueError):
-    """A pair ``check_pair`` rejects; ``tangency`` is True when the spinor's
-    normal part is the fault, False when a value or the energy is not finite."""
+    """A pair ``check_pair`` rejects; ``code`` names the rule broken:
+    ``bad_values``, ``off_target`` or ``not_tangent``."""
 
-    def __init__(self, message: str, tangency: bool):
+    def __init__(self, message: str, code: str):
         super().__init__(message)
-        self.tangency = tangency
+        self.code = code
 
 
 @np.errstate(all="ignore")  # an overflow is reported once, by the raise
 def check_pair(phi: MapField, psi: TwistedSpinorField) -> None:
-    """The one admissibility rule for a pair entering the program: finite
-    values, a finite energy int |dphi|^2 + |psi|^4, and a spinor tangent
-    along the map to TANGENCY_TOL.  Raises InadmissiblePair naming the
-    first rule broken.  Every spinor built inside the program is tangent
-    by construction, so the operators do not check again."""
+    """The one admissibility rule for a pair entering the program, in order:
+    finite values, a map on its target to ON_MANIFOLD_TOL, a finite energy
+    int |dphi|^2 + |psi|^4, then a spinor tangent along the map to
+    TANGENCY_TOL.  Raises InadmissiblePair naming the first rule broken.
+    Every pair built inside the program is admissible by construction."""
     if not (np.isfinite(phi.values).all() and np.isfinite(psi.values).all()):
-        raise InadmissiblePair("the pair has a non-finite value", tangency=False)
+        raise InadmissiblePair("the pair has a non-finite value", "bad_values")
+    d = phi.target.off_target(phi.values)
+    if not d <= ON_MANIFOLD_TOL:
+        raise InadmissiblePair(f"map leaves the target by {d:.3e} "
+                               f"(tol {ON_MANIFOLD_TOL:.1e})", "off_target")
     if not np.isfinite(energy(phi, psi)):
-        raise InadmissiblePair("the pair's energy overflows", tangency=False)
+        raise InadmissiblePair("the pair's energy overflows", "bad_values")
     d = tangency_defect(phi, psi)
     if not d <= TANGENCY_TOL:
         raise InadmissiblePair(f"spinor violates tangency by {d:.3e} "
-                               f"(tol {TANGENCY_TOL:.1e})", tangency=True)
+                               f"(tol {TANGENCY_TOL:.1e})", "not_tangent")
 
 
 def project_spinor(phi: MapField, raw) -> TwistedSpinorField:

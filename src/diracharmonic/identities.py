@@ -67,11 +67,12 @@ def energy_momentum(phi: MapField, psi: TwistedSpinorField) -> EnergyMomentum:
             T[..., a, b] = 2.0 * (d[..., a, :] * d[..., b, :]).sum(axis=-1)
             if a == b:
                 T[..., a, b] -= dirichlet
+    e_psi = [clifford_mul(e_a, psi.values) for e_a in FRAME]
     for b, axis in enumerate(("x", "y")):
         grad_b = covariant_derivative(phi, psi.values, axis)
-        for a, e_a in enumerate(FRAME):
+        for a in range(2):
             # Re<psi, e_a . grad_b psi> = -Re<e_a . psi, grad_b psi>.
-            T[..., a, b] -= re_pairing(clifford_mul(e_a, psi.values), grad_b, axis=(-2, -1))
+            T[..., a, b] -= re_pairing(e_psi[a], grad_b, axis=(-2, -1))
     return EnergyMomentum(chart, T)
 
 
@@ -156,10 +157,10 @@ def bochner_defect(phi: MapField, psi: TwistedSpinorField, scale: float) -> floa
     lhs = 0.5 * chart.laplacian(psi.norm2_density())
     rhs = spinor_norm2(spinor_gradient(phi, psi), axis=(-3, -2, -1))
     d = phi.gradient()
+    e_psi = [clifford_mul(e_a, psi.values) for e_a in FRAME]
     for a, b in ((0, 1), (1, 0)):  # R(X, X) = 0
-        r_on = _curvature_on_spinor(phi, d[..., a, :], d[..., b, :],
-                                    clifford_mul(FRAME[b], psi.values))
-        rhs = rhs - 0.5 * re_pairing(clifford_mul(FRAME[a], psi.values), r_on, axis=(-2, -1))
+        r_on = _curvature_on_spinor(phi, d[..., a, :], d[..., b, :], e_psi[b])
+        rhs = rhs - 0.5 * re_pairing(e_psi[a], r_on, axis=(-2, -1))
         del r_on
     return float(np.abs(lhs - rhs)[mask].max())
 

@@ -148,7 +148,7 @@ def flow_step(phi: MapField, psi: TwistedSpinorField | None, out=None,
     update *= phi.chart.h * phi.chart.h / 8.0
     update += phi.values
     moved = phi.target.project_point(update, out=out)
-    return MapField(phi.chart, phi.target, moved, check=False)
+    return MapField(phi.chart, phi.target, moved)
 
 
 class _DiracKernelOperator:

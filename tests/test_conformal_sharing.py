@@ -86,7 +86,7 @@ def test_check_pair_rejects_the_raw_spinor_naming_tangency(target):
     dh.check_pair(phi, psi)
     with pytest.raises(dh.InadmissiblePair, match="violates tangency") as exc:
         dh.check_pair(phi, dh.TwistedSpinorField(phi.chart, target, raw))
-    assert exc.value.tangency
+    assert exc.value.code == "not_tangent"
 
 
 @pytest.fixture

@@ -9,20 +9,6 @@ from conftest import (_stereo_tangent, assert_second_order, elliptic_pair,
 
 
 class TestFieldTypes:
-    def test_map_must_stay_on_sphere(self):
-        chart = dh.DomainChart.torus(16)
-        vals = np.ones(chart.shape + (3,))
-        with pytest.raises(ValueError):
-            dh.MapField(chart, dh.Sphere(2), vals)
-
-    def test_nan_map_fails_the_on_target_guard(self):
-        chart = dh.DomainChart.torus(16)
-        vals = np.zeros(chart.shape + (3,))
-        vals[..., 2] = 1.0
-        vals[3, 4, 0] = np.nan
-        with pytest.raises(ValueError, match="leaves the target by nan"):
-            dh.MapField(chart, dh.Sphere(2), vals)
-
     def test_shape_validation(self):
         chart = dh.DomainChart.torus(16)
         with pytest.raises(ValueError):
@@ -100,7 +86,7 @@ class TestCheckPair:
         assert np.isfinite(huge.values).all()
         with pytest.raises(dh.InadmissiblePair, match="energy overflows") as exc:
             dh.check_pair(phi, huge)
-        assert not exc.value.tangency
+        assert exc.value.code == "bad_values"
         assert not recwarn.list  # the error is the one report
 
     def test_normal_spinor_is_rejected_naming_tangency(self):
@@ -110,7 +96,7 @@ class TestCheckPair:
         bad[..., 2, 0] = 1.0  # purely normal component
         with pytest.raises(ValueError, match="violates tangency") as exc:
             dh.check_pair(phi, dh.TwistedSpinorField(chart, phi.target, bad))
-        assert exc.value.tangency
+        assert exc.value.code == "not_tangent"
 
     def test_non_finite_value_is_rejected(self):
         chart = dh.DomainChart.torus(16)
@@ -118,7 +104,32 @@ class TestCheckPair:
         psi.values[3, 4, 0, 1] = np.nan
         with pytest.raises(dh.InadmissiblePair, match="non-finite value") as exc:
             dh.check_pair(phi, psi)
-        assert not exc.value.tangency
+        assert exc.value.code == "bad_values"
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_map_off_the_sphere_is_rejected_naming_it(self, dim):
+        chart = dh.DomainChart.torus(16)
+        vals = np.zeros(chart.shape + (dim + 1,))
+        vals[..., -1] = 1.0 + 2e-9
+        phi = dh.MapField(chart, dh.Sphere(dim), vals)
+        with pytest.raises(dh.InadmissiblePair, match=r"leaves the target by 4\.000e-09 "
+                           r"\(tol 1\.0e-10\)") as exc:
+            dh.check_pair(phi, dh.TwistedSpinorField.zero(chart, phi.target))
+        assert exc.value.code == "off_target"
+        # The same values as a flat map: no target to leave.
+        flat = dh.MapField(chart, dh.Flat(dim + 1), vals)
+        dh.check_pair(flat, dh.TwistedSpinorField.zero(chart, flat.target))
+
+    def test_off_target_is_judged_before_tangency(self):
+        chart = dh.DomainChart.torus(16)
+        vals = np.zeros(chart.shape + (3,))
+        vals[..., 2] = 2.0
+        bad = np.zeros(chart.shape + (3, 2), dtype=complex)
+        bad[..., 2, 0] = 1.0  # normal as well
+        phi = dh.MapField(chart, dh.Sphere(2), vals)
+        with pytest.raises(dh.InadmissiblePair) as exc:
+            dh.check_pair(phi, dh.TwistedSpinorField(chart, phi.target, bad))
+        assert exc.value.code == "off_target"
 
     @pytest.mark.parametrize("text", [
         "[chart]\ntopology = disk\n\n[scenario]\nkind = twistor_pushforward\n",

@@ -229,20 +229,33 @@ def test_field_file_draws_end_in_an_exit_code(exact_files, tmp_path, capsys):
 
 # -- named regression cases ---------------------------------------------------------
 
-def _nan_payload_map(tmp_path):
-    """A valid exact map file with one payload value set to NaN under a
+def _edited_map(tmp_path, edit):
+    """The exact disk map file at n = 48, fine enough for verify to pass
+    on it, with its payload changed in place by ``edit`` under a
     recomputed CRC."""
     cfg = tmp_path / "disk.cfg"
-    cfg.write_text(SOURCES[0])
+    cfg.write_text("[chart]\ntopology = disk\nn = 48\n\n[scenario]\nkind = twistor_pushforward\n")
     assert cli.main(["exact", "--config", str(cfg), "--out", str(tmp_path / "exact")]) == 0
     head, raw = _parts((tmp_path / "exact" / "phi.dhm").read_bytes())
-    struct.pack_into("<d", raw, 8 * 100, float("nan"))
-    path = tmp_path / "nan_phi.dhm"
+    edit(raw)
+    path = tmp_path / "edited_phi.dhm"
     path.write_bytes(_pack(head, raw))
     return path
 
 
-# (config text or None for the NaN map file, command, what stderr must name).
+def _nan_value(raw):
+    struct.pack_into("<d", raw, 8 * 100, float("nan"))
+
+
+def _scaled_off_the_sphere(raw):
+    """Every value times 1 + 2e-9: |phi|^2 - 1 = 4e-9, inside the reader's
+    1e-8 sphere guess but 40 times ON_MANIFOLD_TOL."""
+    vals = np.frombuffer(raw, dtype="<f8") * (1.0 + 2e-9)
+    raw[:] = vals.astype("<f8").tobytes()
+
+
+# (config text, or a payload edit of the exact disk map file for verify
+# --phi, command, what stderr must name).
 REGRESSIONS = [
     pytest.param("[chart]\nn = 16\n\n[scenario]\nkind = perturbed_constant\n"
                  "base_point = nan,0,1\n", "exact", "line 6: scenario.base_point",
@@ -257,14 +270,16 @@ REGRESSIONS = [
     pytest.param("[chart]\nn = 16\n\n[target]\nkind = sphere\ndim = 999999999999\n\n"
                  "[scenario]\nkind = constant_spinor\n", "exact", "line 6: target.dim",
                  id="target_dim_huge"),
-    pytest.param(None, "verify", "bad_values", id="nan_payload_map"),
+    pytest.param(_nan_value, "verify", "bad_values", id="nan_payload_map"),
+    # Exited 0: read_field built the map with its on-target check off.
+    pytest.param(_scaled_off_the_sphere, "verify", "[off_target]", id="off_target_map"),
 ]
 
 
 @pytest.mark.parametrize("text,command,named", REGRESSIONS)
 def test_regressions_exit_1_naming_the_error(tmp_path, text, command, named):
-    if text is None:
-        args = ["--phi", str(_nan_payload_map(tmp_path))]
+    if callable(text):
+        args = ["--phi", str(_edited_map(tmp_path, text))]
     else:
         (tmp_path / "case.cfg").write_text(text)
         args = ["--config", str(tmp_path / "case.cfg")]

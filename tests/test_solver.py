@@ -138,7 +138,7 @@ class TestSolve:
         vals = np.zeros(chart.shape + (3,))
         vals[..., 2] = 1.0
         vals[0, 0, 2] = np.nan
-        phi = dh.MapField(chart, dh.Sphere(2), vals, check=False)
+        phi = dh.MapField(chart, dh.Sphere(2), vals)
         psi = dh.TwistedSpinorField.zero(chart, phi.target)
         _, _, rep = dh.solve(phi, psi, dh.SolverConfig(seed=0, max_iters=10,
                                                        residual_tol=0.0))
