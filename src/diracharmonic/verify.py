@@ -33,6 +33,7 @@ NEAR_ZERO = 1e-10       # a first-grid defect this small waives the ratio test
 COND_BUDGET = 5.0       # conditional identities: defect/scale <= COND_BUDGET h^2
 UNCOND_BUDGET = 200.0   # unconditional discrete identities, same form
 POHOZAEV_RADII = (0.25, 0.5, 0.75)
+SELF_ADJOINT_GRID = 32  # summation by parts holds to round-off at every n
 
 _SOLUTION_SCENARIOS = ("twistor_pushforward", "elliptic_pair", "harmonic_wrap",
                        "constant_spinor")
@@ -195,9 +196,9 @@ class _Suite:
         return twistor_defect(twistor_field(wchart, p0, p1), wchart)
 
     def self_adjointness(self) -> float:
-        """Worst defect over 20 random triples on a torus at the first grid."""
+        """Worst defect over 20 random triples on the torus at SELF_ADJOINT_GRID."""
         worst = 0.0
-        sa_chart = DomainChart.torus(self.grids[0], side=1.0)
+        sa_chart = DomainChart.torus(SELF_ADJOINT_GRID, side=1.0)
         sphere = Sphere(2)
         for k in range(20):
             rng = np.random.default_rng(self.seed + 100 + k)
@@ -271,7 +272,7 @@ _ROWS = (
          {"abs": 1e-10}, lambda s: [s.twistor_family(n) for n in s.grids]),
     _Row("dirac_self_adjoint",
          "int (psi, D xi) = int (D psi, xi) on the torus, 20 random triples", _UNCOND,
-         {"rel": 1e-11}, lambda s: [s.self_adjointness()], grids=lambda s: s.grids[:1]),
+         {"rel": 1e-11}, lambda s: [s.self_adjointness()], grids=lambda s: [SELF_ADJOINT_GRID]),
     _Row("weitzenboeck", "squared Dirac equals connection Laplacian plus curvature", _UNCOND,
          {"rel_h2": UNCOND_BUDGET}, lambda s: s.rel(weitzenboeck_defect(*p) for p in s.pairs),
          notes=True),

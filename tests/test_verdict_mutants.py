@@ -45,13 +45,35 @@ def _scaled(real, factor):
     return lambda monkeypatch: _everywhere(monkeypatch, real, mutant)
 
 
-def _e2_sign_flipped(field, chart, out=None, work=None):
+def _flat_dirac_of(form):
+    """``form(field, chart)`` with ``flat_dirac``'s signature, bound everywhere."""
+    def mutant(field, chart, out=None, work=None):
+        d = form(field, chart)
+        if out is None:
+            return d
+        out[...] = d
+        return out
+    return lambda monkeypatch: _everywhere(monkeypatch, flat_dirac, mutant)
+
+
+def _e2_sign_flipped(field, chart):
     """e1 . D_x - e2 . D_y: the flat Dirac with its e2 term's sign flipped."""
-    d = (clifford_mul(FRAME[0], chart.derivative(field, "x"))
-         - clifford_mul(FRAME[1], chart.derivative(field, "y")))
-    if out is None:
-        return d
-    out[...] = d
+    return (clifford_mul(FRAME[0], chart.derivative(field, "x"))
+            - clifford_mul(FRAME[1], chart.derivative(field, "y")))
+
+
+def _e2_symmetric(field, chart):
+    """e1 . D_x + [[0, 1], [1, 0]] D_y: e2 replaced by a real symmetric
+    matrix, which is not skew-adjoint, so D is not self-adjoint."""
+    return (clifford_mul(FRAME[0], chart.derivative(field, "x"))
+            + chart.derivative(field, "y")[..., ::-1])
+
+
+def _bottom_sign_flipped(v, s):
+    """(w g, +conj(w) f): a Hermitian Clifford action, whose square is
+    +|v|^2 and which is not skew-adjoint."""
+    out = clifford_mul(v, s)
+    out[..., 1] *= -1.0
     return out
 
 
@@ -105,7 +127,15 @@ MUTANTS = [
     Mutant("flat_dirac_e2_sign", _config(DISK48),
            ("dirac_frame_vs_cauchy_riemann", "twistor_family", "weitzenboeck",
             "spinor_equation", "normal_splitting", "bochner", "conformal_invariance"),
-           patch=lambda mp: _everywhere(mp, flat_dirac, _e2_sign_flipped)),
+           patch=_flat_dirac_of(_e2_sign_flipped)),
+    Mutant("flat_dirac_e2_symmetric", _config(DISK48),
+           ("dirac_self_adjoint", "dirac_frame_vs_cauchy_riemann", "twistor_family",
+            "weitzenboeck", "spinor_equation", "normal_splitting", "bochner",
+            "conformal_invariance"),
+           patch=_flat_dirac_of(_e2_symmetric)),
+    Mutant("clifford_mul_bottom_sign", _config(DISK48),
+           ("clifford_relations", "clifford_skew_adjoint", "twistor_family", "weitzenboeck"),
+           patch=lambda mp: _everywhere(mp, clifford_mul, _bottom_sign_flipped)),
     # The coupling vanishes on every exact family, so scaling it changes no defect.
     Mutant("curvature_term_negated", _config(DISK48), ("first_variation",),
            patch=_scaled(curvature_term, -1.0), survives=_ITEM13),

@@ -1,17 +1,18 @@
-"""The verify rules at their boundaries, and the identity calls one
-verification makes.
+"""The verify rules at their boundaries, the identity calls one
+verification makes, and the fixed grid of the self-adjointness row.
 
 ``_judge`` is the only code that turns measured defects into a verdict,
 so each rule is tested here directly at its edges; the call counts pin
 the work the identity table shares between rows."""
 
+import json
 import sys
 from collections import Counter
 
 import pytest
 
 import diracharmonic as dh
-from diracharmonic import verify
+from diracharmonic import cli, verify
 from diracharmonic.verify import COND_BUDGET, NEAR_ZERO, UNCOND_BUDGET, _judge
 
 H2 = {"rel_h2": COND_BUDGET}
@@ -150,3 +151,46 @@ def test_verify_takes_each_field_scale_once_per_pair(monkeypatch):
             monkeypatch.setattr(module, "field_scale", counted)
     verify.run_verification(dh.parse_config(DISK_48))
     assert len(calls) == 2
+
+
+# dirac_self_adjoint never reads the pair under test, so it runs on one
+# fixed torus grid whatever n, the sweep or file mode set.
+CI_DISK_48 = "[chart]\ntopology = disk\nn = 48\n\n[scenario]\nkind = twistor_pushforward\n"
+
+
+def _scenario(text, *flags):
+    def argv(tmp_path):
+        (tmp_path / "case.cfg").write_text(text)
+        return ["--config", str(tmp_path / "case.cfg"), *flags]
+    return argv
+
+
+def _ci_disk_48_files(tmp_path):
+    (tmp_path / "disk.cfg").write_text(CI_DISK_48)
+    assert cli.main(["exact", "--config", str(tmp_path / "disk.cfg"),
+                     "--out", str(tmp_path / "exact")]) == 0
+    return ["--phi", str(tmp_path / "exact" / "phi.dhm"),
+            "--psi", str(tmp_path / "exact" / "psi.dhm")]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(_scenario("[chart]\nn = 16\n\n[scenario]\nkind = elliptic_pair\n"),
+                 id="torus_n16"),
+    pytest.param(_scenario(CI_DISK_48, "--resolution-sweep"), id="disk_n48_sweep"),
+    pytest.param(_ci_disk_48_files, id="disk_n48_files"),
+])
+def test_self_adjoint_row_runs_on_its_fixed_grid(argv, tmp_path, monkeypatch, capsys):
+    grids = []
+    original = verify.self_adjointness_defect
+
+    def recorded(phi, *args):
+        grids.append(phi.chart.n)
+        return original(phi, *args)
+
+    monkeypatch.setattr(verify, "self_adjointness_defect", recorded)
+    code = cli.main(["verify", *argv(tmp_path), "--out", str(tmp_path / "out")])
+    assert code in (0, 2), capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+    record = next(r for r in report["identities"] if r["id"] == "dirac_self_adjoint")
+    assert record["grids"] == [verify.SELF_ADJOINT_GRID]
+    assert grids == [verify.SELF_ADJOINT_GRID] * EXPECTED_CALLS["self_adjointness_defect"]
