@@ -33,6 +33,8 @@ _GRID_AXES = {"x": -1, "y": -2}   # in the (*comp, n, n) planes of a field
 # for every n, and so are the kernel CG's pairings, which scale like h^-4 (at
 # side 1e60 they underflow and the coupled flow breaks down).
 MIN_SIDE, MAX_SIDE = 1e-30, 1e30
+MIN_N = 8             # the least nodes per side
+MIN_DISK_SIDE = 2.0   # a disk chart's side exceeds it, so the square holds the unit disk
 
 
 def empty_planes(shape, dtype=float, zero: bool = False) -> np.ndarray:
@@ -79,16 +81,16 @@ class DomainChart:
     """
 
     def __init__(self, n: int, side: float, topology: str, window: float | None):
-        if n < 8:
-            raise ValueError("grid needs n >= 8")
+        if n < MIN_N:
+            raise ValueError(f"grid needs n >= {MIN_N}")
         if not MIN_SIDE <= side <= MAX_SIDE:
             raise ValueError(f"side must be positive and lie in [{MIN_SIDE:g}, {MAX_SIDE:g}]")
         if topology not in ("torus", "disk"):
             raise ValueError(f"unknown topology {topology!r}")
         if window is not None and not (0.0 < window <= 1.0):
             raise ValueError("window must lie in (0, 1]")
-        if topology == "disk" and side <= 2.0:
-            raise ValueError("disk chart needs side > 2 to contain the unit disk")
+        if topology == "disk" and side <= MIN_DISK_SIDE:
+            raise ValueError(f"disk chart needs side > {MIN_DISK_SIDE:g} to contain the unit disk")
         self.n, self.side, self.topology, self.window = n, side, topology, window
         self.h = h = side / n
         self.shape = (n, n)

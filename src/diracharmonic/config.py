@@ -3,12 +3,12 @@
 
 Errors name the offending line.  Numbers must be finite, and the pair
 ``build_pair`` builds from them must pass ``fields.check_pair``.  A key
-the configured topology or scenario does not read is rejected; scenarios
-other than constant_spinor map into S^2 and accept ``[target]`` only as
-``kind = sphere, dim = 2``, and ``elliptic_pair`` needs a torus.  The
-``[solver]`` rows take their defaults from ``SolverConfig`` and their
-ranges from ``solver.MINIMA``; the ``chart.side`` rows take theirs from
-``charts.MIN_SIDE``/``MAX_SIDE``.
+the configured topology or scenario does not read is rejected: only
+constant_spinor reads ``[target]``, as the other scenarios map into S^2.
+``elliptic_pair`` needs a torus.  The ``[solver]`` rows take their
+defaults from ``SolverConfig`` and their ranges from ``solver.MINIMA``;
+the ``chart`` rows take their limits from ``charts.MIN_N``, ``MIN_SIDE``,
+``MAX_SIDE`` and ``MIN_DISK_SIDE``.
 Keys (generated from ``KEYS``): default, accepted values and, in
 brackets, who reads the key if not everyone.
 """
@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .charts import MAX_SIDE, MIN_SIDE, DomainChart, bandlimited_field
+from .charts import MAX_SIDE, MIN_DISK_SIDE, MIN_N, MIN_SIDE, DomainChart, bandlimited_field
 from .fields import MapField, TwistedSpinorField, check_pair
 from .solutions import (RationalMap, conformal_map_field, constant_spinor_pair,
                         elliptic_conformal_field, harmonic_wrap, twistor_pushforward)
@@ -93,18 +93,16 @@ _TWISTOR, _CONSTANT, _PERTURBED = "twistor_pushforward", "constant_spinor", "per
 
 KEYS = (
     Key("chart", "topology", "torus | disk", "torus"),
-    Key("chart", "n", "int", "64", "[8, 4096]"),
+    Key("chart", "n", "int", "64", f"[{MIN_N}, 4096]"),
     Key("chart", "side", "float", "1.0", f"[{MIN_SIDE:g}, {MAX_SIDE:g}]", readers=("torus",)),
-    Key("chart", "side", "float", "2.2", f"(2, {MAX_SIDE:g}]", readers=("disk",)),
+    Key("chart", "side", "float", "2.2", f"({MIN_DISK_SIDE:g}, {MAX_SIDE:g}]", readers=("disk",)),
     Key("chart", "window", "float", "none", "(0, 1]", readers=("torus",)),
-    Key("target", "kind", "sphere | flat", "sphere"),
-    Key("target", "dim", "int", "2", "[1, 16]"),
+    Key("target", "kind", "sphere | flat", "sphere", readers=(_CONSTANT,)),
+    Key("target", "dim", "int", "2", "[1, 16]", readers=(_CONSTANT,)),
     Key("scenario", "kind", f"{_TWISTOR} | elliptic_pair | harmonic_wrap | {_CONSTANT} | "
         f"{_PERTURBED}", _TWISTOR),
     Key("scenario", "rational_num", "complex list", "0,1", readers=(_TWISTOR,)),
     Key("scenario", "rational_den", "complex list", "1", readers=(_TWISTOR,)),
-    Key("scenario", "map_scale", "float", "1.0", readers=(_TWISTOR,)),
-    Key("scenario", "map_center", "complex", "0", readers=(_TWISTOR,)),
     Key("scenario", "psi0", "complex list", "1,0", size=2, readers=(_TWISTOR,)),
     Key("scenario", "psi1", "complex list", "0,0", size=2, readers=(_TWISTOR,)),
     Key("scenario", "map_scale", "complex", "0.7", readers=("elliptic_pair",)),
@@ -218,11 +216,6 @@ def _validate(cfg: RunConfig) -> None:
     if kind == "elliptic_pair" and cfg.get("chart", "topology") != "torus":
         raise ConfigError(f"{cfg.where('scenario', 'kind')}scenario.kind = elliptic_pair "
                           "needs chart.topology = torus")
-    if kind != "constant_spinor":
-        for key, s2 in (("kind", "sphere"), ("dim", 2)):
-            if cfg.get("target", key) != s2:
-                raise ConfigError(f"{cfg.where('target', key)}scenario {kind} maps into "
-                                  "S^2: [target] must be kind = sphere, dim = 2")
 
 
 def build_chart(cfg: RunConfig, n_override: int | None = None) -> DomainChart:
@@ -253,8 +246,7 @@ def build_pair(cfg: RunConfig, n_override: int | None = None
     try:
         if kind == "twistor_pushforward":
             rmap = RationalMap(sc("rational_num"), sc("rational_den"))
-            phi = conformal_map_field(rmap, chart, center=sc("map_center"),
-                                      scale=sc("map_scale"))
+            phi = conformal_map_field(rmap, chart)
             psi = twistor_pushforward(phi, np.array(sc("psi0")), np.array(sc("psi1")))
         elif kind == "elliptic_pair":
             phi = elliptic_conformal_field(chart, scale=sc("map_scale"))

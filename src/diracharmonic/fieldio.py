@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import MAX_SIDE, MIN_SIDE, DomainChart, empty_planes
+from .charts import MAX_SIDE, MIN_DISK_SIDE, MIN_N, MIN_SIDE, DomainChart, empty_planes
 from .fields import MapField, TwistedSpinorField
 from .targets import Flat, Sphere, TargetGeometry
 
@@ -103,10 +103,10 @@ def read_header(path) -> FieldHeader:
         raise FieldFileError("bad_topology", f"{path}: unknown topology byte {topo}")
     topology = "torus" if topo == 0 else "disk"
     # The limits DomainChart sets, so a readable header always builds a chart.
-    if n < 8:
-        raise FieldFileError("bad_grid", f"{path}: n = {n}, a chart needs n >= 8")
-    least = "> 2" if topology == "disk" else f">= {MIN_SIDE:g}"
-    if not (MIN_SIDE <= side <= MAX_SIDE and (topology == "torus" or side > 2.0)):
+    if n < MIN_N:
+        raise FieldFileError("bad_grid", f"{path}: n = {n}, a chart needs n >= {MIN_N}")
+    least = f"> {MIN_DISK_SIDE:g}" if topology == "disk" else f">= {MIN_SIDE:g}"
+    if not (MIN_SIDE <= side <= MAX_SIDE and (topology == "torus" or side > MIN_DISK_SIDE)):
         raise FieldFileError("bad_side", f"{path}: side {side} on a {topology} chart, "
                                          f"which needs a side {least} and <= {MAX_SIDE:g}")
     if K < 1:  # as the targets require

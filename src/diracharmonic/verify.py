@@ -103,7 +103,7 @@ def run_verification(cfg: RunConfig, sweep: bool = False) -> dict:
     return report
 
 
-def run_verification_on_fields(phi, psi, seed: int = 1234) -> dict:
+def run_verification_on_fields(phi, psi, seed: int) -> dict:
     """The suite on stored fields at their one grid, which waives every
     ratio test but the conformal record's, run on its own grids."""
     chart = phi.chart
@@ -253,7 +253,6 @@ class _Row(NamedTuple):
     scope: tuple = ()              # scenario kinds or topologies that run it; () = all
     grids: Callable | None = None  # the grids the record lists; None = the pairs' grids
     fails_on: type | tuple = ()    # exceptions of ``defects`` meaning a failed precondition
-    notes: bool = False            # keep the rule's note
 
 
 # The defect functions look the identity functions up when they run, so
@@ -274,8 +273,7 @@ _ROWS = (
          "int (psi, D xi) = int (D psi, xi) on the torus, 20 random triples", _UNCOND,
          {"rel": 1e-11}, lambda s: [s.self_adjointness()], grids=lambda s: [SELF_ADJOINT_GRID]),
     _Row("weitzenboeck", "squared Dirac equals connection Laplacian plus curvature", _UNCOND,
-         {"rel_h2": UNCOND_BUDGET}, lambda s: s.rel(weitzenboeck_defect(*p) for p in s.pairs),
-         notes=True),
+         {"rel_h2": UNCOND_BUDGET}, lambda s: s.rel(weitzenboeck_defect(*p) for p in s.pairs)),
     _Row("map_equation", "tension balances the curvature coupling", _COND, _H2,
          lambda s: s.rel(r["map_sup"] for r in s.each(_el_norms))),
     _Row("spinor_equation", "Dirac operator along the map annihilates the spinor", _COND, _H2,
@@ -312,7 +310,7 @@ _ROWS = (
          "action and energy are invariant under disk automorphisms for exactly "
          "one rescaling convention", _UNCOND,
          {"ratio_window": list(RATIO_WINDOW), "unique_winner": True}, lambda s: s.conformal(),
-         scope=("disk",), grids=lambda s: s.conformal_grids, notes=True),
+         scope=("disk",), grids=lambda s: s.conformal_grids),
 )
 
 
@@ -340,7 +338,7 @@ def _verify_pairs(pairs, grids, seed, scenario_kind, mode) -> dict:
             "refinement_ratio": None if ratio is None else float(ratio),
             "threshold": copy.deepcopy(row.threshold),
             "pass": bool(passed),
-            "note": failure or (note if row.notes else ""),
+            "note": failure or note,
             **extra,
         })
     return {

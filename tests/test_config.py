@@ -11,15 +11,10 @@ topology = disk
 n = 32
 side = 2.4
 
-[target]
-kind = sphere
-dim = 2
-
 [scenario]
 kind = twistor_pushforward
 rational_num = 0,1
 rational_den = 1
-map_scale = 1.5
 psi0 = 1,0
 psi1 = 0.2,-0.1j
 
@@ -35,6 +30,14 @@ seed = 99
 
 
 def test_full_config_parses_and_builds():
+    # The retired twistor map_scale and a restated [target] are rejected
+    # naming their line; without them the config builds.
+    with pytest.raises(dh.ConfigError, match="^line 12: scenario.map_scale is only read for "
+                                             "elliptic_pair$"):
+        dh.parse_config(FULL.replace("psi0", "map_scale = 1.5\npsi0"))
+    with pytest.raises(dh.ConfigError, match="^line 9: target.kind is only read for "
+                                             "constant_spinor$"):
+        dh.parse_config(FULL.replace("[scenario]", "[target]\nkind = sphere\n\n[scenario]"))
     cfg = dh.parse_config(FULL)
     chart = build_chart(cfg)
     assert chart.topology == "disk" and chart.n == 32 and chart.side == 2.4
@@ -130,11 +133,13 @@ def test_comments_and_blank_lines_ignored():
 
 @pytest.mark.parametrize("kind", ["twistor_pushforward", "elliptic_pair",
                                   "harmonic_wrap", "perturbed_constant"])
-def test_sphere_scenarios_accept_restated_target(kind):
-    cfg = dh.parse_config(f"[chart]\nn = 16\n\n[target]\nkind = sphere\ndim = 2\n\n"
-                          f"[scenario]\nkind = {kind}\n")
-    phi, _ = build_pair(cfg)
-    assert phi.target.kind == "sphere" and phi.values.shape == (16, 16, 3)
+def test_sphere_scenarios_reject_target(kind):
+    # Only constant_spinor reads [target]; the others map into S^2.
+    for key, value in (("kind", "sphere"), ("dim", "2")):
+        with pytest.raises(dh.ConfigError, match=f"^line 5: target.{key} is only read for "
+                                                 "constant_spinor$"):
+            dh.parse_config(f"[chart]\nn = 16\n\n[target]\n{key} = {value}\n\n"
+                            f"[scenario]\nkind = {kind}\n")
 
 
 def test_key_of_another_scenario_rejected():
@@ -144,9 +149,7 @@ def test_key_of_another_scenario_rejected():
 
 
 # (scenario, row with {v} where the value goes, whether the row is complex)
-SCENARIO_ROWS = [("twistor_pushforward", "map_scale = {v}", False),
-                 ("twistor_pushforward", "map_center = {v}", True),
-                 ("twistor_pushforward", "psi0 = {v},0", True),
+SCENARIO_ROWS = [("twistor_pushforward", "psi0 = {v},0", True),
                  ("twistor_pushforward", "psi1 = 0,{v}", True),
                  ("twistor_pushforward", "rational_num = 0,{v}", True),
                  ("twistor_pushforward", "rational_den = {v}", True),
@@ -166,6 +169,18 @@ def test_non_finite_numbers_rejected_naming_the_line(kind, row, value):
                           + row.format(v=value) + "\n")
     with pytest.raises(dh.ConfigError, match=r"^line 6: scenario\.\w+: not a finite number"):
         build_pair(cfg)
+
+
+@pytest.mark.parametrize("row,message", [
+    ("map_scale = {v}", "scenario.map_scale is only read for elliptic_pair"),
+    ("map_center = {v}", "unknown key 'map_center' in \\[scenario\\]")])
+@pytest.mark.parametrize("value", ["1.5", "nan", "inf", "-inf", "nanj", "1+infj"])
+def test_retired_twistor_rows_rejected_naming_the_line(row, message, value):
+    # A rational map of s (z - c) is another rational map, so rational_num
+    # and rational_den are the twistor map's one setter.
+    with pytest.raises(dh.ConfigError, match=f"^line 6: {message}$"):
+        dh.parse_config(f"[chart]\nn = 16\n\n[scenario]\nkind = twistor_pushforward\n"
+                        + row.format(v=value) + "\n")
 
 
 def test_integer_beyond_the_float_range_rejected():

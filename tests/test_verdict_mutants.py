@@ -20,8 +20,10 @@ import numpy as np
 import pytest
 
 import diracharmonic as dh
-from diracharmonic import cli
-from diracharmonic.fields import curvature_term, tension
+from diracharmonic import cli, verify
+from diracharmonic.charts import bandlimited_field
+from diracharmonic.fields import clifford_frame_contract, curvature_term, project_spinor, tension
+from diracharmonic.solutions import twistor_pushforward
 from diracharmonic.spinors import FRAME, clifford_mul, flat_dirac
 
 DISK48 = "[chart]\ntopology = disk\nn = 48\n\n[scenario]\nkind = twistor_pushforward\n"
@@ -75,6 +77,40 @@ def _bottom_sign_flipped(v, s):
     out = clifford_mul(v, s)
     out[..., 1] *= -1.0
     return out
+
+
+def _bottom_unconjugated(dphi, psi_values, out=None, work=None):
+    """sigma = (sum_i w^i g^i, -sum_i w^i f^i): ``clifford_frame_contract``
+    with its bottom sum's conjugate dropped."""
+    w = dphi[..., 0, :] + 1j * dphi[..., 1, :]
+    sigma = np.stack([(w * psi_values[..., 1]).sum(axis=-1),
+                      -(w * psi_values[..., 0]).sum(axis=-1)], axis=-1)
+    if out is None:
+        return sigma
+    out[...] = sigma
+    return out
+
+
+def _pushforward_plus(extra):
+    """``twistor_pushforward`` with ``extra(phi)`` added to its spinor
+    values, bound everywhere."""
+    def mutant(phi, psi0, psi1):
+        psi = twistor_pushforward(phi, psi0, psi1)
+        return dh.TwistedSpinorField(psi.chart, psi.target, psi.values + extra(phi))
+    return lambda monkeypatch: _everywhere(monkeypatch, twistor_pushforward, mutant)
+
+
+def _normal_1e9(phi):
+    """1e-9 phi (x) (1, 0): normal to S^2, under TANGENCY_TOL."""
+    return 1e-9 * phi.values[..., None] * np.array([1.0, 0.0])
+
+
+def _tangent_noise(phi):
+    """0.01 times a projected smooth random spinor: tangent, not critical."""
+    rng = np.random.default_rng(3)
+    noise = (bandlimited_field(phi.chart, rng, components=(3, 2), kmax=2)
+             + 1j * bandlimited_field(phi.chart, rng, components=(3, 2), kmax=2))
+    return 0.01 * project_spinor(phi, noise).values
 
 
 # -- scenarios: each writes its input under tmp_path and returns the verify argv ---
@@ -136,6 +172,15 @@ MUTANTS = [
     Mutant("clifford_mul_bottom_sign", _config(DISK48),
            ("clifford_relations", "clifford_skew_adjoint", "twistor_family", "weitzenboeck"),
            patch=lambda mp: _everywhere(mp, clifford_mul, _bottom_sign_flipped)),
+    # Admitted by check_pair, since the normal part is under TANGENCY_TOL.
+    Mutant("pushforward_normal_1e-9", _config(DISK48),
+           ("pushforward_tangency", "curvature_term_annihilation", "action_reduces_to_dirichlet"),
+           patch=_pushforward_plus(_normal_1e9)),
+    Mutant("pushforward_tangent_noise", _config(DISK48),
+           ("em_symmetry", *(f"pohozaev_r{r}" for r in verify.POHOZAEV_RADII),
+            "action_reduces_to_dirichlet", "curvature_term_annihilation", "em_divergence",
+            "hopf_holomorphic", "map_equation", "spinor_equation", "bochner"),
+           patch=_pushforward_plus(_tangent_noise)),
     # The coupling vanishes on every exact family, so scaling it changes no defect.
     Mutant("curvature_term_negated", _config(DISK48), ("first_variation",),
            patch=_scaled(curvature_term, -1.0), survives=_ITEM13),
@@ -143,6 +188,10 @@ MUTANTS = [
            patch=_scaled(curvature_term, 2.0), survives=_ITEM13),
     Mutant("curvature_term_zeroed", _config(DISK48), ("first_variation",),
            patch=_scaled(curvature_term, 0.0), survives=_ITEM13),
+    # psi0 = (1, 0) leaves every f^i = 0 on this pair, so sigma does not move.
+    Mutant("clifford_frame_contract_bottom_unconjugated", _config(DISK48), ("first_variation",),
+           patch=lambda mp: _everywhere(mp, clifford_frame_contract, _bottom_unconjugated),
+           survives=_ITEM13),
     Mutant("tension_negated", _config(DISK48), ("first_variation",),
            patch=_scaled(tension, -1.0),
            survives="the map residual's size does not see the sign of the tension; the "
@@ -196,6 +245,12 @@ def test_a_survivor_fails_no_record(mutant, tmp_path, capsys, monkeypatch):
     if mutant.patch is not None:
         mutant.patch(monkeypatch)
     assert _failed(argv, tmp_path, capsys) == set()
+
+
+def test_every_record_has_a_kill():
+    """Each record of the report fails on some row that is not a survivor."""
+    killed = {rid for m in MUTANTS if not m.survives for rid in m.must_fail}
+    assert {row.id for row in verify._ROWS} - killed == set()
 
 
 def test_the_unmutated_scenarios_pass(tmp_path, capsys):
