@@ -39,27 +39,20 @@ def random_pair(n):
 
 
 # %% Energy-momentum tensor ----------------------------------------------------
+# em_defects reads all three conservation laws off one T = energy_momentum(phi, psi).
 print("== energy-momentum tensor: symmetry and divergence")
 for n in (64, 128):
-    chart, phi, psi = exact_pair(n, "torus")
-    em = dh.energy_momentum(phi, psi)
-    div = dh.em_divergence(em)
-    mag = np.sqrt((div**2).sum(axis=-1))
-    m = chart.interior_mask
-    print(f"  n={n:4d}  |T12 - T21| = {em.symmetry_defect():.2e}   "
-          f"L2 divergence = {np.sqrt((mag[m]**2).sum() * chart.h**2):.3e}")
-chart, phi, psi = random_pair(64)
-em = dh.energy_momentum(phi, psi)
-div = dh.em_divergence(em)
-print(f"  random fields: L2 divergence = "
-      f"{np.sqrt(((div**2).sum(-1)).sum() * chart.h**2):.3e}   (negative control)")
+    _, phi, psi = exact_pair(n, "torus")
+    sym, div, _ = dh.em_defects(phi, psi)
+    print(f"  n={n:4d}  |T12 - T21| = {sym:.2e}   L2 divergence = {div:.3e}")
+_, phi, psi = random_pair(64)
+print(f"  random fields: L2 divergence = {dh.em_defects(phi, psi)[1]:.3e}   (negative control)")
 
 # %% Quadratic differential ------------------------------------------------------
 print("== quadratic differential T dz^2, T = T11 - i T12")
 for n in (64, 128):
-    chart, phi, psi = exact_pair(n, "torus")
-    qd = dh.energy_momentum(phi, psi).hopf_differential()
-    print(f"  n={n:4d}  dbar defect = {qd.dbar_defect():.3e}")
+    _, phi, psi = exact_pair(n, "torus")
+    print(f"  n={n:4d}  dbar defect = {dh.em_defects(phi, psi)[2]:.3e}")
 _, phi, _ = exact_pair(96, "torus")
 d = phi.analytic_gradient  # the map part of T from the exact gradient
 dx, dy = d[..., 0, :], d[..., 1, :]
@@ -83,7 +76,5 @@ print("== circle balance on the disk")
 for n in (64, 128):
     _, phi, psi = exact_pair(n, "disk")
     for r in (0.25, 0.5, 0.75):
-        cb = dh.pohozaev_defect(phi, psi, r)
-        print(f"  n={n:4d} r={r}: radial {cb.radial_defect / cb.scale:.2e}  "
-              f"angular {cb.angular_defect / cb.scale:.2e}  "
-              f"E_r {cb.E_r:8.4f}  I_r {cb.I_r:+.5f}")
+        print(f"  n={n:4d} r={r}: balance defect (larger of radial, angular) "
+              f"{dh.pohozaev_defect(phi, psi, r):.2e}")

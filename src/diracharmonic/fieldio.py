@@ -139,7 +139,8 @@ def read_field(path, chart: DomainChart | None = None,
         fh.seek(_HEADER.size)
         raw = fh.read()
     if len(raw) != hd.payload_bytes:
-        raise FieldFileError("bad_size", f"{path}: payload truncated")
+        raise FieldFileError("bad_size", f"{path}: payload has {len(raw)} bytes, "
+                                         f"header says {hd.payload_bytes}")
     if (zlib.crc32(raw) & 0xFFFFFFFF) != hd.crc32:
         raise FieldFileError("bad_checksum", f"{path}: CRC mismatch")
     if chart is None:

@@ -178,18 +178,6 @@ def covariant_derivative(phi: MapField, values, axis: str, out=None) -> np.ndarr
     return d
 
 
-def spinor_gradient(phi: MapField, psi: TwistedSpinorField) -> np.ndarray:
-    """Covariant derivative along both frame directions.
-
-    Returns an (n, n, 2, K, 2) array; axis -3 is the frame direction.
-    """
-    v = psi.values
-    out = empty_planes(v.shape[:-2] + (2,) + v.shape[-2:], v.dtype)
-    for a, axis in enumerate(("x", "y")):
-        covariant_derivative(phi, v, axis, out=out[..., a, :, :])
-    return out
-
-
 def clifford_frame_contract(dphi, psi_values, out=None, work=None) -> np.ndarray:
     """sigma = sum_{a,i} d_a phi^i  e_a . psi^i, a plain spinor field.
 

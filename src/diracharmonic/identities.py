@@ -11,12 +11,13 @@ on generic fields the conditional ones stay bounded away from zero.  The
 quadratic differential's coefficient is the (2,0) part T_11 - i T_12 of
 the one energy-momentum tensor T.
 
-The identities read only D psi, never the normal defect, so they take it
-from ``dirac_along_map``.  Each drops a grid-sized array after its last
-read and, but for ``bochner_defect`` and ``decay_profile`` (both through
-``spinor_gradient``), takes covariant derivatives one direction at a
-time, so it holds a few spinor grids at once
-(``tests/test_verify_memory.py``).
+Each defect function returns the number its verify record judges, and
+``em_defects`` the three that T's conservation laws give: its symmetry,
+its divergence and the dbar of T_11 - i T_12.  The identities read only
+D psi, never the normal defect, so they take it from
+``dirac_along_map``.  Each drops a grid-sized array after its last read
+and takes covariant derivatives one direction at a time, so it holds a
+few spinor grids at once (``tests/test_verify_memory.py``).
 ``conformal_checks`` evaluates the conformal invariance check for several
 maps and conventions at once, sharing the pair's own terms and each map's
 pullback; ``conformal_invariance_defect`` is its one-entry case.
@@ -30,7 +31,7 @@ import numpy as np
 
 from .charts import DomainChart, MoebiusMap, empty_planes
 from .fields import (MapField, TwistedSpinorField, action, covariant_derivative,
-                     dirac_along_map, dirichlet_density, energy, project_spinor, spinor_gradient)
+                     dirac_along_map, dirichlet_density, energy, project_spinor)
 from .spinors import FRAME, clifford_mul, re_pairing, spinor_norm2
 from .targets import ambient_pairing
 
@@ -39,25 +40,9 @@ BOCHNER_DIRAC_TOL = 1e-2  # bochner_defect's bound on sup |D psi| per unit field
 
 # -- energy-momentum tensor ----------------------------------------------------
 
-@dataclass
-class EnergyMomentum:
-    """Symmetric 2-tensor of the coupled action; components shape (n, n, 2, 2)."""
-
-    chart: DomainChart
-    components: np.ndarray
-
-    def symmetry_defect(self) -> float:
-        gap = np.abs(self.components[..., 0, 1] - self.components[..., 1, 0])
-        return float(gap[self.chart.interior_mask].max())
-
-    def hopf_differential(self) -> QuadraticDifferential:
-        """The (2,0) part T_11 - i T_12: the quadratic differential's coefficient."""
-        T = self.components
-        return QuadraticDifferential(self.chart, T[..., 0, 0] - 1j * T[..., 0, 1])
-
-
-def energy_momentum(phi: MapField, psi: TwistedSpinorField) -> EnergyMomentum:
-    """T_ab = 2 <phi_a, phi_b> - delta_ab |dphi|^2 + Re<psi, e_a . grad_b psi>."""
+def energy_momentum(phi: MapField, psi: TwistedSpinorField) -> np.ndarray:
+    """T_ab = 2 <phi_a, phi_b> - delta_ab |dphi|^2 + Re<psi, e_a . grad_b psi>,
+    the symmetric 2-tensor of the coupled action; shape (n, n, 2, 2)."""
     chart = phi.chart
     d = phi.gradient()
     T = np.zeros(chart.shape + (2, 2))
@@ -73,35 +58,37 @@ def energy_momentum(phi: MapField, psi: TwistedSpinorField) -> EnergyMomentum:
         for a in range(2):
             # Re<psi, e_a . grad_b psi> = -Re<e_a . psi, grad_b psi>.
             T[..., a, b] -= re_pairing(e_psi[a], grad_b, axis=(-2, -1))
-    return EnergyMomentum(chart, T)
+    return T
 
 
-def em_divergence(em: EnergyMomentum) -> np.ndarray:
-    """sum_a D_a T_ab per b; shape (n, n, 2)."""
-    c = em.chart
-    out = np.zeros(c.shape + (2,))
+def em_defects(phi: MapField, psi: TwistedSpinorField) -> tuple[float, float, float]:
+    """The conservation laws of T = ``energy_momentum(phi, psi)`` as
+    defects over the chart interior: sup |T_12 - T_21|, the L2 norm of the
+    divergence sum_a D_a T_ab, and sup |dbar| of the quadratic
+    differential's coefficient T_11 - i T_12."""
+    chart = phi.chart
+    mask = chart.interior_mask
+    T = energy_momentum(phi, psi)
+    div = np.zeros(chart.shape + (2,))
     for b in range(2):
-        out[..., b] = (c.derivative(em.components[..., 0, b], "x")
-                       + c.derivative(em.components[..., 1, b], "y"))
-    return out
-
-
-# -- quadratic differential ------------------------------------------------------
-
-@dataclass
-class QuadraticDifferential:
-    """Coefficient T(z) of the holomorphic quadratic differential."""
-
-    chart: DomainChart
-    T: np.ndarray
-
-    def dbar_defect(self) -> float:
-        c = self.chart
-        dbar = 0.5 * (c.derivative(self.T, "x") + 1j * c.derivative(self.T, "y"))
-        return float(np.abs(dbar)[c.interior_mask].max())
+        div[..., b] = chart.derivative(T[..., 0, b], "x") + chart.derivative(T[..., 1, b], "y")
+    mag = np.sqrt((div**2).sum(axis=-1))
+    del div
+    div_l2 = float(np.sqrt(chart.integrate(mag**2, region=mask)))
+    symmetry = float(np.abs(T[..., 0, 1] - T[..., 1, 0])[mask].max())
+    hopf = T[..., 0, 0] - 1j * T[..., 0, 1]
+    dbar = 0.5 * (chart.derivative(hopf, "x") + 1j * chart.derivative(hopf, "y"))
+    return symmetry, div_l2, float(np.abs(dbar)[mask].max())
 
 
 # -- Weitzenboeck / Bochner -------------------------------------------------------
+
+def _gradient_norm2(phi: MapField, psi: TwistedSpinorField) -> np.ndarray:
+    """|grad psi|^2 of the covariant derivative, one direction at a time."""
+    out = spinor_norm2(covariant_derivative(phi, psi.values, "x"), axis=(-2, -1))
+    out += spinor_norm2(covariant_derivative(phi, psi.values, "y"), axis=(-2, -1))
+    return out
+
 
 def _curvature_on_spinor(phi: MapField, X, Y, S) -> np.ndarray:
     """R(X, Y) S for real tangent fields X, Y and a K-spinor array S,
@@ -155,7 +142,7 @@ def bochner_defect(phi: MapField, psi: TwistedSpinorField, scale: float) -> floa
                          f"{BOCHNER_DIRAC_TOL:.1e} x scale {scale:.3e}; the identity "
                          "is only valid on solutions")
     lhs = 0.5 * chart.laplacian(psi.norm2_density())
-    rhs = spinor_norm2(spinor_gradient(phi, psi), axis=(-3, -2, -1))
+    rhs = _gradient_norm2(phi, psi)
     d = phi.gradient()
     e_psi = [clifford_mul(e_a, psi.values) for e_a in FRAME]
     for a, b in ((0, 1), (1, 0)):  # R(X, X) = 0
@@ -167,26 +154,14 @@ def bochner_defect(phi: MapField, psi: TwistedSpinorField, scale: float) -> floa
 
 # -- Pohozaev circle identities ----------------------------------------------------
 
-@dataclass
-class CircleBalance:
-    """Both defects of the radial/angular circle identity at one radius,
-    plus the circle energy E_r and the spinor correction I_r."""
-
-    r: float
-    radial_defect: float
-    angular_defect: float
-    scale: float
-    E_r: float
-    I_r: float
-
-
-def pohozaev_defect(phi: MapField, psi: TwistedSpinorField, r: float) -> CircleBalance:
+def pohozaev_defect(phi: MapField, psi: TwistedSpinorField, r: float) -> float:
     """Circle identity at radius r on a disk chart:
 
         int |phi_theta|^2 / r^2 dtheta = int |phi_r|^2 dtheta
                                          + int (psi, e_r . grad_r psi) dtheta
     and the same with the angular spinor term; both sides via bilinear
-    interpolation and trapezoidal angle quadrature.
+    interpolation and trapezoidal angle quadrature.  Returns the larger of
+    the radial and angular defects over the sum of the terms' sizes.
     """
     chart = phi.chart
     chart._check_radius(r)
@@ -217,13 +192,8 @@ def pohozaev_defect(phi: MapField, psi: TwistedSpinorField, r: float) -> CircleB
     s_rad = float(spin_radial.sum() * w)
     s_ang = float(spin_angular.sum() * w)
 
-    E_r = lhs + rad
-    I_r = -s_rad
-    scale = E_r + abs(s_rad) + abs(s_ang) + 1e-300
-    return CircleBalance(r=r,
-                         radial_defect=abs(lhs - rad - s_rad),
-                         angular_defect=abs(lhs - rad + s_ang),
-                         scale=scale, E_r=E_r, I_r=I_r)
+    scale = lhs + rad + abs(s_rad) + abs(s_ang) + 1e-300
+    return max(abs(lhs - rad - s_rad), abs(lhs - rad + s_ang)) / scale
 
 
 # -- conformal invariance -----------------------------------------------------------
@@ -326,7 +296,7 @@ def decay_profile(phi: MapField, psi: TwistedSpinorField) -> dict:
     """Diagnostic table of weighted circle sups and cumulative energies.
 
     Columns per radius r: sup |dphi| r, sup |psi| r^(1/2), sup |grad psi|
-    r^(3/2) (grad the covariant ``spinor_gradient``), the annulus energy on
+    r^(3/2) (grad the covariant derivative), the annulus energy on
     r <= |z| <= 2r, and the growth F(r) = int_{D_r} (|dphi|^2 + |psi|^4 +
     |grad psi|^(4/3)).  The 24 radii 6h .. min(0.9, 1 - 5h) increase only
     when 11h < 1; a coarser chart raises ValueError naming the least n.
@@ -343,7 +313,7 @@ def decay_profile(phi: MapField, psi: TwistedSpinorField) -> dict:
 
     dmag = np.sqrt(dirichlet_density(phi))
     psi_mag = np.sqrt(psi.norm2_density())
-    gpsi_mag = np.sqrt(spinor_norm2(spinor_gradient(phi, psi), axis=(-3, -2, -1)))
+    gpsi_mag = np.sqrt(_gradient_norm2(phi, psi))
     e_dens = dmag**2 + psi_mag**4
     growth_density = e_dens + gpsi_mag ** (4.0 / 3.0)  # the same sum, left to right
     rad = np.abs(chart.z)

@@ -21,9 +21,8 @@ from .charts import DomainChart, MoebiusMap, bandlimited_field
 from .config import ConfigError, RunConfig, build_chart, build_pair
 from .fields import (MapField, action, curvature_term, dirichlet_density,
                      el_residual, field_scale, project_spinor, tangency_defect)
-from .identities import (_EXPONENTS, bochner_defect, conformal_checks,
-                         em_divergence, energy_momentum, pohozaev_defect,
-                         self_adjointness_defect, weitzenboeck_defect)
+from .identities import (_EXPONENTS, bochner_defect, conformal_checks, em_defects,
+                         pohozaev_defect, self_adjointness_defect, weitzenboeck_defect)
 from .spinors import (clifford_mul, flat_dirac, re_pairing, spinor_norm2, twistor_defect,
                       twistor_field)
 from .targets import Sphere
@@ -228,15 +227,6 @@ def _el_norms(phi, psi) -> dict:
     return el_residual(phi, psi).norms
 
 
-def _em_defects(phi, psi) -> tuple[float, float, float]:
-    """The energy-momentum tensor's symmetry, divergence and (2,0)-part dbar defects."""
-    em = energy_momentum(phi, psi)
-    chart = em.chart
-    mag = np.sqrt((em_divergence(em) ** 2).sum(axis=-1))
-    div = float(np.sqrt(chart.integrate(mag**2, region=chart.interior_mask)))
-    return em.symmetry_defect(), div, em.hopf_differential().dbar_defect()
-
-
 def _action_reduction(phi, psi) -> float:
     m = phi.chart.interior_mask
     a = action(phi, psi, region=m)
@@ -282,12 +272,12 @@ _ROWS = (
          "normal part of the flat Dirac matches the second-fundamental term", _COND, _H2,
          lambda s: s.rel(r["normal_sup"] for r in s.each(_el_norms))),
     _Row("em_symmetry", "energy-momentum tensor is symmetric", _COND, _H2,
-         lambda s: s.rel(sym for sym, _div, _dbar in s.each(_em_defects))),
+         lambda s: s.rel(sym for sym, _div, _dbar in s.each(em_defects))),
     _Row("em_divergence", "energy-momentum tensor is divergence-free", _COND, _H2,
-         lambda s: s.rel(div for _sym, div, _dbar in s.each(_em_defects))),
+         lambda s: s.rel(div for _sym, div, _dbar in s.each(em_defects))),
     _Row("hopf_holomorphic",
          "quadratic differential coefficient is anti-holomorphically closed", _COND, _H2,
-         lambda s: s.rel(dbar for _sym, _div, dbar in s.each(_em_defects))),
+         lambda s: s.rel(dbar for _sym, _div, dbar in s.each(em_defects))),
     _Row("bochner", "Laplacian of the spinor density balances gradient and curvature", _COND,
          _H2, lambda s: s.rel(bochner_defect(*p, s.scales[i]) for i, p in enumerate(s.pairs)),
          fails_on=ValueError),
@@ -302,8 +292,7 @@ _ROWS = (
          scope=_PUSHFORWARD_SCENARIOS),
     *(_Row(f"pohozaev_r{r}", f"circle balance of radial and angular energies at r = {r}",
            _COND, {"abs": 1e-2, "improving": True},
-           lambda s, r=r: [max(cb.radial_defect, cb.angular_defect) / cb.scale
-                           for cb in (pohozaev_defect(*p, r) for p in s.pairs)],
+           lambda s, r=r: [pohozaev_defect(*p, r) for p in s.pairs],
            scope=("disk",))
       for r in POHOZAEV_RADII),
     _Row("conformal_invariance",

@@ -93,8 +93,8 @@ def hopf_oracle(phi, psi):
         |phi_x|^2 - |phi_y|^2 - 2i <phi_x, phi_y>
         + Re<psi, e1 . grad_x psi> - i Re<psi, e1 . grad_y psi>,
 
-    the reference for ``hopf_differential``, which reads it off the
-    energy-momentum tensor."""
+    the reference for the (2,0) part T_11 - i T_12 that ``em_defects``
+    reads off the energy-momentum tensor."""
     conj_e1psi = np.conj(clifford_mul(FRAME[0], psi.values))
     sx = -np.real(conj_e1psi * covariant_derivative(phi, psi.values, "x")).sum(axis=(-2, -1))
     sy = -np.real(conj_e1psi * covariant_derivative(phi, psi.values, "y")).sum(axis=(-2, -1))

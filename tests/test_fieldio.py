@@ -86,6 +86,7 @@ def _valid_blob(tmp_path):
     (lambda b: bytes(b[:-8]), "bad_size"),
     (lambda b: bytes(b[:60]) + bytes([b[60] ^ 0xFF]) + bytes(b[61:]), "bad_checksum"),
     (lambda b: bytes(b[:20]), "truncated"),
+    (lambda b: bytes(b) + bytes(8), "bad_size"),
 ])
 def test_malformed_files_have_distinct_codes(tmp_path, mutate, code):
     blob = _valid_blob(tmp_path)
@@ -94,6 +95,17 @@ def test_malformed_files_have_distinct_codes(tmp_path, mutate, code):
     with pytest.raises(dh.FieldFileError) as err:
         dh.read_field(bad)
     assert err.value.code == code
+
+
+@pytest.mark.parametrize("extra", [-8, 8], ids=["short", "long"])
+def test_payload_size_error_gives_both_lengths(tmp_path, extra):
+    blob = _valid_blob(tmp_path)
+    size = len(blob) - _HEADER.size
+    bad = tmp_path / "bad.dhm"
+    bad.write_bytes(bytes(blob[:extra]) if extra < 0 else bytes(blob) + bytes(extra))
+    with pytest.raises(dh.FieldFileError, match=f"payload has {size + extra} bytes, "
+                                                f"header says {size}$"):
+        dh.read_field(bad)
 
 
 def _with_payload_value(blob, index, value):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import diracharmonic as dh
-from diracharmonic.fields import spinor_gradient
+from diracharmonic.fields import covariant_derivative
 from diracharmonic.verify import canonical_compact_pair
 
 from conftest import (_stereo_tangent, assert_second_order, conformality_defect,
@@ -10,19 +10,54 @@ from conftest import (_stereo_tangent, assert_second_order, conformality_defect,
                       moebius_similarity, random_sphere_pair, torus_deg1_pair)
 
 
+def _divergence(chart, T):
+    """sum_a D_a T_ab per b, shape (n, n, 2): the field whose interior L2
+    norm ``em_defects`` reports."""
+    return np.stack([chart.derivative(T[..., 0, b], "x") + chart.derivative(T[..., 1, b], "y")
+                     for b in range(2)], axis=-1)
+
+
+def _hopf(T):
+    """The (2,0) part T_11 - i T_12 of the energy-momentum tensor."""
+    return T[..., 0, 0] - 1j * T[..., 0, 1]
+
+
+def _dbar_sup(chart, f):
+    dbar = 0.5 * (chart.derivative(f, "x") + 1j * chart.derivative(f, "y"))
+    return np.abs(dbar)[chart.interior_mask].max()
+
+
 class TestEnergyMomentum:
     def test_vanishes_for_constant_pair(self):
         chart = dh.DomainChart.torus(32)
         phi = dh.MapField.constant(chart, dh.Sphere(2), (0, 0, 1))
         psi = dh.TwistedSpinorField.zero(chart, phi.target)
-        em = dh.energy_momentum(phi, psi)
-        assert np.abs(em.components).max() == 0.0
+        T = dh.energy_momentum(phi, psi)
+        assert T.shape == chart.shape + (2, 2)
+        assert np.abs(T).max() == 0.0
+        assert dh.em_defects(phi, psi) == (0.0, 0.0, 0.0)
 
     def test_symmetry_on_exact_solutions(self):
         for n in (64, 128):
             chart, phi, psi = torus_deg1_pair(n)
-            em = dh.energy_momentum(phi, psi)
-            assert em.symmetry_defect() <= 1e-10 * dh.field_scale(phi, psi)
+            assert dh.em_defects(phi, psi)[0] <= 1e-10 * dh.field_scale(phi, psi)
+
+    @pytest.mark.parametrize("build", [lambda: torus_deg1_pair(48),
+                                       lambda: disk_twistor_pair(48),
+                                       lambda: random_sphere_pair(48)],
+                             ids=["torus_deg1", "disk_twistor", "random_sphere"])
+    def test_defects_are_read_off_the_tensor(self, build):
+        # Symmetry sup, divergence L2 and dbar sup, all over the interior.
+        chart, phi, psi = build()
+        T = dh.energy_momentum(phi, psi)
+        m = chart.interior_mask
+        mag = np.sqrt((_divergence(chart, T) ** 2).sum(axis=-1))
+        want = (np.abs(T[..., 0, 1] - T[..., 1, 0])[m].max(),
+                np.sqrt((mag[m] ** 2).sum() * chart.h**2),
+                _dbar_sup(chart, _hopf(T)))
+        got = dh.em_defects(phi, psi)
+        assert all(type(v) is float for v in got)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_conformal_map_part_trace_free(self):
         # Pure map part of a conformal field: T11 = -T22 and T12 = 0 at
@@ -31,11 +66,11 @@ class TestEnergyMomentum:
         for n in (64, 128):
             chart, phi, _ = torus_deg1_pair(n)
             psi0 = dh.TwistedSpinorField.zero(chart, phi.target)
-            em = dh.energy_momentum(phi, psi0)
+            T = dh.energy_momentum(phi, psi0)
             m = chart.interior_mask
-            t11 = em.components[..., 0, 0]
-            t22 = em.components[..., 1, 1]
-            t12 = em.components[..., 0, 1]
+            t11 = T[..., 0, 0]
+            t22 = T[..., 1, 1]
+            t12 = T[..., 0, 1]
             gaps.append(max(np.abs(t11 + t22)[m].max(), np.abs(t12)[m].max()))
         assert_second_order(*gaps)
 
@@ -43,27 +78,18 @@ class TestEnergyMomentum:
         l2s, sups = [], []
         for n in (64, 128):
             chart, phi, psi = torus_deg1_pair(n)
-            div = dh.em_divergence(dh.energy_momentum(phi, psi))
-            mag = np.sqrt((div**2).sum(axis=-1))
-            m = chart.interior_mask
-            l2s.append(np.sqrt((mag[m] ** 2).sum() * chart.h**2))
-            sups.append(mag[m].max())
+            l2s.append(dh.em_defects(phi, psi)[1])
+            mag = np.sqrt((_divergence(chart, dh.energy_momentum(phi, psi)) ** 2).sum(axis=-1))
+            sups.append(mag[chart.interior_mask].max())
         assert_second_order(*l2s)
         assert sups[0] / sups[1] > 1.7  # sup decays at least first order
 
     def test_negative_control_dominates(self):
-        chart, phi, psi = torus_deg1_pair(64)
-        em = dh.energy_momentum(phi, psi)
-        div = dh.em_divergence(em)
-        m = chart.interior_mask
-        good = np.sqrt(((div**2).sum(-1)[m]).sum() * chart.h**2)
-        good_sym = em.symmetry_defect()
+        _, phi, psi = torus_deg1_pair(64)
+        good_sym, good, _ = dh.em_defects(phi, psi)
 
-        chart_r, phi_r, psi_r = random_sphere_pair(64, seed=8)
-        em_r = dh.energy_momentum(phi_r, psi_r)
-        div_r = dh.em_divergence(em_r)
-        bad = np.sqrt(((div_r**2).sum(-1)).sum() * chart_r.h**2)
-        bad_sym = em_r.symmetry_defect()
+        _, phi_r, psi_r = random_sphere_pair(64, seed=8)
+        bad_sym, bad, _ = dh.em_defects(phi_r, psi_r)
         assert bad > 100 * good
         assert bad_sym > 100 * max(good_sym, 1e-14)
 
@@ -81,9 +107,8 @@ class TestHopfDifferential:
     def test_is_the_2_0_part_of_the_energy_momentum_tensor(self, build):
         # Read off T, the coefficient matches the explicit formula to round-off.
         _, phi, psi = build()
-        em = dh.energy_momentum(phi, psi)
-        T, qd = em.components, em.hopf_differential()
-        assert np.abs(qd.T - hopf_oracle(phi, psi)).max() <= 1e-13 * np.abs(T).max()
+        T = dh.energy_momentum(phi, psi)
+        assert np.abs(_hopf(T) - hopf_oracle(phi, psi)).max() <= 1e-13 * np.abs(T).max()
 
     def test_geodesic_wrap_gives_constant_coefficient(self):
         # (cos 2 pi x, sin 2 pi x, 0): |phi_x|^2 = 4 pi^2, phi_y = 0.
@@ -92,8 +117,8 @@ class TestHopfDifferential:
             chart = dh.DomainChart.torus(n)
             phi = dh.harmonic_wrap(chart)
             psi0 = dh.TwistedSpinorField.zero(chart, phi.target)
-            qd = dh.energy_momentum(phi, psi0).hopf_differential()
-            gaps.append(np.abs(qd.T - 4 * np.pi**2).max())
+            hopf = _hopf(dh.energy_momentum(phi, psi0))
+            gaps.append(np.abs(hopf - 4 * np.pi**2).max())
         assert gaps[0] < 0.3
         assert_second_order(*gaps)
 
@@ -101,14 +126,14 @@ class TestHopfDifferential:
         vals = []
         for n in (64, 128):
             chart, phi, psi = torus_deg1_pair(n)
-            vals.append(dh.energy_momentum(phi, psi).hopf_differential().dbar_defect())
+            vals.append(dh.em_defects(phi, psi)[2])
         assert_second_order(*vals)
 
     def test_dbar_defect_bounded_away_for_random_fields(self):
         vals = []
         for n in (48, 96):
             chart, phi, psi = random_sphere_pair(n, seed=4)
-            vals.append(dh.energy_momentum(phi, psi).hopf_differential().dbar_defect())
+            vals.append(dh.em_defects(phi, psi)[2])
         assert min(vals) > 1.0
         assert vals[0] / vals[1] < 2.0
 
@@ -117,20 +142,19 @@ class TestHopfDifferential:
         gaps = []
         for n in (64, 128):
             chart, phi, psi = disk_twistor_pair(n)
-            qd = dh.energy_momentum(phi, psi).hopf_differential()
+            hopf = _hopf(dh.energy_momentum(phi, psi))
             r = 0.5
             n_theta = 4 * chart.n
             theta, px, py = chart.circle_points(r, n_theta)
             ct, st = np.cos(theta), np.sin(theta)
-            z2T = chart.interp(qd.T, px, py) * (px + 1j * py) ** 2
+            z2T = chart.interp(hopf, px, py) * (px + 1j * py) ** 2
             d = phi.gradient()
             dx = chart.interp(d[..., 0, :], px, py)
             dy = chart.interp(d[..., 1, :], px, py)
             phi_r = ct[:, None] * dx + st[:, None] * dy
             phi_t = -st[:, None] * dx + ct[:, None] * dy
-            gp = spinor_gradient(phi, psi)
-            gx = chart.interp(gp[..., 0, :, :], px, py)
-            gy = chart.interp(gp[..., 1, :, :], px, py)
+            gx = chart.interp(covariant_derivative(phi, psi.values, "x"), px, py)
+            gy = chart.interp(covariant_derivative(phi, psi.values, "y"), px, py)
             grad_t = -st[:, None, None] * gx + ct[:, None, None] * gy
             psi_v = chart.interp(psi.values, px, py)
             et_gt = dh.clifford_mul((-st[:, None], ct[:, None]), grad_t)
@@ -203,8 +227,7 @@ class TestPohozaev:
         rels = []
         for n in (64, 128):
             chart, phi, psi = disk_twistor_pair(n)
-            cb = dh.pohozaev_defect(phi, psi, r)
-            rels.append(max(cb.radial_defect, cb.angular_defect) / cb.scale)
+            rels.append(dh.pohozaev_defect(phi, psi, r))
         assert rels[0] < 1e-2
         assert rels[1] < rels[0] * 0.75
 
@@ -216,24 +239,7 @@ class TestPohozaev:
     def test_rotationally_symmetric_harmonic_map(self):
         chart, phi, _ = disk_twistor_pair(128)
         psi0 = dh.TwistedSpinorField.zero(chart, phi.target)
-        cb = dh.pohozaev_defect(phi, psi0, 0.5)
-        assert cb.radial_defect / cb.scale < 1e-4
-        assert cb.angular_defect / cb.scale < 1e-4
-
-    def test_circle_energy_split(self):
-        # E_r and I_r reproduce the radial/angular split identities.
-        chart, phi, psi = disk_twistor_pair(128)
-        r = 0.5
-        cb = dh.pohozaev_defect(phi, psi, r)
-        theta, px, py = chart.circle_points(r, 4 * chart.n)
-        d = phi.gradient()
-        dx = chart.interp(d[..., 0, :], px, py)
-        dy = chart.interp(d[..., 1, :], px, py)
-        ct, st = np.cos(theta), np.sin(theta)
-        phi_r = ct[:, None] * dx + st[:, None] * dy
-        w = 2 * np.pi / theta.size
-        radial = (phi_r**2).sum() * w
-        assert abs(radial - 0.5 * (cb.E_r + cb.I_r)) < 2e-2 * cb.scale
+        assert dh.pohozaev_defect(phi, psi0, 0.5) < 1e-4
 
     def test_radius_validation(self):
         chart, phi, psi = disk_twistor_pair(64)
@@ -250,8 +256,7 @@ class TestPohozaev:
         phi = dh.MapField(chart, sphere, sphere.project_point(base + dev))
         psi = dh.project_spinor(phi, dh.bandlimited_field(chart, rng, components=(3, 2), kmax=2)
                                 + 1j * dh.bandlimited_field(chart, rng, components=(3, 2), kmax=2))
-        cb = dh.pohozaev_defect(phi, psi, 0.5)
-        assert cb.radial_defect / cb.scale > 1e-2
+        assert dh.pohozaev_defect(phi, psi, 0.5) > 1e-2
 
 
 class TestConformalInvariance:
@@ -326,7 +331,8 @@ class TestDecayDiagnostics:
     def test_gradient_column_is_the_covariant_gradient(self):
         chart, phi, psi = disk_twistor_pair(48)
         prof = dh.decay_profile(phi, psi)
-        gmag = np.sqrt((np.abs(spinor_gradient(phi, psi)) ** 2).sum(axis=(-3, -2, -1)))
+        gmag = np.sqrt(sum((np.abs(covariant_derivative(phi, psi.values, axis)) ** 2)
+                           .sum(axis=(-2, -1)) for axis in ("x", "y")))
         for r, got in zip(prof["r"], prof["grad_psi_weighted"]):
             _, px, py = chart.circle_points(r, 4 * chart.n)
             want = chart.interp(gmag, px, py).max() * r**1.5
@@ -356,7 +362,7 @@ class TestChartFixture:
         gaps = []
         for n in (48, 96):
             chart, phi, psi, (c1, c2), jac, coeff = self._fixture(n)
-            grad_ext = spinor_gradient(phi, psi)
+            grad_ext = [covariant_derivative(phi, psi.values, axis) for axis in ("x", "y")]
 
             # Conformal-factor Christoffels of the stereographic metric.
             denom = 1.0 + c1**2 + c2**2
@@ -378,6 +384,6 @@ class TestChartFixture:
                                 * coeff[..., k, :]
                 intrinsic = dcoeff[..., alpha, :, :] + gamma_term
                 ambient = (jac[..., :, :, None] * intrinsic[..., :, None, :]).sum(axis=-3)
-                gap_n = max(gap_n, np.abs(ambient - grad_ext[..., alpha, :, :]).max())
+                gap_n = max(gap_n, np.abs(ambient - grad_ext[alpha]).max())
             gaps.append(gap_n)
         assert_second_order(*gaps)

@@ -15,7 +15,7 @@ import pytest
 
 import diracharmonic as dh
 import diracharmonic.solver
-from diracharmonic.fields import clifford_frame_contract
+from diracharmonic.fields import clifford_frame_contract, covariant_derivative
 from diracharmonic.spinors import FRAME, clifford_mul
 from diracharmonic.targets import ambient_pairing, normal_part
 from diracharmonic.verify import _cauchy_riemann_dirac
@@ -144,7 +144,7 @@ def test_kernel_outputs_are_plane_ordered(target):
     dphi = phi.gradient()
     outputs = {
         "gradient": dphi,
-        "spinor_gradient": dh.spinor_gradient(phi, psi),
+        "covariant_derivative": covariant_derivative(phi, psi.values, "x"),
         "flat_dirac": dh.flat_dirac(psi.values, chart),
         "flat_dirac_cauchy_riemann": _cauchy_riemann_dirac(psi.values, chart),
         "dirac_along_map": dh.dirac_along_map(phi, psi),

@@ -27,6 +27,9 @@ from diracharmonic.solutions import twistor_pushforward
 from diracharmonic.spinors import FRAME, clifford_mul, flat_dirac
 
 DISK48 = "[chart]\ntopology = disk\nn = 48\n\n[scenario]\nkind = twistor_pushforward\n"
+# The same pair with both spinor halves nonzero: under DISK48's default
+# psi0 = (1, 0) the top half f^i of every psi^i is exactly 0.
+DISK48_PSI1 = DISK48 + "psi1 = 0.2,-0.1j\n"
 PERTURBED = "[chart]\nn = 32\nside = {side}\n\n[scenario]\nkind = perturbed_constant\n"
 
 
@@ -188,10 +191,10 @@ MUTANTS = [
            patch=_scaled(curvature_term, 2.0), survives=_ITEM13),
     Mutant("curvature_term_zeroed", _config(DISK48), ("first_variation",),
            patch=_scaled(curvature_term, 0.0), survives=_ITEM13),
-    # psi0 = (1, 0) leaves every f^i = 0 on this pair, so sigma does not move.
-    Mutant("clifford_frame_contract_bottom_unconjugated", _config(DISK48), ("first_variation",),
-           patch=lambda mp: _everywhere(mp, clifford_frame_contract, _bottom_unconjugated),
-           survives=_ITEM13),
+    # Only where f^i is nonzero does the dropped conjugate move sigma.
+    Mutant("clifford_frame_contract_bottom_unconjugated", _config(DISK48_PSI1),
+           ("curvature_term_annihilation", "map_equation", "normal_splitting"),
+           patch=lambda mp: _everywhere(mp, clifford_frame_contract, _bottom_unconjugated)),
     Mutant("tension_negated", _config(DISK48), ("first_variation",),
            patch=_scaled(tension, -1.0),
            survives="the map residual's size does not see the sign of the tension; the "
@@ -254,6 +257,9 @@ def test_every_record_has_a_kill():
 
 
 def test_the_unmutated_scenarios_pass(tmp_path, capsys):
-    """The disk scenario the src mutants run on passes as it stands, so a
+    """The disk scenarios the src mutants run on pass as they stand, so a
     kill is the mutant's doing."""
-    assert _failed(_config(DISK48)(tmp_path), tmp_path, capsys) == set()
+    for i, text in enumerate((DISK48, DISK48_PSI1)):
+        work = tmp_path / str(i)
+        work.mkdir()
+        assert _failed(_config(text)(work), work, capsys) == set(), text
