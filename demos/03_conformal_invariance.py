@@ -23,14 +23,11 @@ maps = [("disk automorphism a=0.4", dh.MoebiusMap.disk_automorphism(0.4)),
 
 for name, f in maps:
     print(f"== {name}")
+    # One call per grid: (action, energy) per convention.
+    defects = [dh.conformal_invariance_defect(*canonical_compact_pair(n), [f]) for n in (64, 128)]
     for conv, label in (("inverse_fprime", "lambda = 1/|f'|  (psi x |f'|^+1/2)"),
                         ("fprime", "lambda = |f'|    (psi x |f'|^-1/2)")):
-        defects = []
-        for n in (64, 128):
-            phi, psi = canonical_compact_pair(n)
-            defects.append(dh.conformal_invariance_defect(phi, psi, f, convention=conv))
-        a0, a1 = defects[0].action_defect, defects[1].action_defect
-        e0, e1 = defects[0].energy_defect, defects[1].energy_defect
+        (a0, e0), (a1, e1) = defects[0][conv], defects[1][conv]
         print(f"   {label}")
         print(f"     action defect {a0:.2e} -> {a1:.2e}  (ratio {a0 / a1:4.2f})")
         print(f"     energy defect {e0:.2e} -> {e1:.2e}  (ratio {e0 / e1:4.2f})")

@@ -7,10 +7,9 @@ from .charts import DomainChart, MoebiusMap, bandlimited_field
 from .fields import (ELResidual, InadmissiblePair, MapField, TwistedSpinorField, action,
                      check_pair, curvature_term, dirac_along_map, el_residual, energy,
                      field_scale, project_spinor, tangency_defect, tension)
-from .identities import (ConformalCheck, bochner_defect, conformal_checks,
-                         conformal_invariance_defect, decay_profile, em_defects,
-                         energy_momentum, pohozaev_defect, self_adjointness_defect,
-                         weitzenboeck_defect)
+from .identities import (bochner_defect, conformal_invariance_defect, decay_profile,
+                         em_defects, energy_momentum, pohozaev_defect,
+                         self_adjointness_defect, weitzenboeck_defect)
 from .config import ConfigError, RunConfig, build_pair, load_config, parse_config
 from .fieldio import FieldFileError, FieldHeader, read_field, read_header, write_field
 from .solutions import (RationalMap, conformal_map_field, constant_spinor_pair,

@@ -10,6 +10,7 @@ instead of timestamps.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -176,11 +177,7 @@ def cmd_probe(cfg: RunConfig, phi_path, psi_path) -> int:
 
 def cmd_dump(path) -> int:
     hd = read_header(path)
-    print(json.dumps({
-        "version": hd.version, "topology": hd.topology, "kind": hd.kind,
-        "ambient_dim": hd.ambient_dim, "n": hd.n, "side": hd.side,
-        "payload_bytes": hd.payload_bytes, "crc32": hd.crc32,
-    }, sort_keys=True, indent=2))
+    print(json.dumps(dataclasses.asdict(hd), sort_keys=True, indent=2))
     field = read_field(path)
     vals = field.values
     print(f"max |value| = {float(np.abs(vals).max()):.6g}")

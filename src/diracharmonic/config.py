@@ -260,11 +260,14 @@ def build_pair(cfg: RunConfig, n_override: int | None = None
             phi, psi = constant_spinor_pair(chart, target, sc("base_point"),
                                             sc("spinor_direction"), sc("spinor_components"))
         else:
+            base = np.array(sc("base_point"))
+            if base.shape != (3,):
+                raise ValueError(f"base point needs 3 components, got {base.size}")
             rng = np.random.default_rng(cfg.get("output", "seed"))
             sphere = Sphere(2)
             pert = bandlimited_field(chart, rng, components=(3,), kmax=max(sc("modes")),
                                      amplitude=sc("amplitude"), modes=sc("modes"))
-            phi = MapField(chart, sphere, sphere.project_point(np.array(sc("base_point")) + pert))
+            phi = MapField(chart, sphere, sphere.project_point(base + pert))
             psi = TwistedSpinorField.zero(chart, sphere)
         check_pair(phi, psi)
     except ValueError as exc:  # data no single key can judge, e.g. a degenerate map

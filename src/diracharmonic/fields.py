@@ -61,7 +61,10 @@ class MapField:
 
     @classmethod
     def constant(cls, chart, target, point) -> "MapField":
-        p = target.project_point(np.asarray(point, dtype=float))
+        point = np.asarray(point, dtype=float)
+        if point.shape != (target.ambient_dim,):
+            raise ValueError(f"base point needs {target.ambient_dim} components, got {point.size}")
+        p = target.project_point(point)
         vals = empty_planes(chart.shape + (target.ambient_dim,))
         vals[...] = p
         return cls(chart, target, vals)

@@ -18,14 +18,13 @@ D psi, never the normal defect, so they take it from
 ``dirac_along_map``.  Each drops a grid-sized array after its last read
 and takes covariant derivatives one direction at a time, so it holds a
 few spinor grids at once (``tests/test_verify_memory.py``).
-``conformal_checks`` evaluates the conformal invariance check for several
-maps and conventions at once, sharing the pair's own terms and each map's
-pullback; ``conformal_invariance_defect`` is its one-entry case.
+``conformal_invariance_defect`` returns what the conformal record judges:
+per rescaling convention, the worst action and energy changes over
+several maps, sharing the pair's own terms and each map's pullback across
+maps and conventions.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -223,41 +222,32 @@ def _graded_factor(chart: DomainChart, f: MoebiusMap, exponent: float) -> np.nda
 _EXPONENTS = {"inverse_fprime": 0.5, "fprime": -0.5}
 
 
-@dataclass
-class ConformalCheck:
-    convention: str
-    action_defect: float
-    energy_defect: float
+def conformal_invariance_defect(phi: MapField, psi: TwistedSpinorField,
+                                maps) -> dict[str, tuple[float, float]]:
+    """Per convention of ``_EXPONENTS``, (action, energy): the worst
+    relative change of each under (phi, psi) -> (phi o f, lambda^(-1/2)
+    psi o f) over ``maps``, taken in map order.
 
+    The convention fixes what lambda means: "fprime" reads lambda = |f'|,
+    "inverse_fprime" reads lambda = 1/|f'|.  Exactly one of the two leaves
+    the discrete action and energy invariant under refinement.
 
-def conformal_checks(phi: MapField, psi: TwistedSpinorField, maps,
-                     conventions) -> list[list[ConformalCheck]]:
-    """``conformal_invariance_defect`` for every map and convention, as
-    ``checks[i][j]`` for ``maps[i]`` under ``conventions[j]``, with the
-    same bits.
-
-    Work shared across the table is done once: the pair's action and
-    energy, and per map the mapped nodes, the pulled-back map phi o f
-    (interpolated and re-projected onto the target) and the interpolated
-    spinor.
-    Each (map, convention) makes one Dirac evaluation of the transformed
-    pair, for its action.
+    Work shared across maps and conventions is done once: the pair's
+    action and energy, and per map the mapped nodes, the pulled-back map
+    phi o f (interpolated and re-projected onto the target) and the
+    interpolated spinor.  Each (map, convention) makes one Dirac
+    evaluation of the transformed pair, for its action.
     """
-    for convention in conventions:
-        if convention not in _EXPONENTS:
-            raise ValueError(f"unknown lambda convention {convention!r}")
     chart = phi.chart
     L0 = action(phi, psi)
     E0 = energy(phi, psi)
-    checks = []
+    changes = {convention: ([], []) for convention in _EXPONENTS}
     for f in maps:
         wx, wy = _mapped_points(chart, f)
         phi_t = MapField(chart, phi.target,
                          phi.target.project_point(chart.interp(phi.values, wx, wy)))
         pulled = chart.interp(psi.values, wx, wy)
-        row = []
-        for convention in conventions:
-            expo = _EXPONENTS[convention]
+        for convention, expo in _EXPONENTS.items():
             # Interpolation and reprojection leave O(h^2) tangency crumbs;
             # clean them up along the pulled-back map before assembling
             # the action.
@@ -265,29 +255,11 @@ def conformal_checks(phi: MapField, psi: TwistedSpinorField, maps,
             L1 = action(phi_t, psi_t)
             E1 = energy(phi_t, psi_t)
             del psi_t
-            row.append(ConformalCheck(
-                convention=convention,
-                action_defect=abs(L0 - L1) / (1.0 + abs(L0)),
-                energy_defect=abs(E0 - E1) / (1.0 + abs(E0)),
-            ))
+            changes[convention][0].append(abs(L0 - L1) / (1.0 + abs(L0)))
+            changes[convention][1].append(abs(E0 - E1) / (1.0 + abs(E0)))
         del phi_t, pulled
-        checks.append(row)
-    return checks
-
-
-def conformal_invariance_defect(phi: MapField, psi: TwistedSpinorField,
-                                f: MoebiusMap,
-                                convention: str = "inverse_fprime") -> ConformalCheck:
-    """Relative change of action and energy under (phi, psi) -> (phi o f,
-    lambda^(-1/2) psi o f).
-
-    ``convention`` fixes what lambda means: "fprime" reads lambda = |f'|,
-    "inverse_fprime" reads lambda = 1/|f'|.  Exactly one of the two leaves
-    the discrete action and energy invariant under refinement.  One entry
-    of ``conformal_checks``, which shares the work across several maps and
-    conventions.
-    """
-    return conformal_checks(phi, psi, [f], [convention])[0][0]
+    return {convention: (max(actions), max(energies))
+            for convention, (actions, energies) in changes.items()}
 
 
 # -- decay diagnostics -----------------------------------------------------------

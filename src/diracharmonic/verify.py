@@ -21,7 +21,7 @@ from .charts import DomainChart, MoebiusMap, bandlimited_field
 from .config import ConfigError, RunConfig, build_chart, build_pair
 from .fields import (MapField, action, curvature_term, dirichlet_density,
                      el_residual, field_scale, project_spinor, tangency_defect)
-from .identities import (_EXPONENTS, bochner_defect, conformal_checks, em_defects,
+from .identities import (_EXPONENTS, bochner_defect, conformal_invariance_defect, em_defects,
                          pohozaev_defect, self_adjointness_defect, weitzenboeck_defect)
 from .spinors import (clifford_mul, flat_dirac, re_pairing, spinor_norm2, twistor_defect,
                       twistor_field)
@@ -213,14 +213,15 @@ class _Suite:
 
     def conformal(self) -> dict:
         """Per convention, the action and energy defects of the canonical
-        compact pair under two disk automorphisms, as per-grid maxima."""
+        compact pair under two disk automorphisms, each the worse of the
+        two, one per grid."""
         autos = [MoebiusMap.disk_automorphism(a_par, theta=theta)
                  for theta, a_par in ((0.0, 0.4), (0.7, 0.25 + 0.2j))]
-        checks = [conformal_checks(*canonical_compact_pair(m, seed=self.seed), autos,
-                                   tuple(_EXPONENTS)) for m in self.conformal_grids]
-        return {conv: {"action": [max(row[j].action_defect for row in grid) for grid in checks],
-                       "energy": [max(row[j].energy_defect for row in grid) for grid in checks]}
-                for j, conv in enumerate(_EXPONENTS)}
+        worst = [conformal_invariance_defect(*canonical_compact_pair(m, seed=self.seed), autos)
+                 for m in self.conformal_grids]
+        return {conv: {"action": [grid[conv][0] for grid in worst],
+                       "energy": [grid[conv][1] for grid in worst]}
+                for conv in _EXPONENTS}
 
 
 def _el_norms(phi, psi) -> dict:

@@ -253,8 +253,9 @@ def map_pullback(phi, f):
 
 
 def conformal_oracle(phi, psi, f, convention):
-    """Reference for ``identities.conformal_checks``: one unshared evaluation
-    per (map, convention), every D psi taken from ``el_residual``."""
+    """Reference for ``identities.conformal_invariance_defect``: the
+    (action, energy) relative changes of one unshared evaluation per (map,
+    convention), every D psi taken from ``el_residual``."""
     expo = {"inverse_fprime": 0.5, "fprime": -0.5}[convention]
     chart = phi.chart
     phi_t = map_pullback(phi, f)
@@ -267,9 +268,7 @@ def conformal_oracle(phi, psi, f, convention):
 
     L0, L1 = action(phi, psi), action(phi_t, psi_t)
     E0, E1 = dh.energy(phi, psi), dh.energy(phi_t, psi_t)
-    return dh.ConformalCheck(convention=convention,
-                             action_defect=abs(L0 - L1) / (1.0 + abs(L0)),
-                             energy_defect=abs(E0 - E1) / (1.0 + abs(E0)))
+    return abs(L0 - L1) / (1.0 + abs(L0)), abs(E0 - E1) / (1.0 + abs(E0))
 
 
 def inverted_chart(rmap):

@@ -86,17 +86,15 @@ def test_criterion_04_conformal_invariance_unique_convention():
             moebius_similarity(0.8, 0.05),
             moebius_similarity(0.85 * np.exp(0.4j))]
     pairs = {n: canonical_compact_pair(n) for n in (64, 128)}
+    # defects[i][n][conv] = (action, energy) of maps[i] alone on grid n
+    defects = [{n: dh.conformal_invariance_defect(*pairs[n], [f]) for n in pairs}
+               for f in maps]
     winners = []
     for conv in ("inverse_fprime", "fprime"):
         ok = True
-        for f in maps:
-            defects = {}
-            for n in (64, 128):
-                phi, psi = pairs[n]
-                c = dh.conformal_invariance_defect(phi, psi, f, convention=conv)
-                defects[n] = c
-            for field in ("action_defect", "energy_defect"):
-                r = getattr(defects[64], field) / getattr(defects[128], field)
+        for per_grid in defects:
+            for field in (0, 1):
+                r = per_grid[64][conv][field] / per_grid[128][conv][field]
                 if not (RATIO_LO <= r <= RATIO_HI):
                     ok = False
         if ok:

@@ -315,8 +315,9 @@ def test_file_mode_verify_of_too_coarse_disk_field_is_a_config_error(tmp_path):
 
 PERTURBED = "[chart]\nn = 16\n\n[scenario]\nkind = perturbed_constant\n"
 
-# (config text, command and flags, where the error must point); each of
-# these used to end in a traceback or be accepted and silently ignored.
+# (config text, command and flags, where the error must point, then
+# optionally ": " and the message's start); each of these used to end in a
+# traceback, a numpy message, or be accepted and silently ignored.
 BAD_INPUTS = [
     pytest.param("[chart]\nwindow = 2\n", ["exact"], "line 2", id="window_2"),
     pytest.param("[chart]\nside = -1\n", ["exact"], "line 2", id="side_negative"),
@@ -342,6 +343,15 @@ BAD_INPUTS = [
                  id="disk_interior_empty"),
     pytest.param("[chart]\nn = 9\nwindow = 0.001\n", ["flow"], "line 2",
                  id="window_interior_empty"),
+    pytest.param(PERTURBED + "base_point = 0,1\n", ["exact"], "line 5: scenario "
+                 "perturbed_constant: base point needs 3 components, got 2\n",
+                 id="base_point_2_on_perturbed"),
+    pytest.param(PERTURBED + "base_point = 0,0,0,1\n", ["flow"], "line 5: scenario "
+                 "perturbed_constant: base point needs 3 components, got 4\n",
+                 id="base_point_4_on_perturbed_flow"),
+    pytest.param("[target]\ndim = 1\n\n[scenario]\nkind = constant_spinor\n", ["exact"],
+                 "line 5: scenario constant_spinor: base point needs 2 components, got 3\n",
+                 id="base_point_3_on_circle"),
 ]
 
 
@@ -351,7 +361,8 @@ def test_bad_config_exits_1_naming_the_line(tmp_path, text, command, where):
     path.write_text(text)
     r = run_cli(command[0], "--config", str(path), "--out", str(tmp_path / "out"), *command[1:])
     assert r.returncode == 1, r.stdout + r.stderr
-    assert r.stderr.startswith(f"config error: {where}: "), r.stderr
+    line, _, message = where.partition(": ")
+    assert r.stderr.startswith(f"config error: {line}: {message}"), r.stderr
     assert "Traceback" not in r.stderr
 
 

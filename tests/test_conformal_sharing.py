@@ -22,8 +22,8 @@ def _verify_maps():
             moebius_similarity(0.8, 0.05)]
 
 
-def _bits(check):
-    return check.convention, check.action_defect.hex(), check.energy_defect.hex()
+def _bits(defects):
+    return tuple(d.hex() for d in defects)
 
 
 def _random_pair(target, n=24, seed=5):
@@ -46,27 +46,19 @@ def compact_pair():
     return canonical_compact_pair(64)
 
 
-def test_shared_table_has_the_bits_of_unshared_checks(compact_pair):
+def test_shared_evaluation_has_the_bits_of_unshared_checks(compact_pair):
     phi, psi = compact_pair
     maps = _verify_maps()
-    table = dh.conformal_checks(phi, psi, maps, CONVENTIONS)
-    assert len(table) == len(maps)
-    for f, row in zip(maps, table):
-        assert [c.convention for c in row] == list(CONVENTIONS)
-        for conv, check in zip(CONVENTIONS, row):
-            assert _bits(check) == _bits(dh.conformal_invariance_defect(phi, psi, f, conv))
-            assert _bits(check) == _bits(conformal_oracle(phi, psi, f, conv))
-
-
-def test_shared_table_rejects_unknown_convention_before_any_work(compact_pair, monkeypatch):
-    phi, psi = compact_pair
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("Dirac evaluated before the conventions were checked")
-
-    monkeypatch.setattr(diracharmonic.fields, "flat_dirac", forbidden)
-    with pytest.raises(ValueError, match="unknown lambda convention"):
-        dh.conformal_checks(phi, psi, _verify_maps(), ("fprime", "sqrt"))
+    oracle = {conv: [conformal_oracle(phi, psi, f, conv) for f in maps] for conv in CONVENTIONS}
+    for i, f in enumerate(maps):
+        alone = dh.conformal_invariance_defect(phi, psi, [f])
+        assert list(alone) == list(CONVENTIONS)
+        for conv in CONVENTIONS:
+            assert _bits(alone[conv]) == _bits(oracle[conv][i])
+    worst = dh.conformal_invariance_defect(phi, psi, maps)
+    for conv in CONVENTIONS:
+        expected = (max(a for a, _ in oracle[conv]), max(e for _, e in oracle[conv]))
+        assert _bits(worst[conv]) == _bits(expected)
 
 
 @pytest.mark.parametrize("target", [dh.Sphere(2), dh.Sphere(3), dh.Flat(3)],
@@ -109,12 +101,12 @@ def counted_dirac(monkeypatch):
 
 def test_two_maps_two_conventions_make_five_dirac_evaluations(compact_pair, counted_dirac):
     phi, psi = compact_pair
-    dh.conformal_checks(phi, psi, _verify_maps()[:2], CONVENTIONS)
+    dh.conformal_invariance_defect(phi, psi, _verify_maps()[:2])
     # One for the pair itself, one per (map, convention) transformed pair.
     assert len(counted_dirac) == 5
     counted_dirac.clear()
-    dh.conformal_invariance_defect(phi, psi, _verify_maps()[0])
-    assert len(counted_dirac) == 2
+    dh.conformal_invariance_defect(phi, psi, _verify_maps()[:1])
+    assert len(counted_dirac) == 3
 
 
 def test_callers_that_discard_the_normal_defect_never_build_it(counted_dirac):
@@ -140,7 +132,7 @@ def test_two_maps_two_conventions_interpolate_once_per_field_and_map(compact_pai
         return real(self, f, px, py)
 
     monkeypatch.setattr(dh.DomainChart, "interp", counting)
-    dh.conformal_checks(phi, psi, _verify_maps()[:2], CONVENTIONS)
+    dh.conformal_invariance_defect(phi, psi, _verify_maps()[:2])
     # Per map: the map values and the spinor values, shared by both conventions.
     K = phi.target.ambient_dim
     assert calls == [(K,), (K, 2)] * 2

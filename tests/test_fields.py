@@ -16,6 +16,14 @@ class TestFieldTypes:
         with pytest.raises(ValueError):
             dh.TwistedSpinorField(chart, dh.Sphere(2), np.zeros((16, 16, 3)))
 
+    @pytest.mark.parametrize("target,point,message", [
+        (dh.Sphere(2), (0.0, 1.0), "base point needs 3 components, got 2"),
+        (dh.Flat(4), (0.0, 0.0, 1.0), "base point needs 4 components, got 3"),
+    ])
+    def test_constant_names_a_wrong_length_base_point(self, target, point, message):
+        with pytest.raises(ValueError, match=message):
+            dh.MapField.constant(dh.DomainChart.torus(16), target, point)
+
     def test_project_spinor_enforces_tangency(self, rng):
         _, phi, _ = random_sphere_pair(24)
         raw = rng.normal(size=phi.chart.shape + (3, 2)) + 0j

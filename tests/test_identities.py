@@ -262,9 +262,10 @@ class TestPohozaev:
 class TestConformalInvariance:
     def test_identity_map_is_exact(self):
         phi, psi = canonical_compact_pair(64)
-        c = dh.conformal_invariance_defect(phi, psi, moebius_identity())
-        assert c.action_defect < 1e-14
-        assert c.energy_defect < 1e-14
+        for action_defect, energy_defect in dh.conformal_invariance_defect(
+                phi, psi, [moebius_identity()]).values():
+            assert action_defect < 1e-14
+            assert energy_defect < 1e-14
 
     def test_exactly_one_convention_is_second_order(self):
         maps = [dh.MoebiusMap.disk_automorphism(0.4),
@@ -272,26 +273,16 @@ class TestConformalInvariance:
                 moebius_similarity(0.8, 0.05),
                 moebius_similarity(2.0)]
         for f in maps:
-            checks = {}
-            for conv in ("inverse_fprime", "fprime"):
-                pair = []
-                for n in (64, 128):
-                    phi, psi = canonical_compact_pair(n)
-                    pair.append(dh.conformal_invariance_defect(phi, psi, f, convention=conv))
-                checks[conv] = pair
-            win = checks["inverse_fprime"]
-            assert_second_order(win[0].action_defect, win[1].action_defect)
-            assert_second_order(win[0].energy_defect, win[1].energy_defect)
-            lose = checks["fprime"]
-            ratio = lose[0].action_defect / lose[1].action_defect
+            # Per grid 64, 128: (action, energy) per convention.
+            checks = [dh.conformal_invariance_defect(*canonical_compact_pair(n), [f])
+                      for n in (64, 128)]
+            win = [grid["inverse_fprime"] for grid in checks]
+            assert_second_order(win[0][0], win[1][0])
+            assert_second_order(win[0][1], win[1][1])
+            lose = [grid["fprime"] for grid in checks]
+            ratio = lose[0][0] / lose[1][0]
             assert ratio < 2.5
-            assert lose[1].action_defect > 3 * win[1].action_defect
-
-    def test_unknown_convention_rejected(self):
-        phi, psi = canonical_compact_pair(64)
-        with pytest.raises(ValueError):
-            dh.conformal_invariance_defect(phi, psi, moebius_identity(),
-                                           convention="sqrt")
+            assert lose[1][0] > 3 * win[1][0]
 
 
 class TestDecayDiagnostics:
