@@ -113,6 +113,9 @@ class DomainChart:
             else:
                 half = 0.5 * window * side
                 self.interior_mask = (np.abs(self.x) <= half) & (np.abs(self.y) <= half)
+        if not self.interior_mask.any():  # every sup and integral runs over it
+            raise ValueError("leaves no node in the chart's interior (|z| <= 1 - 4h on a disk, "
+                             "the window on a torus)")
 
     # -- constructors ------------------------------------------------------
 

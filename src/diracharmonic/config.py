@@ -222,11 +222,10 @@ def build_chart(cfg: RunConfig, n_override: int | None = None) -> DomainChart:
     n = n_override if n_override is not None else cfg.get("chart", "n")
     topology = cfg.get("chart", "topology")
     window = cfg.get("chart", "window") if topology == "torus" else None
-    chart = DomainChart(n, cfg.get("chart", "side"), topology, window)
-    if not chart.interior_mask.any():  # every sup and integral runs over it
-        raise ConfigError(f"{cfg.where('chart', 'n')}chart.n = {n} leaves no node in the chart's "
-                          "interior (|z| <= 1 - 4h on a disk, the window on a torus)")
-    return chart
+    try:
+        return DomainChart(n, cfg.get("chart", "side"), topology, window)
+    except ValueError as exc:  # the rows' ranges hold, so the interior is empty
+        raise ConfigError(f"{cfg.where('chart', 'n')}chart.n = {n} {exc}") from None
 
 
 def build_solver_config(cfg: RunConfig) -> SolverConfig:

@@ -18,6 +18,9 @@ class TestGridValidation:
         pytest.param(16, 1.0, "torus", 0.0, "window must lie in", id="zero_window"),
         pytest.param(16, 1.0, "torus", 1.5, "window must lie in", id="wide_window"),
         pytest.param(32, 2.0, "disk", None, "side > 2", id="narrow_disk"),
+        # Every sup and integral runs over the interior, so it must hold a node.
+        pytest.param(8, 2.2, "disk", None, "leaves no node", id="disk_without_interior"),
+        pytest.param(17, 1.0, "torus", 1e-3, "leaves no node", id="window_without_node"),
     ])
     def test_bad_chart_rejected(self, n, side, topology, window, match):
         with pytest.raises(ValueError, match=match):

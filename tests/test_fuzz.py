@@ -22,6 +22,7 @@ import subprocess
 import sys
 import traceback
 import zlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -139,16 +140,19 @@ SOURCES = (
     "[chart]\nn = 12\n\n[target]\ndim = 3\n\n[scenario]\nkind = constant_spinor\n"
     "base_point = 0,0,0,1\nspinor_direction = 1,0,0,0\n",
 )
-# Header slots: magic, version, topology, kind, K, n, side, layout, payload bytes, CRC.
+# Header slots: magic, version, topology, kind, K, n, side, window, target, layout,
+# payload bytes, CRC.
 HEADER_EDGES = {
-    1: (0, 2, 2**32 - 1),
+    1: (0, 1, 3, 2**32 - 1),
     2: (0, 1, 2, 255),
     3: (0, 1, 2, 255),
     4: (0, 1, 2, 3, 4, 6, 65535),
     5: (0, 7, 8, 9, 12, 16, 2**32 - 1),
     6: (float("nan"), float("inf"), -1.0, 0.0, 1e300, 1e-300, 1e-30, 1e30, 2.0, 2.2, 1.0),
-    7: (b"map:f64le", b"spin:f64le:rifg", b"", b"\xff" * 16),
-    8: (0, 8, 2**64 - 1),
+    7: (float("nan"), float("inf"), -1.0, 0.0, 1e-300, 1e-3, 0.5, 1.0, 1.5),
+    8: (0, 1, 2, 255),
+    9: (b"map:f64le", b"spin:f64le:rifg", b"", b"\xff" * 16),
+    10: (0, 8, 2**64 - 1),
 }
 PAYLOAD_EDGES = (float("nan"), float("inf"), -float("inf"), 1e300, -0.0, 0.0, 2.0, 1e-300)
 
@@ -174,7 +178,7 @@ def _mutate(rng, blob):
     else:
         slot = rng.choice((4, 5, 3) if what == "consistent" else tuple(HEADER_EDGES))
         head[slot] = rng.choice(HEADER_EDGES[slot])
-        if slot == 7:
+        if slot == 9:
             head[slot] = head[slot].ljust(16, b"\0")
         if what == "consistent":
             # Match the payload length to the header, as far as that stays small.
@@ -182,7 +186,7 @@ def _mutate(rng, blob):
             size = head[4] * head[5] ** 2 * width
             if size <= 1 << 22:
                 raw = (raw * (size // max(len(raw), 1) + 1))[:size]
-                head[8] = size
+                head[10] = size
     return _pack(head, raw)
 
 
@@ -247,10 +251,10 @@ def _nan_value(raw):
     struct.pack_into("<d", raw, 8 * 100, float("nan"))
 
 
-def _scaled_off_the_sphere(raw):
-    """Every value times 1 + 2e-9: |phi|^2 - 1 = 4e-9, inside the reader's
-    1e-8 sphere guess but 40 times ON_MANIFOLD_TOL."""
-    vals = np.frombuffer(raw, dtype="<f8") * (1.0 + 2e-9)
+def _scaled_off_the_sphere(raw, factor=1.0 + 2e-9):
+    """Every value times ``factor``: at 1 + 2e-9, |phi|^2 - 1 = 4e-9, 40
+    times ON_MANIFOLD_TOL."""
+    vals = np.frombuffer(raw, dtype="<f8") * factor
     raw[:] = vals.astype("<f8").tobytes()
 
 
@@ -273,6 +277,10 @@ REGRESSIONS = [
     pytest.param(_nan_value, "verify", "bad_values", id="nan_payload_map"),
     # Exited 0: read_field built the map with its on-target check off.
     pytest.param(_scaled_off_the_sphere, "verify", "[off_target]", id="off_target_map"),
+    # Exited 2: a map 2e-6 off S^2 was read as a flat R^3 map, which has no
+    # target to be off, and failed the equations instead.
+    pytest.param(partial(_scaled_off_the_sphere, factor=1.0 + 1e-6), "verify", "[off_target]",
+                 id="off_target_map_1e-6"),
 ]
 
 

@@ -127,8 +127,8 @@ def _config(text):
 
 def _disk48_map_scaled_off_the_sphere(tmp_path):
     """The exact disk pair at n = 48 with every map value times 1 + 2e-9
-    under a recomputed CRC: 4e-9 off S^2, inside the reader's 1e-8 sphere
-    guess and 40 times ON_MANIFOLD_TOL."""
+    under a recomputed CRC: 4e-9 off S^2, the target its header stores,
+    and 40 times ON_MANIFOLD_TOL."""
     (tmp_path / "disk.cfg").write_text(DISK48)
     assert cli.main(["exact", "--config", str(tmp_path / "disk.cfg"),
                      "--out", str(tmp_path / "exact")]) == 0
