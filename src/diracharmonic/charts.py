@@ -75,7 +75,7 @@ class DomainChart:
     the square; wrap values outside the disk are never trusted).  ``window``
     optionally restricts the evaluation region of a torus chart to the
     central square of that side fraction, used when sampling non-periodic
-    fields whose seam must stay out of every norm.
+    fields whose seam must stay out of every norm; a disk chart takes none.
 
     The chart is immutable after construction; all methods are pure.
     """
@@ -87,8 +87,8 @@ class DomainChart:
             raise ValueError(f"side must be positive and lie in [{MIN_SIDE:g}, {MAX_SIDE:g}]")
         if topology not in ("torus", "disk"):
             raise ValueError(f"unknown topology {topology!r}")
-        if window is not None and not (0.0 < window <= 1.0):
-            raise ValueError("window must lie in (0, 1]")
+        if window is not None and not (topology == "torus" and 0.0 < window <= 1.0):
+            raise ValueError("a torus window must lie in (0, 1]; a disk chart takes none")
         if topology == "disk" and side <= MIN_DISK_SIDE:
             raise ValueError(f"disk chart needs side > {MIN_DISK_SIDE:g} to contain the unit disk")
         self.n, self.side, self.topology, self.window = n, side, topology, window

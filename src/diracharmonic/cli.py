@@ -176,10 +176,9 @@ def cmd_probe(cfg: RunConfig, phi_path, psi_path) -> int:
 
 
 def cmd_dump(path) -> int:
-    hd = read_header(path)
-    print(json.dumps(dataclasses.asdict(hd), sort_keys=True, indent=2))
-    field = read_field(path)
-    vals = field.values
+    # Judge the whole file first: a rejected file prints nothing.
+    vals = read_field(path).values
+    print(json.dumps(dataclasses.asdict(read_header(path)), sort_keys=True, indent=2))
     print(f"max |value| = {float(np.abs(vals).max()):.6g}")
     return _EXIT_OK
 

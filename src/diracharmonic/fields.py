@@ -172,11 +172,10 @@ def _tangent_project_spinor(phi: MapField, arr, out=None) -> np.ndarray:
 
 # -- first-order operators ----------------------------------------------------
 
-def covariant_derivative(phi: MapField, values, axis: str, out=None) -> np.ndarray:
+def covariant_derivative(phi: MapField, values, axis: str) -> np.ndarray:
     """P d_axis of a K-spinor grid along "x" or "y": the tangential part
-    of the flat derivative, written into ``out`` (component-major, not
-    overlapping ``values``) when given."""
-    d = phi.chart.derivative(values, axis, out=out)
+    of the flat derivative."""
+    d = phi.chart.derivative(values, axis)
     d -= normal_part(phi.target.normal(phi.values), d)
     return d
 

@@ -11,9 +11,10 @@ on generic fields the conditional ones stay bounded away from zero.  The
 quadratic differential's coefficient is the (2,0) part T_11 - i T_12 of
 the one energy-momentum tensor T.
 
-Each defect function returns the number its verify record judges, and
-``em_defects`` the three that T's conservation laws give: its symmetry,
-its divergence and the dbar of T_11 - i T_12.  The identities read only
+Each defect function returns the number its verify record judges,
+``em_defects`` the three that T's conservation laws give (its symmetry,
+its divergence and the dbar of T_11 - i T_12) and ``pohozaev_defect`` one
+per circle radius, from one evaluation per pair.  The identities read only
 D psi, never the normal defect, so they take it from
 ``dirac_along_map``.  Each drops a grid-sized array after its last read
 and takes covariant derivatives one direction at a time, so it holds a
@@ -153,46 +154,51 @@ def bochner_defect(phi: MapField, psi: TwistedSpinorField, scale: float) -> floa
 
 # -- Pohozaev circle identities ----------------------------------------------------
 
-def pohozaev_defect(phi: MapField, psi: TwistedSpinorField, r: float) -> float:
-    """Circle identity at radius r on a disk chart:
+def pohozaev_defect(phi: MapField, psi: TwistedSpinorField, radii) -> list[float]:
+    """Circle identity at each radius r of ``radii`` on a disk chart:
 
         int |phi_theta|^2 / r^2 dtheta = int |phi_r|^2 dtheta
                                          + int (psi, e_r . grad_r psi) dtheta
     and the same with the angular spinor term; both sides via bilinear
-    interpolation and trapezoidal angle quadrature.  Returns the larger of
-    the radial and angular defects over the sum of the terms' sizes.
+    interpolation and trapezoidal angle quadrature.  Returns, per radius,
+    the larger of the radial and angular defects over the sum of the
+    terms' sizes.  Every radius is checked before any field is formed; the
+    fields are sampled on all circles at once, and each circle's arithmetic
+    runs on its own slice, so it has the bits of a one-radius call.
     """
     chart = phi.chart
-    chart._check_radius(r)
+    for r in radii:
+        chart._check_radius(r)
     n_theta = 4 * chart.n
-    theta, px, py = chart.circle_points(r, n_theta)
+    theta, px, py = chart.circle_points(np.asarray(radii)[:, None], n_theta)
     ct, st = np.cos(theta), np.sin(theta)
 
     d = phi.gradient()
-    dx = chart.interp(d[..., 0, :], px, py)
-    dy = chart.interp(d[..., 1, :], px, py)
-    phi_r = ct[:, None] * dx + st[:, None] * dy
-    phi_t = -st[:, None] * dx + ct[:, None] * dy  # |phi_theta| / r
-
-    gx = chart.interp(covariant_derivative(phi, psi.values, "x"), px, py)
-    gy = chart.interp(covariant_derivative(phi, psi.values, "y"), px, py)
-    psi_vals = chart.interp(psi.values, px, py)
-    grad_r = ct[:, None, None] * gx + st[:, None, None] * gy
-    grad_t = -st[:, None, None] * gx + ct[:, None, None] * gy
-
-    er_grad_r = clifford_mul((ct[:, None], st[:, None]), grad_r)
-    et_grad_t = clifford_mul((-st[:, None], ct[:, None]), grad_t)
-    spin_radial = re_pairing(psi_vals, er_grad_r, axis=(-2, -1))
-    spin_angular = re_pairing(psi_vals, et_grad_t, axis=(-2, -1))
+    dxs = chart.interp(d[..., 0, :], px, py)
+    dys = chart.interp(d[..., 1, :], px, py)
+    del d
+    gxs = chart.interp(covariant_derivative(phi, psi.values, "x"), px, py)
+    gys = chart.interp(covariant_derivative(phi, psi.values, "y"), px, py)
+    psis = chart.interp(psi.values, px, py)
 
     w = 2.0 * np.pi / n_theta
-    lhs = float((phi_t**2).sum() * w)
-    rad = float((phi_r**2).sum() * w)
-    s_rad = float(spin_radial.sum() * w)
-    s_ang = float(spin_angular.sum() * w)
-
-    scale = lhs + rad + abs(s_rad) + abs(s_ang) + 1e-300
-    return max(abs(lhs - rad - s_rad), abs(lhs - rad + s_ang)) / scale
+    defects = []
+    for dx, dy, gx, gy, psi_vals in zip(dxs, dys, gxs, gys, psis):
+        phi_r = ct[:, None] * dx + st[:, None] * dy
+        phi_t = -st[:, None] * dx + ct[:, None] * dy  # |phi_theta| / r
+        grad_r = ct[:, None, None] * gx + st[:, None, None] * gy
+        grad_t = -st[:, None, None] * gx + ct[:, None, None] * gy
+        er_grad_r = clifford_mul((ct[:, None], st[:, None]), grad_r)
+        et_grad_t = clifford_mul((-st[:, None], ct[:, None]), grad_t)
+        spin_radial = re_pairing(psi_vals, er_grad_r, axis=(-2, -1))
+        spin_angular = re_pairing(psi_vals, et_grad_t, axis=(-2, -1))
+        lhs = float((phi_t**2).sum() * w)
+        rad = float((phi_r**2).sum() * w)
+        s_rad = float(spin_radial.sum() * w)
+        s_ang = float(spin_angular.sum() * w)
+        scale = lhs + rad + abs(s_rad) + abs(s_ang) + 1e-300
+        defects.append(max(abs(lhs - rad - s_rad), abs(lhs - rad + s_ang)) / scale)
+    return defects
 
 
 # -- conformal invariance -----------------------------------------------------------

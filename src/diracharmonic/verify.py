@@ -79,8 +79,9 @@ def _algebra_checks(seed: int):
 
 
 def _require_circles_fit(chart: DomainChart, where: str) -> None:
-    """Raise ConfigError unless ``pohozaev_defect`` accepts every Pohozaev
-    radius on a disk chart.  ``where`` names the input that set n."""
+    """Raise ConfigError, before any pair is built, unless ``pohozaev_defect``
+    accepts POHOZAEV_RADII on a disk chart.  ``where`` names the input that
+    set n."""
     for r in POHOZAEV_RADII if chart.topology == "disk" else ():
         try:
             chart._check_radius(r)
@@ -235,6 +236,10 @@ def _action_reduction(phi, psi) -> float:
     return abs(a - d) / (1.0 + abs(a))
 
 
+def _pohozaev_defects(phi, psi) -> list[float]:
+    return pohozaev_defect(phi, psi, POHOZAEV_RADII)
+
+
 class _Row(NamedTuple):
     id: str
     statement: str
@@ -293,9 +298,9 @@ _ROWS = (
          scope=_PUSHFORWARD_SCENARIOS),
     *(_Row(f"pohozaev_r{r}", f"circle balance of radial and angular energies at r = {r}",
            _COND, {"abs": 1e-2, "improving": True},
-           lambda s, r=r: [pohozaev_defect(*p, r) for p in s.pairs],
+           lambda s, i=i: [circles[i] for circles in s.each(_pohozaev_defects)],
            scope=("disk",))
-      for r in POHOZAEV_RADII),
+      for i, r in enumerate(POHOZAEV_RADII)),
     _Row("conformal_invariance",
          "action and energy are invariant under disk automorphisms for exactly "
          "one rescaling convention", _UNCOND,

@@ -175,10 +175,10 @@ def test_criterion_08_pohozaev_circle_identities():
         phi = dh.conformal_map_field(dh.RationalMap([0, 1]), chart)
         psi = dh.twistor_pushforward(phi, dh.spinor(1, 0), dh.spinor(0.2, -0.1j))
         pairs[n] = (phi, psi)
-    for r in (0.25, 0.5, 0.75):
-        rels = []
-        for n in (64, 128):
-            rels.append(dh.pohozaev_defect(*pairs[n], r))
+    radii = (0.25, 0.5, 0.75)
+    defects = {n: dh.pohozaev_defect(*pairs[n], radii) for n in (64, 128)}
+    for i, r in enumerate(radii):
+        rels = [defects[n][i] for n in (64, 128)]
         assert rels[1] <= 1e-2, f"r={r}: {rels[1]:.3e}"
         assert rels[1] < rels[0], f"r={r} not improving"
         rows.append((r, rels[1]))

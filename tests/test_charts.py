@@ -18,6 +18,8 @@ class TestGridValidation:
         pytest.param(16, 1.0, "torus", 0.0, "window must lie in", id="zero_window"),
         pytest.param(16, 1.0, "torus", 1.5, "window must lie in", id="wide_window"),
         pytest.param(32, 2.0, "disk", None, "side > 2", id="narrow_disk"),
+        # A disk's interior is fixed by |z| <= 1 - 4h; a stored window would be ignored.
+        pytest.param(32, 2.2, "disk", 0.5, "a disk chart takes none", id="disk_with_window"),
         # Every sup and integral runs over the interior, so it must hold a node.
         pytest.param(8, 2.2, "disk", None, "leaves no node", id="disk_without_interior"),
         pytest.param(17, 1.0, "torus", 1e-3, "leaves no node", id="window_without_node"),

@@ -228,6 +228,20 @@ def test_dump_rejects_garbage(tmp_path):
     assert "bad_magic" in r.stderr
 
 
+def test_dump_of_a_corrupt_payload_prints_nothing(bad_field_files, tmp_path):
+    # The header is valid; only the checksum over the payload catches the
+    # flipped byte, so dump must judge the whole file before printing.
+    blob = bytearray((bad_field_files / "phi.dhm").read_bytes())
+    blob[-1] ^= 0xFF
+    bad = tmp_path / "flipped.dhm"
+    bad.write_bytes(bytes(blob))
+    r = run_cli("dump", str(bad))
+    assert r.returncode == 1
+    assert r.stderr.startswith("field file error [bad_checksum]: "), r.stderr
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("command", ["exact", "verify", "flow"])
 @pytest.mark.parametrize("flag", ["--grid", "--seed"])
 def test_retired_override_flags_exit_1_naming_themselves(tmp_path, command, flag):

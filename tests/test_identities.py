@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import diracharmonic as dh
+from diracharmonic import identities
 from diracharmonic.fields import covariant_derivative
-from diracharmonic.verify import canonical_compact_pair
+from diracharmonic.verify import POHOZAEV_RADII, canonical_compact_pair
 
 from conftest import (_stereo_tangent, assert_second_order, conformality_defect,
                       disk_twistor_pair, elliptic_pair, hopf_oracle, moebius_identity,
@@ -221,42 +222,98 @@ class TestBochner:
             dh.bochner_defect(phi, psi, 1e-4 * dh.field_scale(phi, psi))
 
 
+def _pohozaev_negative_control():
+    """A generic sphere map and tangent spinor on a disk at n = 96: no
+    critical pair, so the circle balance fails at order one."""
+    chart = dh.DomainChart.disk(96)
+    rng = np.random.default_rng(3)
+    sphere = dh.Sphere(2)
+    base = np.zeros(chart.shape + (3,))
+    base[..., 2] = 1.0
+    dev = dh.bandlimited_field(chart, rng, components=(3,), kmax=2, amplitude=0.8)
+    phi = dh.MapField(chart, sphere, sphere.project_point(base + dev))
+    psi = dh.project_spinor(phi, dh.bandlimited_field(chart, rng, components=(3, 2), kmax=2)
+                            + 1j * dh.bandlimited_field(chart, rng, components=(3, 2), kmax=2))
+    return phi, psi
+
+
+def _count_pohozaev_work(monkeypatch):
+    """Count the whole-grid work of ``pohozaev_defect``: the map gradient,
+    the covariant spinor derivatives and the circle interpolations."""
+    calls = {"gradient": 0, "covariant_derivative": 0, "interp": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(dh.MapField, "gradient", counting("gradient", dh.MapField.gradient))
+    monkeypatch.setattr(dh.DomainChart, "interp", counting("interp", dh.DomainChart.interp))
+    monkeypatch.setattr(identities, "covariant_derivative",
+                        counting("covariant_derivative", identities.covariant_derivative))
+    return calls
+
+
 class TestPohozaev:
-    @pytest.mark.parametrize("r", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("r", POHOZAEV_RADII)
     def test_second_order_on_exact_solutions(self, r):
         rels = []
         for n in (64, 128):
             chart, phi, psi = disk_twistor_pair(n)
-            rels.append(dh.pohozaev_defect(phi, psi, r))
+            rels.extend(dh.pohozaev_defect(phi, psi, (r,)))
         assert rels[0] < 1e-2
         assert rels[1] < rels[0] * 0.75
 
-    def test_torus_chart_rejected(self):
+    def test_torus_chart_rejected(self, monkeypatch):
         _, phi, psi = torus_deg1_pair(32)
+        calls = _count_pohozaev_work(monkeypatch)
         with pytest.raises(ValueError, match="disk chart"):
-            dh.pohozaev_defect(phi, psi, 0.25)
+            dh.pohozaev_defect(phi, psi, POHOZAEV_RADII)
+        assert calls == {"gradient": 0, "covariant_derivative": 0, "interp": 0}
 
     def test_rotationally_symmetric_harmonic_map(self):
         chart, phi, _ = disk_twistor_pair(128)
         psi0 = dh.TwistedSpinorField.zero(chart, phi.target)
-        assert dh.pohozaev_defect(phi, psi0, 0.5) < 1e-4
+        assert dh.pohozaev_defect(phi, psi0, (0.5,))[0] < 1e-4
 
     def test_radius_validation(self):
         chart, phi, psi = disk_twistor_pair(64)
         with pytest.raises(ValueError):
-            dh.pohozaev_defect(phi, psi, 0.999)
+            dh.pohozaev_defect(phi, psi, (0.999,))
 
     def test_negative_control(self):
-        chart = dh.DomainChart.disk(96)
-        rng = np.random.default_rng(3)
-        sphere = dh.Sphere(2)
-        base = np.zeros(chart.shape + (3,))
-        base[..., 2] = 1.0
-        dev = dh.bandlimited_field(chart, rng, components=(3,), kmax=2, amplitude=0.8)
-        phi = dh.MapField(chart, sphere, sphere.project_point(base + dev))
-        psi = dh.project_spinor(phi, dh.bandlimited_field(chart, rng, components=(3, 2), kmax=2)
-                                + 1j * dh.bandlimited_field(chart, rng, components=(3, 2), kmax=2))
-        assert dh.pohozaev_defect(phi, psi, 0.5) > 1e-2
+        phi, psi = _pohozaev_negative_control()
+        assert dh.pohozaev_defect(phi, psi, (0.5,))[0] > 1e-2
+
+    @pytest.mark.parametrize("pair", [
+        pytest.param(lambda: disk_twistor_pair(64)[1:], id="disk_twistor_64"),
+        pytest.param(_pohozaev_negative_control, id="negative_control"),
+    ])
+    def test_each_radius_equals_a_one_radius_call(self, pair):
+        phi, psi = pair()
+        together = dh.pohozaev_defect(phi, psi, POHOZAEV_RADII)
+        alone = [dh.pohozaev_defect(phi, psi, (r,))[0] for r in POHOZAEV_RADII]
+        assert len(together) == len(POHOZAEV_RADII)
+        assert together == alone  # bit for bit
+
+    @pytest.mark.parametrize("radii", [(0.5,), POHOZAEV_RADII, (0.2, 0.3, 0.4, 0.6, 0.8)])
+    def test_one_evaluation_whatever_the_number_of_radii(self, monkeypatch, radii):
+        _, phi, psi = disk_twistor_pair(64)
+        calls = _count_pohozaev_work(monkeypatch)
+        assert len(dh.pohozaev_defect(phi, psi, radii)) == len(radii)
+        # One interpolation per field: two map gradients, two spinor
+        # derivatives and the spinor itself.
+        assert calls == {"gradient": 1, "covariant_derivative": 2, "interp": 5}
+
+    @pytest.mark.parametrize("radii", [(0.999, 0.5, 0.75), (0.25, 0.999, 0.75),
+                                       (0.25, 0.5, 0.01)])
+    def test_bad_radius_anywhere_raises_before_any_field_is_formed(self, monkeypatch, radii):
+        _, phi, psi = disk_twistor_pair(64)
+        calls = _count_pohozaev_work(monkeypatch)
+        with pytest.raises(ValueError, match="outside \\[4h, 1 - 4h\\]"):
+            dh.pohozaev_defect(phi, psi, radii)
+        assert calls == {"gradient": 0, "covariant_derivative": 0, "interp": 0}
 
 
 class TestConformalInvariance:

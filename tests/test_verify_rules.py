@@ -111,11 +111,12 @@ def test_conformal_needs_exactly_one_second_order_convention(inverse_fprime, fpr
 
 
 # The identity calls of one run_verification on the n = 48 disk twistor
-# config: el_residual and em_defects serve several rows, once per pair;
-# flat_dirac runs once per grid, against the Cauchy-Riemann reference.
+# config: el_residual, em_defects and pohozaev_defect serve several rows,
+# once per pair; flat_dirac runs once per grid, against the Cauchy-Riemann
+# reference.
 EXPECTED_CALLS = {
     "el_residual": 2, "em_defects": 2, "weitzenboeck_defect": 2, "bochner_defect": 2,
-    "pohozaev_defect": 6, "conformal_invariance_defect": 2, "self_adjointness_defect": 20,
+    "pohozaev_defect": 2, "conformal_invariance_defect": 2, "self_adjointness_defect": 20,
     "bandlimited_field": 110, "flat_dirac": 2, "field_scale": 2,
 }
 DISK_48 = ("[chart]\ntopology = disk\nn = 48\n\n[scenario]\nkind = twistor_pushforward\n"
