@@ -5,7 +5,10 @@ Grids are uniform with n nodes per side.  Arrays are indexed [iy, ix]
 All derivative stencils are second-order centered differences; there are
 no one-sided boundary stencils.  On the disk, fields live on the full
 square but only the region |z| <= 1 is the chart; identities are
-evaluated on the interior mask |z| <= 1 - 4h.
+evaluated on the interior mask |z| <= 1 - 4h.  ``DomainChart.block`` is
+the chart over a square block of a chart's nodes: work on a field that is
+constant outside a small support runs on the block around it, and its
+integrals keep the whole chart's bits.
 
 Field arrays keep the shapes (n, n, *comp) but are stored component-major:
 a field is the transposed view of a C-contiguous (*comp, n, n) buffer, so
@@ -24,6 +27,7 @@ bits hold per machine, numpy build and dispatch path, not per storage order.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -92,6 +96,7 @@ class DomainChart:
         if topology == "disk" and side <= MIN_DISK_SIDE:
             raise ValueError(f"disk chart needs side > {MIN_DISK_SIDE:g} to contain the unit disk")
         self.n, self.side, self.topology, self.window = n, side, topology, window
+        self._parent = None   # (parent chart, index slices) on a block
         self.h = h = side / n
         self.shape = (n, n)
         if topology == "torus":
@@ -126,6 +131,25 @@ class DomainChart:
     @classmethod
     def disk(cls, n: int, side: float = 2.2) -> "DomainChart":
         return cls(n, side, "disk", None)
+
+    def block(self, i0: int, j0: int, m: int) -> "DomainChart":
+        """The chart over the m x m block of this chart's nodes whose first
+        node is [i0, j0]: the same h and topology, and the slices of ``x``,
+        ``y``, ``z`` and both masks.  Its stencils wrap at the block's
+        edges, as on any chart, so they agree with this chart's at nodes
+        at least one node inside the block; ``interp`` reads its weights
+        off the block's first node, so it agrees with this chart's to
+        rounding.  ``integrate`` sums a block field in this chart's order
+        (see there)."""
+        if not (3 <= m and 0 <= i0 and 0 <= j0 and i0 + m <= self.n and j0 + m <= self.n):
+            raise ValueError(f"a {m} x {m} block at [{i0}, {j0}] does not fit an "
+                             f"{self.n} x {self.n} chart")
+        at = (slice(i0, i0 + m), slice(j0, j0 + m))
+        out = copy.copy(self)
+        out.n, out.side, out.shape, out._parent = m, m * self.h, (m, m), (self, at)
+        for name in ("x", "y", "z", "domain_mask", "interior_mask"):
+            setattr(out, name, np.ascontiguousarray(getattr(self, name)[at]))
+        return out
 
     # -- stencil calculus ----------------------------------------------------
 
@@ -180,8 +204,21 @@ class DomainChart:
     # -- quadrature -----------------------------------------------------------
 
     def integrate(self, f, region=None) -> float | complex:
-        """h^2-weighted node sum over the domain (or a boolean ``region``)."""
+        """h^2-weighted node sum over the domain (or a boolean ``region``).
+
+        A block writes its values, and its ``region`` when given, into a
+        zero grid of its parent's shape and sums that by the parent's rule,
+        so the node sum adds in the parent's order: a field that is zero
+        outside the block has the bits of its whole-chart integral."""
         f = np.asarray(f)
+        if self._parent is not None:
+            parent, at = self._parent
+            whole = np.zeros(parent.shape + f.shape[2:], f.dtype)
+            whole[at] = f
+            if region is not None:
+                region, inside = np.zeros(parent.shape, bool), region
+                region[at] = inside
+            return parent.integrate(whole, region)
         mask = self.domain_mask if region is None else region
         out = f[mask].sum() * self.h**2
         return complex(out) if np.iscomplexobj(f) else float(out)
@@ -194,10 +231,9 @@ class DomainChart:
         component-major view, so the result has the points' shape plus the
         component axes and is stored component-major as well."""
         f = np.asarray(f)
-        n, side, h = self.n, self.side, self.h
-        x0 = -0.5 * side if self.topology == "torus" else -0.5 * side + 0.5 * h
-        gx = (np.asarray(px) - x0) / h
-        gy = (np.asarray(py) - x0) / h
+        n, h = self.n, self.h
+        gx = (np.asarray(px) - self.x[0, 0]) / h
+        gy = (np.asarray(py) - self.y[0, 0]) / h
         if self.topology == "disk" and not ((0 <= gx) & (gx <= n - 1)
                                             & (0 <= gy) & (gy <= n - 1)).all():
             raise ValueError("interpolation point outside the disk chart square")

@@ -172,6 +172,86 @@ class TestQuadrature:
                 chart.interp(fld, np.array([0.0, bad]), np.zeros(2))
 
 
+# (i0, j0, m) blocks of an n = 48 chart: off-centre, at a corner, at the far corner.
+BLOCKS = [(9, 17, 20), (0, 0, 11), (30, 25, 18)]
+CHARTS = {"disk": lambda: dh.DomainChart.disk(48), "torus": lambda: dh.DomainChart.torus(48),
+          "windowed": lambda: dh.DomainChart.torus(48, side=1.7, window=0.5)}
+
+
+class TestBlock:
+    """A block chart computes what its parent computes, bit for bit: the
+    stencils at nodes at least one node inside its edge, and integrals of
+    fields that vanish outside it."""
+
+    @pytest.mark.parametrize("i0, j0, m", BLOCKS)
+    @pytest.mark.parametrize("kind", list(CHARTS))
+    def test_geometry_is_sliced(self, kind, i0, j0, m):
+        chart = CHARTS[kind]()
+        block = chart.block(i0, j0, m)
+        at = np.s_[i0:i0 + m, j0:j0 + m]
+        assert (block.n, block.shape, block.h, block.topology) == (m, (m, m), chart.h,
+                                                                   chart.topology)
+        for name in ("x", "y", "z", "domain_mask", "interior_mask"):
+            assert np.array_equal(getattr(block, name), getattr(chart, name)[at])
+
+    @pytest.mark.parametrize("i0, j0, m", BLOCKS)
+    @pytest.mark.parametrize("kind", list(CHARTS))
+    @pytest.mark.parametrize("components, dtype", [((), float), ((3,), float),
+                                                   ((3, 2), complex)],
+                             ids=["scalar", "map", "spinor"])
+    def test_stencils_match_the_whole_chart_inside(self, rng, kind, i0, j0, m, components,
+                                                   dtype):
+        chart = CHARTS[kind]()
+        block = chart.block(i0, j0, m)
+        at = np.s_[i0:i0 + m, j0:j0 + m]
+        f = dh.bandlimited_field(chart, rng, components=components, kmax=3)
+        if dtype is complex:
+            f = f + 1j * dh.bandlimited_field(chart, rng, components=components, kmax=3)
+        f = dh.charts.as_planes(f)
+        sub = dh.charts.as_planes(f[at])
+        inside = np.s_[1:-1, 1:-1]
+        for axis in ("x", "y"):
+            assert np.array_equal(block.derivative(sub, axis)[inside],
+                                  chart.derivative(f, axis)[at][inside])
+        assert np.array_equal(block.laplacian(sub)[inside], chart.laplacian(f)[at][inside])
+
+    @pytest.mark.parametrize("i0, j0, m", BLOCKS)
+    @pytest.mark.parametrize("kind", list(CHARTS))
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_integrals_have_the_whole_chart_bits(self, rng, kind, i0, j0, m, dtype):
+        chart = CHARTS[kind]()
+        block = chart.block(i0, j0, m)
+        at = np.s_[i0:i0 + m, j0:j0 + m]
+        sub = rng.normal(size=(m, m))
+        if dtype is complex:
+            sub = sub + 1j * rng.normal(size=(m, m))
+        whole = np.zeros(chart.shape, dtype)
+        whole[at] = sub
+        assert block.integrate(sub) == chart.integrate(whole)
+        # A region inside the block: its quarter nearest the block's first node.
+        inside = np.zeros((m, m), bool)
+        inside[:m // 2, :m // 2] = True
+        region = np.zeros(chart.shape, bool)
+        region[at] = inside
+        assert block.integrate(sub, region=inside) == chart.integrate(whole, region=region)
+
+    def test_interp_inside_a_block_matches_the_parent(self, rng):
+        chart = dh.DomainChart.disk(48)
+        block = chart.block(9, 17, 20)
+        f = dh.bandlimited_field(chart, rng, components=(3,), kmax=3)
+        px = rng.uniform(block.x[0, 0], block.x[0, -1], 50)
+        py = rng.uniform(block.y[0, 0], block.y[-1, 0], 50)
+        # The bilinear weights are read off the block's first node, so they
+        # agree with the parent's to rounding.
+        assert np.allclose(block.interp(f[9:29, 17:37], px, py), chart.interp(f, px, py),
+                           rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("i0, j0, m", [(-1, 0, 10), (0, 40, 10), (40, 0, 9), (0, 0, 2)])
+    def test_block_outside_the_grid_rejected(self, i0, j0, m):
+        with pytest.raises(ValueError, match="does not fit"):
+            dh.DomainChart.disk(48).block(i0, j0, m)
+
+
 def _fprime_abs(f, z):
     """|f'(z)|, read off the holomorphic root s(z) with s^2 = f'."""
     return np.abs(f.sqrt_derivative(z)) ** 2

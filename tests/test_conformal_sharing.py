@@ -1,7 +1,9 @@
 """The conformal check's shared evaluation and the one Dirac operator
-along the map: the same bits as the unshared evaluation and as the
-residual that also builds the normal defect, with fewer Dirac
-evaluations."""
+along the map: the same bits as the unshared whole-chart evaluation and
+as the residual that also builds the normal defect, with fewer Dirac
+evaluations on fewer nodes and less memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,8 +48,12 @@ def compact_pair():
     return canonical_compact_pair(64)
 
 
-def test_shared_evaluation_has_the_bits_of_unshared_checks(compact_pair):
-    phi, psi = compact_pair
+@pytest.mark.parametrize("seed", [7, 1007])
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_shared_evaluation_has_the_bits_of_unshared_checks(n, seed):
+    # Grids 128 and 256 are the bench's, seeds 7 and 1007 its variants 0 and 1;
+    # the oracle evaluates every pair on the whole chart.
+    phi, psi = canonical_compact_pair(n, seed=seed)
     maps = _verify_maps()
     oracle = {conv: [conformal_oracle(phi, psi, f, conv) for f in maps] for conv in CONVENTIONS}
     for i, f in enumerate(maps):
@@ -136,3 +142,60 @@ def test_two_maps_two_conventions_interpolate_once_per_field_and_map(compact_pai
     # Per map: the map values and the spinor values, shared by both conventions.
     K = phi.target.ambient_dim
     assert calls == [(K,), (K, 2)] * 2
+
+
+@pytest.fixture
+def dirac_grids(monkeypatch):
+    """The grid shape of every field the flat Dirac operator sees."""
+    shapes = []
+    real = diracharmonic.fields.flat_dirac
+
+    def recording(field, chart, *args, **kwargs):
+        shapes.append(np.shape(field)[:2])
+        return real(field, chart, *args, **kwargs)
+
+    monkeypatch.setattr(diracharmonic.fields, "flat_dirac", recording)
+    return shapes
+
+
+def test_each_pair_is_evaluated_on_the_block_it_lives_on(dirac_grids):
+    n = 256
+    phi, psi = canonical_compact_pair(n)
+    dh.conformal_invariance_defect(phi, psi, _verify_maps()[:2])
+    assert len(dirac_grids) == 5
+    # The pair's support |z| < 0.5 holds 22% of the nodes, and so does each
+    # pullback's block; the whole chart would be 100%.
+    for rows, cols in dirac_grids:
+        assert rows * cols <= 0.3 * n * n
+
+
+def test_a_pair_that_reaches_the_grid_edge_is_evaluated_on_the_whole_chart(dirac_grids):
+    n = 64
+    phi, psi = canonical_compact_pair(n)
+    # One map node in the second column, off the far field: the live nodes'
+    # bounding square plus 2 nodes per side no longer fits in the grid.
+    values = phi.values.copy()
+    values[n // 2, 1] = phi.target.project_point(np.array([0.1, 0.0, 1.0]))
+    edged = dh.MapField(phi.chart, phi.target, values)
+    dh.check_pair(edged, psi)
+    maps = _verify_maps()[:2]
+    got = dh.conformal_invariance_defect(edged, psi, maps)
+    assert dirac_grids[0] == (n, n)
+    for conv in CONVENTIONS:
+        oracle = [conformal_oracle(edged, psi, f, conv) for f in maps]
+        expected = (max(a for a, _ in oracle), max(e for _, e in oracle))
+        assert _bits(got[conv]) == _bits(expected)
+
+
+def test_the_working_set_stays_within_three_spinor_grids():
+    n = 256
+    phi, psi = canonical_compact_pair(n)
+    maps = _verify_maps()[:2]
+    tracemalloc.start()
+    try:
+        dh.conformal_invariance_defect(phi, psi, maps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # On the whole chart it held 4.75 grids of n = 256.
+    assert peak <= 3 * psi.values.nbytes, f"{peak / psi.values.nbytes:.2f} spinor grids"

@@ -386,6 +386,38 @@ class TestDecayDiagnostics:
             want = chart.interp(gmag, px, py).max() * r**1.5
             assert abs(got - want) <= 1e-12 * want
 
+    def test_one_interpolation_per_field_and_the_bits_of_one_circle_at_a_time(self, monkeypatch):
+        chart, phi, psi = disk_twistor_pair(48)
+        calls = []
+        real = dh.DomainChart.interp
+
+        def counting(self, f, px, py):
+            calls.append(np.shape(px))
+            return real(self, f, px, py)
+
+        monkeypatch.setattr(dh.DomainChart, "interp", counting)
+        prof = dh.decay_profile(phi, psi)
+        assert calls == [(24, 4 * chart.n)] * 3
+        monkeypatch.undo()
+        # Each circle sampled and summed on its own, as a one-radius probe would.
+        dmag = np.sqrt(dh.fields.dirichlet_density(phi))
+        psi_mag = np.sqrt(psi.norm2_density())
+        gmag = np.sqrt(sum(dh.spinor_norm2(covariant_derivative(phi, psi.values, axis),
+                                           axis=(-2, -1)) for axis in ("x", "y")))
+        e_dens = dmag**2 + psi_mag**4
+        growth_density = e_dens + gmag ** (4.0 / 3.0)
+        rad = np.abs(chart.z)
+        for i, r in enumerate(prof["r"]):
+            _, px, py = chart.circle_points(float(r), 4 * chart.n)
+            want = {"dphi_weighted": chart.interp(dmag, px, py).max() * r,
+                    "psi_weighted": chart.interp(psi_mag, px, py).max() * r**0.5,
+                    "grad_psi_weighted": chart.interp(gmag, px, py).max() * r**1.5,
+                    "annulus_energy": chart.integrate(
+                        e_dens, region=(rad >= r) & (rad <= min(2.0 * r, 1.0))),
+                    "growth": chart.integrate(growth_density, region=rad <= r)}
+            for key, value in want.items():
+                assert float(prof[key][i]).hex() == float(value).hex(), (key, i)
+
 
 class TestChartFixture:
     """Stereographic half-sphere chart: the Christoffel form of the twisted
