@@ -2,13 +2,22 @@
 
 Grids are uniform with n nodes per side.  Arrays are indexed [iy, ix]
 (row-major, y outer) and extra trailing axes carry field components.
-All derivative stencils are second-order centered differences; there are
-no one-sided boundary stencils.  On the disk, fields live on the full
-square but only the region |z| <= 1 is the chart; identities are
-evaluated on the interior mask |z| <= 1 - 4h.  ``DomainChart.block`` is
-the chart over a square block of a chart's nodes: work on a field that is
-constant outside a small support runs on the block around it, and its
-integrals keep the whole chart's bits.
+
+This module owns every finite-difference stencil: the centered
+difference ``difference`` (``derivative`` is it over 2h), the compact
+second difference ``second_difference`` and the five-point ``laplacian``;
+the last two share one per-axis kernel.  All are second order and wrap;
+there are no one-sided boundary stencils.  Their Fourier symbols over
+the FFT frequency index sit beside them (``difference_symbol``,
+``second_difference_symbol``), and the solver's FFT preconditioner
+builds its symbol from them.
+
+On the disk, fields live on the full square but only the region |z| <= 1
+is the chart; identities are evaluated on the interior mask
+|z| <= 1 - 4h.  ``DomainChart.block`` is the chart over a square block of
+a chart's nodes: work on a field that is constant outside a small support
+runs on the block around it, and its integrals keep the whole chart's
+bits.
 
 Field arrays keep the shapes (n, n, *comp) but are stored component-major:
 a field is the transposed view of a C-contiguous (*comp, n, n) buffer, so
@@ -69,6 +78,37 @@ def _lines(a, axis):
         raise ValueError("stencil arrays must be stored component-major")
     g = _GRID_AXES[axis]
     return planes.reshape(-1), planes.swapaxes(-1, g), planes.strides[g] // a.itemsize
+
+
+def _add_neighbours(f, out, axis):
+    """out += f[i + 1], then out += f[i - 1], along ``axis``:
+    ``laplacian``'s and ``second_difference``'s one per-axis kernel.
+    Both adds are contiguous passes over the whole buffer, where line ends
+    pair with the neighbouring lines; the two line ends, saved first, are
+    then redone with their wrap partners.  Returns ``out``."""
+    (ff, fa, step), (fo, oa, _) = _lines(f, axis), _lines(out, axis)
+    last = oa.shape[-1] - 1
+    ends = oa[..., ::last].copy()
+    fo[:-step] += ff[step:]
+    fo[step:] += ff[:-step]
+    ends += fa[..., 1::-1]
+    ends += fa[..., :-3:-1]
+    oa[..., ::last] = ends
+    return out
+
+
+def difference_symbol(n: int) -> np.ndarray:
+    """The Fourier symbol of ``DomainChart.difference`` along one axis of n
+    nodes: it multiplies the mode e^{2 pi i m j / n} by 2i sin(2 pi m / n),
+    for the FFT frequency index m = 0 ... n - 1."""
+    return 2j * np.sin(2.0 * np.pi * np.arange(n) / n)
+
+
+def second_difference_symbol(n: int) -> np.ndarray:
+    """The Fourier symbol of ``DomainChart.second_difference`` along one
+    axis of n nodes: -4 sin^2(pi m / n) on the mode of ``difference_symbol``.
+    ``laplacian``'s is the two axes' sum over h^2."""
+    return -4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
 
 
 class DomainChart:
@@ -182,22 +222,23 @@ class DomainChart:
             fo /= 2.0 * self.h
         return out
 
+    def second_difference(self, f, axis, out=None) -> np.ndarray:
+        """Unscaled compact second difference f[i + 1] - 2 f[i] + f[i - 1]
+        along "x" or "y", written into ``out`` as for ``difference``; it
+        wraps like every stencil."""
+        f = as_planes(f)
+        return _add_neighbours(f, np.multiply(-2.0, f, out=out), axis)
+
     def laplacian(self, f, out=None) -> np.ndarray:
-        """Five-point Laplacian, O(h^2), written into ``out`` (a
-        component-major array shaped like ``f`` that does not overlap it)
-        when given."""
+        """Five-point Laplacian, O(h^2): the two axes' second differences
+        over h^2, each node summed as
+        (((-4 f + f[y + 1]) + f[y - 1]) + f[x + 1]) + f[x - 1].  Written
+        into ``out`` (a component-major array shaped like ``f`` that does
+        not overlap it) when given."""
         f = as_planes(f)
         out = np.multiply(-4.0, f, out=out)
         for axis in ("y", "x"):
-            # out += roll(f, -1) then out += roll(f, 1) as contiguous passes over
-            # the whole buffer; the two line ends, saved first, are redone.
-            (ff, fa, step), (fo, oa, _) = _lines(f, axis), _lines(out, axis)
-            ends = oa[..., ::self.n - 1].copy()
-            fo[:-step] += ff[step:]
-            fo[step:] += ff[:-step]
-            ends += fa[..., 1::-1]
-            ends += fa[..., :-3:-1]
-            oa[..., ::self.n - 1] = ends
+            _add_neighbours(f, out, axis)
         out /= self.h**2
         return out
 
@@ -290,16 +331,15 @@ def bandlimited_field(chart: DomainChart, rng, components=(), kmax: int = 3,
     shape = tuple(components)
     ks = np.arange(-kmax, kmax + 1)
     m = len(ks)
+    # One draw fills the kept modes in C order (kx outer, ky inner), a then b
+    # per mode: the stream order of one draw per coefficient block.
+    radius = np.abs(ks).tolist()
+    kept = np.array([[0 < max(rx, ry) and (modes is None or max(rx, ry) in modes)
+                      for ry in radius] for rx in radius])
+    drawn = rng.normal(size=(int(kept.sum()), 2) + shape)
     a = np.zeros((m, m) + shape)
     b = np.zeros((m, m) + shape)
-    for i, kx in enumerate(ks):
-        for j, ky in enumerate(ks):
-            if kx == 0 and ky == 0:
-                continue
-            if modes is not None and max(abs(kx), abs(ky)) not in modes:
-                continue
-            a[i, j] = rng.normal(size=shape)
-            b[i, j] = rng.normal(size=shape)
+    a[kept], b[kept] = drawn[:, 0], drawn[:, 1]
     a = a.reshape(m, m, -1)
     b = b.reshape(m, m, -1)
     tx = ks[:, None] * (2.0 * np.pi * (chart.x[0] / chart.side))

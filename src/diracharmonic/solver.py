@@ -7,19 +7,22 @@ operator along the current map (the spinor equation is linear), extracted
 by inverse power iteration on the squared operator, and refreshed every
 few map steps.  Each power round solves (T + shift) x = b, T = B B on
 tangent fields, by the kernel operator's projected PCG on the tangent
-bundle, preconditioned with the flat operator: the centred flat Dirac
-operator squared is diagonal in Fourier space with symbol
-sigma = (sin^2(2 pi mx / n) + sin^2(2 pi my / n)) / h^2 on both charts
-(every stencil wraps), so its shifted inverse costs one FFT pair, and
-the tangency projection P after it keeps the preconditioned residual
+bundle, preconditioned with the flat operator: the flat Dirac operator
+squared is diagonal in Fourier space on both charts (every stencil
+wraps), with the symbol sigma that ``_DiracKernelOperator`` builds from
+``charts.difference_symbol``, so its shifted inverse costs one FFT pair,
+and the tangency projection P after it keeps the preconditioned residual
 tangent.
-The map relaxes by explicit Euler steps of h^2/8 (the stability bound)
-on the descent direction tension - curvature_term, reprojected onto the
-target pointwise, which preserves the constraint exactly and never
-increases the Dirichlet energy while the spinor is zero.  A zero initial
-spinor is frozen, and the flow is then the harmonic-map heat flow: neither
-the step nor the convergence check evaluates the coupling or the Dirac
-operator.
+The map relaxes by explicit Euler steps of h^2/8 on the descent direction
+tension - curvature_term, reprojected onto the target pointwise, which
+preserves the constraint exactly.  h^2/8 is half the 5-point Laplacian's
+explicit-Euler limit h^2/4: while the spinor is zero, each step lowers
+the compact energy E_c = sum_a int |D+_a phi|^2, whose tangent gradient
+is -2 tension, by at least dt |tension|^2 (Bartels, SIAM J. Numer. Anal.
+43, 2005).  The reported centred ``energy`` is only observed not to
+rise.  A zero initial spinor is frozen, and the flow is then the
+harmonic-map heat flow: neither the step nor the convergence check
+evaluates the coupling or the Dirac operator.
 
 Work arrays.  The loop allocates no array of a field's size per map
 step, transport or CG iteration; the kernels write through their
@@ -52,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .charts import empty_planes
+from .charts import difference_symbol, empty_planes
 from .fields import (MapField, TwistedSpinorField, action, curvature_term,
                      el_residual, energy, tension, _tangent_project_spinor)
 from .spinors import flat_dirac, re_pairing, spinor_norm2
@@ -131,7 +134,9 @@ def flow_step(phi: MapField, psi: TwistedSpinorField | None, out=None,
 
     The update direction is the map residual tension(phi) - R(phi, psi),
     which is tangent pointwise, so |phi + dt v| >= 1 and the nearest-point
-    projection cannot increase the discrete Dirichlet energy at psi = 0.
+    projection is a contraction.  At psi = 0 the step therefore lowers the
+    compact energy E_c by at least dt |tension|^2 (see the module
+    docstring); the centred ``energy`` is only observed not to rise.
     ``psi=None``, the frozen zero spinor, steps the harmonic-map heat flow:
     the direction is tension(phi) alone and no coupling is evaluated.
 
@@ -169,7 +174,10 @@ class _DiracKernelOperator:
     def __init__(self, phi: MapField, shift: float):
         self.phi = phi
         self.shift = shift
-        s2 = np.sin(2.0 * np.pi * np.arange(phi.chart.n) / phi.chart.n) ** 2
+        # |s|^2 / 4 per axis, s the centred difference's symbol: flat_dirac is
+        # it over 2h in each frame direction, so sigma = sum_a |s_a|^2 / (2h)^2,
+        # summed as below (regrouped, it would round differently).
+        s2 = np.abs(difference_symbol(phi.chart.n)) ** 2 / 4.0
         self.symbol = (s2[:, None] + s2[None, :]) / phi.chart.h**2 + shift
         shape = phi.values.shape + (2,)
         self.scratch = tuple(empty_planes(shape, np.complex128) for _ in range(4))
@@ -186,7 +194,8 @@ class _DiracKernelOperator:
         return self.b_apply(self.b_apply(x, s1, (s2, s3)), out, (s2, s3))
 
     def precondition(self, r, out):
-        """M^-1 r = P F^-1[F(r) / (sigma + shift)] for tangent r.
+        """M^-1 r = P F^-1[F(r) / (sigma + shift)] for tangent r, with
+        ``symbol`` = sigma + shift and sigma from ``charts.difference_symbol``.
 
         The flat part is the exact inverse of the shifted flat Dirac
         operator squared (real positive symbol), and P is orthogonal, so

@@ -118,6 +118,65 @@ class TestBandlimitedField:
             assert np.abs(got - ref).max() <= 1e-14 * max(1.0, amplitude)
 
 
+def _looped_bandlimited_field(chart, rng, components=(), kmax=3, amplitude=1.0, modes=None):
+    """``bandlimited_field`` as it drew its coefficients before: two draws
+    per kept mode in a Python double loop, then the same separable
+    synthesis."""
+    shape = tuple(components)
+    ks = np.arange(-kmax, kmax + 1)
+    m = len(ks)
+    a = np.zeros((m, m) + shape)
+    b = np.zeros((m, m) + shape)
+    for i, kx in enumerate(ks):
+        for j, ky in enumerate(ks):
+            if kx == 0 and ky == 0:
+                continue
+            if modes is not None and max(abs(kx), abs(ky)) not in modes:
+                continue
+            a[i, j] = rng.normal(size=shape)
+            b[i, j] = rng.normal(size=shape)
+    a = a.reshape(m, m, -1)
+    b = b.reshape(m, m, -1)
+    tx = ks[:, None] * (2.0 * np.pi * (chart.x[0] / chart.side))
+    ty = ks[:, None] * (2.0 * np.pi * (chart.y[:, 0] / chart.side))
+    x_table = np.concatenate([np.cos(tx), np.sin(tx)])
+    of_cy = np.einsum("kyc,kj->yjc", np.concatenate([a, b]), x_table)
+    of_sy = np.einsum("kyc,kj->yjc", np.concatenate([b, -a]), x_table)
+    out = np.einsum("yi,yjc->ijc", np.concatenate([np.cos(ty), np.sin(ty)]),
+                    np.concatenate([of_cy, of_sy]))
+    out = out.reshape(chart.shape + shape)
+    peak = np.abs(out).max()
+    if peak > 0:
+        out /= peak
+        out *= amplitude
+    return out
+
+
+class TestBandlimitedDraws:
+    """One ``rng.normal`` call draws every coefficient in the loop's order,
+    so the field and the generator's stream keep the loop's bits."""
+
+    @pytest.mark.parametrize("n, kwargs", [
+        (32, {"components": (3,), "kmax": 2, "amplitude": 0.7}),
+        (32, {"components": (3, 2), "kmax": 2}),
+        (64, {"components": (3,), "kmax": 3, "modes": (2, 3)}),
+        (128, {"components": (3,), "kmax": 1}),
+        (48, {"components": (2,)}),
+        (16, {}),
+        (16, {"components": (3,), "kmax": 1, "modes": (2,)}),   # no mode kept
+    ])
+    def test_field_and_stream_keep_the_loops_bits(self, n, kwargs):
+        chart = dh.DomainChart.torus(n)
+        rng, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
+        got = dh.bandlimited_field(chart, rng, **kwargs)
+        ref = _looped_bandlimited_field(chart, rng_ref, **kwargs)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.array_equal(np.ascontiguousarray(got).view(np.uint8),
+                              np.ascontiguousarray(ref).view(np.uint8))
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        assert rng.normal() == rng_ref.normal()
+
+
 class TestQuadrature:
     def test_integrate_constant_on_unit_torus(self):
         chart = dh.DomainChart.torus(32)

@@ -52,6 +52,13 @@ def _precondition(op, r):
     return op.precondition(r, np.empty_like(r))
 
 
+def _reference_symbol(chart, shift):
+    """The shifted symbol of the flat Dirac operator squared, written out
+    by hand: (sin^2(2 pi mx / n) + sin^2(2 pi my / n)) / h^2 + shift."""
+    s2 = np.sin(2.0 * np.pi * np.arange(chart.n) / chart.n) ** 2
+    return (s2[:, None] + s2[None, :]) / chart.h**2 + shift
+
+
 @pytest.mark.parametrize("make_map", MAPS)
 def test_preconditioned_cg_matches_plain_oracle(make_map, monkeypatch):
     monkeypatch.setattr(diracharmonic.solver, "CG_TOL", 1e-13)
@@ -103,14 +110,23 @@ def test_preconditioner_has_the_bits_of_the_allocating_formula(make_map, order):
     # The formula with fresh arrays: fft2/ifft2 over the component planes,
     # divided by the shifted symbol of the flat Dirac operator squared.
     spectrum = np.fft.fft2(r.transpose(2, 3, 0, 1))
-    s2 = np.sin(2.0 * np.pi * np.arange(phi.chart.n) / phi.chart.n) ** 2
-    spectrum /= (s2[:, None] + s2[None, :]) / phi.chart.h**2 + shift
+    spectrum /= _reference_symbol(phi.chart, shift)
     ref = _tangent_project_spinor(phi, np.fft.ifft2(spectrum).transpose(2, 3, 0, 1))
     z = np.empty_like(r)
     got = op.precondition(r, z)
     assert got is z
     assert np.array_equal(np.ascontiguousarray(got).view(np.uint8),
                           np.ascontiguousarray(ref).view(np.uint8))
+
+
+@pytest.mark.parametrize("n, side", [(8, 1.0), (17, 1.1), (32, 2.2), (100, 1.0), (128, 1.1)])
+def test_operator_symbol_has_the_bits_of_the_hand_written_one(n, side):
+    # The operator reads its symbol from charts.difference_symbol.
+    chart = dh.DomainChart.torus(n, side=side)
+    phi = dh.MapField.constant(chart, dh.Sphere(2), (0, 0, 1))
+    op = _operator(phi)
+    assert np.array_equal(op.symbol.view(np.uint64),
+                          _reference_symbol(chart, op.shift).view(np.uint64))
 
 
 def _ambient_operator(op, x):

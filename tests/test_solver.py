@@ -19,9 +19,10 @@ def perturbed_constant(n, seed=9, amplitude=0.05, modes=(2, 3)):
 
 
 class TestSolverConfig:
-    def test_step_size_defaults_to_stability_bound(self):
-        # The map step is h^2/8: the update is that multiple of the tension,
-        # added to phi and projected, bit for bit.
+    def test_step_size_is_an_eighth_of_h_squared(self):
+        # The map step is h^2/8, half the 5-point explicit-Euler limit: the
+        # update is that multiple of the tension, added to phi and projected,
+        # bit for bit.
         phi = perturbed_constant(32, amplitude=0.3)
         h = phi.chart.h
         moved = phi.values + (h * h / 8.0) * dh.tension(phi)
@@ -71,6 +72,33 @@ class TestFlowStep:
             cur = phi.chart.integrate(dirichlet_density(phi))
             assert cur <= prev * (1 + 1e-12)
             prev = cur
+
+    @pytest.mark.parametrize("side", [1.0, 1.1])
+    def test_heat_step_lowers_the_compact_energy_by_dt_tension_squared(self, side):
+        # Bartels (SIAM J. Numer. Anal. 43, 2005): with dt = h^2/8 each projected
+        # heat step lowers E_c = sum_a int |D+_a phi|^2 by at least dt |tension|^2.
+        # By parts on the torus, E_c = -sum_a sum_nodes <phi, delta_aa phi>.
+        # The map is the heat bench's (bench/workloads.py, seed 5).
+        chart = dh.DomainChart.torus(64, side=side)
+        sphere = dh.Sphere(2)
+        pert = dh.bandlimited_field(chart, np.random.default_rng(5), components=(3,),
+                                    kmax=3, amplitude=0.5, modes=(2, 3))
+        phi = dh.MapField(chart, sphere, sphere.project_point(np.array([0.0, 0.0, 1.0]) + pert))
+        dt = chart.h**2 / 8.0
+
+        def compact_energy(phi):
+            return -sum(float((phi.values * chart.second_difference(phi.values, axis)).sum())
+                        for axis in ("x", "y"))
+
+        ratios = []
+        e_c = compact_energy(phi)
+        for _ in range(400):
+            tau_norm2 = chart.h**2 * float((dh.tension(phi) ** 2).sum())
+            phi = dh.flow_step(phi, None)
+            e_next = compact_energy(phi)
+            ratios.append((e_c - e_next) / (dt * tau_norm2))
+            e_c = e_next
+        assert min(ratios) >= 1.0
 
 
 class TestDiracProject:
