@@ -69,7 +69,7 @@ for n in (64, 128):
 for n in (64, 128):
     _, phi, psi = exact_pair(n, "torus")
     print(f"  n={n:4d}  conditional |psi|^2 Laplacian defect = "
-          f"{dh.bochner_defect(phi, psi, dh.field_scale(phi, psi)):.3e}")
+          f"{dh.bochner_defect(phi, psi):.3e}")
 
 # %% Pohozaev circle balance --------------------------------------------------------
 # One call per pair returns every circle's defect.

@@ -247,18 +247,15 @@ class DomainChart:
     def integrate(self, f, region=None) -> float | complex:
         """h^2-weighted node sum over the domain (or a boolean ``region``).
 
-        A block writes its values, and its ``region`` when given, into a
-        zero grid of its parent's shape and sums that by the parent's rule,
-        so the node sum adds in the parent's order: a field that is zero
-        outside the block has the bits of its whole-chart integral."""
+        A block writes its values into a zero grid of its parent's shape and
+        sums that by the parent's rule, so the node sum adds in the parent's
+        order: a field that is zero outside the block has the bits of its
+        whole-chart integral."""
         f = np.asarray(f)
         if self._parent is not None:
             parent, at = self._parent
             whole = np.zeros(parent.shape + f.shape[2:], f.dtype)
             whole[at] = f
-            if region is not None:
-                region, inside = np.zeros(parent.shape, bool), region
-                region[at] = inside
             return parent.integrate(whole, region)
         mask = self.domain_mask if region is None else region
         out = f[mask].sum() * self.h**2

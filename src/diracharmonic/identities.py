@@ -14,11 +14,12 @@ the one energy-momentum tensor T.
 Each defect function returns the number its verify record judges,
 ``em_defects`` the three that T's conservation laws give (its symmetry,
 its divergence and the dbar of T_11 - i T_12) and ``pohozaev_defect`` one
-per circle radius, from one evaluation per pair.  The identities read only
-D psi, never the normal defect, so they take it from
-``dirac_along_map``.  Each drops a grid-sized array after its last read
-and takes covariant derivatives one direction at a time, so it holds a
-few spinor grids at once (``tests/test_verify_memory.py``).
+per circle radius, from one evaluation per pair; whether a conditional
+identity applies is ``verify``'s to judge.  The identities read only
+D psi, never the normal defect, so they take it from ``dirac_along_map``.
+Each drops a grid-sized array after its last read and takes covariant
+derivatives one direction at a time, so it holds a few spinor grids at
+once (``tests/test_verify_memory.py``).
 ``conformal_invariance_defect`` returns what the conformal record judges:
 per rescaling convention, the worst action and energy changes over
 several maps, sharing the pair's own terms and each map's pullback across
@@ -36,8 +37,6 @@ from .fields import (MapField, TwistedSpinorField, action, covariant_derivative,
                      dirac_along_map, dirichlet_density, energy, project_spinor)
 from .spinors import FRAME, clifford_mul, re_pairing, spinor_norm2
 from .targets import ambient_pairing
-
-BOCHNER_DIRAC_TOL = 1e-2  # bochner_defect's bound on sup |D psi| per unit field scale
 
 
 # -- energy-momentum tensor ----------------------------------------------------
@@ -127,22 +126,15 @@ def weitzenboeck_defect(phi: MapField, psi: TwistedSpinorField) -> float:
     return float(gap[chart.interior_mask].max())
 
 
-def bochner_defect(phi: MapField, psi: TwistedSpinorField, scale: float) -> float:
+def bochner_defect(phi: MapField, psi: TwistedSpinorField) -> float:
     """Defect of the Laplacian identity for |psi|^2, valid when D psi = 0:
 
         (1/2) lap |psi|^2 = |grad psi|^2
                             - (1/2) sum_ab Re<e_a.psi, R(dphi_a, dphi_b)(e_b.psi)>.
 
-    Raises if sup |D psi| exceeds BOCHNER_DIRAC_TOL times ``scale``, the
-    pair's ``field_scale`` (the identity is conditional); sups are interior.
+    Returns the interior sup of |LHS - RHS|; ``verify`` judges D psi = 0.
     """
     chart = phi.chart
-    mask = chart.interior_mask
-    measured = float(np.sqrt(spinor_norm2(dirac_along_map(phi, psi), axis=(-2, -1)))[mask].max())
-    if measured > BOCHNER_DIRAC_TOL * scale:
-        raise ValueError(f"Dirac residual {measured:.3e} exceeds tolerance "
-                         f"{BOCHNER_DIRAC_TOL:.1e} x scale {scale:.3e}; the identity "
-                         "is only valid on solutions")
     lhs = 0.5 * chart.laplacian(psi.norm2_density())
     rhs = _gradient_norm2(phi, psi)
     d = phi.gradient()
@@ -151,7 +143,7 @@ def bochner_defect(phi: MapField, psi: TwistedSpinorField, scale: float) -> floa
         r_on = _curvature_on_spinor(phi, d[..., a, :], d[..., b, :], e_psi[b])
         rhs = rhs - 0.5 * re_pairing(e_psi[a], r_on, axis=(-2, -1))
         del r_on
-    return float(np.abs(lhs - rhs)[mask].max())
+    return float(np.abs(lhs - rhs)[chart.interior_mask].max())
 
 
 # -- Pohozaev circle identities ----------------------------------------------------

@@ -270,10 +270,10 @@ def dirac_project(phi: MapField, psi_init: TwistedSpinorField | None,
 
     Runs ``power_iters`` rounds of inverse power iteration on the squared
     operator from ``psi_init`` (a random field drawn from ``seed`` when it
-    is None or zero), then rescales to unit L2 norm.  Returns the field, its
-    kernel ratio and the CG telemetry as a ``KernelProjection``.  The
-    field's values are a new grid; every other array lives for this call
-    only.
+    is None or exactly zero, ``solve``'s test), then rescales to unit L2
+    norm.  Returns the field, its kernel ratio and the CG telemetry as a
+    ``KernelProjection``.  The field's values are a new grid; every other
+    array lives for this call only.
     """
     chart = phi.chart
     K = phi.target.ambient_dim
@@ -282,7 +282,7 @@ def dirac_project(phi: MapField, psi_init: TwistedSpinorField | None,
     # the kernel directions.  The work grids come before the returned
     # spinor's grid, which then pins the heap top between refreshes.
     op = _DiracKernelOperator(phi, 1e-4 * 4.0 / chart.h**2)
-    if psi_init is not None and float(spinor_norm2(psi_init.values).sum()) > 1e-24:
+    if psi_init is not None and float(spinor_norm2(psi_init.values).sum()) != 0.0:
         x = _tangent_project_spinor(phi, psi_init.values)
     else:
         rng = np.random.default_rng(config.seed)
@@ -313,10 +313,10 @@ def solve(phi0: MapField, psi0: TwistedSpinorField | None,
     """Alternate map flow steps with periodic spinor kernel refreshes.
 
     ``psi0`` picks the start: None extracts a near-kernel spinor from a
-    random field drawn from ``seed`` (the coupled flow), a zero field
-    freezes the spinor (the heat flow), and any other field is projected
-    and refined.  In ``flow_step``, ``el_residual``, ``action`` and
-    ``energy``, by contrast, ``psi=None`` is the frozen zero spinor.
+    random field drawn from ``seed`` (the coupled flow), an exactly zero
+    field freezes the spinor (the heat flow), and any other, however small,
+    is projected and refined.  In ``flow_step``, ``el_residual``, ``action``
+    and ``energy``, by contrast, ``psi=None`` is the frozen zero spinor.
 
     Terminates when the combined residual sup falls below residual_tol,
     on max_iters, or on divergence.  Deterministic for fixed inputs and

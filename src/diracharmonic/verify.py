@@ -5,8 +5,8 @@ Runs every identity the library knows on a scenario at grids n and 2n
 identity: id, statement, kind (unconditional: holds for any smooth
 fields; conditional: on critical pairs), grids, defects, refinement
 ratio, threshold and pass flag.  ``_ROWS`` lists the records in report
-order; each threshold names the rule ``_judge`` applies.  Thresholds are
-pinned here, not configurable.
+order; each threshold names the rule ``_judge`` applies once the row's
+precondition holds; every verdict constant is pinned here, not configurable.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ COND_BUDGET = 5.0       # conditional identities: defect/scale <= COND_BUDGET h^
 UNCOND_BUDGET = 200.0   # unconditional discrete identities, same form
 POHOZAEV_RADII = (0.25, 0.5, 0.75)
 SELF_ADJOINT_GRID = 32  # summation by parts holds to round-off at every n
+BOCHNER_DIRAC_TOL = 1e-2  # bochner runs only where sup |D psi| <= this x field scale
+WINNER_FLOOR = 1e-13    # a conformal winner's first action defect exceeds this
+IMPROVING_FACTOR = 0.75  # "improving": the second defect is at most this x the first
 
 _SOLUTION_SCENARIOS = ("twistor_pushforward", "elliptic_pair", "harmonic_wrap",
                        "constant_spinor")
@@ -130,7 +133,7 @@ def _judge(threshold: dict, defects, h: float) -> tuple[bool, float | None, str]
         for series in defects.values():
             (ra, oka), (re_, oke) = ratio_of(series["action"]), ratio_of(series["energy"])
             series["ratios"] = [ra, re_]
-            series["second_order"] = bool(oka and oke and series["action"][0] > 1e-13)
+            series["second_order"] = bool(oka and oke and series["action"][0] > WINNER_FLOOR)
         winners = [conv for conv, series in defects.items() if series["second_order"]]
         if len(winners) != 1:
             return False, None, "no unique convention"
@@ -142,7 +145,7 @@ def _judge(threshold: dict, defects, h: float) -> tuple[bool, float | None, str]
         passed = defects[0] <= threshold["rel_h2"] * h**2 and (near_zero or in_window)
         return passed, ratio, f"ratio window waived below {NEAR_ZERO:g}" if near_zero else ""
     if threshold.get("improving"):
-        improving = len(defects) < 2 or defects[1] <= defects[0] * 0.75 or near_zero
+        improving = len(defects) < 2 or defects[1] <= defects[0] * IMPROVING_FACTOR or near_zero
         return defects[0] <= threshold["abs"] and improving, None, ""
     return max(defects) <= threshold.get("abs", threshold.get("rel")), None, ""
 
@@ -240,6 +243,16 @@ def _pohozaev_defects(phi, psi) -> list[float]:
     return pohozaev_defect(phi, psi, POHOZAEV_RADII)
 
 
+def _bochner_precondition(s) -> str:
+    """The note for the first pair, in grid order, where D psi = 0 fails; else ""."""
+    for norms, scale in zip(s.each(_el_norms), s.scales):
+        if (sup := norms["spinor_sup"]) > BOCHNER_DIRAC_TOL * scale:
+            return (f"precondition failed: Dirac residual {sup:.3e} exceeds tolerance "
+                    f"{BOCHNER_DIRAC_TOL:.1e} x scale {scale:.3e}; the identity is only valid "
+                    "on solutions")
+    return ""
+
+
 class _Row(NamedTuple):
     id: str
     statement: str
@@ -248,7 +261,7 @@ class _Row(NamedTuple):
     defects: Callable              # _Suite -> one defect per grid (see _judge)
     scope: tuple = ()              # scenario kinds or topologies that run it; () = all
     grids: Callable | None = None  # the grids the record lists; None = the pairs' grids
-    fails_on: type | tuple = ()    # exceptions of ``defects`` meaning a failed precondition
+    precondition: Callable | None = None  # _Suite -> failure note, "" when it holds
 
 
 # The defect functions look the identity functions up when they run, so
@@ -285,8 +298,8 @@ _ROWS = (
          "quadratic differential coefficient is anti-holomorphically closed", _COND, _H2,
          lambda s: s.rel(dbar for _sym, _div, dbar in s.each(em_defects))),
     _Row("bochner", "Laplacian of the spinor density balances gradient and curvature", _COND,
-         _H2, lambda s: s.rel(bochner_defect(*p, s.scales[i]) for i, p in enumerate(s.pairs)),
-         fails_on=ValueError),
+         _H2, lambda s: s.rel(bochner_defect(*p) for p in s.pairs),
+         precondition=_bochner_precondition),
     _Row("action_reduces_to_dirichlet", "the spinor term of the action vanishes on solutions",
          _COND, _H2, lambda s: [_action_reduction(*p) for p in s.pairs]),
     _Row("pushforward_tangency", "pushforward spinors satisfy the tangency constraint", _COND,
@@ -315,10 +328,8 @@ def _verify_pairs(pairs, grids, seed, scenario_kind, mode) -> dict:
     for row in _ROWS:
         if row.scope and not suite.scope & set(row.scope):
             continue
-        try:
-            defects, failure = row.defects(suite), ""
-        except row.fails_on as exc:
-            defects, failure = [], f"precondition failed: {exc}"
+        failure = row.precondition(suite) if row.precondition else ""
+        defects = [] if failure else row.defects(suite)
         passed, ratio, note = _judge(row.threshold, defects, suite.charts[0].h)
         extra = {}
         if isinstance(defects, dict):   # per convention: list the first one's action

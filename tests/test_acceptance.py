@@ -150,7 +150,7 @@ def test_criterion_07_weitzenboeck_and_bochner():
     bvals = []
     for n in (64, 128):
         _, phi, psi = torus_deg1_pair(n)
-        bvals.append(dh.bochner_defect(phi, psi, dh.field_scale(phi, psi)))
+        bvals.append(dh.bochner_defect(phi, psi))
     br = bvals[0] / bvals[1]
     assert RATIO_LO <= br <= RATIO_HI
     rng = np.random.default_rng(5)

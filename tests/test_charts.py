@@ -287,12 +287,6 @@ class TestBlock:
         whole = np.zeros(chart.shape, dtype)
         whole[at] = sub
         assert block.integrate(sub) == chart.integrate(whole)
-        # A region inside the block: its quarter nearest the block's first node.
-        inside = np.zeros((m, m), bool)
-        inside[:m // 2, :m // 2] = True
-        region = np.zeros(chart.shape, bool)
-        region[at] = inside
-        assert block.integrate(sub, region=inside) == chart.integrate(whole, region=region)
 
     def test_interp_inside_a_block_matches_the_parent(self, rng):
         chart = dh.DomainChart.disk(48)

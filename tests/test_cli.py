@@ -403,6 +403,42 @@ NUMERIC_EXTREMES = [
 ]
 
 
+# The flows CI runs, each followed by verify on the field files it writes:
+# the heat flow's pair (zero spinor) passes; the coupled flow stops at
+# max_iters short of a solution and fails.
+FLOW_THEN_VERIFY = [
+    pytest.param(PERTURBED + "\n[solver]\nmax_iters = 200\n", 0, id="heat"),
+    pytest.param("[chart]\nn = 16\n\n[scenario]\nkind = twistor_pushforward\n\n[solver]\n"
+                 "max_iters = 100\n", 2, id="coupled"),
+]
+
+
+@pytest.mark.parametrize("text,code", FLOW_THEN_VERIFY)
+def test_flow_fields_verify_with_their_exit_code(tmp_path, text, code):
+    path = tmp_path / "flow.cfg"
+    path.write_text(text)
+    flow = tmp_path / "flow"
+    r = run_cli("flow", "--config", str(path), "--out", str(flow))
+    assert r.returncode == 0, r.stderr
+    r = run_cli("verify", "--phi", str(flow / "phi_final.dhm"), "--psi", str(flow / "psi_final.dhm"),
+                "--out", str(tmp_path / "verify"))
+    assert r.returncode == code, r.stdout + r.stderr
+    assert "Traceback" not in r.stderr, r.stderr
+
+
+def test_flow_from_a_tiny_constant_spinor_refines_it_like_its_unscaled_self(tmp_path):
+    # 2^-50 times the unit components: a power-of-two scale, exact throughout.
+    spinors = []
+    for components in ("1,0", repr(2.0**-50) + ",0"):
+        path = tmp_path / "constant.cfg"
+        path.write_text("[chart]\nn = 16\n\n[scenario]\nkind = constant_spinor\n"
+                        f"spinor_components = {components}\n")
+        out = tmp_path / components
+        assert run_cli("flow", "--config", str(path), "--out", str(out)).returncode == 0
+        spinors.append(sha(out / "psi_final.dhm"))
+    assert spinors[0] == spinors[1]
+
+
 @pytest.mark.parametrize("text,command,code,named", NUMERIC_EXTREMES)
 def test_numeric_extremes_exit_with_their_code_and_no_traceback(tmp_path, text, command,
                                                                  code, named):

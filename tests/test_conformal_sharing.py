@@ -121,11 +121,11 @@ def test_callers_that_discard_the_normal_defect_never_build_it(counted_dirac):
     assert len(counted_dirac) == 1
     dh.weitzenboeck_defect(phi, psi)
     assert len(counted_dirac) == 3
-    dh.bochner_defect(phi, psi, dh.field_scale(phi, psi))
-    assert len(counted_dirac) == 4
+    dh.bochner_defect(phi, psi)  # reads no Dirac evaluation: verify judges D psi = 0
+    assert len(counted_dirac) == 3
     _, phi_r, psi_r = random_sphere_pair(24)
     dh.self_adjointness_defect(phi_r, psi_r, psi_r)
-    assert len(counted_dirac) == 6
+    assert len(counted_dirac) == 5
 
 
 def test_two_maps_two_conventions_interpolate_once_per_field_and_map(compact_pair, monkeypatch):

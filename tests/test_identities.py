@@ -192,13 +192,13 @@ class TestBochner:
     def test_zero_for_constant_pair(self):
         chart = dh.DomainChart.torus(32)
         phi, psi = dh.constant_spinor_pair(chart, dh.Sphere(2), (0, 0, 1), (1, 0, 0), (1, 0))
-        assert dh.bochner_defect(phi, psi, dh.field_scale(phi, psi)) < 1e-12
+        assert dh.bochner_defect(phi, psi) < 1e-12
 
     def test_second_order_on_exact_solutions(self):
         vals = []
         for n in (64, 128):
             _, phi, psi = torus_deg1_pair(n)
-            vals.append(dh.bochner_defect(phi, psi, dh.field_scale(phi, psi)))
+            vals.append(dh.bochner_defect(phi, psi))
         assert_second_order(*vals)
 
     def test_flat_harmonic_spinor_reduction(self):
@@ -212,14 +212,8 @@ class TestBochner:
             phi = dh.MapField(chart, flat, np.zeros(chart.shape + (1,)))
             vals = dh.twistor_field(chart, dh.spinor(0.3, -1j), dh.spinor(0.2, 0.1))
             psi = dh.TwistedSpinorField(chart, flat, vals[..., None, :])
-            # A scale 1000 times the field scale: a Dirac bound of 10 x scale.
-            gaps.append(dh.bochner_defect(phi, psi, 1e3 * dh.field_scale(phi, psi)))
+            gaps.append(dh.bochner_defect(phi, psi))
         assert gaps[1] < 1e-9  # affine fields: centered stencils are exact
-
-    def test_precondition_error_names_measured_residual(self):
-        chart, phi, psi = random_sphere_pair(48, seed=6)
-        with pytest.raises(ValueError, match=r"Dirac residual [0-9.e+-]+ exceeds"):
-            dh.bochner_defect(phi, psi, 1e-4 * dh.field_scale(phi, psi))
 
 
 def _pohozaev_negative_control():

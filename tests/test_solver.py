@@ -101,6 +101,16 @@ class TestFlowStep:
         assert min(ratios) >= 1.0
 
 
+def ci_coupled_pair():
+    """The coupled flow's start in CI: the torus twistor pair at n = 16."""
+    return dh.build_pair(dh.parse_config("[chart]\nn = 16\n\n[scenario]\n"
+                                         "kind = twistor_pushforward\n"))
+
+
+def scaled(psi, factor):
+    return dh.TwistedSpinorField(psi.chart, psi.target, psi.values * factor)
+
+
 class TestDiracProject:
     def test_constant_map_kernel(self):
         chart = dh.DomainChart.torus(32)
@@ -129,6 +139,16 @@ class TestDiracProject:
             assert corr > 0.99
             ratios.append(projection.ratio)
         assert 2.5 <= ratios[0] / ratios[1] <= 6.0
+
+    def test_a_tiny_start_is_projected_not_redrawn(self):
+        # Only None or an exactly zero start draws the seed's random field; a
+        # power-of-two scale passes exactly through every step to the bits.
+        phi, psi = ci_coupled_pair()
+        cfg = dh.SolverConfig(seed=3, power_iters=2)
+        want = dh.dirac_project(phi, psi, cfg)
+        got = dh.dirac_project(phi, scaled(psi, 2.0**-50), cfg)
+        assert np.array_equal(got.psi.values, want.psi.values)
+        assert got.ratio == want.ratio
 
 
 class TestSolve:
@@ -171,6 +191,16 @@ class TestSolve:
         _, _, rep = dh.solve(phi, psi, dh.SolverConfig(seed=0, max_iters=10,
                                                        residual_tol=0.0))
         assert rep.termination == "diverged"
+
+    def test_a_tiny_start_is_refined_not_redrawn(self):
+        # solve freezes only an exactly zero spinor, and dirac_project redraws
+        # only that one: a tiny start is projected and refined like its
+        # unscaled self.
+        phi, psi = ci_coupled_pair()
+        cfg = dh.SolverConfig(seed=0, max_iters=100)
+        want, got = dh.solve(phi, psi, cfg), dh.solve(phi, scaled(psi, 2.0**-60), cfg)
+        assert got[2].kernel_ratio_trace == want[2].kernel_ratio_trace
+        assert np.array_equal(got[1].values, want[1].values)
 
     def test_zero_spinor_runs_pure_heat_flow(self):
         phi0 = perturbed_constant(32, amplitude=0.3, modes=(1, 2))

@@ -1,5 +1,6 @@
-"""The verify rules at their boundaries, the identity calls one
-verification makes, and the fixed grid of the self-adjointness row.
+"""The verify rules at their boundaries, the bochner row's precondition,
+the identity calls one verification makes, and the fixed grid of the
+self-adjointness row.
 
 ``_judge`` is the only code that turns measured defects into a verdict,
 so each rule is tested here directly at its edges; the call counts pin
@@ -12,8 +13,10 @@ from collections import Counter
 import pytest
 
 import diracharmonic as dh
-from diracharmonic import cli, verify
+from diracharmonic import cli, fields, identities, verify
 from diracharmonic.verify import COND_BUDGET, NEAR_ZERO, UNCOND_BUDGET, _judge
+
+from conftest import random_sphere_pair
 
 H2 = {"rel_h2": COND_BUDGET}
 WAIVED = "ratio window waived below 1e-10"
@@ -152,6 +155,59 @@ def test_verify_takes_each_field_scale_once_per_pair(monkeypatch):
             monkeypatch.setattr(module, "field_scale", counted)
     verify.run_verification(dh.parse_config(DISK_48))
     assert len(calls) == 2
+
+
+def test_verify_makes_56_dirac_evaluations_on_the_disk(monkeypatch):
+    # action's and the identities'; the bochner row reads el_residual's instead.
+    calls = []
+    original = fields.dirac_along_map
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (fields, identities):
+        monkeypatch.setattr(module, "dirac_along_map", counted)
+    verify.run_verification(dh.parse_config(DISK_48))
+    assert len(calls) == 56
+
+
+# The Bochner identity holds only where D psi = 0: the row is judged only
+# when the spinor equation's defect is at most BOCHNER_DIRAC_TOL on every
+# grid.  On elliptic_pair at n = 32 that defect is 0.012613 on the first.
+ELLIPTIC_32 = "[chart]\nn = 32\n\n[scenario]\nkind = elliptic_pair\n"
+
+
+@pytest.mark.parametrize("tol,judged", [(0.0127, True), (0.0126, False)])
+def test_bochner_is_judged_only_within_the_dirac_tolerance(monkeypatch, tol, judged):
+    monkeypatch.setattr(verify, "BOCHNER_DIRAC_TOL", tol)
+    report = verify.run_verification(dh.parse_config(ELLIPTIC_32))
+    records = {r["id"]: r for r in report["identities"]}
+    assert 0.0126 < max(records["spinor_equation"]["defects"]) < 0.0127
+    bochner = records["bochner"]
+    assert len(bochner["defects"]) == (2 if judged else 0)
+    assert bochner["note"].startswith("precondition failed") is not judged
+    if not judged:
+        assert bochner["pass"] is False
+
+
+def test_bochner_precondition_names_the_measured_residual():
+    _, phi, psi = random_sphere_pair(48, seed=6)
+    suite = verify._Suite([(phi, psi)], [48], 0, "stored_fields")
+    sup, scale = suite.each(verify._el_norms)[0]["spinor_sup"], suite.scales[0]
+    assert verify._bochner_precondition(suite) == (
+        f"precondition failed: Dirac residual {sup:.3e} exceeds tolerance 1.0e-02 x scale "
+        f"{scale:.3e}; the identity is only valid on solutions")
+
+
+def test_a_value_error_inside_an_identity_is_no_failed_precondition(monkeypatch):
+    def broken(*_args):
+        raise ValueError("raised inside the identity")
+
+    monkeypatch.setattr(verify, "bochner_defect", broken)
+    cfg = dh.parse_config("[chart]\nn = 16\n\n[scenario]\nkind = constant_spinor\n")
+    with pytest.raises(ValueError, match="raised inside the identity"):
+        verify.run_verification(cfg)
 
 
 # dirac_self_adjoint never reads the pair under test, so it runs on one
