@@ -237,7 +237,9 @@ def build_solver_config(cfg: RunConfig) -> SolverConfig:
 def build_pair(cfg: RunConfig, n_override: int | None = None
                ) -> tuple[MapField, TwistedSpinorField]:
     """The configured scenario's fields at chart.n or ``n_override``; a pair
-    ``check_pair`` rejects is a config error."""
+    ``check_pair`` rejects is a config error.  The map carries no
+    ``analytic_gradient``: the pushforward families drop it once their
+    spinor is built."""
     chart = build_chart(cfg, n_override)
     kind = cfg.get("scenario", "kind")
     sc = partial(cfg.get, "scenario")
@@ -268,6 +270,9 @@ def build_pair(cfg: RunConfig, n_override: int | None = None
                                      amplitude=sc("amplitude"), modes=sc("modes"))
             phi = MapField(chart, sphere, sphere.project_point(base + pert))
             psi = TwistedSpinorField.zero(chart, sphere)
+        # The exact gradient of the pushforward families has served its one
+        # reader, twistor_pushforward: the pair keeps the map's values alone.
+        phi = MapField(chart, phi.target, phi.values)
         check_pair(phi, psi)
     except ValueError as exc:  # data no single key can judge, e.g. a degenerate map
         raise ConfigError(f"{where}: {exc}") from None

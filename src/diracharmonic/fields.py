@@ -165,19 +165,30 @@ def project_spinor(phi: MapField, raw) -> TwistedSpinorField:
 def _tangent_project_spinor(phi: MapField, arr, out=None) -> np.ndarray:
     """Apply the pointwise tangent projector of the target to each
     half-spinor component of an (n, n, K, 2) array, writing into ``out``
-    (not overlapping ``arr``) when given."""
-    normal = normal_part(phi.target.normal(phi.values), arr, out=out)
-    return np.subtract(arr, normal, out=normal)
+    when given: an array that does not overlap ``arr``, or ``arr`` itself.
+
+    In place, the pairing p = <nu, arr> is formed first and each ambient
+    slot then loses nu_i p, so no second grid is held; the products and the
+    subtraction are those of ``arr - normal_part(nu, arr)``, and so are
+    the bits."""
+    nu = phi.target.normal(phi.values)
+    if out is not arr:
+        normal = normal_part(nu, arr, out=out)
+        return np.subtract(arr, normal, out=normal)
+    if nu is not None:
+        p = ambient_pairing(nu, arr)
+        for i in range(arr.shape[-2]):
+            arr[..., i, :] -= nu[..., i, None] * p
+    return arr
 
 
 # -- first-order operators ----------------------------------------------------
 
 def covariant_derivative(phi: MapField, values, axis: str) -> np.ndarray:
     """P d_axis of a K-spinor grid along "x" or "y": the tangential part
-    of the flat derivative."""
+    of the flat derivative, projected in place."""
     d = phi.chart.derivative(values, axis)
-    d -= normal_part(phi.target.normal(phi.values), d)
-    return d
+    return _tangent_project_spinor(phi, d, out=d)
 
 
 def clifford_frame_contract(dphi, psi_values, out=None, work=None) -> np.ndarray:
@@ -220,8 +231,10 @@ def tension(phi: MapField, out=None, work=None) -> np.ndarray:
 
 def dirac_along_map(phi: MapField, psi: TwistedSpinorField) -> np.ndarray:
     """Dirac operator along the map: the tangential projection of the
-    componentwise flat Dirac operator, for a tangent psi (``check_pair``)."""
-    return _tangent_project_spinor(phi, flat_dirac(psi.values, phi.chart))
+    componentwise flat Dirac operator, for a tangent psi (``check_pair``),
+    projected in place."""
+    d = flat_dirac(psi.values, phi.chart)
+    return _tangent_project_spinor(phi, d, out=d)
 
 
 def curvature_term(phi: MapField, psi: TwistedSpinorField, out=None, work=None) -> np.ndarray:
@@ -297,7 +310,10 @@ def el_residual(phi: MapField, psi: TwistedSpinorField | None) -> ELResidual:
         normal = normal_part(nu, spin_res)
         spin_res -= normal
         if nu is not None:
-            normal = normal - (-nu[..., :, None] * sigma[..., None, :])
+            # The defect: the normal part less A = (-nu) (x) sigma, one
+            # ambient slot at a time, in place.
+            for i in range(nu.shape[-1]):
+                normal[..., i, :] -= -nu[..., i, None] * sigma
         # The spinor axis first, then K: the order flow traces were recorded in.
         spinor_sup = _sup(spinor_norm2(spin_res).sum(axis=-1), mask)
         normal_sup = _sup(spinor_norm2(normal).sum(axis=-1), mask)

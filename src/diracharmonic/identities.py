@@ -17,9 +17,12 @@ its divergence and the dbar of T_11 - i T_12) and ``pohozaev_defect`` one
 per circle radius, from one evaluation per pair; whether a conditional
 identity applies is ``verify``'s to judge.  The identities read only
 D psi, never the normal defect, so they take it from ``dirac_along_map``.
-Each drops a grid-sized array after its last read and takes covariant
-derivatives one direction at a time, so it holds a few spinor grids at
-once (``tests/test_verify_memory.py``).
+Each drops a grid-sized array after its last read, takes covariant
+derivatives one direction at a time, forms each e_a . psi only for its
+pairings and R(X, Y) S one ambient slot at a time, so above its inputs it
+holds at most 4.25 spinor grids at once, and ``weitzenboeck_defect``,
+whose D^2 psi alone needs four, at most 4.75
+(``tests/test_verify_memory.py``).
 ``conformal_invariance_defect`` returns what the conformal record judges:
 per rescaling convention, the worst action and energy changes over
 several maps, sharing the pair's own terms and each map's pullback across
@@ -53,12 +56,16 @@ def energy_momentum(phi: MapField, psi: TwistedSpinorField) -> np.ndarray:
             T[..., a, b] = 2.0 * (d[..., a, :] * d[..., b, :]).sum(axis=-1)
             if a == b:
                 T[..., a, b] -= dirichlet
-    e_psi = [clifford_mul(e_a, psi.values) for e_a in FRAME]
+    del d, dirichlet
     for b, axis in enumerate(("x", "y")):
         grad_b = covariant_derivative(phi, psi.values, axis)
-        for a in range(2):
-            # Re<psi, e_a . grad_b psi> = -Re<e_a . psi, grad_b psi>.
-            T[..., a, b] -= re_pairing(e_psi[a], grad_b, axis=(-2, -1))
+        for a, e_a in enumerate(FRAME):
+            # Re<psi, e_a . grad_b psi> = -Re<e_a . psi, grad_b psi>; e_a . psi
+            # is formed for its one pairing and holds that pairing's products.
+            e_psi = clifford_mul(e_a, psi.values)
+            T[..., a, b] -= re_pairing(e_psi, grad_b, axis=(-2, -1), work=e_psi)
+            del e_psi
+        del grad_b
     return T
 
 
@@ -91,15 +98,20 @@ def _gradient_norm2(phi: MapField, psi: TwistedSpinorField) -> np.ndarray:
     return out
 
 
-def _curvature_on_spinor(phi: MapField, X, Y, S) -> np.ndarray:
-    """R(X, Y) S for real tangent fields X, Y and a K-spinor array S,
-    complex-linear in S.  By the Gauss equation the unit sphere gives
-    <Y, S> X - <X, S> Y; flat targets (no normal) give 0."""
-    if phi.target.normal(phi.values) is None:
-        return np.zeros(S.shape, S.dtype)
+def _curvature_on_spinor(X, Y, S):
+    """R(X, Y) S on the unit sphere for real tangent fields X, Y and a
+    K-spinor array S, complex-linear in S: by the Gauss equation
+    <Y, S> X - <X, S> Y.  Returns the function of (i, out=None) that forms
+    its ambient slot i, X_i <Y, S> - Y_i <X, S>, in ``out`` when given; it
+    holds only the two pairings, so S may be dropped once this returns.
+    Flat targets have no curvature, and the callers skip the term there."""
     ys = ambient_pairing(Y, S)
     xs = ambient_pairing(X, S)
-    return X[..., :, None] * ys[..., None, :] - Y[..., :, None] * xs[..., None, :]
+
+    def slot(i, out=None):
+        xy = np.multiply(X[..., i, None], ys, out=out)
+        return np.subtract(xy, Y[..., i, None] * xs, out=xy)
+    return slot
 
 
 def weitzenboeck_defect(phi: MapField, psi: TwistedSpinorField) -> float:
@@ -114,15 +126,19 @@ def weitzenboeck_defect(phi: MapField, psi: TwistedSpinorField) -> float:
     rhs = np.zeros_like(psi.values)
     for axis in ("x", "y"):
         rhs -= covariant_derivative(phi, covariant_derivative(phi, psi.values, axis), axis)
-    d = phi.gradient()
-    # R(X, X) = 0, and the (1, 0) term equals the (0, 1) term: R(Y, X) =
-    # -R(X, Y) and e2 . e1 = -e1 . e2.
-    rhs += _curvature_on_spinor(phi, d[..., 0, :], d[..., 1, :],
-                                clifford_mul(FRAME[0], clifford_mul(FRAME[1], psi.values)))
-    del d
+    if phi.target.normal(phi.values) is not None:
+        d = phi.gradient()
+        # R(X, X) = 0, and the (1, 0) term equals the (0, 1) term: R(Y, X) =
+        # -R(X, Y) and e2 . e1 = -e1 . e2.
+        r_slot = _curvature_on_spinor(d[..., 0, :], d[..., 1, :],
+                                      clifford_mul(FRAME[0], clifford_mul(FRAME[1], psi.values)))
+        for i in range(rhs.shape[-2]):
+            rhs[..., i, :] += r_slot(i)
+        del d, r_slot
     # D^2 psi last, D psi alive only while D^2 psi is formed.
     lhs = dirac_along_map(phi, TwistedSpinorField(chart, phi.target, dirac_along_map(phi, psi)))
-    gap = np.sqrt(spinor_norm2(lhs - rhs, axis=(-2, -1)))
+    lhs -= rhs
+    gap = np.sqrt(spinor_norm2(lhs, axis=(-2, -1)))
     return float(gap[chart.interior_mask].max())
 
 
@@ -137,12 +153,20 @@ def bochner_defect(phi: MapField, psi: TwistedSpinorField) -> float:
     chart = phi.chart
     lhs = 0.5 * chart.laplacian(psi.norm2_density())
     rhs = _gradient_norm2(phi, psi)
-    d = phi.gradient()
-    e_psi = [clifford_mul(e_a, psi.values) for e_a in FRAME]
-    for a, b in ((0, 1), (1, 0)):  # R(X, X) = 0
-        r_on = _curvature_on_spinor(phi, d[..., a, :], d[..., b, :], e_psi[b])
-        rhs = rhs - 0.5 * re_pairing(e_psi[a], r_on, axis=(-2, -1))
-        del r_on
+    if phi.target.normal(phi.values) is not None:
+        d = phi.gradient()
+        for a, b in ((0, 1), (1, 0)):  # R(X, X) = 0
+            # e_b . psi lives only for its two pairings, e_a . psi only for
+            # the one with R(dphi_a, dphi_b)(e_b . psi), whose products it holds.
+            r_slot = _curvature_on_spinor(d[..., a, :], d[..., b, :],
+                                          clifford_mul(FRAME[b], psi.values))
+            e_psi = clifford_mul(FRAME[a], psi.values)
+            r_on = np.empty_like(e_psi)
+            for i in range(r_on.shape[-2]):
+                r_slot(i, out=r_on[..., i, :])
+            del r_slot
+            rhs = rhs - 0.5 * re_pairing(e_psi, r_on, axis=(-2, -1), work=e_psi)
+            del e_psi, r_on
     return float(np.abs(lhs - rhs)[chart.interior_mask].max())
 
 

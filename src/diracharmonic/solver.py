@@ -269,10 +269,11 @@ def dirac_project(phi: MapField, psi_init: TwistedSpinorField | None,
     """Extract a near-kernel spinor of the Dirac operator along phi.
 
     Runs ``power_iters`` rounds of inverse power iteration on the squared
-    operator from ``psi_init`` (a random field drawn from ``seed`` when it
-    is None or exactly zero, ``solve``'s test), then rescales to unit L2
-    norm.  Returns the field, its kernel ratio and the CG telemetry as a
-    ``KernelProjection``.  The field's values are a new grid; every other
+    operator from the tangent projection of ``psi_init``, or from a random
+    field drawn from ``seed`` when ``psi_init`` is None, exactly zero
+    (``solve``'s test) or has an exactly zero tangent projection (a spinor
+    along the normal), then rescales to unit L2 norm.  Returns the field,
+    its kernel ratio and the CG telemetry as a ``KernelProjection``.  The field's values are a new grid; every other
     array lives for this call only.
     """
     chart = phi.chart
@@ -282,9 +283,12 @@ def dirac_project(phi: MapField, psi_init: TwistedSpinorField | None,
     # the kernel directions.  The work grids come before the returned
     # spinor's grid, which then pins the heap top between refreshes.
     op = _DiracKernelOperator(phi, 1e-4 * 4.0 / chart.h**2)
+    x = None
     if psi_init is not None and float(spinor_norm2(psi_init.values).sum()) != 0.0:
         x = _tangent_project_spinor(phi, psi_init.values)
-    else:
+        if float(spinor_norm2(x).sum()) == 0.0:
+            x = None
+    if x is None:
         rng = np.random.default_rng(config.seed)
         raw = empty_planes(chart.shape + (K, 2), np.complex128)
         raw.real = rng.normal(size=chart.shape + (K, 2))
@@ -315,8 +319,10 @@ def solve(phi0: MapField, psi0: TwistedSpinorField | None,
     ``psi0`` picks the start: None extracts a near-kernel spinor from a
     random field drawn from ``seed`` (the coupled flow), an exactly zero
     field freezes the spinor (the heat flow), and any other, however small,
-    is projected and refined.  In ``flow_step``, ``el_residual``, ``action``
-    and ``energy``, by contrast, ``psi=None`` is the frozen zero spinor.
+    is projected and refined; one whose projection is exactly zero starts
+    from the seed's random field, as None does.  In ``flow_step``,
+    ``el_residual``, ``action`` and ``energy``, by contrast, ``psi=None``
+    is the frozen zero spinor.
 
     Terminates when the combined residual sup falls below residual_tol,
     on max_iters, or on divergence.  Deterministic for fixed inputs and

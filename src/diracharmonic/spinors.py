@@ -37,9 +37,9 @@ def spinor(f, g) -> np.ndarray:
 def re_pairing(s, t, axis=-1, out=None, work=None) -> np.ndarray:
     """Re <s, t> summed over ``axis``: -1 for plain spinors, (-2, -1) for
     twisted ones and None for the whole grid.  ``work``, complex, shaped like
-    ``s`` and overlapping neither input, receives conj(s) and then, in place,
-    conj(s) t; ``out`` receives the sum of their real parts, added in memory
-    order.  Each is allocated when None."""
+    ``s``, and either ``s`` itself or overlapping neither input, receives
+    conj(s) and then, in place, conj(s) t; ``out`` receives the sum of
+    their real parts, added in memory order.  Each is allocated when None."""
     prod = np.conjugate(s, out=work)
     prod *= t
     return np.sum(prod.real, axis=axis, out=out)

@@ -19,8 +19,9 @@ import numpy as np
 from . import __version__
 from .charts import DomainChart, MoebiusMap, bandlimited_field
 from .config import ConfigError, RunConfig, build_chart, build_pair
-from .fields import (MapField, action, curvature_term, dirichlet_density,
-                     el_residual, field_scale, project_spinor, tangency_defect)
+from .fields import (MapField, TwistedSpinorField, action, curvature_term, dirichlet_density,
+                     el_residual, field_scale, project_spinor, tangency_defect,
+                     _tangent_project_spinor)
 from .identities import (_EXPONENTS, bochner_defect, conformal_invariance_defect, em_defects,
                          pohozaev_defect, self_adjointness_defect, weitzenboeck_defect)
 from .spinors import (clifford_mul, flat_dirac, re_pairing, spinor_norm2, twistor_defect,
@@ -56,10 +57,13 @@ def canonical_compact_pair(n: int, seed: int = 7):
     base[..., 2] = 1.0
     dev = bandlimited_field(chart, rng, components=(3,), kmax=1, amplitude=0.4)
     phi = MapField(chart, sphere, sphere.project_point(base + bump[..., None] * dev))
-    sdev = (bandlimited_field(chart, rng, components=(3, 2), kmax=1, amplitude=2.0)
-            + 1j * bandlimited_field(chart, rng, components=(3, 2), kmax=1, amplitude=2.0))
-    psi = project_spinor(phi, bump[..., None, None] * sdev)
-    return phi, psi
+    # The raw spinor (a + ib) bump in one grid, a drawn before b.
+    a = bandlimited_field(chart, rng, components=(3, 2), kmax=1, amplitude=2.0)
+    raw = 1j * bandlimited_field(chart, rng, components=(3, 2), kmax=1, amplitude=2.0)
+    raw = np.add(a, raw, out=raw)
+    del a
+    raw *= bump[..., None, None]
+    return phi, TwistedSpinorField(chart, sphere, _tangent_project_spinor(phi, raw, out=raw))
 
 
 def _algebra_checks(seed: int):

@@ -150,8 +150,37 @@ class TestDiracProject:
         assert np.array_equal(got.psi.values, want.psi.values)
         assert got.ratio == want.ratio
 
+    def test_a_start_along_the_normal_is_redrawn(self):
+        # Its tangent projection is exactly zero, so it starts from the seed's
+        # random field, as None does, and the CG does not break down.
+        phi, psi = normal_start()
+        cfg = dh.SolverConfig(seed=4, power_iters=2)
+        want = dh.dirac_project(phi, None, cfg)
+        got = dh.dirac_project(phi, psi, cfg)
+        assert np.array_equal(got.psi.values, want.psi.values)
+        assert got.ratio == want.ratio
+        assert got.cg_iterations == want.cg_iterations
+
+
+def normal_start():
+    """The constant map (0, 0, 1) on an n = 16 torus and a nonzero spinor
+    along its normal, built without ``check_pair``."""
+    chart = dh.DomainChart.torus(16)
+    phi = dh.MapField.constant(chart, dh.Sphere(2), (0, 0, 1))
+    raw = np.zeros(chart.shape + (3, 2), dtype=complex)
+    raw[..., 2, 0] = 1.0
+    return phi, dh.TwistedSpinorField(chart, phi.target, raw)
+
 
 class TestSolve:
+    def test_a_start_along_the_normal_runs(self):
+        phi, psi = normal_start()
+        _, psi_out, rep = dh.solve(phi, psi, dh.SolverConfig(seed=4, power_iters=2,
+                                                            max_iters=10, trace_every=5))
+        assert rep.termination in ("converged", "max_iters")
+        assert np.isfinite(psi_out.values).all()
+        assert dh.tangency_defect(phi, psi_out) <= 1e-10
+
     def test_exact_start_converges_immediately(self):
         _, phi, psi = elliptic_pair(48)
         res = dh.el_residual(phi, psi)
