@@ -21,11 +21,10 @@ from . import __version__
 from .config import (ConfigError, RunConfig, build_pair, build_solver_config,
                      load_config, parse_config)
 from .fieldio import FieldFileError, read_field, read_header, write_field
-from .fields import (InadmissiblePair, MapField, TwistedSpinorField, action, check_pair,
-                     el_residual, energy, field_scale)
+from .fields import InadmissiblePair, MapField, TwistedSpinorField, check_pair
 from .identities import decay_profile
 from .solver import solve
-from .verify import run_verification, run_verification_on_fields
+from .verify import pair_summary, run_verification, run_verification_on_fields
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -71,21 +70,9 @@ def _read_fields(phi_path, psi_path):
     return phi, psi
 
 
-def _summary(phi, psi) -> dict:
-    res = el_residual(phi, psi)
-    return {
-        "action": float(action(phi, psi, region=phi.chart.interior_mask)),
-        "energy": float(energy(phi, psi, region=phi.chart.interior_mask)),
-        "map_residual_sup": res.norms["map_sup"],
-        "spinor_residual_sup": res.norms["spinor_sup"],
-        "normal_defect_sup": res.norms["normal_sup"],
-        "field_scale": field_scale(phi, psi),
-    }
-
-
 def cmd_exact(cfg: RunConfig) -> int:
     phi, psi = build_pair(cfg)
-    summary = _summary(phi, psi)  # before any file, which a failed summary leaves unwritten
+    summary = pair_summary(phi, psi)  # before any file, which a failed summary leaves unwritten
     out = _outdir(cfg)
     write_field(out / "phi.dhm", phi)
     write_field(out / "psi.dhm", psi)
@@ -112,7 +99,6 @@ def cmd_verify(cfg: RunConfig, sweep: bool, phi_path=None, psi_path=None) -> int
                                   "with --phi")
         phi, psi = _read_fields(phi_path, psi_path)
         report = run_verification_on_fields(phi, psi, seed=cfg.get("output", "seed"))
-        report["summary"] = _summary(phi, psi)
     else:
         report = run_verification(cfg, sweep=sweep)
     out = _outdir(cfg)

@@ -229,12 +229,24 @@ def tension(phi: MapField, out=None, work=None) -> np.ndarray:
     return phi.target.tangent_project(phi.values, lap, out=out)
 
 
-def dirac_along_map(phi: MapField, psi: TwistedSpinorField) -> np.ndarray:
+def dirac_along_map(phi: MapField, psi: TwistedSpinorField, out=None) -> np.ndarray:
     """Dirac operator along the map: the tangential projection of the
     componentwise flat Dirac operator, for a tangent psi (``check_pair``),
-    projected in place."""
-    d = flat_dirac(psi.values, phi.chart)
-    return _tangent_project_spinor(phi, d, out=d)
+    projected in place.  ``out`` receives it, a new grid when None; it may
+    be ``psi.values`` itself, so D (D psi) can take D psi's place.
+
+    The flat operator never mixes ambient slots, and each slot of a
+    component-major field is one contiguous (2, n, n) block, so
+    ``flat_dirac`` forms one slot at a time in a one-slot buffer, with a
+    one-slot work grid, and the slot is copied out: the bits of the
+    whole-grid call with one slot's buffers (``tests/test_lean_kernel_bits.py``)."""
+    vals = psi.values
+    out = np.empty_like(vals) if out is None else out
+    slot, work = (empty_planes(vals.shape[:2] + vals.shape[-1:], vals.dtype) for _ in range(2))
+    for i in range(vals.shape[-2]):
+        out[..., i, :] = flat_dirac(vals[..., i, :], phi.chart, out=slot, work=work)
+    del slot, work
+    return _tangent_project_spinor(phi, out, out=out)
 
 
 def curvature_term(phi: MapField, psi: TwistedSpinorField, out=None, work=None) -> np.ndarray:

@@ -18,11 +18,13 @@ per circle radius, from one evaluation per pair; whether a conditional
 identity applies is ``verify``'s to judge.  The identities read only
 D psi, never the normal defect, so they take it from ``dirac_along_map``.
 Each drops a grid-sized array after its last read, takes covariant
-derivatives one direction at a time, forms each e_a . psi only for its
-pairings and R(X, Y) S one ambient slot at a time, so above its inputs it
-holds at most 4.25 spinor grids at once, and ``weitzenboeck_defect``,
-whose D^2 psi alone needs four, at most 4.75
-(``tests/test_verify_memory.py``).
+derivatives one direction at a time, forms each e_a . psi one ambient
+slot at a time and only for its pairings, and R(X, Y) S one slot at a
+time from two pairings that read S one slot at a time, so S never exists
+whole.  Second derivatives and D^2 psi overwrite the first derivative
+or D psi slot by slot, so each holds one grid and a slot beside the
+right-hand side.  Above its inputs each identity holds at most 3.5
+spinor grids at once, gated at 4.25 (``tests/test_verify_memory.py``).
 ``conformal_invariance_defect`` returns what the conformal record judges:
 per rescaling convention, the worst action and energy changes over
 several maps, sharing the pair's own terms and each map's pullback across
@@ -37,9 +39,20 @@ import numpy as np
 
 from .charts import DomainChart, MoebiusMap, empty_planes
 from .fields import (MapField, TwistedSpinorField, action, covariant_derivative,
-                     dirac_along_map, dirichlet_density, energy, project_spinor)
+                     dirac_along_map, dirichlet_density, energy, project_spinor,
+                     _tangent_project_spinor)
 from .spinors import FRAME, clifford_mul, re_pairing, spinor_norm2
 from .targets import ambient_pairing
+
+
+def _frame_mul(e, values) -> np.ndarray:
+    """e . values for a ``FRAME`` vector e on a twisted grid, one ambient
+    slot at a time: ``clifford_mul``'s bits (its products by 0 and +-1 are
+    exact), holding one slot's temporaries where it holds a grid's."""
+    out = np.empty_like(values)
+    for i in range(values.shape[-2]):
+        out[..., i, :] = clifford_mul(e, values[..., i, :])
+    return out
 
 
 # -- energy-momentum tensor ----------------------------------------------------
@@ -62,7 +75,7 @@ def energy_momentum(phi: MapField, psi: TwistedSpinorField) -> np.ndarray:
         for a, e_a in enumerate(FRAME):
             # Re<psi, e_a . grad_b psi> = -Re<e_a . psi, grad_b psi>; e_a . psi
             # is formed for its one pairing and holds that pairing's products.
-            e_psi = clifford_mul(e_a, psi.values)
+            e_psi = _frame_mul(e_a, psi.values)
             T[..., a, b] -= re_pairing(e_psi, grad_b, axis=(-2, -1), work=e_psi)
             del e_psi
         del grad_b
@@ -98,15 +111,37 @@ def _gradient_norm2(phi: MapField, psi: TwistedSpinorField) -> np.ndarray:
     return out
 
 
-def _curvature_on_spinor(X, Y, S):
+def _second_covariant_derivative(phi: MapField, values, axis: str) -> np.ndarray:
+    """grad_axis grad_axis of a K-spinor grid in one grid beside its input:
+    the outer flat derivative runs one ambient slot at a time through a
+    one-slot buffer into the inner derivative's grid, then projects in
+    place.  A stencil never mixes slots, so these are the bits of
+    ``covariant_derivative`` taken twice."""
+    inner = covariant_derivative(phi, values, axis)
+    slot = empty_planes(inner.shape[:2] + inner.shape[-1:], inner.dtype)
+    for i in range(inner.shape[-2]):
+        inner[..., i, :] = phi.chart.derivative(inner[..., i, :], axis, out=slot)
+    del slot
+    return _tangent_project_spinor(phi, inner, out=inner)
+
+
+def _curvature_on_spinor(X, Y, s_slots):
     """R(X, Y) S on the unit sphere for real tangent fields X, Y and a
     K-spinor array S, complex-linear in S: by the Gauss equation
-    <Y, S> X - <X, S> Y.  Returns the function of (i, out=None) that forms
-    its ambient slot i, X_i <Y, S> - Y_i <X, S>, in ``out`` when given; it
-    holds only the two pairings, so S may be dropped once this returns.
+    <Y, S> X - <X, S> Y.  ``s_slots`` yields S's ambient slots in order;
+    each is added into the two pairings as ``ambient_pairing`` adds it and
+    then dropped, so S never exists whole.  Returns the function of
+    (i, out=None) that forms its ambient slot i, X_i <Y, S> - Y_i <X, S>,
+    in ``out`` when given; it holds only the two pairings.
     Flat targets have no curvature, and the callers skip the term there."""
-    ys = ambient_pairing(Y, S)
-    xs = ambient_pairing(X, S)
+    for i, s in enumerate(s_slots):
+        if i == 0:
+            ys = np.multiply(Y[..., 0, None], s)
+            xs = np.multiply(X[..., 0, None], s)
+        else:
+            ys += Y[..., i, None] * s
+            xs += X[..., i, None] * s
+    del s
 
     def slot(i, out=None):
         xy = np.multiply(X[..., i, None], ys, out=out)
@@ -123,21 +158,28 @@ def weitzenboeck_defect(phi: MapField, psi: TwistedSpinorField) -> float:
     Returns the sup-norm of LHS - RHS over the chart interior.
     """
     chart = phi.chart
-    rhs = np.zeros_like(psi.values)
-    for axis in ("x", "y"):
-        rhs -= covariant_derivative(phi, covariant_derivative(phi, psi.values, axis), axis)
+    vals = psi.values
+    # -A - B for the two directions' terms A, B: the bits of 0 - A - B but
+    # for the sign of exact zeros, which no norm sees.
+    rhs = _second_covariant_derivative(phi, vals, "x")
+    np.negative(rhs, out=rhs)
+    rhs -= _second_covariant_derivative(phi, vals, "y")
     if phi.target.normal(phi.values) is not None:
         d = phi.gradient()
         # R(X, X) = 0, and the (1, 0) term equals the (0, 1) term: R(Y, X) =
         # -R(X, Y) and e2 . e1 = -e1 . e2.
-        r_slot = _curvature_on_spinor(d[..., 0, :], d[..., 1, :],
-                                      clifford_mul(FRAME[0], clifford_mul(FRAME[1], psi.values)))
+        r_slot = _curvature_on_spinor(
+            d[..., 0, :], d[..., 1, :],
+            (clifford_mul(FRAME[0], clifford_mul(FRAME[1], vals[..., i, :]))
+             for i in range(vals.shape[-2])))
         for i in range(rhs.shape[-2]):
             rhs[..., i, :] += r_slot(i)
         del d, r_slot
-    # D^2 psi last, D psi alive only while D^2 psi is formed.
-    lhs = dirac_along_map(phi, TwistedSpinorField(chart, phi.target, dirac_along_map(phi, psi)))
+    # D^2 psi last, in D psi's grid.
+    lhs = dirac_along_map(phi, psi)
+    dirac_along_map(phi, TwistedSpinorField(chart, phi.target, lhs), out=lhs)
     lhs -= rhs
+    del rhs
     gap = np.sqrt(spinor_norm2(lhs, axis=(-2, -1)))
     return float(gap[chart.interior_mask].max())
 
@@ -156,15 +198,17 @@ def bochner_defect(phi: MapField, psi: TwistedSpinorField) -> float:
     if phi.target.normal(phi.values) is not None:
         d = phi.gradient()
         for a, b in ((0, 1), (1, 0)):  # R(X, X) = 0
-            # e_b . psi lives only for its two pairings, e_a . psi only for
-            # the one with R(dphi_a, dphi_b)(e_b . psi), whose products it holds.
+            # e_b . psi is formed one ambient slot at a time for its two
+            # pairings, e_a . psi once they are dropped, for the one with
+            # R(dphi_a, dphi_b)(e_b . psi), whose products it holds.
             r_slot = _curvature_on_spinor(d[..., a, :], d[..., b, :],
-                                          clifford_mul(FRAME[b], psi.values))
-            e_psi = clifford_mul(FRAME[a], psi.values)
-            r_on = np.empty_like(e_psi)
+                                          (clifford_mul(FRAME[b], psi.values[..., i, :])
+                                           for i in range(psi.values.shape[-2])))
+            r_on = np.empty_like(psi.values)
             for i in range(r_on.shape[-2]):
                 r_slot(i, out=r_on[..., i, :])
             del r_slot
+            e_psi = _frame_mul(FRAME[a], psi.values)
             rhs = rhs - 0.5 * re_pairing(e_psi, r_on, axis=(-2, -1), work=e_psi)
             del e_psi, r_on
     return float(np.abs(lhs - rhs)[chart.interior_mask].max())

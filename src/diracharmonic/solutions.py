@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .charts import DomainChart
+from .charts import DomainChart, empty_planes
 from .fields import MapField, TwistedSpinorField, project_spinor
 from .spinors import FRAME, clifford_mul, twistor_field
 from .targets import Sphere, TargetGeometry
@@ -139,8 +139,12 @@ def twistor_pushforward(phi: MapField, psi0, psi1) -> TwistedSpinorField:
     e1Psi = clifford_mul(FRAME[0], Psi)
     e2Psi = clifford_mul(FRAME[1], Psi)
     d = phi.gradient() if phi.analytic_gradient is None else phi.analytic_gradient
-    vals = (d[..., 0, :, None] * e1Psi[..., None, :]
-            + d[..., 1, :, None] * e2Psi[..., None, :])
+    # One ambient slot at a time, straight into the stored layout: the sum
+    # of the two products is elementwise, so each slot has the bits of the
+    # whole-grid sum with one slot's temporaries.
+    vals = empty_planes(chart.shape + (phi.target.ambient_dim, 2), np.complex128)
+    for i in range(vals.shape[-2]):
+        np.add(d[..., 0, i, None] * e1Psi, d[..., 1, i, None] * e2Psi, out=vals[..., i, :])
     return TwistedSpinorField(chart, phi.target, vals)
 
 

@@ -46,10 +46,16 @@ def re_pairing(s, t, axis=-1, out=None, work=None) -> np.ndarray:
 
 
 def spinor_norm2(s, axis=-1) -> np.ndarray:
-    """|s|^2 = sum |f|^2 + |g|^2 over ``axis``, as for ``re_pairing``."""
+    """|s|^2 = sum |f|^2 + |g|^2 over ``axis``, as for ``re_pairing``.  On
+    a twisted grid, shaped (n, n, K, 2), the imaginary parts' squares are
+    added one ambient slot at a time, so the one temporary is a slot's."""
     s = np.asarray(s)
     squares = s.real**2
-    squares += s.imag**2
+    if s.ndim == 4:
+        for i in range(s.shape[-2]):
+            squares[..., i, :] += s.imag[..., i, :]**2
+    else:
+        squares += s.imag**2
     return squares.sum(axis=axis)
 
 

@@ -7,6 +7,16 @@ fields; conditional: on critical pairs), grids, defects, refinement
 ratio, threshold and pass flag.  ``_ROWS`` lists the records in report
 order; each threshold names the rule ``_judge`` applies once the row's
 precondition holds; every verdict constant is pinned here, not configurable.
+
+Verify measures one grid at a time.  Grid n's pair is built, every
+in-scope row that reads it takes its defect in that grid's pass
+(``_Grid``, where the measurements several rows share are taken once),
+and the pair is dropped before grid 2n's is built.  What outlives a
+pass is scalars: each row's defects and a failed precondition's note
+(``_Suite``).  The rows that read no pair under test (the algebra, the
+twistor family, self-adjointness and conformal invariance) run after
+the last grid, and then every record is judged.  File mode is the same
+loop over the stored fields' one grid.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from . import __version__
 from .charts import DomainChart, MoebiusMap, bandlimited_field
 from .config import ConfigError, RunConfig, build_chart, build_pair
 from .fields import (MapField, TwistedSpinorField, action, curvature_term, dirichlet_density,
-                     el_residual, field_scale, project_spinor, tangency_defect,
+                     el_residual, energy, field_scale, project_spinor, tangency_defect,
                      _tangent_project_spinor)
 from .identities import (_EXPONENTS, bochner_defect, conformal_invariance_defect, em_defects,
                          pohozaev_defect, self_adjointness_defect, weitzenboeck_defect)
@@ -99,23 +109,36 @@ def _require_circles_fit(chart: DomainChart, where: str) -> None:
 
 def run_verification(cfg: RunConfig, sweep: bool = False) -> dict:
     """Execute the suite on a configured scenario at (n, 2n) and optionally
-    4n; returns the report dictionary (see module doc)."""
-    base_n = cfg.get("chart", "n")
-    _require_circles_fit(build_chart(cfg), cfg.where("chart", "n"))
-    grids = [base_n, 2 * base_n] + ([4 * base_n] if sweep else [])
-    pairs = [build_pair(cfg, n_override=n) for n in grids]
-    report = _verify_pairs(pairs, grids, cfg.get("output", "seed"), cfg.get("scenario", "kind"),
-                           "scenario")
+    4n; returns the report dictionary (see module doc).  Each grid's pair is
+    built, measured and dropped before the next is built."""
+    chart = build_chart(cfg)
+    _require_circles_fit(chart, cfg.where("chart", "n"))
+    grids = [chart.n, 2 * chart.n] + ([4 * chart.n] if sweep else [])
+    seed = cfg.get("output", "seed")
+    report = _verify_grids(lambda n: _Grid(*build_pair(cfg, n_override=n), seed), grids,
+                           chart.topology, seed, cfg.get("scenario", "kind"), "scenario")
     report["config_sha256"] = cfg.sha256()
     return report
 
 
 def run_verification_on_fields(phi, psi, seed: int) -> dict:
     """The suite on stored fields at their one grid, which waives every
-    ratio test but the conformal record's, run on its own grids."""
+    ratio test but the conformal record's, run on its own grids.  The
+    report's ``summary`` is ``pair_summary``'s, read off the measurements
+    the records took."""
     chart = phi.chart
     _require_circles_fit(chart, "stored field: ")
-    return _verify_pairs([(phi, psi)], [chart.n], seed, "stored_fields", "files")
+    grid = _Grid(phi, psi, seed)
+    report = _verify_grids(lambda n: grid, [chart.n], chart.topology, seed, "stored_fields",
+                           "files")
+    report["summary"] = grid.summary()
+    return report
+
+
+def pair_summary(phi, psi) -> dict:
+    """The pair's interior action and energy, the sups of its Euler-Lagrange
+    residuals and its field scale."""
+    return _Grid(phi, psi).summary()
 
 
 def _judge(threshold: dict, defects, h: float) -> tuple[bool, float | None, str]:
@@ -163,35 +186,63 @@ def _cauchy_riemann_dirac(field, chart) -> np.ndarray:
                     out=np.empty_like(field))
 
 
+class _Grid:
+    """One grid's pair under test, the run's seed and the measurements
+    taken from the pair: ``take`` evaluates a function of the pair once and
+    keeps the scalars it returns for every row that reads them."""
+
+    def __init__(self, phi, psi, seed=None):
+        self.phi, self.psi, self.seed = phi, psi, seed
+        self.chart = phi.chart
+        self._taken = {}
+
+    def take(self, fn):
+        if fn not in self._taken:
+            self._taken[fn] = fn(self.phi, self.psi)
+        return self._taken[fn]
+
+    def rel(self, value) -> float:  # relative to the pair's field scale
+        return value / self.take(field_scale)
+
+    def summary(self) -> dict:
+        norms = self.take(_el_norms)
+        return {
+            "action": self.take(_interior_action),
+            "energy": float(energy(self.phi, self.psi, region=self.chart.interior_mask)),
+            "map_residual_sup": norms["map_sup"],
+            "spinor_residual_sup": norms["spinor_sup"],
+            "normal_defect_sup": norms["normal_sup"],
+            "field_scale": self.take(field_scale),
+        }
+
+
 class _Suite:
-    """The pairs under test and the measurements the rows take from them;
-    ``each`` computes the scalars several rows share once per verification."""
+    """What the records read.  For each row measured in the grids' passes,
+    its defect on every grid, or the note of the first grid where its
+    precondition failed; the first grid's spacing and side; and what the
+    rows that read no pair under test need.  It holds no pair and no chart."""
 
-    def __init__(self, pairs, grids, seed, scenario_kind):
-        self.pairs, self.grids, self.seed = pairs, grids, seed
-        self.charts = [phi.chart for phi, _ in pairs]
-        self.scope = {scenario_kind, self.charts[0].topology}
+    def __init__(self, grids, seed):
+        self.grids, self.seed = grids, seed
+        self.h = self.side = None
         self.conformal_grids = [max(64, grids[0]), 2 * max(64, grids[0])]
-        self.scales = [field_scale(phi, psi) for phi, psi in pairs]
         self.algebra = _algebra_checks(seed)
-        self._shared = {}
+        self.defects = {}   # row id -> one defect per grid measured so far
+        self.failures = {}  # row id -> the note of the first grid its precondition failed on
 
-    def each(self, fn) -> list:
-        if fn not in self._shared:
-            self._shared[fn] = [fn(phi, psi) for phi, psi in self.pairs]
-        return self._shared[fn]
-
-    def rel(self, values) -> list:  # per pair, relative to its field scale
-        return [v / s for v, s in zip(values, self.scales)]
-
-    def frame_vs_cauchy_riemann(self, chart) -> float:
-        rng = np.random.default_rng(self.seed + 1)
-        fld = (bandlimited_field(chart, rng, components=(2,), kmax=2)
-               + 1j * bandlimited_field(chart, rng, components=(2,), kmax=2))
-        d1 = flat_dirac(fld, chart)
-        d2 = _cauchy_riemann_dirac(fld, chart)
-        sc = float(np.sqrt(spinor_norm2(d1)).max()) + 1e-30
-        return float(np.sqrt(spinor_norm2(d1 - d2)).max()) / sc
+    def measure(self, grid: _Grid, rows) -> None:
+        """Take every per-grid row's defect from one grid's pair, in row
+        order; a row whose precondition failed on an earlier grid is skipped."""
+        if self.h is None:
+            self.h, self.side = grid.chart.h, grid.chart.side
+        for row in rows:
+            if row.per_grid is None or row.id in self.failures:
+                continue
+            failure = row.precondition(grid) if row.precondition else ""
+            if failure:
+                self.failures[row.id] = failure
+            else:
+                self.defects.setdefault(row.id, []).append(row.per_grid(grid))
 
     def twistor_family(self, n) -> float:
         # Affine spinors are not periodic, so this check always runs on its
@@ -232,28 +283,43 @@ class _Suite:
                 for conv in _EXPONENTS}
 
 
+def _frame_vs_cauchy_riemann(chart, seed) -> float:
+    rng = np.random.default_rng(seed + 1)
+    fld = (bandlimited_field(chart, rng, components=(2,), kmax=2)
+           + 1j * bandlimited_field(chart, rng, components=(2,), kmax=2))
+    d1 = flat_dirac(fld, chart)
+    d2 = _cauchy_riemann_dirac(fld, chart)
+    sc = float(np.sqrt(spinor_norm2(d1)).max()) + 1e-30
+    return float(np.sqrt(spinor_norm2(d1 - d2)).max()) / sc
+
+
+# The measurements several rows share, each taken once per pair (_Grid.take).
+
 def _el_norms(phi, psi) -> dict:
     return el_residual(phi, psi).norms
 
 
-def _action_reduction(phi, psi) -> float:
-    m = phi.chart.interior_mask
-    a = action(phi, psi, region=m)
-    d = phi.chart.integrate(dirichlet_density(phi), region=m)
-    return abs(a - d) / (1.0 + abs(a))
+def _interior_action(phi, psi) -> float:
+    return float(action(phi, psi, region=phi.chart.interior_mask))
 
 
 def _pohozaev_defects(phi, psi) -> list[float]:
     return pohozaev_defect(phi, psi, POHOZAEV_RADII)
 
 
-def _bochner_precondition(s) -> str:
-    """The note for the first pair, in grid order, where D psi = 0 fails; else ""."""
-    for norms, scale in zip(s.each(_el_norms), s.scales):
-        if (sup := norms["spinor_sup"]) > BOCHNER_DIRAC_TOL * scale:
-            return (f"precondition failed: Dirac residual {sup:.3e} exceeds tolerance "
-                    f"{BOCHNER_DIRAC_TOL:.1e} x scale {scale:.3e}; the identity is only valid "
-                    "on solutions")
+def _action_reduction(g: _Grid) -> float:
+    a = g.take(_interior_action)
+    d = g.chart.integrate(dirichlet_density(g.phi), region=g.chart.interior_mask)
+    return abs(a - d) / (1.0 + abs(a))
+
+
+def _bochner_precondition(g: _Grid) -> str:
+    """The note when D psi = 0 fails on this grid's pair; else ""."""
+    sup, scale = g.take(_el_norms)["spinor_sup"], g.take(field_scale)
+    if sup > BOCHNER_DIRAC_TOL * scale:
+        return (f"precondition failed: Dirac residual {sup:.3e} exceeds tolerance "
+                f"{BOCHNER_DIRAC_TOL:.1e} x scale {scale:.3e}; the identity is only valid "
+                "on solutions")
     return ""
 
 
@@ -261,80 +327,85 @@ class _Row(NamedTuple):
     id: str
     statement: str
     kind: str
-    threshold: dict                # names the rule, see _judge
-    defects: Callable              # _Suite -> one defect per grid (see _judge)
-    scope: tuple = ()              # scenario kinds or topologies that run it; () = all
-    grids: Callable | None = None  # the grids the record lists; None = the pairs' grids
-    precondition: Callable | None = None  # _Suite -> failure note, "" when it holds
+    threshold: dict                   # names the rule, see _judge
+    per_grid: Callable | None = None  # _Grid -> its defect, taken in that grid's pass
+    defects: Callable | None = None   # _Suite -> the defects of a row that reads no pair
+    scope: tuple = ()                 # scenario kinds or topologies that run it; () = all
+    grids: Callable | None = None     # the grids the record lists; None = the pairs' grids
+    precondition: Callable | None = None  # _Grid -> failure note, "" when it holds
 
 
-# The defect functions look the identity functions up when they run, so
+# The per-grid functions look the identity functions up when they run, so
 # wrappers installed on this module's globals see every call.
 _UNCOND, _COND = "unconditional", "conditional"
 _H2 = {"rel_h2": COND_BUDGET}
 _ROWS = (
     _Row("clifford_relations", "v.w.s + w.v.s = -2<v,w>s on random inputs", _UNCOND,
-         {"abs": 1e-12}, lambda s: [s.algebra[0]], grids=lambda s: []),
+         {"abs": 1e-12}, defects=lambda s: [s.algebra[0]], grids=lambda s: []),
     _Row("clifford_skew_adjoint", "Re<v.s, t> = -Re<s, v.t> on random inputs", _UNCOND,
-         {"abs": 1e-12}, lambda s: [s.algebra[1]], grids=lambda s: []),
+         {"abs": 1e-12}, defects=lambda s: [s.algebra[1]], grids=lambda s: []),
     _Row("dirac_frame_vs_cauchy_riemann", "frame form equals the Cauchy-Riemann form pointwise",
-         _UNCOND, {"abs": 1e-13},
-         lambda s: [s.frame_vs_cauchy_riemann(chart) for chart in s.charts]),
+         _UNCOND, {"abs": 1e-13}, lambda g: _frame_vs_cauchy_riemann(g.chart, g.seed)),
     _Row("twistor_family", "affine twistor spinors annihilate the twistor operator", _UNCOND,
-         {"abs": 1e-10}, lambda s: [s.twistor_family(n) for n in s.grids]),
+         {"abs": 1e-10}, defects=lambda s: [s.twistor_family(n) for n in s.grids]),
     _Row("dirac_self_adjoint",
          "int (psi, D xi) = int (D psi, xi) on the torus, 20 random triples", _UNCOND,
-         {"rel": 1e-11}, lambda s: [s.self_adjointness()], grids=lambda s: [SELF_ADJOINT_GRID]),
+         {"rel": 1e-11}, defects=lambda s: [s.self_adjointness()],
+         grids=lambda s: [SELF_ADJOINT_GRID]),
     _Row("weitzenboeck", "squared Dirac equals connection Laplacian plus curvature", _UNCOND,
-         {"rel_h2": UNCOND_BUDGET}, lambda s: s.rel(weitzenboeck_defect(*p) for p in s.pairs)),
+         {"rel_h2": UNCOND_BUDGET}, lambda g: g.rel(weitzenboeck_defect(g.phi, g.psi))),
     _Row("map_equation", "tension balances the curvature coupling", _COND, _H2,
-         lambda s: s.rel(r["map_sup"] for r in s.each(_el_norms))),
+         lambda g: g.rel(g.take(_el_norms)["map_sup"])),
     _Row("spinor_equation", "Dirac operator along the map annihilates the spinor", _COND, _H2,
-         lambda s: s.rel(r["spinor_sup"] for r in s.each(_el_norms))),
+         lambda g: g.rel(g.take(_el_norms)["spinor_sup"])),
     _Row("normal_splitting",
          "normal part of the flat Dirac matches the second-fundamental term", _COND, _H2,
-         lambda s: s.rel(r["normal_sup"] for r in s.each(_el_norms))),
+         lambda g: g.rel(g.take(_el_norms)["normal_sup"])),
     _Row("em_symmetry", "energy-momentum tensor is symmetric", _COND, _H2,
-         lambda s: s.rel(sym for sym, _div, _dbar in s.each(em_defects))),
+         lambda g: g.rel(g.take(em_defects)[0])),
     _Row("em_divergence", "energy-momentum tensor is divergence-free", _COND, _H2,
-         lambda s: s.rel(div for _sym, div, _dbar in s.each(em_defects))),
+         lambda g: g.rel(g.take(em_defects)[1])),
     _Row("hopf_holomorphic",
          "quadratic differential coefficient is anti-holomorphically closed", _COND, _H2,
-         lambda s: s.rel(dbar for _sym, _div, dbar in s.each(em_defects))),
+         lambda g: g.rel(g.take(em_defects)[2])),
     _Row("bochner", "Laplacian of the spinor density balances gradient and curvature", _COND,
-         _H2, lambda s: s.rel(bochner_defect(*p) for p in s.pairs),
-         precondition=_bochner_precondition),
+         _H2, lambda g: g.rel(bochner_defect(g.phi, g.psi)), precondition=_bochner_precondition),
     _Row("action_reduces_to_dirichlet", "the spinor term of the action vanishes on solutions",
-         _COND, _H2, lambda s: [_action_reduction(*p) for p in s.pairs]),
+         _COND, _H2, _action_reduction),
     _Row("pushforward_tangency", "pushforward spinors satisfy the tangency constraint", _COND,
-         {"abs": 1e-10}, lambda s: [tangency_defect(*p) for p in s.pairs],
+         {"abs": 1e-10}, lambda g: tangency_defect(g.phi, g.psi),
          scope=_PUSHFORWARD_SCENARIOS),
     _Row("curvature_term_annihilation",
          "the curvature coupling vanishes pointwise on pushforward pairs", _COND,
-         {"abs": 1e-10}, lambda s: s.rel(float(np.abs(curvature_term(*p)).max()) for p in s.pairs),
+         {"abs": 1e-10}, lambda g: g.rel(float(np.abs(curvature_term(g.phi, g.psi)).max())),
          scope=_PUSHFORWARD_SCENARIOS),
     *(_Row(f"pohozaev_r{r}", f"circle balance of radial and angular energies at r = {r}",
            _COND, {"abs": 1e-2, "improving": True},
-           lambda s, i=i: [circles[i] for circles in s.each(_pohozaev_defects)],
-           scope=("disk",))
+           lambda g, i=i: g.take(_pohozaev_defects)[i], scope=("disk",))
       for i, r in enumerate(POHOZAEV_RADII)),
     _Row("conformal_invariance",
          "action and energy are invariant under disk automorphisms for exactly "
          "one rescaling convention", _UNCOND,
-         {"ratio_window": list(RATIO_WINDOW), "unique_winner": True}, lambda s: s.conformal(),
-         scope=("disk",), grids=lambda s: s.conformal_grids),
+         {"ratio_window": list(RATIO_WINDOW), "unique_winner": True},
+         defects=lambda s: s.conformal(), scope=("disk",), grids=lambda s: s.conformal_grids),
 )
 
 
-def _verify_pairs(pairs, grids, seed, scenario_kind, mode) -> dict:
-    suite = _Suite(pairs, grids, seed, scenario_kind)
+def _verify_grids(grid_at, grids, topology, seed, scenario_kind, mode) -> dict:
+    """The report: ``grid_at(n)`` gives grid n's ``_Grid``, whose pass takes
+    every in-scope row's per-grid defect before the next grid is asked for,
+    so no pair outlives its pass unless the caller holds it; then the rows
+    that read no pair run, and every record is judged."""
+    suite = _Suite(grids, seed)
+    rows = [row for row in _ROWS if not row.scope or {scenario_kind, topology} & set(row.scope)]
+    for n in grids:
+        suite.measure(grid_at(n), rows)
     records = []
-    for row in _ROWS:
-        if row.scope and not suite.scope & set(row.scope):
-            continue
-        failure = row.precondition(suite) if row.precondition else ""
-        defects = [] if failure else row.defects(suite)
-        passed, ratio, note = _judge(row.threshold, defects, suite.charts[0].h)
+    for row in rows:
+        failure = suite.failures.get(row.id, "")
+        defects = ([] if failure else suite.defects[row.id] if row.per_grid
+                   else row.defects(suite))
+        passed, ratio, note = _judge(row.threshold, defects, suite.h)
         extra = {}
         if isinstance(defects, dict):   # per convention: list the first one's action
             extra["conventions"] = defects
@@ -358,8 +429,7 @@ def _verify_pairs(pairs, grids, seed, scenario_kind, mode) -> dict:
         "scenario": scenario_kind,
         "solution_scenario": scenario_kind in _SOLUTION_SCENARIOS,
         "grids": grids,
-        "chart": {"topology": suite.charts[0].topology, "n": grids[0],
-                  "side": suite.charts[0].side},
+        "chart": {"topology": topology, "n": grids[0], "side": suite.side},
         "identities": records,
         "pass": all(r["pass"] for r in records),
         "mode": mode,

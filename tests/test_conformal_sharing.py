@@ -10,6 +10,7 @@ import pytest
 
 import diracharmonic as dh
 import diracharmonic.fields
+import diracharmonic.identities
 from diracharmonic.verify import canonical_compact_pair
 
 from conftest import conformal_oracle, disk_twistor_pair, moebius_similarity, random_sphere_pair
@@ -89,9 +90,11 @@ def test_check_pair_rejects_the_raw_spinor_naming_tangency(target):
 
 @pytest.fixture
 def counted_dirac(monkeypatch):
-    """Count flat Dirac evaluations; fail on any normal-defect evaluation."""
+    """Count Dirac evaluations along the map, wherever the package binds the
+    operator (``flat_dirac`` runs once per ambient slot inside each); fail on
+    any normal-defect evaluation."""
     calls = []
-    real = diracharmonic.fields.flat_dirac
+    real = diracharmonic.fields.dirac_along_map
 
     def counting(*args, **kwargs):
         calls.append(1)
@@ -100,7 +103,8 @@ def counted_dirac(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("normal defect built for a caller that discards it")
 
-    monkeypatch.setattr(diracharmonic.fields, "flat_dirac", counting)
+    for module in (diracharmonic.fields, diracharmonic.identities):
+        monkeypatch.setattr(module, "dirac_along_map", counting)
     monkeypatch.setattr(diracharmonic.fields, "clifford_frame_contract", forbidden)
     return calls
 
@@ -146,15 +150,15 @@ def test_two_maps_two_conventions_interpolate_once_per_field_and_map(compact_pai
 
 @pytest.fixture
 def dirac_grids(monkeypatch):
-    """The grid shape of every field the flat Dirac operator sees."""
+    """The grid shape of every spinor the Dirac operator along the map sees."""
     shapes = []
-    real = diracharmonic.fields.flat_dirac
+    real = diracharmonic.fields.dirac_along_map
 
-    def recording(field, chart, *args, **kwargs):
-        shapes.append(np.shape(field)[:2])
-        return real(field, chart, *args, **kwargs)
+    def recording(phi, psi):
+        shapes.append(np.shape(psi.values)[:2])
+        return real(phi, psi)
 
-    monkeypatch.setattr(diracharmonic.fields, "flat_dirac", recording)
+    monkeypatch.setattr(diracharmonic.fields, "dirac_along_map", recording)
     return shapes
 
 

@@ -60,7 +60,7 @@ def test_curvature_on_spinor_is_the_gauss_curvature(target, rng):
         # No normal, no curvature: the identities skip the term on flat targets.
         assert np.abs(gauss).max() == 0.0
         return
-    slot = _curvature_on_spinor(X, Y, S)
+    slot = _curvature_on_spinor(X, Y, (S[..., i, :] for i in range(p.shape[-1])))
     slots = np.stack([slot(i) for i in range(p.shape[-1])], axis=-2)
     assert _close(slots, gauss)
     written = np.empty_like(S)

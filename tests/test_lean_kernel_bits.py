@@ -2,11 +2,16 @@
 their straightforward forms.
 
 Each reference below forms every intermediate as a whole grid: the normal
-part beside the field it is taken from, both e_a . psi for the whole
-tensor, R(X, Y) S from two full outer products, a zero curvature grid on
-flat targets, the raw spinor of the compact pair as a sum of two complex
-grids.  The kernels run the same elementwise operations in the same order
-on fewer live grids, so every returned float and array agrees under ==.
+part beside the field it is taken from, e_a . psi for the whole tensor,
+the flat Dirac operator on every ambient slot at once with a whole work
+grid and into a grid of its own, both derivatives of the connection
+Laplacian into grids of their own, S = e1 . e2 . psi whole and R(X, Y) S
+from two full outer products, a zero grid that the Weitzenboeck
+right-hand side starts from, the raw spinor of the compact pair as a sum
+of two complex grids, the squares of |psi|^2 as two whole grids and the
+twistor pushforward as a sum of two whole-grid products.  The kernels
+run the same elementwise operations in the same order on fewer live
+grids, so every returned float and array agrees under ==.
 """
 
 import numpy as np
@@ -15,7 +20,8 @@ import pytest
 import diracharmonic as dh
 from diracharmonic import fields, identities
 from diracharmonic.charts import DomainChart, bandlimited_field
-from diracharmonic.spinors import FRAME, clifford_mul, flat_dirac, re_pairing, spinor_norm2
+from diracharmonic.spinors import (FRAME, clifford_mul, flat_dirac, re_pairing, spinor_norm2,
+                                   twistor_field)
 from diracharmonic.targets import Sphere, ambient_pairing, normal_part
 from diracharmonic.verify import canonical_compact_pair
 
@@ -141,6 +147,14 @@ def ref_canonical_compact_pair(n, seed=7):
     return phi, psi
 
 
+def ref_twistor_pushforward(phi, psi0, psi1):
+    Psi = twistor_field(phi.chart, psi0, psi1)
+    e1Psi = clifford_mul(FRAME[0], Psi)
+    e2Psi = clifford_mul(FRAME[1], Psi)
+    d = phi.gradient() if phi.analytic_gradient is None else phi.analytic_gradient
+    return d[..., 0, :, None] * e1Psi[..., None, :] + d[..., 1, :, None] * e2Psi[..., None, :]
+
+
 # -- the pairs -------------------------------------------------------------------
 
 def _config_pair(text):
@@ -199,7 +213,27 @@ def test_covariant_derivative(pair, axis):
 
 def test_dirac_along_map(pair):
     phi, psi = pair
-    _same(fields.dirac_along_map(phi, psi), ref_dirac_along_map(phi, psi))
+    lean = fields.dirac_along_map(phi, psi)
+    _same(lean, ref_dirac_along_map(phi, psi))
+    assert dh.charts.as_planes(lean) is lean   # stored component-major
+
+
+def test_squared_dirac_along_map(pair):
+    # D (D psi), as the Weitzenboeck row forms it.
+    phi, psi = pair
+    inner, ref_inner = (dh.TwistedSpinorField(phi.chart, phi.target, form(phi, psi))
+                        for form in (fields.dirac_along_map, ref_dirac_along_map))
+    expected = ref_dirac_along_map(phi, ref_inner)
+    _same(fields.dirac_along_map(phi, inner), expected)
+    _same(fields.dirac_along_map(phi, inner, out=inner.values), expected)  # over D psi
+
+
+@pytest.mark.parametrize("axis", [-1, (-2, -1)])
+def test_spinor_norm2(pair, axis):
+    psi = pair[1].values
+    ref = psi.real**2
+    ref += psi.imag**2
+    _same(spinor_norm2(psi, axis=axis), ref.sum(axis=axis))
 
 
 def test_energy_momentum_and_its_defects(pair):
@@ -230,3 +264,18 @@ def test_canonical_compact_pair(n):
     (phi, psi), (ref_phi, ref_psi) = canonical_compact_pair(n), ref_canonical_compact_pair(n)
     _same(phi.values, ref_phi.values)
     _same(psi.values, ref_psi.values)
+
+
+@pytest.mark.parametrize("source", ["rational", "elliptic", "stencil_gradient"])
+def test_twistor_pushforward(source):
+    # The exact gradient of the two conformal families, and the stencil
+    # gradient of a map that carries none.
+    if source == "rational":
+        phi = dh.conformal_map_field(dh.RationalMap([0.1, 1, 0.3], [1, 0.2]), DomainChart.disk(48))
+    elif source == "elliptic":
+        phi = dh.elliptic_conformal_field(DomainChart.torus(32))
+    else:
+        phi = _perturbed_with_spinor()[0]
+    psi0, psi1 = dh.spinor(1, 0.5j), dh.spinor(0.2, -0.1j)
+    _same(dh.twistor_pushforward(phi, psi0, psi1).values,
+          ref_twistor_pushforward(phi, psi0, psi1))

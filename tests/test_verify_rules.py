@@ -193,9 +193,9 @@ def test_bochner_is_judged_only_within_the_dirac_tolerance(monkeypatch, tol, jud
 
 def test_bochner_precondition_names_the_measured_residual():
     _, phi, psi = random_sphere_pair(48, seed=6)
-    suite = verify._Suite([(phi, psi)], [48], 0, "stored_fields")
-    sup, scale = suite.each(verify._el_norms)[0]["spinor_sup"], suite.scales[0]
-    assert verify._bochner_precondition(suite) == (
+    grid = verify._Grid(phi, psi)
+    sup, scale = grid.take(verify._el_norms)["spinor_sup"], grid.take(verify.field_scale)
+    assert verify._bochner_precondition(grid) == (
         f"precondition failed: Dirac residual {sup:.3e} exceeds tolerance 1.0e-02 x scale "
         f"{scale:.3e}; the identity is only valid on solutions")
 
