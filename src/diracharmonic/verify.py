@@ -9,14 +9,15 @@ order; each threshold names the rule ``_judge`` applies once the row's
 precondition holds; every verdict constant is pinned here, not configurable.
 
 Verify measures one grid at a time.  Grid n's pair is built, every
-in-scope row that reads it takes its defect in that grid's pass
-(``_Grid``, where the measurements several rows share are taken once),
-and the pair is dropped before grid 2n's is built.  What outlives a
-pass is scalars: each row's defects and a failed precondition's note
-(``_Suite``).  The rows that read no pair under test (the algebra, the
-twistor family, self-adjointness and conformal invariance) run after
-the last grid, and then every record is judged.  File mode is the same
-loop over the stored fields' one grid.
+in-scope row that reads it or n (the twistor family) takes its defect in
+that grid's pass (``_Grid``, where the measurements several rows share
+are taken once: the interior action reads the Euler-Lagrange residual's
+D psi), and the pair is dropped before grid 2n's is built.  What outlives
+a pass is scalars: each row's defects and a failed precondition's note.
+A row that reads no pair under test (the algebra, self-adjointness and
+conformal invariance) names one function of the grids and the seed that
+gives its record's grids and defects; these run after the last grid,
+then every record is judged.  File mode is the same loop on one grid.
 """
 
 from __future__ import annotations
@@ -76,23 +77,28 @@ def canonical_compact_pair(n: int, seed: int = 7):
     return phi, TwistedSpinorField(chart, sphere, _tangent_project_spinor(phi, raw, out=raw))
 
 
-def _algebra_checks(seed: int):
-    """Grid-free spinor algebra identities on randomized inputs."""
-    rng = np.random.default_rng(seed)
-    worst_cliff = 0.0
-    worst_skew = 0.0
-    for _ in range(50):
-        v = rng.normal(size=2)
-        w = rng.normal(size=2)
-        s = rng.normal(size=2) + 1j * rng.normal(size=2)
-        t = rng.normal(size=2) + 1j * rng.normal(size=2)
+def _algebra_draws(seed: int):
+    """The algebra records' 50 random vectors v, w and spinors s, t, in one draw."""
+    d = np.random.default_rng(seed).normal(size=(50, 6, 2))
+    return zip(d[:, 0], d[:, 1], d[:, 2] + 1j * d[:, 3], d[:, 4] + 1j * d[:, 5])
+
+
+def _clifford_relations(grids, seed):
+    worst = 0.0
+    for v, w, s, _ in _algebra_draws(seed):
         lhs = clifford_mul(v, clifford_mul(w, s)) + clifford_mul(w, clifford_mul(v, s))
         rhs = -2.0 * (v @ w) * s
         scale = max(1.0, float(np.abs(s).max()) * float(np.abs(v @ w)) + 1e-30)
-        worst_cliff = max(worst_cliff, float(np.abs(lhs - rhs).max()) / scale)
+        worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
+    return [], [worst]
+
+
+def _clifford_skew_adjoint(grids, seed):
+    worst = 0.0
+    for v, _, s, t in _algebra_draws(seed):
         sk = re_pairing(clifford_mul(v, s), t) + re_pairing(s, clifford_mul(v, t))
-        worst_skew = max(worst_skew, abs(float(sk)) / max(1.0, float(np.abs(s).max() * np.abs(t).max())))
-    return worst_cliff, worst_skew
+        worst = max(worst, abs(float(sk)) / max(1.0, float(np.abs(s).max() * np.abs(t).max())))
+    return [], [worst]
 
 
 def _require_circles_fit(chart: DomainChart, where: str) -> None:
@@ -116,7 +122,7 @@ def run_verification(cfg: RunConfig, sweep: bool = False) -> dict:
     grids = [chart.n, 2 * chart.n] + ([4 * chart.n] if sweep else [])
     seed = cfg.get("output", "seed")
     report = _verify_grids(lambda n: _Grid(*build_pair(cfg, n_override=n), seed), grids,
-                           chart.topology, seed, cfg.get("scenario", "kind"), "scenario")
+                           chart, seed, cfg.get("scenario", "kind"), "scenario")
     report["config_sha256"] = cfg.sha256()
     return report
 
@@ -129,8 +135,7 @@ def run_verification_on_fields(phi, psi, seed: int) -> dict:
     chart = phi.chart
     _require_circles_fit(chart, "stored field: ")
     grid = _Grid(phi, psi, seed)
-    report = _verify_grids(lambda n: grid, [chart.n], chart.topology, seed, "stored_fields",
-                           "files")
+    report = _verify_grids(lambda n: grid, [chart.n], chart, seed, "stored_fields", "files")
     report["summary"] = grid.summary()
     return report
 
@@ -205,86 +210,59 @@ class _Grid:
         return value / self.take(field_scale)
 
     def summary(self) -> dict:
-        norms = self.take(_el_norms)
+        el = self.take(_euler_lagrange)
         return {
-            "action": self.take(_interior_action),
+            "action": el["action"],
             "energy": float(energy(self.phi, self.psi, region=self.chart.interior_mask)),
-            "map_residual_sup": norms["map_sup"],
-            "spinor_residual_sup": norms["spinor_sup"],
-            "normal_defect_sup": norms["normal_sup"],
+            "map_residual_sup": el["map_sup"],
+            "spinor_residual_sup": el["spinor_sup"],
+            "normal_defect_sup": el["normal_sup"],
             "field_scale": self.take(field_scale),
         }
 
 
-class _Suite:
-    """What the records read.  For each row measured in the grids' passes,
-    its defect on every grid, or the note of the first grid where its
-    precondition failed; the first grid's spacing and side; and what the
-    rows that read no pair under test need.  It holds no pair and no chart."""
-
-    def __init__(self, grids, seed):
-        self.grids, self.seed = grids, seed
-        self.h = self.side = None
-        self.conformal_grids = [max(64, grids[0]), 2 * max(64, grids[0])]
-        self.algebra = _algebra_checks(seed)
-        self.defects = {}   # row id -> one defect per grid measured so far
-        self.failures = {}  # row id -> the note of the first grid its precondition failed on
-
-    def measure(self, grid: _Grid, rows) -> None:
-        """Take every per-grid row's defect from one grid's pair, in row
-        order; a row whose precondition failed on an earlier grid is skipped."""
-        if self.h is None:
-            self.h, self.side = grid.chart.h, grid.chart.side
-        for row in rows:
-            if row.per_grid is None or row.id in self.failures:
-                continue
-            failure = row.precondition(grid) if row.precondition else ""
-            if failure:
-                self.failures[row.id] = failure
-            else:
-                self.defects.setdefault(row.id, []).append(row.per_grid(grid))
-
-    def twistor_family(self, n) -> float:
-        # Affine spinors are not periodic, so this check always runs on its
-        # own windowed charts where the seam stays out of the sup.
-        wchart = DomainChart.torus(n, side=1.0, window=0.5)
-        rng = np.random.default_rng(self.seed + 2)
-        p0 = rng.normal(size=2) + 1j * rng.normal(size=2)
-        p1 = rng.normal(size=2) + 1j * rng.normal(size=2)
-        return twistor_defect(twistor_field(wchart, p0, p1), wchart)
-
-    def self_adjointness(self) -> float:
-        """Worst defect over 20 random triples on the torus at SELF_ADJOINT_GRID."""
-        worst = 0.0
-        sa_chart = DomainChart.torus(SELF_ADJOINT_GRID, side=1.0)
-        sphere = Sphere(2)
-        for k in range(20):
-            rng = np.random.default_rng(self.seed + 100 + k)
-            base = np.zeros(sa_chart.shape + (3,))
-            base[..., 2] = 1.0
-            phi_r = MapField(sa_chart, sphere, sphere.project_point(
-                base + bandlimited_field(sa_chart, rng, components=(3,), kmax=2, amplitude=0.7)))
-            mk = lambda: project_spinor(phi_r, (
-                bandlimited_field(sa_chart, rng, components=(3, 2), kmax=2)
-                + 1j * bandlimited_field(sa_chart, rng, components=(3, 2), kmax=2)))
-            worst = max(worst, self_adjointness_defect(phi_r, mk(), mk()))
-        return worst
-
-    def conformal(self) -> dict:
-        """Per convention, the action and energy defects of the canonical
-        compact pair under two disk automorphisms, each the worse of the
-        two, one per grid."""
-        autos = [MoebiusMap.disk_automorphism(a_par, theta=theta)
-                 for theta, a_par in ((0.0, 0.4), (0.7, 0.25 + 0.2j))]
-        worst = [conformal_invariance_defect(*canonical_compact_pair(m, seed=self.seed), autos)
-                 for m in self.conformal_grids]
-        return {conv: {"action": [grid[conv][0] for grid in worst],
-                       "energy": [grid[conv][1] for grid in worst]}
-                for conv in _EXPONENTS}
+def _twistor_family(g: _Grid) -> float:
+    # Affine spinors are not periodic, so this check always runs on its
+    # own windowed charts where the seam stays out of the sup.
+    wchart = DomainChart.torus(g.chart.n, side=1.0, window=0.5)
+    d = np.random.default_rng(g.seed + 2).normal(size=(4, 2))
+    p0, p1 = d[0] + 1j * d[1], d[2] + 1j * d[3]
+    return twistor_defect(twistor_field(wchart, p0, p1), wchart)
 
 
-def _frame_vs_cauchy_riemann(chart, seed) -> float:
-    rng = np.random.default_rng(seed + 1)
+def _self_adjointness(grids, seed):
+    """Worst defect over 20 random triples on the torus at SELF_ADJOINT_GRID."""
+    worst = 0.0
+    sa_chart = DomainChart.torus(SELF_ADJOINT_GRID, side=1.0)
+    sphere = Sphere(2)
+    for k in range(20):
+        rng = np.random.default_rng(seed + 100 + k)
+        base = np.zeros(sa_chart.shape + (3,))
+        base[..., 2] = 1.0
+        phi_r = MapField(sa_chart, sphere, sphere.project_point(
+            base + bandlimited_field(sa_chart, rng, components=(3,), kmax=2, amplitude=0.7)))
+        mk = lambda: project_spinor(phi_r, (
+            bandlimited_field(sa_chart, rng, components=(3, 2), kmax=2)
+            + 1j * bandlimited_field(sa_chart, rng, components=(3, 2), kmax=2)))
+        worst = max(worst, self_adjointness_defect(phi_r, mk(), mk()))
+    return [SELF_ADJOINT_GRID], [worst]
+
+
+def _conformal(grids, seed):
+    """Per convention, the action and energy defects of the canonical
+    compact pair under two disk automorphisms, each the worse of the two,
+    on max(64, n) and twice that."""
+    listed = [max(64, grids[0]), 2 * max(64, grids[0])]
+    autos = [MoebiusMap.disk_automorphism(a_par, theta=theta)
+             for theta, a_par in ((0.0, 0.4), (0.7, 0.25 + 0.2j))]
+    worst = [conformal_invariance_defect(*canonical_compact_pair(m, seed=seed), autos)
+             for m in listed]
+    return listed, {conv: {"action": [w[conv][0] for w in worst],
+                           "energy": [w[conv][1] for w in worst]} for conv in _EXPONENTS}
+
+
+def _frame_vs_cauchy_riemann(g: _Grid) -> float:
+    chart, rng = g.chart, np.random.default_rng(g.seed + 1)
     fld = (bandlimited_field(chart, rng, components=(2,), kmax=2)
            + 1j * bandlimited_field(chart, rng, components=(2,), kmax=2))
     d1 = flat_dirac(fld, chart)
@@ -295,12 +273,14 @@ def _frame_vs_cauchy_riemann(chart, seed) -> float:
 
 # The measurements several rows share, each taken once per pair (_Grid.take).
 
-def _el_norms(phi, psi) -> dict:
-    return el_residual(phi, psi).norms
-
-
-def _interior_action(phi, psi) -> float:
-    return float(action(phi, psi, region=phi.chart.interior_mask))
+def _euler_lagrange(phi, psi) -> dict:
+    """The sups of the Euler-Lagrange residuals and the interior action,
+    whose spinor term reads the residual's D psi."""
+    res = el_residual(phi, psi)
+    norms, dirac = res.norms, res.spinor_residual
+    del res  # the map residual and the normal defect go before the action's products
+    return {**norms, "action": float(action(phi, psi, region=phi.chart.interior_mask,
+                                            dirac=dirac))}
 
 
 def _pohozaev_defects(phi, psi) -> list[float]:
@@ -308,14 +288,14 @@ def _pohozaev_defects(phi, psi) -> list[float]:
 
 
 def _action_reduction(g: _Grid) -> float:
-    a = g.take(_interior_action)
+    a = g.take(_euler_lagrange)["action"]
     d = g.chart.integrate(dirichlet_density(g.phi), region=g.chart.interior_mask)
     return abs(a - d) / (1.0 + abs(a))
 
 
 def _bochner_precondition(g: _Grid) -> str:
     """The note when D psi = 0 fails on this grid's pair; else ""."""
-    sup, scale = g.take(_el_norms)["spinor_sup"], g.take(field_scale)
+    sup, scale = g.take(_euler_lagrange)["spinor_sup"], g.take(field_scale)
     if sup > BOCHNER_DIRAC_TOL * scale:
         return (f"precondition failed: Dirac residual {sup:.3e} exceeds tolerance "
                 f"{BOCHNER_DIRAC_TOL:.1e} x scale {scale:.3e}; the identity is only valid "
@@ -329,38 +309,36 @@ class _Row(NamedTuple):
     kind: str
     threshold: dict                   # names the rule, see _judge
     per_grid: Callable | None = None  # _Grid -> its defect, taken in that grid's pass
-    defects: Callable | None = None   # _Suite -> the defects of a row that reads no pair
+    pair_free: Callable | None = None  # (grids, seed) -> (its record's grids, its defects)
     scope: tuple = ()                 # scenario kinds or topologies that run it; () = all
-    grids: Callable | None = None     # the grids the record lists; None = the pairs' grids
     precondition: Callable | None = None  # _Grid -> failure note, "" when it holds
 
 
-# The per-grid functions look the identity functions up when they run, so
+# The row functions look the identity functions up when they run, so
 # wrappers installed on this module's globals see every call.
 _UNCOND, _COND = "unconditional", "conditional"
 _H2 = {"rel_h2": COND_BUDGET}
 _ROWS = (
     _Row("clifford_relations", "v.w.s + w.v.s = -2<v,w>s on random inputs", _UNCOND,
-         {"abs": 1e-12}, defects=lambda s: [s.algebra[0]], grids=lambda s: []),
+         {"abs": 1e-12}, pair_free=_clifford_relations),
     _Row("clifford_skew_adjoint", "Re<v.s, t> = -Re<s, v.t> on random inputs", _UNCOND,
-         {"abs": 1e-12}, defects=lambda s: [s.algebra[1]], grids=lambda s: []),
+         {"abs": 1e-12}, pair_free=_clifford_skew_adjoint),
     _Row("dirac_frame_vs_cauchy_riemann", "frame form equals the Cauchy-Riemann form pointwise",
-         _UNCOND, {"abs": 1e-13}, lambda g: _frame_vs_cauchy_riemann(g.chart, g.seed)),
+         _UNCOND, {"abs": 1e-13}, _frame_vs_cauchy_riemann),
     _Row("twistor_family", "affine twistor spinors annihilate the twistor operator", _UNCOND,
-         {"abs": 1e-10}, defects=lambda s: [s.twistor_family(n) for n in s.grids]),
+         {"abs": 1e-10}, _twistor_family),
     _Row("dirac_self_adjoint",
          "int (psi, D xi) = int (D psi, xi) on the torus, 20 random triples", _UNCOND,
-         {"rel": 1e-11}, defects=lambda s: [s.self_adjointness()],
-         grids=lambda s: [SELF_ADJOINT_GRID]),
+         {"rel": 1e-11}, pair_free=_self_adjointness),
     _Row("weitzenboeck", "squared Dirac equals connection Laplacian plus curvature", _UNCOND,
          {"rel_h2": UNCOND_BUDGET}, lambda g: g.rel(weitzenboeck_defect(g.phi, g.psi))),
     _Row("map_equation", "tension balances the curvature coupling", _COND, _H2,
-         lambda g: g.rel(g.take(_el_norms)["map_sup"])),
+         lambda g: g.rel(g.take(_euler_lagrange)["map_sup"])),
     _Row("spinor_equation", "Dirac operator along the map annihilates the spinor", _COND, _H2,
-         lambda g: g.rel(g.take(_el_norms)["spinor_sup"])),
+         lambda g: g.rel(g.take(_euler_lagrange)["spinor_sup"])),
     _Row("normal_splitting",
          "normal part of the flat Dirac matches the second-fundamental term", _COND, _H2,
-         lambda g: g.rel(g.take(_el_norms)["normal_sup"])),
+         lambda g: g.rel(g.take(_euler_lagrange)["normal_sup"])),
     _Row("em_symmetry", "energy-momentum tensor is symmetric", _COND, _H2,
          lambda g: g.rel(g.take(em_defects)[0])),
     _Row("em_divergence", "energy-momentum tensor is divergence-free", _COND, _H2,
@@ -387,25 +365,37 @@ _ROWS = (
          "action and energy are invariant under disk automorphisms for exactly "
          "one rescaling convention", _UNCOND,
          {"ratio_window": list(RATIO_WINDOW), "unique_winner": True},
-         defects=lambda s: s.conformal(), scope=("disk",), grids=lambda s: s.conformal_grids),
+         pair_free=_conformal, scope=("disk",)),
 )
 
 
-def _verify_grids(grid_at, grids, topology, seed, scenario_kind, mode) -> dict:
+def _verify_grids(grid_at, grids, chart, seed, scenario_kind, mode) -> dict:
     """The report: ``grid_at(n)`` gives grid n's ``_Grid``, whose pass takes
     every in-scope row's per-grid defect before the next grid is asked for,
     so no pair outlives its pass unless the caller holds it; then the rows
-    that read no pair run, and every record is judged."""
-    suite = _Suite(grids, seed)
-    rows = [row for row in _ROWS if not row.scope or {scenario_kind, topology} & set(row.scope)]
+    that read no pair run, and every record is judged.  ``chart``, the
+    first grid's, gives the spacing, side and topology."""
+    rows = [row for row in _ROWS
+            if not row.scope or {scenario_kind, chart.topology} & set(row.scope)]
+    measured = {row.id: [] for row in rows if row.per_grid}  # row id -> defect per grid
+    failures = {}  # row id -> the note of the first grid its precondition failed on
     for n in grids:
-        suite.measure(grid_at(n), rows)
+        grid = grid_at(n)
+        for row in rows:  # in row order; a row whose precondition failed is skipped
+            if row.per_grid is None or row.id in failures:
+                continue
+            failure = row.precondition(grid) if row.precondition else ""
+            if failure:
+                failures[row.id] = failure
+            else:
+                measured[row.id].append(row.per_grid(grid))
+        del grid  # before grid 2n's pair is built
     records = []
     for row in rows:
-        failure = suite.failures.get(row.id, "")
-        defects = ([] if failure else suite.defects[row.id] if row.per_grid
-                   else row.defects(suite))
-        passed, ratio, note = _judge(row.threshold, defects, suite.h)
+        failure = failures.get(row.id, "")
+        listed, defects = (row.pair_free(grids, seed) if row.pair_free
+                           else (grids, [] if failure else measured[row.id]))
+        passed, ratio, note = _judge(row.threshold, defects, chart.h)
         extra = {}
         if isinstance(defects, dict):   # per convention: list the first one's action
             extra["conventions"] = defects
@@ -414,7 +404,7 @@ def _verify_grids(grid_at, grids, topology, seed, scenario_kind, mode) -> dict:
             "id": row.id,
             "statement": row.statement,
             "kind": row.kind,
-            "grids": list(row.grids(suite) if row.grids else grids),
+            "grids": list(listed),
             "defects": [float(d) for d in defects],
             "refinement_ratio": None if ratio is None else float(ratio),
             "threshold": copy.deepcopy(row.threshold),
@@ -429,7 +419,7 @@ def _verify_grids(grid_at, grids, topology, seed, scenario_kind, mode) -> dict:
         "scenario": scenario_kind,
         "solution_scenario": scenario_kind in _SOLUTION_SCENARIOS,
         "grids": grids,
-        "chart": {"topology": topology, "n": grids[0], "side": suite.side},
+        "chart": {"topology": chart.topology, "n": grids[0], "side": chart.side},
         "identities": records,
         "pass": all(r["pass"] for r in records),
         "mode": mode,

@@ -1,22 +1,27 @@
 """The verify rules at their boundaries, the bochner row's precondition,
-the identity calls one verification makes, and the fixed grid of the
-self-adjointness row.
+the identity calls one verification makes, the fixed grid of the
+self-adjointness row, the defect bits of CI's disk config, and the exact
+families whose verify fails today (ROADMAP item 2).
 
 ``_judge`` is the only code that turns measured defects into a verdict,
 so each rule is tested here directly at its edges; the call counts pin
 the work the identity table shares between rows."""
 
+import hashlib
 import json
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import diracharmonic as dh
 from diracharmonic import cli, fields, identities, verify
+from diracharmonic.config import build_pair
 from diracharmonic.verify import COND_BUDGET, NEAR_ZERO, UNCOND_BUDGET, _judge
 
 from conftest import random_sphere_pair
+from test_work_arrays import _coupled_digests_apply
 
 H2 = {"rel_h2": COND_BUDGET}
 WAIVED = "ratio window waived below 1e-10"
@@ -157,8 +162,7 @@ def test_verify_takes_each_field_scale_once_per_pair(monkeypatch):
     assert len(calls) == 2
 
 
-def test_verify_makes_56_dirac_evaluations_on_the_disk(monkeypatch):
-    # action's and the identities'; the bochner row reads el_residual's instead.
+def _counted_dirac(monkeypatch):
     calls = []
     original = fields.dirac_along_map
 
@@ -168,8 +172,22 @@ def test_verify_makes_56_dirac_evaluations_on_the_disk(monkeypatch):
 
     for module in (fields, identities):
         monkeypatch.setattr(module, "dirac_along_map", counted)
+    return calls
+
+
+def test_verify_makes_54_dirac_evaluations_on_the_disk(monkeypatch):
+    # The identities'; the interior action and the bochner row read el_residual's.
+    calls = _counted_dirac(monkeypatch)
     verify.run_verification(dh.parse_config(DISK_48))
-    assert len(calls) == 56
+    assert len(calls) == 54
+
+
+def test_pair_summary_makes_no_dirac_evaluation(monkeypatch):
+    # dhm exact's summary: its action reads the D psi el_residual formed.
+    phi, psi = build_pair(dh.parse_config(DISK_48))
+    calls = _counted_dirac(monkeypatch)
+    verify.pair_summary(phi, psi)
+    assert calls == []
 
 
 # The Bochner identity holds only where D psi = 0: the row is judged only
@@ -194,7 +212,7 @@ def test_bochner_is_judged_only_within_the_dirac_tolerance(monkeypatch, tol, jud
 def test_bochner_precondition_names_the_measured_residual():
     _, phi, psi = random_sphere_pair(48, seed=6)
     grid = verify._Grid(phi, psi)
-    sup, scale = grid.take(verify._el_norms)["spinor_sup"], grid.take(verify.field_scale)
+    sup, scale = grid.take(verify._euler_lagrange)["spinor_sup"], grid.take(verify.field_scale)
     assert verify._bochner_precondition(grid) == (
         f"precondition failed: Dirac residual {sup:.3e} exceeds tolerance 1.0e-02 x scale "
         f"{scale:.3e}; the identity is only valid on solutions")
@@ -251,3 +269,54 @@ def test_self_adjoint_row_runs_on_its_fixed_grid(argv, tmp_path, monkeypatch, ca
     record = next(r for r in report["identities"] if r["id"] == "dirac_self_adjoint")
     assert record["grids"] == [verify.SELF_ADJOINT_GRID]
     assert grids == [verify.SELF_ADJOINT_GRID] * EXPECTED_CALLS["self_adjointness_defect"]
+
+
+# The sha256 of every record's id, defect bits and pass flag on CI's disk
+# config.  The report's bits follow numpy's dispatch path (ROADMAP item
+# 11), so the pin holds where the coupled solve digests do.  A change that
+# moves report bytes on purpose re-pins it and names both digests in
+# CHANGES.md.
+CI_DISK_48_DEFECT_BITS = "efd1b5396fb9cbed8bfaf4ce0abb372066f139dc36b9b72daacbf8bc4f5cff57"
+
+
+def test_ci_disk_report_keeps_its_defect_bits():
+    if not _coupled_digests_apply():
+        pytest.skip("defect bits recorded for numpy 2.4 with its X86_V3 complex multiply")
+    report = verify.run_verification(dh.parse_config(CI_DISK_48))
+    rows = [[r["id"], [d.hex() for d in r["defects"]], r["pass"]] for r in report["identities"]]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == CI_DISK_48_DEFECT_BITS
+
+
+@pytest.mark.parametrize("seed", [7, 1007])
+def test_algebra_draws_are_the_draws_taken_one_at_a_time(seed):
+    # The reference: v, w, Re s, Im s, Re t, Im t drawn one by one, 50 times.
+    rng = np.random.default_rng(seed)
+    for v, w, s, t in verify._algebra_draws(seed):
+        ref = [rng.normal(size=2) for _ in range(6)]
+        for got, want in zip((v, w, s, t), (ref[0], ref[1], ref[2] + 1j * ref[3],
+                                            ref[4] + 1j * ref[5])):
+            assert got.tobytes() == want.tobytes()
+
+
+# ROADMAP item 2's false alarms: exact families that converge at second
+# order and still fail.  The change that judges the observed order flips
+# these strict xfails.
+DEGREE_2_DISK = ("[chart]\ntopology = disk\nn = 64\n\n[scenario]\nkind = twistor_pushforward\n"
+                 "rational_num = 0,0,1\npsi1 = 0.2,-0.1j\n\n[output]\nseed = 7\n")
+
+
+def _false_alarm(text, family, reason):
+    return pytest.param(text, id=family, marks=pytest.mark.xfail(
+        reason=f"ROADMAP item 2: {reason}", strict=True, raises=AssertionError))
+
+
+@pytest.mark.parametrize("text", [
+    _false_alarm(ELLIPTIC_32, "elliptic_pair_n32",
+                 "six records exceed their constant h^2 budget at ratios 3.2-3.9, and "
+                 "bochner's precondition fails"),
+    _false_alarm(DEGREE_2_DISK, "degree_2_disk_n64",
+                 "em_symmetry 1.21e-10 is just above the 1e-10 waiver (ratio 59.9), and "
+                 "em_divergence's ratio 3.29 is below 3.4"),
+])
+def test_exact_family_passes_verify(text):
+    assert verify.run_verification(dh.parse_config(text))["pass"]
